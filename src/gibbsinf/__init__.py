@@ -12,7 +12,7 @@ from .errors import (ConditioningError, ConfigError, DegenerateEstimateError,
                      DomainError, GibbsInfError, InitializationError,
                      OverflowGuardError, PreconditionError, ShapeError)
 from .model import (ClassTriple, CubicBSpline, Dataset, FunctionParam,
-                    PairedScores, RawDictionary, RegPair, Score, ScorePair,
+                    PairedScores, RawDictionary, RegPair, ScorePair,
                     TensorBSpline, dataset_from_csv, design_matrix,
                     eval_basis, eval_function)
 from .losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
@@ -20,9 +20,8 @@ from .losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                      auc_empirical_risk, auc_point_estimate, empirical_risk,
                      erm_least_squares, least_squares_coefficients, loss_value,
                      pointwise_losses, sign_neg)
-from .priors import (GaussianIID, HierarchicalBasis, LaplaceIID, PoissonJPrior,
-                     SparseParam, SpikeSlab, TruncatedPrior,
-                     default_truncation_bound, log_prior, sample_prior)
+from .priors import (GaussianIID, LaplaceIID, SparseParam, SpikeSlab,
+                     log_prior, sample_prior)
 from .rates import (AUCCovariances, AUCDataDriven, FixedRate, HeavyTailRate,
                     PowerLawRate, TsybakovRate, auc_covariances,
                     auc_learning_rate, rate_at)

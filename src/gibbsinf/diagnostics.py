@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverflowGuardError, PreconditionError, ShapeError
-from .losses import (LossSpec, least_squares_coefficients, pointwise_losses,
-                     sign_neg)
+from .losses import LossSpec, least_squares_coefficients, sign_neg
 from .model import BasisSpec, Dataset, FunctionParam, PairedScores, design_matrix
 from .priors import SparseParam
 from .sampler import Chain, SparseChain
@@ -223,9 +222,9 @@ class RiskDiffSqrt:
     def estimate(self, a, b, rng) -> MCDivergence:
         if structurally_equal(a, b):
             return MCDivergence(0.0, 0.0, 0)
-        sample = self.sample_data(rng, self.n_draws)
-        diff = (pointwise_losses(self.loss, a, sample)
-                - pointwise_losses(self.loss, b, sample))
+        loss = self.loss
+        prepared = loss.prepare(self.sample_data(rng, self.n_draws))
+        diff = loss.per_observation(prepared, a) - loss.per_observation(prepared, b)
         return self._finish(diff)
 
     def batch(self, mat: np.ndarray, b, rng) -> np.ndarray:
@@ -235,12 +234,13 @@ class RiskDiffSqrt:
         chain at a fraction of the cost; each value is still an unbiased MC
         estimate of sqrt(excess risk) clipped at zero.
         """
-        sample = self.sample_data(rng, self.n_draws)
+        loss = self.loss
+        prepared = loss.prepare(self.sample_data(rng, self.n_draws))
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        ref = pointwise_losses(self.loss, _vec(b), sample)
+        ref = loss.per_observation(prepared, _vec(b))
         vals = np.empty(mat.shape[0])
         for i, row in enumerate(mat):
-            d = float(np.mean(pointwise_losses(self.loss, row, sample) - ref))
+            d = float(np.mean(loss.per_observation(prepared, row) - ref))
             vals[i] = math.sqrt(d) if d > 0 else 0.0
         return vals
 
@@ -318,9 +318,9 @@ def mv_estimate(loss: LossSpec, theta, theta_star, generator, n_draws: int,
     """
     if n_draws < 100:
         raise PreconditionError("n_draws must be at least 100")
-    sample = generator(rng, n_draws)
-    diff = (pointwise_losses(loss, theta, sample)
-            - pointwise_losses(loss, theta_star, sample))
+    prepared = loss.prepare(generator(rng, n_draws))
+    diff = (loss.per_observation(prepared, theta)
+            - loss.per_observation(prepared, theta_star))
     n = diff.size
     m = float(diff.mean())
     v = float(diff.var(ddof=1))
@@ -411,14 +411,14 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise PreconditionError("empty parameter grid")
-    sample = generator(rng, n_draws)
-    lstar = pointwise_losses(loss, theta_star, sample)
+    prepared = loss.prepare(generator(rng, n_draws))
+    lstar = loss.per_observation(prepared, theta_star)
     points = []
     for theta in theta_grid:
         d = divergence_value(div, theta, theta_star, rng)
         if d <= 0.0:
             raise PreconditionError("grid must exclude theta* (divergence 0)")
-        z = -omega * (pointwise_losses(loss, theta, sample) - lstar)
+        z = -omega * (loss.per_observation(prepared, theta) - lstar)
         if float(z.max()) > _EXP_GUARD:
             raise OverflowGuardError(
                 "exp(-omega * excess loss) overflows float64 on the sample")

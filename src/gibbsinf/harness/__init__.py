@@ -2,7 +2,7 @@
 
 from .generators import (AUCSim, GeneratedData, HeavyTailSim, MCID1, MCID2,
                          MeanCurveSim, QuantileRegSim, SparseClassSim,
-                         TruthRecord, affine_features, generate,
+                         TruthRecord, affine_features,
                          holdout_misclassification)
 from .config import (build_divergence, build_generator, build_loss, build_mh,
                      build_prior, build_rate, load_config,

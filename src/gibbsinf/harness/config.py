@@ -34,7 +34,7 @@ from ..diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
 from ..errors import ConfigError
 from ..losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                       SquaredLoss, ZeroOneLinearLoss)
-from ..model import CubicBSpline, TensorBSpline
+from ..model import CubicBSpline
 from ..priors import GaussianIID, LaplaceIID, SpikeSlab
 from ..rates import (AUCDataDriven, FixedRate, HeavyTailRate, PowerLawRate,
                      TsybakovRate)
@@ -74,6 +74,12 @@ def load_config(path) -> dict:
 
 
 def validate_experiment_config(cfg: dict) -> None:
+    """Check an experiment config before any cell runs.
+
+    Besides the required fields and their types, every component's name
+    must be one its builder table knows.  Errors that depend on the cell,
+    such as a parameter the chosen component rejects, surface per row.
+    """
     required = ["generator", "loss", "prior", "rate", "mh", "divergence",
                 "nGrid", "replications", "baseSeed"]
     for key in required:
@@ -93,6 +99,10 @@ def validate_experiment_config(cfg: dict) -> None:
     full = cfg.get("fullReplications")
     if full is not None and (not isinstance(full, int) or full < 1):
         raise ConfigError("fullReplications must be a positive integer")
+    for field, table in _COMPONENTS.items():
+        _builder(table, cfg[field], field)
+    if not isinstance(cfg["mh"], dict):
+        raise ConfigError("mh spec must be an object")
 
 
 def _namespec(spec, what: str) -> tuple[str, dict]:
@@ -102,33 +112,38 @@ def _namespec(spec, what: str) -> tuple[str, dict]:
     return str(spec["name"]), rest
 
 
+def _builder(table: dict, spec, what: str):
+    """(name, builder, remaining fields) for a component spec."""
+    name, kw = _namespec(spec, what)
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r}; allowed names: "
+                          f"{', '.join(sorted(table))}")
+    return name, table[name], kw
+
+
+_GENERATORS = {
+    "mcid1": lambda kw: MCID1(**kw),
+    "mcid2": lambda kw: MCID2(**kw),
+    "quantilereg": lambda kw: QuantileRegSim(
+        tau=kw.pop("tau"), beta_star=kw.pop("betaStar", (1.0, 2.0)),
+        noise_sd=kw.pop("noiseSd", 1.0), **kw),
+    "heavytail": lambda kw: HeavyTailSim(
+        df=kw.pop("df"), theta_star=kw.pop("thetaStar", (1.0, 2.0, -1.0)), **kw),
+    "meancurve": lambda kw: MeanCurveSim(
+        curve=kw.pop("curve", "sine"), noise_sd=kw.pop("noiseSd", 0.3), **kw),
+    "aucsim": lambda kw: AUCSim(mu=kw.pop("mu"), **kw),
+    "sparseclass": lambda kw: SparseClassSim(
+        q=kw.pop("q"), support=kw.pop("support"),
+        beta_values=kw.pop("betaValues"), flip_rho=kw.pop("flipRho", 0.1), **kw),
+}
+
+
 def build_generator(spec: dict):
-    name, kw = _namespec(spec, "generator")
+    name, build, kw = _builder(_GENERATORS, spec, "generator")
     try:
-        if name == "mcid1":
-            return MCID1(**kw)
-        if name == "mcid2":
-            return MCID2(**kw)
-        if name == "quantilereg":
-            return QuantileRegSim(tau=kw.pop("tau"),
-                                  beta_star=kw.pop("betaStar", (1.0, 2.0)),
-                                  noise_sd=kw.pop("noiseSd", 1.0), **kw)
-        if name == "heavytail":
-            return HeavyTailSim(df=kw.pop("df"),
-                                theta_star=kw.pop("thetaStar", (1.0, 2.0, -1.0)),
-                                **kw)
-        if name == "meancurve":
-            return MeanCurveSim(curve=kw.pop("curve", "sine"),
-                                noise_sd=kw.pop("noiseSd", 0.3), **kw)
-        if name == "aucsim":
-            return AUCSim(mu=kw.pop("mu"), **kw)
-        if name == "sparseclass":
-            return SparseClassSim(q=kw.pop("q"), support=kw.pop("support"),
-                                  beta_values=kw.pop("betaValues"),
-                                  flip_rho=kw.pop("flipRho", 0.1), **kw)
+        return build(kw)
     except (TypeError, KeyError) as exc:
         raise ConfigError(f"bad generator parameters for {name!r}: {exc}") from None
-    raise ConfigError(f"unknown generator {name!r}")
 
 
 def build_basis(generator, loss_spec: dict):
@@ -147,95 +162,131 @@ def build_basis(generator, loss_spec: dict):
     return None
 
 
-def build_loss(spec: dict, generator, schedule=None, n: int | None = None):
-    """Construct the loss; the capped squared cap may be schedule-resolved.
+def _capped_squared_loss(kw, generator, schedule, n):
+    """A "cap": "auto" entry takes the heavy-tail schedule's truncation level
+    t_n at the current sample size."""
+    cap = kw.get("cap", "auto")
+    if cap == "auto":
+        if not isinstance(schedule, HeavyTailRate) or n is None:
+            raise ConfigError("cap 'auto' needs a heavytail rate schedule")
+        cap = schedule.cap_at(n)
+    return CappedSquaredLoss(features=None, cap=float(cap))
 
-    A "cap": "auto" entry takes the heavy-tail schedule's truncation level
-    t_n at the current sample size.
-    """
-    name, kw = _namespec(spec, "loss")
-    if name == "check":
-        return CheckLoss(tau=float(kw.get("tau", 0.5)), features=affine_features())
-    if name == "squared":
-        basis = build_basis(generator, spec)
-        return SquaredLoss(features=basis)
-    if name == "cappedsquared":
-        cap = kw.get("cap", "auto")
-        if cap == "auto":
-            if not isinstance(schedule, HeavyTailRate) or n is None:
-                raise ConfigError("cap 'auto' needs a heavytail rate schedule")
-            cap = schedule.cap_at(n)
-        return CappedSquaredLoss(features=None, cap=float(cap))
-    if name == "zeroone":
-        return ZeroOneLinearLoss()
-    if name == "mcid":
-        basis = build_basis(generator, spec)
-        if basis is None:
-            raise ConfigError("mcid loss needs a basis (numBasis/domain)")
-        return MCIDLoss(basis=basis)
-    if name == "auc":
-        return AUCLoss()
-    raise ConfigError(f"unknown loss {name!r}")
+
+def _mcid_loss(kw, generator, schedule, n):
+    basis = build_basis(generator, kw)
+    if basis is None:
+        raise ConfigError("mcid loss needs a basis (numBasis/domain)")
+    return MCIDLoss(basis=basis)
+
+
+_LOSSES = {
+    "check": lambda kw, *_: CheckLoss(tau=float(kw.get("tau", 0.5)),
+                                      features=affine_features()),
+    "squared": lambda kw, generator, *_: SquaredLoss(
+        features=build_basis(generator, kw)),
+    "cappedsquared": _capped_squared_loss,
+    "zeroone": lambda *_: ZeroOneLinearLoss(),
+    "mcid": _mcid_loss,
+    "auc": lambda *_: AUCLoss(),
+}
+
+
+def build_loss(spec: dict, generator, schedule=None, n: int | None = None):
+    """Construct the loss; the capped squared cap may be schedule-resolved."""
+    _, build, kw = _builder(_LOSSES, spec, "loss")
+    return build(kw, generator, schedule, n)
 
 
 def parameter_dim(loss, generator) -> int:
     """Dimension of the continuous parameter the sampler walks on."""
-    if isinstance(loss, MCIDLoss):
-        return loss.basis.num_basis
-    if isinstance(loss, (CheckLoss, SquaredLoss)) and loss.features is not None:
-        return loss.features.num_basis
+    basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
+    if basis is not None:
+        return basis.num_basis
     if isinstance(loss, CappedSquaredLoss):
-        if loss.features is not None:
-            return loss.features.num_basis
         if isinstance(generator, HeavyTailSim):
             return generator.dim
         raise ConfigError("cannot infer parameter dimension for capped loss")
-    if isinstance(loss, AUCLoss):
-        return 1
-    if isinstance(loss, (CheckLoss, SquaredLoss)):
+    if isinstance(loss, (CheckLoss, SquaredLoss, AUCLoss)):
         return 1
     raise ConfigError(f"cannot infer parameter dimension for {loss.kind!r}")
 
 
+_PRIORS = {
+    "gaussian": lambda kw, dim: GaussianIID(mean=float(kw.get("mean", 0.0)),
+                                            sd=float(kw["sd"]), dim=dim),
+    "laplace": lambda kw, dim: LaplaceIID(rate=float(kw["rate"]), dim=dim),
+    "spikeslab": lambda kw, dim: SpikeSlab(
+        q=int(kw["q"]), a=float(kw.get("a", 1.0)), c=float(kw.get("c", 1.0)),
+        lam=None if kw.get("lam") is None else float(kw["lam"])),
+}
+
+
 def build_prior(spec: dict, dim: int):
-    name, kw = _namespec(spec, "prior")
+    name, build, kw = _builder(_PRIORS, spec, "prior")
     try:
-        if name == "gaussian":
-            return GaussianIID(mean=float(kw.get("mean", 0.0)),
-                               sd=float(kw["sd"]), dim=dim)
-        if name == "laplace":
-            return LaplaceIID(rate=float(kw["rate"]), dim=dim)
-        if name == "spikeslab":
-            lam = kw.get("lam")
-            return SpikeSlab(q=int(kw["q"]), a=float(kw.get("a", 1.0)),
-                             c=float(kw.get("c", 1.0)),
-                             lam=None if lam is None else float(lam))
+        return build(kw, dim)
     except KeyError as exc:
         raise ConfigError(f"prior {name!r} missing parameter {exc}") from None
-    raise ConfigError(f"unknown prior {name!r}")
+
+
+def _aucdata_rate(kw):
+    mult = kw.get("multiplier")
+    if isinstance(mult, list):
+        mult = (float(mult[0]), float(mult[1]))
+    elif mult is not None:
+        mult = float(mult)
+    return AUCDataDriven(multiplier=mult)
+
+
+_RATES = {
+    "fixed": lambda kw: FixedRate(omega=float(kw["omega"])),
+    "power": lambda kw: PowerLawRate(c=float(kw["c"]), gamma=float(kw["gamma"])),
+    "heavytail": lambda kw: HeavyTailRate(s=float(kw["s"])),
+    "tsybakov": lambda kw: TsybakovRate(gamma=float(kw["gamma"])),
+    "aucdata": _aucdata_rate,
+}
 
 
 def build_rate(spec: dict):
-    name, kw = _namespec(spec, "rate")
+    name, build, kw = _builder(_RATES, spec, "rate")
     try:
-        if name == "fixed":
-            return FixedRate(omega=float(kw["omega"]))
-        if name == "power":
-            return PowerLawRate(c=float(kw["c"]), gamma=float(kw["gamma"]))
-        if name == "heavytail":
-            return HeavyTailRate(s=float(kw["s"]))
-        if name == "tsybakov":
-            return TsybakovRate(gamma=float(kw["gamma"]))
-        if name == "aucdata":
-            mult = kw.get("multiplier")
-            if isinstance(mult, list):
-                mult = (float(mult[0]), float(mult[1]))
-            elif mult is not None:
-                mult = float(mult)
-            return AUCDataDriven(multiplier=mult)
+        return build(kw)
     except KeyError as exc:
         raise ConfigError(f"rate {name!r} missing parameter {exc}") from None
-    raise ConfigError(f"unknown rate schedule {name!r}")
+
+
+def _empirical_l2(kw, generator, loss, basis):
+    if basis is None:
+        raise ConfigError("empirical_l2 divergence needs a function basis")
+    if not hasattr(generator, "divergence_grid"):
+        raise ConfigError("generator provides no divergence grid")
+    grid = generator.divergence_grid(int(kw["gridSize"])) \
+        if kw.get("gridSize") else generator.divergence_grid()
+    return EmpiricalL2(basis, grid)
+
+
+def _l2p(kw, generator, loss, basis):
+    if not hasattr(generator, "sample_x"):
+        raise ConfigError("l2p divergence needs a covariate sampler")
+    return L2PDistance(generator.sample_x, n_draws=int(kw.get("nDraws", 4096)))
+
+
+def _mcid_measure(kw, generator, loss, basis):
+    if not hasattr(generator, "sample_zx"):
+        raise ConfigError("mcid_measure divergence needs a (z,x) sampler")
+    return MCIDMeasure(generator.sample_zx, n_draws=int(kw.get("nDraws", 4096)))
+
+
+_DIVERGENCES = {
+    "euclid": lambda *_: EuclideanDistance(),
+    "abs": lambda *_: AbsScalarDistance(),
+    "empirical_l2": _empirical_l2,
+    "risk_diff_sqrt": lambda kw, generator, loss, basis: RiskDiffSqrt(
+        loss, generator.mc_sample, n_draws=int(kw.get("nDraws", 4096))),
+    "l2p": _l2p,
+    "mcid_measure": _mcid_measure,
+}
 
 
 def build_divergence(spec: dict, generator, loss, basis=None):
@@ -245,32 +296,13 @@ def build_divergence(spec: dict, generator, loss, basis=None):
     law, so reported divergences are against the population, not the
     fitting data.
     """
-    name, kw = _namespec(spec, "divergence")
-    if name == "euclid":
-        return EuclideanDistance()
-    if name == "abs":
-        return AbsScalarDistance()
-    if name == "empirical_l2":
-        if basis is None:
-            raise ConfigError("empirical_l2 divergence needs a function basis")
-        if hasattr(generator, "divergence_grid"):
-            grid = generator.divergence_grid(int(kw.get("gridSize", 0))) \
-                if kw.get("gridSize") else generator.divergence_grid()
-        else:
-            raise ConfigError("generator provides no divergence grid")
-        return EmpiricalL2(basis, grid)
-    if name == "risk_diff_sqrt":
-        return RiskDiffSqrt(loss, generator.mc_sample,
-                            n_draws=int(kw.get("nDraws", 4096)))
-    if name == "l2p":
-        if not hasattr(generator, "sample_x"):
-            raise ConfigError("l2p divergence needs a covariate sampler")
-        return L2PDistance(generator.sample_x, n_draws=int(kw.get("nDraws", 4096)))
-    if name == "mcid_measure":
-        if not hasattr(generator, "sample_zx"):
-            raise ConfigError("mcid_measure divergence needs a (z,x) sampler")
-        return MCIDMeasure(generator.sample_zx, n_draws=int(kw.get("nDraws", 4096)))
-    raise ConfigError(f"unknown divergence {name!r}")
+    _, build, kw = _builder(_DIVERGENCES, spec, "divergence")
+    return build(kw, generator, loss, basis)
+
+
+# the components named in an experiment config, with their builder tables
+_COMPONENTS = {"generator": _GENERATORS, "loss": _LOSSES, "prior": _PRIORS,
+               "rate": _RATES, "divergence": _DIVERGENCES}
 
 
 def resolve_proposal_scale(mh_spec: dict, n: int):

@@ -393,15 +393,6 @@ class SparseClassSim:
         return self.sample(n, rng).data
 
 
-GeneratorSpec = (MCID1 | MCID2 | QuantileRegSim | HeavyTailSim | MeanCurveSim
-                 | AUCSim | SparseClassSim)
-
-
-def generate(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> GeneratedData:
-    """Draw an n-observation dataset plus its truth record."""
-    return gen.sample(n, rng)
-
-
 def holdout_misclassification(mcid_fn, holdout: Dataset) -> float:
     """Fraction of holdout points misclassified by the threshold rule
     sign(x - theta(z)) (sign(0) = -1).

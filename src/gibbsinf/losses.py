@@ -1,8 +1,15 @@
 """Loss functions, empirical risk, and closed-form least-squares minimization.
 
-Every loss knows how to score a single observation (`loss_value`) and a whole
-dataset (`empirical_risk`), and can compile a fast closure over a fixed
-dataset for use inside MCMC loops (`prepare_risk`).
+Each loss family is written once, as two methods: `prepare(sample)` checks a
+sample and precomputes its arrays (design matrix, labels, responses), and
+`pointwise(prepared, beta)` holds the loss formula, mapping the prepared
+arrays and a coefficient vector to the per-observation losses (a boolean
+mismatch vector for the 0-1 losses).  Everything else derives from that pair:
+the risk closure used inside MCMC loops (`prepare_risk`), float
+per-observation values for Monte-Carlo diagnostics (`pointwise_losses`), the
+loss on one observation (`loss_value`) and the empirical risk of a dataset
+(`empirical_risk`).  The ranking loss keeps a closed-form risk over the m*n
+pair grid.
 
 Sign convention: sign(0) = -1 everywhere, and classifier indicators use the
 strict inequality x'theta > 0.  Score ties across groups in the pairwise
@@ -33,9 +40,10 @@ class RiskValue:
     n_used: int
 
 
-def _as_beta(theta, features: BasisSpec | None) -> np.ndarray:
-    """Accept either a coefficient array or a FunctionParam matching `features`."""
+def _as_beta(theta, loss) -> np.ndarray:
+    """Accept either a coefficient array or a FunctionParam over the loss's basis."""
     if isinstance(theta, FunctionParam):
+        features = getattr(loss, "features", getattr(loss, "basis", None))
         if features is not None and theta.basis != features:
             raise ShapeError("FunctionParam basis differs from the loss's feature basis")
         return theta.beta
@@ -54,7 +62,37 @@ def _features_design(features: BasisSpec | None, xs) -> np.ndarray:
 # loss families
 # ---------------------------------------------------------------------------
 
-class CheckLoss:
+class _Loss:
+    """Risk, per-observation values and single-observation losses, all
+    derived from a family's `prepare(sample)` and `pointwise(prepared, beta)`.
+    """
+
+    def prepare_risk(self, data: Dataset):
+        """Closure beta -> empirical risk over a fixed dataset."""
+        prepared = self.prepare(data)
+        kernel = self.pointwise
+
+        def risk(beta: np.ndarray) -> float:
+            return float(np.mean(kernel(prepared, beta)))
+
+        return risk
+
+    def per_observation(self, prepared, theta) -> np.ndarray:
+        """Float vector of losses of theta on every row of a prepared sample."""
+        return np.asarray(self.pointwise(prepared, _as_beta(theta, self)),
+                          dtype=float)
+
+
+class _RegressionLoss(_Loss):
+    """Losses of the residual y - b'f(x) on a regression dataset."""
+
+    def prepare(self, sample):
+        if not isinstance(sample, Dataset) or sample.kind != "reg":
+            raise ShapeError(f"{self.kind} loss expects a regression dataset")
+        return _features_design(self.features, sample.x), sample.y
+
+
+class CheckLoss(_RegressionLoss):
     """Check (pinball) loss (y - b'f(x)) * (tau - 1{y < b'f(x)}).
 
     Its population risk is minimized at the tau-th conditional quantile of y
@@ -69,29 +107,13 @@ class CheckLoss:
         self.tau = float(tau)
         self.features = features
 
-    def loss_value(self, theta, u) -> float:
-        if not isinstance(u, RegPair):
-            raise ShapeError("check loss expects RegPair observations")
-        beta = _as_beta(theta, self.features)
-        pred = float(beta @ _features_design(self.features, np.asarray([u.x]))[0])
-        r = u.y - pred
-        return float(r * (self.tau - (r < 0.0)))
-
-    def prepare_risk(self, data: Dataset):
-        if data.kind != "reg":
-            raise ShapeError("check loss expects a regression dataset")
-        F = _features_design(self.features, data.x)
-        y = data.y
-        tau = self.tau
-
-        def risk(beta: np.ndarray) -> float:
-            r = y - F @ beta
-            return float(np.mean(r * (tau - (r < 0.0))))
-
-        return risk
+    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
+        F, y = prepared
+        r = y - F @ beta
+        return r * (self.tau - (r < 0.0))
 
 
-class SquaredLoss:
+class SquaredLoss(_RegressionLoss):
     """Squared-error loss (y - b'f(x))^2."""
 
     kind = "squared"
@@ -99,27 +121,13 @@ class SquaredLoss:
     def __init__(self, features: BasisSpec | None):
         self.features = features
 
-    def loss_value(self, theta, u) -> float:
-        if not isinstance(u, RegPair):
-            raise ShapeError("squared loss expects RegPair observations")
-        beta = _as_beta(theta, self.features)
-        pred = float(beta @ _features_design(self.features, np.asarray([u.x]))[0])
-        return float((u.y - pred) ** 2)
-
-    def prepare_risk(self, data: Dataset):
-        if data.kind != "reg":
-            raise ShapeError("squared loss expects a regression dataset")
-        F = _features_design(self.features, data.x)
-        y = data.y
-
-        def risk(beta: np.ndarray) -> float:
-            r = y - F @ beta
-            return float(np.mean(r * r))
-
-        return risk
+    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
+        F, y = prepared
+        r = y - F @ beta
+        return r * r
 
 
-class CappedSquaredLoss:
+class CappedSquaredLoss(_RegressionLoss):
     """Squared-error loss truncated at `cap`: min((y - b'f(x))^2, cap).
 
     The truncation restores moment-generating-function existence when the
@@ -135,59 +143,46 @@ class CappedSquaredLoss:
         self.features = features
         self.cap = float(cap)
 
-    def loss_value(self, theta, u) -> float:
-        base = SquaredLoss(self.features).loss_value(theta, u)
-        return float(min(base, self.cap))
-
-    def prepare_risk(self, data: Dataset):
-        if data.kind != "reg":
-            raise ShapeError("capped squared loss expects a regression dataset")
-        F = _features_design(self.features, data.x)
-        y, cap = data.y, self.cap
-
-        def risk(beta: np.ndarray) -> float:
-            r = y - F @ beta
-            return float(np.mean(np.minimum(r * r, cap)))
-
-        return risk
+    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
+        F, y = prepared
+        r = y - F @ beta
+        return np.minimum(r * r, self.cap)
 
 
-class ZeroOneLinearLoss:
+def _labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
+    y = sample.y.astype(int)
+    if not set(np.unique(y).tolist()) <= allowed:
+        raise ShapeError(f"{what} expects labels in {sorted(allowed)}")
+    return y
+
+
+class ZeroOneLinearLoss(_Loss):
     """Misclassification loss of the linear classifier 1{x'theta > 0}.
 
     theta is the dense coefficient vector (first coordinate conventionally
-    the sign-constrained one); labels are in {0,1}.
+    the sign-constrained one); labels are in {0,1}.  `pointwise` returns the
+    boolean mismatch vector.
     """
 
     kind = "zeroone"
 
-    def loss_value(self, theta, u) -> float:
-        if not isinstance(u, ClassTriple):
-            raise ShapeError("zero-one loss expects ClassTriple observations")
-        theta = np.asarray(theta, dtype=float)
-        pred = 1 if float(np.dot(u.x, theta)) > 0.0 else 0
-        return float(pred != u.y)
-
-    def prepare_risk(self, data: Dataset):
-        if data.kind != "class":
+    def prepare(self, sample):
+        if not isinstance(sample, Dataset) or sample.kind != "class":
             raise ShapeError("zero-one loss expects a classification dataset")
-        X = np.atleast_2d(data.x)
-        y = data.y.astype(int)
-        if not set(np.unique(y).tolist()) <= {0, 1}:
-            raise ShapeError("zero-one loss expects labels in {0,1}")
+        return np.atleast_2d(sample.x), _labels(sample, {0, 1}, "zero-one loss")
 
-        def risk(theta: np.ndarray) -> float:
-            pred = (X @ theta > 0.0).astype(int)
-            return float(np.mean(pred != y))
-
-        return risk
+    def pointwise(self, prepared, theta: np.ndarray) -> np.ndarray:
+        X, y = prepared
+        return (X @ theta > 0.0).astype(int) != y
 
 
-class MCIDLoss:
+class MCIDLoss(_Loss):
     """Threshold-classification loss 0.5*(1 - y * sign(x - theta(z))).
 
     theta is a function of the covariate z (a FunctionParam over `basis`),
-    x the scalar diagnostic measure, y in {-1,+1} the reported outcome.
+    x the scalar diagnostic measure, y in {-1,+1} the reported outcome.  For
+    y in {-1,+1} the loss is the mismatch indicator of sign(x - theta(z)) and
+    y, which `pointwise` returns as a boolean vector.
     """
 
     kind = "mcid"
@@ -195,46 +190,39 @@ class MCIDLoss:
     def __init__(self, basis: BasisSpec):
         self.basis = basis
 
-    def loss_value(self, theta, u) -> float:
-        if not isinstance(u, ClassTriple):
-            raise ShapeError("threshold loss expects ClassTriple observations")
-        beta = _as_beta(theta, self.basis)
-        thr = float(beta @ self.basis.eval(u.z))
-        pred = 1 if float(u.x) - thr > 0.0 else -1
-        return 0.5 * (1.0 - u.y * pred)
+    def prepare(self, sample):
+        if not isinstance(sample, Dataset) or sample.kind != "class" or sample.z is None:
+            raise ShapeError("threshold loss expects classification data with z")
+        return (design_matrix(self.basis, sample.z), sample.x.astype(float),
+                _labels(sample, {-1, 1}, "threshold loss"))
 
-    def prepare_risk(self, data: Dataset):
-        if data.kind != "class" or data.z is None:
-            raise ShapeError("threshold loss expects classification data with covariates z")
-        F = design_matrix(self.basis, data.z)
-        x = data.x.astype(float)
-        y = data.y.astype(int)
-        if not set(np.unique(y).tolist()) <= {-1, 1}:
-            raise ShapeError("threshold loss expects labels in {-1,+1}")
-
-        def risk(beta: np.ndarray) -> float:
-            pred = sign_neg(x - F @ beta)
-            return float(np.mean(pred != y))
-
-        return risk
+    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
+        F, x, y = prepared
+        return sign_neg(x - F @ beta) != y
 
 
-class AUCLoss:
+class AUCLoss(_Loss):
     """Pairwise ranking loss (theta - 1{u1 > u0})^2 for scalar theta in [0,1].
 
     The empirical risk averages over all m*n (group-0, group-1) pairs and is
     minimized at the concordance fraction (normalized rank-sum statistic).
+    Per-observation values are defined on matched PairedScores.
     """
 
     kind = "auc"
 
-    def loss_value(self, theta, u) -> float:
-        if not isinstance(u, ScorePair):
-            raise ShapeError("ranking loss expects ScorePair observations")
-        ind = 1.0 if u.u1 > u.u0 else 0.0
-        return float((float(theta) - ind) ** 2)
+    def prepare(self, sample):
+        if not isinstance(sample, PairedScores):
+            raise ShapeError("ranking loss needs PairedScores for pointwise values")
+        return (sample.u1 > sample.u0).astype(float)
+
+    def pointwise(self, prepared, theta) -> np.ndarray:
+        t = float(np.asarray(theta).reshape(-1)[0])
+        return (t - prepared) ** 2
 
     def prepare_risk(self, data: Dataset):
+        """Closed form over the m*n grid of a two-sample dataset; see
+        `auc_empirical_risk`."""
         if data.kind != "twosample":
             raise ShapeError("ranking loss expects a two-sample dataset")
         that = auc_point_estimate(data.scores0, data.scores1)
@@ -255,9 +243,20 @@ LossSpec = (CheckLoss | SquaredLoss | CappedSquaredLoss | ZeroOneLinearLoss
 # module operations
 # ---------------------------------------------------------------------------
 
+def _one_row(u):
+    """A single observation as a one-row sample."""
+    if isinstance(u, RegPair):
+        return Dataset.regression(np.asarray([u.x]), [u.y])
+    if isinstance(u, ClassTriple):
+        return Dataset.classification([u.x], [u.y], None if u.z is None else [u.z])
+    if isinstance(u, ScorePair):
+        return PairedScores([u.u0], [u.u1])
+    raise ShapeError(f"unsupported observation type {type(u).__name__}")
+
+
 def loss_value(loss: LossSpec, theta, u) -> float:
     """Loss of parameter theta on a single observation."""
-    return loss.loss_value(theta, u)
+    return float(pointwise_losses(loss, theta, _one_row(u))[0])
 
 
 def empirical_risk(loss: LossSpec, theta, data: Dataset) -> RiskValue:
@@ -265,13 +264,7 @@ def empirical_risk(loss: LossSpec, theta, data: Dataset) -> RiskValue:
 
     For two-sample data the average runs over all m*n score pairs.
     """
-    if data.kind != "twosample" and data.n < 1:
-        raise PreconditionError("empty dataset")
-    risk = loss.prepare_risk(data)
-    if isinstance(loss, AUCLoss):
-        return RiskValue(risk(theta), data.n_terms)
-    beta = _as_beta(theta, getattr(loss, "features", getattr(loss, "basis", None)))
-    return RiskValue(risk(beta), data.n_terms)
+    return RiskValue(loss.prepare_risk(data)(_as_beta(theta, loss)), data.n_terms)
 
 
 def auc_point_estimate(scores0, scores1) -> float:
@@ -302,44 +295,14 @@ def auc_empirical_risk(theta: float, scores0, scores1) -> float:
 
 
 def pointwise_losses(loss: LossSpec, theta, sample) -> np.ndarray:
-    """Vector of per-observation losses, vectorized by loss family.
+    """Vector of per-observation losses (floats).
 
     `sample` is a Dataset for regression/classification losses and a
     PairedScores batch for the pairwise ranking loss (one loss term per
     matched pair).  The mean of the returned vector is the empirical risk
     of the corresponding dataset (for two-sample data, of the paired subset).
     """
-    if isinstance(sample, PairedScores):
-        if not isinstance(loss, AUCLoss):
-            raise ShapeError("paired scores only carry the ranking loss")
-        t = float(np.asarray(theta).reshape(-1)[0])
-        return (t - (sample.u1 > sample.u0).astype(float)) ** 2
-    if not isinstance(sample, Dataset):
-        raise ShapeError(f"unsupported sample type {type(sample).__name__}")
-    if isinstance(loss, AUCLoss):
-        raise ShapeError("ranking loss needs PairedScores for pointwise values")
-    if isinstance(loss, (CheckLoss, SquaredLoss, CappedSquaredLoss)):
-        if sample.kind != "reg":
-            raise ShapeError("regression loss expects a regression dataset")
-        beta = _as_beta(theta, loss.features)
-        r = sample.y - _features_design(loss.features, sample.x) @ beta
-        if isinstance(loss, CheckLoss):
-            return r * (loss.tau - (r < 0.0))
-        sq = r * r
-        return np.minimum(sq, loss.cap) if isinstance(loss, CappedSquaredLoss) else sq
-    if isinstance(loss, ZeroOneLinearLoss):
-        if sample.kind != "class":
-            raise ShapeError("zero-one loss expects a classification dataset")
-        theta = np.asarray(theta, dtype=float)
-        pred = (np.atleast_2d(sample.x) @ theta > 0.0).astype(int)
-        return (pred != sample.y.astype(int)).astype(float)
-    if isinstance(loss, MCIDLoss):
-        if sample.kind != "class" or sample.z is None:
-            raise ShapeError("threshold loss expects classification data with z")
-        beta = _as_beta(theta, loss.basis)
-        pred = sign_neg(sample.x - design_matrix(loss.basis, sample.z) @ beta)
-        return (pred != sample.y.astype(int)).astype(float)
-    raise ShapeError(f"unsupported loss kind {getattr(loss, 'kind', loss)!r}")
+    return loss.per_observation(loss.prepare(sample), theta)
 
 
 def least_squares_coefficients(F: np.ndarray, y: np.ndarray) -> np.ndarray:

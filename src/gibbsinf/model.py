@@ -48,23 +48,12 @@ class ClassTriple:
 
 
 @dataclass(frozen=True)
-class Score:
-    """Two-sample observation: a score u from group 0 or group 1."""
-
-    group: int
-    u: float
-
-
-@dataclass(frozen=True)
 class ScorePair:
     """A single (group-0, group-1) score pair -- the atomic observation of the
     pairwise ranking loss."""
 
     u0: float
     u1: float
-
-
-Observation = RegPair | ClassTriple | Score | ScorePair
 
 
 @dataclass(frozen=True)
@@ -106,8 +95,8 @@ class Dataset:
 
     kind is one of "reg", "class", "twosample".  Storage is columnar numpy
     arrays for vectorized risk evaluation; `observations` materializes the
-    per-row view when needed.  For two-sample data, m counts group-0 scores
-    and n counts group-1 scores.
+    per-row view of regression and classification data when needed.  For
+    two-sample data, m counts group-0 scores and n counts group-1 scores.
     """
 
     kind: str
@@ -125,9 +114,6 @@ class Dataset:
                 raise ShapeError("two-sample dataset needs scores0 and scores1")
             if len(self.scores0) < 1 or len(self.scores1) < 1:
                 raise PreconditionError("two-sample dataset needs m >= 1 and n >= 1")
-            for a in (self.scores0, self.scores1):
-                if not np.all(np.isfinite(a)):
-                    raise ShapeError("scores must be finite")
         else:
             if self.x is None or self.y is None:
                 raise ShapeError(f"{self.kind} dataset needs x and y")
@@ -137,11 +123,14 @@ class Dataset:
                 raise ShapeError("x and y lengths differ")
             if self.z is not None and len(self.z) != len(self.y):
                 raise ShapeError("z and y lengths differ")
-            if self.kind == "class":
-                labels = set(np.unique(self.y).tolist())
-                if not any(labels <= s for s in _LABEL_SETS):
-                    raise ShapeError(
-                        f"class labels must lie in {{-1,+1}} or {{0,1}}, got {sorted(labels)}")
+        for a in (self.x, self.y, self.z, self.scores0, self.scores1):
+            if a is not None and not np.all(np.isfinite(a)):
+                raise ShapeError("data values (x, y, z, scores) must be finite")
+        if self.kind == "class":
+            labels = set(np.unique(self.y).tolist())
+            if not any(labels <= s for s in _LABEL_SETS):
+                raise ShapeError(
+                    f"class labels must lie in {{-1,+1}} or {{0,1}}, got {sorted(labels)}")
 
     # -- constructors -------------------------------------------------------
 
@@ -153,32 +142,18 @@ class Dataset:
     @staticmethod
     def classification(x, y, z=None) -> "Dataset":
         za = None if z is None else np.asarray(z, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            # checked here because the cast to int labels would hide a NaN
+            raise ShapeError("class labels must be finite")
         return Dataset("class", x=np.asarray(x, dtype=float),
-                       y=np.asarray(y, dtype=int), z=za)
+                       y=y.astype(int), z=za)
 
     @staticmethod
     def two_sample(scores0, scores1) -> "Dataset":
         return Dataset("twosample",
                        scores0=np.asarray(scores0, dtype=float),
                        scores1=np.asarray(scores1, dtype=float))
-
-    @staticmethod
-    def from_observations(obs: Sequence[Observation]) -> "Dataset":
-        if len(obs) == 0:
-            raise PreconditionError("empty observation list")
-        first = obs[0]
-        if not all(type(o) is type(first) for o in obs):
-            raise ShapeError("observations must be a homogeneous variant")
-        if isinstance(first, RegPair):
-            return Dataset.regression([o.x for o in obs], [o.y for o in obs])
-        if isinstance(first, ClassTriple):
-            z = None if first.z is None else [o.z for o in obs]
-            return Dataset.classification([o.x for o in obs], [o.y for o in obs], z)
-        if isinstance(first, Score):
-            s0 = [o.u for o in obs if o.group == 0]
-            s1 = [o.u for o in obs if o.group == 1]
-            return Dataset.two_sample(s0, s1)
-        raise ShapeError(f"cannot build a dataset from {type(first).__name__}")
 
     # -- views --------------------------------------------------------------
 
@@ -212,8 +187,8 @@ class Dataset:
             return [ClassTriple(self.x[i], int(self.y[i]),
                                 None if self.z is None else self.z[i])
                     for i in range(self.n)]
-        return ([Score(0, float(u)) for u in self.scores0]
-                + [Score(1, float(u)) for u in self.scores1])
+        raise ShapeError("two-sample data has no per-row observations; "
+                         "its loss terms are the m*n score pairs")
 
 
 def dataset_from_csv(path, kind: str, columns: dict | None = None) -> Dataset:
@@ -247,7 +222,7 @@ def dataset_from_csv(path, kind: str, columns: dict | None = None) -> Dataset:
         if columns.get("z"):
             znames = [columns["z"]] if isinstance(columns["z"], str) else list(columns["z"])
             z = np.array([[float(r[c]) for c in znames] for r in rows])
-        return Dataset.classification(xs, ys.astype(int), z)
+        return Dataset.classification(xs, ys, z)
     raise PreconditionError(f"unknown dataset kind {kind!r}")
 
 

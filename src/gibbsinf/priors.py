@@ -1,23 +1,19 @@
 """Prior distributions: log-density/log-mass evaluation and exact sampling.
 
-Families: iid Gaussian and Laplace coefficient priors, the sparse
+Families: iid Gaussian and Laplace coefficient priors, and the sparse
 configuration (spike-and-slab) prior with a truncated-geometric complexity
-penalty and Laplace slabs, a hierarchical prior over basis dimension with a
-Gaussian conditional, and a sup-norm truncation wrapper.
+penalty and Laplace slabs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
-from scipy.stats import poisson
 
-from .errors import (DegenerateEstimateError, PreconditionError, ShapeError)
-from .model import BasisSpec
+from .errors import PreconditionError, ShapeError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -168,135 +164,7 @@ class SpikeSlab:
         return SparseParam(alpha, S, beta_s)
 
 
-class PoissonJPrior:
-    """Poisson prior over the basis dimension J, restricted to J >= j_min.
-
-    log_pmf reports the raw Poisson log-mass (the J >= j_min normalizer is a
-    constant that cancels in any Metropolis ratio); sampling rejects draws
-    below j_min.  pmf_conditional gives the properly normalized restricted
-    mass for frequency checks.
-    """
-
-    def __init__(self, mean: float, j_min: int = 1):
-        if mean <= 0:
-            raise PreconditionError("Poisson mean must be positive")
-        self.mean, self.j_min = float(mean), int(j_min)
-
-    def log_pmf(self, j: int) -> float:
-        if j < self.j_min:
-            return -math.inf
-        return float(poisson.logpmf(j, self.mean))
-
-    def pmf_conditional(self, j: int) -> float:
-        if j < self.j_min:
-            return 0.0
-        tail = 1.0 - poisson.cdf(self.j_min - 1, self.mean)
-        return float(poisson.pmf(j, self.mean) / tail)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        for _ in range(100000):
-            j = int(rng.poisson(self.mean))
-            if j >= self.j_min:
-                return j
-        raise DegenerateEstimateError("Poisson truncation rejected 1e5 straight draws")
-
-
-class HierarchicalBasis:
-    """Mixture prior over basis dimension J and coefficients beta | J.
-
-    j_prior is a distribution over J >= 1; the conditional puts independent
-    N(cond_mean, cond_sd^2) mass on each of the J coefficients; basis_factory
-    maps J to the function basis used at that dimension.  Samplers in this
-    package keep J fixed within a run, so this class mainly serves prior-mass
-    evaluation and exact sampling.
-    """
-
-    kind = "hierarchical"
-
-    def __init__(self, j_prior: PoissonJPrior, cond_mean: float, cond_sd: float,
-                 basis_factory: Callable[[int], BasisSpec] | None = None):
-        if cond_sd <= 0:
-            raise PreconditionError("conditional sd must be positive")
-        self.j_prior = j_prior
-        self.cond_mean, self.cond_sd = float(cond_mean), float(cond_sd)
-        self.basis_factory = basis_factory
-
-    def log_density(self, J: int, beta) -> float:
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (int(J),):
-            raise ShapeError("beta length must equal J")
-        lj = self.j_prior.log_pmf(int(J))
-        if lj == -math.inf:
-            return -math.inf
-        return lj + GaussianIID(self.cond_mean, self.cond_sd, int(J)).log_density(beta)
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-        j = self.j_prior.sample(rng)
-        beta = self.cond_mean + self.cond_sd * rng.standard_normal(j)
-        return j, beta
-
-
-class TruncatedPrior:
-    """Sup-norm truncation of an inner prior: support {theta : ||theta||_inf <= bound}.
-
-    With no basis attached the sup-norm is max|theta_j| of the coefficient
-    vector; with a basis and evaluation grid it is max over the grid of the
-    function values |beta' f(x)|.  log_density returns the *unnormalized*
-    restricted density (`normalized` is False); the missing -log Z constant
-    cancels in Metropolis ratios.  Exact sampling is by rejection.
-    """
-
-    kind = "truncated"
-    normalized = False
-
-    MAX_ATTEMPTS = 1_000_000
-    MIN_RATE = 1e-4
-
-    def __init__(self, inner, bound: float, basis: BasisSpec | None = None,
-                 grid=None):
-        if bound <= 0:
-            raise PreconditionError("truncation bound must be positive")
-        self.inner = inner
-        self.bound = float(bound)
-        self.basis = basis
-        self.grid = None if grid is None else np.asarray(grid, dtype=float)
-        if basis is not None and self.grid is None:
-            raise PreconditionError("a basis-aware truncation needs an evaluation grid")
-        self._design = None if basis is None else basis.design(self.grid)
-
-    def sup_norm(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if self._design is None:
-            return float(np.abs(theta).max())
-        return float(np.abs(self._design @ theta).max())
-
-    def log_density(self, theta) -> float:
-        if self.sup_norm(theta) > self.bound:
-            return -math.inf
-        return self.inner.log_density(theta)
-
-    def sample(self, rng: np.random.Generator):
-        for _ in range(self.MAX_ATTEMPTS):
-            draw = self.inner.sample(rng)
-            if self.sup_norm(draw) <= self.bound:
-                return draw
-        raise DegenerateEstimateError(
-            f"truncation rejection accepted nothing in {self.MAX_ATTEMPTS} attempts "
-            f"(acceptance rate below {self.MIN_RATE})")
-
-    def sd_vector(self) -> np.ndarray:
-        return self.inner.sd_vector()
-
-
-PriorSpec = GaussianIID | LaplaceIID | SpikeSlab | HierarchicalBasis | TruncatedPrior
-
-
-def default_truncation_bound(n: int) -> float:
-    """The default truncation radius log(n) used when an experiment asks for
-    a sup-norm-restricted prior without giving an explicit bound."""
-    if n < 2:
-        raise PreconditionError("need n >= 2 for a log-n bound")
-    return math.log(n)
+PriorSpec = GaussianIID | LaplaceIID | SpikeSlab
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +175,8 @@ def log_prior(prior: PriorSpec, theta) -> float:
     """Log prior density/mass of theta under the declared prior.
 
     theta's shape must match the prior family: an array for iid priors, a
-    SparseParam for the sparse configuration prior, a (J, beta) pair for the
-    hierarchical prior.
+    SparseParam for the sparse configuration prior.
     """
-    if isinstance(prior, HierarchicalBasis):
-        j, beta = theta
-        return prior.log_density(int(j), beta)
     return prior.log_density(theta)
 
 
@@ -325,7 +189,3 @@ def sample_prior(prior: PriorSpec, rng: np.random.Generator):
     """One exact draw from the prior."""
     return prior.sample(rng)
 
-
-def hierarchical_log_density(prior: HierarchicalBasis, J: int, beta) -> float:
-    """log pi(J) + log of the conditional Gaussian density of beta given J."""
-    return prior.log_density(J, beta)

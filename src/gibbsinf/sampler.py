@@ -95,11 +95,6 @@ class GibbsTarget:
             f"no finite-density initial point in {retries} prior draws")
 
 
-def log_unnormalized(target, theta) -> float:
-    """Module-level convenience dispatch."""
-    return target.log_unnormalized(theta)
-
-
 # ---------------------------------------------------------------------------
 # chain containers
 # ---------------------------------------------------------------------------
@@ -110,7 +105,9 @@ class MHConfig:
 
     proposal_scale may be a scalar, a per-coordinate array, or None to use
     the default 2.4/sqrt(J) times the prior's coordinate sd.  (steps-burn_in)
-    must be divisible by thin so the kept-draw count is exact.
+    must be divisible by thin so the kept-draw count is exact.  init is the
+    starting point, or None for a prior draw: a coefficient array for
+    `mh_run`, a SparseParam for `ss_mh_run`.
     """
 
     steps: int = 50_000
@@ -118,7 +115,7 @@ class MHConfig:
     thin: int = 5
     proposal_scale: float | np.ndarray | None = None
     seed: int = 0
-    init: np.ndarray | None = None
+    init: np.ndarray | SparseParam | None = None
     alpha_flip_prob: float = 0.05
     move_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 

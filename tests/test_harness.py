@@ -10,6 +10,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtr
 
+import gibbsinf
 from gibbsinf.errors import ConfigError, PreconditionError
 from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               MeanCurveSim, QuantileRegSim, SparseClassSim,
@@ -376,6 +379,29 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("field,name", [
+    ("generator", "mcid3"), ("loss", "mcdi"), ("prior", "cauchy"),
+    ("rate", "constant"), ("divergence", "kl")])
+def test_unknown_component_name_fails_before_any_cell(tmp_path, field, name):
+    cfg = _tiny_config()
+    cfg[field] = {**cfg[field], "name": name}
+    with pytest.raises(ConfigError, match=f"{field} '{name}'.*allowed"):
+        run_experiment(cfg, workers=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(cfg_path),
+                             "--out", str(out_dir), "--workers", "1"])
+    assert code == 1
+    assert name in err
+    assert not out_dir.exists()
+
+
+def test_non_object_mh_section_fails_before_any_cell():
+    with pytest.raises(ConfigError, match="mh"):
+        run_experiment(_tiny_config(mh="fast"), workers=1)
+
+
 def test_cli_runtime_error_exit_code(tmp_path):
     # a theta* vastly worse than the grid point overflows the annealed
     # moment exponent: a runtime failure, not a config one
@@ -479,3 +505,15 @@ def test_bundled_config_runs_one_cell(path):
     assert row["error"] is None
     assert row["radius_q90"] >= 0.0
     assert 0.0 < row["accept_rate"] < 1.0
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # importing scipy.stats is a large share of the CLI's start-up time, and
+    # nothing in the package needs it
+    src = os.path.dirname(os.path.dirname(gibbsinf.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, gibbsinf.harness.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

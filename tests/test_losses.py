@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
                       Dataset, MCIDLoss, PairedScores, RawDictionary,
                       SquaredLoss, ZeroOneLinearLoss, auc_empirical_risk,
-                      auc_point_estimate, empirical_risk, erm_least_squares,
-                      least_squares_coefficients, loss_value,
-                      pointwise_losses, sign_neg)
+                      auc_point_estimate, design_matrix, empirical_risk,
+                      erm_least_squares, least_squares_coefficients,
+                      loss_value, pointwise_losses, sign_neg)
 from gibbsinf.errors import ConditioningError, PreconditionError, ShapeError
 from gibbsinf.harness import affine_features
 from gibbsinf.model import ClassTriple, RegPair, ScorePair
@@ -126,6 +126,87 @@ def test_pointwise_losses_match_empirical_risk():
         rv = empirical_risk(loss, theta, data)
         assert vals.shape == (20,)
         assert np.mean(vals) == pytest.approx(rv.value, abs=1e-12)
+
+
+# Reference risk closures, one hand-written formula per loss family; the
+# prepare/pointwise kernels must reproduce them bit for bit.
+
+def _reference_risk(loss, data):
+    if isinstance(loss, (CheckLoss, SquaredLoss, CappedSquaredLoss)):
+        if loss.features is None:
+            F = data.x[:, None] if data.x.ndim == 1 else data.x
+        else:
+            F = design_matrix(loss.features, data.x)
+        y = data.y
+    if isinstance(loss, CheckLoss):
+        tau = loss.tau
+
+        def risk(beta):
+            r = y - F @ beta
+            return float(np.mean(r * (tau - (r < 0.0))))
+    elif isinstance(loss, CappedSquaredLoss):
+        cap = loss.cap
+
+        def risk(beta):
+            r = y - F @ beta
+            return float(np.mean(np.minimum(r * r, cap)))
+    elif isinstance(loss, SquaredLoss):
+        def risk(beta):
+            r = y - F @ beta
+            return float(np.mean(r * r))
+    elif isinstance(loss, ZeroOneLinearLoss):
+        X = np.atleast_2d(data.x)
+        yc = data.y.astype(int)
+
+        def risk(theta):
+            pred = (X @ theta > 0.0).astype(int)
+            return float(np.mean(pred != yc))
+    else:
+        Fz = design_matrix(loss.basis, data.z)
+        x = data.x.astype(float)
+        yc = data.y.astype(int)
+
+        def risk(beta):
+            pred = sign_neg(x - Fz @ beta)
+            return float(np.mean(pred != yc))
+    return risk
+
+
+def test_kernels_reproduce_reference_risks_exactly():
+    rng = np.random.default_rng(17)
+    feats, spline = affine_features(), CubicBSpline((0.0, 3.0), 6)
+    reg = Dataset.regression(rng.uniform(0, 1, 200), rng.normal(size=200))
+    reg2 = Dataset.regression(rng.uniform(-1, 1, (150, 3)), rng.normal(size=150))
+    lin = Dataset.classification(rng.uniform(-1, 1, (120, 4)),
+                                 rng.integers(0, 2, 120))
+    z = rng.uniform(0, 3, 300)
+    thr = Dataset.classification(z ** 3 - 3 * z ** 2 + 5 + rng.normal(size=300),
+                                 rng.choice([-1, 1], 300), z)
+    cases = [(CheckLoss(0.3, feats), reg, 2), (CheckLoss(0.7, None), reg2, 3),
+             (SquaredLoss(feats), reg, 2), (SquaredLoss(None), reg2, 3),
+             (CappedSquaredLoss(feats, cap=0.5), reg, 2),
+             (CappedSquaredLoss(None, cap=2.0), reg2, 3),
+             (ZeroOneLinearLoss(), lin, 4), (MCIDLoss(spline), thr, 6)]
+    for loss, data, dim in cases:
+        fast, ref = loss.prepare_risk(data), _reference_risk(loss, data)
+        for _ in range(200):
+            beta = rng.normal(scale=3.0, size=dim)
+            assert fast(beta) == ref(beta)
+
+
+def test_pointwise_losses_match_risk_for_zero_one_losses():
+    rng = np.random.default_rng(19)
+    lin = Dataset.classification(rng.uniform(-1, 1, (90, 3)),
+                                 rng.integers(0, 2, 90))
+    z = rng.uniform(0, 1, 80)
+    thr = Dataset.classification(rng.normal(size=80), rng.choice([-1, 1], 80), z)
+    for loss, data, dim in ((ZeroOneLinearLoss(), lin, 3),
+                            (MCIDLoss(CubicBSpline((0.0, 1.0), 5)), thr, 5)):
+        for _ in range(50):
+            theta = rng.normal(size=dim)
+            vals = pointwise_losses(loss, theta, data)
+            assert vals.dtype == float
+            assert vals.mean() == empirical_risk(loss, theta, data).value
 
 
 def test_classification_risks_lie_in_unit_interval():

@@ -48,6 +48,21 @@ def test_two_sample_rejects_nonfinite_scores():
         Dataset.two_sample(np.array([np.nan]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Dataset.regression([0.1, 0.2, np.nan], [1.0, 0.0, 2.0]),
+    lambda: Dataset.regression([0.1, 0.2, 0.3], [1.0, np.nan, 2.0]),
+    lambda: Dataset.regression([0.1, 0.2, 0.3], [1.0, np.inf, 2.0]),
+    lambda: Dataset.classification([0.1, np.nan], [1, -1], [[0.5], [1.0]]),
+    lambda: Dataset.classification([0.1, 0.2], np.array([1.0, np.nan])),
+    lambda: Dataset.classification([0.1, 0.2], [1, -1], [[0.5], [-np.inf]]),
+    lambda: Dataset.classification([[0.1, np.inf]], [1]),
+], ids=["reg-x-nan", "reg-y-nan", "reg-y-inf", "class-x-nan", "class-y-nan",
+        "class-z-inf", "class-x-inf"])
+def test_reg_and_class_datasets_reject_nonfinite_values(build):
+    with pytest.raises(ShapeError, match="finite"):
+        build()
+
+
 def test_dataset_rejects_empty():
     with pytest.raises((PreconditionError, ShapeError)):
         Dataset.regression(np.empty((0, 2)), np.empty(0))

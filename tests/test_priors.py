@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbsinf import (CubicBSpline, GaussianIID, HierarchicalBasis, LaplaceIID,
-                      PoissonJPrior, SpikeSlab, TruncatedPrior,
-                      default_truncation_bound, log_prior, sample_prior)
+from gibbsinf import GaussianIID, LaplaceIID, SpikeSlab, log_prior, sample_prior
 from gibbsinf.errors import PreconditionError
-from gibbsinf.priors import hierarchical_log_density, spike_slab_log_mass
+from gibbsinf.priors import spike_slab_log_mass
 from gibbsinf.sampler import make_rng
 
 
@@ -110,43 +108,3 @@ def test_spike_slab_sampler_returns_sparse_params():
 def test_spike_slab_validation():
     with pytest.raises(PreconditionError):
         SpikeSlab(q=0, a=1.0, c=1.0)
-
-
-# ---------------------------------------------------------------------------
-# hierarchical and truncated priors
-
-
-def test_poisson_j_prior_masses():
-    prior = PoissonJPrior(mean=3.0, j_min=1)
-    # raw log-mass matches the Poisson pmf (the restriction constant is
-    # left off because it cancels in acceptance ratios)
-    assert prior.log_pmf(4) == pytest.approx(
-        stats.poisson.logpmf(4, 3.0), abs=1e-12)
-    assert prior.log_pmf(0) == -np.inf
-    # the conditional pmf is properly renormalized over j >= j_min
-    total = sum(prior.pmf_conditional(int(j)) for j in range(1, 200))
-    assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_hierarchical_log_density_decomposes():
-    jp = PoissonJPrior(mean=4.0, j_min=1)
-    prior = HierarchicalBasis(jp, cond_mean=0.0, cond_sd=2.0)
-    beta = np.array([0.3, -0.8, 1.2])
-    want = jp.log_pmf(3) + stats.norm.logpdf(beta, scale=2.0).sum()
-    assert hierarchical_log_density(prior, 3, beta) == pytest.approx(
-        want, abs=1e-12)
-
-
-def test_truncated_prior_indicator():
-    basis = CubicBSpline((0.0, 1.0), 4)
-    inner = GaussianIID(0.0, 1.0, 4)
-    prior = TruncatedPrior(inner, bound=0.5, basis=basis,
-                           grid=np.linspace(0, 1, 64))
-    small = np.full(4, 0.1)   # sup |f| = 0.1 <= 0.5 by partition of unity
-    large = np.full(4, 3.0)   # sup |f| = 3.0  > 0.5
-    assert np.isfinite(prior.log_density(small))
-    assert prior.log_density(large) == -np.inf
-
-
-def test_default_truncation_bound_grows_with_n():
-    assert default_truncation_bound(10_000) > default_truncation_bound(100) > 0
