@@ -25,10 +25,10 @@ from .priors import (GaussianIID, LaplaceIID, SparseParam, SpikeSlab,
 from .rates import (AUCCovariances, AUCDataDriven, FixedRate, HeavyTailRate,
                     PowerLawRate, TsybakovRate, auc_covariances,
                     auc_learning_rate, rate_at)
-from .sampler import (Chain, GibbsTarget, MHConfig, SparseChain,
+from .sampler import (Chain, ChainStart, GibbsTarget, MHConfig, SparseChain,
                       chain_summary, credible_interval, effective_sample_size,
-                      hash64, make_rng, mh_run, posterior_mean, ss_mh_run,
-                      write_chain_csv)
+                      hash64, make_rng, mh_run, mh_run_block, mh_start,
+                      posterior_mean, ss_mh_run, write_chain_csv)
 from .diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
                           L2PDistance, MCDivergence, MCIDMeasure, MGFCheck,
                           MVEstimate, RateFit, RiskDiffSqrt,

@@ -103,6 +103,9 @@ def validate_experiment_config(cfg: dict) -> None:
         _builder(table, cfg[field], field)
     if not isinstance(cfg["mh"], dict):
         raise ConfigError("mh spec must be an object")
+    if cfg["prior"]["name"] == "spikeslab" and cfg["mh"].get("init") is not None:
+        # the sparse sampler always starts from a prior draw
+        raise ConfigError("mh init is not supported with the spikeslab prior")
 
 
 def _namespec(spec, what: str) -> tuple[str, dict]:

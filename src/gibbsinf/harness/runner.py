@@ -1,10 +1,15 @@
 """Experiment replication engine.
 
-Every (n, replication) cell is an independent task computed purely from the
-config dict and its derived row seed, rowSeed = hash64(baseSeed, nIndex,
-repIndex).  The runner only ever hands workers (config, indices), so serial
-and parallel executions produce byte-identical outputs; file row order is by
-(nIndex, repIndex) regardless of completion order.
+Every (n, replication) cell is computed purely from the config dict and its
+derived row seed, rowSeed = hash64(baseSeed, nIndex, repIndex).  The
+replications at one n run as blocks: contiguous runs of replications whose
+random-walk chains advance in lockstep as one (R, J) array (see
+`sampler.mh_run_block`).  Each chain keeps its own data, seed streams and
+accept decisions, so a row is bit-identical whatever block it runs in: the
+block size, the worker count and the split never change a byte.  The runner
+only ever hands workers (config, n index, replication indices), and file row
+order is by (nIndex, repIndex) regardless of completion order.  Spike-slab
+chains (`ss_mh_run`) run one at a time inside their block.
 
 Outputs: results.csv (fixed header, RFC-4180 quoting), summary.json
 (sorted keys; config echo with per-n resolved learning rates), radii.csv
@@ -19,7 +24,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +33,10 @@ from ..errors import ConfigError, GibbsInfError
 from ..losses import MCIDLoss, least_squares_coefficients
 from ..model import FunctionParam
 from ..rates import AUCDataDriven, rate_at
-from ..sampler import (GibbsTarget, hash64, make_rng, mh_run, posterior_mean,
-                       ss_mh_run)
+from ..sampler import (GibbsTarget, hash64, make_rng, mh_run_block, mh_start,
+                       posterior_mean, ss_mh_run)
+# runner.mh_run stays importable: perfbench/tracer.py wraps it by that name
+from ..sampler import mh_run  # noqa: F401
 from .config import (build_divergence, build_generator, build_loss, build_mh,
                      build_prior, build_rate, parameter_dim,
                      validate_experiment_config)
@@ -63,23 +70,47 @@ _STREAM_HOLDOUT = 3
 _STREAM_DIVERGENCE = 4
 
 
+# the expected failures of a cell: they end up in its row's error column
+_ROW_ERRORS = (GibbsInfError, ValueError, FloatingPointError, np.linalg.LinAlgError)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def compute_rows(cfg: dict, n_index: int, rep_indices,
+                 timings: bool = False) -> list[dict]:
+    """The cells of some replications at one n, as one block; never raises
+    on expected failures (fail-soft, per row).
+
+    With timings, a row's wall_ms is its own set-up and post-processing
+    plus an equal share of the block's sampler time.
+    """
+    n = int(cfg["nGrid"][n_index])
+    seeds = [row_seed(int(cfg["baseSeed"]), n_index, j) for j in rep_indices]
+    fits, fit_s = _fit_cells(cfg, n, seeds)
+    rows = []
+    for rep_index, seed, fit, seconds in zip(rep_indices, seeds, fits, fit_s):
+        row = {c: None for c in RESULT_COLUMNS}
+        row.update(n=n, rep=rep_index, seed=seed)
+        start = time.perf_counter()
+        if isinstance(fit, Exception):
+            row["error"] = _error_text(fit)
+        else:
+            try:
+                row.update(_row_values(cfg, fit, seed))
+            except _ROW_ERRORS as exc:
+                row["error"] = _error_text(exc)
+        if timings:
+            row["wall_ms"] = (seconds + time.perf_counter() - start) * 1000.0
+        rows.append(row)
+    return rows
+
+
 def compute_row(cfg: dict, n_index: int, rep_index: int,
                 timings: bool = False) -> dict:
     """One experiment cell; never raises on expected failures (fail-soft)."""
-    n = int(cfg["nGrid"][n_index])
-    seed = row_seed(int(cfg["baseSeed"]), n_index, rep_index)
-    row = {c: None for c in RESULT_COLUMNS}
-    row.update(n=n, rep=rep_index, seed=seed)
-    start = time.perf_counter()
-    try:
-        row.update(_row_values(cfg, n, seed))
-    except GibbsInfError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    if timings:
-        row["wall_ms"] = (time.perf_counter() - start) * 1000.0
-    return row
+    return compute_rows(cfg, n_index, [rep_index], timings)[0]
 
 
 @dataclass(frozen=True)
@@ -118,44 +149,96 @@ def _resolve_init(mh_spec: dict, loss, data):
     raise ConfigError("mh init must be 'pilot' or a list of coordinates")
 
 
-def fit_cell(cfg: dict, n: int, seed: int) -> CellFit:
-    """Generate data, resolve the learning rate, and run the sampler."""
-    generator = build_generator(cfg["generator"])
+def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
+    """Fit the cells of one block: per seed, a CellFit or the exception that
+    ended its set-up or its chain, and the seconds spent on it.
+
+    Components that depend only on (config, n) are built once per block, on
+    first use, in the order a single cell builds them; a build that fails is
+    retried by every cell, so each row reports its own error.
+    """
+    built = {}
+
+    def shared(key, build):
+        if key not in built:
+            built[key] = build()
+        return built[key]
+
+    fits, seconds, starts = [], [], []
+    for seed in seeds:
+        start = time.perf_counter()
+        try:
+            fit, chain_start = _set_up_cell(cfg, n, seed, shared)
+            if chain_start is not None:
+                starts.append((len(fits), chain_start))
+        except _ROW_ERRORS as exc:
+            fit = exc
+        fits.append(fit)
+        seconds.append(time.perf_counter() - start)
+
+    if starts:
+        start = time.perf_counter()
+        try:
+            chains = mh_run_block([s for _, s in starts])
+        except _ROW_ERRORS as exc:
+            chains = [exc] * len(starts)
+        share = (time.perf_counter() - start) / len(starts)
+        for (i, _), chain in zip(starts, chains):
+            seconds[i] += share
+            fits[i] = chain if isinstance(chain, Exception) else replace(
+                fits[i], chain=chain, theta_bar=posterior_mean(chain),
+                draw_mat=chain.draws)
+    return fits, seconds
+
+
+def _set_up_cell(cfg: dict, n: int, seed: int, shared):
+    """Generate data, resolve the learning rate and set up the chain.
+
+    Returns (fit, None) for a spike-slab cell, whose chain has already run,
+    and (fit without chain, ChainStart) for a random-walk cell.
+    """
+    generator = shared("generator", lambda: build_generator(cfg["generator"]))
     generated = generator.sample(n, _sub_rng(seed, _STREAM_DATA))
     data, truth = generated.data, generated.truth
 
-    schedule = build_rate(cfg["rate"])
+    schedule = shared("rate", lambda: build_rate(cfg["rate"]))
     if isinstance(schedule, AUCDataDriven):
         omega = schedule.resolve(data.scores0, data.scores1)
     else:
         omega = rate_at(schedule, n)
 
-    loss = build_loss(cfg["loss"], generator, schedule=schedule, n=n)
+    loss = shared("loss", lambda: build_loss(cfg["loss"], generator,
+                                             schedule=schedule, n=n))
     basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
+    fit = CellFit(generator=generator, data=data, truth=truth, loss=loss,
+                  basis=basis, omega=omega, chain=None, theta_bar=None,
+                  draw_mat=None)
 
     prior_spec = cfg["prior"]
+    chain_seed = hash64(seed, _STREAM_CHAIN)
     if prior_spec.get("name") == "spikeslab":
-        prior = build_prior(prior_spec, dim=0)
+        prior = shared("prior", lambda: build_prior(prior_spec, dim=0))
         target = GibbsTarget(loss, prior, data, omega)
-        chain = ss_mh_run(target, build_mh(cfg["mh"], n, seed=hash64(seed, _STREAM_CHAIN)))
-        theta_bar = posterior_mean(chain)           # (1+q,) dense
+        chain = ss_mh_run(target, build_mh(cfg["mh"], n, seed=chain_seed))
         draw_mat = np.column_stack([chain.alphas(), chain.matrix()])
-    else:
-        dim = parameter_dim(loss, generator)
-        prior = build_prior(prior_spec, dim=dim)
-        target = GibbsTarget(loss, prior, data, omega)
-        init = _resolve_init(cfg["mh"], loss, data)
-        chain = mh_run(target, build_mh(cfg["mh"], n, seed=hash64(seed, _STREAM_CHAIN),
-                                        init=init))
-        theta_bar = posterior_mean(chain)
-        draw_mat = chain.draws
-    return CellFit(generator=generator, data=data, truth=truth, loss=loss,
-                   basis=basis, omega=omega, chain=chain, theta_bar=theta_bar,
-                   draw_mat=draw_mat)
+        return replace(fit, chain=chain, theta_bar=posterior_mean(chain),
+                       draw_mat=draw_mat), None
+    prior = shared("prior", lambda: build_prior(
+        prior_spec, dim=parameter_dim(loss, generator)))
+    target = GibbsTarget(loss, prior, data, omega)
+    init = _resolve_init(cfg["mh"], loss, data)
+    return fit, mh_start(target, build_mh(cfg["mh"], n, seed=chain_seed, init=init))
 
 
-def _row_values(cfg: dict, n: int, seed: int) -> dict:
-    fit = fit_cell(cfg, n, seed)
+def fit_cell(cfg: dict, n: int, seed: int) -> CellFit:
+    """Generate data, resolve the learning rate, and run the sampler."""
+    fit = _fit_cells(cfg, n, [seed])[0][0]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
     div = build_divergence(cfg["divergence"], fit.generator, fit.loss,
                            basis=fit.basis)
     div_rng = _sub_rng(seed, _STREAM_DIVERGENCE)
@@ -200,9 +283,18 @@ def _divergence_stats(div, draw_mat, theta_bar, truth, generator, rng):
     return float(np.quantile(values, 0.9)), float(point)
 
 
-def _task(args) -> dict:
-    cfg, n_index, rep_index, timings = args
-    return compute_row(cfg, n_index, rep_index, timings)
+def _task(args) -> list[dict]:
+    return compute_rows(*args)
+
+
+def _blocks(n_count: int, reps: int, workers: int) -> list[tuple[int, range]]:
+    """(n index, replication indices) of every block, in row order: the
+    replications at each n, split into just enough contiguous blocks that
+    there is at least one block per worker."""
+    per_n = min(reps, -(-workers // n_count))
+    bounds = [reps * b // per_n for b in range(per_n + 1)]
+    return [(i, range(lo, hi)) for i in range(n_count)
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def default_workers() -> int:
@@ -223,7 +315,7 @@ def run_experiment(cfg: dict, workers: int | None = None,
     """Run every (n, replication) cell and aggregate a summary.
 
     Rows fail soft: a failed cell carries its error message and the run
-    continues.  With workers > 1 rows are computed in separate processes;
+    continues.  With workers > 1 blocks are computed in separate processes;
     results are identical to the serial path because each row depends only
     on (config, rowSeed).
     """
@@ -231,17 +323,21 @@ def run_experiment(cfg: dict, workers: int | None = None,
     cfg = dict(cfg)
     if full and cfg.get("fullReplications"):
         cfg["replications"] = int(cfg["fullReplications"])
-    reps = int(cfg["replications"])
-    n_grid = list(cfg["nGrid"])
-    tasks = [(cfg, i, j, timings) for i in range(len(n_grid)) for j in range(reps)]
-
     if workers is None:
         workers = default_workers()
+    blocks = _blocks(len(cfg["nGrid"]), int(cfg["replications"]), workers)
+    tasks = [(cfg, i, reps, timings) for i, reps in blocks]
     if workers > 1 and len(tasks) > 1:
+        # largest n first: a block's cost grows with n, and a long block that
+        # starts last leaves the other workers idle
+        order = sorted(range(len(tasks)), key=lambda b: -cfg["nGrid"][blocks[b][0]])
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_task, tasks, chunksize=1))
+            by_block = dict(zip(order, pool.map(_task, [tasks[b] for b in order],
+                                                 chunksize=1)))
+        done = [by_block[b] for b in range(len(tasks))]
     else:
-        rows = [_task(t) for t in tasks]
+        done = [_task(t) for t in tasks]
+    rows = [row for block in done for row in block]
 
     return ExperimentResult(rows=rows, summary=_summarize(cfg, rows))
 

@@ -5,11 +5,19 @@ sample and precomputes its arrays (design matrix, labels, responses), and
 `pointwise(prepared, beta)` holds the loss formula, mapping the prepared
 arrays and a coefficient vector to the per-observation losses (a boolean
 mismatch vector for the 0-1 losses).  Everything else derives from that pair:
-the risk closure used inside MCMC loops (`prepare_risk`), float
+the risk kernel used inside MCMC loops (`risk_state` + `risk`, vectorized
+over a block of chains), the one-chain risk closure (`prepare_risk`), float
 per-observation values for Monte-Carlo diagnostics (`pointwise_losses`), the
 loss on one observation (`loss_value`) and the empirical risk of a dataset
 (`empirical_risk`).  The ranking loss keeps a closed-form risk over the m*n
 pair grid.
+
+Chain blocks: `pointwise` also takes prepared arrays stacked along a leading
+chain axis, (R, n, J) with an (R, J) coefficient block, and `risk` maps a
+stacked state and an (R, J) block to R risks.  Every chain's value is
+bit-identical to its one-chain value: the linear predictor is one
+matrix-vector product per chain, and the mean is the same pairwise sum (an
+exact count for the 0-1 losses) divided by n that `np.mean` computes.
 
 Sign convention: sign(0) = -1 everywhere, and classifier indicators use the
 strict inequality x'theta > 0.  Score ties across groups in the pairwise
@@ -50,6 +58,11 @@ def _as_beta(theta, loss) -> np.ndarray:
     return np.asarray(theta, dtype=float)
 
 
+def _linear(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """F @ beta, one matrix-vector product per chain of a stacked block."""
+    return np.matmul(F, beta[..., None])[..., 0]
+
+
 def _features_design(features: BasisSpec | None, xs) -> np.ndarray:
     """Design matrix of the feature map; None means the identity map on x."""
     if features is None:
@@ -67,13 +80,22 @@ class _Loss:
     derived from a family's `prepare(sample)` and `pointwise(prepared, beta)`.
     """
 
+    def risk_state(self, data: Dataset) -> tuple:
+        """The arrays `risk` needs for one dataset, as a one-chain stack;
+        chains' states concatenate along the leading axis into a block."""
+        return tuple(a[None] for a in self.prepare(data))
+
+    def risk(self, state: tuple, B: np.ndarray) -> np.ndarray:
+        """Empirical risks of an (R, J) coefficient block, one per chain."""
+        losses = self.pointwise(state, B)
+        return np.add.reduce(losses, -1) / float(losses.shape[-1])
+
     def prepare_risk(self, data: Dataset):
         """Closure beta -> empirical risk over a fixed dataset."""
-        prepared = self.prepare(data)
-        kernel = self.pointwise
+        state = self.risk_state(data)
 
-        def risk(beta: np.ndarray) -> float:
-            return float(np.mean(kernel(prepared, beta)))
+        def risk(beta) -> float:
+            return float(self.risk(state, np.asarray(beta, dtype=float).reshape(1, -1))[0])
 
         return risk
 
@@ -109,7 +131,7 @@ class CheckLoss(_RegressionLoss):
 
     def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
         F, y = prepared
-        r = y - F @ beta
+        r = y - _linear(F, beta)
         return r * (self.tau - (r < 0.0))
 
 
@@ -123,7 +145,7 @@ class SquaredLoss(_RegressionLoss):
 
     def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
         F, y = prepared
-        r = y - F @ beta
+        r = y - _linear(F, beta)
         return r * r
 
 
@@ -145,15 +167,16 @@ class CappedSquaredLoss(_RegressionLoss):
 
     def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
         F, y = prepared
-        r = y - F @ beta
+        r = y - _linear(F, beta)
         return np.minimum(r * r, self.cap)
 
 
-def _labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
+def _positive_labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
+    """Boolean vector y > 0 after checking the labels lie in `allowed`."""
     y = sample.y.astype(int)
     if not set(np.unique(y).tolist()) <= allowed:
         raise ShapeError(f"{what} expects labels in {sorted(allowed)}")
-    return y
+    return y > 0
 
 
 class ZeroOneLinearLoss(_Loss):
@@ -169,11 +192,11 @@ class ZeroOneLinearLoss(_Loss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "class":
             raise ShapeError("zero-one loss expects a classification dataset")
-        return np.atleast_2d(sample.x), _labels(sample, {0, 1}, "zero-one loss")
+        return np.atleast_2d(sample.x), _positive_labels(sample, {0, 1}, "zero-one loss")
 
     def pointwise(self, prepared, theta: np.ndarray) -> np.ndarray:
-        X, y = prepared
-        return (X @ theta > 0.0).astype(int) != y
+        X, positive = prepared
+        return (_linear(X, theta) > 0.0) != positive
 
 
 class MCIDLoss(_Loss):
@@ -182,7 +205,8 @@ class MCIDLoss(_Loss):
     theta is a function of the covariate z (a FunctionParam over `basis`),
     x the scalar diagnostic measure, y in {-1,+1} the reported outcome.  For
     y in {-1,+1} the loss is the mismatch indicator of sign(x - theta(z)) and
-    y, which `pointwise` returns as a boolean vector.
+    y, which `pointwise` returns as a boolean vector: sign(t) = +1 exactly
+    when t > 0, so it is the mismatch of x > theta(z) and y > 0.
     """
 
     kind = "mcid"
@@ -194,11 +218,12 @@ class MCIDLoss(_Loss):
         if not isinstance(sample, Dataset) or sample.kind != "class" or sample.z is None:
             raise ShapeError("threshold loss expects classification data with z")
         return (design_matrix(self.basis, sample.z), sample.x.astype(float),
-                _labels(sample, {-1, 1}, "threshold loss"))
+                _positive_labels(sample, {-1, 1}, "threshold loss"))
 
     def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
-        F, x, y = prepared
-        return sign_neg(x - F @ beta) != y
+        F, x, positive = prepared
+        # x > t is x - t > 0 for every pair of doubles, one operation fewer
+        return (x > _linear(F, beta)) != positive
 
 
 class AUCLoss(_Loss):
@@ -220,19 +245,20 @@ class AUCLoss(_Loss):
         t = float(np.asarray(theta).reshape(-1)[0])
         return (t - prepared) ** 2
 
-    def prepare_risk(self, data: Dataset):
-        """Closed form over the m*n grid of a two-sample dataset; see
-        `auc_empirical_risk`."""
+    def risk_state(self, data: Dataset) -> tuple:
+        """Concordance fraction and constant of the closed form over the m*n
+        grid of a two-sample dataset; see `auc_empirical_risk`."""
         if data.kind != "twosample":
             raise ShapeError("ranking loss expects a two-sample dataset")
         that = auc_point_estimate(data.scores0, data.scores1)
-        const = that * (1.0 - that)
+        return np.array([that]), np.array([that * (1.0 - that)])
 
-        def risk(theta) -> float:
-            t = float(np.asarray(theta).reshape(-1)[0])
-            return (t - that) ** 2 + const
-
-        return risk
+    def risk(self, state: tuple, B: np.ndarray) -> np.ndarray:
+        # Python floats per chain: `** 2` on a float calls pow(), which an
+        # array square (a product) need not match in the last bit
+        that, const = state
+        return np.array([(t - a) ** 2 + c for t, a, c in
+                         zip(B[:, 0].tolist(), that.tolist(), const.tolist())])
 
 
 LossSpec = (CheckLoss | SquaredLoss | CappedSquaredLoss | ZeroOneLinearLoss

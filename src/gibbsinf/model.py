@@ -146,6 +146,8 @@ class Dataset:
         if not np.all(np.isfinite(y)):
             # checked here because the cast to int labels would hide a NaN
             raise ShapeError("class labels must be finite")
+        if np.any(y != np.trunc(y)):
+            raise ShapeError("class labels must be integers")
         return Dataset("class", x=np.asarray(x, dtype=float),
                        y=y.astype(int), z=za)
 

@@ -68,15 +68,16 @@ class GibbsTarget:
         self.data = data
         self.omega = float(omega)
         self.n_terms = data.n_terms
-        self._risk = loss.prepare_risk(data)
+        self.risk_state = loss.risk_state(data)
 
     def risk(self, theta) -> float:
         """Empirical risk at theta (dense coefficients, or SparseParam)."""
         if isinstance(theta, SparseParam):
             if not isinstance(self.prior, SpikeSlab):
                 raise ShapeError("SparseParam state requires a spike-slab prior")
-            return self._risk(theta.dense_theta(self.prior.q))
-        return self._risk(np.asarray(theta, dtype=float))
+            theta = theta.dense_theta(self.prior.q)
+        beta = np.asarray(theta, dtype=float).reshape(1, -1)
+        return float(self.loss.risk(self.risk_state, beta)[0])
 
     def log_unnormalized(self, theta) -> float:
         """-omega * N * R_n(theta) + log prior(theta); -inf outside support."""
@@ -195,13 +196,34 @@ def default_proposal_scale(prior: PriorSpec, dim: int) -> np.ndarray:
 # continuous-parameter random-walk Metropolis
 # ---------------------------------------------------------------------------
 
-def mh_run(target, config: MHConfig) -> Chain:
-    """Symmetric Gaussian random-walk Metropolis.
+# steps of proposal and acceptance variates held at a time per chain, so a
+# block's memory does not grow with the chain length beyond its kept draws
+_CHUNK = 256
 
-    target must expose log_unnormalized(theta); GibbsTarget also provides the
-    default prior initialization.  Acceptance: min(1, exp(delta log)).
-    Proposal and acceptance variates are pre-generated in fixed order, so a
-    chain is a pure function of (target, config).
+
+@dataclass(frozen=True)
+class ChainStart:
+    """One chain set up to run: its initial point and density, proposal
+    scale, and the two streams its proposals and uniforms come from.  A run
+    draws from the streams, so a ChainStart serves one run only."""
+
+    target: object
+    config: MHConfig
+    theta: np.ndarray
+    logp: float
+    scale: np.ndarray
+    normals: np.random.Generator
+    uniforms: np.random.Generator
+
+
+def mh_start(target, config: MHConfig) -> ChainStart:
+    """Set up one random-walk chain; raises InitializationError when it
+    cannot start.
+
+    Variates come from the chain's Philox stream in a fixed order: the prior
+    draw of the start (when no init is given), then steps x dim proposal
+    normals, then steps uniforms.  `uniforms` is a copy of the stream
+    advanced past the normals, so both can be drawn chunk by chunk.
     """
     rng = make_rng(config.seed)
     if config.init is not None:
@@ -219,35 +241,120 @@ def mh_run(target, config: MHConfig) -> Chain:
                                 (dim,)).copy()
 
     logp = float(target.log_unnormalized(theta))
+    if math.isnan(logp):
+        raise InitializationError("initial point has NaN target density")
     if logp == -math.inf:
         raise InitializationError("initial point has zero target density")
 
-    steps, burn_in, thin = config.steps, config.burn_in, config.thin
-    z = rng.standard_normal((steps, dim))
-    u = rng.random(steps)
+    uniforms = np.random.Generator(np.random.Philox())
+    uniforms.bit_generator.state = rng.bit_generator.state
+    buf = np.empty((_CHUNK, dim))
+    for done in range(0, config.steps, _CHUNK):
+        uniforms.standard_normal(out=buf[:min(_CHUNK, config.steps - done)])
+    return ChainStart(target, config, theta, logp, scale, rng, uniforms)
 
-    kept = np.empty((config.n_kept, dim))
+
+def _block_log_density(targets):
+    """Map an (R, J) block to the R log target densities.
+
+    Targets that share one loss and one prior object and whose data stack
+    are evaluated by the vectorized kernels; any others chain by chain
+    through log_unnormalized.
+    """
+    first = targets[0]
+    if all(isinstance(t, GibbsTarget) and t.loss is first.loss
+           and t.prior is first.prior for t in targets):
+        try:
+            state = tuple(np.concatenate(parts)
+                          for parts in zip(*(t.risk_state for t in targets)))
+        except ValueError:          # data of different shapes
+            state = None
+        if state is not None:
+            # -omega * N * R_n(theta) + log prior(theta), in that order
+            coef = np.array([-t.omega * t.n_terms for t in targets])
+            risk, log_prior_block = first.loss.risk, first.prior.log_density
+            return lambda B: coef * risk(state, B) + log_prior_block(B)
+    return lambda B: np.array([float(t.log_unnormalized(b))
+                               for t, b in zip(targets, B)])
+
+
+def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
+    """Symmetric Gaussian random-walk Metropolis on a block of chains.
+
+    The block's state is an (R, J) array; each step proposes for every
+    chain at once and evaluates all R densities in one call.  Each chain
+    keeps its own target, variates and accept decisions (min(1, exp(delta
+    log))), so every chain is bit-identical to a one-chain run: a chain is a
+    pure function of (target, config), whatever block it runs in.  The
+    chains must share steps, burn-in, thin and dimension.
+    """
+    first = starts[0].config
+    dim = starts[0].theta.shape[0]
+    steps, burn_in, thin = first.steps, first.burn_in, first.thin
+    if any((s.config.steps, s.config.burn_in, s.config.thin, s.theta.shape[0])
+           != (steps, burn_in, thin, dim) for s in starts):
+        raise PreconditionError("chains in a block must share steps, burn-in, "
+                                "thin and dimension")
+    R = len(starts)
+    log_density = _block_log_density([s.target for s in starts])
+    theta = np.stack([s.theta for s in starts])
+    logp = np.array([s.logp for s in starts])
+
+    kept = np.empty((R, first.n_kept, dim))
     k = 0
-    accepted = 0
-    for step in range(steps):
-        prop = theta + scale * z[step]
-        lp = float(target.log_unnormalized(prop))
-        delta = lp - logp
-        if delta >= 0.0 or u[step] < math.exp(delta):
-            theta, logp = prop, lp
-            accepted += 1
-        idx = step + 1 - burn_in
-        if idx > 0 and idx % thin == 0:
-            kept[k] = theta
-            k += 1
+    accepted = np.zeros(R, dtype=int)     # plus `every`: steps all chains accepted
+    every = 0
+    exp = math.exp
+    normals = np.empty((_CHUNK, dim))
+    steps_dz = np.empty((_CHUNK, R, dim))      # scaled proposal increments
+    uniforms = np.empty((R, _CHUNK))
+    for done in range(0, steps, _CHUNK):
+        c = min(_CHUNK, steps - done)
+        for r, s in enumerate(starts):
+            s.normals.standard_normal(out=normals[:c])
+            np.multiply(s.scale, normals[:c], out=steps_dz[:c, r])
+            s.uniforms.random(out=uniforms[r, :c])
+        u_steps = uniforms[:, :c].T.tolist()
+        for i in range(c):
+            prop = theta + steps_dz[i]
+            lp = log_density(prop)
+            # math.exp per chain: np.exp may differ in the last bit, and
+            # that can flip a decision
+            accept = [d >= 0.0 or v < exp(d)
+                      for d, v in zip((lp - logp).tolist(), u_steps[i])]
+            if all(accept):
+                theta, logp = prop, lp
+                every += 1
+            elif any(accept):
+                mask = np.array(accept)
+                np.copyto(theta, prop, where=mask[:, None])
+                np.copyto(logp, lp, where=mask)
+                accepted += mask
+            idx = done + i + 1 - burn_in
+            if idx > 0 and idx % thin == 0:
+                kept[:, k] = theta
+                k += 1
 
-    meta = {"dim": dim, "proposal_scale": np.asarray(scale).tolist(),
-            "burn_in": burn_in, "thin": thin}
-    if isinstance(target, GibbsTarget):
-        meta.update(omega=target.omega, n_terms=target.n_terms,
-                    loss=target.loss.kind, prior=target.prior.kind)
-    return Chain(draws=kept, accepted=accepted, steps=steps,
-                 seed=config.seed, meta=meta)
+    accepted += every
+    out = []
+    for r, s in enumerate(starts):
+        meta = {"dim": dim, "proposal_scale": s.scale.tolist(),
+                "burn_in": burn_in, "thin": thin}
+        if isinstance(s.target, GibbsTarget):
+            meta.update(omega=s.target.omega, n_terms=s.target.n_terms,
+                        loss=s.target.loss.kind, prior=s.target.prior.kind)
+        out.append(Chain(draws=kept[r], accepted=int(accepted[r]), steps=steps,
+                         seed=s.config.seed, meta=meta))
+    return out
+
+
+def mh_run(target, config: MHConfig) -> Chain:
+    """One random-walk Metropolis chain: the one-chain block.
+
+    target must expose log_unnormalized(theta); GibbsTarget also provides the
+    default prior initialization.  See `mh_start` and `mh_run_block`.
+    """
+    return mh_run_block([mh_start(target, config)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               row_seed, run_experiment,
                               validate_experiment_config, write_outputs)
 from gibbsinf.harness.config import resolve_proposal_scale
-from gibbsinf.harness.runner import default_workers
+from gibbsinf.harness.runner import _blocks, default_workers
 from gibbsinf.sampler import hash64, make_rng
 
 
@@ -291,6 +291,50 @@ def test_serial_and_parallel_runs_are_identical():
     assert serial.summary == parallel.summary
 
 
+def test_split_block_is_byte_identical_to_one_block(tmp_path):
+    # four replications at one n: one block of four serially, two blocks of
+    # two on two workers; block size must never change a byte
+    cfg = _tiny_config(nGrid=[50], replications=4)
+    assert _blocks(1, 4, 1) == [(0, range(0, 4))]
+    assert _blocks(1, 4, 2) == [(0, range(0, 2)), (0, range(2, 4))]
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        write_outputs(run_experiment(cfg, workers=workers), out)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("results.csv", "radii.csv", "summary.json")})
+    assert outputs[0] == outputs[1]
+    rows = run_experiment(cfg, workers=1).rows
+    assert [compute_row(cfg, 0, j) for j in range(4)] == rows
+
+
+def test_blocks_cover_every_row_once_in_order():
+    for n_count, reps, workers in ((3, 4, 2), (1, 5, 3), (2, 1, 8), (4, 10, 1)):
+        blocks = _blocks(n_count, reps, workers)
+        cells = [(i, j) for i, block in blocks for j in block]
+        assert cells == [(i, j) for i in range(n_count) for j in range(reps)]
+        assert len(blocks) >= min(workers, n_count * reps)
+
+
+def test_timings_add_wall_ms_and_change_nothing_else():
+    cfg = _tiny_config(nGrid=[50], replications=3)
+    plain = run_experiment(cfg, workers=1).rows
+    timed = run_experiment(cfg, workers=1, timings=True).rows
+    assert all(r["wall_ms"] > 0.0 for r in timed)
+    assert [dict(r, wall_ms=None) for r in timed] == plain
+
+
+def test_nan_initial_density_is_a_row_error():
+    # a NaN coordinate makes the start's density NaN; that chain would
+    # never accept, so the row reports it instead
+    cfg = _tiny_config(nGrid=[50])
+    cfg["mh"] = dict(cfg["mh"], init=[float("nan"), 1.0])
+    rows = run_experiment(cfg, workers=1).rows
+    assert len(rows) == 2
+    assert all(r["error"] == "InitializationError: initial point has NaN "
+               "target density" for r in rows)
+
+
 def test_rate_fit_requires_three_sizes():
     with_three = run_experiment(_tiny_config(nGrid=[50, 100, 200],
                                              replications=1), workers=1)
@@ -395,6 +439,22 @@ def test_unknown_component_name_fails_before_any_cell(tmp_path, field, name):
     assert code == 1
     assert name in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("init", ["pilot", [1.0, 2.0]], ids=["pilot", "list"])
+def test_spikeslab_init_fails_before_any_cell(tmp_path, init):
+    # the sparse sampler always starts from a prior draw, so an init there
+    # is a config error rather than a setting that is silently dropped
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "sparse_trend.json"))
+    cfg["mh"]["init"] = init
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1
+    assert "init" in err and "spikeslab" in err
+    assert not out.exists()
 
 
 def test_non_object_mh_section_fails_before_any_cell():

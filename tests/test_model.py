@@ -36,6 +36,14 @@ def test_classification_dataset_labels_checked():
         Dataset.classification(x, np.array([2]))
 
 
+def test_classification_rejects_non_integer_labels():
+    # the int cast would otherwise turn [1.5, -0.7] into the valid labels [1, 0]
+    with pytest.raises(ShapeError, match="class labels must be integers"):
+        Dataset.classification([0.1, 0.2], [1.5, -0.7])
+    data = Dataset.classification([0.1, 0.2], [1.0, -1.0])
+    assert data.y.tolist() == [1, -1]
+
+
 def test_two_sample_term_count_is_pair_count():
     data = Dataset.two_sample(np.array([0.1, 0.7, 0.3]), np.array([0.5, 0.9]))
     assert data.m == 3

@@ -9,20 +9,23 @@ standard errors at fixed seeds.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gibbsinf import (Dataset, GaussianIID, GibbsTarget, MHConfig, SpikeSlab,
-                      SquaredLoss, ZeroOneLinearLoss, chain_summary,
-                      credible_interval, mh_run, posterior_mean, ss_mh_run,
-                      write_chain_csv)
+from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
+                      Dataset, GaussianIID, GibbsTarget, LaplaceIID, MCIDLoss,
+                      MHConfig, SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
+                      chain_summary, credible_interval, mh_run, mh_run_block,
+                      mh_start, posterior_mean, ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError
+from gibbsinf.harness.generators import affine_features
 from gibbsinf.priors import spike_slab_log_mass
-from gibbsinf.sampler import (default_proposal_scale, effective_sample_size,
-                              hash64, make_rng)
+from gibbsinf.sampler import (_CHUNK, default_proposal_scale,
+                              effective_sample_size, hash64, make_rng)
 
 
 def _prior_only_target(sd: float = 1.0) -> GibbsTarget:
@@ -115,6 +118,172 @@ def test_mh_run_needs_init_or_self_initializing_target():
     with pytest.raises(InitializationError):
         mh_run(Opaque(), MHConfig(steps=100, burn_in=0, thin=1,
                                   proposal_scale=1.0))
+
+
+def test_mh_run_rejects_nan_start_density():
+    # a NaN start would otherwise give a chain that never accepts
+    class NaNTarget:
+        def log_unnormalized(self, theta):
+            return math.nan
+
+    with pytest.raises(InitializationError, match="NaN"):
+        mh_run(NaNTarget(), MHConfig(steps=100, burn_in=0, thin=1,
+                                     proposal_scale=1.0, init=np.zeros(2)))
+
+
+# ---------------------------------------------------------------------------
+# chain blocks: R chains in lockstep, each bit-identical to its own run
+
+
+def _block_case(kind: str, R: int = 3):
+    """R targets sharing one loss and one prior, each on its own data of one
+    size and with its own rate, for one loss x prior pair."""
+    rng = make_rng(hash64(41, len(kind)))
+    if kind == "mcid/gaussian":
+        loss, prior = MCIDLoss(CubicBSpline((0.0, 3.0), 4)), GaussianIID(0.0, 6.0, 4)
+
+        def data():
+            return Dataset.classification(rng.normal(size=40),
+                                          np.where(rng.random(40) < 0.5, 1, -1),
+                                          3.0 * rng.random(40))
+    elif kind == "check/gaussian":
+        loss, prior = CheckLoss(0.3, affine_features()), GaussianIID(0.0, 10.0, 2)
+
+        def data():
+            x = rng.random(30)
+            return Dataset.regression(x, 1.0 + 2.0 * x + rng.normal(size=30))
+    elif kind == "squared/laplace":
+        loss, prior = SquaredLoss(CubicBSpline((0.0, 1.0), 5)), LaplaceIID(1.0, 5)
+
+        def data():
+            x = rng.random(30)
+            return Dataset.regression(x, np.sin(6.0 * x) + rng.normal(size=30))
+    elif kind == "cappedsquared/gaussian":
+        loss, prior = CappedSquaredLoss(None, cap=4.0), GaussianIID(0.0, 3.0, 3)
+
+        def data():
+            x = rng.normal(size=(30, 3))
+            return Dataset.regression(x, x @ [1.0, -1.0, 0.5] + rng.standard_t(3, 30))
+    else:
+        loss, prior = AUCLoss(), GaussianIID(0.5, 10.0, 1)
+
+        def data():
+            return Dataset.two_sample(rng.normal(size=6), 1.0 + rng.normal(size=5))
+    return [GibbsTarget(loss, prior, data(), 0.5 + r) for r in range(R)]
+
+
+def _assert_same_chains(block, singles):
+    for got, want in zip(block, singles, strict=True):
+        assert got.draws.tobytes() == want.draws.tobytes()
+        assert got.draws.shape == want.draws.shape
+        assert got.accepted == want.accepted
+        assert got.meta == want.meta
+        assert got.seed == want.seed
+
+
+@pytest.mark.parametrize("kind", ["mcid/gaussian", "check/gaussian",
+                                  "squared/laplace", "cappedsquared/gaussian",
+                                  "auc/gaussian"])
+def test_block_equals_single_chain_runs(kind, monkeypatch):
+    targets = _block_case(kind)
+    configs = [MHConfig(steps=2_600, burn_in=100, thin=5, seed=hash64(42, r))
+               for r in range(len(targets))]
+    singles = [mh_run(t, c) for t, c in zip(targets, configs)]
+    starts = [mh_start(t, c) for t, c in zip(targets, configs)]
+    # the block evaluates its densities with the vectorized kernels, not
+    # one log_unnormalized call per chain and step
+    calls = []
+    original = GibbsTarget.log_unnormalized
+    monkeypatch.setattr(GibbsTarget, "log_unnormalized",
+                        lambda self, theta: calls.append(1) or original(self, theta))
+    block = mh_run_block(starts)
+    assert not calls
+    _assert_same_chains(block, singles)
+    assert len({c.accepted for c in block}) > 1     # the chains do differ
+
+
+def test_block_from_given_starts_equals_single_chain_runs():
+    targets = _block_case("mcid/gaussian")
+    configs = [MHConfig(steps=1_500, burn_in=0, thin=3, seed=hash64(43, r),
+                        proposal_scale=[0.2, 0.4, 0.3, 0.5][r:] + [0.1] * r,
+                        init=np.full(4, float(r)))
+               for r in range(len(targets))]
+    singles = [mh_run(t, c) for t, c in zip(targets, configs)]
+    block = mh_run_block([mh_start(t, c) for t, c in zip(targets, configs)])
+    _assert_same_chains(block, singles)
+
+
+def test_block_rejects_chains_of_different_lengths():
+    targets = _block_case("check/gaussian", R=2)
+    starts = [mh_start(targets[0], MHConfig(steps=100, burn_in=0, thin=1)),
+              mh_start(targets[1], MHConfig(steps=200, burn_in=0, thin=1))]
+    with pytest.raises(PreconditionError, match="share"):
+        mh_run_block(starts)
+
+
+def test_short_chains_match_recorded_values():
+    # draws and accept counts of three short chains, recorded before chains
+    # ran in blocks; any change to the variate order, the kernels or the
+    # accept rule shows here
+    rng = make_rng(hash64(31, 1))
+    z = 3.0 * rng.random(40)
+    x = rng.normal(size=40)
+    y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    mcid = GibbsTarget(MCIDLoss(CubicBSpline((0.0, 3.0), 4)),
+                       GaussianIID(0.0, 6.0, 4),
+                       Dataset.classification(x, y, z), 1.0)
+    xr = rng.random(30)
+    yr = 1.0 + 2.0 * xr + rng.normal(size=30)
+    check = GibbsTarget(CheckLoss(0.5, affine_features()), LaplaceIID(1.0, 2),
+                        Dataset.regression(xr, yr), 2.0)
+    auc = GibbsTarget(AUCLoss(), GaussianIID(0.5, 10.0, 1),
+                      Dataset.two_sample(rng.normal(size=7),
+                                         1.0 + rng.normal(size=5)), 0.5)
+    got = [mh_run(mcid, MHConfig(steps=60, burn_in=20, thin=10,
+                                 proposal_scale=0.5, seed=hash64(31, 2))),
+           mh_run(check, MHConfig(steps=40, burn_in=0, thin=10,
+                                  proposal_scale=0.3, seed=hash64(31, 3),
+                                  init=np.array([1.0, 2.0]))),
+           mh_run(auc, MHConfig(steps=30, burn_in=0, thin=10,
+                                proposal_scale=0.2, seed=hash64(31, 4)))]
+    assert [c.accepted for c in got] == [45, 16, 15]
+    assert got[0].draws.tolist() == [
+        [2.2982299915139177, -12.718598479868405, 3.3400289177181905, 8.418361019795995],
+        [0.5476950116189178, -12.74311310836871, 4.634214034443209, 10.710307221933773],
+        [-1.1642602934276034, -11.93366027693017, 2.828189796609433, 10.64778631197584],
+        [0.4463061768048586, -11.250147806753217, 2.7888733285877043, 9.817132948269625]]
+    assert got[1].draws.tolist() == [
+        [0.3468681132463931, 2.6687041202777713], [0.6199492438802178, 2.692195168732626],
+        [0.30060885455094166, 3.1054758819330437], [0.4591467762228662, 2.743527581528859]]
+    assert got[2].draws.tolist() == [
+        [-5.729629592913657], [-4.582580832692851], [-4.197567979890199]]
+
+
+def test_block_memory_is_bounded():
+    # variates are drawn chunk by chunk, so the peak stays near the kept
+    # draws instead of growing with steps x chains x dim.  The block's
+    # memory does not depend on the target; a flat one keeps the traced run
+    # short, as tracemalloc slows every allocation.
+    class Flat:
+        def log_unnormalized(self, theta):
+            return 0.0
+
+    R, steps, thin, dim = 4, 100_000, 10, 2
+    configs = [MHConfig(steps=steps, burn_in=0, thin=thin, proposal_scale=0.3,
+                        seed=hash64(44, r), init=np.zeros(dim)) for r in range(R)]
+    tracemalloc.start()
+    try:
+        chains = mh_run_block([mh_start(Flat(), c) for c in configs])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chains[0].draws.shape == (steps // thin, dim)
+    kept = R * (steps // thin) * dim * 8
+    variates = R * _CHUNK * (2 * dim + 1) * 8
+    bound = kept + variates + 256_000
+    assert peak < bound
+    # drawing one chain's variates at once would already take 2.4 MB
+    assert steps * (dim + 1) * 8 > 2 * bound
 
 
 # ---------------------------------------------------------------------------
