@@ -11,17 +11,14 @@ CLI (`harness`).
 from .errors import (ConditioningError, ConfigError, DegenerateEstimateError,
                      DomainError, GibbsInfError, InitializationError,
                      OverflowGuardError, PreconditionError, ShapeError)
-from .model import (ClassTriple, CubicBSpline, Dataset, FunctionParam,
-                    PairedScores, RawDictionary, RegPair, ScorePair,
-                    TensorBSpline, dataset_from_csv, design_matrix,
-                    eval_basis, eval_function)
+from .model import (CubicBSpline, Dataset, FunctionParam, PairedScores,
+                    RawDictionary, TensorBSpline, dataset_from_csv,
+                    design_matrix)
 from .losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
-                     RiskValue, SquaredLoss, ZeroOneLinearLoss,
-                     auc_empirical_risk, auc_point_estimate, empirical_risk,
-                     erm_least_squares, least_squares_coefficients, loss_value,
-                     pointwise_losses, sign_neg)
-from .priors import (GaussianIID, LaplaceIID, SparseParam, SpikeSlab,
-                     log_prior, sample_prior)
+                     SquaredLoss, ZeroOneLinearLoss, auc_point_estimate,
+                     empirical_risk, erm_least_squares,
+                     least_squares_coefficients, pointwise_losses, sign_neg)
+from .priors import GaussianIID, LaplaceIID, SparseParam, SpikeSlab
 from .rates import (AUCCovariances, AUCDataDriven, FixedRate, HeavyTailRate,
                     PowerLawRate, TsybakovRate, auc_covariances,
                     auc_learning_rate, rate_at)

@@ -79,6 +79,16 @@ class MCDivergence:
     n_draws: int
 
 
+def _sqrt_of_mean(values: np.ndarray) -> MCDivergence:
+    """sqrt of the Monte-Carlo mean of `values`, with a delta-method standard
+    error; a nonpositive mean gives 0 with the square root of its SE."""
+    m = float(values.mean())
+    se_m = float(values.std(ddof=1) / math.sqrt(values.size))
+    if m > 0:
+        return MCDivergence(math.sqrt(m), se_m / (2.0 * math.sqrt(m)), values.size)
+    return MCDivergence(0.0, math.sqrt(se_m), values.size)
+
+
 class EuclideanDistance:
     """d(theta, theta*) = ||theta - theta*||_2 on coefficient vectors."""
 
@@ -126,10 +136,7 @@ class EmpiricalL2:
     def __init__(self, basis: BasisSpec | None, xs):
         self.basis = basis
         self.xs = np.asarray(xs, dtype=float)
-        if basis is None:
-            self._design = self.xs[:, None] if self.xs.ndim == 1 else self.xs
-        else:
-            self._design = design_matrix(basis, self.xs)
+        self._design = design_matrix(basis, self.xs)
         self.n_points = self._design.shape[0]
 
     def _coef(self, a) -> np.ndarray:
@@ -185,12 +192,7 @@ class L2PDistance:
         if structurally_equal(a, b):
             return MCDivergence(0.0, 0.0, 0)
         xs = self.sample_x(rng, self.n_draws)
-        sq = (_values_at(a, xs) - _values_at(b, xs)) ** 2
-        m = float(sq.mean())
-        se_m = float(sq.std(ddof=1) / math.sqrt(sq.size))
-        if m > 0:
-            return MCDivergence(math.sqrt(m), se_m / (2.0 * math.sqrt(m)), sq.size)
-        return MCDivergence(0.0, math.sqrt(se_m), sq.size)
+        return _sqrt_of_mean((_values_at(a, xs) - _values_at(b, xs)) ** 2)
 
 
 class RiskDiffSqrt:
@@ -212,20 +214,13 @@ class RiskDiffSqrt:
         self.sample_data = sample_data
         self.n_draws = int(n_draws)
 
-    def _finish(self, diff: np.ndarray) -> MCDivergence:
-        m = float(diff.mean())
-        se_m = float(diff.std(ddof=1) / math.sqrt(diff.size))
-        if m > 0:
-            return MCDivergence(math.sqrt(m), se_m / (2.0 * math.sqrt(m)), diff.size)
-        return MCDivergence(0.0, math.sqrt(se_m), diff.size)
-
     def estimate(self, a, b, rng) -> MCDivergence:
         if structurally_equal(a, b):
             return MCDivergence(0.0, 0.0, 0)
         loss = self.loss
         prepared = loss.prepare(self.sample_data(rng, self.n_draws))
         diff = loss.per_observation(prepared, a) - loss.per_observation(prepared, b)
-        return self._finish(diff)
+        return _sqrt_of_mean(diff)
 
     def batch(self, mat: np.ndarray, b, rng) -> np.ndarray:
         """Divergence of each draw (row) to b, sharing one fresh sample.

@@ -30,7 +30,7 @@ import json
 import numpy as np
 
 from ..diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
-                           L2PDistance, MCIDMeasure, RiskDiffSqrt)
+                           RiskDiffSqrt)
 from ..errors import ConfigError
 from ..losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                       SquaredLoss, ZeroOneLinearLoss)
@@ -269,26 +269,12 @@ def _empirical_l2(kw, generator, loss, basis):
     return EmpiricalL2(basis, grid)
 
 
-def _l2p(kw, generator, loss, basis):
-    if not hasattr(generator, "sample_x"):
-        raise ConfigError("l2p divergence needs a covariate sampler")
-    return L2PDistance(generator.sample_x, n_draws=int(kw.get("nDraws", 4096)))
-
-
-def _mcid_measure(kw, generator, loss, basis):
-    if not hasattr(generator, "sample_zx"):
-        raise ConfigError("mcid_measure divergence needs a (z,x) sampler")
-    return MCIDMeasure(generator.sample_zx, n_draws=int(kw.get("nDraws", 4096)))
-
-
 _DIVERGENCES = {
     "euclid": lambda *_: EuclideanDistance(),
     "abs": lambda *_: AbsScalarDistance(),
     "empirical_l2": _empirical_l2,
     "risk_diff_sqrt": lambda kw, generator, loss, basis: RiskDiffSqrt(
         loss, generator.mc_sample, n_draws=int(kw.get("nDraws", 4096))),
-    "l2p": _l2p,
-    "mcid_measure": _mcid_measure,
 }
 
 

@@ -6,11 +6,12 @@ sample and precomputes its arrays (design matrix, labels, responses), and
 arrays and a coefficient vector to the per-observation losses (a boolean
 mismatch vector for the 0-1 losses).  Everything else derives from that pair:
 the risk kernel used inside MCMC loops (`risk_state` + `risk`, vectorized
-over a block of chains), the one-chain risk closure (`prepare_risk`), float
-per-observation values for Monte-Carlo diagnostics (`pointwise_losses`), the
-loss on one observation (`loss_value`) and the empirical risk of a dataset
-(`empirical_risk`).  The ranking loss keeps a closed-form risk over the m*n
-pair grid.
+over a block of chains), the empirical risk of a dataset (`empirical_risk`,
+the one-chain kernel), and float per-observation values for Monte-Carlo
+diagnostics (`pointwise_losses`, or `loss.per_observation` on a sample
+prepared once).  The loss on a single observation is the one value of a
+one-row sample.  The ranking loss keeps a closed-form risk over the m*n pair
+grid.
 
 Chain blocks: `pointwise` also takes prepared arrays stacked along a leading
 chain axis, (R, n, J) with an (R, J) coefficient block, and `risk` maps a
@@ -26,26 +27,15 @@ ranking loss count as discordant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConditioningError, PreconditionError, ShapeError
-from .model import (BasisSpec, ClassTriple, Dataset, FunctionParam, PairedScores,
-                    RegPair, ScorePair, design_matrix)
+from .model import BasisSpec, Dataset, FunctionParam, PairedScores, design_matrix
 
 
 def sign_neg(t):
     """sign with sign(0) = -1; vectorized."""
     return np.where(np.asarray(t) > 0, 1, -1)
-
-
-@dataclass(frozen=True)
-class RiskValue:
-    """An empirical risk together with the number of loss terms averaged."""
-
-    value: float
-    n_used: int
 
 
 def _as_beta(theta, loss) -> np.ndarray:
@@ -63,21 +53,13 @@ def _linear(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.matmul(F, beta[..., None])[..., 0]
 
 
-def _features_design(features: BasisSpec | None, xs) -> np.ndarray:
-    """Design matrix of the feature map; None means the identity map on x."""
-    if features is None:
-        xs = np.asarray(xs, dtype=float)
-        return xs[:, None] if xs.ndim == 1 else xs
-    return design_matrix(features, xs)
-
-
 # ---------------------------------------------------------------------------
 # loss families
 # ---------------------------------------------------------------------------
 
 class _Loss:
-    """Risk, per-observation values and single-observation losses, all
-    derived from a family's `prepare(sample)` and `pointwise(prepared, beta)`.
+    """Risk kernel and per-observation values, both derived from a family's
+    `prepare(sample)` and `pointwise(prepared, beta)`.
     """
 
     def risk_state(self, data: Dataset) -> tuple:
@@ -89,15 +71,6 @@ class _Loss:
         """Empirical risks of an (R, J) coefficient block, one per chain."""
         losses = self.pointwise(state, B)
         return np.add.reduce(losses, -1) / float(losses.shape[-1])
-
-    def prepare_risk(self, data: Dataset):
-        """Closure beta -> empirical risk over a fixed dataset."""
-        state = self.risk_state(data)
-
-        def risk(beta) -> float:
-            return float(self.risk(state, np.asarray(beta, dtype=float).reshape(1, -1))[0])
-
-        return risk
 
     def per_observation(self, prepared, theta) -> np.ndarray:
         """Float vector of losses of theta on every row of a prepared sample."""
@@ -111,7 +84,7 @@ class _RegressionLoss(_Loss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "reg":
             raise ShapeError(f"{self.kind} loss expects a regression dataset")
-        return _features_design(self.features, sample.x), sample.y
+        return design_matrix(self.features, sample.x), sample.y
 
 
 class CheckLoss(_RegressionLoss):
@@ -247,7 +220,13 @@ class AUCLoss(_Loss):
 
     def risk_state(self, data: Dataset) -> tuple:
         """Concordance fraction and constant of the closed form over the m*n
-        grid of a two-sample dataset; see `auc_empirical_risk`."""
+        grid of a two-sample dataset.
+
+        The risk (mn)^-1 sum over pairs of (theta - 1{u1 > u0})^2 equals
+        (theta - that)^2 + that*(1 - that), where that is the concordance
+        fraction: the pair indicators are 0/1, so their mean equals the mean
+        of their squares.
+        """
         if data.kind != "twosample":
             raise ShapeError("ranking loss expects a two-sample dataset")
         that = auc_point_estimate(data.scores0, data.scores1)
@@ -269,28 +248,13 @@ LossSpec = (CheckLoss | SquaredLoss | CappedSquaredLoss | ZeroOneLinearLoss
 # module operations
 # ---------------------------------------------------------------------------
 
-def _one_row(u):
-    """A single observation as a one-row sample."""
-    if isinstance(u, RegPair):
-        return Dataset.regression(np.asarray([u.x]), [u.y])
-    if isinstance(u, ClassTriple):
-        return Dataset.classification([u.x], [u.y], None if u.z is None else [u.z])
-    if isinstance(u, ScorePair):
-        return PairedScores([u.u0], [u.u1])
-    raise ShapeError(f"unsupported observation type {type(u).__name__}")
-
-
-def loss_value(loss: LossSpec, theta, u) -> float:
-    """Loss of parameter theta on a single observation."""
-    return float(pointwise_losses(loss, theta, _one_row(u))[0])
-
-
-def empirical_risk(loss: LossSpec, theta, data: Dataset) -> RiskValue:
+def empirical_risk(loss: LossSpec, theta, data: Dataset) -> float:
     """Average loss over the dataset.
 
     For two-sample data the average runs over all m*n score pairs.
     """
-    return RiskValue(loss.prepare_risk(data)(_as_beta(theta, loss)), data.n_terms)
+    beta = _as_beta(theta, loss).reshape(1, -1)
+    return float(loss.risk(loss.risk_state(data), beta)[0])
 
 
 def auc_point_estimate(scores0, scores1) -> float:
@@ -305,19 +269,6 @@ def auc_point_estimate(scores0, scores1) -> float:
         raise PreconditionError("both groups must be nonempty")
     concordant = int(np.searchsorted(s0, s1, side="left").sum())
     return concordant / (len(s0) * len(s1))
-
-
-def auc_empirical_risk(theta: float, scores0, scores1) -> float:
-    """(mn)^-1 sum over pairs of (theta - 1{u1 > u0})^2.
-
-    Uses the exact algebraic identity
-    risk(theta) = (theta - that)^2 + that*(1 - that)
-    where that is the concordance fraction; the identity follows because the
-    pair indicators are 0/1, so their mean equals the mean of their squares.
-    """
-    that = auc_point_estimate(scores0, scores1)
-    t = float(theta)
-    return (t - that) ** 2 + that * (1.0 - that)
 
 
 def pointwise_losses(loss: LossSpec, theta, sample) -> np.ndarray:
@@ -347,4 +298,4 @@ def erm_least_squares(data: Dataset, basis: BasisSpec | None) -> np.ndarray:
     """Minimizer of the empirical squared-error risk over the feature span."""
     if data.kind != "reg":
         raise ShapeError("least-squares ERM expects a regression dataset")
-    return least_squares_coefficients(_features_design(basis, data.x), data.y)
+    return least_squares_coefficients(design_matrix(basis, data.x), data.y)

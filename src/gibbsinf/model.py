@@ -1,9 +1,12 @@
-"""Core data model: observations, datasets, basis expansions, function parameters.
+"""Core data model: datasets, basis expansions, function parameters.
 
 Parameters of interest are either plain coefficient vectors or functions
 represented as a basis expansion theta(x) = beta' f(x).  Three basis families
 are provided: clamped cubic B-splines on an interval, tensor products of two
 such bases, and raw user-declared dictionaries (e.g. polynomial terms).
+A basis is evaluated on a batch of points (`design_matrix`); a single
+point is a one-row batch.  Data live in columnar `Dataset`s (and `PairedScores` for
+matched score pairs); a single observation is a one-row sample.
 """
 
 from __future__ import annotations
@@ -22,39 +25,8 @@ DOMAIN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# observations
+# paired scores
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegPair:
-    """Regression observation (x, y)."""
-
-    x: np.ndarray
-    y: float
-
-
-@dataclass(frozen=True)
-class ClassTriple:
-    """Classification observation (x, y[, z]).
-
-    For threshold-classification problems x is the scalar diagnostic measure,
-    y in {-1,+1} the reported outcome, and z the covariate vector.  For linear
-    classifiers x is the full covariate vector, y in {0,1}, and z is None.
-    """
-
-    x: np.ndarray | float
-    y: int
-    z: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class ScorePair:
-    """A single (group-0, group-1) score pair -- the atomic observation of the
-    pairwise ranking loss."""
-
-    u0: float
-    u1: float
-
 
 @dataclass(frozen=True)
 class PairedScores:
@@ -83,7 +55,7 @@ class PairedScores:
 
 
 # ---------------------------------------------------------------------------
-# datasets (columnar storage; observation lists materialized on demand)
+# datasets (columnar storage)
 # ---------------------------------------------------------------------------
 
 _LABEL_SETS = ({-1, 1}, {0, 1})
@@ -94,9 +66,8 @@ class Dataset:
     """Immutable homogeneous sample.
 
     kind is one of "reg", "class", "twosample".  Storage is columnar numpy
-    arrays for vectorized risk evaluation; `observations` materializes the
-    per-row view of regression and classification data when needed.  For
-    two-sample data, m counts group-0 scores and n counts group-1 scores.
+    arrays for vectorized risk evaluation.  For two-sample data, m counts
+    group-0 scores and n counts group-1 scores.
     """
 
     kind: str
@@ -180,18 +151,6 @@ class Dataset:
             return len(self.scores0) * len(self.scores1)
         return len(self.y)
 
-    @property
-    def observations(self) -> list:
-        if self.kind == "reg":
-            return [RegPair(np.atleast_1d(self.x[i]), float(self.y[i]))
-                    for i in range(self.n)]
-        if self.kind == "class":
-            return [ClassTriple(self.x[i], int(self.y[i]),
-                                None if self.z is None else self.z[i])
-                    for i in range(self.n)]
-        raise ShapeError("two-sample data has no per-row observations; "
-                         "its loss terms are the m*n score pairs")
-
 
 def dataset_from_csv(path, kind: str, columns: dict | None = None) -> Dataset:
     """Load a Dataset from a CSV file.
@@ -272,9 +231,6 @@ class CubicBSpline:
         dm = BSpline.design_matrix(xs, self.knots, self.degree, extrapolate=False)
         return dm.toarray()
 
-    def eval(self, x) -> np.ndarray:
-        return self.design(np.asarray([x], dtype=float))[0]
-
 
 class TensorBSpline:
     """Tensor product of two cubic B-spline bases over a rectangle.
@@ -303,9 +259,6 @@ class TensorBSpline:
         d1 = self.factor1.design(xs[:, 0])
         d2 = self.factor2.design(xs[:, 1])
         return (d1[:, :, None] * d2[:, None, :]).reshape(xs.shape[0], -1)
-
-    def eval(self, x) -> np.ndarray:
-        return self.design(np.asarray(x, dtype=float).reshape(1, 2))[0]
 
 
 def _component_scalar(value) -> float:
@@ -349,9 +302,6 @@ class RawDictionary:
             cols.append(col)
         return np.column_stack(cols)
 
-    def eval(self, x) -> np.ndarray:
-        return np.array([_component_scalar(fn(x)) for _, fn in self.components])
-
 
 BasisSpec = CubicBSpline | TensorBSpline | RawDictionary
 
@@ -379,16 +329,9 @@ class FunctionParam:
 # module operations
 # ---------------------------------------------------------------------------
 
-def eval_basis(basis: BasisSpec, x) -> np.ndarray:
-    """Evaluate the basis vector f(x) at one point."""
-    return basis.eval(x)
-
-
-def eval_function(fp: FunctionParam, x) -> float:
-    """Evaluate theta(x) = beta' f(x) at one point."""
-    return float(fp.beta @ fp.basis.eval(x))
-
-
-def design_matrix(basis: BasisSpec, xs) -> np.ndarray:
-    """n x J matrix with rows f(x_i)."""
+def design_matrix(basis: BasisSpec | None, xs) -> np.ndarray:
+    """n x J matrix with rows f(x_i); None means the identity map on x."""
+    if basis is None:
+        xs = np.asarray(xs, dtype=float)
+        return xs[:, None] if xs.ndim == 1 else xs
     return basis.design(xs)

@@ -142,12 +142,6 @@ class SpikeSlab:
         raw = -log_ratio * np.arange(q + 1)
         self._log_f = raw - logsumexp(raw)
 
-    def log_size_mass(self, s: int) -> float:
-        """log f(s), the prior mass of support size s."""
-        if not 0 <= s <= self.q:
-            raise PreconditionError(f"size {s} outside 0..{self.q}")
-        return float(self._log_f[s])
-
     def log_config_mass(self, S) -> float:
         """log pi(S) = log f(|S|) - log C(q, |S|)."""
         s_idx = sorted(int(i) for i in S)
@@ -178,27 +172,3 @@ class SpikeSlab:
 
 
 PriorSpec = GaussianIID | LaplaceIID | SpikeSlab
-
-
-# ---------------------------------------------------------------------------
-# module operations
-# ---------------------------------------------------------------------------
-
-def log_prior(prior: PriorSpec, theta) -> float:
-    """Log prior density/mass of theta under the declared prior.
-
-    theta's shape must match the prior family: an array for iid priors, a
-    SparseParam for the sparse configuration prior.
-    """
-    return prior.log_density(theta)
-
-
-def spike_slab_log_mass(prior: SpikeSlab, S) -> float:
-    """log pi(S) of a support configuration."""
-    return prior.log_config_mass(S)
-
-
-def sample_prior(prior: PriorSpec, rng: np.random.Generator):
-    """One exact draw from the prior."""
-    return prior.sample(rng)
-

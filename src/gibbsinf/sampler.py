@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InitializationError, PreconditionError, ShapeError
 from .losses import LossSpec, ZeroOneLinearLoss
 from .model import Dataset
-from .priors import PriorSpec, SparseParam, SpikeSlab, log_prior, sample_prior
+from .priors import PriorSpec, SparseParam, SpikeSlab
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,7 +81,7 @@ class GibbsTarget:
 
     def log_unnormalized(self, theta) -> float:
         """-omega * N * R_n(theta) + log prior(theta); -inf outside support."""
-        lp = log_prior(self.prior, theta)
+        lp = self.prior.log_density(theta)
         if lp == -math.inf:
             return -math.inf
         return -self.omega * self.n_terms * self.risk(theta) + lp
@@ -89,7 +89,7 @@ class GibbsTarget:
     def initial_draw(self, rng: np.random.Generator, retries: int = 1000):
         """A prior draw with finite target density (retry up to `retries`)."""
         for _ in range(retries):
-            theta = sample_prior(self.prior, rng)
+            theta = self.prior.sample(rng)
             if self.log_unnormalized(theta) > -math.inf:
                 return theta
         raise InitializationError(

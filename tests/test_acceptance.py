@@ -23,7 +23,6 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CappedSquaredLoss,
                       mgf_condition_check, mh_run, pointwise_losses,
                       ss_mh_run)
 from gibbsinf.harness import AUCSim, SparseClassSim, run_experiment, write_outputs
-from gibbsinf.priors import spike_slab_log_mass
 from gibbsinf.rates import AUCDataDriven, HeavyTailRate, auc_covariances
 from gibbsinf.sampler import effective_sample_size, hash64, make_rng
 
@@ -244,14 +243,14 @@ def test_a08_sparse_prior_masses_and_frequencies(capsys):
     worst_sum = 0.0
     for q in range(1, 13):
         prior = SpikeSlab(q=q, a=1.0, c=1.0)
-        total = sum(math.exp(spike_slab_log_mass(prior, S))
+        total = sum(math.exp(prior.log_config_mass(S))
                     for s in range(q + 1)
                     for S in combinations(range(q), s))
         worst_sum = max(worst_sum, abs(total - 1.0))
 
     prior2 = SpikeSlab(q=2, a=1.0, c=1.0)
     want = {(): 4 / 7, (0,): 1 / 7, (1,): 1 / 7, (0, 1): 1 / 7}
-    worst_mass = max(abs(math.exp(spike_slab_log_mass(prior2, S)) - v)
+    worst_mass = max(abs(math.exp(prior2.log_config_mass(S)) - v)
                      for S, v in want.items())
 
     rng = np.random.default_rng(8)

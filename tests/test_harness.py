@@ -425,7 +425,10 @@ def test_cli_missing_config_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("field,name", [
     ("generator", "mcid3"), ("loss", "mcdi"), ("prior", "cauchy"),
-    ("rate", "constant"), ("divergence", "kl")])
+    ("rate", "constant"), ("divergence", "kl"),
+    # the Monte-Carlo function divergences take a function-valued reference,
+    # which the runner never has, so no experiment config may name them
+    ("divergence", "l2p"), ("divergence", "mcid_measure")])
 def test_unknown_component_name_fails_before_any_cell(tmp_path, field, name):
     cfg = _tiny_config()
     cfg[field] = {**cfg[field], "name": name}

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
                       Dataset, MCIDLoss, PairedScores, RawDictionary,
-                      SquaredLoss, ZeroOneLinearLoss, auc_empirical_risk,
-                      auc_point_estimate, design_matrix, empirical_risk,
-                      erm_least_squares, least_squares_coefficients,
-                      loss_value, pointwise_losses, sign_neg)
+                      SquaredLoss, ZeroOneLinearLoss, auc_point_estimate,
+                      design_matrix, empirical_risk, erm_least_squares,
+                      least_squares_coefficients, pointwise_losses, sign_neg)
 from gibbsinf.errors import ConditioningError, PreconditionError, ShapeError
 from gibbsinf.harness import affine_features
-from gibbsinf.model import ClassTriple, RegPair, ScorePair
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +27,11 @@ from gibbsinf.model import ClassTriple, RegPair, ScorePair
 def test_check_loss_hand_values():
     loss = CheckLoss(0.25, features=None)
     # residual r = y - theta'f(x); value r*(tau - 1{r<0})
-    assert loss_value(loss, np.array([0.0]), RegPair(np.array([1.0]), 2.0)) \
+    assert pointwise_losses(loss, np.array([0.0]),
+                            Dataset.regression([[1.0]], [2.0]))[0] \
         == pytest.approx(2.0 * 0.25)
-    assert loss_value(loss, np.array([0.0]), RegPair(np.array([1.0]), -2.0)) \
+    assert pointwise_losses(loss, np.array([0.0]),
+                            Dataset.regression([[1.0]], [-2.0]))[0] \
         == pytest.approx(2.0 * 0.75)
 
 
@@ -44,7 +44,8 @@ def test_check_loss_tau_validated():
 
 def test_squared_loss_is_squared_residual():
     loss = SquaredLoss(features=None)
-    assert loss_value(loss, np.array([1.5]), RegPair(np.array([1.0]), 2.0)) \
+    assert pointwise_losses(loss, np.array([1.5]),
+                            Dataset.regression([[1.0]], [2.0]))[0] \
         == pytest.approx(0.25)
 
 
@@ -60,27 +61,28 @@ def test_capped_squared_dominance_exact():
 
 def test_capped_squared_loss_value_capped():
     loss = CappedSquaredLoss(features=None, cap=1.0)
-    big = loss_value(loss, np.array([0.0]), RegPair(np.array([1.0]), 5.0))
+    big = pointwise_losses(loss, np.array([0.0]),
+                           Dataset.regression([[1.0]], [5.0]))[0]
     assert big == pytest.approx(1.0)
 
 
 def test_zero_one_linear_values():
     loss = ZeroOneLinearLoss()
     theta = np.array([1.0, -1.0])
-    hit = ClassTriple(np.array([2.0, 1.0]), 1, None)     # x'theta = 1 > 0
-    miss = ClassTriple(np.array([0.0, 1.0]), 1, None)    # x'theta = -1 <= 0
-    assert loss_value(loss, theta, hit) == 0.0
-    assert loss_value(loss, theta, miss) == 1.0
+    hit = Dataset.classification([[2.0, 1.0]], [1])     # x'theta = 1 > 0
+    miss = Dataset.classification([[0.0, 1.0]], [1])    # x'theta = -1 <= 0
+    assert pointwise_losses(loss, theta, hit)[0] == 0.0
+    assert pointwise_losses(loss, theta, miss)[0] == 1.0
 
 
 def test_mcid_loss_indicator_values():
     basis = CubicBSpline((0.0, 1.0), 4)
     loss = MCIDLoss(basis)
     theta = np.zeros(4)  # threshold function identically 0
-    agree = ClassTriple(1.0, 1, 0.5)      # sign(1-0)=+1 matches y=+1
-    disagree = ClassTriple(-1.0, 1, 0.5)  # sign(-1-0)=-1 misses y=+1
-    assert loss_value(loss, theta, agree) == 0.0
-    assert loss_value(loss, theta, disagree) == 1.0
+    agree = Dataset.classification([1.0], [1], [0.5])      # sign(1-0)=+1 matches y=+1
+    disagree = Dataset.classification([-1.0], [1], [0.5])  # sign(-1-0)=-1 misses y=+1
+    assert pointwise_losses(loss, theta, agree)[0] == 0.0
+    assert pointwise_losses(loss, theta, disagree)[0] == 1.0
 
 
 def test_sign_neg_convention_at_zero():
@@ -95,8 +97,8 @@ def test_bounded_losses_stay_in_unit_interval():
     loss = AUCLoss()
     for _ in range(100):
         t = rng.random()
-        pair = ScorePair(rng.normal(), rng.normal())
-        assert 0.0 <= loss_value(loss, t, pair) <= 1.0
+        pair = PairedScores([rng.normal()], [rng.normal()])
+        assert 0.0 <= pointwise_losses(loss, t, pair)[0] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +111,12 @@ def test_empirical_risk_averages_pointwise():
     data = Dataset.regression(np.array([0.0, 1.0, 2.0]),
                               np.array([0.5, 0.0, 3.0]))
     theta = np.array([0.1, 0.7])
-    rv = empirical_risk(loss, theta, data)
-    per = [loss_value(loss, theta, o) for o in data.observations]
-    assert rv.n_used == 3
-    assert rv.value == pytest.approx(np.mean(per), abs=1e-14)
+    risk = empirical_risk(loss, theta, data)
+    per = [pointwise_losses(loss, theta,
+                            Dataset.regression(data.x[i:i + 1], data.y[i:i + 1]))[0]
+           for i in range(data.n)]
+    assert data.n_terms == 3
+    assert risk == pytest.approx(np.mean(per), abs=1e-14)
 
 
 def test_pointwise_losses_match_empirical_risk():
@@ -123,9 +127,9 @@ def test_pointwise_losses_match_empirical_risk():
                  CappedSquaredLoss(feats, cap=0.8)):
         theta = rng.normal(size=2)
         vals = pointwise_losses(loss, theta, data)
-        rv = empirical_risk(loss, theta, data)
+        risk = empirical_risk(loss, theta, data)
         assert vals.shape == (20,)
-        assert np.mean(vals) == pytest.approx(rv.value, abs=1e-12)
+        assert np.mean(vals) == pytest.approx(risk, abs=1e-12)
 
 
 # Reference risk closures, one hand-written formula per loss family; the
@@ -188,10 +192,10 @@ def test_kernels_reproduce_reference_risks_exactly():
              (CappedSquaredLoss(None, cap=2.0), reg2, 3),
              (ZeroOneLinearLoss(), lin, 4), (MCIDLoss(spline), thr, 6)]
     for loss, data, dim in cases:
-        fast, ref = loss.prepare_risk(data), _reference_risk(loss, data)
+        ref = _reference_risk(loss, data)
         for _ in range(200):
             beta = rng.normal(scale=3.0, size=dim)
-            assert fast(beta) == ref(beta)
+            assert empirical_risk(loss, beta, data) == ref(beta)
 
 
 def test_pointwise_losses_match_risk_for_zero_one_losses():
@@ -206,7 +210,7 @@ def test_pointwise_losses_match_risk_for_zero_one_losses():
             theta = rng.normal(size=dim)
             vals = pointwise_losses(loss, theta, data)
             assert vals.dtype == float
-            assert vals.mean() == empirical_risk(loss, theta, data).value
+            assert vals.mean() == empirical_risk(loss, theta, data)
 
 
 def test_classification_risks_lie_in_unit_interval():
@@ -216,7 +220,7 @@ def test_classification_risks_lie_in_unit_interval():
     data = Dataset.classification(x, y)
     loss = ZeroOneLinearLoss()
     for _ in range(10):
-        r = empirical_risk(loss, rng.normal(size=3), data).value
+        r = empirical_risk(loss, rng.normal(size=3), data)
         assert 0.0 <= r <= 1.0
 
 
@@ -232,9 +236,11 @@ def test_auc_quadratic_identity():
     rng = np.random.default_rng(2)
     s0, s1 = rng.normal(size=8), rng.normal(size=5) + 0.5
     that = auc_point_estimate(s0, s1)
+    data = Dataset.two_sample(s0, s1)
     for _ in range(20):
         t = rng.random()
-        lhs = auc_empirical_risk(t, s0, s1) - auc_empirical_risk(that, s0, s1)
+        lhs = (empirical_risk(AUCLoss(), t, data)
+               - empirical_risk(AUCLoss(), that, data))
         assert abs(lhs - (t - that) ** 2) < 1e-12
 
 
@@ -292,7 +298,7 @@ def test_least_squares_conditioning_guard():
 
 def test_loss_observation_mismatch_raises():
     with pytest.raises(ShapeError):
-        loss_value(AUCLoss(), 0.5, RegPair(np.array([1.0]), 0.0))
+        pointwise_losses(AUCLoss(), 0.5, Dataset.regression([[1.0]], [0.0]))
     with pytest.raises(ShapeError):
         pointwise_losses(SquaredLoss(affine_features()),
                          np.zeros(2),

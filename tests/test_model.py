@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gibbsinf import (CubicBSpline, Dataset, FunctionParam, PairedScores,
                       RawDictionary, TensorBSpline, dataset_from_csv,
-                      eval_basis, eval_function, design_matrix)
+                      design_matrix)
 from gibbsinf.errors import DomainError, PreconditionError, ShapeError
 
 
@@ -113,8 +113,8 @@ def test_bspline_local_support_at_most_four():
 def test_bspline_interpolates_endpoint_coefficients():
     # clamped bases collapse to a single active function at each endpoint
     basis = CubicBSpline((0.0, 3.0), 6)
-    left = eval_basis(basis, 0.0)
-    right = eval_basis(basis, 3.0)
+    left = design_matrix(basis, [0.0])[0]
+    right = design_matrix(basis, [3.0])[0]
     assert left[0] == pytest.approx(1.0, abs=1e-12)
     assert right[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -132,9 +132,9 @@ def test_bspline_reproduces_cubic_polynomial():
 
 def test_bspline_domain_clamp_tolerance():
     basis = CubicBSpline((0.0, 1.0), 5)
-    eval_basis(basis, 1.0 + 1e-13)  # inside the documented 1e-12 slack
+    design_matrix(basis, [1.0 + 1e-13])  # inside the documented 1e-12 slack
     with pytest.raises(DomainError):
-        eval_basis(basis, 1.1)
+        design_matrix(basis, [1.1])
 
 
 def test_bspline_minimum_size_enforced():
@@ -147,7 +147,7 @@ def test_bspline_minimum_size_enforced():
        st.integers(min_value=4, max_value=12))
 def test_bspline_rows_are_probability_vectors(x, num_basis):
     basis = CubicBSpline((0.0, 3.0), num_basis)
-    row = eval_basis(basis, x)
+    row = design_matrix(basis, [x])[0]
     assert row.shape == (num_basis,)
     assert np.all(row >= -1e-15)
     assert abs(row.sum() - 1.0) < 1e-12
@@ -168,7 +168,8 @@ def test_tensor_bspline_is_outer_product_of_factors():
     basis = TensorBSpline(f1, f2)
     point = np.array([[0.37, 1.21]])
     row = basis.design(point)[0]
-    outer = np.outer(eval_basis(f1, 0.37), eval_basis(f2, 1.21)).ravel()
+    outer = np.outer(design_matrix(f1, [0.37])[0],
+                     design_matrix(f2, [1.21])[0]).ravel()
     np.testing.assert_allclose(row, outer, atol=1e-14)
 
 
@@ -179,7 +180,7 @@ def test_tensor_bspline_is_outer_product_of_factors():
 def test_raw_dictionary_evaluates_components():
     feats = RawDictionary([("const", lambda x: np.ones_like(x)),
                            ("lin", lambda x: x)])
-    row = eval_basis(feats, 2.5)
+    row = design_matrix(feats, [2.5])[0]
     np.testing.assert_allclose(row, [1.0, 2.5])
     assert feats.num_basis == 2
 
@@ -189,7 +190,7 @@ def test_function_param_eval_matches_design():
     beta = np.arange(5, dtype=float)
     fp = FunctionParam(basis, beta)
     xs = np.linspace(0, 1, 7)
-    direct = np.array([eval_function(fp, x) for x in xs])
+    direct = np.array([fp.values([x])[0] for x in xs])
     np.testing.assert_allclose(direct, design_matrix(basis, xs) @ beta,
                                atol=1e-14)
 

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbsinf import GaussianIID, LaplaceIID, SpikeSlab, log_prior, sample_prior
+from gibbsinf import GaussianIID, LaplaceIID, SpikeSlab
 from gibbsinf.errors import PreconditionError
-from gibbsinf.priors import spike_slab_log_mass
 from gibbsinf.sampler import make_rng
 
 
@@ -22,7 +21,7 @@ from gibbsinf.sampler import make_rng
 def test_gaussian_iid_frozen_value_at_origin():
     # -3 log(2 pi) - 6 log 6, six independent N(0, 36) coordinates at 0
     prior = GaussianIID(0.0, 6.0, 6)
-    assert log_prior(prior, np.zeros(6)) == pytest.approx(
+    assert prior.log_density(np.zeros(6)) == pytest.approx(
         -16.26418801459636, abs=1e-12)
 
 
@@ -32,7 +31,7 @@ def test_gaussian_iid_matches_scipy():
     for _ in range(10):
         theta = rng.normal(size=4)
         want = stats.norm.logpdf(theta, loc=1.5, scale=2.5).sum()
-        assert log_prior(prior, theta) == pytest.approx(want, abs=1e-12)
+        assert prior.log_density(theta) == pytest.approx(want, abs=1e-12)
 
 
 def test_laplace_iid_matches_scipy():
@@ -41,12 +40,12 @@ def test_laplace_iid_matches_scipy():
     for _ in range(10):
         theta = rng.normal(size=3)
         want = stats.laplace.logpdf(theta, scale=1 / 0.7).sum()
-        assert log_prior(prior, theta) == pytest.approx(want, abs=1e-12)
+        assert prior.log_density(theta) == pytest.approx(want, abs=1e-12)
 
 
 def test_gaussian_sampler_moments():
     prior = GaussianIID(2.0, 0.5, 3)
-    draws = np.array([sample_prior(prior, make_rng(s)) for s in range(4000)])
+    draws = np.array([prior.sample(make_rng(s)) for s in range(4000)])
     assert np.abs(draws.mean(axis=0) - 2.0).max() < 3 * 0.5 / np.sqrt(4000) * 3
     assert np.abs(draws.std(axis=0) - 0.5).max() < 0.05
 
@@ -68,7 +67,7 @@ def test_spike_slab_worked_masses_exact():
     prior = SpikeSlab(q=2, a=1.0, c=1.0)
     masses = {(): 4 / 7, (0,): 1 / 7, (1,): 1 / 7, (0, 1): 1 / 7}
     for S, want in masses.items():
-        assert np.exp(spike_slab_log_mass(prior, S)) == pytest.approx(
+        assert np.exp(prior.log_config_mass(S)) == pytest.approx(
             want, abs=1e-12)
 
 
@@ -79,7 +78,7 @@ def test_spike_slab_masses_sum_to_one():
         total = 0.0
         for s in range(q + 1):
             for S in combinations(range(q), s):
-                total += np.exp(spike_slab_log_mass(prior, S))
+                total += np.exp(prior.log_config_mass(S))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -87,16 +86,16 @@ def test_spike_slab_log_space_stability_large_q():
     # (c q^a)^-s underflows quickly in linear space; the log-space route
     # must still give finite, ordered masses
     prior = SpikeSlab(q=500, a=2.0, c=1.0)
-    m0 = spike_slab_log_mass(prior, ())
-    m1 = spike_slab_log_mass(prior, (3,))
-    m2 = spike_slab_log_mass(prior, (3, 7))
+    m0 = prior.log_config_mass(())
+    m1 = prior.log_config_mass((3,))
+    m2 = prior.log_config_mass((3, 7))
     assert np.isfinite([m0, m1, m2]).all()
     assert m0 > m1 > m2
 
 
 def test_spike_slab_sampler_returns_sparse_params():
     prior = SpikeSlab(q=6, a=1.0, c=1.0)
-    sp = sample_prior(prior, make_rng(9))
+    sp = prior.sample(make_rng(9))
     assert sp.alpha in (-1, 1)
     assert sp.dense(6).shape == (6,)
     dense = sp.dense_theta(6)

@@ -23,7 +23,6 @@ from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
                       mh_start, posterior_mean, ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError
 from gibbsinf.harness.generators import affine_features
-from gibbsinf.priors import spike_slab_log_mass
 from gibbsinf.sampler import (_CHUNK, default_proposal_scale,
                               effective_sample_size, hash64, make_rng)
 
@@ -88,11 +87,10 @@ def test_gibbs_target_validation():
 
 def test_rate_zero_target_is_the_prior_density():
     target = _prior_only_target(sd=2.0)
-    from gibbsinf import log_prior
     for v in (-1.0, 0.0, 1.7):
         theta = np.array([v])
         assert target.log_unnormalized(theta) == pytest.approx(
-            log_prior(target.prior, theta), abs=1e-14)
+            target.prior.log_density(theta), abs=1e-14)
 
 
 def test_two_sample_target_counts_pairs():
@@ -388,7 +386,7 @@ def test_sparse_sampler_reproduces_prior_masses_at_rate_zero():
     want = np.zeros(q + 1)
     for s in range(q + 1):
         for S in combinations(range(q), s):
-            want[s] += math.exp(spike_slab_log_mass(prior, S))
+            want[s] += math.exp(prior.log_config_mass(S))
     assert want.sum() == pytest.approx(1.0, abs=1e-12)
 
     rng = np.random.default_rng(8)
