@@ -18,7 +18,7 @@ from .errors import OverflowGuardError, PreconditionError, ShapeError
 from .losses import LossSpec, least_squares_coefficients, sign_neg
 from .model import BasisSpec, Dataset, FunctionParam, PairedScores, design_matrix
 from .priors import SparseParam
-from .sampler import Chain, SparseChain
+from .sampler import Chain
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +435,8 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
 # ---------------------------------------------------------------------------
 
 def _draw_matrix(chain) -> np.ndarray:
-    if isinstance(chain, (Chain, SparseChain)):
-        return chain.matrix()
+    if isinstance(chain, Chain):
+        return chain.draws
     return np.atleast_2d(np.asarray(chain, dtype=float))
 
 

@@ -9,7 +9,9 @@ accept decisions, so a row is bit-identical whatever block it runs in: the
 block size, the worker count and the split never change a byte.  The runner
 only ever hands workers (config, n index, replication indices), and file row
 order is by (nIndex, repIndex) regardless of completion order.  Spike-slab
-chains (`ss_mh_run`) run one at a time inside their block.
+chains (`ss_mh_run`) run one at a time inside their block; their draws are
+dense (alpha, beta) rows like any other chain's, so the divergences and the
+posterior mean take them as they are.
 
 Outputs: results.csv (fixed header, RFC-4180 quoting), summary.json
 (sorted keys; config echo with per-n resolved learning rates), radii.csv
@@ -125,7 +127,6 @@ class CellFit:
     omega: float
     chain: object
     theta_bar: np.ndarray
-    draw_mat: np.ndarray
 
 
 def _resolve_init(mh_spec: dict, loss, data):
@@ -186,8 +187,7 @@ def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
         for (i, _), chain in zip(starts, chains):
             seconds[i] += share
             fits[i] = chain if isinstance(chain, Exception) else replace(
-                fits[i], chain=chain, theta_bar=posterior_mean(chain),
-                draw_mat=chain.draws)
+                fits[i], chain=chain, theta_bar=posterior_mean(chain))
     return fits, seconds
 
 
@@ -211,8 +211,7 @@ def _set_up_cell(cfg: dict, n: int, seed: int, shared):
                                              schedule=schedule, n=n))
     basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
     fit = CellFit(generator=generator, data=data, truth=truth, loss=loss,
-                  basis=basis, omega=omega, chain=None, theta_bar=None,
-                  draw_mat=None)
+                  basis=basis, omega=omega, chain=None, theta_bar=None)
 
     prior_spec = cfg["prior"]
     chain_seed = hash64(seed, _STREAM_CHAIN)
@@ -220,9 +219,7 @@ def _set_up_cell(cfg: dict, n: int, seed: int, shared):
         prior = shared("prior", lambda: build_prior(prior_spec, dim=0))
         target = GibbsTarget(loss, prior, data, omega)
         chain = ss_mh_run(target, build_mh(cfg["mh"], n, seed=chain_seed))
-        draw_mat = np.column_stack([chain.alphas(), chain.matrix()])
-        return replace(fit, chain=chain, theta_bar=posterior_mean(chain),
-                       draw_mat=draw_mat), None
+        return replace(fit, chain=chain, theta_bar=posterior_mean(chain)), None
     prior = shared("prior", lambda: build_prior(
         prior_spec, dim=parameter_dim(loss, generator)))
     target = GibbsTarget(loss, prior, data, omega)
@@ -242,8 +239,8 @@ def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
     div = build_divergence(cfg["divergence"], fit.generator, fit.loss,
                            basis=fit.basis)
     div_rng = _sub_rng(seed, _STREAM_DIVERGENCE)
-    radius_q90, div_point = _divergence_stats(div, fit.draw_mat, fit.theta_bar,
-                                              fit.truth, fit.generator, div_rng)
+    radius_q90, div_point = _divergence_stats(
+        div, fit.chain.draws, fit.theta_bar, fit.truth, fit.generator, div_rng)
 
     out = {"omega": fit.omega, "accept_rate": fit.chain.accept_rate,
            "radius_q90": radius_q90, "div_point_est": div_point}

@@ -6,6 +6,10 @@ where R_n is the empirical risk and N the number of loss summands (the
 sample size for iid data; the m*n pair count for two-sample data, which is
 what makes the data-driven ranking rate calibrate the posterior spread).
 
+Both samplers return a `Chain` of dense draws: a random-walk draw is the
+coefficient vector, a spike-slab draw the (1+q) row (alpha, beta) with zeros
+off its support.
+
 Samplers are deterministic functions of their seed: the generator is a
 counter-based Philox keyed directly with the 64-bit seed, and seeds for
 replications are derived with the documented hash64 stream-splitter, so any
@@ -118,7 +122,6 @@ class MHConfig:
     seed: int = 0
     init: np.ndarray | SparseParam | None = None
     alpha_flip_prob: float = 0.05
-    move_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
         if self.steps <= self.burn_in:
@@ -131,8 +134,6 @@ class MHConfig:
             raise PreconditionError("proposal scale must be positive")
         if not 0.0 <= self.alpha_flip_prob < 1.0:
             raise PreconditionError("alpha_flip_prob must be in [0,1)")
-        if abs(sum(self.move_probs) - 1.0) > 1e-12 or min(self.move_probs) < 0:
-            raise PreconditionError("move_probs must be nonnegative and sum to 1")
 
     @property
     def n_kept(self) -> int:
@@ -141,7 +142,8 @@ class MHConfig:
 
 @dataclass(frozen=True)
 class Chain:
-    """Ordered kept draws from one continuous-parameter chain."""
+    """Ordered kept draws from one chain, one dense row per draw; spike-slab
+    chains carry q in their meta."""
 
     draws: np.ndarray            # (kept, J)
     accepted: int
@@ -152,35 +154,6 @@ class Chain:
     @property
     def accept_rate(self) -> float:
         return self.accepted / self.steps
-
-    def matrix(self) -> np.ndarray:
-        return self.draws
-
-
-@dataclass(frozen=True)
-class SparseChain:
-    """Ordered kept draws from a sparse-configuration chain."""
-
-    params: tuple                # tuple[SparseParam, ...]
-    q: int
-    accepted: int
-    steps: int
-    seed: int
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def accept_rate(self) -> float:
-        return self.accepted / self.steps
-
-    def matrix(self) -> np.ndarray:
-        """Dense coefficient draws, one row per kept draw."""
-        return np.stack([p.dense(self.q) for p in self.params])
-
-    def alphas(self) -> np.ndarray:
-        return np.array([p.alpha for p in self.params], dtype=float)
-
-    def supports(self) -> list[tuple[int, ...]]:
-        return [p.S for p in self.params]
 
 
 def default_proposal_scale(prior: PriorSpec, dim: int) -> np.ndarray:
@@ -361,18 +334,25 @@ def mh_run(target, config: MHConfig) -> Chain:
 # sparse-configuration Metropolis-Hastings
 # ---------------------------------------------------------------------------
 
-def ss_mh_run(target: GibbsTarget, config: MHConfig) -> SparseChain:
+# probabilities of the add and remove moves; the walk takes the rest
+_ADD_P = _REMOVE_P = 1 / 3
+
+
+def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     """Metropolis-Hastings over (alpha, S, beta_S) for spike-slab targets.
 
-    Per step, one of three moves with probabilities move_probs:
-      * add: insert a uniformly chosen absent index, drawing its coefficient
-        from the slab (the slab density cancels between prior and proposal,
-        leaving the support-count asymmetry (q-s)/(s+1));
-      * remove: drop a uniformly chosen member (asymmetry s/(q-s+1));
+    The state is the dense (1+q)-vector theta = (alpha, beta), zero off the
+    support S, together with a boolean mask of S.  Per step, one of three
+    moves, each with probability 1/3:
+      * add: set a uniformly chosen absent coordinate to a slab draw (the
+        slab density cancels between prior and proposal, leaving the
+        support-count asymmetry (q-s)/(s+1));
+      * remove: zero a uniformly chosen member (asymmetry s/(q-s+1));
       * walk: Gaussian random walk on the current beta_S.
     Independently, alpha is proposed to flip with probability alpha_flip_prob
     (a symmetric move, so plain Metropolis acceptance).  acceptedCount counts
-    the add/remove/walk acceptances only.
+    the add/remove/walk acceptances only.  The kept draws are theta rows,
+    and the chain's meta carries q.
     """
     prior = target.prior
     if not isinstance(prior, SpikeSlab):
@@ -383,11 +363,14 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> SparseChain:
 
     rng = make_rng(config.seed)
     if config.init is not None:
-        state = config.init
-        if not isinstance(state, SparseParam):
+        start = config.init
+        if not isinstance(start, SparseParam):
             raise ShapeError("sparse chain init must be a SparseParam")
     else:
-        state = target.initial_draw(rng)
+        start = target.initial_draw(rng)
+    theta = start.dense_theta(q)
+    mask = np.zeros(q, dtype=bool)
+    mask[list(start.S)] = True
 
     if config.proposal_scale is None:
         walk_scale = 2.4 / math.sqrt(max(q, 1)) * math.sqrt(2.0) / lam
@@ -395,106 +378,96 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> SparseChain:
         walk_scale = float(np.asarray(config.proposal_scale).reshape(-1)[0])
 
     omega_n = target.omega * target.n_terms
-    add_p, rem_p, _ = config.move_probs
 
-    def neg_energy(p: SparseParam) -> float:
-        return -omega_n * target.risk(p)
+    def neg_energy(theta: np.ndarray) -> float:
+        return -omega_n * target.risk(theta)
 
-    ne = neg_energy(state)
+    ne = neg_energy(theta)
 
     steps, burn_in, thin = config.steps, config.burn_in, config.thin
-    kept: list[SparseParam] = []
+    kept = np.empty((config.n_kept, 1 + q))
+    k = 0
     accepted = 0
 
     for step in range(steps):
         mu = rng.random()
-        prop: SparseParam | None = None
+        support = np.flatnonzero(mask)
+        s = support.size
+        prop = None
         # log of [prior-structure ratio x proposal ratio], excluding the
         # -omega*N*R energy term which is added uniformly below
         log_extra = 0.0
-        if mu < add_p:
-            s = len(state.S)
+        if mu < _ADD_P:
             if s < q:
-                absent = sorted(set(range(q)) - set(state.S))
-                j = absent[int(rng.integers(len(absent)))]
-                bj = float(rng.laplace(0.0, 1.0 / lam))
-                pos = int(np.searchsorted(state.S, j))
-                new_s = state.S[:pos] + (j,) + state.S[pos:]
-                new_b = np.insert(state.beta_s, pos, bj)
-                prop = SparseParam(state.alpha, new_s, new_b)
+                j = np.flatnonzero(~mask)[rng.integers(q - s)]
+                prop, prop_mask = theta.copy(), mask.copy()
+                prop[1 + j] = rng.laplace(0.0, 1.0 / lam)
+                prop_mask[j] = True
                 # the slab density of the inserted coordinate cancels exactly
                 # against its proposal density, leaving the configuration-mass
                 # ratio and the uniform-choice asymmetry (q-s)/(s+1)
-                log_extra = (prior.log_config_mass(new_s)
-                             - prior.log_config_mass(state.S)
+                log_extra = (prior.log_config_mass(np.flatnonzero(prop_mask))
+                             - prior.log_config_mass(support)
                              + math.log(q - s) - math.log(s + 1))
-        elif mu < add_p + rem_p:
-            s = len(state.S)
+        elif mu < _ADD_P + _REMOVE_P:
             if s > 0:
-                pos = int(rng.integers(s))
-                new_s = state.S[:pos] + state.S[pos + 1:]
-                new_b = np.delete(state.beta_s, pos)
-                prop = SparseParam(state.alpha, new_s, new_b)
+                j = support[rng.integers(s)]
+                prop, prop_mask = theta.copy(), mask.copy()
+                prop[1 + j] = 0.0
+                prop_mask[j] = False
                 # mirror of the add move: dropped coordinate's slab density
                 # cancels against the reverse proposal
-                log_extra = (prior.log_config_mass(new_s)
-                             - prior.log_config_mass(state.S)
+                log_extra = (prior.log_config_mass(np.flatnonzero(prop_mask))
+                             - prior.log_config_mass(support)
                              + math.log(s) - math.log(q - s + 1))
-        else:
-            s = len(state.S)
-            if s > 0:
-                new_b = state.beta_s + walk_scale * rng.standard_normal(s)
-                prop = SparseParam(state.alpha, state.S, new_b)
-                # symmetric walk on a fixed configuration: only the slab ratio
-                log_extra = (prior.slab_log_density(new_b)
-                             - prior.slab_log_density(state.beta_s))
+        elif s > 0:
+            beta_s = theta[1:][mask]
+            new_b = beta_s + walk_scale * rng.standard_normal(s)
+            prop, prop_mask = theta.copy(), mask
+            prop[1:][mask] = new_b
+            # symmetric walk on a fixed configuration: only the slab ratio
+            log_extra = (prior.slab_log_density(new_b)
+                         - prior.slab_log_density(beta_s))
 
         if prop is not None:
             prop_ne = neg_energy(prop)
             delta = (prop_ne - ne) + log_extra
             if delta >= 0.0 or rng.random() < math.exp(delta):
-                state, ne = prop, prop_ne
+                theta, mask, ne = prop, prop_mask, prop_ne
                 accepted += 1
 
         if rng.random() < config.alpha_flip_prob:
-            flipped = SparseParam(-state.alpha, state.S, state.beta_s)
+            flipped = theta.copy()
+            flipped[0] = -flipped[0]
             flip_ne = neg_energy(flipped)
             d = flip_ne - ne
             if d >= 0.0 or rng.random() < math.exp(d):
-                state, ne = flipped, flip_ne
+                theta, ne = flipped, flip_ne
 
         idx = step + 1 - burn_in
         if idx > 0 and idx % thin == 0:
-            kept.append(state)
+            kept[k] = theta
+            k += 1
 
     meta = {"q": q, "walk_scale": walk_scale, "burn_in": burn_in, "thin": thin,
             "omega": target.omega, "n_terms": target.n_terms,
             "loss": target.loss.kind, "prior": prior.kind}
-    return SparseChain(params=tuple(kept), q=q, accepted=accepted,
-                       steps=steps, seed=config.seed, meta=meta)
+    return Chain(draws=kept, accepted=accepted, steps=steps, seed=config.seed,
+                 meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # chain summaries
 # ---------------------------------------------------------------------------
 
-def posterior_mean(chain: Chain | SparseChain) -> np.ndarray:
-    """Coordinate-wise mean of the kept draws.
-
-    For sparse chains the result is the (1+q)-vector (mean alpha, mean dense
-    beta) -- configuration draws are averaged through their dense embedding.
-    """
-    if isinstance(chain, SparseChain):
-        if len(chain.params) == 0:
-            raise PreconditionError("empty chain")
-        return np.concatenate([[chain.alphas().mean()],
-                               chain.matrix().mean(axis=0)])
+def posterior_mean(chain: Chain) -> np.ndarray:
+    """Coordinate-wise mean of the kept draws."""
     if chain.draws.shape[0] == 0:
         raise PreconditionError("empty chain")
     return chain.draws.mean(axis=0)
 
 
-def credible_interval(chain: Chain | SparseChain | np.ndarray,
+def credible_interval(chain: Chain | np.ndarray,
                       coordinate: int | None = None,
                       level: float = 0.95,
                       functional=None) -> tuple[float, float]:
@@ -507,12 +480,11 @@ def credible_interval(chain: Chain | SparseChain | np.ndarray,
     """
     if not 0.0 < level < 1.0:
         raise PreconditionError("level must be in (0,1)")
-    if isinstance(chain, (Chain, SparseChain)):
+    if isinstance(chain, Chain):
+        mat = chain.draws
         if functional is not None:
-            src = chain.params if isinstance(chain, SparseChain) else chain.draws
-            values = np.array([float(functional(d)) for d in src])
+            values = np.array([float(functional(d)) for d in mat])
         else:
-            mat = chain.matrix()
             if mat.shape[0] == 0:
                 raise PreconditionError("empty chain")
             if coordinate is None:
@@ -557,9 +529,9 @@ def effective_sample_size(values: Sequence[float]) -> float:
     return float(min(max(n / tau, 1.0), n))
 
 
-def chain_summary(chain: Chain | SparseChain, level: float = 0.95) -> dict:
+def chain_summary(chain: Chain, level: float = 0.95) -> dict:
     """JSON-ready summary: mean, equal-tailed intervals, acceptance, seed."""
-    mat = chain.matrix()
+    mat = chain.draws
     mean = posterior_mean(chain)
     intervals = [credible_interval(mat[:, j], level=level)
                  for j in range(mat.shape[1])]
@@ -577,16 +549,14 @@ def chain_summary(chain: Chain | SparseChain, level: float = 0.95) -> dict:
     return out
 
 
-def write_chain_csv(chain: Chain | SparseChain, path) -> None:
-    """One kept draw per row; sparse chains are written densely with a
-    leading alpha column."""
-    mat = chain.matrix()
-    if isinstance(chain, SparseChain):
-        mat = np.column_stack([chain.alphas(), mat])
-        header = ["alpha"] + [f"beta{j}" for j in range(chain.q)]
+def write_chain_csv(chain: Chain, path) -> None:
+    """One kept draw per row; spike-slab chains (whose meta carries q) are
+    headed alpha,beta0,..., others theta0,..."""
+    if "q" in chain.meta:
+        header = ["alpha"] + [f"beta{j}" for j in range(chain.meta["q"])]
     else:
-        header = [f"theta{j}" for j in range(mat.shape[1])]
+        header = [f"theta{j}" for j in range(chain.draws.shape[1])]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in mat:
+        for row in chain.draws:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -20,8 +20,8 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CappedSquaredLoss,
                       CubicBSpline, Dataset, GaussianIID, GibbsTarget,
                       MHConfig, RiskDiffSqrt, SpikeSlab, SquaredLoss,
                       ZeroOneLinearLoss, credible_interval,
-                      mgf_condition_check, mh_run, pointwise_losses,
-                      ss_mh_run)
+                      mgf_condition_check, mh_run, mh_run_block, mh_start,
+                      pointwise_losses, ss_mh_run)
 from gibbsinf.harness import AUCSim, SparseClassSim, run_experiment, write_outputs
 from gibbsinf.rates import AUCDataDriven, HeavyTailRate, auc_covariances
 from gibbsinf.sampler import effective_sample_size, hash64, make_rng
@@ -152,15 +152,20 @@ def test_a05_ranking_interval_coverage(capsys):
     theta_star = float(ndtr(1.0 / math.sqrt(2.0)))
     sched = AUCDataDriven(1.0)  # constant multiplier 1
     reps = 200
-    covered = 0
+    # one loss and one prior object for every replication, so the 200 chains
+    # run as one lockstep block, each bit-identical to its own mh_run
+    loss, prior = AUCLoss(), GaussianIID(0.5, 10.0, 1)
+    starts = []
     for rep in range(reps):
         rs = hash64(BASE_SEED, 0, rep)
         data = gen.sample(200, make_rng(hash64(rs, 1))).data  # m = n = 200
         omega = sched.resolve(data.scores0, data.scores1)
-        target = GibbsTarget(AUCLoss(), GaussianIID(0.5, 10.0, 1), data, omega)
-        chain = mh_run(target, MHConfig(20_000, 5_000, 5,
-                                        proposal_scale=0.05,
-                                        seed=hash64(rs, 2)))
+        target = GibbsTarget(loss, prior, data, omega)
+        starts.append(mh_start(target, MHConfig(20_000, 5_000, 5,
+                                                proposal_scale=0.05,
+                                                seed=hash64(rs, 2))))
+    covered = 0
+    for chain in mh_run_block(starts):
         lo, hi = credible_interval(chain, 0, level=0.95)
         covered += (lo <= theta_star <= hi)
     coverage = covered / reps
@@ -259,7 +264,7 @@ def test_a08_sparse_prior_masses_and_frequencies(capsys):
     target = GibbsTarget(ZeroOneLinearLoss(), prior2, data, 0.0)
     chain = ss_mh_run(target, MHConfig(steps=120_000, burn_in=10_000, thin=2,
                                        seed=hash64(BASE_SEED, 8)))
-    supports = chain.supports()
+    supports = [tuple(np.flatnonzero(r[1:]).tolist()) for r in chain.draws]
     freq_ok = True
     freq_detail = []
     for S, p in want.items():
@@ -298,9 +303,8 @@ def test_a09_sparse_risk_contraction_trend(capsys):
             cfg = MHConfig(steps=30_000, burn_in=6_000, thin=24,
                            seed=hash64(rs, 2))
             chain = ss_mh_run(target, cfg)
-            mat = np.column_stack([chain.alphas(), chain.matrix()])
             div = RiskDiffSqrt(loss, gen.mc_sample, n_draws=2048)
-            vals = div.batch(mat, theta_star, make_rng(hash64(rs, 4)))
+            vals = div.batch(chain.draws, theta_star, make_rng(hash64(rs, 4)))
             med[n] = float(np.median(vals))
         wins += med[800] < med[200]
     ok = wins >= 8

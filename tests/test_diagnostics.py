@@ -14,12 +14,14 @@ from scipy.special import ndtr
 
 from gibbsinf import (AbsScalarDistance, AUCLoss, CubicBSpline, Dataset,
                       EmpiricalL2, EuclideanDistance, FunctionParam,
-                      MCIDMeasure, RiskDiffSqrt, SquaredLoss,
-                      concentration_slope, design_matrix, divergence_value,
-                      mgf_condition_check, mv_estimate, posterior_mass_outside,
-                      projection_target, structurally_equal)
+                      GibbsTarget, MCIDMeasure, MHConfig, RiskDiffSqrt,
+                      SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
+                      concentration_slope, credible_interval, design_matrix,
+                      divergence_value, mgf_condition_check, mv_estimate,
+                      posterior_mass_outside, posterior_mean,
+                      projection_target, ss_mh_run, structurally_equal)
 from gibbsinf.errors import (OverflowGuardError, PreconditionError, ShapeError)
-from gibbsinf.harness import AUCSim, MCID1
+from gibbsinf.harness import AUCSim, MCID1, SparseClassSim
 from gibbsinf.sampler import hash64, make_rng
 
 
@@ -272,6 +274,32 @@ def test_posterior_mass_outside_counts_exceedances():
     assert frac == pytest.approx(0.5)
     with pytest.raises(PreconditionError):
         posterior_mass_outside(draws, AbsScalarDistance(), 0.0, 0.0)
+
+
+def test_sparse_chain_draws_are_dense_alpha_beta_rows():
+    # a spike-slab draw is the (1+q) row (alpha, beta): the functionals see
+    # the same coordinates as the truth theta* = (1, beta*), and coordinate 0
+    # is alpha for the mean and the intervals alike
+    gen = SparseClassSim(q=5, support=(0, 1), beta_values=(2.0, -1.5),
+                         flip_rho=0.1)
+    loss = ZeroOneLinearLoss()
+    data = gen.sample(100, make_rng(hash64(41, 1))).data
+    target = GibbsTarget(loss, SpikeSlab(q=5, a=1.0, c=1.0), data, 1.0)
+    chain = ss_mh_run(target, MHConfig(steps=2_000, burn_in=500, thin=5,
+                                       seed=hash64(41, 2)))
+    theta_star = gen.theta_star_dense
+    euclid = EuclideanDistance()
+    values = euclid.batch(chain.draws, theta_star)
+    r = float(np.median(values))
+    assert posterior_mass_outside(chain, euclid, theta_star, r) == \
+        np.mean(values > r)
+    div = RiskDiffSqrt(loss, gen.mc_sample, n_draws=256)
+    values = div.batch(chain.draws, theta_star, make_rng(hash64(41, 3)))
+    r = float(np.median(values))
+    assert posterior_mass_outside(chain, div, theta_star, r,
+                                  make_rng(hash64(41, 3))) == np.mean(values > r)
+    assert posterior_mean(chain)[0] == chain.draws[:, 0].mean()
+    assert credible_interval(chain, 0) == credible_interval(chain.draws[:, 0])
 
 
 def test_concentration_slope_recovers_exact_power_law():

@@ -29,7 +29,7 @@ from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               validate_experiment_config, write_outputs)
 from gibbsinf.harness.config import resolve_proposal_scale
 from gibbsinf.harness.runner import _blocks, default_workers
-from gibbsinf.sampler import hash64, make_rng
+from gibbsinf.sampler import credible_interval, hash64, make_rng
 
 
 def _tiny_config(**overrides) -> dict:
@@ -538,6 +538,31 @@ def test_cli_sample_writes_draws(tmp_path):
     assert len(draws) == 1 + 100
     chain_info = json.load(open(out_dir / "chain.json"))
     assert chain_info["kept"] == 100
+
+
+def test_cli_sample_sparse_summary_covers_every_coordinate(tmp_path):
+    # mean[j] and intervals[j] describe the same coordinate of the dense
+    # (alpha, beta) draw, alpha first
+    q = 5
+    cfg = _tiny_config(
+        generator={"name": "sparseclass", "q": q, "support": [0, 1],
+                   "betaValues": [2.0, -1.5], "flipRho": 0.1},
+        loss={"name": "zeroone"},
+        prior={"name": "spikeslab", "q": q, "a": 1.0, "c": 1.0},
+        mh={"steps": 600, "burnIn": 100, "thin": 5},
+        divergence={"name": "euclid"}, nGrid=[100])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "chain"
+    code, _, _ = _run_cli(["sample", str(cfg_path), "--out", str(out_dir)])
+    assert code == 0
+    lines = open(out_dir / "draws.csv").read().splitlines()
+    assert lines[0] == "alpha," + ",".join(f"beta{j}" for j in range(q))
+    draws = np.loadtxt(out_dir / "draws.csv", delimiter=",", skiprows=1)
+    info = json.load(open(out_dir / "chain.json"))
+    assert len(info["mean"]) == len(info["intervals"]) == 1 + q
+    for j in range(1 + q):
+        assert info["intervals"][j] == list(credible_interval(draws[:, j]))
 
 
 # ---------------------------------------------------------------------------

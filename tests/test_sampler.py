@@ -18,7 +18,8 @@ from hypothesis import given, strategies as st
 
 from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
                       Dataset, GaussianIID, GibbsTarget, LaplaceIID, MCIDLoss,
-                      MHConfig, SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
+                      MHConfig, SparseParam, SpikeSlab, SquaredLoss,
+                      ZeroOneLinearLoss,
                       chain_summary, credible_interval, mh_run, mh_run_block,
                       mh_start, posterior_mean, ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError
@@ -69,8 +70,6 @@ def test_mhconfig_validation():
         MHConfig(steps=100, burn_in=0, thin=1, proposal_scale=0.0)
     with pytest.raises(PreconditionError):
         MHConfig(steps=100, burn_in=0, thin=1, alpha_flip_prob=1.0)
-    with pytest.raises(PreconditionError):
-        MHConfig(steps=100, burn_in=0, thin=1, move_probs=(0.5, 0.5, 0.5))
 
 
 @given(st.integers(0, 400), st.integers(1, 13), st.integers(1, 300))
@@ -395,14 +394,15 @@ def test_sparse_sampler_reproduces_prior_masses_at_rate_zero():
     target = GibbsTarget(ZeroOneLinearLoss(), prior, data, 0.0)
     cfg = MHConfig(steps=120_000, burn_in=10_000, thin=2, seed=hash64(77, 4))
     chain = ss_mh_run(target, cfg)
-    sizes = np.array([len(S) for S in chain.supports()])
+    supports = [tuple(np.flatnonzero(r[1:]).tolist()) for r in chain.draws]
+    sizes = np.array([len(S) for S in supports])
     for s in range(q + 1):
         ind = (sizes == s).astype(float)
         ess = effective_sample_size(ind)
         se = math.sqrt(want[s] * (1 - want[s]) / ess)
         assert abs(ind.mean() - want[s]) < 3 * se, f"size {s}"
     # the sign coordinate is symmetric under the prior
-    alphas = chain.alphas()
+    alphas = chain.draws[:, 0]
     ess_a = effective_sample_size((alphas > 0).astype(float))
     assert abs((alphas > 0).mean() - 0.5) < 3 * math.sqrt(0.25 / ess_a)
 
@@ -418,9 +418,10 @@ def test_sparse_sampler_finds_separating_coordinate():
                          data, 5.0)
     cfg = MHConfig(steps=60_000, burn_in=10_000, thin=5, seed=hash64(77, 5))
     chain = ss_mh_run(target, cfg)
-    has_key = np.array([0 in S for S in chain.supports()])
+    supports = [tuple(np.flatnonzero(r[1:]).tolist()) for r in chain.draws]
+    has_key = np.array([0 in S for S in supports])
     assert has_key.mean() > 0.9
-    risks = np.array([target.risk(p) for p in chain.params])
+    risks = np.array([target.risk(r) for r in chain.draws])
     assert risks.mean() < 0.1
 
 
@@ -432,10 +433,41 @@ def test_sparse_chain_matrix_layout():
                          data, 1.0)
     chain = ss_mh_run(target, MHConfig(steps=2_000, burn_in=500, thin=3,
                                        seed=hash64(77, 7)))
-    mat = chain.matrix()
-    assert mat.shape == (500, 3)
-    for row, p in zip(mat, chain.params):
-        assert np.array_equal(np.nonzero(row)[0], np.asarray(p.S, dtype=int))
+    assert chain.draws.shape == (500, 4)
+    assert set(chain.draws[:, 0].tolist()) <= {-1.0, 1.0}
+
+
+def test_sparse_chains_match_recorded_values():
+    # kept (alpha, beta) rows and accept counts of two short spike-slab
+    # chains, recorded when the sampler kept SparseParam states; any change
+    # to the variate order, the moves or the accept rule shows here.  A
+    # row's nonzero pattern is its support S.
+    rng = make_rng(hash64(31, 5))
+    x = rng.normal(size=(40, 4))
+    y = (x[:, 1] - 0.5 * x[:, 3] + 0.3 * rng.normal(size=40) > 0).astype(float)
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=3, a=1.0, c=1.0),
+                         Dataset.classification(x, y), 2.0)
+    got = [ss_mh_run(target, MHConfig(steps=300, burn_in=100, thin=25,
+                                      alpha_flip_prob=0.2, seed=hash64(31, 6))),
+           ss_mh_run(target, MHConfig(steps=200, burn_in=0, thin=40,
+                                      seed=hash64(31, 7),
+                                      init=SparseParam(-1, (0, 2), [0.5, -0.3])))]
+    assert [c.accepted for c in got] == [28, 17]
+    assert got[0].draws.tolist() == [
+        [-1.0, 2.960719293871807, 0.2686375101810728, -2.0020016721059295],
+        [-1.0, 2.960719293871807, 0.2686375101810728, -2.0020016721059295],
+        [1.0, 2.960719293871807, -0.28151059407485274, -2.0020016721059295],
+        [1.0, 3.024833776639183, -0.7052421468943886, -1.974961987890784],
+        [-1.0, 3.024833776639183, 0.24413731420021967, -1.974961987890784],
+        [1.0, 2.809105667103831, 0.0, -2.2730123607164985],
+        [1.0, 2.809105667103831, -0.32395299967422886, -2.2730123607164985],
+        [1.0, 2.2609761933189634, -0.6858535777081189, -1.4592590174879168]]
+    assert got[1].draws.tolist() == [
+        [-1.0, 0.5, 0.0, 0.0],
+        [-1.0, 0.5, -0.0016894336478378783, 0.0],
+        [-1.0, 0.831906165889354, 0.34884419256966703, -0.9237970197326825],
+        [-1.0, 0.831906165889354, 0.0, -0.9237970197326825],
+        [-1.0, 0.831906165889354, 0.0, -0.9237970197326825]]
 
 
 # ---------------------------------------------------------------------------
