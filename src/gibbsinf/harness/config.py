@@ -106,6 +106,10 @@ def validate_experiment_config(cfg: dict) -> None:
     if cfg["prior"]["name"] == "spikeslab" and cfg["mh"].get("init") is not None:
         # the sparse sampler always starts from a prior draw
         raise ConfigError("mh init is not supported with the spikeslab prior")
+    if cfg["rate"]["name"] == "aucdata" and cfg["generator"]["name"] != "aucsim":
+        # the data-driven ranking rate reads two-sample scores
+        raise ConfigError(f"rate 'aucdata' needs the two-sample 'aucsim' "
+                          f"generator, not {cfg['generator']['name']!r}")
 
 
 def _namespec(spec, what: str) -> tuple[str, dict]:

@@ -19,6 +19,7 @@ chain can be reproduced bit-for-bit from (target, config, seed).
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -342,8 +343,9 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     """Metropolis-Hastings over (alpha, S, beta_S) for spike-slab targets.
 
     The state is the dense (1+q)-vector theta = (alpha, beta), zero off the
-    support S, together with a boolean mask of S.  Per step, one of three
-    moves, each with probability 1/3:
+    support S, together with S and its complement as ascending lists of
+    coordinates (changed only when an add or remove is accepted).  Per step,
+    one of three moves, each with probability 1/3:
       * add: set a uniformly chosen absent coordinate to a slab draw (the
         slab density cancels between prior and proposal, leaving the
         support-count asymmetry (q-s)/(s+1));
@@ -351,8 +353,15 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
       * walk: Gaussian random walk on the current beta_S.
     Independently, alpha is proposed to flip with probability alpha_flip_prob
     (a symmetric move, so plain Metropolis acceptance).  acceptedCount counts
-    the add/remove/walk acceptances only.  The kept draws are theta rows,
-    and the chain's meta carries q.
+    the add/remove/walk acceptances only.
+
+    log pi(S) depends on S only through s = |S|, so the add and remove
+    ratios are read from per-chain tables by s, built once from
+    `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
+    current beta_S is kept between walks.  The kept draws are theta rows.
+    The chain's meta carries q, the proposals and acceptances of each move
+    (`moves`: add, remove, walk, flip) and the mean |S| over the kept draws
+    (`mean_support_size`).
     """
     prior = target.prior
     if not isinstance(prior, SpikeSlab):
@@ -366,92 +375,123 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
         start = config.init
         if not isinstance(start, SparseParam):
             raise ShapeError("sparse chain init must be a SparseParam")
+        if start.S and (start.S[0] < 0 or start.S[-1] >= q):
+            raise ShapeError(f"sparse chain init support {list(start.S)} "
+                             f"lies outside coordinates 0..{q - 1} (q = {q})")
     else:
         start = target.initial_draw(rng)
     theta = start.dense_theta(q)
-    mask = np.zeros(q, dtype=bool)
-    mask[list(start.S)] = True
+    support = list(start.S)
+    absent = sorted(set(range(q)).difference(support))
+    support_idx = np.array(support, dtype=np.intp) + 1   # beta_S in theta
 
     if config.proposal_scale is None:
         walk_scale = 2.4 / math.sqrt(max(q, 1)) * math.sqrt(2.0) / lam
     else:
         walk_scale = float(np.asarray(config.proposal_scale).reshape(-1)[0])
 
+    # log of [prior-structure ratio x proposal ratio] of an add or remove
+    # from size s, excluding the -omega*N*R energy term added uniformly
+    # below.  The slab density of the added or dropped coordinate cancels
+    # exactly against its proposal density, leaving the configuration-mass
+    # ratio and the uniform-choice asymmetry.
+    log_mass = [prior.log_config_mass(range(s)) for s in range(q + 1)]
+    log, exp = math.log, math.exp
+    add_extra = [log_mass[s + 1] - log_mass[s] + log(q - s) - log(s + 1)
+                 for s in range(q)]
+    remove_extra = [None] + [log_mass[s - 1] - log_mass[s] + log(s)
+                             - log(q - s + 1) for s in range(1, q + 1)]
+
     omega_n = target.omega * target.n_terms
+    risk = target.risk
+    slab_log_density = prior.slab_log_density
+    random, integers = rng.random, rng.integers
+    laplace, standard_normal = rng.laplace, rng.standard_normal
+    slab_scale = 1.0 / lam
+    flip_prob = config.alpha_flip_prob
 
-    def neg_energy(theta: np.ndarray) -> float:
-        return -omega_n * target.risk(theta)
-
-    ne = neg_energy(theta)
+    ne = -omega_n * risk(theta)
+    slab = None                       # slab density of beta_S, once needed
 
     steps, burn_in, thin = config.steps, config.burn_in, config.thin
     kept = np.empty((config.n_kept, 1 + q))
     k = 0
+    next_keep = burn_in + thin        # 1-based step of the next kept draw
+    size_sum = 0
     accepted = 0
+    proposed = [0, 0, 0, 0]           # add, remove, walk, flip
+    taken = [0, 0, 0, 0]
 
-    for step in range(steps):
-        mu = rng.random()
-        support = np.flatnonzero(mask)
-        s = support.size
-        prop = None
-        # log of [prior-structure ratio x proposal ratio], excluding the
-        # -omega*N*R energy term which is added uniformly below
-        log_extra = 0.0
+    for step in range(1, steps + 1):
+        mu = random()
+        s = len(support)
+        move = None
         if mu < _ADD_P:
             if s < q:
-                j = np.flatnonzero(~mask)[rng.integers(q - s)]
-                prop, prop_mask = theta.copy(), mask.copy()
-                prop[1 + j] = rng.laplace(0.0, 1.0 / lam)
-                prop_mask[j] = True
-                # the slab density of the inserted coordinate cancels exactly
-                # against its proposal density, leaving the configuration-mass
-                # ratio and the uniform-choice asymmetry (q-s)/(s+1)
-                log_extra = (prior.log_config_mass(np.flatnonzero(prop_mask))
-                             - prior.log_config_mass(support)
-                             + math.log(q - s) - math.log(s + 1))
+                i = integers(q - s)
+                prop = theta.copy()
+                prop[1 + absent[i]] = laplace(0.0, slab_scale)
+                log_extra = add_extra[s]
+                move = 0
         elif mu < _ADD_P + _REMOVE_P:
             if s > 0:
-                j = support[rng.integers(s)]
-                prop, prop_mask = theta.copy(), mask.copy()
-                prop[1 + j] = 0.0
-                prop_mask[j] = False
-                # mirror of the add move: dropped coordinate's slab density
-                # cancels against the reverse proposal
-                log_extra = (prior.log_config_mass(np.flatnonzero(prop_mask))
-                             - prior.log_config_mass(support)
-                             + math.log(s) - math.log(q - s + 1))
+                i = integers(s)
+                prop = theta.copy()
+                prop[1 + support[i]] = 0.0
+                log_extra = remove_extra[s]
+                move = 1
         elif s > 0:
-            beta_s = theta[1:][mask]
-            new_b = beta_s + walk_scale * rng.standard_normal(s)
-            prop, prop_mask = theta.copy(), mask
-            prop[1:][mask] = new_b
+            beta_s = theta[support_idx]
+            new_b = beta_s + walk_scale * standard_normal(s)
+            prop = theta.copy()
+            prop[support_idx] = new_b
+            if slab is None:
+                slab = slab_log_density(beta_s)
+            prop_slab = slab_log_density(new_b)
             # symmetric walk on a fixed configuration: only the slab ratio
-            log_extra = (prior.slab_log_density(new_b)
-                         - prior.slab_log_density(beta_s))
+            log_extra = prop_slab - slab
+            move = 2
 
-        if prop is not None:
-            prop_ne = neg_energy(prop)
+        if move is not None:
+            proposed[move] += 1
+            prop_ne = -omega_n * risk(prop)
             delta = (prop_ne - ne) + log_extra
-            if delta >= 0.0 or rng.random() < math.exp(delta):
-                theta, mask, ne = prop, prop_mask, prop_ne
+            if delta >= 0.0 or random() < exp(delta):
+                theta, ne = prop, prop_ne
                 accepted += 1
+                taken[move] += 1
+                if move == 2:
+                    slab = prop_slab
+                else:
+                    if move == 0:
+                        insort(support, absent.pop(i))
+                    else:
+                        insort(absent, support.pop(i))
+                    support_idx = np.array(support, dtype=np.intp) + 1
+                    slab = None
 
-        if rng.random() < config.alpha_flip_prob:
+        if random() < flip_prob:
+            proposed[3] += 1
             flipped = theta.copy()
             flipped[0] = -flipped[0]
-            flip_ne = neg_energy(flipped)
+            flip_ne = -omega_n * risk(flipped)
             d = flip_ne - ne
-            if d >= 0.0 or rng.random() < math.exp(d):
+            if d >= 0.0 or random() < exp(d):
                 theta, ne = flipped, flip_ne
+                taken[3] += 1
 
-        idx = step + 1 - burn_in
-        if idx > 0 and idx % thin == 0:
+        if step == next_keep:
             kept[k] = theta
             k += 1
+            size_sum += len(support)
+            next_keep += thin
 
+    moves = {name: {"proposed": p, "accepted": a} for name, p, a
+             in zip(("add", "remove", "walk", "flip"), proposed, taken)}
     meta = {"q": q, "walk_scale": walk_scale, "burn_in": burn_in, "thin": thin,
             "omega": target.omega, "n_terms": target.n_terms,
-            "loss": target.loss.kind, "prior": prior.kind}
+            "loss": target.loss.kind, "prior": prior.kind,
+            "moves": moves, "mean_support_size": size_sum / k}
     return Chain(draws=kept, accepted=accepted, steps=steps, seed=config.seed,
                  meta=meta)
 
@@ -558,5 +598,7 @@ def write_chain_csv(chain: Chain, path) -> None:
         header = [f"theta{j}" for j in range(chain.draws.shape[1])]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        # a row's tolist() gives Python floats, whose repr is the shortest
+        # round-tripping text; row by row, so no copy of all draws is made
         for row in chain.draws:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -460,6 +460,33 @@ def test_spikeslab_init_fails_before_any_cell(tmp_path, init):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generator", ["mcid1", "quantilereg", "sparseclass"])
+def test_aucdata_rate_needs_aucsim_before_any_cell(tmp_path, generator):
+    # the data-driven ranking rate reads two-sample scores; any other
+    # generator's data has none, and the run used to die in the rate with
+    # an uncaught TypeError
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid1.json"))
+    cfg["rate"] = {"name": "aucdata", "multiplier": 1.0}
+    if generator == "quantilereg":
+        cfg.update(generator=_tiny_config()["generator"],
+                   loss=_tiny_config()["loss"])
+    elif generator == "sparseclass":
+        cfg.update(generator={"name": "sparseclass", "q": 5, "support": [0],
+                              "betaValues": [1.0]},
+                   loss={"name": "zeroone"},
+                   prior={"name": "spikeslab", "q": 5, "a": 1.0, "c": 1.0})
+    with pytest.raises(ConfigError, match="rate 'aucdata'.*aucsim"):
+        validate_experiment_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1
+    assert "rate" in err and generator in err
+    assert not out.exists()
+
+
 def test_non_object_mh_section_fails_before_any_cell():
     with pytest.raises(ConfigError, match="mh"):
         run_experiment(_tiny_config(mh="fast"), workers=1)
@@ -563,6 +590,32 @@ def test_cli_sample_sparse_summary_covers_every_coordinate(tmp_path):
     assert len(info["mean"]) == len(info["intervals"]) == 1 + q
     for j in range(1 + q):
         assert info["intervals"][j] == list(credible_interval(draws[:, j]))
+
+
+def test_cli_sample_chain_json_reports_sparse_move_health(tmp_path):
+    # spike-slab chains report proposals and acceptances per move and the
+    # mean |S|; random-walk chains keep their meta as it was
+    q = 5
+    sparse = _tiny_config(
+        generator={"name": "sparseclass", "q": q, "support": [0, 1],
+                   "betaValues": [2.0, -1.5], "flipRho": 0.1},
+        loss={"name": "zeroone"},
+        prior={"name": "spikeslab", "q": q, "a": 1.0, "c": 1.0},
+        mh={"steps": 600, "burnIn": 100, "thin": 5},
+        divergence={"name": "euclid"}, nGrid=[100])
+    metas = []
+    for name, cfg in (("sparse", sparse), ("walk", _tiny_config())):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / name
+        code, _, _ = _run_cli(["sample", str(cfg_path), "--out", str(out_dir)])
+        assert code == 0
+        metas.append(json.load(open(out_dir / "chain.json"))["meta"])
+    sparse_meta, walk_meta = metas
+    assert sorted(sparse_meta["moves"]) == ["add", "flip", "remove", "walk"]
+    assert 0.0 <= sparse_meta["mean_support_size"] <= q
+    assert sorted(walk_meta) == ["burn_in", "dim", "loss", "n_terms", "omega",
+                                 "prior", "proposal_scale", "thin"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ to exact values.  Statistical assertions use effective-sample-size based
 standard errors at fixed seeds.
 """
 
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -22,9 +23,9 @@ from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
                       ZeroOneLinearLoss,
                       chain_summary, credible_interval, mh_run, mh_run_block,
                       mh_start, posterior_mean, ss_mh_run, write_chain_csv)
-from gibbsinf.errors import InitializationError, PreconditionError
-from gibbsinf.harness.generators import affine_features
-from gibbsinf.sampler import (_CHUNK, default_proposal_scale,
+from gibbsinf.errors import InitializationError, PreconditionError, ShapeError
+from gibbsinf.harness.generators import SparseClassSim, affine_features
+from gibbsinf.sampler import (_CHUNK, Chain, default_proposal_scale,
                               effective_sample_size, hash64, make_rng)
 
 
@@ -470,6 +471,57 @@ def test_sparse_chains_match_recorded_values():
         [-1.0, 0.831906165889354, 0.0, -0.9237970197326825]]
 
 
+@pytest.mark.parametrize("n, digest, accepted", [
+    (200, "5e15a486631475c85599da1662ee1117bf65cbff994f2892562729bdba4453f4", 144),
+    (800, "ba9440b3bea3764d62f2185c60fc627d115466b78a5c3e9a71b2651c598a7e6c", 70)])
+def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
+    # every state of two 3000-step chains on the sparse_trend protocol
+    # (q = 50), recorded as a sha256 of the draws' bytes with the package
+    # that kept the support as a mask.  About 1700 adds and removes per
+    # chain pick among up to 50 coordinates; 30 and 6 are accepted.
+    gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
+    data = gen.sample(n, make_rng(hash64(53, n))).data
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
+                         data, 1.0)
+    chain = ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
+                                       seed=hash64(53, n, 1)))
+    assert chain.accepted == accepted
+    assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
+
+
+def test_sparse_chain_meta_counts_moves():
+    gen = SparseClassSim(20, (0, 1), [2.0, -1.5], flip_rho=0.1)
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=20, a=1.0, c=1.0),
+                         gen.sample(100, make_rng(hash64(54, 1))).data, 0.2)
+    chain = ss_mh_run(target, MHConfig(steps=2_000, burn_in=400, thin=4,
+                                       seed=hash64(54, 2)))
+    moves = chain.meta["moves"]
+    assert sorted(moves) == ["add", "flip", "remove", "walk"]
+    for m in moves.values():
+        assert 0 < m["accepted"] <= m["proposed"]
+    assert sum(moves[m]["accepted"] for m in ("add", "remove", "walk")) \
+        == chain.accepted
+    assert sum(moves[m]["proposed"] for m in ("add", "remove", "walk")) \
+        <= chain.steps
+    sizes = np.count_nonzero(chain.draws[:, 1:], axis=1)
+    assert chain.meta["mean_support_size"] == float(np.mean(sizes))
+    again = ss_mh_run(target, MHConfig(steps=2_000, burn_in=400, thin=4,
+                                       seed=hash64(54, 2)))
+    assert again.meta == chain.meta
+
+
+@pytest.mark.parametrize("support", [(5,), (0, 3), (-1,)])
+def test_sparse_init_outside_the_prior_is_a_shape_error(support):
+    rng = np.random.default_rng(8)
+    data = Dataset.classification(rng.normal(size=(20, 4)),
+                                  (rng.random(20) < 0.5).astype(float))
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=3, a=1.0, c=1.0),
+                         data, 1.0)
+    init = SparseParam(1, support, [1.0] * len(support))
+    with pytest.raises(ShapeError, match=r"support \[.*\] .*\(q = 3\)"):
+        ss_mh_run(target, MHConfig(steps=20, burn_in=0, thin=1, init=init))
+
+
 # ---------------------------------------------------------------------------
 # determinism and bookkeeping
 
@@ -567,6 +619,15 @@ def test_write_chain_csv_round_trip(tmp_path):
     assert len(lines) == 1 + 100
     back = np.loadtxt(path, skiprows=1).reshape(-1, 1)
     assert np.array_equal(back, chain.draws)  # repr round-trips exactly
+
+
+def test_write_chain_csv_exact_text(tmp_path):
+    # each value is written as the shortest text that reads back to it
+    chain = Chain(draws=np.array([[-0.0, 1e-07], [1e+16, 0.1]]), accepted=1,
+                  steps=2, seed=0)
+    path = tmp_path / "chain.csv"
+    write_chain_csv(chain, path)
+    assert path.read_text() == "theta0,theta1\n-0.0,1e-07\n1e+16,0.1\n"
 
 
 def test_write_sparse_chain_csv_headers(tmp_path):
