@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from .._special import ndtr, ndtri
 from ..errors import ConfigError, PreconditionError, ShapeError
 from ..losses import sign_neg
 from ..model import (CubicBSpline, Dataset, FunctionParam, PairedScores,

@@ -295,6 +295,7 @@ def _blocks(n_count: int, reps: int, workers: int) -> list[tuple[int, range]]:
 
 
 def default_workers() -> int:
+    """GIBBS_WORKERS if set, else the number of CPUs this process may run on."""
     env = os.environ.get("GIBBS_WORKERS")
     if env:
         try:
@@ -304,6 +305,9 @@ def default_workers() -> int:
         if w < 1:
             raise ConfigError("GIBBS_WORKERS must be at least 1")
         return w
+    if hasattr(os, "sched_getaffinity"):
+        # counts only the CPUs an affinity mask (taskset, a container) allows
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

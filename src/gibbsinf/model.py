@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import DomainError, PreconditionError, ShapeError
 
@@ -211,6 +210,8 @@ class CubicBSpline:
         self.num_basis = int(num_basis)
         interior = np.linspace(lo, hi, num_basis - 2)[1:-1]
         self.knots = np.concatenate([np.full(4, lo), interior, np.full(4, hi)])
+        if not np.all(np.diff(self.knots[3:-3]) > 0):
+            raise PreconditionError(f"domain [{lo}, {hi}] too narrow for {num_basis} distinct knots")
 
     def __repr__(self):
         return f"CubicBSpline(domain={self.domain}, num_basis={self.num_basis})"
@@ -221,15 +222,37 @@ class CubicBSpline:
 
     def _clamp(self, xs: np.ndarray) -> np.ndarray:
         lo, hi = self.domain
-        if np.any(xs < lo - DOMAIN_TOL) or np.any(xs > hi + DOMAIN_TOL):
-            bad = xs[(xs < lo - DOMAIN_TOL) | (xs > hi + DOMAIN_TOL)][0]
+        outside = ~((xs >= lo - DOMAIN_TOL) & (xs <= hi + DOMAIN_TOL))
+        if np.any(outside):
+            bad = xs[outside][0]
             raise DomainError(f"point {bad!r} outside basis domain [{lo}, {hi}]")
         return np.clip(xs, lo, hi)
 
     def design(self, xs) -> np.ndarray:
+        """n x J matrix of basis values by the Cox-de Boor recursion.
+
+        Point x in [t_l, t_{l+1}) (the last interval also takes x = hi) has
+        nonzero values only in columns l-3..l.  The recursion runs in the
+        operation order of SciPy's `_deBoor_D`, so each entry has the bits
+        of `BSpline.design_matrix(xs, knots, 3).toarray()`.
+        """
         xs = self._clamp(np.atleast_1d(np.asarray(xs, dtype=float)))
-        dm = BSpline.design_matrix(xs, self.knots, self.degree, extrapolate=False)
-        return dm.toarray()
+        t, k = self.knots, self.degree
+        ell = np.clip(np.searchsorted(t, xs, "right") - 1, k, self.num_basis - 1)
+        h = np.zeros((k + 1, xs.size))
+        h[0] = 1.0
+        for j in range(1, k + 1):
+            hh = h[:j].copy()
+            h[0] = 0.0
+            for n in range(1, j + 1):
+                # interior knots are distinct, so t[ell+n] > t[ell+n-j]
+                xb, xa = t[ell + n], t[ell + n - j]
+                w = hh[n - 1] / (xb - xa)
+                h[n - 1] += w * (xb - xs)
+                h[n] = w * (xs - xa)
+        out = np.zeros((xs.size, self.num_basis))
+        out[np.arange(xs.size)[:, None], (ell - k)[:, None] + np.arange(k + 1)] = h.T
+        return out
 
 
 class TensorBSpline:

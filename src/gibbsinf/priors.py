@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
+from ._special import gammaln, logsumexp
 from .errors import PreconditionError, ShapeError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -47,6 +47,9 @@ class SparseParam:
 
     def dense(self, q: int) -> np.ndarray:
         """The length-q coefficient vector with zeros off the support."""
+        if self.S and (self.S[0] < 0 or self.S[-1] >= q):
+            raise ShapeError(f"support {list(self.S)} lies outside "
+                             f"coordinates 0..{q - 1} (q = {q})")
         beta = np.zeros(q)
         if self.S:
             beta[list(self.S)] = self.beta_s

@@ -375,9 +375,6 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
         start = config.init
         if not isinstance(start, SparseParam):
             raise ShapeError("sparse chain init must be a SparseParam")
-        if start.S and (start.S[0] < 0 or start.S[-1] >= q):
-            raise ShapeError(f"sparse chain init support {list(start.S)} "
-                             f"lies outside coordinates 0..{q - 1} (q = {q})")
     else:
         start = target.initial_draw(rng)
     theta = start.dense_theta(q)

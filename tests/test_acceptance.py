@@ -22,7 +22,9 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CappedSquaredLoss,
                       ZeroOneLinearLoss, credible_interval,
                       mgf_condition_check, mh_run, mh_run_block, mh_start,
                       pointwise_losses, ss_mh_run)
-from gibbsinf.harness import AUCSim, SparseClassSim, run_experiment, write_outputs
+from gibbsinf.harness import (AUCSim, SparseClassSim, holdout_misclassification,
+                              row_seed, run_experiment, write_outputs)
+from gibbsinf.harness.runner import _fit_cells
 from gibbsinf.rates import AUCDataDriven, HeavyTailRate, auc_covariances
 from gibbsinf.sampler import effective_sample_size, hash64, make_rng
 
@@ -53,12 +55,26 @@ def _threshold_config(generator, num_basis, mh, n, replications):
     }
 
 
-def test_a01_threshold_misclassification_small_n(capsys):
-    cfg = _threshold_config(
+def _a01_config():
+    return _threshold_config(
         "mcid1", 6,
         {"steps": 50_000, "burnIn": 10_000, "thin": 5, "proposalScale": 0.3},
         n=100, replications=50)
-    res = run_experiment(cfg, workers=1)
+
+
+def test_a01_threshold_misclassification_small_n(capsys):
+    """Known failure: the estimate reads 0.1936 against the 0.19 bound.
+
+    The cause is holdout noise, not mixing.  Chains 5x longer move the value
+    only to 0.1950.  Each replication scores its plug-in on 100 holdout
+    points, which adds about 0.0055 of noise to the 50-replication mean, and
+    0.1936 sits about 1.2 of those above the population value: on a fixed
+    200,000-point holdout the same 50 plug-ins misclassify 0.1871 on
+    average, inside the band, and the true threshold attains the Bayes rate
+    (`test_a01_population_misclassification_on_a_large_holdout`).  The
+    protocol, band and seed stay as registered.
+    """
+    res = run_experiment(_a01_config(), workers=1)
     est = res.summary["misclassEstMean"]
     tru = res.summary["misclassTruthMean"]
     ok = 0.13 <= est <= 0.19 and 0.10 <= tru <= 0.16
@@ -68,6 +84,24 @@ def test_a01_threshold_misclassification_small_n(capsys):
     assert res.summary["errorCount"] == 0
     assert 0.13 <= est <= 0.19
     assert 0.10 <= tru <= 0.16
+
+
+def test_a01_population_misclassification_on_a_large_holdout():
+    # a01's 50 chains, fitted as one block, and their posterior-mean
+    # plug-ins scored on one 200,000-point holdout instead of 100 points each
+    cfg = _a01_config()
+    seeds = [row_seed(BASE_SEED, 0, j) for j in range(50)]
+    fits, _ = _fit_cells(cfg, 100, seeds)
+    assert not any(isinstance(f, Exception) for f in fits)
+    generator = fits[0].generator
+    holdout = generator.sample(200_000, make_rng(hash64(BASE_SEED, 1, 200_000))).data
+    design = fits[0].basis.design(holdout.z)
+    rates = [holdout_misclassification(lambda z, b=f.theta_bar: design @ b, holdout)
+             for f in fits]
+    est = float(np.mean(rates))
+    assert 0.13 <= est <= 0.19
+    truth = holdout_misclassification(generator.threshold, holdout)
+    assert abs(truth - generator.bayes_rate()) <= 0.005
 
 
 def test_a02_threshold_misclassification_tensor(capsys):

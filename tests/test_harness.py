@@ -350,6 +350,19 @@ def test_full_flag_switches_replication_count():
     assert len(run_experiment(cfg, workers=1, full=True).rows) == 3
 
 
+def test_default_workers_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("GIBBS_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5},
+                        raising=False)
+    assert default_workers() == 2
+    monkeypatch.setenv("GIBBS_WORKERS", "3")
+    assert default_workers() == 3
+    monkeypatch.delenv("GIBBS_WORKERS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 64
+
+
 def test_default_workers_env(monkeypatch):
     monkeypatch.setenv("GIBBS_WORKERS", "3")
     assert default_workers() == 3
@@ -648,13 +661,30 @@ def test_bundled_config_runs_one_cell(path):
     assert 0.0 < row["accept_rate"] < 1.0
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # importing scipy.stats is a large share of the CLI's start-up time, and
-    # nothing in the package needs it
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
+    # importing SciPy is most of the CLI's start-up time, and the package
+    # computes its special functions and B-splines without it; the sample
+    # run also catches an import deferred to run time
     src = os.path.dirname(os.path.dirname(gibbsinf.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, gibbsinf.harness.cli; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "mcid2.json")) as fh:
+        cfg = json.load(fh)
+    cfg["mh"].update(steps=200, burnIn=50, thin=1)
+    cfg_path = tmp_path / "mcid2_short.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = ("import sys, gibbsinf, gibbsinf.harness.cli as cli\n"
+            "def scipy_mods():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print('scipy.stats' in sys.modules)\n"
+            "print(scipy_mods())\n"
+            "assert cli.main(['sample', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(scipy_mods())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg_path),
+                          str(tmp_path / "out")], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[1] == "[]"    # after import
+    assert lines[-1] == "[]"   # after the sample run

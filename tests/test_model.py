@@ -135,11 +135,15 @@ def test_bspline_domain_clamp_tolerance():
     design_matrix(basis, [1.0 + 1e-13])  # inside the documented 1e-12 slack
     with pytest.raises(DomainError):
         design_matrix(basis, [1.1])
+    with pytest.raises(DomainError):
+        design_matrix(basis, [0.5, np.nan])
 
 
 def test_bspline_minimum_size_enforced():
     with pytest.raises(PreconditionError):
         CubicBSpline((0.0, 1.0), 3)
+    with pytest.raises(PreconditionError, match="distinct knots"):
+        CubicBSpline((1.0, np.nextafter(1.0, 2.0)), 6)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbsinf import GaussianIID, LaplaceIID, SpikeSlab
-from gibbsinf.errors import PreconditionError
+from gibbsinf import GaussianIID, LaplaceIID, SparseParam, SpikeSlab
+from gibbsinf.errors import PreconditionError, ShapeError
 from gibbsinf.sampler import make_rng
 
 
@@ -107,3 +107,13 @@ def test_spike_slab_sampler_returns_sparse_params():
 def test_spike_slab_validation():
     with pytest.raises(PreconditionError):
         SpikeSlab(q=0, a=1.0, c=1.0)
+
+
+@pytest.mark.parametrize("support", [(-1,), (3,), (0, 5)])
+def test_sparse_param_dense_rejects_support_outside_q(support):
+    # construction stays permissive; embedding in q coordinates checks
+    param = SparseParam(1, support, [2.0] * len(support))
+    with pytest.raises(ShapeError, match=r"support \[.*\] .*\(q = 3\)"):
+        param.dense(3)
+    with pytest.raises(ShapeError, match=r"\(q = 3\)"):
+        param.dense_theta(3)
