@@ -5,6 +5,11 @@ associated ground truth (parameter vector, regression/threshold function,
 conditional class probability) so experiments can measure estimation error
 and misclassification against the truth.  All draws consume only the passed
 Generator, so a generator plus a seed reproduces a dataset exactly.
+
+The normal CDF (`ndtr`, the label probabilities and Bayes rates) and
+quantile (`ndtri`, the quantile-regression truth) are ports of the Cephes
+routines in `gibbsinf._special`; `tests/test_special.py` checks them against
+`scipy.special` bit for bit, so datasets do not depend on SciPy.
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@ such bases, and raw user-declared dictionaries (e.g. polynomial terms).
 A basis is evaluated on a batch of points (`design_matrix`); a single
 point is a one-row batch.  Data live in columnar `Dataset`s (and `PairedScores` for
 matched score pairs); a single observation is a one-row sample.
+
+The cubic B-spline basis is evaluated by the Cox-de Boor recursion (de Boor
+1978, *A Practical Guide to Splines*), vectorized over points, in the
+operation order of SciPy's `_deBoor_D`.  `tests/test_special.py` checks that
+`CubicBSpline.design` returns the bits of SciPy's
+`BSpline.design_matrix(...).toarray()` at random points, at every knot and
+at the doubles next to each knot.
 """
 
 from __future__ import annotations
@@ -210,8 +217,10 @@ class CubicBSpline:
         self.num_basis = int(num_basis)
         interior = np.linspace(lo, hi, num_basis - 2)[1:-1]
         self.knots = np.concatenate([np.full(4, lo), interior, np.full(4, hi)])
+        # `design` divides by knot gaps, which must not round to zero
         if not np.all(np.diff(self.knots[3:-3]) > 0):
-            raise PreconditionError(f"domain [{lo}, {hi}] too narrow for {num_basis} distinct knots")
+            raise PreconditionError(
+                f"domain [{lo}, {hi}] too narrow for {num_basis} distinct knots")
 
     def __repr__(self):
         return f"CubicBSpline(domain={self.domain}, num_basis={self.num_basis})"
@@ -222,6 +231,7 @@ class CubicBSpline:
 
     def _clamp(self, xs: np.ndarray) -> np.ndarray:
         lo, hi = self.domain
+        # written so that NaN, which fails every comparison, counts as outside
         outside = ~((xs >= lo - DOMAIN_TOL) & (xs <= hi + DOMAIN_TOL))
         if np.any(outside):
             bad = xs[outside][0]

@@ -6,6 +6,11 @@ penalty and Laplace slabs.
 
 The iid priors' `log_density` also takes an (R, dim) block of chains and
 returns R values, each bit-identical to the one-chain value.
+
+The spike-slab size prior is normalized with `logsumexp` and the binomial
+coefficients come from `gammaln`; both are ports in `gibbsinf._special`
+(SciPy's `logsumexp`, Cephes' `lgam`), checked against SciPy bit for bit in
+`tests/test_special.py`.
 """
 
 from __future__ import annotations
