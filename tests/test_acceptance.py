@@ -95,10 +95,11 @@ def test_a01_population_misclassification_on_a_large_holdout():
     fits, _ = _fit_cells(cfg, 100, seeds)
     assert not any(isinstance(f, Exception) for f in fits)
     generator = fits[0].generator
-    holdout = generator.sample(200_000, make_rng(hash64(BASE_SEED, 1, 200_000))).data
-    design = fits[0].basis.design(holdout.z)
-    rates = [holdout_misclassification(lambda z, b=f.theta_bar: design @ b, holdout)
-             for f in fits]
+    holdout = generator.sample(
+        200_000, make_rng(hash64(BASE_SEED, 1, 200_000))).data
+    design = fits[0].basis.design(holdout.z)   # shared by all 50 plug-ins
+    rates = [holdout_misclassification(lambda z, b=f.theta_bar: design @ b,
+                                       holdout) for f in fits]
     est = float(np.mean(rates))
     assert 0.13 <= est <= 0.19
     truth = holdout_misclassification(generator.threshold, holdout)
