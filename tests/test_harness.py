@@ -6,6 +6,7 @@ ESS-free 3-sigma binomial/moment bands at fixed seeds; runner determinism is
 checked bytewise, including serial-vs-parallel equality.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -23,7 +24,7 @@ import gibbsinf
 from gibbsinf.errors import ConfigError, PreconditionError
 from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               MeanCurveSim, QuantileRegSim, SparseClassSim,
-                              build_generator, cli_main, compute_row,
+                              build_generator, cli_main, compute_row, fit_cell,
                               holdout_misclassification, load_config,
                               row_seed, run_experiment,
                               validate_experiment_config, write_outputs)
@@ -565,6 +566,20 @@ def test_cli_sample_deterministic(tmp_path):
     summary = json.loads(out1)
     assert summary["kept"] == 100
     assert summary["n"] == 50
+
+
+def test_pilot_started_mcid2_chain_matches_recorded_digest():
+    # the chain `gibbsinf sample configs/mcid2.json` runs (replication 0 at
+    # nGrid[0], pilot start), shortened; digest and accept count recorded
+    # before the random-walk sampler evaluated proposals ahead
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid2.json"))
+    cfg["mh"].update(steps=6000, burnIn=1000, thin=5)
+    fit = fit_cell(cfg, cfg["nGrid"][0], row_seed(cfg["baseSeed"], 0, 0))
+    assert fit.data.n == 1000 and fit.chain.draws.shape == (1000, 16)
+    assert fit.chain.accepted == 1413
+    assert hashlib.sha256(fit.chain.draws.tobytes()).hexdigest() == (
+        "03ac50664a8673c21c77f54118d8e9fb8c26276d9f2d7c28658392543dabec4b")
 
 
 def test_cli_sample_writes_draws(tmp_path):
