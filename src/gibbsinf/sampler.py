@@ -131,8 +131,11 @@ class MHConfig:
             raise PreconditionError("burn_in >= 0 and thin >= 1 required")
         if (self.steps - self.burn_in) % self.thin != 0:
             raise PreconditionError("(steps - burn_in) must be divisible by thin")
-        if self.proposal_scale is not None and np.any(np.asarray(self.proposal_scale) <= 0):
-            raise PreconditionError("proposal scale must be positive")
+        if self.proposal_scale is not None:
+            scale = np.asarray(self.proposal_scale, dtype=float)
+            # NaN fails every comparison, so `scale <= 0` would let it through
+            if not np.all(np.isfinite(scale) & (scale > 0)):
+                raise PreconditionError("proposal scale must be positive and finite")
         if not 0.0 <= self.alpha_flip_prob < 1.0:
             raise PreconditionError("alpha_flip_prob must be in [0,1)")
 
@@ -228,13 +231,17 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     return ChainStart(target, config, theta, logp, scale, rng, uniforms)
 
 
-def _block_log_density(targets):
-    """Map an (R, J) block to the R log target densities.
+def _block_log_density(targets, tiles: int = 1):
+    """Map an (R, J) block to the R log target densities, and say whether
+    that runs on the vectorized kernels.
 
     Targets that share one loss and one prior object and whose data stack
     are evaluated by the vectorized kernels; any others chain by chain
-    through log_unnormalized.
+    through log_unnormalized.  With tiles > 1 the targets are repeated that
+    many times, and a block of m rows, m <= tiles * R, gets the densities of
+    the first m targets (on views of the first m rows of the stacked state).
     """
+    targets = targets * tiles
     first = targets[0]
     if all(isinstance(t, GibbsTarget) and t.loss is first.loss
            and t.prior is first.prior for t in targets):
@@ -247,9 +254,24 @@ def _block_log_density(targets):
             # -omega * N * R_n(theta) + log prior(theta), in that order
             coef = np.array([-t.omega * t.n_terms for t in targets])
             risk, log_prior_block = first.loss.risk, first.prior.log_density
-            return lambda B: coef * risk(state, B) + log_prior_block(B)
-    return lambda B: np.array([float(t.log_unnormalized(b))
-                               for t, b in zip(targets, B)])
+            if tiles == 1:
+                return (lambda B: coef * risk(state, B) + log_prior_block(B)), True
+
+            rows = len(targets)
+
+            def log_density(B):
+                m = len(B)
+                if m == rows:
+                    return coef * risk(state, B) + log_prior_block(B)
+                return (coef[:m] * risk(tuple(a[:m] for a in state), B)
+                        + log_prior_block(B))
+            return log_density, True
+    return (lambda B: np.array([float(t.log_unnormalized(b))
+                                for t, b in zip(targets, B)])), False
+
+
+# a lookahead fill evaluates at most this many rows (chains x steps) at once
+_LOOKAHEAD_ROWS = 4
 
 
 def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
@@ -261,6 +283,22 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     log))), so every chain is bit-identical to a one-chain run: a chain is a
     pure function of (target, config), whatever block it runs in.  The
     chains must share steps, burn-in, thin and dimension.
+
+    Lookahead (pre-fetching, Brockwell 2006, JCGS 15(1)): while no chain
+    accepts, the state does not move, so the next K proposals theta +
+    s*eps_{t+1..t+K} of every chain are known in advance.  When a step is
+    not covered by the buffer, the next k = min(K, steps left in the chunk)
+    proposals are evaluated in one kernel call on a (k*R, J) array (row
+    j*R + r is chain r at step t+j), against the targets repeated K times.
+    The decisions are then taken step by step from the buffer, with the
+    same uniforms and the same test, and the buffer is dropped as soon as
+    any chain accepts.  The kernels are bit-identical row by row, so K
+    decides only which rows get computed, never a draw or a decision.
+    K = 1 for the first chunk of _CHUNK steps; after each chunk, K =
+    floor(_CHUNK / steps of that chunk on which some chain accepted),
+    capped at max(1, 4 // R) rows per call.  Blocks of four or more chains,
+    and blocks evaluated chain by chain through log_unnormalized (where a
+    bigger call only adds evaluations), keep K = 1.
     """
     first = starts[0].config
     dim = starts[0].theta.shape[0]
@@ -270,7 +308,10 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
         raise PreconditionError("chains in a block must share steps, burn-in, "
                                 "thin and dimension")
     R = len(starts)
-    log_density = _block_log_density([s.target for s in starts])
+    targets = [s.target for s in starts]
+    log_density, vectorized = _block_log_density(targets)
+    max_k = max(1, _LOOKAHEAD_ROWS // R) if vectorized else 1
+    K = tiles = 1                         # lookahead, and the kernel's copies
     theta = np.stack([s.theta for s in starts])
     logp = np.array([s.logp for s in starts])
 
@@ -289,9 +330,25 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
             np.multiply(s.scale, normals[:c], out=steps_dz[:c, r])
             s.uniforms.random(out=uniforms[r, :c])
         u_steps = uniforms[:, :c].T.tolist()
+        if K != tiles:
+            log_density, _ = _block_log_density(targets, K)
+            tiles = K
+        moved = 0                         # steps on which some chain accepted
+        start = end = 0                   # steps [start, end) are in the buffer
         for i in range(c):
-            prop = theta + steps_dz[i]
-            lp = log_density(prop)
+            if i < end:
+                prop, lp = props[i - start], lps[i - start]
+            elif K == 1 or i + 1 == c:
+                # one step on (R, J) arrays: a (1, R, J) buffer would make
+                # every broadcast on the way cost more
+                prop = theta + steps_dz[i]
+                lp = log_density(prop)
+            else:
+                n_ahead = min(K, c - i)
+                props = theta + steps_dz[i:i + n_ahead]
+                lps = log_density(props.reshape(n_ahead * R, dim)).reshape(n_ahead, R)
+                start, end = i, i + n_ahead
+                prop, lp = props[0], lps[0]
             # math.exp per chain: np.exp may differ in the last bit, and
             # that can flip a decision
             accept = [d >= 0.0 or v < exp(d)
@@ -299,15 +356,21 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
             if all(accept):
                 theta, logp = prop, lp
                 every += 1
+                moved += 1
+                end = 0
             elif any(accept):
                 mask = np.array(accept)
                 np.copyto(theta, prop, where=mask[:, None])
                 np.copyto(logp, lp, where=mask)
                 accepted += mask
+                moved += 1
+                end = 0
             idx = done + i + 1 - burn_in
             if idx > 0 and idx % thin == 0:
                 kept[:, k] = theta
                 k += 1
+        if max_k > 1:
+            K = min(max_k, _CHUNK // moved) if moved else max_k
 
     accepted += every
     out = []

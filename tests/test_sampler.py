@@ -73,6 +73,15 @@ def test_mhconfig_validation():
         MHConfig(steps=100, burn_in=0, thin=1, alpha_flip_prob=1.0)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, [0.1, math.nan],
+                                   [math.inf, 0.2]])
+def test_mhconfig_rejects_non_finite_proposal_scales(scale):
+    # NaN proposals are never accepted, so a NaN scale gave a chain that
+    # sat at its start with an acceptance rate of 0
+    with pytest.raises(PreconditionError, match="finite"):
+        MHConfig(steps=100, burn_in=0, thin=1, proposal_scale=scale)
+
+
 @given(st.integers(0, 400), st.integers(1, 13), st.integers(1, 300))
 def test_kept_count_formula(burn_in, thin, kept):
     cfg = MHConfig(steps=burn_in + thin * kept, burn_in=burn_in, thin=thin)
@@ -217,6 +226,59 @@ def test_block_rejects_chains_of_different_lengths():
               mh_start(targets[1], MHConfig(steps=200, burn_in=0, thin=1))]
     with pytest.raises(PreconditionError, match="share"):
         mh_run_block(starts)
+
+
+# per kind, proposal scales that give acceptance near 0.05, 0.25 and 0.7
+# over a four-chain block, with the band each must fall in
+_LOOKAHEAD_SCALES = {"mcid/gaussian": (10.0, 2.0, 0.15),
+                     "check/gaussian": (3.0, 1.0, 0.2),
+                     "squared/laplace": (1.0, 0.4, 0.1),
+                     "cappedsquared/gaussian": (0.6, 0.2, 0.05),
+                     "auc/gaussian": (3.0, 0.6, 0.1)}
+_ACCEPT_BANDS = ((0.0, 0.1), (0.15, 0.4), (0.55, 0.9))
+
+
+@pytest.mark.parametrize("regime", range(3), ids=["accept05", "accept25", "accept70"])
+@pytest.mark.parametrize("kind", sorted(_LOOKAHEAD_SCALES))
+def test_lookahead_chains_equal_lockstep_chains(kind, regime):
+    # blocks of four chains evaluate one step per call; blocks of one and
+    # two evaluate several steps per call while no chain accepts.  Seven
+    # full chunks and a short one, so K changes and buffers get cut.
+    targets = _block_case(kind, R=4)
+    configs = [MHConfig(steps=7 * _CHUNK + 8, burn_in=100, thin=4,
+                        seed=hash64(45, r),
+                        proposal_scale=_LOOKAHEAD_SCALES[kind][regime])
+               for r in range(4)]
+    block = mh_run_block([mh_start(t, c) for t, c in zip(targets, configs)])
+    lo, hi = _ACCEPT_BANDS[regime]
+    assert lo <= np.mean([c.accept_rate for c in block]) <= hi
+    for R in (1, 2, 3):
+        alone = mh_run_block([mh_start(t, c) for t, c in zip(targets[:R], configs[:R])])
+        _assert_same_chains(alone, block[:R])
+
+
+def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
+    targets = _block_case("mcid/gaussian", R=8)
+    steps = 10 * _CHUNK
+
+    def starts(R):
+        return [mh_start(t, MHConfig(steps=steps, burn_in=0, thin=1,
+                                     proposal_scale=25.0, seed=hash64(46, r)))
+                for r, t in enumerate(targets[:R])]
+
+    one, eight = starts(1), starts(8)
+    rows = []                         # the rows of every risk call
+    original = MCIDLoss.risk
+    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B:
+                        rows.append(len(B)) or original(self, state, B))
+    chain = mh_run_block(one)[0]
+    assert chain.accept_rate < 0.1
+    assert len(rows) <= 0.6 * steps
+    assert sum(rows) <= 1.5 * steps
+    # a block of eight chains never looks ahead: one call, one row per chain
+    rows.clear()
+    mh_run_block(eight)
+    assert rows == [8] * steps
 
 
 def test_short_chains_match_recorded_values():
