@@ -26,6 +26,7 @@ flag --full.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -77,8 +78,11 @@ def validate_experiment_config(cfg: dict) -> None:
     """Check an experiment config before any cell runs.
 
     Besides the required fields and their types, every component's name
-    must be one its builder table knows.  Errors that depend on the cell,
-    such as a parameter the chosen component rejects, surface per row.
+    must be one its builder table knows, the loss and the rate must take
+    the kind of data the generator emits, the zeroone loss and the spikeslab
+    prior come together, and the proposal scale must be positive and
+    finite.  Errors that depend on the cell, such as a parameter the chosen
+    component rejects, surface per row.
     """
     required = ["generator", "loss", "prior", "rate", "mh", "divergence",
                 "nGrid", "replications", "baseSeed"]
@@ -103,13 +107,52 @@ def validate_experiment_config(cfg: dict) -> None:
         _builder(table, cfg[field], field)
     if not isinstance(cfg["mh"], dict):
         raise ConfigError("mh spec must be an object")
-    if cfg["prior"]["name"] == "spikeslab" and cfg["mh"].get("init") is not None:
+    _check_proposal_scale(cfg["mh"].get("proposalScale"))
+    generator = cfg["generator"]["name"]
+    kind = _GENERATOR_TYPES[generator].data_kind
+    for field, takes in (("loss", _LOSS_DATA_KINDS), ("rate", _RATE_DATA_KINDS)):
+        name = cfg[field]["name"]
+        if kind not in takes.get(name, (kind,)):
+            fits = [g for g, t in _GENERATOR_TYPES.items()
+                    if t.data_kind in takes[name]]
+            raise ConfigError(f"{field} {name!r} cannot take the {kind} data of "
+                              f"generator {generator!r}; generators it takes: "
+                              f"{', '.join(fits)}")
+    loss, prior = cfg["loss"]["name"], cfg["prior"]["name"]
+    if (loss == "zeroone") != (prior == "spikeslab"):
+        # the sparse sampler needs both; no other sampler takes either
+        raise ConfigError(f"prior {prior!r} does not go with loss {loss!r}: "
+                          f"the spikeslab prior and the zeroone loss are used "
+                          f"together or not at all")
+    if prior == "spikeslab" and cfg["mh"].get("init") is not None:
         # the sparse sampler always starts from a prior draw
         raise ConfigError("mh init is not supported with the spikeslab prior")
-    if cfg["rate"]["name"] == "aucdata" and cfg["generator"]["name"] != "aucsim":
-        # the data-driven ranking rate reads two-sample scores
-        raise ConfigError(f"rate 'aucdata' needs the two-sample 'aucsim' "
-                          f"generator, not {cfg['generator']['name']!r}")
+
+
+def _check_proposal_scale(scale) -> None:
+    """A proposalScale is absent, a positive finite number, a nonempty list
+    of them, or {"c": c, "gamma": g} with c positive and both finite."""
+    def finite(v):
+        try:
+            return math.isfinite(float(v))
+        except (TypeError, ValueError):
+            return False
+
+    def positive(v):
+        return finite(v) and float(v) > 0
+
+    if scale is None:
+        return
+    if isinstance(scale, dict):
+        ok = positive(scale.get("c")) and finite(scale.get("gamma"))
+    elif isinstance(scale, list):
+        ok = bool(scale) and all(positive(v) for v in scale)
+    else:
+        ok = positive(scale)
+    if not ok:
+        raise ConfigError(f"mh proposalScale must be a positive finite number, "
+                          f"a list of them, or an object with a positive finite "
+                          f"'c' and a finite 'gamma'; got {scale!r}")
 
 
 def _namespec(spec, what: str) -> tuple[str, dict]:
@@ -143,6 +186,11 @@ _GENERATORS = {
         q=kw.pop("q"), support=kw.pop("support"),
         beta_values=kw.pop("betaValues"), flip_rho=kw.pop("flipRho", 0.1), **kw),
 }
+
+
+# generator names and their classes, whose `data_kind` says what they emit
+_GENERATOR_TYPES = {g.name: g for g in (MCID1, MCID2, QuantileRegSim, HeavyTailSim,
+                                        MeanCurveSim, AUCSim, SparseClassSim)}
 
 
 def build_generator(spec: dict):
@@ -196,6 +244,20 @@ _LOSSES = {
     "zeroone": lambda *_: ZeroOneLinearLoss(),
     "mcid": _mcid_loss,
     "auc": lambda *_: AUCLoss(),
+}
+
+
+# the generator data kinds each loss can fit and be scored on.  The check
+# loss fits {1, x} to a scalar covariate, the squared loss a spline basis of
+# it, the capped squared loss the generator's own design; the quantile
+# design's truth lies over {1, x}, so only the check loss is scored on it.
+_LOSS_DATA_KINDS = {
+    "check": ("linear-regression", "curve-regression"),
+    "squared": ("curve-regression",),
+    "cappedsquared": ("multiple-regression",),
+    "zeroone": ("linear-classification",),
+    "mcid": ("threshold",),
+    "auc": ("two-sample",),
 }
 
 
@@ -253,6 +315,10 @@ _RATES = {
     "tsybakov": lambda kw: TsybakovRate(gamma=float(kw["gamma"])),
     "aucdata": _aucdata_rate,
 }
+
+
+# the data-driven ranking rate reads two-sample scores; the others take any
+_RATE_DATA_KINDS = {"aucdata": ("two-sample",)}
 
 
 def build_rate(spec: dict):

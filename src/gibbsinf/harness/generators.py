@@ -6,6 +6,15 @@ conditional class probability) so experiments can measure estimation error
 and misclassification against the truth.  All draws consume only the passed
 Generator, so a generator plus a seed reproduces a dataset exactly.
 
+Each generator names the kind of data it emits (`data_kind`): "threshold"
+(x, y in {-1,+1} and the covariate z, with a threshold-function truth),
+"linear-regression" (scalar x, truth the coefficients over {1, x}),
+"curve-regression" (scalar x on a fixed design, truth a curve),
+"multiple-regression" (an (n, d) design, truth the coefficients over it),
+"two-sample" (two score groups) and "linear-classification" (an (n, 1+q)
+design, labels in {0,1}).  The config validator pairs these with the losses
+that can fit them.
+
 The normal CDF (`ndtr`, the label probabilities and Bayes rates) and
 quantile (`ndtri`, the quantile-regression truth) are ports of the Cephes
 routines in `gibbsinf._special`; `tests/test_special.py` checks them against
@@ -72,6 +81,7 @@ class _ThresholdGeneratorBase:
 
     jump = 0.05
     x_sd = 1.0
+    data_kind = "threshold"
 
     def mean_x(self, z):
         raise NotImplementedError
@@ -181,6 +191,7 @@ class QuantileRegSim:
     """
 
     name = "quantilereg"
+    data_kind = "linear-regression"
 
     def __init__(self, tau: float, beta_star=(1.0, 2.0), noise_sd: float = 1.0):
         if not 0.0 < tau < 1.0:
@@ -228,6 +239,7 @@ class HeavyTailSim:
     """
 
     name = "heavytail"
+    data_kind = "multiple-regression"
 
     def __init__(self, df: float, theta_star=(1.0, 2.0, -1.0)):
         if df <= 2:
@@ -275,6 +287,7 @@ class MeanCurveSim:
     """
 
     name = "meancurve"
+    data_kind = "curve-regression"
 
     def __init__(self, curve: str = "sine", noise_sd: float = 0.3):
         if curve not in _CURVES:
@@ -314,6 +327,7 @@ class AUCSim:
     """
 
     name = "aucsim"
+    data_kind = "two-sample"
 
     def __init__(self, mu: float):
         self.mu = float(mu)
@@ -354,6 +368,7 @@ class SparseClassSim:
     """
 
     name = "sparseclass"
+    data_kind = "linear-classification"
 
     def __init__(self, q: int, support, beta_values, flip_rho: float = 0.1):
         if q < 1:

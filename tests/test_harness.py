@@ -30,6 +30,7 @@ from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               validate_experiment_config, write_outputs)
 from gibbsinf.harness.config import resolve_proposal_scale
 from gibbsinf.harness.runner import _blocks, default_workers
+from gibbsinf.losses import MCIDLoss
 from gibbsinf.sampler import credible_interval, hash64, make_rng
 
 
@@ -501,6 +502,97 @@ def test_aucdata_rate_needs_aucsim_before_any_cell(tmp_path, generator):
     assert not out.exists()
 
 
+_GENERATOR_SPECS = {
+    "mcid1": {"name": "mcid1"}, "mcid2": {"name": "mcid2"},
+    "quantilereg": {"name": "quantilereg", "tau": 0.5},
+    "heavytail": {"name": "heavytail", "df": 5.0},
+    "meancurve": {"name": "meancurve"},
+    "aucsim": {"name": "aucsim", "mu": 1.0},
+    "sparseclass": {"name": "sparseclass", "q": 5, "support": [0],
+                    "betaValues": [1.0]}}
+_LOSS_SPECS = {
+    "check": {"name": "check", "tau": 0.5}, "squared": {"name": "squared"},
+    "cappedsquared": {"name": "cappedsquared", "cap": 4.0},
+    "zeroone": {"name": "zeroone"}, "mcid": {"name": "mcid"},
+    "auc": {"name": "auc"}}
+# a divergence each generator's truth can be measured with
+_GENERATOR_DIVERGENCE = {"mcid1": "empirical_l2", "mcid2": "empirical_l2",
+                         "meancurve": "empirical_l2"}
+
+
+def _pair_config(generator: str, loss: str) -> dict:
+    return _tiny_config(
+        generator=_GENERATOR_SPECS[generator], loss=_LOSS_SPECS[loss],
+        prior={"name": "spikeslab", "q": 5} if loss == "zeroone"
+        else {"name": "gaussian", "sd": 5.0},
+        divergence={"name": _GENERATOR_DIVERGENCE.get(generator, "euclid")},
+        mh={"steps": 60, "burnIn": 10, "thin": 5, "proposalScale": 0.1},
+        nGrid=[20], replications=1)
+
+
+@pytest.mark.parametrize("loss", sorted(_LOSS_SPECS))
+@pytest.mark.parametrize("generator", sorted(_GENERATOR_SPECS))
+def test_validation_accepts_a_generator_loss_pair_exactly_when_it_runs(
+        generator, loss):
+    cfg = _pair_config(generator, loss)
+    try:
+        validate_experiment_config(cfg)
+        accepted = True
+    except ConfigError as exc:
+        assert f"loss {loss!r}" in str(exc) and repr(generator) in str(exc)
+        accepted = False
+    row = compute_row(cfg, 0, 0)     # the cell itself, with no validation
+    assert (row["error"] is None) == accepted, row["error"]
+
+
+@pytest.mark.parametrize("generator,loss,prior,field", [
+    ("quantilereg", "mcid", "gaussian", "loss"),
+    ("mcid1", "check", "gaussian", "loss"),
+    ("sparseclass", "zeroone", "gaussian", "prior"),
+    ("mcid1", "mcid", "spikeslab", "prior")])
+def test_incompatible_components_fail_before_any_cell(tmp_path, generator,
+                                                      loss, prior, field):
+    # each used to exit 0 with every row failed
+    cfg = _pair_config(generator, loss)
+    cfg["prior"] = {"name": prior, "sd": 5.0, "q": 5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1
+    assert f"{field} {cfg[field]['name']!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [
+    math.nan, math.inf, -0.3, 0.0, [0.1, math.nan], [0.1, -0.2], [],
+    {"c": math.nan, "gamma": 0.5}, {"c": 1.0, "gamma": -math.inf},
+    {"c": -1.0, "gamma": 0.5}, {"c": 1.0}, "fast"])
+def test_bad_proposal_scale_fails_before_any_cell(tmp_path, scale):
+    cfg = _tiny_config()
+    cfg["mh"]["proposalScale"] = scale
+    with pytest.raises(ConfigError, match="proposalScale"):
+        validate_experiment_config(cfg)
+    # json writes NaN and Infinity literals, and reads them back
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1 and "proposalScale" in err
+    assert not out.exists()
+
+
+def test_nan_proposal_scale_sample_exits_1(tmp_path):
+    # a NaN scale used to run a chain that never moved, and exit 0
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid1.json"))
+    cfg["mh"].update(steps=200, burnIn=50, proposalScale=math.nan)
+    path = tmp_path / "mcid1.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run_cli(["sample", str(path)])
+    assert code == 1 and "proposalScale" in err and not out
+
+
 def test_non_object_mh_section_fails_before_any_cell():
     with pytest.raises(ConfigError, match="mh"):
         run_experiment(_tiny_config(mh="fast"), workers=1)
@@ -580,6 +672,22 @@ def test_pilot_started_mcid2_chain_matches_recorded_digest():
     assert fit.chain.accepted == 1413
     assert hashlib.sha256(fit.chain.draws.tobytes()).hexdigest() == (
         "03ac50664a8673c21c77f54118d8e9fb8c26276d9f2d7c28658392543dabec4b")
+
+
+def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
+    # the 20k-step chain of the benchmark's cli-sample workload: one risk
+    # call per step (20000) without the sampler's lookahead
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid2.json"))
+    cfg["mh"].update(steps=20_000, burnIn=4_000)
+    rows = []
+    original = MCIDLoss.risk
+    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B:
+                        rows.append(len(B)) or original(self, state, B))
+    fit = fit_cell(cfg, cfg["nGrid"][0], row_seed(cfg["baseSeed"], 0, 0))
+    assert fit.chain.steps == 20_000
+    assert len(rows) <= 9_000
+    assert sum(rows) <= 1.5 * 20_000
 
 
 def test_cli_sample_writes_draws(tmp_path):
