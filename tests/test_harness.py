@@ -178,6 +178,45 @@ def test_mean_curve_sim_fixed_design():
     assert abs(resid.mean()) < 3 * 0.3 / math.sqrt(50_000)
 
 
+def _array_digest(obj, fields) -> str:
+    """sha256 over the named arrays of obj: name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for name in fields:
+        a = getattr(obj, name)
+        if a is not None:
+            a = np.asarray(a)
+            h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("index, gen, digest", [
+    (0, MCID1(), "9d9f3b4290e16d8a7e64e0dcdcc60907b8fb9c917631a5527d468dfea7712384"),
+    (1, MCID2(), "a95eab417469562571157873fa91cd0a1b737697e3aa57fa6b754e0aa021f3e6"),
+    (2, QuantileRegSim(0.3),
+     "033b00c8badd678e7050fd8ef1e2a1a0fb3e0355cfc1d228c2a44628dab8f129"),
+    (3, HeavyTailSim(5.0),
+     "f289ae813c729f57bb138acdf8e9d25f8aeab8c2dc720ac2f3616b509a1eb323"),
+    (4, MeanCurveSim("bump", 0.3),
+     "c29fbcc65ccb45fd55fb5ad66480a270f10d0b59f9d1465dc54595e89c9e3156"),
+    (5, AUCSim(0.8), "4e79c5a5b40cc2bc01d39e5bb1d41db40a48efec10166398a5ae30d8110a30c5"),
+    (6, SparseClassSim(12, (1, 4), (1.5, -2.0), flip_rho=0.1),
+     "fc8d7d0ad2d7a1cf946b56026e4eb9c46ce8e5c7863a8a8c8f745cfeabfd9e55")],
+    ids=["mcid1", "mcid2", "quantilereg", "heavytail", "meancurve", "aucsim",
+         "sparseclass"])
+def test_generator_samples_match_recorded_digests(index, gen, digest):
+    # the arrays of one 50-point dataset per generator, recorded as a sha256;
+    # any change to a generator's variates or their order shows here
+    data = gen.sample(50, make_rng(hash64(97, index))).data
+    assert _array_digest(data, ("x", "y", "z", "scores0", "scores1")) == digest
+
+
+def test_ranking_mc_pairs_match_recorded_digest():
+    pairs = AUCSim(0.8).mc_sample(make_rng(hash64(97, 7)), 50)
+    assert _array_digest(pairs, ("u0", "u1")) == \
+        "55a9101c14129e20edfd2727746a66809a31c594681f3f031bce32d0586034b7"
+
+
 def test_generator_parameter_validation():
     with pytest.raises(ConfigError):
         QuantileRegSim(1.5)

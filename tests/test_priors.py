@@ -5,13 +5,15 @@ sparse configuration masses against direct enumeration in exact rational
 arithmetic for the small worked case.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from gibbsinf import GaussianIID, LaplaceIID, SparseParam, SpikeSlab
 from gibbsinf.errors import PreconditionError, ShapeError
-from gibbsinf.sampler import make_rng
+from gibbsinf.sampler import hash64, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,22 @@ def test_spike_slab_sampler_returns_sparse_params():
     assert dense.shape == (7,)
     assert dense[0] == sp.alpha
     assert np.count_nonzero(sp.dense(6)) == len(sp.S)
+
+
+def test_spike_slab_draws_match_recorded_digests():
+    # 20 prior draws as dense (alpha, beta) rows and their log-densities,
+    # recorded as sha256 digests; any change to the variates, their order
+    # or the density shows here
+    prior = SpikeSlab(q=8, a=1.0, c=1.0)
+    rng = make_rng(hash64(97, 8))
+    draws = [prior.sample(rng) for _ in range(20)]
+    rows = np.stack([d.dense_theta(8) for d in draws])
+    assert rows.shape == (20, 9)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == \
+        "e9dbd0433c83c168987cf4e80c14f1dcb2b6a8be01fdc74a4bacdde8492c70bb"
+    log_densities = np.array([prior.log_density(d) for d in draws])
+    assert hashlib.sha256(log_densities.tobytes()).hexdigest() == \
+        "adb8a93e566cbb5774f22400c2621e09a3d12f97d260284ea52020df8009db53"
 
 
 def test_spike_slab_validation():
