@@ -18,7 +18,7 @@ from .losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                      SquaredLoss, ZeroOneLinearLoss, auc_point_estimate,
                      empirical_risk, erm_least_squares,
                      least_squares_coefficients, pointwise_losses, sign_neg)
-from .priors import GaussianIID, LaplaceIID, SparseParam, SpikeSlab
+from .priors import GaussianIID, LaplaceIID, SpikeSlab
 from .rates import (AUCCovariances, AUCDataDriven, FixedRate, HeavyTailRate,
                     PowerLawRate, TsybakovRate, auc_covariances,
                     auc_learning_rate, rate_at)

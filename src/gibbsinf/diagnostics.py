@@ -17,7 +17,6 @@ import numpy as np
 from .errors import OverflowGuardError, PreconditionError, ShapeError
 from .losses import LossSpec, least_squares_coefficients, sign_neg
 from .model import BasisSpec, Dataset, FunctionParam, PairedScores, design_matrix
-from .priors import SparseParam
 from .sampler import Chain
 
 
@@ -28,9 +27,6 @@ from .sampler import Chain
 def _vec(theta) -> np.ndarray:
     if isinstance(theta, FunctionParam):
         return theta.beta
-    if isinstance(theta, SparseParam):
-        raise ShapeError("densify sparse parameters (dense_theta) before "
-                         "applying a coefficient-space divergence")
     return np.asarray(theta, dtype=float).reshape(-1)
 
 
@@ -56,10 +52,7 @@ def structurally_equal(a, b) -> bool:
         return True
     if isinstance(a, FunctionParam) and isinstance(b, FunctionParam):
         return a.basis == b.basis and np.array_equal(a.beta, b.beta)
-    if isinstance(a, SparseParam) and isinstance(b, SparseParam):
-        return (a.alpha == b.alpha and a.S == b.S
-                and np.array_equal(a.beta_s, b.beta_s))
-    if isinstance(a, (FunctionParam, SparseParam)) or isinstance(b, (FunctionParam, SparseParam)):
+    if isinstance(a, FunctionParam) or isinstance(b, FunctionParam):
         return False
     if callable(a) or callable(b):
         return False

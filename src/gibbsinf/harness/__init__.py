@@ -1,8 +1,7 @@
 """Experiment harness: data generators, replication runner, config, CLI."""
 
-from .generators import (AUCSim, GeneratedData, HeavyTailSim, MCID1, MCID2,
-                         MeanCurveSim, QuantileRegSim, SparseClassSim,
-                         TruthRecord, affine_features,
+from .generators import (AUCSim, HeavyTailSim, MCID1, MCID2, MeanCurveSim,
+                         QuantileRegSim, SparseClassSim, affine_features,
                          holdout_misclassification)
 from .config import (build_divergence, build_generator, build_loss, build_mh,
                      build_prior, build_rate, load_config,

@@ -114,9 +114,7 @@ def _cmd_diagnose_mgf(args) -> int:
     loss = build_loss(spec["loss"], generator)
     theta_star = spec.get("thetaStar", "auto")
     if theta_star == "auto":
-        theta_star = getattr(generator, "theta_star", None)
-        if theta_star is None:
-            theta_star = getattr(generator, "theta_star_dense", None)
+        theta_star = generator.theta_star
         if theta_star is None:
             raise ConfigError("generator has no intrinsic thetaStar; "
                               "give one explicitly")

@@ -1,10 +1,13 @@
 """Synthetic data-generating processes for the experiment suite.
 
-Each generator draws datasets from a fully specified law and exposes the
-associated ground truth (parameter vector, regression/threshold function,
-conditional class probability) so experiments can measure estimation error
-and misclassification against the truth.  All draws consume only the passed
-Generator, so a generator plus a seed reproduces a dataset exactly.
+Each generator draws datasets from a fully specified law with
+`sample(n, rng)` and carries the ground truth itself, so experiments can
+measure estimation error and misclassification against it: `theta_star` is
+the coefficient vector or scalar where the truth is finite-dimensional (None
+otherwise), and `truth_fn(xs)` the true function where it is not (the
+threshold of the MCID designs, the curve of the mean-curve design).  All
+draws consume only the passed Generator, so a generator plus a seed
+reproduces a dataset exactly.
 
 Each generator names the kind of data it emits (`data_kind`): "threshold"
 (x, y in {-1,+1} and the covariate z, with a threshold-function truth),
@@ -24,7 +27,6 @@ routines in `gibbsinf._special`; `tests/test_special.py` checks them against
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,41 +37,27 @@ from ..model import (CubicBSpline, Dataset, FunctionParam, PairedScores,
                      RawDictionary, TensorBSpline)
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Ground truth attached to a generated dataset.
-
-    theta_star is the finite-dimensional truth where one exists (coefficient
-    vector, scalar ranking index); the callables expose functional truths:
-    eta(z, x) the conditional P(Y=1), threshold(z) the true decision
-    boundary, quantile(x) the true conditional quantile, curve(x) the true
-    regression function.
-    """
-
-    theta_star: object = None
-    eta: object = None
-    threshold: object = None
-    quantile: object = None
-    curve: object = None
-
-
-@dataclass(frozen=True)
-class GeneratedData:
-    data: Dataset
-    truth: TruthRecord
-
-
 def affine_features() -> RawDictionary:
     """The dictionary {1, x} of an intercept-plus-slope linear model."""
     return RawDictionary([("const", lambda xs: np.ones_like(np.asarray(xs, dtype=float))),
                           ("x", lambda xs: np.asarray(xs, dtype=float))])
 
 
+class _Generator:
+    """What every generator shares: no coefficient truth unless it sets one,
+    and Monte-Carlo reference samples drawn from its own law."""
+
+    theta_star = None
+
+    def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
+        return self.sample(n, rng)
+
+
 # ---------------------------------------------------------------------------
 # threshold-classification (minimal-important-difference) generators
 # ---------------------------------------------------------------------------
 
-class _ThresholdGeneratorBase:
+class _ThresholdGeneratorBase(_Generator):
     """Shared machinery for the two threshold-classification designs.
 
     The diagnostic measure X given the patient profile z is normal around a
@@ -90,7 +78,7 @@ class _ThresholdGeneratorBase:
     def margin(self) -> float:
         return 2.0 * ndtr(self.jump / self.eta_sd) - 1.0
 
-    def threshold(self, z) -> np.ndarray:
+    def truth_fn(self, z) -> np.ndarray:
         """The true decision boundary theta*(z)."""
         return self.mean_x(z)
 
@@ -106,17 +94,12 @@ class _ThresholdGeneratorBase:
         x = self.mean_x(z) + self.x_sd * rng.standard_normal(n)
         return z, x
 
-    def sample(self, n: int, rng: np.random.Generator) -> GeneratedData:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
         z, x = self.sample_zx(rng, n)
         y = np.where(rng.random(n) < self.eta(z, x), 1, -1)
-        data = Dataset.classification(x=x, y=y, z=z)
-        truth = TruthRecord(theta_star=None, eta=self.eta, threshold=self.threshold)
-        return GeneratedData(data=data, truth=truth)
-
-    def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
-        return self.sample(n, rng).data
+        return Dataset.classification(x=x, y=y, z=z)
 
     def bayes_rate(self, n_quad: int = 200_001) -> float:
         """E[min(eta, 1-eta)] by quadrature over the law of X - mu(Z).
@@ -182,7 +165,7 @@ class MCID2(_ThresholdGeneratorBase):
 # regression generators
 # ---------------------------------------------------------------------------
 
-class QuantileRegSim:
+class QuantileRegSim(_Generator):
     """Linear-quantile design: x ~ U(0,1), y = b0 + b1 x + sd * N(0,1).
 
     The tau-th conditional quantile is (b0 + sd * z_tau) + b1 x with z_tau
@@ -217,20 +200,16 @@ class QuantileRegSim:
     def sample_x(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, 1.0, n)
 
-    def sample(self, n: int, rng: np.random.Generator) -> GeneratedData:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
         x = self.sample_x(rng, n)
         y = (self.beta_star[0] + self.beta_star[1] * x
              + self.noise_sd * rng.standard_normal(n))
-        truth = TruthRecord(theta_star=self.theta_star, quantile=self.quantile)
-        return GeneratedData(data=Dataset.regression(x, y), truth=truth)
-
-    def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
-        return self.sample(n, rng).data
+        return Dataset.regression(x, y)
 
 
-class HeavyTailSim:
+class HeavyTailSim(_Generator):
     """Linear regression with Student-t noise: y = x' theta* + t_df.
 
     The covariate is (1, U(-1,1)^(d-1)); with df > 2 the noise has finite
@@ -258,17 +237,11 @@ class HeavyTailSim:
         x[:, 0] = 1.0
         return x
 
-    def sample(self, n: int, rng: np.random.Generator) -> GeneratedData:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
         x = self.sample_x(rng, n)
-        y = x @ self.theta_star + rng.standard_t(self.df, n)
-        truth = TruthRecord(theta_star=self.theta_star,
-                            curve=lambda xs: np.asarray(xs) @ self.theta_star)
-        return GeneratedData(data=Dataset.regression(x, y), truth=truth)
-
-    def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
-        return self.sample(n, rng).data
+        return Dataset.regression(x, x @ self.theta_star + rng.standard_t(self.df, n))
 
 
 _CURVES = {
@@ -278,7 +251,7 @@ _CURVES = {
 }
 
 
-class MeanCurveSim:
+class MeanCurveSim(_Generator):
     """Fixed-design curve estimation: x_i = i/n, y_i = f(x_i) + sd * N(0,1).
 
     f is drawn from a named registry of smooth curves on [0,1]; responses are
@@ -295,22 +268,18 @@ class MeanCurveSim:
         if noise_sd <= 0:
             raise ConfigError("noise sd must be positive")
         self.curve_name = curve
-        self.fn = _CURVES[curve]
+        self.truth_fn = _CURVES[curve]
         self.noise_sd = float(noise_sd)
 
     def design(self, n: int) -> np.ndarray:
         return np.arange(1, n + 1, dtype=float) / n
 
-    def sample(self, n: int, rng: np.random.Generator) -> GeneratedData:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
         x = self.design(n)
-        y = self.fn(x) + self.noise_sd * rng.standard_normal(n)
-        truth = TruthRecord(theta_star=None, curve=self.fn)
-        return GeneratedData(data=Dataset.regression(x, y), truth=truth)
-
-    def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
-        return self.sample(n, rng).data
+        y = self.truth_fn(x) + self.noise_sd * rng.standard_normal(n)
+        return Dataset.regression(x, y)
 
     def divergence_grid(self, size: int = 256) -> np.ndarray:
         return np.linspace(0.0, 1.0, size)
@@ -320,7 +289,7 @@ class MeanCurveSim:
 # ranking generator
 # ---------------------------------------------------------------------------
 
-class AUCSim:
+class AUCSim(_Generator):
     """Two normal score groups: U0 ~ N(0,1), U1 ~ N(mu,1), equal sizes.
 
     The true ranking index is P(U1 > U0) = Phi(mu / sqrt(2)).
@@ -336,13 +305,11 @@ class AUCSim:
     def theta_star(self) -> float:
         return float(ndtr(self.mu / math.sqrt(2.0)))
 
-    def sample(self, n: int, rng: np.random.Generator) -> GeneratedData:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
         scores0 = rng.standard_normal(n)
-        scores1 = self.mu + rng.standard_normal(n)
-        truth = TruthRecord(theta_star=self.theta_star)
-        return GeneratedData(data=Dataset.two_sample(scores0, scores1), truth=truth)
+        return Dataset.two_sample(scores0, self.mu + rng.standard_normal(n))
 
     def sample_pairs(self, rng: np.random.Generator, n: int) -> PairedScores:
         """n matched (U0, U1) pairs -- the Monte-Carlo sample for pointwise
@@ -358,7 +325,7 @@ class AUCSim:
 # sparse linear classification
 # ---------------------------------------------------------------------------
 
-class SparseClassSim:
+class SparseClassSim(_Generator):
     """Sparse noisy linear classification with a bounded-noise margin.
 
     x = (x0, xt) with x0 ~ U(-1,1) and xt ~ U(-1,1)^q; the clean label is
@@ -388,7 +355,7 @@ class SparseClassSim:
         self.flip_rho = float(flip_rho)
 
     @property
-    def theta_star_dense(self) -> np.ndarray:
+    def theta_star(self) -> np.ndarray:
         theta = np.zeros(1 + self.q)
         theta[0] = 1.0
         for j, b in zip(self.support, self.beta_values):
@@ -399,18 +366,13 @@ class SparseClassSim:
     def margin(self) -> float:
         return 1.0 - 2.0 * self.flip_rho
 
-    def sample(self, n: int, rng: np.random.Generator) -> GeneratedData:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
         x = rng.uniform(-1.0, 1.0, (n, 1 + self.q))
-        clean = (x @ self.theta_star_dense > 0.0).astype(int)
+        clean = (x @ self.theta_star > 0.0).astype(int)
         flips = rng.random(n) < self.flip_rho
-        y = np.where(flips, 1 - clean, clean)
-        truth = TruthRecord(theta_star=self.theta_star_dense)
-        return GeneratedData(data=Dataset.classification(x=x, y=y), truth=truth)
-
-    def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
-        return self.sample(n, rng).data
+        return Dataset.classification(x=x, y=np.where(flips, 1 - clean, clean))
 
 
 def holdout_misclassification(mcid_fn, holdout: Dataset) -> float:

@@ -121,7 +121,6 @@ class CellFit:
 
     generator: object
     data: object
-    truth: object
     loss: object
     basis: object
     omega: float
@@ -198,8 +197,7 @@ def _set_up_cell(cfg: dict, n: int, seed: int, shared):
     and (fit without chain, ChainStart) for a random-walk cell.
     """
     generator = shared("generator", lambda: build_generator(cfg["generator"]))
-    generated = generator.sample(n, _sub_rng(seed, _STREAM_DATA))
-    data, truth = generated.data, generated.truth
+    data = generator.sample(n, _sub_rng(seed, _STREAM_DATA))
 
     schedule = shared("rate", lambda: build_rate(cfg["rate"]))
     if isinstance(schedule, AUCDataDriven):
@@ -210,8 +208,8 @@ def _set_up_cell(cfg: dict, n: int, seed: int, shared):
     loss = shared("loss", lambda: build_loss(cfg["loss"], generator,
                                              schedule=schedule, n=n))
     basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
-    fit = CellFit(generator=generator, data=data, truth=truth, loss=loss,
-                  basis=basis, omega=omega, chain=None, theta_bar=None)
+    fit = CellFit(generator=generator, data=data, loss=loss, basis=basis,
+                  omega=omega, chain=None, theta_bar=None)
 
     prior_spec = cfg["prior"]
     chain_seed = hash64(seed, _STREAM_CHAIN)
@@ -240,35 +238,28 @@ def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
                            basis=fit.basis)
     div_rng = _sub_rng(seed, _STREAM_DIVERGENCE)
     radius_q90, div_point = _divergence_stats(
-        div, fit.chain.draws, fit.theta_bar, fit.truth, fit.generator, div_rng)
+        div, fit.chain.draws, fit.theta_bar, fit.generator, div_rng)
 
     out = {"omega": fit.omega, "accept_rate": fit.chain.accept_rate,
            "radius_q90": radius_q90, "div_point_est": div_point}
 
     if isinstance(fit.loss, MCIDLoss):
         holdout_n = int(cfg.get("holdout", fit.generator.holdout_default))
-        holdout = fit.generator.sample(holdout_n,
-                                       _sub_rng(seed, _STREAM_HOLDOUT)).data
+        holdout = fit.generator.sample(holdout_n, _sub_rng(seed, _STREAM_HOLDOUT))
         fitted = FunctionParam(fit.loss.basis, fit.theta_bar)
         out["misclass_est"] = holdout_misclassification(fitted, holdout)
-        out["misclass_truth"] = holdout_misclassification(fit.truth.threshold,
+        out["misclass_truth"] = holdout_misclassification(fit.generator.truth_fn,
                                                           holdout)
     return out
 
 
-def _divergence_stats(div, draw_mat, theta_bar, truth, generator, rng):
+def _divergence_stats(div, draw_mat, theta_bar, generator, rng):
     """(0.9-quantile of d(draw, truth), d(posterior mean, truth))."""
-    reference = truth.theta_star
+    reference = generator.theta_star
     if isinstance(div, EmpiricalL2) and reference is None:
         # functional truth: compare fitted values against the true function's
         # values on the divergence grid
-        if truth.threshold is not None:
-            fn = truth.threshold
-        elif truth.curve is not None:
-            fn = truth.curve
-        else:
-            raise ConfigError("no truth available for the divergence")
-        grid_values = np.asarray(fn(div.xs), dtype=float)
+        grid_values = np.asarray(generator.truth_fn(div.xs), dtype=float)
         values = div.batch_values(draw_mat, grid_values)
         point = div.between_values(theta_bar, grid_values)
     elif getattr(div, "is_mc", False):

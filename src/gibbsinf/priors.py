@@ -2,7 +2,9 @@
 
 Families: iid Gaussian and Laplace coefficient priors, and the sparse
 configuration (spike-and-slab) prior with a truncated-geometric complexity
-penalty and Laplace slabs.
+penalty and Laplace slabs.  Every prior samples and evaluates dense
+coefficient vectors; a spike-slab parameter is the (1+q) row (alpha, beta),
+whose support is the set of nonzero coordinates of beta.
 
 The iid priors' `log_density` also takes an (R, dim) block of chains and
 returns R values, each bit-identical to the one-chain value.
@@ -16,7 +18,6 @@ coefficients come from `gammaln`; both are ports in `gibbsinf._special`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,45 +25,6 @@ from ._special import gammaln, logsumexp
 from .errors import PreconditionError, ShapeError
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class SparseParam:
-    """Sparse classifier parameter: sign alpha, support S, and slab coefficients.
-
-    S holds 0-based coordinate indices (sorted, unique); beta_s[i] is the
-    coefficient of coordinate S[i].
-    """
-
-    alpha: int
-    S: tuple[int, ...]
-    beta_s: np.ndarray
-
-    def __post_init__(self):
-        if self.alpha not in (-1, 1):
-            raise ShapeError("alpha must be -1 or +1")
-        s = tuple(int(i) for i in self.S)
-        if list(s) != sorted(set(s)):
-            raise ShapeError("S must be sorted and duplicate-free")
-        object.__setattr__(self, "S", s)
-        b = np.asarray(self.beta_s, dtype=float)
-        if b.shape != (len(s),):
-            raise ShapeError("beta_s length must equal |S|")
-        object.__setattr__(self, "beta_s", b)
-
-    def dense(self, q: int) -> np.ndarray:
-        """The length-q coefficient vector with zeros off the support."""
-        if self.S and (self.S[0] < 0 or self.S[-1] >= q):
-            raise ShapeError(f"support {list(self.S)} lies outside "
-                             f"coordinates 0..{q - 1} (q = {q})")
-        beta = np.zeros(q)
-        if self.S:
-            beta[list(self.S)] = self.beta_s
-        return beta
-
-    def dense_theta(self, q: int) -> np.ndarray:
-        """(1+q)-vector (alpha, beta) for the linear classifier."""
-        return np.concatenate([[float(self.alpha)], self.dense(q)])
 
 
 def _coefficients(theta, dim: int) -> np.ndarray:
@@ -125,7 +87,8 @@ class LaplaceIID:
 class SpikeSlab:
     """Sparse configuration prior on (S, beta_S) with Laplace slabs.
 
-    The support S gets mass pi(S) = C(q,|S|)^{-1} f(|S|) with the
+    A parameter is the dense (1+q) row (alpha, beta); its support S is the
+    set of nonzero coordinates of beta.  The support S gets mass pi(S) = C(q,|S|)^{-1} f(|S|) with the
     truncated-geometric size prior f(s) = (c q^a)^{-s} / sum_t (c q^a)^{-t},
     computed in log space.  Given S, coefficients are iid Laplace(lam); the
     classifier sign alpha is uniform on {-1,+1} but its constant mass
@@ -166,17 +129,22 @@ class SpikeSlab:
         return float(len(beta_s) * math.log(self.lam / 2.0)
                      - self.lam * np.abs(beta_s).sum())
 
-    def log_density(self, param: SparseParam) -> float:
-        if not isinstance(param, SparseParam):
-            raise ShapeError("spike-slab prior expects a SparseParam")
-        return self.log_config_mass(param.S) + self.slab_log_density(param.beta_s)
+    def log_density(self, theta) -> float:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (1 + self.q,):
+            raise ShapeError(f"expected a ({1 + self.q},) row, got {theta.shape}")
+        S = np.flatnonzero(theta[1:])
+        return self.log_config_mass(S.tolist()) + self.slab_log_density(theta[1 + S])
 
-    def sample(self, rng: np.random.Generator) -> SparseParam:
-        alpha = -1 if rng.random() < 0.5 else 1
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """A (1+q) row: the sign alpha, then beta with a prior-drawn support
+        holding Laplace slab draws and zeros elsewhere."""
+        theta = np.zeros(1 + self.q)
+        theta[0] = -1.0 if rng.random() < 0.5 else 1.0
         size = int(rng.choice(self.q + 1, p=np.exp(self._log_f)))
-        S = tuple(sorted(rng.choice(self.q, size=size, replace=False).tolist()))
-        beta_s = rng.laplace(0.0, 1.0 / self.lam, size=size)
-        return SparseParam(alpha, S, beta_s)
+        S = sorted(rng.choice(self.q, size=size, replace=False).tolist())
+        theta[[1 + j for j in S]] = rng.laplace(0.0, 1.0 / self.lam, size=size)
+        return theta
 
 
 PriorSpec = GaussianIID | LaplaceIID | SpikeSlab

@@ -6,7 +6,7 @@ where R_n is the empirical risk and N the number of loss summands (the
 sample size for iid data; the m*n pair count for two-sample data, which is
 what makes the data-driven ranking rate calibrate the posterior spread).
 
-Both samplers return a `Chain` of dense draws: a random-walk draw is the
+Both samplers start, walk and return dense rows: a random-walk draw is the
 coefficient vector, a spike-slab draw the (1+q) row (alpha, beta) with zeros
 off its support.
 
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InitializationError, PreconditionError, ShapeError
 from .losses import LossSpec, ZeroOneLinearLoss
 from .model import Dataset
-from .priors import PriorSpec, SparseParam, SpikeSlab
+from .priors import PriorSpec, SpikeSlab
 
 _MASK64 = (1 << 64) - 1
 
@@ -76,11 +76,7 @@ class GibbsTarget:
         self.risk_state = loss.risk_state(data)
 
     def risk(self, theta) -> float:
-        """Empirical risk at theta (dense coefficients, or SparseParam)."""
-        if isinstance(theta, SparseParam):
-            if not isinstance(self.prior, SpikeSlab):
-                raise ShapeError("SparseParam state requires a spike-slab prior")
-            theta = theta.dense_theta(self.prior.q)
+        """Empirical risk at the dense coefficient vector theta."""
         beta = np.asarray(theta, dtype=float).reshape(1, -1)
         return float(self.loss.risk(self.risk_state, beta)[0])
 
@@ -113,7 +109,7 @@ class MHConfig:
     the default 2.4/sqrt(J) times the prior's coordinate sd.  (steps-burn_in)
     must be divisible by thin so the kept-draw count is exact.  init is the
     starting point, or None for a prior draw: a coefficient array for
-    `mh_run`, a SparseParam for `ss_mh_run`.
+    `mh_run`, a (1+q) row (alpha, beta) for `ss_mh_run`.
     """
 
     steps: int = 50_000
@@ -121,7 +117,7 @@ class MHConfig:
     thin: int = 5
     proposal_scale: float | np.ndarray | None = None
     seed: int = 0
-    init: np.ndarray | SparseParam | None = None
+    init: np.ndarray | None = None
     alpha_flip_prob: float = 0.05
 
     def __post_init__(self):
@@ -406,7 +402,8 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     """Metropolis-Hastings over (alpha, S, beta_S) for spike-slab targets.
 
     The state is the dense (1+q)-vector theta = (alpha, beta), zero off the
-    support S, together with S and its complement as ascending lists of
+    support S (the start is config.init, such a row with alpha in {-1,+1},
+    or a prior draw), together with S and its complement as ascending lists of
     coordinates (changed only when an add or remove is accepted).  Per step,
     one of three moves, each with probability 1/3:
       * add: set a uniformly chosen absent coordinate to a slab draw (the
@@ -435,13 +432,13 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
 
     rng = make_rng(config.seed)
     if config.init is not None:
-        start = config.init
-        if not isinstance(start, SparseParam):
-            raise ShapeError("sparse chain init must be a SparseParam")
+        theta = np.asarray(config.init, dtype=float).copy()
+        if theta.shape != (1 + q,) or theta[0] not in (-1.0, 1.0):
+            raise ShapeError(f"sparse chain init must be a ({1 + q},) row "
+                             f"(alpha, beta) with alpha -1 or +1")
     else:
-        start = target.initial_draw(rng)
-    theta = start.dense_theta(q)
-    support = list(start.S)
+        theta = target.initial_draw(rng)
+    support = np.flatnonzero(theta[1:]).tolist()
     absent = sorted(set(range(q)).difference(support))
     support_idx = np.array(support, dtype=np.intp) + 1   # beta_S in theta
 

@@ -96,13 +96,13 @@ def test_a01_population_misclassification_on_a_large_holdout():
     assert not any(isinstance(f, Exception) for f in fits)
     generator = fits[0].generator
     holdout = generator.sample(
-        200_000, make_rng(hash64(BASE_SEED, 1, 200_000))).data
+        200_000, make_rng(hash64(BASE_SEED, 1, 200_000)))
     design = fits[0].basis.design(holdout.z)   # shared by all 50 plug-ins
     rates = [holdout_misclassification(lambda z, b=f.theta_bar: design @ b,
                                        holdout) for f in fits]
     est = float(np.mean(rates))
     assert 0.13 <= est <= 0.19
-    truth = holdout_misclassification(generator.threshold, holdout)
+    truth = holdout_misclassification(generator.truth_fn, holdout)
     assert abs(truth - generator.bayes_rate()) <= 0.005
 
 
@@ -194,7 +194,7 @@ def test_a05_ranking_interval_coverage(capsys):
     starts = []
     for rep in range(reps):
         rs = hash64(BASE_SEED, 0, rep)
-        data = gen.sample(200, make_rng(hash64(rs, 1))).data  # m = n = 200
+        data = gen.sample(200, make_rng(hash64(rs, 1)))  # m = n = 200
         omega = sched.resolve(data.scores0, data.scores1)
         target = GibbsTarget(loss, prior, data, omega)
         starts.append(mh_start(target, MHConfig(20_000, 5_000, 5,
@@ -328,14 +328,14 @@ def test_a09_sparse_risk_contraction_trend(capsys):
                          flip_rho=0.1)
     loss = ZeroOneLinearLoss()
     prior = SpikeSlab(q=50, a=1.0, c=1.0)
-    theta_star = gen.theta_star_dense
+    theta_star = gen.theta_star
     wins = 0
     for rep in range(10):
         med = {}
         for ni, n in enumerate((200, 800)):
             rs = hash64(BASE_SEED, ni, rep)
-            gd = gen.sample(n, make_rng(hash64(rs, 1)))
-            target = GibbsTarget(loss, prior, gd.data, 1.0)
+            data = gen.sample(n, make_rng(hash64(rs, 1)))
+            target = GibbsTarget(loss, prior, data, 1.0)
             cfg = MHConfig(steps=30_000, burn_in=6_000, thin=24,
                            seed=hash64(rs, 2))
             chain = ss_mh_run(target, cfg)

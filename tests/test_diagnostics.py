@@ -283,11 +283,11 @@ def test_sparse_chain_draws_are_dense_alpha_beta_rows():
     gen = SparseClassSim(q=5, support=(0, 1), beta_values=(2.0, -1.5),
                          flip_rho=0.1)
     loss = ZeroOneLinearLoss()
-    data = gen.sample(100, make_rng(hash64(41, 1))).data
+    data = gen.sample(100, make_rng(hash64(41, 1)))
     target = GibbsTarget(loss, SpikeSlab(q=5, a=1.0, c=1.0), data, 1.0)
     chain = ss_mh_run(target, MHConfig(steps=2_000, burn_in=500, thin=5,
                                        seed=hash64(41, 2)))
-    theta_star = gen.theta_star_dense
+    theta_star = gen.theta_star
     euclid = EuclideanDistance()
     values = euclid.batch(chain.draws, theta_star)
     r = float(np.median(values))

@@ -82,8 +82,8 @@ def test_threshold_sim_flip_probability_law():
     # P(Y = 1 | z, x) must equal eta(z, x): check on a coarse (z, x) cell
     gen = MCID1()
     rng = make_rng(hash64(50, 7))
-    gd = gen.sample(200_000, rng)
-    z, x, y = gd.data.z, gd.data.x, gd.data.y
+    data = gen.sample(200_000, rng)
+    z, x, y = data.z, data.x, data.y
     sel = (z > 1.0) & (z < 1.2) & (x > gen.mean_x(z))  # above the threshold
     p_hat = float((y[sel] == 1).mean())
     p_want = float(np.mean(gen.eta(z[sel], x[sel])))
@@ -102,8 +102,8 @@ def test_bayes_rate_against_independent_quadrature():
 
 def test_truth_threshold_misclassification_matches_bayes_rate():
     gen = MCID1()
-    gd = gen.sample(100_000, make_rng(hash64(50, 6)))
-    rate = holdout_misclassification(gen.threshold, gd.data)
+    data = gen.sample(100_000, make_rng(hash64(50, 6)))
+    rate = holdout_misclassification(gen.truth_fn, data)
     bayes = gen.bayes_rate()
     assert abs(rate - bayes) < 3 * math.sqrt(bayes * (1 - bayes) / 100_000)
 
@@ -111,10 +111,10 @@ def test_truth_threshold_misclassification_matches_bayes_rate():
 def test_tensor_sim_shapes():
     gen = MCID2()
     basis = gen.default_basis(4)
-    gd = gen.sample(500, make_rng(hash64(50, 8)))
-    assert gd.data.z.shape == (500, 2)
-    assert basis.design(gd.data.z).shape == (500, 16)
-    assert set(np.unique(gd.data.y)) <= {-1, 1}
+    data = gen.sample(500, make_rng(hash64(50, 8)))
+    assert data.z.shape == (500, 2)
+    assert basis.design(data.z).shape == (500, 16)
+    assert set(np.unique(data.y)) <= {-1, 1}
 
 
 def test_ranking_sim_concordance_law():
@@ -128,16 +128,16 @@ def test_ranking_sim_concordance_law():
 
 def test_ranking_sim_two_sample_split():
     # n is the per-group size: n scores in each group, n*n loss terms
-    gd = AUCSim(1.0).sample(200, make_rng(hash64(50, 9)))
-    assert len(gd.data.scores0) == 200
-    assert len(gd.data.scores1) == 200
-    assert gd.data.n_terms == 200 * 200
+    data = AUCSim(1.0).sample(200, make_rng(hash64(50, 9)))
+    assert len(data.scores0) == 200
+    assert len(data.scores1) == 200
+    assert data.n_terms == 200 * 200
 
 
 def test_quantile_sim_conditional_quantile():
     gen = QuantileRegSim(0.7, (1.0, 2.0), 1.0)
-    gd = gen.sample(200_000, make_rng(hash64(50, 3)))
-    resid = gd.data.y - gen.quantile(gd.data.x)
+    data = gen.sample(200_000, make_rng(hash64(50, 3)))
+    resid = data.y - gen.quantile(data.x)
     cover = float((resid <= 0).mean())
     assert abs(cover - 0.7) < 3 * math.sqrt(0.7 * 0.3 / 200_000)
     # the dictionary truth shifts the intercept by sd * z_tau
@@ -148,33 +148,33 @@ def test_quantile_sim_conditional_quantile():
 
 def test_heavy_tail_sim_noise_variance():
     gen = HeavyTailSim(5.0)
-    gd = gen.sample(200_000, make_rng(hash64(50, 4)))
-    noise = gd.data.y - gd.data.x @ gen.theta_star
+    data = gen.sample(200_000, make_rng(hash64(50, 4)))
+    noise = data.y - data.x @ gen.theta_star
     want = 5.0 / 3.0  # df / (df - 2)
     assert abs(noise.var() / want - 1.0) < 0.05
-    assert np.all(gd.data.x[:, 0] == 1.0)
+    assert np.all(data.x[:, 0] == 1.0)
 
 
 def test_sparse_class_sim_flip_rate_and_truth():
     gen = SparseClassSim(q=10, support=(0, 1), beta_values=(2.0, -1.5),
                          flip_rho=0.1)
     assert np.array_equal(
-        gen.theta_star_dense,
+        gen.theta_star,
         np.array([1.0, 2.0, -1.5] + [0.0] * 8))
-    gd = gen.sample(100_000, make_rng(hash64(50, 5)))
-    assert gd.data.x.shape == (100_000, 11)
-    clean = (gd.data.x @ gen.theta_star_dense > 0).astype(int)
-    flipped = float((gd.data.y != clean).mean())
+    data = gen.sample(100_000, make_rng(hash64(50, 5)))
+    assert data.x.shape == (100_000, 11)
+    clean = (data.x @ gen.theta_star > 0).astype(int)
+    flipped = float((data.y != clean).mean())
     assert abs(flipped - 0.1) < 3 * math.sqrt(0.1 * 0.9 / 100_000)
 
 
 def test_mean_curve_sim_fixed_design():
     gen = MeanCurveSim("sine", 0.3)
-    gd = gen.sample(10, make_rng(1))
-    assert np.allclose(gd.data.x, np.arange(1, 11) / 10.0, atol=1e-15)
+    data = gen.sample(10, make_rng(1))
+    assert np.allclose(data.x, np.arange(1, 11) / 10.0, atol=1e-15)
     # responses center on the curve
-    gd_big = gen.sample(50_000, make_rng(2))
-    resid = gd_big.data.y - gen.fn(gd_big.data.x)
+    big = gen.sample(50_000, make_rng(2))
+    resid = big.y - gen.truth_fn(big.x)
     assert abs(resid.mean()) < 3 * 0.3 / math.sqrt(50_000)
 
 
@@ -207,7 +207,7 @@ def _array_digest(obj, fields) -> str:
 def test_generator_samples_match_recorded_digests(index, gen, digest):
     # the arrays of one 50-point dataset per generator, recorded as a sha256;
     # any change to a generator's variates or their order shows here
-    data = gen.sample(50, make_rng(hash64(97, index))).data
+    data = gen.sample(50, make_rng(hash64(97, index)))
     assert _array_digest(data, ("x", "y", "z", "scores0", "scores1")) == digest
 
 

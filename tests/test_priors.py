@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbsinf import GaussianIID, LaplaceIID, SparseParam, SpikeSlab
+from gibbsinf import GaussianIID, LaplaceIID, SpikeSlab
 from gibbsinf.errors import PreconditionError, ShapeError
 from gibbsinf.sampler import hash64, make_rng
 
@@ -96,14 +96,12 @@ def test_spike_slab_log_space_stability_large_q():
 
 
 def test_spike_slab_sampler_returns_sparse_params():
-    prior = SpikeSlab(q=6, a=1.0, c=1.0)
-    sp = prior.sample(make_rng(9))
-    assert sp.alpha in (-1, 1)
-    assert sp.dense(6).shape == (6,)
-    dense = sp.dense_theta(6)
-    assert dense.shape == (7,)
-    assert dense[0] == sp.alpha
-    assert np.count_nonzero(sp.dense(6)) == len(sp.S)
+    # a sparse parameter is its dense (1+q) row (alpha, beta)
+    prior = SpikeSlab(q=6, a=0.5, c=0.5)
+    for seed in range(20):
+        theta = prior.sample(make_rng(seed))
+        assert theta.shape == (7,)
+        assert theta[0] in (-1.0, 1.0)
 
 
 def test_spike_slab_draws_match_recorded_digests():
@@ -113,7 +111,7 @@ def test_spike_slab_draws_match_recorded_digests():
     prior = SpikeSlab(q=8, a=1.0, c=1.0)
     rng = make_rng(hash64(97, 8))
     draws = [prior.sample(rng) for _ in range(20)]
-    rows = np.stack([d.dense_theta(8) for d in draws])
+    rows = np.stack(draws)
     assert rows.shape == (20, 9)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == \
         "e9dbd0433c83c168987cf4e80c14f1dcb2b6a8be01fdc74a4bacdde8492c70bb"
@@ -127,11 +125,12 @@ def test_spike_slab_validation():
         SpikeSlab(q=0, a=1.0, c=1.0)
 
 
-@pytest.mark.parametrize("support", [(-1,), (3,), (0, 5)])
-def test_sparse_param_dense_rejects_support_outside_q(support):
-    # construction stays permissive; embedding in q coordinates checks
-    param = SparseParam(1, support, [2.0] * len(support))
-    with pytest.raises(ShapeError, match=r"support \[.*\] .*\(q = 3\)"):
-        param.dense(3)
-    with pytest.raises(ShapeError, match=r"\(q = 3\)"):
-        param.dense_theta(3)
+def test_spike_slab_log_density_reads_the_support_off_the_row():
+    # the support of (alpha, beta) is the nonzero coordinates of beta
+    prior = SpikeSlab(q=4, a=1.0, c=1.0)
+    theta = np.array([-1.0, 0.0, 1.5, 0.0, -0.25])
+    assert prior.log_density(theta) == (prior.log_config_mass((1, 3))
+                                        + prior.slab_log_density([1.5, -0.25]))
+    assert prior.log_density(np.zeros(5)) == prior.log_config_mass(())
+    with pytest.raises(ShapeError, match=r"\(5,\) row"):
+        prior.log_density(np.zeros(4))

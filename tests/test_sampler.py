@@ -19,8 +19,7 @@ from hypothesis import given, strategies as st
 
 from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
                       Dataset, GaussianIID, GibbsTarget, LaplaceIID, MCIDLoss,
-                      MHConfig, SparseParam, SpikeSlab, SquaredLoss,
-                      ZeroOneLinearLoss,
+                      MHConfig, SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
                       chain_summary, credible_interval, mh_run, mh_run_block,
                       mh_start, posterior_mean, ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError, ShapeError
@@ -502,9 +501,9 @@ def test_sparse_chain_matrix_layout():
 
 def test_sparse_chains_match_recorded_values():
     # kept (alpha, beta) rows and accept counts of two short spike-slab
-    # chains, recorded when the sampler kept SparseParam states; any change
-    # to the variate order, the moves or the accept rule shows here.  A
-    # row's nonzero pattern is its support S.
+    # chains, recorded when the sampler kept (alpha, S, beta_S) states; any
+    # change to the variate order, the moves or the accept rule shows here.
+    # A row's nonzero pattern is its support S.
     rng = make_rng(hash64(31, 5))
     x = rng.normal(size=(40, 4))
     y = (x[:, 1] - 0.5 * x[:, 3] + 0.3 * rng.normal(size=40) > 0).astype(float)
@@ -514,7 +513,7 @@ def test_sparse_chains_match_recorded_values():
                                       alpha_flip_prob=0.2, seed=hash64(31, 6))),
            ss_mh_run(target, MHConfig(steps=200, burn_in=0, thin=40,
                                       seed=hash64(31, 7),
-                                      init=SparseParam(-1, (0, 2), [0.5, -0.3])))]
+                                      init=[-1.0, 0.5, 0.0, -0.3]))]
     assert [c.accepted for c in got] == [28, 17]
     assert got[0].draws.tolist() == [
         [-1.0, 2.960719293871807, 0.2686375101810728, -2.0020016721059295],
@@ -542,7 +541,7 @@ def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
     # that kept the support as a mask.  About 1700 adds and removes per
     # chain pick among up to 50 coordinates; 30 and 6 are accepted.
     gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
-    data = gen.sample(n, make_rng(hash64(53, n))).data
+    data = gen.sample(n, make_rng(hash64(53, n)))
     target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
                          data, 1.0)
     chain = ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
@@ -554,7 +553,7 @@ def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
 def test_sparse_chain_meta_counts_moves():
     gen = SparseClassSim(20, (0, 1), [2.0, -1.5], flip_rho=0.1)
     target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=20, a=1.0, c=1.0),
-                         gen.sample(100, make_rng(hash64(54, 1))).data, 0.2)
+                         gen.sample(100, make_rng(hash64(54, 1))), 0.2)
     chain = ss_mh_run(target, MHConfig(steps=2_000, burn_in=400, thin=4,
                                        seed=hash64(54, 2)))
     moves = chain.meta["moves"]
@@ -572,15 +571,18 @@ def test_sparse_chain_meta_counts_moves():
     assert again.meta == chain.meta
 
 
-@pytest.mark.parametrize("support", [(5,), (0, 3), (-1,)])
-def test_sparse_init_outside_the_prior_is_a_shape_error(support):
+@pytest.mark.parametrize("init", [
+    [1.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.5, 2.0], [0.0, 0.5, 0.0, 0.0],
+    [2.0, 0.5, 0.0, 0.0], [float("nan"), 0.5, 0.0, 0.0]],
+    ids=["short", "long", "alpha0", "alpha2", "alphanan"])
+def test_sparse_init_row_of_wrong_shape_or_sign_is_a_shape_error(init):
+    # a sparse init is the (1+q) row (alpha, beta) with alpha -1 or +1
     rng = np.random.default_rng(8)
     data = Dataset.classification(rng.normal(size=(20, 4)),
                                   (rng.random(20) < 0.5).astype(float))
     target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=3, a=1.0, c=1.0),
                          data, 1.0)
-    init = SparseParam(1, support, [1.0] * len(support))
-    with pytest.raises(ShapeError, match=r"support \[.*\] .*\(q = 3\)"):
+    with pytest.raises(ShapeError, match=r"\(4,\) row"):
         ss_mh_run(target, MHConfig(steps=20, burn_in=0, thin=1, init=init))
 
 
