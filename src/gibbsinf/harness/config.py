@@ -32,7 +32,7 @@ import numpy as np
 
 from ..diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
                            RiskDiffSqrt)
-from ..errors import ConfigError
+from ..errors import ConfigError, PreconditionError
 from ..losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                       SquaredLoss, ZeroOneLinearLoss)
 from ..model import CubicBSpline
@@ -78,11 +78,13 @@ def validate_experiment_config(cfg: dict) -> None:
     """Check an experiment config before any cell runs.
 
     Besides the required fields and their types, every component's name
-    must be one its builder table knows, the loss and the rate must take
-    the kind of data the generator emits, the zeroone loss and the spikeslab
-    prior come together, and the proposal scale must be positive and
-    finite.  Errors that depend on the cell, such as a parameter the chosen
-    component rejects, surface per row.
+    must be one its builder table knows, the loss, the rate and the
+    divergence must take the kind of data the generator emits, the zeroone
+    loss and the spikeslab prior come together, the proposal scale must be
+    positive and finite, the mh section must make a sampler configuration at
+    every n, and a holdout size must be a positive integer.  Errors that
+    depend on the cell, such as a parameter the chosen component rejects,
+    surface per row.
     """
     required = ["generator", "loss", "prior", "rate", "mh", "divergence",
                 "nGrid", "replications", "baseSeed"]
@@ -100,17 +102,21 @@ def validate_experiment_config(cfg: dict) -> None:
         raise ConfigError("replications must be a positive integer")
     if not isinstance(cfg["baseSeed"], int):
         raise ConfigError("baseSeed must be an integer")
-    full = cfg.get("fullReplications")
-    if full is not None and (not isinstance(full, int) or full < 1):
-        raise ConfigError("fullReplications must be a positive integer")
+    for key in ("fullReplications", "holdout"):
+        value = cfg.get(key)
+        if value is not None and (not isinstance(value, int) or value < 1):
+            raise ConfigError(f"{key} must be a positive integer")
     for field, table in _COMPONENTS.items():
         _builder(table, cfg[field], field)
     if not isinstance(cfg["mh"], dict):
         raise ConfigError("mh spec must be an object")
     _check_proposal_scale(cfg["mh"].get("proposalScale"))
+    for n in n_grid:
+        build_mh(cfg["mh"], n, seed=0)
     generator = cfg["generator"]["name"]
     kind = _GENERATOR_TYPES[generator].data_kind
-    for field, takes in (("loss", _LOSS_DATA_KINDS), ("rate", _RATE_DATA_KINDS)):
+    for field, takes in (("loss", _LOSS_DATA_KINDS), ("rate", _RATE_DATA_KINDS),
+                         ("divergence", _DIVERGENCE_DATA_KINDS)):
         name = cfg[field]["name"]
         if kind not in takes.get(name, (kind,)):
             fits = [g for g, t in _GENERATOR_TYPES.items()
@@ -348,6 +354,19 @@ _DIVERGENCES = {
 }
 
 
+# the generator data kinds whose truth each divergence can measure: the
+# coefficient-space divergences need a coefficient truth (theta_star), abs a
+# scalar one, and empirical_l2 a true function and a grid to compare it on
+_COEFFICIENT_TRUTH = ("linear-regression", "multiple-regression", "two-sample",
+                      "linear-classification")
+_DIVERGENCE_DATA_KINDS = {
+    "euclid": _COEFFICIENT_TRUTH,
+    "risk_diff_sqrt": _COEFFICIENT_TRUTH,
+    "abs": ("two-sample",),
+    "empirical_l2": ("threshold", "curve-regression"),
+}
+
+
 def build_divergence(spec: dict, generator, loss, basis=None):
     """Divergence used for radius/point-estimate reporting.
 
@@ -391,5 +410,5 @@ def build_mh(spec: dict, n: int, seed: int, init=None) -> MHConfig:
             init=init,
             alpha_flip_prob=float(spec.get("alphaFlipProb", 0.05)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, PreconditionError) as exc:
         raise ConfigError(f"bad mh parameters: {exc}") from None

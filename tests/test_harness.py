@@ -584,6 +584,38 @@ def test_validation_accepts_a_generator_loss_pair_exactly_when_it_runs(
     assert (row["error"] is None) == accepted, row["error"]
 
 
+# the generator/loss pairs validation accepts, and the divergences whose
+# rows run on each: the coefficient divergences on a coefficient truth, abs
+# on the scalar ranking index, empirical_l2 on a function truth
+_PAIR_DIVERGENCES = {
+    ("quantilereg", "check"): ("euclid", "risk_diff_sqrt"),
+    ("heavytail", "cappedsquared"): ("euclid", "risk_diff_sqrt"),
+    ("aucsim", "auc"): ("abs", "euclid", "risk_diff_sqrt"),
+    ("sparseclass", "zeroone"): ("euclid", "risk_diff_sqrt"),
+    ("mcid1", "mcid"): ("empirical_l2",),
+    ("mcid2", "mcid"): ("empirical_l2",),
+    ("meancurve", "check"): ("empirical_l2",),
+    ("meancurve", "squared"): ("empirical_l2",)}
+
+
+@pytest.mark.parametrize("divergence", ["abs", "empirical_l2", "euclid",
+                                        "risk_diff_sqrt"])
+@pytest.mark.parametrize("generator,loss", sorted(_PAIR_DIVERGENCES))
+def test_validation_accepts_a_divergence_exactly_when_its_rows_run(
+        generator, loss, divergence):
+    cfg = _pair_config(generator, loss)
+    cfg["divergence"] = {"name": divergence, "nDraws": 64}
+    accepted = divergence in _PAIR_DIVERGENCES[generator, loss]
+    if accepted:
+        validate_experiment_config(cfg)
+    else:
+        with pytest.raises(ConfigError, match=f"divergence {divergence!r}.*"
+                                              f"{generator!r}"):
+            validate_experiment_config(cfg)
+    row = compute_row(cfg, 0, 0)     # the cell itself, with no validation
+    assert (row["error"] is None) == accepted, row["error"]
+
+
 @pytest.mark.parametrize("generator,loss,prior,field", [
     ("quantilereg", "mcid", "gaussian", "loss"),
     ("mcid1", "check", "gaussian", "loss"),
@@ -630,6 +662,36 @@ def test_nan_proposal_scale_sample_exits_1(tmp_path):
     path.write_text(json.dumps(cfg))
     code, out, err = _run_cli(["sample", str(path)])
     assert code == 1 and "proposalScale" in err and not out
+
+
+@pytest.mark.parametrize("name", ["mcid1", "sparse_trend"])
+@pytest.mark.parametrize("field,mh,holdout", [
+    ("mh", {"steps": 100, "burnIn": 100}, None),
+    ("mh", {"steps": 90, "burnIn": 100}, None),
+    ("mh", {"steps": 107, "burnIn": 100, "thin": 5}, None),
+    ("mh", {"alphaFlipProb": 1.5}, None),
+    ("holdout", {}, 0),
+    ("holdout", {}, 2.5)],
+    ids=["steps=burnIn", "steps<burnIn", "thin", "alphaFlipProb", "holdout0",
+         "holdout2.5"])
+def test_bad_mh_counts_and_holdout_fail_before_any_cell(tmp_path, name, field,
+                                                        mh, holdout):
+    # each used to exit 0 with every row failed, or (holdout 2.5) to run
+    # with the size cut to 2
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", f"{name}.json"))
+    cfg["replications"] = 2
+    cfg["mh"].update({"steps": 600, "burnIn": 100, "thin": 5}, **mh)
+    if holdout is not None:
+        cfg["holdout"] = holdout
+    with pytest.raises(ConfigError, match=field):
+        validate_experiment_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1 and field in err
+    assert not out.exists()
 
 
 def test_non_object_mh_section_fails_before_any_cell():
