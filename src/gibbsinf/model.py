@@ -294,18 +294,11 @@ class TensorBSpline:
         return (d1[:, :, None] * d2[:, None, :]).reshape(xs.shape[0], -1)
 
 
-def _component_scalar(value) -> float:
-    arr = np.asarray(value, dtype=float).reshape(-1)
-    if arr.size != 1:
-        raise ShapeError("dictionary component returned a non-scalar value for one point")
-    return float(arr[0])
-
-
 class RawDictionary:
     """Basis from a list of named component functions, e.g. [("const", ...), ("linear", ...)].
 
-    Component callables should accept numpy arrays elementwise; scalar-only
-    callables are handled by a per-point fallback.
+    Each component maps an array of n points to its n values; one that
+    returns any other shape is a ShapeError naming it.
     """
 
     def __init__(self, components: Sequence[tuple[str, Callable]]):
@@ -325,13 +318,11 @@ class RawDictionary:
         xs = np.asarray(xs)
         n = xs.shape[0]
         cols = []
-        for _, fn in self.components:
-            try:
-                col = np.asarray(fn(xs), dtype=float)
-                if col.shape != (n,):
-                    raise ValueError
-            except Exception:
-                col = np.array([_component_scalar(fn(x)) for x in xs])
+        for name, fn in self.components:
+            col = np.asarray(fn(xs), dtype=float)
+            if col.shape != (n,):
+                raise ShapeError(f"dictionary component {name!r} returned shape "
+                                 f"{col.shape} for {n} points, not ({n},)")
             cols.append(col)
         return np.column_stack(cols)
 

@@ -189,6 +189,15 @@ def test_raw_dictionary_evaluates_components():
     assert feats.num_basis == 2
 
 
+@pytest.mark.parametrize("fn", [lambda x: 1.0, lambda x: np.ones((len(x), 2))],
+                         ids=["scalar", "matrix"])
+def test_raw_dictionary_rejects_a_component_of_the_wrong_shape(fn):
+    # a component maps the n points to n values; nothing is retried per point
+    feats = RawDictionary([("lin", lambda x: x), ("c", fn)])
+    with pytest.raises(ShapeError, match="component 'c' returned shape"):
+        feats.design(np.array([0.5, 1.5, 2.5]))
+
+
 def test_function_param_eval_matches_design():
     basis = CubicBSpline((0.0, 1.0), 5)
     beta = np.arange(5, dtype=float)
