@@ -5,7 +5,7 @@ breaks the traced benchmark runs, so installing the hooks is checked here."""
 import os
 
 from gibbsinf import sampler
-from gibbsinf.harness import cli, runner
+from gibbsinf.harness import MCID1, SparseClassSim, cli, runner
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -14,12 +14,15 @@ def test_tracer_finds_every_hooked_name_and_restores_it(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracer
 
-    before = (runner.compute_row, runner.mh_run, cli.fit_cell,
-              sampler.GibbsTarget.risk)
+    def hooked():
+        # the generator draws feed generators.sample_ms and holdout_ms
+        return (runner.compute_row, runner.mh_run, cli.fit_cell,
+                sampler.GibbsTarget.risk, MCID1.sample, SparseClassSim.sample)
+
+    before = hooked()
     uninstall = tracer.instrument(tracer.Tracer())
     try:
-        assert runner.compute_row is not before[0]
+        assert all(now is not then for now, then in zip(hooked(), before))
     finally:
         uninstall()
-    assert (runner.compute_row, runner.mh_run, cli.fit_cell,
-            sampler.GibbsTarget.risk) == before
+    assert hooked() == before
