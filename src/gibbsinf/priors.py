@@ -88,12 +88,13 @@ class SpikeSlab:
     """Sparse configuration prior on (S, beta_S) with Laplace slabs.
 
     A parameter is the dense (1+q) row (alpha, beta); its support S is the
-    set of nonzero coordinates of beta.  The support S gets mass pi(S) = C(q,|S|)^{-1} f(|S|) with the
-    truncated-geometric size prior f(s) = (c q^a)^{-s} / sum_t (c q^a)^{-t},
-    computed in log space.  Given S, coefficients are iid Laplace(lam); the
-    classifier sign alpha is uniform on {-1,+1} but its constant mass
-    (-log 2) is *excluded* from log_density, matching the documented
-    convention that the density covers the (S, beta_S) part only.
+    set of nonzero coordinates of beta.  S gets mass
+    pi(S) = C(q,|S|)^{-1} f(|S|) with the truncated-geometric size prior
+    f(s) = (c q^a)^{-s} / sum_t (c q^a)^{-t}, computed in log space.  Given
+    S, coefficients are iid Laplace(lam); the classifier sign alpha is
+    uniform on {-1,+1} but its constant mass (-log 2) is *excluded* from
+    log_density, matching the documented convention that the density covers
+    the (S, beta_S) part only.
     """
 
     kind = "spikeslab"

@@ -432,10 +432,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
 
     rng = make_rng(config.seed)
     if config.init is not None:
-        theta = np.asarray(config.init, dtype=float).copy()
+        theta = np.array(config.init, dtype=float)
         if theta.shape != (1 + q,) or theta[0] not in (-1.0, 1.0):
             raise ShapeError(f"sparse chain init must be a ({1 + q},) row "
-                             f"(alpha, beta) with alpha -1 or +1")
+                             "(alpha, beta) with alpha -1 or +1")
     else:
         theta = target.initial_draw(rng)
     support = np.flatnonzero(theta[1:]).tolist()
