@@ -550,6 +550,45 @@ def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", [1, 200, 800])
+def test_one_row_zero_one_kernel_equals_the_block_risk(n):
+    # the 0-1 risk of one (alpha, beta) row as a mismatch count on the
+    # target's 2-D arrays, against the stacked (1, n, J) block kernel, bit
+    # for bit: empty supports with either sign of alpha, signed zeros,
+    # sparse rows and dense rows
+    q = 50
+    gen = SparseClassSim(q, (0, 1), [2.0, -1.5], flip_rho=0.1)
+    data = gen.sample(n, make_rng(hash64(57, n)))
+    loss = ZeroOneLinearLoss()
+    state = loss.risk_state(data)
+    prepared = tuple(a[0] for a in state)
+
+    def kernel(theta):
+        return np.count_nonzero(loss.pointwise(prepared, theta)) / float(n)
+
+    rng = make_rng(hash64(57, n, 1))
+    rows = []
+    for alpha in (-1.0, 1.0):
+        empty = np.zeros(1 + q)
+        empty[0] = alpha
+        signed = empty.copy()
+        signed[1:] = -0.0
+        one_negzero = empty.copy()
+        one_negzero[[2, 7]] = [1.25, -0.0]
+        rows += [empty, signed, one_negzero]
+        for _ in range(100):
+            dense = rng.laplace(0.0, 1.0, size=1 + q)
+            dense[0] = alpha
+            sparse = np.zeros(1 + q)
+            sparse[0] = alpha
+            at = 1 + rng.choice(q, size=int(rng.integers(1, 8)), replace=False)
+            sparse[at] = rng.laplace(0.0, 1.0, size=at.size)
+            rows += [dense, sparse]
+    for theta in rows:
+        want = float(loss.risk(state, theta[None])[0])
+        assert float(kernel(theta)).hex() == want.hex()
+
+
 def test_sparse_chain_meta_counts_moves():
     gen = SparseClassSim(20, (0, 1), [2.0, -1.5], flip_rho=0.1)
     target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=20, a=1.0, c=1.0),
