@@ -4,7 +4,7 @@ breaks the traced benchmark runs, so installing the hooks is checked here."""
 
 import os
 
-from gibbsinf import sampler
+from gibbsinf import SpikeSlab, sampler
 from gibbsinf.harness import MCID1, SparseClassSim, cli, runner
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -15,9 +15,12 @@ def test_tracer_finds_every_hooked_name_and_restores_it(monkeypatch):
     import tracer
 
     def hooked():
-        # the generator draws feed generators.sample_ms and holdout_ms
-        return (runner.compute_row, runner.mh_run, cli.fit_cell,
-                sampler.GibbsTarget.risk, MCID1.sample, SparseClassSim.sample)
+        # the generator draws feed generators.sample_ms and holdout_ms; the
+        # spike-slab names feed the sampler and prior layers of `sparse`
+        return (runner.compute_row, runner.mh_run, runner.ss_mh_run,
+                cli.fit_cell, sampler.GibbsTarget.risk,
+                SpikeSlab.log_config_mass, SpikeSlab.slab_log_density,
+                MCID1.sample, SparseClassSim.sample)
 
     before = hooked()
     uninstall = tracer.instrument(tracer.Tracer())
