@@ -418,7 +418,12 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     log pi(S) depends on S only through s = |S|, so the add and remove
     ratios are read from per-chain tables by s, built once from
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
-    current beta_S is kept between walks.  The kept draws are theta rows.
+    current beta_S is kept between walks.  Each proposal is scored by a
+    one-row kernel on the target's 2-D arrays (`risk_state` without its chain
+    axis): one gemv and one count of `pointwise`'s mismatches, with the bits
+    of `GibbsTarget.risk` at about half its cost.  Lockstep chains (stacked
+    designs fall out of cache) and lookahead (saving the Philox state costs
+    more than it saves) do not pay at that cost.  The kept draws are rows.
     The chain's meta carries q, the proposals and acceptances of each move
     (`moves`: add, remove, walk, flip) and the mean |S| over the kept draws
     (`mean_support_size`).
@@ -460,7 +465,12 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                              - log(q - s + 1) for s in range(1, q + 1)]
 
     omega_n = target.omega * target.n_terms
-    risk = target.risk
+    prepared = tuple(a[0] for a in target.risk_state)   # the 2-D arrays
+    pointwise, count = target.loss.pointwise, np.count_nonzero
+    n = len(prepared[1])
+
+    def risk(theta):
+        return count(pointwise(prepared, theta)) / n
     slab_log_density = prior.slab_log_density
     random, integers = rng.random, rng.integers
     laplace, standard_normal = rng.laplace, rng.standard_normal
