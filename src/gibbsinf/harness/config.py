@@ -96,15 +96,15 @@ def validate_experiment_config(cfg: dict) -> None:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     n_grid = cfg["nGrid"]
     if not isinstance(n_grid, list) or not n_grid or \
-            any(not isinstance(n, int) or n < 1 for n in n_grid):
+            any(not _is_int(n) or n < 1 for n in n_grid):
         raise ConfigError("nGrid must be a nonempty list of positive integers")
-    if not isinstance(cfg["replications"], int) or cfg["replications"] < 1:
+    if not _is_int(cfg["replications"]) or cfg["replications"] < 1:
         raise ConfigError("replications must be a positive integer")
-    if not isinstance(cfg["baseSeed"], int):
+    if not _is_int(cfg["baseSeed"]):
         raise ConfigError("baseSeed must be an integer")
     for key in ("fullReplications", "holdout"):
         value = cfg.get(key)
-        if value is not None and (not isinstance(value, int) or value < 1):
+        if value is not None and (not _is_int(value) or value < 1):
             raise ConfigError(f"{key} must be a positive integer")
     for field, table in _COMPONENTS.items():
         _builder(table, cfg[field], field)
@@ -135,10 +135,17 @@ def validate_experiment_config(cfg: dict) -> None:
         raise ConfigError("mh init is not supported with the spikeslab prior")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_proposal_scale(scale) -> None:
     """A proposalScale is absent, a positive finite number, a nonempty list
     of them, or {"c": c, "gamma": g} with c positive and both finite."""
     def finite(v):
+        if isinstance(v, bool):
+            return False
         try:
             return math.isfinite(float(v))
         except (TypeError, ValueError):
@@ -400,6 +407,9 @@ def resolve_proposal_scale(mh_spec: dict, n: int):
 def build_mh(spec: dict, n: int, seed: int, init=None) -> MHConfig:
     if not isinstance(spec, dict):
         raise ConfigError("mh spec must be an object")
+    for key in ("steps", "burnIn", "thin", "alphaFlipProb"):
+        if isinstance(spec.get(key), bool):
+            raise ConfigError(f"mh {key} must be a number, not a boolean")
     try:
         return MHConfig(
             steps=int(spec.get("steps", 50_000)),

@@ -694,6 +694,39 @@ def test_bad_mh_counts_and_holdout_fail_before_any_cell(tmp_path, name, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,top,mh", [
+    ("nGrid", {"nGrid": [True]}, {}),
+    ("nGrid", {"nGrid": [50, True]}, {}),
+    ("replications", {"replications": True}, {}),
+    ("baseSeed", {"baseSeed": True}, {}),
+    ("fullReplications", {"fullReplications": True}, {}),
+    ("holdout", {"holdout": True}, {}),
+    ("steps", {}, {"steps": True, "burnIn": 0, "thin": 1}),
+    ("burnIn", {}, {"burnIn": False}),
+    ("thin", {}, {"thin": True}),
+    ("proposalScale", {}, {"proposalScale": True}),
+    ("proposalScale", {}, {"proposalScale": [True]}),
+    ("proposalScale", {}, {"proposalScale": [0.3, True]}),
+    ("proposalScale", {}, {"proposalScale": {"c": True, "gamma": 0.5}}),
+    ("proposalScale", {}, {"proposalScale": {"c": 1.0, "gamma": False}})],
+    ids=["nGrid", "nGrid2", "replications", "baseSeed", "fullReplications",
+         "holdout", "steps", "burnIn", "thin", "scale", "scaleList",
+         "scaleList2", "scaleC", "scaleGamma"])
+def test_boolean_for_a_number_fails_before_any_cell(tmp_path, field, top, mh):
+    # JSON booleans load as Python bools, a subclass of int: each of these
+    # used to pass as 1 or 0 (nGrid [true] ran one row at n = 1)
+    cfg = _tiny_config(**top)
+    cfg["mh"].update(mh)
+    with pytest.raises(ConfigError, match=field):
+        validate_experiment_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1 and field in err
+    assert not out.exists()
+
+
 def test_non_object_mh_section_fails_before_any_cell():
     with pytest.raises(ConfigError, match="mh"):
         run_experiment(_tiny_config(mh="fast"), workers=1)
