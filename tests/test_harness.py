@@ -273,6 +273,13 @@ def test_validate_config_field_errors():
         validate_experiment_config(_tiny_config(replications=0))
     with pytest.raises(ConfigError, match="fullReplications"):
         validate_experiment_config(_tiny_config(fullReplications=-1))
+    # JSON true and false load as bool, a subclass of int: nGrid [true] used
+    # to run one row at n = 1
+    with pytest.raises(ConfigError, match="nGrid"):
+        validate_experiment_config(_tiny_config(nGrid=[50, True]))
+    for field in ("replications", "baseSeed", "fullReplications"):
+        with pytest.raises(ConfigError, match=field):
+            validate_experiment_config(_tiny_config(**{field: True}))
 
 
 def test_resolve_proposal_scale_forms():
@@ -638,7 +645,8 @@ def test_incompatible_components_fail_before_any_cell(tmp_path, generator,
 @pytest.mark.parametrize("scale", [
     math.nan, math.inf, -0.3, 0.0, [0.1, math.nan], [0.1, -0.2], [],
     {"c": math.nan, "gamma": 0.5}, {"c": 1.0, "gamma": -math.inf},
-    {"c": -1.0, "gamma": 0.5}, {"c": 1.0}, "fast"])
+    {"c": -1.0, "gamma": 0.5}, {"c": 1.0}, "fast", True, [True], [0.3, True],
+    {"c": True, "gamma": 0.5}, {"c": 1.0, "gamma": False}])
 def test_bad_proposal_scale_fails_before_any_cell(tmp_path, scale):
     cfg = _tiny_config()
     cfg["mh"]["proposalScale"] = scale
@@ -671,52 +679,23 @@ def test_nan_proposal_scale_sample_exits_1(tmp_path):
     ("mh", {"steps": 107, "burnIn": 100, "thin": 5}, None),
     ("mh", {"alphaFlipProb": 1.5}, None),
     ("holdout", {}, 0),
-    ("holdout", {}, 2.5)],
+    ("holdout", {}, 2.5),
+    ("mh", {"steps": True, "burnIn": 0, "thin": 1}, None),
+    ("mh", {"burnIn": False}, None),
+    ("mh", {"thin": True}, None),
+    ("holdout", {}, True)],
     ids=["steps=burnIn", "steps<burnIn", "thin", "alphaFlipProb", "holdout0",
-         "holdout2.5"])
+         "holdout2.5", "stepsTrue", "burnInFalse", "thinTrue", "holdoutTrue"])
 def test_bad_mh_counts_and_holdout_fail_before_any_cell(tmp_path, name, field,
                                                         mh, holdout):
-    # each used to exit 0 with every row failed, or (holdout 2.5) to run
-    # with the size cut to 2
+    # each used to exit 0 with every row failed, to run with the size cut to
+    # 2 (holdout 2.5), or to run with a boolean read as 1 or 0
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", f"{name}.json"))
     cfg["replications"] = 2
     cfg["mh"].update({"steps": 600, "burnIn": 100, "thin": 5}, **mh)
     if holdout is not None:
         cfg["holdout"] = holdout
-    with pytest.raises(ConfigError, match=field):
-        validate_experiment_config(cfg)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
-    assert code == 1 and field in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("field,top,mh", [
-    ("nGrid", {"nGrid": [True]}, {}),
-    ("nGrid", {"nGrid": [50, True]}, {}),
-    ("replications", {"replications": True}, {}),
-    ("baseSeed", {"baseSeed": True}, {}),
-    ("fullReplications", {"fullReplications": True}, {}),
-    ("holdout", {"holdout": True}, {}),
-    ("steps", {}, {"steps": True, "burnIn": 0, "thin": 1}),
-    ("burnIn", {}, {"burnIn": False}),
-    ("thin", {}, {"thin": True}),
-    ("proposalScale", {}, {"proposalScale": True}),
-    ("proposalScale", {}, {"proposalScale": [True]}),
-    ("proposalScale", {}, {"proposalScale": [0.3, True]}),
-    ("proposalScale", {}, {"proposalScale": {"c": True, "gamma": 0.5}}),
-    ("proposalScale", {}, {"proposalScale": {"c": 1.0, "gamma": False}})],
-    ids=["nGrid", "nGrid2", "replications", "baseSeed", "fullReplications",
-         "holdout", "steps", "burnIn", "thin", "scale", "scaleList",
-         "scaleList2", "scaleC", "scaleGamma"])
-def test_boolean_for_a_number_fails_before_any_cell(tmp_path, field, top, mh):
-    # JSON booleans load as Python bools, a subclass of int: each of these
-    # used to pass as 1 or 0 (nGrid [true] ran one row at n = 1)
-    cfg = _tiny_config(**top)
-    cfg["mh"].update(mh)
     with pytest.raises(ConfigError, match=field):
         validate_experiment_config(cfg)
     path = tmp_path / "cfg.json"
