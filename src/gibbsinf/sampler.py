@@ -420,10 +420,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
     current beta_S is kept between walks.  Each proposal is scored by a
     one-row kernel on the target's 2-D arrays (`risk_state` without its chain
-    axis): one gemv and one count of `pointwise`'s mismatches, with the bits
-    of `GibbsTarget.risk` at about half its cost.  Lockstep chains (stacked
-    designs fall out of cache) and lookahead (saving the Philox state costs
-    more than it saves) do not pay at that cost.  The kept draws are rows.
+    axis): one gemv and one count of `pointwise`'s mismatches, the bits of
+    `GibbsTarget.risk` at 60-80 % of its cost.  Chains run one at a time: a
+    lockstep block costs more per row at n=800, and lookahead would win at
+    most about 15 % (ROADMAP item 3).  The kept draws are theta rows.
     The chain's meta carries q, the proposals and acceptances of each move
     (`moves`: add, remove, walk, flip) and the mean |S| over the kept draws
     (`mean_support_size`).

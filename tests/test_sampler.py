@@ -564,7 +564,7 @@ def test_one_row_zero_one_kernel_equals_the_block_risk(n):
     prepared = tuple(a[0] for a in state)
 
     def kernel(theta):
-        return np.count_nonzero(loss.pointwise(prepared, theta)) / float(n)
+        return np.count_nonzero(loss.pointwise(prepared, theta)) / n
 
     rng = make_rng(hash64(57, n, 1))
     rows = []
