@@ -80,11 +80,12 @@ def validate_experiment_config(cfg: dict) -> None:
     Besides the required fields and their types, every component's name
     must be one its builder table knows, the loss, the rate and the
     divergence must take the kind of data the generator emits, the zeroone
-    loss and the spikeslab prior come together, the proposal scale must be
-    positive and finite, the mh section must make a sampler configuration at
-    every n, and a holdout size must be a positive integer.  Errors that
-    depend on the cell, such as a parameter the chosen component rejects,
-    surface per row.
+    loss and the spikeslab prior come together, no component spec holds a
+    boolean, the proposal scale must be positive and finite, the mh section
+    must hold only its own keys, with integer steps, burnIn and thin, and
+    make a sampler configuration at every n, and a holdout size must be a
+    positive integer.  Errors that depend on the cell, such as a parameter
+    the chosen component rejects, surface per row.
     """
     required = ["generator", "loss", "prior", "rate", "mh", "divergence",
                 "nGrid", "replications", "baseSeed"]
@@ -168,10 +169,23 @@ def _check_proposal_scale(scale) -> None:
                           f"'c' and a finite 'gamma'; got {scale!r}")
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, dict):
+        return any(_holds_bool(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _namespec(spec, what: str) -> tuple[str, dict]:
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"{what} spec must be an object with a 'name' field")
     rest = {k: v for k, v in spec.items() if k != "name"}
+    for key, value in rest.items():
+        # no component takes a boolean, and Python reads true as 1
+        if _holds_bool(value):
+            raise ConfigError(f"{what} {key!r} must not hold a boolean; "
+                              f"got {value!r}")
     return str(spec["name"]), rest
 
 
@@ -404,17 +418,26 @@ def resolve_proposal_scale(mh_spec: dict, n: int):
     return float(scale)
 
 
+_MH_KEYS = ("steps", "burnIn", "thin", "proposalScale", "init", "alphaFlipProb")
+
+
 def build_mh(spec: dict, n: int, seed: int, init=None) -> MHConfig:
     if not isinstance(spec, dict):
         raise ConfigError("mh spec must be an object")
-    for key in ("steps", "burnIn", "thin", "alphaFlipProb"):
-        if isinstance(spec.get(key), bool):
-            raise ConfigError(f"mh {key} must be a number, not a boolean")
+    unknown = set(spec) - set(_MH_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown mh keys: {sorted(unknown)}; allowed keys: "
+                          f"{', '.join(_MH_KEYS)}")
+    for key in ("steps", "burnIn", "thin"):
+        if key in spec and not _is_int(spec[key]):
+            raise ConfigError(f"mh {key} must be an integer; got {spec[key]!r}")
+    if isinstance(spec.get("alphaFlipProb"), bool):
+        raise ConfigError("mh alphaFlipProb must be a number, not a boolean")
     try:
         return MHConfig(
-            steps=int(spec.get("steps", 50_000)),
-            burn_in=int(spec.get("burnIn", 10_000)),
-            thin=int(spec.get("thin", 5)),
+            steps=spec.get("steps", 50_000),
+            burn_in=spec.get("burnIn", 10_000),
+            thin=spec.get("thin", 5),
             proposal_scale=resolve_proposal_scale(spec, n),
             seed=seed,
             init=init,

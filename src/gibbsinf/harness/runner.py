@@ -13,6 +13,18 @@ chains (`ss_mh_run`) run one at a time inside their block; their draws are
 dense (alpha, beta) rows like any other chain's, so the divergences and the
 posterior mean take them as they are.
 
+With workers > 1 the blocks run on a process pool that is kept between
+calls.  The first parallel call in a process starts its `workers`
+processes; later calls with the same count reuse them, so the workers'
+start-up (forking, and the imports NumPy does on first use) is paid once
+per process, not once per call.  A call with another worker count replaces
+the pool, and so does a broken pool (a worker that died), after which the
+call's blocks are submitted once more.  `shutdown_pool()` releases the
+workers; otherwise they exit with the interpreter.  A process that
+multiprocessing started releases them after every call, and a forked child
+starts its own pool.  Workers get every input a block needs with its task,
+so a reused worker computes the same bytes as a fresh one.
+
 Outputs: results.csv (fixed header, RFC-4180 quoting), summary.json
 (sorted keys; config echo with per-n resolved learning rates), radii.csv
 (long format for radius-vs-n plotting).  Wall-clock times are recorded only
@@ -25,6 +37,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -285,6 +298,77 @@ def _blocks(n_count: int, reps: int, workers: int) -> list[tuple[int, range]]:
             for lo, hi in zip(bounds, bounds[1:])]
 
 
+# the process pool kept across run_experiment calls and its worker count;
+# calls from several threads take turns on it
+_pool = None
+_pool_workers = 0
+_pool_lock = threading.RLock()
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object and the lock but not the
+    # workers or the threads behind them: it starts afresh
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _warm_pool(workers: int):
+    """The kept pool, started on first use or when the worker count changes."""
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != workers:
+        shutdown_pool()
+    if _pool is None:
+        _pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        _pool_workers = workers
+    return _pool
+
+
+def shutdown_pool() -> None:
+    """Shut the kept worker pool down and wait for its workers to exit.
+
+    The next parallel `run_experiment` call starts a new pool.  Without this
+    call the pool lives until the interpreter exits, which shuts it down.
+    """
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+        if pool is not None:
+            pool.shutdown()
+
+
+def _map_on_pool(tasks: list, workers: int) -> list:
+    """`_task` over tasks on the kept pool, results in task order.
+
+    A broken pool (a worker died, for instance killed while idle) is
+    replaced and the tasks are submitted once more; any other exception
+    shuts the pool down and propagates.  A process that multiprocessing
+    started does not keep the pool: when its target returns it waits for
+    its own children before executors are shut down, so idle workers would
+    hold up its exit for good.
+    """
+    import multiprocessing  # loaded with the pool, so kept out of start-up
+
+    with _pool_lock:
+        for attempt in (1, 2):
+            pool = _warm_pool(workers)
+            try:
+                results = list(pool.map(_task, tasks, chunksize=1))
+            except concurrent.futures.process.BrokenProcessPool:
+                shutdown_pool()
+                if attempt == 2:
+                    raise
+                continue
+            except BaseException:
+                shutdown_pool()
+                raise
+            if multiprocessing.parent_process() is not None:
+                shutdown_pool()
+            return results
+
+
 def default_workers() -> int:
     """GIBBS_WORKERS if set, else the number of CPUs this process may run on."""
     env = os.environ.get("GIBBS_WORKERS")
@@ -307,9 +391,9 @@ def run_experiment(cfg: dict, workers: int | None = None,
     """Run every (n, replication) cell and aggregate a summary.
 
     Rows fail soft: a failed cell carries its error message and the run
-    continues.  With workers > 1 blocks are computed in separate processes;
-    results are identical to the serial path because each row depends only
-    on (config, rowSeed).
+    continues.  With workers > 1 blocks are computed on the kept process
+    pool (see the module docstring); results are identical to the serial
+    path because each row depends only on (config, rowSeed).
     """
     validate_experiment_config(cfg)
     cfg = dict(cfg)
@@ -323,9 +407,7 @@ def run_experiment(cfg: dict, workers: int | None = None,
         # largest n first: a block's cost grows with n, and a long block that
         # starts last leaves the other workers idle
         order = sorted(range(len(tasks)), key=lambda b: -cfg["nGrid"][blocks[b][0]])
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            by_block = dict(zip(order, pool.map(_task, [tasks[b] for b in order],
-                                                 chunksize=1)))
+        by_block = dict(zip(order, _map_on_pool([tasks[b] for b in order], workers)))
         done = [by_block[b] for b in range(len(tasks))]
     else:
         done = [_task(t) for t in tasks]

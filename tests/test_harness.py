@@ -10,9 +10,13 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -26,9 +30,9 @@ from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               MeanCurveSim, QuantileRegSim, SparseClassSim,
                               build_generator, cli_main, compute_row, fit_cell,
                               holdout_misclassification, load_config,
-                              row_seed, run_experiment,
+                              row_seed, run_experiment, runner,
                               validate_experiment_config, write_outputs)
-from gibbsinf.harness.config import resolve_proposal_scale
+from gibbsinf.harness.config import build_prior, resolve_proposal_scale
 from gibbsinf.harness.runner import _blocks, default_workers
 from gibbsinf.losses import MCIDLoss
 from gibbsinf.sampler import credible_interval, hash64, make_rng
@@ -452,6 +456,129 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the process pool kept across run_experiment calls
+
+
+@pytest.fixture
+def fresh_pool():
+    """Each pool test starts without a kept pool and leaves none behind."""
+    runner.shutdown_pool()
+    yield
+    runner.shutdown_pool()
+
+
+def _workers():
+    """The live worker processes this process started, by pid."""
+    return {p.pid: p for p in multiprocessing.active_children()}
+
+
+def _output_bytes(result, out) -> dict:
+    paths = write_outputs(result, out)
+    return {key: open(path, "rb").read() for key, path in paths.items()}
+
+
+def test_pool_is_started_once_and_reused(tmp_path, fresh_pool):
+    cfg = _tiny_config()
+    serial = _output_bytes(run_experiment(cfg, workers=1), tmp_path / "serial")
+    assert _workers() == {}
+    first = _output_bytes(run_experiment(cfg, workers=2), tmp_path / "first")
+    started = set(_workers())
+    assert len(started) == 2
+    second = _output_bytes(run_experiment(cfg, workers=2), tmp_path / "second")
+    assert set(_workers()) == started      # the second call started none
+    assert first == serial and second == serial
+
+
+def test_new_worker_count_replaces_the_pool(tmp_path, fresh_pool):
+    cfg = _tiny_config()
+    serial = _output_bytes(run_experiment(cfg, workers=1), tmp_path / "serial")
+    run_experiment(cfg, workers=2)
+    old = _workers()
+    assert len(old) == 2
+    three = _output_bytes(run_experiment(cfg, workers=3), tmp_path / "three")
+    assert three == serial
+    now = _workers()
+    assert len(now) == 3 and not set(now) & set(old)
+    assert all(p.exitcode is not None for p in old.values())
+
+
+def test_killed_idle_worker_is_replaced(tmp_path, fresh_pool):
+    cfg = _tiny_config()
+    serial = _output_bytes(run_experiment(cfg, workers=1), tmp_path / "serial")
+    run_experiment(cfg, workers=2)
+    victim = next(iter(_workers().values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+    after = _output_bytes(run_experiment(cfg, workers=2), tmp_path / "after")
+    assert after == serial
+    assert len(_workers()) == 2 and victim.pid not in _workers()
+
+
+def test_threads_take_turns_on_the_pool(fresh_pool):
+    # each call may replace the pool another thread is about to use
+    cfg = _tiny_config()
+    serial = run_experiment(cfg, workers=1).rows
+    results, errors = [], []
+
+    def calls(counts):
+        try:
+            results.extend(run_experiment(cfg, workers=w).rows for w in counts)
+        except Exception as exc:     # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=calls, args=(counts,))
+               for counts in ((2, 3, 2), (3, 2, 3))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert results == [serial] * 6
+
+
+def _rows_on_two_workers(queue):
+    os.setpgrp()    # so a hung child can be killed with its workers
+    queue.put(run_experiment(_tiny_config(), workers=2).rows)
+
+
+def test_forked_child_starts_its_own_pool(fresh_pool):
+    # the child inherits the pool object but none of its workers or threads;
+    # submitting to it would wait forever
+    serial = run_experiment(_tiny_config(), workers=1).rows
+    run_experiment(_tiny_config(), workers=2)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_rows_on_two_workers, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == serial
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            os.killpg(child.pid, signal.SIGKILL)
+    assert child.exitcode == 0
+
+
+def test_cli_run_on_two_workers_exits(tmp_path):
+    # the kept pool must not hold up interpreter exit
+    src = os.path.dirname(os.path.dirname(gibbsinf.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out_dir = tmp_path / "out"
+    subprocess.run([sys.executable, "-m", "gibbsinf", "experiment", "run",
+                    str(cfg_path), "--workers", "2", "--out", str(out_dir)],
+                   env=env, check=True, capture_output=True, timeout=60)
+    assert sorted(os.listdir(out_dir)) == ["radii.csv", "results.csv",
+                                           "summary.json"]
+
+
+# ---------------------------------------------------------------------------
 # command-line interface
 
 
@@ -683,13 +810,18 @@ def test_nan_proposal_scale_sample_exits_1(tmp_path):
     ("mh", {"steps": True, "burnIn": 0, "thin": 1}, None),
     ("mh", {"burnIn": False}, None),
     ("mh", {"thin": True}, None),
-    ("holdout", {}, True)],
+    ("holdout", {}, True),
+    ("mh", {"burnin": 100}, None),
+    ("mh", {"steps": 30000.5}, None),
+    ("mh", {"steps": "30000"}, None)],
     ids=["steps=burnIn", "steps<burnIn", "thin", "alphaFlipProb", "holdout0",
-         "holdout2.5", "stepsTrue", "burnInFalse", "thinTrue", "holdoutTrue"])
+         "holdout2.5", "stepsTrue", "burnInFalse", "thinTrue", "holdoutTrue",
+         "burninTypo", "stepsFraction", "stepsString"])
 def test_bad_mh_counts_and_holdout_fail_before_any_cell(tmp_path, name, field,
                                                         mh, holdout):
     # each used to exit 0 with every row failed, to run with the size cut to
-    # 2 (holdout 2.5), or to run with a boolean read as 1 or 0
+    # 2 (holdout 2.5), to run with a boolean read as 1 or 0, to run with the
+    # default burnIn (a "burnin" typo), or to read steps with int()
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", f"{name}.json"))
     cfg["replications"] = 2
@@ -704,6 +836,37 @@ def test_bad_mh_counts_and_holdout_fail_before_any_cell(tmp_path, name, field,
     code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
     assert code == 1 and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field,params", [
+    ("prior", {"sd": True}),
+    ("generator", {"betaStar": [True, 2.0]}),
+    ("loss", {"tau": False}),
+    ("rate", {"omega": True}),
+    ("divergence", {"nDraws": [1, {"deep": False}]})],
+    ids=["priorSd", "generatorBetaStar", "lossTau", "rateOmega", "nested"])
+def test_booleans_in_component_specs_fail_before_any_cell(tmp_path, field,
+                                                          params):
+    # no component takes a boolean; sd true used to build a prior with sd 1.0
+    cfg = _tiny_config()
+    cfg[field] = dict(cfg[field], **params)
+    key = next(iter(params))
+    with pytest.raises(ConfigError, match=f"{field} {key!r}.*boolean"):
+        validate_experiment_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1 and f"{field} {key!r}" in err
+    assert not out.exists()
+
+
+def test_builders_reject_booleans_in_component_specs():
+    with pytest.raises(ConfigError, match="prior 'sd'"):
+        build_prior({"name": "gaussian", "mean": 0.0, "sd": True}, 2)
+    with pytest.raises(ConfigError, match="generator 'q'"):
+        build_generator({"name": "sparseclass", "q": True, "support": [0],
+                         "betaValues": [1.0]})
 
 
 def test_non_object_mh_section_fails_before_any_cell():
