@@ -17,13 +17,15 @@ With workers > 1 the blocks run on a process pool that is kept between
 calls.  The first parallel call in a process starts its `workers`
 processes; later calls with the same count reuse them, so the workers'
 start-up (forking, and the imports NumPy does on first use) is paid once
-per process, not once per call.  A call with another worker count replaces
-the pool, and so does a broken pool (a worker that died), after which the
-call's blocks are submitted once more.  `shutdown_pool()` releases the
-workers; otherwise they exit with the interpreter.  A process that
-multiprocessing started releases them after every call, and a forked child
-starts its own pool.  Workers get every input a block needs with its task,
-so a reused worker computes the same bytes as a fresh one.
+per process, not once per call.  Only a process that makes more than one
+parallel call gains: the command line makes one.  A call with another
+worker count replaces the pool, and so does a broken pool (a worker that
+died), after which the call's blocks are submitted once more.
+`shutdown_pool()` releases the workers; otherwise they exit with the
+interpreter, or at once if their owner dies without shutting them down.  A
+process that multiprocessing started releases them after every call, and a
+forked child starts its own pool.  Workers get every input a block needs
+with its task, so a reused worker computes the same bytes as a fresh one.
 
 Outputs: results.csv (fixed header, RFC-4180 quoting), summary.json
 (sorted keys; config echo with per-n resolved learning rates), radii.csv
@@ -315,13 +317,25 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _exit_with_parent() -> None:
+    # worker initializer: an idle worker waits on a queue it holds both ends
+    # of, so it would never notice an owner killed before it could shut the
+    # pool down (SIGKILL, say); a thread watches the owner instead
+    import multiprocessing
+
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (parent.join(), os._exit(1)),
+                     daemon=True).start()
+
+
 def _warm_pool(workers: int):
     """The kept pool, started on first use or when the worker count changes."""
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != workers:
         shutdown_pool()
     if _pool is None:
-        _pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        _pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_parent)
         _pool_workers = workers
     return _pool
 
@@ -352,21 +366,18 @@ def _map_on_pool(tasks: list, workers: int) -> list:
     import multiprocessing  # loaded with the pool, so kept out of start-up
 
     with _pool_lock:
-        for attempt in (1, 2):
-            pool = _warm_pool(workers)
+        try:
             try:
-                results = list(pool.map(_task, tasks, chunksize=1))
+                return list(_warm_pool(workers).map(_task, tasks, chunksize=1))
             except concurrent.futures.process.BrokenProcessPool:
                 shutdown_pool()
-                if attempt == 2:
-                    raise
-                continue
-            except BaseException:
-                shutdown_pool()
-                raise
+                return list(_warm_pool(workers).map(_task, tasks, chunksize=1))
+        except BaseException:
+            shutdown_pool()
+            raise
+        finally:
             if multiprocessing.parent_process() is not None:
                 shutdown_pool()
-            return results
 
 
 def default_workers() -> int:

@@ -564,6 +564,47 @@ def test_forked_child_starts_its_own_pool(fresh_pool):
     assert child.exitcode == 0
 
 
+def test_idle_workers_exit_when_their_owner_is_killed(fresh_pool):
+    # SIGKILL skips every exit hook, so nothing shuts the owner's pool down.
+    # The owner is forked with os.fork: a multiprocessing child would not
+    # keep its pool after the call.
+    report_r, report_w = os.pipe()
+    done_r, done_w = os.pipe()      # the owner and its workers inherit done_w
+    owner = os.fork()
+    if owner == 0:
+        try:
+            before = set(multiprocessing.active_children())
+            run_experiment(_tiny_config(), workers=2)
+            pids = [p.pid for p in set(multiprocessing.active_children()) - before]
+            os.write(report_w, json.dumps(pids).encode())
+            signal.pause()      # idle, pool kept, until the test kills it
+        finally:
+            os._exit(1)
+    os.close(report_w)
+    os.close(done_w)
+    try:
+        assert multiprocessing.connection.wait([report_r], timeout=30)
+        pids = json.loads(os.read(report_r, 4096))
+        assert len(pids) == 2
+        os.kill(owner, signal.SIGKILL)
+        os.waitpid(owner, 0)
+        # done_r reads end-of-file once the last holder of done_w is gone
+        gone = multiprocessing.connection.wait([done_r], timeout=30)
+        if not gone:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        assert gone and os.read(done_r, 1) == b""
+    finally:
+        os.close(report_r)
+        os.close(done_r)
+        try:
+            if os.waitpid(owner, os.WNOHANG) == (0, 0):     # still running
+                os.kill(owner, signal.SIGKILL)
+                os.waitpid(owner, 0)
+        except ChildProcessError:       # already reaped
+            pass
+
+
 def test_cli_run_on_two_workers_exits(tmp_path):
     # the kept pool must not hold up interpreter exit
     src = os.path.dirname(os.path.dirname(gibbsinf.__file__))
