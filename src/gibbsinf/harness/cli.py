@@ -26,7 +26,8 @@ from ..errors import ConfigError, GibbsInfError, PreconditionError
 from ..sampler import chain_summary, make_rng, write_chain_csv
 from .config import (build_generator, build_loss, load_config,
                      validate_experiment_config)
-from .runner import fit_cell, row_seed, run_experiment, write_outputs
+from .runner import (fit_cell, row_seed, run_experiment, shutdown_pool,
+                     write_outputs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,6 +72,9 @@ def _cmd_experiment_run(args) -> int:
         raise ConfigError("--workers must be at least 1")
     result = run_experiment(cfg, workers=args.workers, timings=args.timings,
                             full=args.full)
+    # the one call is made: the pool's workers go now, which is quicker
+    # than leaving them to the interpreter's exit
+    shutdown_pool()
     paths = write_outputs(result, args.out)
     print(json.dumps({"out": paths, "rows": result.summary["rowCount"],
                       "errors": result.summary["errorCount"]},

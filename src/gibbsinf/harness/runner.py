@@ -18,14 +18,15 @@ calls.  The first parallel call in a process starts its `workers`
 processes; later calls with the same count reuse them, so the workers'
 start-up (forking, and the imports NumPy does on first use) is paid once
 per process, not once per call.  Only a process that makes more than one
-parallel call gains: the command line makes one.  A call with another
-worker count replaces the pool, and so does a broken pool (a worker that
-died), after which the call's blocks are submitted once more.
-`shutdown_pool()` releases the workers; otherwise they exit with the
-interpreter, or at once if their owner dies without shutting them down.  A
-process that multiprocessing started releases them after every call, and a
-forked child starts its own pool.  Workers get every input a block needs
-with its task, so a reused worker computes the same bytes as a fresh one.
+parallel call gains: the command line makes one, and releases the workers
+after it.  A call with another worker count replaces the pool, and so does
+a broken pool (a worker that died), after which the call's blocks are
+submitted once more.  `shutdown_pool()` releases the workers; otherwise
+they exit with the interpreter, or at once if their owner dies without
+shutting them down.  A process that multiprocessing started releases them
+after every call, and a forked child starts its own pool.  Workers get
+every input a block needs with its task, so a reused worker computes the
+same bytes as a fresh one.
 
 Outputs: results.csv (fixed header, RFC-4180 quoting), summary.json
 (sorted keys; config echo with per-n resolved learning rates), radii.csv

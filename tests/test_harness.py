@@ -606,7 +606,8 @@ def test_idle_workers_exit_when_their_owner_is_killed(fresh_pool):
 
 
 def test_cli_run_on_two_workers_exits(tmp_path):
-    # the kept pool must not hold up interpreter exit
+    # the pool must not hold up interpreter exit: the command line releases
+    # it after its one call, and a library caller leaves it to the exit hooks
     src = os.path.dirname(os.path.dirname(gibbsinf.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     cfg_path = tmp_path / "cfg.json"
@@ -617,6 +618,19 @@ def test_cli_run_on_two_workers_exits(tmp_path):
                    env=env, check=True, capture_output=True, timeout=60)
     assert sorted(os.listdir(out_dir)) == ["radii.csv", "results.csv",
                                            "summary.json"]
+    code = ("import json, sys; from gibbsinf.harness import run_experiment; "
+            "run_experiment(json.load(open(sys.argv[1])), workers=2)")
+    subprocess.run([sys.executable, "-c", code, str(cfg_path)], env=env,
+                   check=True, capture_output=True, timeout=60)
+
+
+def test_cli_run_releases_its_workers(tmp_path, fresh_pool):
+    # the command line makes one call, so it keeps no pool after it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_config()))
+    code, _, _ = _run_cli(["experiment", "run", str(path), "--workers", "2",
+                           "--out", str(tmp_path / "out")])
+    assert code == 0 and _workers() == {}
 
 
 # ---------------------------------------------------------------------------
