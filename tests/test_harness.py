@@ -1005,6 +1005,43 @@ def test_pilot_started_mcid2_chain_matches_recorded_digest():
         "03ac50664a8673c21c77f54118d8e9fb8c26276d9f2d7c28658392543dabec4b")
 
 
+def test_pilot_started_mcid2_chain_with_a_short_last_chunk_matches_recorded_digest():
+    # another replication of the `gibbsinf sample configs/mcid2.json` chain,
+    # 13 full chunks of lookahead and a 7-step one; digest and accept count
+    # recorded before the sampler took its accept decisions on Python floats
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid2.json"))
+    cfg["mh"].update(steps=3335, burnIn=500, thin=5)
+    fit = fit_cell(cfg, cfg["nGrid"][0], row_seed(cfg["baseSeed"], 0, 1))
+    assert fit.chain.draws.shape == (567, 16)
+    assert fit.chain.accepted == 795
+    assert hashlib.sha256(fit.chain.draws.tobytes()).hexdigest() == (
+        "735aaf7b9b90181f77dd495f6dd8f9d01cbcf2ca7cd6bcfd1981fb29195e3390")
+
+
+def test_mcid1_block_of_eight_chains_matches_recorded_digest(monkeypatch):
+    # one block of the mcid1 protocol, shortened: eight chains in lockstep,
+    # where nearly every step that moves moves only some of the chains;
+    # digest of the draws and the accept counts recorded before the sampler
+    # took its accept decisions on Python floats
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid1.json"))
+    cfg["mh"].update(steps=2600, burnIn=600, thin=5)
+    chains = []
+    original = runner.mh_run_block
+    monkeypatch.setattr(runner, "mh_run_block",
+                        lambda starts: chains.extend(original(starts)) or chains)
+    rows = runner.compute_rows(cfg, 0, range(8))
+    assert [row["error"] for row in rows] == [None] * 8
+    assert [c.accepted for c in chains] == [1064, 1267, 1033, 1208, 858, 1201,
+                                            709, 960]
+    digest = hashlib.sha256()
+    for c in chains:
+        digest.update(c.draws.tobytes())
+    assert digest.hexdigest() == (
+        "cf9ace8fdcb64ca6aaf1e7c2c6a5ca84c8cb18d091c6206ae58c26c35f31ea60")
+
+
 def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
     # the 20k-step chain of the benchmark's cli-sample workload: one risk
     # call per step (20000) without the sampler's lookahead

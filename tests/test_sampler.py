@@ -280,6 +280,58 @@ def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
     assert rows == [8] * steps
 
 
+class _WalledSquaredLoss(SquaredLoss):
+    """Squared loss whose risk, on one chosen dataset only, is NaN where the
+    first coefficient exceeds 0.5 and +inf (target density -inf) where it is
+    below -0.5."""
+
+    def __init__(self, walled: Dataset):
+        super().__init__(None)
+        self.walled = walled
+
+    def risk_state(self, data):
+        return super().risk_state(data) + (np.array([data is self.walled]),)
+
+    def risk(self, state, B):
+        *state, walled = state
+        out = super().risk(tuple(state), B)
+        out[walled & (B[:, 0] > 0.5)] = np.nan
+        out[walled & (B[:, 0] < -0.5)] = np.inf
+        return out
+
+
+def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
+    # two chains, so the block evaluates up to two steps per kernel call; one
+    # chain's target is NaN on one side of its start and -inf on the other
+    rng = make_rng(hash64(47, 1))
+    data = [Dataset.regression(rng.normal(size=(20, 2)), rng.normal(size=20))
+            for _ in range(2)]
+    loss, prior = _WalledSquaredLoss(data[0]), GaussianIID(0.0, 3.0, 2)
+    targets = [GibbsTarget(loss, prior, d, 0.2) for d in data]
+    configs = [MHConfig(steps=6 * _CHUNK + 5, burn_in=0, thin=1, seed=hash64(47, 2 + r),
+                        proposal_scale=[1.5, 0.2], init=np.zeros(2))
+               for r in range(2)]
+    singles = [mh_run(t, c) for t, c in zip(targets, configs)]
+    walls = []                # per call of two steps: the NaN and -inf rows
+    original = _WalledSquaredLoss.risk
+
+    def risk(self, state, B):
+        out = original(self, state, B)
+        if len(B) == 4:
+            walls.append((np.isnan(out).sum(), np.isinf(out).sum()))
+        return out
+    monkeypatch.setattr(_WalledSquaredLoss, "risk", risk)
+    block = mh_run_block([mh_start(t, c) for t, c in zip(targets, configs)])
+    nan_rows, inf_rows = np.sum(walls, axis=0)
+    assert len(walls) > 500 and nan_rows > 100 and inf_rows > 100
+    _assert_same_chains(block, singles)
+    walled, free = block[0].draws[:, 0], block[1].draws[:, 0]
+    assert np.all(np.abs(walled) <= 0.5)
+    assert walled.max() > 0.4 and walled.min() < -0.4
+    assert free.max() > 0.5 and free.min() < -0.5
+    assert 0.05 < block[0].accept_rate < block[1].accept_rate
+
+
 def test_short_chains_match_recorded_values():
     # draws and accept counts of three short chains, recorded before chains
     # ran in blocks; any change to the variate order, the kernels or the
