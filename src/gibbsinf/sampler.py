@@ -285,16 +285,24 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     s*eps_{t+1..t+K} of every chain are known in advance.  When a step is
     not covered by the buffer, the next k = min(K, steps left in the chunk)
     proposals are evaluated in one kernel call on a (k*R, J) array (row
-    j*R + r is chain r at step t+j), against the targets repeated K times.
-    The decisions are then taken step by step from the buffer, with the
-    same uniforms and the same test, and the buffer is dropped as soon as
-    any chain accepts.  The kernels are bit-identical row by row, so K
-    decides only which rows get computed, never a draw or a decision.
-    K = 1 for the first chunk of _CHUNK steps; after each chunk, K =
-    floor(_CHUNK / steps of that chunk on which some chain accepted),
-    capped at max(1, 4 // R) rows per call.  Blocks of four or more chains,
-    and blocks evaluated chain by chain through log_unnormalized (where a
-    bigger call only adds evaluations), keep K = 1.
+    j*R + r is chain r at step t+j), against the targets repeated K times;
+    with K = 1 the buffer holds one step.  The decisions are then taken
+    step by step from the buffer, with the same uniforms and the same test,
+    and the buffer is dropped as soon as any chain accepts.  The kernels
+    are bit-identical row by row, so K decides only which rows get
+    computed, never a draw or a decision.  K = 1 for the first chunk of
+    _CHUNK steps; after each chunk, K = floor(_CHUNK / steps of that chunk
+    on which some chain accepted), capped at max(1, 4 // R) rows per call.
+    Blocks of four or more chains, and blocks evaluated chain by chain
+    through log_unnormalized (where a bigger call only adds evaluations),
+    keep K = 1.
+
+    Decisions run on Python floats: each kernel call's densities become one
+    list, and each chain's current log density is a float.  A step on which
+    every chain rejects makes no NumPy call besides its share of a kernel
+    call; the kept draws since the state last moved are written when it
+    next moves.  A step on which all chains accept takes the proposal row
+    as the state, and one on which some accept copies just their rows.
     """
     first = starts[0].config
     dim = starts[0].theta.shape[0]
@@ -309,11 +317,12 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     max_k = max(1, _LOOKAHEAD_ROWS // R) if vectorized else 1
     K = tiles = 1                         # lookahead, and the kernel's copies
     theta = np.stack([s.theta for s in starts])
-    logp = np.array([s.logp for s in starts])
+    logp = [s.logp for s in starts]
+    chains = range(R)
 
     kept = np.empty((R, first.n_kept, dim))
-    k = 0
-    accepted = np.zeros(R, dtype=int)     # plus `every`: steps all chains accepted
+    written = 0                           # kept draws written so far
+    accepted = [0] * R                    # plus `every`: steps all chains accepted
     every = 0
     exp = math.exp
     normals = np.empty((_CHUNK, dim))
@@ -332,43 +341,39 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
         moved = 0                         # steps on which some chain accepted
         start = end = 0                   # steps [start, end) are in the buffer
         for i in range(c):
-            if i < end:
-                prop, lp = props[i - start], lps[i - start]
-            elif K == 1 or i + 1 == c:
-                # one step on (R, J) arrays: a (1, R, J) buffer would make
-                # every broadcast on the way cost more
-                prop = theta + steps_dz[i]
-                lp = log_density(prop)
-            else:
+            if i >= end:
                 n_ahead = min(K, c - i)
                 props = theta + steps_dz[i:i + n_ahead]
-                lps = log_density(props.reshape(n_ahead * R, dim)).reshape(n_ahead, R)
+                lps = log_density(props.reshape(n_ahead * R, dim)).tolist()
                 start, end = i, i + n_ahead
-                prop, lp = props[0], lps[0]
-            # math.exp per chain: np.exp may differ in the last bit, and
-            # that can flip a decision
-            accept = [d >= 0.0 or v < exp(d)
-                      for d, v in zip((lp - logp).tolist(), u_steps[i])]
-            if all(accept):
-                theta, logp = prop, lp
-                every += 1
+            # row j*R + r of the buffer is chain r at step start + j.  A float
+            # difference has the bits of NumPy's; math.exp, because np.exp
+            # may differ in the last bit and flip a decision.  A NaN or -inf
+            # proposal fails both comparisons.
+            base, u = (i - start) * R, u_steps[i]
+            accept = [r for r in chains
+                      if (d := lps[base + r] - logp[r]) >= 0.0 or u[r] < exp(d)]
+            if accept:
+                # the kept draws taken since theta last moved, before it moves
+                taken = max(0, done + i - burn_in) // thin
+                if written < taken:
+                    kept[:, written:taken] = theta[:, None]
+                    written = taken
+                prop = props[i - start]
+                if len(accept) == R:
+                    theta, logp = prop, lps[base:base + R]
+                    every += 1
+                else:
+                    for r in accept:
+                        theta[r] = prop[r]
+                        logp[r] = lps[base + r]
+                        accepted[r] += 1
                 moved += 1
                 end = 0
-            elif any(accept):
-                mask = np.array(accept)
-                np.copyto(theta, prop, where=mask[:, None])
-                np.copyto(logp, lp, where=mask)
-                accepted += mask
-                moved += 1
-                end = 0
-            idx = done + i + 1 - burn_in
-            if idx > 0 and idx % thin == 0:
-                kept[:, k] = theta
-                k += 1
         if max_k > 1:
             K = min(max_k, _CHUNK // moved) if moved else max_k
+    kept[:, written:] = theta[:, None]
 
-    accepted += every
     out = []
     for r, s in enumerate(starts):
         meta = {"dim": dim, "proposal_scale": s.scale.tolist(),
@@ -376,7 +381,7 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
         if isinstance(s.target, GibbsTarget):
             meta.update(omega=s.target.omega, n_terms=s.target.n_terms,
                         loss=s.target.loss.kind, prior=s.target.prior.kind)
-        out.append(Chain(draws=kept[r], accepted=int(accepted[r]), steps=steps,
+        out.append(Chain(draws=kept[r], accepted=accepted[r] + every, steps=steps,
                          seed=s.config.seed, meta=meta))
     return out
 
