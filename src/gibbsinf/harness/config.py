@@ -78,14 +78,16 @@ def validate_experiment_config(cfg: dict) -> None:
     """Check an experiment config before any cell runs.
 
     Besides the required fields and their types, every component's name
-    must be one its builder table knows, the loss, the rate and the
-    divergence must take the kind of data the generator emits, the zeroone
-    loss and the spikeslab prior come together, no component spec holds a
-    boolean, the proposal scale must be positive and finite, the mh section
-    must hold only its own keys, with integer steps, burnIn and thin, and
-    make a sampler configuration at every n, and a holdout size must be a
-    positive integer.  Errors that depend on the cell, such as a parameter
-    the chosen component rejects, surface per row.
+    must be one its builder table knows, each component spec must hold only
+    the keys that component takes, the generator and the rate must build,
+    the loss, the rate and the divergence must take the kind of data the
+    generator emits, the zeroone loss and the spikeslab prior come
+    together, no component spec holds a boolean, the proposal scale must be
+    positive and finite, the mh section must hold only its own keys, with
+    integer steps, burnIn and thin, and make a sampler configuration at
+    every n, and a holdout size must be a positive integer.  Errors that
+    depend on the cell or on n, such as a loss, prior or divergence
+    parameter the chosen component rejects, surface per row.
     """
     required = ["generator", "loss", "prior", "rate", "mh", "divergence",
                 "nGrid", "replications", "baseSeed"]
@@ -109,6 +111,9 @@ def validate_experiment_config(cfg: dict) -> None:
             raise ConfigError(f"{key} must be a positive integer")
     for field, table in _COMPONENTS.items():
         _builder(table, cfg[field], field)
+    # the generator and the rate need nothing but their specs
+    build_generator(cfg["generator"])
+    build_rate(cfg["rate"])
     if not isinstance(cfg["mh"], dict):
         raise ConfigError("mh spec must be an object")
     _check_proposal_scale(cfg["mh"].get("proposalScale"))
@@ -190,28 +195,37 @@ def _namespec(spec, what: str) -> tuple[str, dict]:
 
 
 def _builder(table: dict, spec, what: str):
-    """(name, builder, remaining fields) for a component spec."""
+    """(name, builder, remaining fields) for a component spec.  A table
+    entry is (the keys the component takes, its builder); any other key is
+    an error."""
     name, kw = _namespec(spec, what)
     if name not in table:
         raise ConfigError(f"unknown {what} {name!r}; allowed names: "
                           f"{', '.join(sorted(table))}")
-    return name, table[name], kw
+    keys, build = table[name]
+    unknown = set(kw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} {name!r} keys: {sorted(unknown)}; "
+                          f"allowed keys: {', '.join(keys) or 'none'}")
+    return name, build, kw
+
+
+def _keywords(cls, **names):
+    """A builder-table entry for a class: the config keys in `names`, each
+    passed to the class as the keyword it maps to."""
+    return tuple(names), lambda kw: cls(**{names[key]: v for key, v in kw.items()})
 
 
 _GENERATORS = {
-    "mcid1": lambda kw: MCID1(**kw),
-    "mcid2": lambda kw: MCID2(**kw),
-    "quantilereg": lambda kw: QuantileRegSim(
-        tau=kw.pop("tau"), beta_star=kw.pop("betaStar", (1.0, 2.0)),
-        noise_sd=kw.pop("noiseSd", 1.0), **kw),
-    "heavytail": lambda kw: HeavyTailSim(
-        df=kw.pop("df"), theta_star=kw.pop("thetaStar", (1.0, 2.0, -1.0)), **kw),
-    "meancurve": lambda kw: MeanCurveSim(
-        curve=kw.pop("curve", "sine"), noise_sd=kw.pop("noiseSd", 0.3), **kw),
-    "aucsim": lambda kw: AUCSim(mu=kw.pop("mu"), **kw),
-    "sparseclass": lambda kw: SparseClassSim(
-        q=kw.pop("q"), support=kw.pop("support"),
-        beta_values=kw.pop("betaValues"), flip_rho=kw.pop("flipRho", 0.1), **kw),
+    "mcid1": _keywords(MCID1),
+    "mcid2": _keywords(MCID2),
+    "quantilereg": _keywords(QuantileRegSim, tau="tau", betaStar="beta_star",
+                             noiseSd="noise_sd"),
+    "heavytail": _keywords(HeavyTailSim, df="df", thetaStar="theta_star"),
+    "meancurve": _keywords(MeanCurveSim, curve="curve", noiseSd="noise_sd"),
+    "aucsim": _keywords(AUCSim, mu="mu"),
+    "sparseclass": _keywords(SparseClassSim, q="q", support="support",
+                             betaValues="beta_values", flipRho="flip_rho"),
 }
 
 
@@ -224,12 +238,14 @@ def build_generator(spec: dict):
     name, build, kw = _builder(_GENERATORS, spec, "generator")
     try:
         return build(kw)
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"bad generator parameters for {name!r}: {exc}") from None
+    except (TypeError, ValueError) as exc:     # a required key is missing, or
+        raise ConfigError(                     # a value of the wrong type
+            f"bad generator parameters for {name!r}: {exc}") from None
 
 
 def build_basis(generator, loss_spec: dict):
-    """The function basis implied by the loss spec and generator."""
+    """The function basis of the generator's truth, numBasis functions
+    (default: the generator's own), or None if its truth is no function."""
     num = loss_spec.get("numBasis")
     if isinstance(generator, MCID1):
         return generator.default_basis(num or 6)
@@ -237,10 +253,6 @@ def build_basis(generator, loss_spec: dict):
         return generator.default_basis(num or 4)
     if isinstance(generator, MeanCurveSim):
         return CubicBSpline((0.0, 1.0), num or 8)
-    domain = loss_spec.get("domain")
-    if num and domain:
-        lo, hi = float(domain[0]), float(domain[1])
-        return CubicBSpline((lo, hi), int(num))
     return None
 
 
@@ -258,19 +270,19 @@ def _capped_squared_loss(kw, generator, schedule, n):
 def _mcid_loss(kw, generator, schedule, n):
     basis = build_basis(generator, kw)
     if basis is None:
-        raise ConfigError("mcid loss needs a basis (numBasis/domain)")
+        raise ConfigError("mcid loss needs a threshold generator's basis")
     return MCIDLoss(basis=basis)
 
 
 _LOSSES = {
-    "check": lambda kw, *_: CheckLoss(tau=float(kw.get("tau", 0.5)),
-                                      features=affine_features()),
-    "squared": lambda kw, generator, *_: SquaredLoss(
-        features=build_basis(generator, kw)),
-    "cappedsquared": _capped_squared_loss,
-    "zeroone": lambda *_: ZeroOneLinearLoss(),
-    "mcid": _mcid_loss,
-    "auc": lambda *_: AUCLoss(),
+    "check": (("tau",), lambda kw, *_: CheckLoss(tau=float(kw.get("tau", 0.5)),
+                                                 features=affine_features())),
+    "squared": (("numBasis",), lambda kw, generator, *_: SquaredLoss(
+        features=build_basis(generator, kw))),
+    "cappedsquared": (("cap",), _capped_squared_loss),
+    "zeroone": ((), lambda *_: ZeroOneLinearLoss()),
+    "mcid": (("numBasis",), _mcid_loss),
+    "auc": ((), lambda *_: AUCLoss()),
 }
 
 
@@ -309,12 +321,13 @@ def parameter_dim(loss, generator) -> int:
 
 
 _PRIORS = {
-    "gaussian": lambda kw, dim: GaussianIID(mean=float(kw.get("mean", 0.0)),
-                                            sd=float(kw["sd"]), dim=dim),
-    "laplace": lambda kw, dim: LaplaceIID(rate=float(kw["rate"]), dim=dim),
-    "spikeslab": lambda kw, dim: SpikeSlab(
+    "gaussian": (("mean", "sd"), lambda kw, dim: GaussianIID(
+        mean=float(kw.get("mean", 0.0)), sd=float(kw["sd"]), dim=dim)),
+    "laplace": (("rate",), lambda kw, dim: LaplaceIID(rate=float(kw["rate"]),
+                                                      dim=dim)),
+    "spikeslab": (("q", "a", "c", "lam"), lambda kw, dim: SpikeSlab(
         q=int(kw["q"]), a=float(kw.get("a", 1.0)), c=float(kw.get("c", 1.0)),
-        lam=None if kw.get("lam") is None else float(kw["lam"])),
+        lam=None if kw.get("lam") is None else float(kw["lam"]))),
 }
 
 
@@ -336,11 +349,12 @@ def _aucdata_rate(kw):
 
 
 _RATES = {
-    "fixed": lambda kw: FixedRate(omega=float(kw["omega"])),
-    "power": lambda kw: PowerLawRate(c=float(kw["c"]), gamma=float(kw["gamma"])),
-    "heavytail": lambda kw: HeavyTailRate(s=float(kw["s"])),
-    "tsybakov": lambda kw: TsybakovRate(gamma=float(kw["gamma"])),
-    "aucdata": _aucdata_rate,
+    "fixed": (("omega",), lambda kw: FixedRate(omega=float(kw["omega"]))),
+    "power": (("c", "gamma"), lambda kw: PowerLawRate(c=float(kw["c"]),
+                                                      gamma=float(kw["gamma"]))),
+    "heavytail": (("s",), lambda kw: HeavyTailRate(s=float(kw["s"]))),
+    "tsybakov": (("gamma",), lambda kw: TsybakovRate(gamma=float(kw["gamma"]))),
+    "aucdata": (("multiplier",), _aucdata_rate),
 }
 
 
@@ -354,6 +368,8 @@ def build_rate(spec: dict):
         return build(kw)
     except KeyError as exc:
         raise ConfigError(f"rate {name!r} missing parameter {exc}") from None
+    except (TypeError, ValueError, PreconditionError) as exc:
+        raise ConfigError(f"bad rate parameters for {name!r}: {exc}") from None
 
 
 def _empirical_l2(kw, generator, loss, basis):
@@ -367,11 +383,11 @@ def _empirical_l2(kw, generator, loss, basis):
 
 
 _DIVERGENCES = {
-    "euclid": lambda *_: EuclideanDistance(),
-    "abs": lambda *_: AbsScalarDistance(),
-    "empirical_l2": _empirical_l2,
-    "risk_diff_sqrt": lambda kw, generator, loss, basis: RiskDiffSqrt(
-        loss, generator.mc_sample, n_draws=int(kw.get("nDraws", 4096))),
+    "euclid": ((), lambda *_: EuclideanDistance()),
+    "abs": ((), lambda *_: AbsScalarDistance()),
+    "empirical_l2": (("gridSize",), _empirical_l2),
+    "risk_diff_sqrt": (("nDraws",), lambda kw, generator, loss, basis: RiskDiffSqrt(
+        loss, generator.mc_sample, n_draws=int(kw.get("nDraws", 4096)))),
 }
 
 

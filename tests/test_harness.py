@@ -793,7 +793,9 @@ _PAIR_DIVERGENCES = {
 def test_validation_accepts_a_divergence_exactly_when_its_rows_run(
         generator, loss, divergence):
     cfg = _pair_config(generator, loss)
-    cfg["divergence"] = {"name": divergence, "nDraws": 64}
+    cfg["divergence"] = {"name": divergence}
+    if divergence == "risk_diff_sqrt":
+        cfg["divergence"]["nDraws"] = 64
     accepted = divergence in _PAIR_DIVERGENCES[generator, loss]
     if accepted:
         validate_experiment_config(cfg)
@@ -814,7 +816,8 @@ def test_incompatible_components_fail_before_any_cell(tmp_path, generator,
                                                       loss, prior, field):
     # each used to exit 0 with every row failed
     cfg = _pair_config(generator, loss)
-    cfg["prior"] = {"name": prior, "sd": 5.0, "q": 5}
+    cfg["prior"] = {"name": "spikeslab", "q": 5} if prior == "spikeslab" \
+        else {"name": prior, "sd": 5.0}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -914,6 +917,48 @@ def test_booleans_in_component_specs_fail_before_any_cell(tmp_path, field,
     code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
     assert code == 1 and f"{field} {key!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field,spec,pair,words", [
+    ("generator", {"name": "quantilereg", "tau": 0.5, "tua": 0.5}, None,
+     ["'quantilereg'", "tua", "allowed keys: tau, betaStar, noiseSd"]),
+    ("loss", {"name": "check", "tua": 0.3}, None, ["'check'", "tua"]),
+    ("prior", {"name": "gaussian", "sdd": 10.0}, None, ["'gaussian'", "sdd"]),
+    ("rate", {"name": "fixed", "omegaa": 1.0}, None, ["'fixed'", "omegaa"]),
+    ("divergence", {"name": "risk_diff_sqrt", "nDrawz": 64}, None,
+     ["'risk_diff_sqrt'", "nDrawz"]),
+    ("generator", {"name": "heavytail"}, ("heavytail", "cappedsquared"),
+     ["'heavytail'", "df"]),
+    ("generator", {"name": "aucsim"}, ("aucsim", "auc"), ["'aucsim'", "mu"]),
+    ("rate", {"name": "heavytail", "s": 2}, None,
+     ["'heavytail'", "s must exceed 3"])],
+    ids=["generatorTua", "lossTua", "priorSdd", "rateOmegaa", "divergenceNDrawz",
+         "heavytailNoDf", "aucsimNoMu", "heavytailRateS2"])
+def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
+                                                       pair, words):
+    # a key typo used to be ignored, so the run took the default (or, on a
+    # generator, failed every row), and a missing or out-of-range generator
+    # or rate parameter failed every row; each exited 0
+    cfg = _pair_config(*pair) if pair else _tiny_config()
+    cfg[field] = spec
+    with pytest.raises(ConfigError, match=field) as info:
+        validate_experiment_config(cfg)
+    assert all(word in str(info.value) for word in words), str(info.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1 and all(word in err for word in words), err
+    assert not out.exists()
+
+
+def test_bundled_configs_pass_validation():
+    # every key of every bundled config is one its component takes
+    folder = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(os.listdir(folder))
+    assert len(names) == 5
+    for name in names:
+        validate_experiment_config(load_config(os.path.join(folder, name)))
 
 
 def test_builders_reject_booleans_in_component_specs():
