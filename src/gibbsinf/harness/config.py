@@ -238,9 +238,9 @@ def build_generator(spec: dict):
     name, build, kw = _builder(_GENERATORS, spec, "generator")
     try:
         return build(kw)
-    except (TypeError, ValueError) as exc:     # a required key is missing, or
-        raise ConfigError(                     # a value of the wrong type
-            f"bad generator parameters for {name!r}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        # a required key is missing, or a value has the wrong type
+        raise ConfigError(f"bad generator parameters for {name!r}: {exc}") from None
 
 
 def build_basis(generator, loss_spec: dict):
