@@ -28,11 +28,9 @@ from .sampler import (Chain, ChainStart, GibbsTarget, MHConfig, chain_summary,
                       posterior_mean, ss_mh_run, write_chain_csv)
 from .diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
                           L2PDistance, MCDivergence, MCIDMeasure, MGFCheck,
-                          MVEstimate, RateFit, RiskDiffSqrt,
-                          concentration_slope, divergence_value,
-                          mgf_condition_check, mv_estimate,
-                          posterior_mass_outside, projection_target,
-                          structurally_equal)
+                          RateFit, RiskDiffSqrt, concentration_slope,
+                          divergence_value, mgf_condition_check,
+                          posterior_mass_outside, structurally_equal)
 
 __version__ = "0.1.0"
 

@@ -1,9 +1,8 @@
 """Empirical checks of the quantities the concentration analysis is built on.
 
-Divergence measures d(theta, theta*), the excess-loss mean/variance pair
-(m, v), the annealed-moment bound constant K, posterior mass outside a
-d-ball, and the log-log rate fit used to read off an empirical convergence
-exponent.  Monte-Carlo estimates always come with standard errors; exact
+Divergence measures d(theta, theta*), the annealed-moment bound constant
+K, posterior mass outside a d-ball, and the log-log rate fit used to read
+off an empirical convergence exponent.  Monte-Carlo estimates always come with standard errors; exact
 divergences return 0 precisely at (structural) equality.
 """
 
@@ -15,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverflowGuardError, PreconditionError, ShapeError
-from .losses import LossSpec, least_squares_coefficients, sign_neg
-from .model import BasisSpec, Dataset, FunctionParam, PairedScores, design_matrix
+from .losses import LossSpec, sign_neg
+from .model import BasisSpec, FunctionParam, design_matrix
 from .sampler import Chain
 
 
@@ -279,48 +278,6 @@ def divergence_value(div: Divergence, theta, theta_star, rng=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# excess-loss moments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MVEstimate:
-    """Monte-Carlo mean/variance of the excess loss l_theta - l_theta*."""
-
-    m_hat: float
-    v_hat: float
-    m_se: float
-    v_se: float
-    n_draws: int
-
-    def __post_init__(self):
-        if self.v_hat < 0:
-            raise PreconditionError("variance estimate cannot be negative")
-
-
-def mv_estimate(loss: LossSpec, theta, theta_star, generator, n_draws: int,
-                rng) -> MVEstimate:
-    """Mean and variance of the pointwise excess loss over fresh draws.
-
-    generator(rng, n) supplies the sample (a Dataset or PairedScores).  The
-    variance standard error uses the usual fourth-moment formula.
-    """
-    if n_draws < 100:
-        raise PreconditionError("n_draws must be at least 100")
-    prepared = loss.prepare(generator(rng, n_draws))
-    diff = (loss.per_observation(prepared, theta)
-            - loss.per_observation(prepared, theta_star))
-    n = diff.size
-    m = float(diff.mean())
-    v = float(diff.var(ddof=1))
-    m_se = math.sqrt(v / n)
-    c = diff - m
-    m4 = float(np.mean(c ** 4))
-    var_of_var = (m4 - v * v * (n - 3) / (n - 1)) / n
-    v_se = math.sqrt(max(var_of_var, 0.0))
-    return MVEstimate(m_hat=m, v_hat=v, m_se=m_se, v_se=v_se, n_draws=n)
-
-
-# ---------------------------------------------------------------------------
 # annealed-moment condition check
 # ---------------------------------------------------------------------------
 
@@ -482,13 +439,3 @@ def concentration_slope(pairs) -> RateFit:
     slope, intercept = np.polyfit(logn, logr, 1)
     return RateFit(slope=float(slope), intercept=float(intercept),
                    pairs=tuple(pairs))
-
-
-def projection_target(basis: BasisSpec, xs, theta_star_values) -> np.ndarray:
-    """Coefficients of the least-squares projection of the true function's
-    values onto the span of the basis at the design points."""
-    F = design_matrix(basis, xs)
-    y = np.asarray(theta_star_values, dtype=float).reshape(-1)
-    if y.size != F.shape[0]:
-        raise ShapeError("values must match the design points")
-    return least_squares_coefficients(F, y)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from ..diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
 from ..errors import ConfigError, PreconditionError
 from ..losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                       SquaredLoss, ZeroOneLinearLoss)
-from ..model import CubicBSpline
 from ..priors import GaussianIID, LaplaceIID, SpikeSlab
 from ..rates import (AUCDataDriven, FixedRate, HeavyTailRate, PowerLawRate,
                      TsybakovRate)
@@ -79,15 +79,15 @@ def validate_experiment_config(cfg: dict) -> None:
 
     Besides the required fields and their types, every component's name
     must be one its builder table knows, each component spec must hold only
-    the keys that component takes, the generator and the rate must build,
-    the loss, the rate and the divergence must take the kind of data the
-    generator emits, the zeroone loss and the spikeslab prior come
-    together, no component spec holds a boolean, the proposal scale must be
-    positive and finite, the mh section must hold only its own keys, with
-    integer steps, burnIn and thin, and make a sampler configuration at
-    every n, and a holdout size must be a positive integer.  Errors that
-    depend on the cell or on n, such as a loss, prior or divergence
-    parameter the chosen component rejects, surface per row.
+    the keys that component takes and no boolean, the loss, the rate and the
+    divergence must take the kind of data the generator emits, and the
+    zeroone loss and the spikeslab prior come together.  Then the cell's
+    components and its sampler configuration are built at every n of the
+    grid, as the runner builds them, so a parameter any builder rejects is an
+    error here, and the mh init and a per-coordinate proposalScale must fit
+    the parameter the sampler walks on.  What is left to fail per row
+    depends on the data: a chain that cannot start, a degenerate
+    data-driven rate, a singular pilot fit.
     """
     required = ["generator", "loss", "prior", "rate", "mh", "divergence",
                 "nGrid", "replications", "baseSeed"]
@@ -111,14 +111,6 @@ def validate_experiment_config(cfg: dict) -> None:
             raise ConfigError(f"{key} must be a positive integer")
     for field, table in _COMPONENTS.items():
         _builder(table, cfg[field], field)
-    # the generator and the rate need nothing but their specs
-    build_generator(cfg["generator"])
-    build_rate(cfg["rate"])
-    if not isinstance(cfg["mh"], dict):
-        raise ConfigError("mh spec must be an object")
-    _check_proposal_scale(cfg["mh"].get("proposalScale"))
-    for n in n_grid:
-        build_mh(cfg["mh"], n, seed=0)
     generator = cfg["generator"]["name"]
     kind = _GENERATOR_TYPES[generator].data_kind
     for field, takes in (("loss", _LOSS_DATA_KINDS), ("rate", _RATE_DATA_KINDS),
@@ -136,9 +128,37 @@ def validate_experiment_config(cfg: dict) -> None:
         raise ConfigError(f"prior {prior!r} does not go with loss {loss!r}: "
                           f"the spikeslab prior and the zeroone loss are used "
                           f"together or not at all")
-    if prior == "spikeslab" and cfg["mh"].get("init") is not None:
-        # the sparse sampler always starts from a prior draw
-        raise ConfigError("mh init is not supported with the spikeslab prior")
+    for n in n_grid:
+        parts = build_components(cfg, n)
+        build_mh(cfg["mh"], n, seed=0)
+    _check_start(cfg["mh"], parts)
+
+
+def _check_start(mh: dict, parts: Components) -> None:
+    """The mh init and a per-coordinate proposalScale must fit the
+    parameter the sampler walks on."""
+    init, scale = mh.get("init"), mh.get("proposalScale")
+    if isinstance(parts.prior, SpikeSlab):
+        # the sparse sampler starts from a prior draw, and its walk moves
+        # every coordinate of the support by the one scale
+        if init is not None:
+            raise ConfigError("mh init is not supported with the spikeslab prior")
+        if isinstance(scale, list):
+            raise ConfigError("mh proposalScale must be one number with the "
+                              "spikeslab prior, not a list")
+        return
+    if init == "pilot":
+        if not isinstance(parts.loss, MCIDLoss):
+            raise ConfigError("mh init 'pilot' is only available for the mcid loss")
+    elif init is not None and (not isinstance(init, list) or not all(
+            isinstance(v, (int, float)) for v in init)):
+        raise ConfigError(f"mh init must be 'pilot' or a list of coordinates; "
+                          f"got {init!r}")
+    dim = parts.prior.dim
+    for key, value in (("init", init), ("proposalScale", scale)):
+        if isinstance(value, list) and len(value) != dim:
+            raise ConfigError(f"mh {key} must have {dim} entries, one per "
+                              f"parameter coordinate; got {len(value)}")
 
 
 def _is_int(value) -> bool:
@@ -146,32 +166,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_proposal_scale(scale) -> None:
-    """A proposalScale is absent, a positive finite number, a nonempty list
-    of them, or {"c": c, "gamma": g} with c positive and both finite."""
-    def finite(v):
-        if isinstance(v, bool):
-            return False
-        try:
-            return math.isfinite(float(v))
-        except (TypeError, ValueError):
-            return False
+def _is_real(value) -> bool:
+    """A finite JSON number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
-    def positive(v):
-        return finite(v) and float(v) > 0
 
-    if scale is None:
-        return
-    if isinstance(scale, dict):
-        ok = positive(scale.get("c")) and finite(scale.get("gamma"))
-    elif isinstance(scale, list):
-        ok = bool(scale) and all(positive(v) for v in scale)
-    else:
-        ok = positive(scale)
-    if not ok:
-        raise ConfigError(f"mh proposalScale must be a positive finite number, "
-                          f"a list of them, or an object with a positive finite "
-                          f"'c' and a finite 'gamma'; got {scale!r}")
+def _positive_int(kw: dict, key: str, default=None):
+    """kw[key], which must be a positive integer, or the default if absent."""
+    if key not in kw:
+        return default
+    if not _is_int(kw[key]) or kw[key] < 1:
+        raise PreconditionError(f"{key} must be a positive integer; "
+                                f"got {kw[key]!r}")
+    return kw[key]
 
 
 def _holds_bool(value) -> bool:
@@ -210,6 +218,19 @@ def _builder(table: dict, spec, what: str):
     return name, build, kw
 
 
+def _build(table: dict, spec, what: str, *args):
+    """Build the component a spec names with its table entry's builder; a
+    parameter the builder finds missing or rejects is a ConfigError naming
+    the component."""
+    name, build, kw = _builder(table, spec, what)
+    try:
+        return build(kw, *args)
+    except KeyError as exc:
+        raise ConfigError(f"{what} {name!r} missing parameter {exc}") from None
+    except (TypeError, ValueError, PreconditionError) as exc:
+        raise ConfigError(f"bad {what} parameters for {name!r}: {exc}") from None
+
+
 def _keywords(cls, **names):
     """A builder-table entry for a class: the config keys in `names`, each
     passed to the class as the keyword it maps to."""
@@ -235,25 +256,16 @@ _GENERATOR_TYPES = {g.name: g for g in (MCID1, MCID2, QuantileRegSim, HeavyTailS
 
 
 def build_generator(spec: dict):
-    name, build, kw = _builder(_GENERATORS, spec, "generator")
-    try:
-        return build(kw)
-    except (TypeError, ValueError) as exc:
-        # a required key is missing, or a value has the wrong type
-        raise ConfigError(f"bad generator parameters for {name!r}: {exc}") from None
+    return _build(_GENERATORS, spec, "generator")
 
 
 def build_basis(generator, loss_spec: dict):
-    """The function basis of the generator's truth, numBasis functions
-    (default: the generator's own), or None if its truth is no function."""
-    num = loss_spec.get("numBasis")
-    if isinstance(generator, MCID1):
-        return generator.default_basis(num or 6)
-    if isinstance(generator, MCID2):
-        return generator.default_basis(num or 4)
-    if isinstance(generator, MeanCurveSim):
-        return CubicBSpline((0.0, 1.0), num or 8)
-    return None
+    """The generator's own function basis, with numBasis functions if the
+    loss spec gives them, or None if its truth is no function."""
+    num = _positive_int(loss_spec, "numBasis")
+    if not hasattr(generator, "default_basis"):
+        return None
+    return generator.default_basis() if num is None else generator.default_basis(num)
 
 
 def _capped_squared_loss(kw, generator, schedule, n):
@@ -262,7 +274,8 @@ def _capped_squared_loss(kw, generator, schedule, n):
     cap = kw.get("cap", "auto")
     if cap == "auto":
         if not isinstance(schedule, HeavyTailRate) or n is None:
-            raise ConfigError("cap 'auto' needs a heavytail rate schedule")
+            raise ConfigError("loss 'cappedsquared' with cap 'auto' needs a "
+                              "heavytail rate schedule")
         cap = schedule.cap_at(n)
     return CappedSquaredLoss(features=None, cap=float(cap))
 
@@ -302,8 +315,7 @@ _LOSS_DATA_KINDS = {
 
 def build_loss(spec: dict, generator, schedule=None, n: int | None = None):
     """Construct the loss; the capped squared cap may be schedule-resolved."""
-    _, build, kw = _builder(_LOSSES, spec, "loss")
-    return build(kw, generator, schedule, n)
+    return _build(_LOSSES, spec, "loss", generator, schedule, n)
 
 
 def parameter_dim(loss, generator) -> int:
@@ -332,11 +344,7 @@ _PRIORS = {
 
 
 def build_prior(spec: dict, dim: int):
-    name, build, kw = _builder(_PRIORS, spec, "prior")
-    try:
-        return build(kw, dim)
-    except KeyError as exc:
-        raise ConfigError(f"prior {name!r} missing parameter {exc}") from None
+    return _build(_PRIORS, spec, "prior", dim)
 
 
 def _aucdata_rate(kw):
@@ -363,13 +371,7 @@ _RATE_DATA_KINDS = {"aucdata": ("two-sample",)}
 
 
 def build_rate(spec: dict):
-    name, build, kw = _builder(_RATES, spec, "rate")
-    try:
-        return build(kw)
-    except KeyError as exc:
-        raise ConfigError(f"rate {name!r} missing parameter {exc}") from None
-    except (TypeError, ValueError, PreconditionError) as exc:
-        raise ConfigError(f"bad rate parameters for {name!r}: {exc}") from None
+    return _build(_RATES, spec, "rate")
 
 
 def _empirical_l2(kw, generator, loss, basis):
@@ -377,9 +379,9 @@ def _empirical_l2(kw, generator, loss, basis):
         raise ConfigError("empirical_l2 divergence needs a function basis")
     if not hasattr(generator, "divergence_grid"):
         raise ConfigError("generator provides no divergence grid")
-    grid = generator.divergence_grid(int(kw["gridSize"])) \
-        if kw.get("gridSize") else generator.divergence_grid()
-    return EmpiricalL2(basis, grid)
+    size = _positive_int(kw, "gridSize")
+    return EmpiricalL2(basis, generator.divergence_grid() if size is None
+                       else generator.divergence_grid(size))
 
 
 _DIVERGENCES = {
@@ -387,7 +389,7 @@ _DIVERGENCES = {
     "abs": ((), lambda *_: AbsScalarDistance()),
     "empirical_l2": (("gridSize",), _empirical_l2),
     "risk_diff_sqrt": (("nDraws",), lambda kw, generator, loss, basis: RiskDiffSqrt(
-        loss, generator.mc_sample, n_draws=int(kw.get("nDraws", 4096)))),
+        loss, generator.mc_sample, n_draws=_positive_int(kw, "nDraws", 4096))),
 }
 
 
@@ -411,8 +413,7 @@ def build_divergence(spec: dict, generator, loss, basis=None):
     law, so reported divergences are against the population, not the
     fitting data.
     """
-    _, build, kw = _builder(_DIVERGENCES, spec, "divergence")
-    return build(kw, generator, loss, basis)
+    return _build(_DIVERGENCES, spec, "divergence", generator, loss, basis)
 
 
 # the components named in an experiment config, with their builder tables
@@ -420,44 +421,87 @@ _COMPONENTS = {"generator": _GENERATORS, "loss": _LOSSES, "prior": _PRIORS,
                "rate": _RATES, "divergence": _DIVERGENCES}
 
 
+@dataclass(frozen=True)
+class Components:
+    """What the cells at one sample size share: everything built from the
+    config and n alone."""
+
+    generator: object
+    schedule: object
+    loss: object
+    basis: object
+    prior: object
+    divergence: object
+
+
+def build_components(cfg: dict, n: int) -> Components:
+    """Build a cell's generator, rate schedule, loss, basis, prior and
+    divergence at sample size n.  Validation builds them at every n of the
+    grid, and the runner once per block."""
+    generator = build_generator(cfg["generator"])
+    schedule = build_rate(cfg["rate"])
+    loss = build_loss(cfg["loss"], generator, schedule=schedule, n=n)
+    basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
+    # the sparse sampler's dimension is the prior's own q
+    dim = 0 if cfg["prior"].get("name") == "spikeslab" \
+        else parameter_dim(loss, generator)
+    return Components(
+        generator=generator, schedule=schedule, loss=loss, basis=basis,
+        prior=build_prior(cfg["prior"], dim),
+        divergence=build_divergence(cfg["divergence"], generator, loss,
+                                    basis=basis))
+
+
 def resolve_proposal_scale(mh_spec: dict, n: int):
+    """The random-walk proposal scale at sample size n, or None for the
+    sampler's default.  proposalScale is a positive finite number, a
+    nonempty list of them (one per coordinate), or {"c": c, "gamma": g} for
+    c * n^(-g), which must come out positive and finite."""
     scale = mh_spec.get("proposalScale")
     if scale is None:
         return None
+    value = None
     if isinstance(scale, dict):
-        try:
-            return float(scale["c"]) * float(n) ** (-float(scale["gamma"]))
-        except KeyError as exc:
-            raise ConfigError(f"proposalScale object missing {exc}") from None
-    if isinstance(scale, list):
-        return np.asarray(scale, dtype=float)
-    return float(scale)
+        if set(scale) == {"c", "gamma"} and _is_real(scale["c"]) \
+                and _is_real(scale["gamma"]):
+            try:
+                value = float(scale["c"]) * float(n) ** (-float(scale["gamma"]))
+            except OverflowError:
+                pass
+    elif isinstance(scale, list):
+        if scale and all(map(_is_real, scale)):
+            value = np.asarray(scale, dtype=float)
+    elif _is_real(scale):
+        value = float(scale)
+    if value is None or not np.all(np.isfinite(value) & (value > 0)):
+        raise ConfigError(f"mh proposalScale must be a positive finite number, "
+                          f"a nonempty list of them, or an object with finite "
+                          f"'c' and 'gamma' whose c * n^(-gamma) is positive "
+                          f"and finite; got {scale!r} at n = {n}")
+    return value
 
 
-_MH_KEYS = ("steps", "burnIn", "thin", "proposalScale", "init", "alphaFlipProb")
+def _mh_config(kw, n, seed, init):
+    for key in ("steps", "burnIn", "thin"):
+        if key in kw and not _is_int(kw[key]):
+            raise ConfigError(f"mh {key} must be an integer; got {kw[key]!r}")
+    return MHConfig(
+        steps=kw.get("steps", 50_000),
+        burn_in=kw.get("burnIn", 10_000),
+        thin=kw.get("thin", 5),
+        proposal_scale=resolve_proposal_scale(kw, n),
+        seed=seed,
+        init=init,
+        alpha_flip_prob=float(kw.get("alphaFlipProb", 0.05)),
+    )
+
+
+# the mh section is one component with a fixed name
+_MH = {"mh": (("steps", "burnIn", "thin", "proposalScale", "init",
+               "alphaFlipProb"), _mh_config)}
 
 
 def build_mh(spec: dict, n: int, seed: int, init=None) -> MHConfig:
     if not isinstance(spec, dict):
         raise ConfigError("mh spec must be an object")
-    unknown = set(spec) - set(_MH_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown mh keys: {sorted(unknown)}; allowed keys: "
-                          f"{', '.join(_MH_KEYS)}")
-    for key in ("steps", "burnIn", "thin"):
-        if key in spec and not _is_int(spec[key]):
-            raise ConfigError(f"mh {key} must be an integer; got {spec[key]!r}")
-    if isinstance(spec.get("alphaFlipProb"), bool):
-        raise ConfigError("mh alphaFlipProb must be a number, not a boolean")
-    try:
-        return MHConfig(
-            steps=spec.get("steps", 50_000),
-            burn_in=spec.get("burnIn", 10_000),
-            thin=spec.get("thin", 5),
-            proposal_scale=resolve_proposal_scale(spec, n),
-            seed=seed,
-            init=init,
-            alpha_flip_prob=float(spec.get("alphaFlipProb", 0.05)),
-        )
-    except (TypeError, ValueError, PreconditionError) as exc:
-        raise ConfigError(f"bad mh parameters: {exc}") from None
+    return _build(_MH, {"name": "mh", **spec}, "mh", n, seed, init)

@@ -281,6 +281,9 @@ class MeanCurveSim(_Generator):
         y = self.truth_fn(x) + self.noise_sd * rng.standard_normal(n)
         return Dataset.regression(x, y)
 
+    def default_basis(self, num_basis: int = 8) -> CubicBSpline:
+        return CubicBSpline((0.0, 1.0), num_basis)
+
     def divergence_grid(self, size: int = 256) -> np.ndarray:
         return np.linspace(0.0, 1.0, size)
 

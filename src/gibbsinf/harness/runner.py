@@ -11,7 +11,10 @@ only ever hands workers (config, n index, replication indices), and file row
 order is by (nIndex, repIndex) regardless of completion order.  Spike-slab
 chains (`ss_mh_run`) run one at a time inside their block; their draws are
 dense (alpha, beta) rows like any other chain's, so the divergences and the
-posterior mean take them as they are.
+posterior mean take them as they are.  A block builds what depends only on
+(config, n), the generator, rate schedule, loss, prior and divergence, once,
+with `config.build_components`, the function validation builds them with;
+so on a validated config a row fails only on its data.
 
 With workers > 1 the blocks run on a process pool that is kept between
 calls.  The first parallel call in a process starts its `workers`
@@ -50,14 +53,16 @@ from ..diagnostics import EmpiricalL2, concentration_slope
 from ..errors import ConfigError, GibbsInfError
 from ..losses import MCIDLoss, least_squares_coefficients
 from ..model import FunctionParam
+from ..priors import SpikeSlab
 from ..rates import AUCDataDriven, rate_at
 from ..sampler import (GibbsTarget, hash64, make_rng, mh_run_block, mh_start,
                        posterior_mean, ss_mh_run)
-# runner.mh_run stays importable: perfbench/tracer.py wraps it by that name
+# runner.mh_run and the component builders stay importable here:
+# perfbench/tracer.py wraps them by these names
 from ..sampler import mh_run  # noqa: F401
-from .config import (build_divergence, build_generator, build_loss, build_mh,
-                     build_prior, build_rate, parameter_dim,
-                     validate_experiment_config)
+from .config import (build_divergence, build_generator, build_loss,  # noqa: F401
+                     build_prior, build_rate)
+from .config import build_components, build_mh, validate_experiment_config
 from .generators import holdout_misclassification
 
 RESULT_COLUMNS = ["n", "rep", "seed", "omega", "radius_q90", "div_point_est",
@@ -102,7 +107,7 @@ def compute_rows(cfg: dict, n_index: int, rep_indices,
     on expected failures (fail-soft, per row).
 
     With timings, a row's wall_ms is its own set-up and post-processing
-    plus an equal share of the block's sampler time.
+    plus an equal share of the block's component build and sampler time.
     """
     n = int(cfg["nGrid"][n_index])
     seeds = [row_seed(int(cfg["baseSeed"]), n_index, j) for j in rep_indices]
@@ -139,58 +144,54 @@ class CellFit:
     data: object
     loss: object
     basis: object
+    divergence: object
     omega: float
     chain: object
     theta_bar: np.ndarray
 
 
 def _resolve_init(mh_spec: dict, loss, data):
-    """Resolve the chain's starting point from the mh config section.
-
-    "pilot" asks for a data-driven warm start: for the threshold-function
-    loss this is the least-squares fit of the score on the basis expansion
-    of the covariate.  It changes only where the chain starts, never the
-    target; long prior-started chains agree with short pilot-started ones.
+    """The chain's starting point from the mh config section: None for a
+    prior draw, the listed coordinates, or for "pilot" a data-driven warm
+    start, the least-squares fit of the score on the basis expansion of the
+    covariate (validation allows it for the threshold-function loss only).
+    It changes only where the chain starts, never the target; long
+    prior-started chains agree with short pilot-started ones.
     """
     init = mh_spec.get("init")
-    if init is None:
-        return None
     if init == "pilot":
-        if isinstance(loss, MCIDLoss):
-            design = loss.basis.design(data.z)
-            return least_squares_coefficients(design, data.x)
-        raise ConfigError("mh init 'pilot' is only available for the mcid loss")
-    if isinstance(init, list):
-        return np.asarray(init, dtype=float)
-    raise ConfigError("mh init must be 'pilot' or a list of coordinates")
+        return least_squares_coefficients(loss.basis.design(data.z), data.x)
+    return None if init is None else np.asarray(init, dtype=float)
 
 
 def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
     """Fit the cells of one block: per seed, a CellFit or the exception that
     ended its set-up or its chain, and the seconds spent on it.
 
-    Components that depend only on (config, n) are built once per block, on
-    first use, in the order a single cell builds them; a build that fails is
-    retried by every cell, so each row reports its own error.
+    The components that depend only on (config, n) are built once for the
+    block, and each cell takes an equal share of that time; if the build
+    fails, every cell reports its error.
     """
-    built = {}
-
-    def shared(key, build):
-        if key not in built:
-            built[key] = build()
-        return built[key]
+    start = time.perf_counter()
+    try:
+        parts = build_components(cfg, n)
+    except _ROW_ERRORS as exc:
+        parts = exc
+    build_share = (time.perf_counter() - start) / max(len(seeds), 1)
+    if isinstance(parts, Exception):
+        return [parts] * len(seeds), [build_share] * len(seeds)
 
     fits, seconds, starts = [], [], []
     for seed in seeds:
         start = time.perf_counter()
         try:
-            fit, chain_start = _set_up_cell(cfg, n, seed, shared)
+            fit, chain_start = _set_up_cell(cfg, parts, n, seed)
             if chain_start is not None:
                 starts.append((len(fits), chain_start))
         except _ROW_ERRORS as exc:
             fit = exc
         fits.append(fit)
-        seconds.append(time.perf_counter() - start)
+        seconds.append(build_share + time.perf_counter() - start)
 
     if starts:
         start = time.perf_counter()
@@ -206,38 +207,27 @@ def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
     return fits, seconds
 
 
-def _set_up_cell(cfg: dict, n: int, seed: int, shared):
+def _set_up_cell(cfg: dict, parts, n: int, seed: int):
     """Generate data, resolve the learning rate and set up the chain.
 
     Returns (fit, None) for a spike-slab cell, whose chain has already run,
     and (fit without chain, ChainStart) for a random-walk cell.
     """
-    generator = shared("generator", lambda: build_generator(cfg["generator"]))
-    data = generator.sample(n, _sub_rng(seed, _STREAM_DATA))
-
-    schedule = shared("rate", lambda: build_rate(cfg["rate"]))
-    if isinstance(schedule, AUCDataDriven):
-        omega = schedule.resolve(data.scores0, data.scores1)
+    data = parts.generator.sample(n, _sub_rng(seed, _STREAM_DATA))
+    if isinstance(parts.schedule, AUCDataDriven):
+        omega = parts.schedule.resolve(data.scores0, data.scores1)
     else:
-        omega = rate_at(schedule, n)
+        omega = rate_at(parts.schedule, n)
+    fit = CellFit(generator=parts.generator, data=data, loss=parts.loss,
+                  basis=parts.basis, divergence=parts.divergence, omega=omega,
+                  chain=None, theta_bar=None)
 
-    loss = shared("loss", lambda: build_loss(cfg["loss"], generator,
-                                             schedule=schedule, n=n))
-    basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
-    fit = CellFit(generator=generator, data=data, loss=loss, basis=basis,
-                  omega=omega, chain=None, theta_bar=None)
-
-    prior_spec = cfg["prior"]
+    target = GibbsTarget(parts.loss, parts.prior, data, omega)
     chain_seed = hash64(seed, _STREAM_CHAIN)
-    if prior_spec.get("name") == "spikeslab":
-        prior = shared("prior", lambda: build_prior(prior_spec, dim=0))
-        target = GibbsTarget(loss, prior, data, omega)
+    if isinstance(parts.prior, SpikeSlab):
         chain = ss_mh_run(target, build_mh(cfg["mh"], n, seed=chain_seed))
         return replace(fit, chain=chain, theta_bar=posterior_mean(chain)), None
-    prior = shared("prior", lambda: build_prior(
-        prior_spec, dim=parameter_dim(loss, generator)))
-    target = GibbsTarget(loss, prior, data, omega)
-    init = _resolve_init(cfg["mh"], loss, data)
+    init = _resolve_init(cfg["mh"], parts.loss, data)
     return fit, mh_start(target, build_mh(cfg["mh"], n, seed=chain_seed, init=init))
 
 
@@ -250,11 +240,9 @@ def fit_cell(cfg: dict, n: int, seed: int) -> CellFit:
 
 
 def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
-    div = build_divergence(cfg["divergence"], fit.generator, fit.loss,
-                           basis=fit.basis)
     div_rng = _sub_rng(seed, _STREAM_DIVERGENCE)
     radius_q90, div_point = _divergence_stats(
-        div, fit.chain.draws, fit.theta_bar, fit.generator, div_rng)
+        fit.divergence, fit.chain.draws, fit.theta_bar, fit.generator, div_rng)
 
     out = {"omega": fit.omega, "accept_rate": fit.chain.accept_rate,
            "radius_q90": radius_q90, "div_point_est": div_point}

@@ -7,6 +7,7 @@ sharing one rng seed between estimators makes sample-level identities exact.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,12 +18,31 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CubicBSpline, Dataset,
                       GibbsTarget, MCIDMeasure, MHConfig, RiskDiffSqrt,
                       SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
                       concentration_slope, credible_interval, design_matrix,
-                      divergence_value, mgf_condition_check, mv_estimate,
-                      posterior_mass_outside, posterior_mean,
-                      projection_target, ss_mh_run, structurally_equal)
+                      divergence_value, mgf_condition_check,
+                      posterior_mass_outside, posterior_mean, ss_mh_run,
+                      structurally_equal)
 from gibbsinf.errors import (OverflowGuardError, PreconditionError, ShapeError)
 from gibbsinf.harness import AUCSim, MCID1, SparseClassSim
 from gibbsinf.sampler import hash64, make_rng
+
+
+@dataclass(frozen=True)
+class _MVEstimate:
+    """Monte-Carlo mean of the excess loss l_theta - l_theta* and its
+    standard error."""
+
+    m_hat: float
+    m_se: float
+
+
+def _mv_estimate(loss, theta, theta_star, generator, n_draws, rng) -> _MVEstimate:
+    """The mean excess loss over fresh draws from generator(rng, n): the
+    oracle of the RiskDiffSqrt and mgf checks."""
+    prepared = loss.prepare(generator(rng, n_draws))
+    diff = (loss.per_observation(prepared, theta)
+            - loss.per_observation(prepared, theta_star))
+    return _MVEstimate(m_hat=float(diff.mean()),
+                       m_se=math.sqrt(float(diff.var(ddof=1)) / diff.size))
 
 
 def _const_regression(n, rng=None, values=0.0):
@@ -133,7 +153,7 @@ def test_risk_diff_sqrt_squares_to_mean_excess():
     seed = hash64(31, 1)
     mc = RiskDiffSqrt(AUCLoss(), gen.mc_sample, n_draws=4096)
     est = mc.estimate(theta, theta_star, make_rng(seed))
-    mv = mv_estimate(AUCLoss(), theta, theta_star, gen.mc_sample, 4096,
+    mv = _mv_estimate(AUCLoss(), theta, theta_star, gen.mc_sample, 4096,
                      make_rng(seed))
     assert mv.m_hat > 0
     assert est.value ** 2 == pytest.approx(mv.m_hat, abs=1e-14)
@@ -141,12 +161,6 @@ def test_risk_diff_sqrt_squares_to_mean_excess():
     # and the mv mean is itself near the exact excess risk within 3 se
     exact = (theta - theta_star) ** 2  # exact quadratic excess for this loss
     assert abs(mv.m_hat - exact) < 3 * mv.m_se
-
-
-def test_mv_estimate_validation():
-    gen = AUCSim(1.0)
-    with pytest.raises(PreconditionError):
-        mv_estimate(AUCLoss(), 0.6, 0.7, gen.mc_sample, 50, make_rng(0))
 
 
 def test_mcid_measure_constant_shift_oracle():
@@ -221,7 +235,7 @@ def test_mgf_check_small_rate_limit_is_mean_excess():
         loss=AUCLoss(), theta_grid=[theta], theta_star=theta_star,
         omega=omega, div=AbsScalarDistance(), r=2.0,
         generator=gen.mc_sample, n_draws=10_000, rng=make_rng(seed))
-    mv = mv_estimate(AUCLoss(), theta, theta_star, gen.mc_sample, 10_000,
+    mv = _mv_estimate(AUCLoss(), theta, theta_star, gen.mc_sample, 10_000,
                      make_rng(seed))
     assert out.points[0].k_hat == pytest.approx(mv.m_hat / 0.1 ** 2,
                                                 abs=1e-4)
@@ -317,14 +331,3 @@ def test_concentration_slope_validation():
         concentration_slope([(100, 0.1), (100, 0.2), (200, 0.05)])
     with pytest.raises(PreconditionError):
         concentration_slope([(100, 0.1), (200, -0.2), (400, 0.05)])
-
-
-def test_projection_target_exact_in_span():
-    basis = CubicBSpline((0.0, 3.0), 6)
-    xs = np.linspace(0.0, 3.0, 200)
-    coef = np.array([5.0, 5.0, 3.0, 0.0, 2.0, 5.0])
-    values = design_matrix(basis, xs) @ coef
-    got = projection_target(basis, xs, values)
-    assert np.allclose(got, coef, atol=1e-8)
-    with pytest.raises(ShapeError):
-        projection_target(basis, xs, values[:-1])

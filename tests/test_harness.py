@@ -299,13 +299,14 @@ def test_resolve_proposal_scale_forms():
 
 
 def test_pilot_start_requires_threshold_loss():
+    # the check loss has no basis to fit a pilot on; this used to fail
+    # every row, and is now a config error before any cell runs
     cfg = _tiny_config()
     cfg["mh"]["init"] = "pilot"
     cfg["nGrid"] = [50]
     cfg["replications"] = 1
-    res = run_experiment(cfg, workers=1)
-    assert res.rows[0]["error"] is not None
-    assert "pilot" in res.rows[0]["error"]
+    with pytest.raises(ConfigError, match="init 'pilot'.*mcid"):
+        run_experiment(cfg, workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +749,16 @@ _GENERATOR_DIVERGENCE = {"mcid1": "empirical_l2", "mcid2": "empirical_l2",
                          "meancurve": "empirical_l2"}
 
 
+_SHORT_MH = {"steps": 60, "burnIn": 10, "thin": 5, "proposalScale": 0.1}
+
+
 def _pair_config(generator: str, loss: str) -> dict:
     return _tiny_config(
         generator=_GENERATOR_SPECS[generator], loss=_LOSS_SPECS[loss],
         prior={"name": "spikeslab", "q": 5} if loss == "zeroone"
         else {"name": "gaussian", "sd": 5.0},
         divergence={"name": _GENERATOR_DIVERGENCE.get(generator, "euclid")},
-        mh={"steps": 60, "burnIn": 10, "thin": 5, "proposalScale": 0.1},
-        nGrid=[20], replications=1)
+        mh=dict(_SHORT_MH), nGrid=[20], replications=1)
 
 
 @pytest.mark.parametrize("loss", sorted(_LOSS_SPECS))
@@ -931,14 +934,45 @@ def test_booleans_in_component_specs_fail_before_any_cell(tmp_path, field,
      ["'heavytail'", "df"]),
     ("generator", {"name": "aucsim"}, ("aucsim", "auc"), ["'aucsim'", "mu"]),
     ("rate", {"name": "heavytail", "s": 2}, None,
-     ["'heavytail'", "s must exceed 3"])],
+     ["'heavytail'", "s must exceed 3"]),
+    ("prior", {"name": "gaussian", "mean": 0.0}, None,
+     ["'gaussian'", "missing parameter 'sd'"]),
+    ("prior", {"name": "laplace"}, None, ["'laplace'", "missing parameter 'rate'"]),
+    ("loss", {"name": "check", "tau": 1.5}, None, ["'check'", "tau must lie in"]),
+    ("loss", {"name": "mcid", "numBasis": 2}, ("mcid1", "mcid"),
+     ["'mcid'", "J >= 4"]),
+    ("loss", {"name": "cappedsquared", "cap": "auto"},
+     ("heavytail", "cappedsquared"), ["'cappedsquared'", "heavytail rate"]),
+    ("divergence", {"name": "risk_diff_sqrt", "nDraws": 1}, None,
+     ["'risk_diff_sqrt'", "at least 2"]),
+    ("divergence", {"name": "empirical_l2", "gridSize": -3}, ("mcid1", "mcid"),
+     ["'empirical_l2'", "gridSize must be a positive integer"]),
+    ("loss", {"name": "mcid", "numBasis": 0}, ("mcid1", "mcid"),
+     ["'mcid'", "numBasis must be a positive integer"]),
+    ("divergence", {"name": "empirical_l2", "gridSize": 0}, ("mcid1", "mcid"),
+     ["'empirical_l2'", "gridSize must be a positive integer"]),
+    ("divergence", {"name": "risk_diff_sqrt", "nDraws": 64.5}, None,
+     ["'risk_diff_sqrt'", "nDraws must be a positive integer"]),
+    ("mh", dict(_SHORT_MH, init="prior"), None, ["init", "'pilot' or a list"]),
+    ("mh", dict(_SHORT_MH, init=[1.0, 2.0, 3.0]), None, ["init", "2 entries"]),
+    ("mh", dict(_SHORT_MH, proposalScale=[0.1, 0.2, 0.3]), None,
+     ["proposalScale", "2 entries"]),
+    ("mh", dict(_SHORT_MH, proposalScale=[0.1, 5.0, 7.0]),
+     ("sparseclass", "zeroone"),
+     ["proposalScale", "spikeslab"])],
     ids=["generatorTua", "lossTua", "priorSdd", "rateOmegaa", "divergenceNDrawz",
-         "heavytailNoDf", "aucsimNoMu", "heavytailRateS2"])
+         "heavytailNoDf", "aucsimNoMu", "heavytailRateS2", "gaussianNoSd",
+         "laplaceNoRate", "checkTau1.5", "mcidNumBasis2", "capAutoUnderFixed",
+         "nDraws1", "gridSizeNegative", "numBasis0", "gridSize0", "nDrawsFraction",
+         "initWord", "initLength", "scaleLength", "spikeslabScaleList"])
 def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
                                                        pair, words):
     # a key typo used to be ignored, so the run took the default (or, on a
-    # generator, failed every row), and a missing or out-of-range generator
-    # or rate parameter failed every row; each exited 0
+    # generator, failed every row), and a missing or rejected component
+    # parameter failed every row; each exited 0.  numBasis 0 and gridSize 0
+    # used to mean the default, and a fractional nDraws was cut by int().
+    # An init or a scale list that does not fit the parameter failed every
+    # row, and the sparse sampler took the first entry of a scale list
     cfg = _pair_config(*pair) if pair else _tiny_config()
     cfg[field] = spec
     with pytest.raises(ConfigError, match=field) as info:
@@ -950,6 +984,16 @@ def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
     code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
     assert code == 1 and all(word in err for word in words), err
     assert not out.exists()
+
+
+def test_component_build_failure_is_an_error_in_every_row():
+    # without validation a block still never raises on a component its
+    # builder rejects: each of its rows carries the error
+    cfg = _tiny_config(prior={"name": "gaussian", "mean": 0.0})
+    rows = runner.compute_rows(cfg, 0, range(2))
+    error = "ConfigError: prior 'gaussian' missing parameter 'sd'"
+    assert [row["error"] for row in rows] == [error, error]
+    assert compute_row(cfg, 1, 0)["error"] == error
 
 
 def test_bundled_configs_pass_validation():
