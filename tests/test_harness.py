@@ -1131,6 +1131,29 @@ def test_mcid1_block_of_eight_chains_matches_recorded_digest(monkeypatch):
         "cf9ace8fdcb64ca6aaf1e7c2c6a5ca84c8cb18d091c6206ae58c26c35f31ea60")
 
 
+def test_quantile_block_of_four_chains_at_n3200_matches_recorded_digest(monkeypatch):
+    # one block of the quantile_rootn protocol at its largest n, shortened:
+    # four chains in lockstep on the check loss; digest of the draws and the
+    # accept counts recorded before the block evaluated its densities into
+    # buffers made once per block
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "quantile_rootn.json"))
+    cfg["mh"].update(steps=1800, burnIn=300, thin=5)
+    chains = []
+    original = runner.mh_run_block
+    monkeypatch.setattr(runner, "mh_run_block",
+                        lambda starts: chains.extend(original(starts)) or chains)
+    rows = runner.compute_rows(cfg, 2, range(4))
+    assert [row["n"] for row in rows] == [3200] * 4
+    assert [row["error"] for row in rows] == [None] * 4
+    assert [c.accepted for c in chains] == [924, 987, 912, 977]
+    digest = hashlib.sha256()
+    for c in chains:
+        digest.update(c.draws.tobytes())
+    assert digest.hexdigest() == (
+        "38bb6a5a8278d3afefe36827f800f6931fad426fc7cd61bd8b81b2edca06769b")
+
+
 def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
     # the 20k-step chain of the benchmark's cli-sample workload: one risk
     # call per step (20000) without the sampler's lookahead

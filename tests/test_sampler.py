@@ -370,6 +370,34 @@ def test_short_chains_match_recorded_values():
         [-5.729629592913657], [-4.582580832692851], [-4.197567979890199]]
 
 
+@pytest.mark.parametrize("kind, R, regime, accepted, digest", [
+    ("squared/laplace", 4, 1, [599, 360, 223, 199],
+     "e994a3d9382a62cbb8e183cfdb1bbe2ea9b004a302f9fd62ce870a5a9a2a9e3c"),
+    ("squared/laplace", 2, 0, [157, 58],
+     "f56137f46b76f28550d40a705f63833b3d1b1b5a8f80c1c9064367c23eb1ca71"),
+    ("cappedsquared/gaussian", 4, 1, [661, 503, 266, 194],
+     "7127f146c44244a45659508840b91b7dfbd9aa26b46b2a5e44ea33fbedd8d7a7"),
+    ("cappedsquared/gaussian", 2, 0, [143, 88],
+     "e89a0caf377879808d75072dab61296a8f5931f5945604017df693f062846dfc")])
+def test_block_chains_match_recorded_digests(kind, R, regime, accepted, digest):
+    # accept counts and a sha256 of the draws of every chain of a block,
+    # recorded before the block evaluated its densities into buffers made
+    # once per block.  The blocks of four evaluate one step per kernel call
+    # at acceptance near 0.25; the blocks of two, near 0.05, mostly look
+    # ahead two steps per call.  Five full chunks and a short one.
+    targets = _block_case(kind, R=R)
+    configs = [MHConfig(steps=5 * _CHUNK + 20, burn_in=100, thin=4,
+                        seed=hash64(48, r),
+                        proposal_scale=_LOOKAHEAD_SCALES[kind][regime])
+               for r in range(R)]
+    block = mh_run_block([mh_start(t, c) for t, c in zip(targets, configs)])
+    assert [c.accepted for c in block] == accepted
+    sha = hashlib.sha256()
+    for c in block:
+        sha.update(c.draws.tobytes())
+    assert sha.hexdigest() == digest
+
+
 def test_block_memory_is_bounded():
     # variates are drawn chunk by chunk, so the peak stays near the kept
     # draws instead of growing with steps x chains x dim.  The block's
