@@ -67,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_experiment_run(args) -> int:
     cfg = load_config(args.config)
-    validate_experiment_config(cfg)
     if args.workers is not None and args.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    # run_experiment validates the config before any cell runs
     result = run_experiment(cfg, workers=args.workers, timings=args.timings,
                             full=args.full)
     # the one call is made: the pool's workers go now, which is quicker

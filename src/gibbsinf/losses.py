@@ -2,23 +2,30 @@
 
 Each loss family is written once, as two methods: `prepare(sample)` checks a
 sample and precomputes its arrays (design matrix, labels, responses), and
-`pointwise(prepared, beta)` holds the loss formula, mapping the prepared
-arrays and a coefficient vector to the per-observation losses (a boolean
-mismatch vector for the 0-1 losses).  Everything else derives from that pair:
-the risk kernel used inside MCMC loops (`risk_state` + `risk`, vectorized
-over a block of chains), the empirical risk of a dataset (`empirical_risk`,
-the one-chain kernel), and float per-observation values for Monte-Carlo
-diagnostics (`pointwise_losses`, or `loss.per_observation` on a sample
-prepared once).  The loss on a single observation is the one value of a
-one-row sample.  The ranking loss keeps a closed-form risk over the m*n pair
-grid.
+`pointwise(prepared, beta, work)` holds the loss formula, mapping the
+prepared arrays and a coefficient vector to the per-observation losses (a
+boolean mismatch vector for the 0-1 losses).  Everything else derives from
+that pair: the risk kernel used inside MCMC loops (`risk_state` + `risk`,
+vectorized over a block of chains), the empirical risk of a dataset
+(`empirical_risk`, the one-chain kernel), the sparse sampler's one-row
+kernel, and float per-observation values for Monte-Carlo diagnostics
+(`pointwise_losses`, or `loss.per_observation` on a sample prepared once).
+The loss on a single observation is the one value of a one-row sample.  The
+ranking loss keeps a closed-form risk over the m*n pair grid.
+
+Buffers: `pointwise` and `risk` write every n-sized intermediate into a
+`Workspace` (one matmul into its linear predictor, then ufuncs with `out=`,
+then one sum per chain), so a caller that evaluates the same prepared
+arrays many times makes the workspace once (`loss.workspace(prepared)`) and
+allocates nothing per call.  Without one they make a fresh workspace.
 
 Chain blocks: `pointwise` also takes prepared arrays stacked along a leading
 chain axis, (R, n, J) with an (R, J) coefficient block, and `risk` maps a
-stacked state and an (R, J) block to R risks.  Every chain's value is
-bit-identical to its one-chain value: the linear predictor is one
-matrix-vector product per chain, and the mean is the same pairwise sum (an
-exact count for the 0-1 losses) divided by n that `np.mean` computes.
+stacked state and an (R, J) block to R risks, as Python floats.  Every
+chain's value is bit-identical to its one-chain value: the linear predictor
+is one matrix-vector product per chain, and the mean is the same pairwise
+sum (an exact count for the 0-1 losses) divided by n that `np.mean`
+computes.
 
 Sign convention: sign(0) = -1 everywhere, and classifier indicators use the
 strict inequality x'theta > 0.  Score ties across groups in the pairwise
@@ -48,9 +55,30 @@ def _as_beta(theta, loss) -> np.ndarray:
     return np.asarray(theta, dtype=float)
 
 
-def _linear(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """F @ beta, one matrix-vector product per chain of a stacked block."""
-    return np.matmul(F, beta[..., None])[..., 0]
+class Workspace:
+    """Buffers that a loss's `pointwise` and `risk` write into, for prepared
+    arrays of one sample, (n, J), or of a stacked block, (R, n, J): the
+    linear predictor (`product`, with matmul's trailing unit axis, and its
+    view `linear`), a boolean and a float value per observation (`mask`,
+    `values`), and each chain's float sum and integer count (`sums`,
+    `counts`)."""
+
+    __slots__ = ("product", "linear", "mask", "values", "sums", "counts")
+
+    def __init__(self, shape: tuple):
+        self.product = np.empty(shape + (1,))
+        self.linear = self.product[..., 0]
+        self.mask = np.empty(shape, dtype=bool)
+        self.values = np.empty(shape)
+        self.sums = np.empty(shape[:-1])
+        self.counts = np.empty(shape[:-1], dtype=np.int_)
+
+
+def _linear(F: np.ndarray, beta: np.ndarray, work: Workspace) -> np.ndarray:
+    """F @ beta into `work.linear`, one matrix-vector product per chain of a
+    stacked block."""
+    np.matmul(F, beta[..., None], out=work.product)
+    return work.linear
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +87,7 @@ def _linear(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 class _Loss:
     """Risk kernel and per-observation values, both derived from a family's
-    `prepare(sample)` and `pointwise(prepared, beta)`.
+    `prepare(sample)` and `pointwise(prepared, beta, work)`.
     """
 
     def risk_state(self, data: Dataset) -> tuple:
@@ -67,10 +95,21 @@ class _Loss:
         chains' states concatenate along the leading axis into a block."""
         return tuple(a[None] for a in self.prepare(data))
 
-    def risk(self, state: tuple, B: np.ndarray) -> np.ndarray:
-        """Empirical risks of an (R, J) coefficient block, one per chain."""
-        losses = self.pointwise(state, B)
-        return np.add.reduce(losses, -1) / float(losses.shape[-1])
+    def workspace(self, prepared: tuple) -> Workspace:
+        """Buffers for `pointwise` and `risk` on these prepared arrays (or a
+        risk state), whose first array is the design matrix."""
+        return Workspace(prepared[0].shape[:-1])
+
+    def risk(self, state: tuple, B: np.ndarray, work: Workspace | None = None) -> list:
+        """Empirical risks of an (R, J) coefficient block, one Python float
+        per chain, evaluated into `work` (from `workspace(state)`) if given."""
+        work = work or self.workspace(state)
+        losses = self.pointwise(state, B, work)
+        # 0-1 losses sum as integer counts, as np.add.reduce does by default
+        sums = np.add.reduce(losses, -1,
+                             out=work.counts if losses.dtype == bool else work.sums)
+        n = float(losses.shape[-1])
+        return [s / n for s in sums.tolist()]
 
     def per_observation(self, prepared, theta) -> np.ndarray:
         """Float vector of losses of theta on every row of a prepared sample."""
@@ -85,6 +124,12 @@ class _RegressionLoss(_Loss):
         if not isinstance(sample, Dataset) or sample.kind != "reg":
             raise ShapeError(f"{self.kind} loss expects a regression dataset")
         return design_matrix(self.features, sample.x), sample.y
+
+
+def _residual(prepared, beta: np.ndarray, work: Workspace) -> np.ndarray:
+    """y - b'f(x) into `work.linear`."""
+    F, y = prepared
+    return np.subtract(y, _linear(F, beta, work), out=work.linear)
 
 
 class CheckLoss(_RegressionLoss):
@@ -102,10 +147,12 @@ class CheckLoss(_RegressionLoss):
         self.tau = float(tau)
         self.features = features
 
-    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
-        F, y = prepared
-        r = y - _linear(F, beta)
-        return r * (self.tau - (r < 0.0))
+    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
+        work = work or self.workspace(prepared)
+        r = _residual(prepared, beta, work)
+        # r * (tau - 1{r < 0})
+        np.subtract(self.tau, np.less(r, 0.0, out=work.mask), out=work.values)
+        return np.multiply(r, work.values, out=work.values)
 
 
 class SquaredLoss(_RegressionLoss):
@@ -116,10 +163,9 @@ class SquaredLoss(_RegressionLoss):
     def __init__(self, features: BasisSpec | None):
         self.features = features
 
-    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
-        F, y = prepared
-        r = y - _linear(F, beta)
-        return r * r
+    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
+        r = _residual(prepared, beta, work or self.workspace(prepared))
+        return np.multiply(r, r, out=r)
 
 
 class CappedSquaredLoss(_RegressionLoss):
@@ -138,10 +184,9 @@ class CappedSquaredLoss(_RegressionLoss):
         self.features = features
         self.cap = float(cap)
 
-    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
-        F, y = prepared
-        r = y - _linear(F, beta)
-        return np.minimum(r * r, self.cap)
+    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
+        r = _residual(prepared, beta, work or self.workspace(prepared))
+        return np.minimum(np.multiply(r, r, out=r), self.cap, out=r)
 
 
 def _positive_labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
@@ -167,9 +212,11 @@ class ZeroOneLinearLoss(_Loss):
             raise ShapeError("zero-one loss expects a classification dataset")
         return np.atleast_2d(sample.x), _positive_labels(sample, {0, 1}, "zero-one loss")
 
-    def pointwise(self, prepared, theta: np.ndarray) -> np.ndarray:
+    def pointwise(self, prepared, theta: np.ndarray, work=None) -> np.ndarray:
         X, positive = prepared
-        return (_linear(X, theta) > 0.0) != positive
+        work = work or self.workspace(prepared)
+        np.greater(_linear(X, theta, work), 0.0, out=work.mask)
+        return np.not_equal(work.mask, positive, out=work.mask)
 
 
 class MCIDLoss(_Loss):
@@ -193,10 +240,12 @@ class MCIDLoss(_Loss):
         return (design_matrix(self.basis, sample.z), sample.x.astype(float),
                 _positive_labels(sample, {-1, 1}, "threshold loss"))
 
-    def pointwise(self, prepared, beta: np.ndarray) -> np.ndarray:
+    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
         F, x, positive = prepared
+        work = work or self.workspace(prepared)
         # x > t is x - t > 0 for every pair of doubles, one operation fewer
-        return (x > _linear(F, beta)) != positive
+        np.greater(x, _linear(F, beta, work), out=work.mask)
+        return np.not_equal(work.mask, positive, out=work.mask)
 
 
 class AUCLoss(_Loss):
@@ -214,7 +263,7 @@ class AUCLoss(_Loss):
             raise ShapeError("ranking loss needs PairedScores for pointwise values")
         return (sample.u1 > sample.u0).astype(float)
 
-    def pointwise(self, prepared, theta) -> np.ndarray:
+    def pointwise(self, prepared, theta, work=None) -> np.ndarray:
         t = float(np.asarray(theta).reshape(-1)[0])
         return (t - prepared) ** 2
 
@@ -232,12 +281,16 @@ class AUCLoss(_Loss):
         that = auc_point_estimate(data.scores0, data.scores1)
         return np.array([that]), np.array([that * (1.0 - that)])
 
-    def risk(self, state: tuple, B: np.ndarray) -> np.ndarray:
+    def workspace(self, prepared):
+        """None: the closed form writes no n-sized array."""
+        return None
+
+    def risk(self, state: tuple, B: np.ndarray, work=None) -> list:
         # Python floats per chain: `** 2` on a float calls pow(), which an
         # array square (a product) need not match in the last bit
         that, const = state
-        return np.array([(t - a) ** 2 + c for t, a, c in
-                         zip(B[:, 0].tolist(), that.tolist(), const.tolist())])
+        return [(t - a) ** 2 + c for t, a, c in
+                zip(B[:, 0].tolist(), that.tolist(), const.tolist())]
 
 
 LossSpec = (CheckLoss | SquaredLoss | CappedSquaredLoss | ZeroOneLinearLoss
@@ -254,7 +307,7 @@ def empirical_risk(loss: LossSpec, theta, data: Dataset) -> float:
     For two-sample data the average runs over all m*n score pairs.
     """
     beta = _as_beta(theta, loss).reshape(1, -1)
-    return float(loss.risk(loss.risk_state(data), beta)[0])
+    return loss.risk(loss.risk_state(data), beta)[0]
 
 
 def auc_point_estimate(scores0, scores1) -> float:

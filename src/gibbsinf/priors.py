@@ -7,7 +7,10 @@ coefficient vectors; a spike-slab parameter is the (1+q) row (alpha, beta),
 whose support is the set of nonzero coordinates of beta.
 
 The iid priors' `log_density` also takes an (R, dim) block of chains and
-returns R values, each bit-identical to the one-chain value.
+returns R Python floats, each bit-identical to the one-chain value.  It
+computes one statistic per chain (z'z, or the sum of |theta|) with NumPy,
+into buffers from `workspace` when given, and the density from it on
+Python floats.
 
 The spike-slab size prior is normalized with `logsumexp` and the binomial
 coefficients come from `gammaln`; both are ports in `gibbsinf._special`
@@ -46,13 +49,23 @@ class GaussianIID:
         self.mean, self.sd, self.dim = float(mean), float(sd), int(dim)
         self._log_norm = self.dim * (math.log(self.sd) + 0.5 * _LOG_2PI)
 
-    def log_density(self, theta):
+    def workspace(self, shape: tuple = ()) -> tuple:
+        """Buffers for `log_density` on coefficients of leading shape
+        `shape`, () for one vector and (R,) for a block: z and z'z (with
+        matmul's unit axes, and flat)."""
+        zz = np.empty(shape + (1, 1))
+        return np.empty(shape + (self.dim,)), zz, zz.reshape(-1)
+
+    def log_density(self, theta, work=None):
         theta = _coefficients(theta, self.dim)
+        z, zz, flat = work or self.workspace(theta.shape[:-1])
         # x - 0.0 == x for every double, so a zero mean skips an operation
-        z = (theta - self.mean if self.mean else theta) / self.sd
+        np.divide(np.subtract(theta, self.mean, out=z) if self.mean else theta,
+                  self.sd, out=z)
         # z'z as one dot product per chain
-        out = -0.5 * np.matmul(z[..., None, :], z[..., None])[..., 0, 0] - self._log_norm
-        return out if out.ndim else float(out)
+        np.matmul(z[..., None, :], z[..., None], out=zz)
+        out = [-0.5 * s - self._log_norm for s in flat.tolist()]
+        return out if theta.ndim == 2 else out[0]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.sd * rng.standard_normal(self.dim)
@@ -72,10 +85,19 @@ class LaplaceIID:
         self.rate, self.dim = float(rate), int(dim)
         self._log_norm = self.dim * math.log(self.rate / 2.0)
 
-    def log_density(self, theta):
+    def workspace(self, shape: tuple = ()) -> tuple:
+        """Buffers for `log_density` on coefficients of leading shape
+        `shape`, () for one vector and (R,) for a block: |theta| and its sum
+        (as is, and flat)."""
+        total = np.empty(shape)
+        return np.empty(shape + (self.dim,)), total, total.reshape(-1)
+
+    def log_density(self, theta, work=None):
         theta = _coefficients(theta, self.dim)
-        out = self._log_norm - self.rate * np.add.reduce(np.abs(theta), axis=-1)
-        return out if out.ndim else float(out)
+        absolute, total, flat = work or self.workspace(theta.shape[:-1])
+        np.add.reduce(np.abs(theta, out=absolute), axis=-1, out=total)
+        out = [self._log_norm - self.rate * s for s in flat.tolist()]
+        return out if theta.ndim == 2 else out[0]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.laplace(0.0, 1.0 / self.rate, size=self.dim)

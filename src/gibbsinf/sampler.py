@@ -78,7 +78,7 @@ class GibbsTarget:
     def risk(self, theta) -> float:
         """Empirical risk at the dense coefficient vector theta."""
         beta = np.asarray(theta, dtype=float).reshape(1, -1)
-        return float(self.loss.risk(self.risk_state, beta)[0])
+        return self.loss.risk(self.risk_state, beta)[0]
 
     def log_unnormalized(self, theta) -> float:
         """-omega * N * R_n(theta) + log prior(theta); -inf outside support."""
@@ -228,15 +228,24 @@ def mh_start(target, config: MHConfig) -> ChainStart:
 
 
 def _block_log_density(targets, tiles: int = 1):
-    """Map an (R, J) block to the R log target densities, and say whether
-    that runs on the vectorized kernels.
+    """Map an (m, J) block to the m log target densities, as a list of
+    Python floats, and say whether that runs on the vectorized kernels.
 
     Targets that share one loss and one prior object and whose data stack
     are evaluated by the vectorized kernels; any others chain by chain
     through log_unnormalized.  With tiles > 1 the targets are repeated that
-    many times, and a block of m rows, m <= tiles * R, gets the densities of
-    the first m targets (on views of the first m rows of the stacked state).
+    many times, and a block of m = j * R rows, j <= tiles, gets the
+    densities of the first m targets.
+
+    The vectorized map is built once per block and tiles.  For each m it
+    holds views of the first m rows of the stacked state and loss and prior
+    buffers of m rows (their `workspace`), so an evaluation allocates no
+    n-sized array: `loss.risk` makes one matmul, runs the loss's ufuncs and
+    one sum per chain into its buffers, `prior.log_density` one statistic
+    per chain into its own, and each chain's -omega * N * R_n(theta) + log
+    prior(theta) is taken on Python floats.
     """
+    R = len(targets)
     targets = targets * tiles
     first = targets[0]
     if all(isinstance(t, GibbsTarget) and t.loss is first.loss
@@ -247,23 +256,22 @@ def _block_log_density(targets, tiles: int = 1):
         except ValueError:          # data of different shapes
             state = None
         if state is not None:
-            # -omega * N * R_n(theta) + log prior(theta), in that order
-            coef = np.array([-t.omega * t.n_terms for t in targets])
-            risk, log_prior_block = first.loss.risk, first.prior.log_density
-            if tiles == 1:
-                return (lambda B: coef * risk(state, B) + log_prior_block(B)), True
-
-            rows = len(targets)
+            loss, prior = first.loss, first.prior
+            risk, log_prior = loss.risk, prior.log_density
+            coef = [-t.omega * t.n_terms for t in targets]
+            parts = {}                # rows -> state, loss and prior buffers
+            for m in range(R, len(targets) + 1, R):
+                part = tuple(a[:m] for a in state)
+                parts[m] = part, loss.workspace(part), prior.workspace((m,))
 
             def log_density(B):
-                m = len(B)
-                if m == rows:
-                    return coef * risk(state, B) + log_prior_block(B)
-                return (coef[:m] * risk(tuple(a[:m] for a in state), B)
-                        + log_prior_block(B))
+                part, loss_work, prior_work = parts[len(B)]
+                # -omega * N * R_n(theta) + log prior(theta), in that order
+                return [c * r + p for c, r, p in zip(
+                    coef, risk(part, B, loss_work), log_prior(B, prior_work))]
             return log_density, True
-    return (lambda B: np.array([float(t.log_unnormalized(b))
-                                for t, b in zip(targets, B)])), False
+    return (lambda B: [float(t.log_unnormalized(b))
+                       for t, b in zip(targets, B)]), False
 
 
 # a lookahead fill evaluates at most this many rows (chains x steps) at once
@@ -344,7 +352,7 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
             if i >= end:
                 n_ahead = min(K, c - i)
                 props = theta + steps_dz[i:i + n_ahead]
-                lps = log_density(props.reshape(n_ahead * R, dim)).tolist()
+                lps = log_density(props.reshape(n_ahead * R, dim))
                 start, end = i, i + n_ahead
             # row j*R + r of the buffer is chain r at step start + j.  A float
             # difference has the bits of NumPy's; math.exp, because np.exp
@@ -472,10 +480,11 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     omega_n = target.omega * target.n_terms
     prepared = tuple(a[0] for a in target.risk_state)   # the 2-D arrays
     pointwise, count = target.loss.pointwise, np.count_nonzero
+    work = target.loss.workspace(prepared)
     n = len(prepared[1])
 
     def risk(theta):
-        return count(pointwise(prepared, theta)) / n
+        return count(pointwise(prepared, theta, work)) / n
     slab_log_density = prior.slab_log_density
     random, integers = rng.random, rng.integers
     laplace, standard_normal = rng.laplace, rng.standard_normal

@@ -26,6 +26,7 @@ from scipy.special import ndtr
 
 import gibbsinf
 from gibbsinf.errors import ConfigError, PreconditionError
+from gibbsinf.harness import cli
 from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               MeanCurveSim, QuantileRegSim, SparseClassSim,
                               build_generator, cli_main, compute_row, fit_cell,
@@ -659,6 +660,32 @@ def test_cli_experiment_run_success(tmp_path):
                                            "summary.json"]
 
 
+def test_cli_experiment_run_validates_once(tmp_path, monkeypatch):
+    # validation builds every component at every n, so the command makes
+    # one call, the one in run_experiment; a bad config still exits 1
+    # before any output is written
+    calls = []
+    original = runner.validate_experiment_config
+    for module in (runner, cli):
+        monkeypatch.setattr(module, "validate_experiment_config",
+                            lambda cfg: calls.append(1) or original(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    code, _, _ = _run_cli(["experiment", "run", str(cfg_path),
+                           "--out", str(tmp_path / "out"), "--workers", "1"])
+    assert code == 0
+    assert len(calls) == 1
+    calls.clear()
+    cfg_path.write_text(json.dumps(_tiny_config(prior={"name": "gaussian"})))
+    out_dir = tmp_path / "bad"
+    code, _, err = _run_cli(["experiment", "run", str(cfg_path),
+                             "--out", str(out_dir), "--workers", "1"])
+    assert code == 1
+    assert "sd" in err
+    assert len(calls) == 1
+    assert not out_dir.exists()
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     code, _, err = _run_cli(["experiment", "run",
                              str(tmp_path / "nope.json"),
@@ -1162,8 +1189,8 @@ def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
     cfg["mh"].update(steps=20_000, burnIn=4_000)
     rows = []
     original = MCIDLoss.risk
-    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B:
-                        rows.append(len(B)) or original(self, state, B))
+    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B, work=None:
+                        rows.append(len(B)) or original(self, state, B, work))
     fit = fit_cell(cfg, cfg["nGrid"][0], row_seed(cfg["baseSeed"], 0, 0))
     assert fit.chain.steps == 20_000
     assert len(rows) <= 9_000

@@ -268,8 +268,8 @@ def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
     one, eight = starts(1), starts(8)
     rows = []                         # the rows of every risk call
     original = MCIDLoss.risk
-    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B:
-                        rows.append(len(B)) or original(self, state, B))
+    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B, work=None:
+                        rows.append(len(B)) or original(self, state, B, work))
     chain = mh_run_block(one)[0]
     assert chain.accept_rate < 0.1
     assert len(rows) <= 0.6 * steps
@@ -292,12 +292,12 @@ class _WalledSquaredLoss(SquaredLoss):
     def risk_state(self, data):
         return super().risk_state(data) + (np.array([data is self.walled]),)
 
-    def risk(self, state, B):
+    def risk(self, state, B, work=None):
         *state, walled = state
-        out = super().risk(tuple(state), B)
+        out = np.array(super().risk(tuple(state), B, work))
         out[walled & (B[:, 0] > 0.5)] = np.nan
         out[walled & (B[:, 0] < -0.5)] = np.inf
-        return out
+        return out.tolist()
 
 
 def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
@@ -315,8 +315,8 @@ def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
     walls = []                # per call of two steps: the NaN and -inf rows
     original = _WalledSquaredLoss.risk
 
-    def risk(self, state, B):
-        out = original(self, state, B)
+    def risk(self, state, B, work=None):
+        out = original(self, state, B, work)
         if len(B) == 4:
             walls.append((np.isnan(out).sum(), np.isinf(out).sum()))
         return out
