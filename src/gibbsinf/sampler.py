@@ -198,6 +198,9 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     normals, then steps uniforms.  `uniforms` is a copy of the stream
     advanced past the normals, so both can be drawn chunk by chunk.
     """
+    if isinstance(getattr(target, "prior", None), SpikeSlab):
+        raise ShapeError("a random-walk chain cannot take a spike-slab prior; "
+                         "use ss_mh_run")
     rng = make_rng(config.seed)
     if config.init is not None:
         theta = np.asarray(config.init, dtype=float).copy()
@@ -305,7 +308,12 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     through log_unnormalized (where a bigger call only adds evaluations),
     keep K = 1.
 
-    Decisions run on Python floats: each kernel call's densities become one
+    The block's density function is built once per block and K
+    (`_block_log_density`): it owns the loss and prior buffers of its rows,
+    so a kernel call allocates no n-sized array, and it returns the
+    densities as a list of Python floats, combined per chain on floats.
+
+    Decisions run on Python floats: each kernel call's densities are one
     list, and each chain's current log density is a float.  A step on which
     every chain rejects makes no NumPy call besides its share of a kernel
     call; the kept draws since the state last moved are written when it
@@ -433,8 +441,8 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
     current beta_S is kept between walks.  Each proposal is scored by a
     one-row kernel on the target's 2-D arrays (`risk_state` without its chain
-    axis): one gemv and one count of `pointwise`'s mismatches, the bits of
-    `GibbsTarget.risk` at 60-80 % of its cost.  Chains run one at a time: a
+    axis): one gemv and one count of `pointwise`'s mismatches, into a loss
+    workspace made once per chain, with the bits of `GibbsTarget.risk`.  Chains run one at a time: a
     lockstep block costs more per row at n=800, and lookahead would win at
     most about 15 % (ROADMAP item 3).  The kept draws are theta rows.
     The chain's meta carries q, the proposals and acceptances of each move

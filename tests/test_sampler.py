@@ -705,6 +705,19 @@ def test_sparse_init_row_of_wrong_shape_or_sign_is_a_shape_error(init):
         ss_mh_run(target, MHConfig(steps=20, burn_in=0, thin=1, init=init))
 
 
+def test_random_walk_chain_rejects_a_spike_slab_target():
+    # the spike-slab prior has a density on one (1+q) row only, and its
+    # chains are the sparse sampler's
+    rng = np.random.default_rng(8)
+    data = Dataset.classification(rng.normal(size=(20, 4)),
+                                  (rng.random(20) < 0.5).astype(float))
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=3, a=1.0, c=1.0),
+                         data, 1.0)
+    with pytest.raises(ShapeError, match="ss_mh_run"):
+        mh_run(target, MHConfig(steps=20, burn_in=0, thin=1, proposal_scale=0.1,
+                                init=np.array([1.0, 0.5, 0.2, 0.1])))
+
+
 # ---------------------------------------------------------------------------
 # determinism and bookkeeping
 
