@@ -26,11 +26,10 @@ from scipy.special import ndtr
 
 import gibbsinf
 from gibbsinf.errors import ConfigError, PreconditionError
-from gibbsinf.harness import cli
 from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               MeanCurveSim, QuantileRegSim, SparseClassSim,
-                              build_generator, cli_main, compute_row, fit_cell,
-                              holdout_misclassification, load_config,
+                              build_generator, cli, cli_main, compute_row,
+                              fit_cell, holdout_misclassification, load_config,
                               row_seed, run_experiment, runner,
                               validate_experiment_config, write_outputs)
 from gibbsinf.harness.config import build_prior, resolve_proposal_scale
