@@ -3,7 +3,7 @@
 Divergence measures d(theta, theta*), the annealed-moment bound constant
 K, posterior mass outside a d-ball, and the log-log rate fit used to read
 off an empirical convergence exponent.  Monte-Carlo estimates always come with standard errors; exact
-divergences return 0 precisely at (structural) equality.
+divergences return 0 precisely at equality.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import OverflowGuardError, PreconditionError, ShapeError
 from .losses import LossSpec, sign_neg
-from .model import BasisSpec, FunctionParam, design_matrix
-from .sampler import Chain
+from .model import BasisSpec, design_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -24,8 +23,6 @@ from .sampler import Chain
 # ---------------------------------------------------------------------------
 
 def _vec(theta) -> np.ndarray:
-    if isinstance(theta, FunctionParam):
-        return theta.beta
     return np.asarray(theta, dtype=float).reshape(-1)
 
 
@@ -37,25 +34,8 @@ def _scalar(theta) -> float:
 
 
 def _values_at(f, xs) -> np.ndarray:
-    """Values of a function-like object at covariate points."""
-    if isinstance(f, FunctionParam):
-        return f.values(xs)
-    if callable(f):
-        return np.asarray(f(xs), dtype=float).reshape(-1)
-    raise ShapeError("expected a FunctionParam or a callable of the covariate")
-
-
-def structurally_equal(a, b) -> bool:
-    """Equality at the representation level (used to short-circuit MC draws)."""
-    if a is b:
-        return True
-    if isinstance(a, FunctionParam) and isinstance(b, FunctionParam):
-        return a.basis == b.basis and np.array_equal(a.beta, b.beta)
-    if isinstance(a, FunctionParam) or isinstance(b, FunctionParam):
-        return False
-    if callable(a) or callable(b):
-        return False
-    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    """Values of a callable of the covariate at covariate points."""
+    return np.asarray(f(xs), dtype=float).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +97,7 @@ class AbsScalarDistance:
 class EmpiricalL2:
     """Design-averaged L2 distance: sqrt of (1/n) sum_i (f_a - f_b)^2(x_i).
 
-    Both arguments are coefficient vectors (or FunctionParams) over `basis`;
+    Both arguments are coefficient vectors over `basis`;
     `between_values`/`batch_values` compare against a fixed vector of target
     function values instead, for references outside the span.
     """
@@ -126,17 +106,12 @@ class EmpiricalL2:
     is_mc = False
 
     def __init__(self, basis: BasisSpec | None, xs):
-        self.basis = basis
         self.xs = np.asarray(xs, dtype=float)
         self._design = design_matrix(basis, self.xs)
         self.n_points = self._design.shape[0]
 
     def _coef(self, a) -> np.ndarray:
-        if isinstance(a, FunctionParam):
-            if self.basis is not None and a.basis != self.basis:
-                raise ShapeError("FunctionParam basis differs from the divergence basis")
-            return a.beta
-        v = np.asarray(a, dtype=float).reshape(-1)
+        v = _vec(a)
         if v.size != self._design.shape[1]:
             raise ShapeError("coefficient length differs from basis size")
         return v
@@ -167,8 +142,9 @@ class EmpiricalL2:
 class L2PDistance:
     """L2(P) distance between covariate functions, Monte-Carlo under P.
 
-    sample_x(rng, n) draws n fresh covariates; the estimate is
-    sqrt(mean (f_a - f_b)^2) with a delta-method standard error.
+    Both arguments are callables of the covariate.  sample_x(rng, n) draws
+    n fresh covariates; the estimate is sqrt(mean (f_a - f_b)^2) with a
+    delta-method standard error, and exactly 0 when a is b.
     """
 
     kind = "l2p"
@@ -181,7 +157,7 @@ class L2PDistance:
         self.n_draws = int(n_draws)
 
     def estimate(self, a, b, rng) -> MCDivergence:
-        if structurally_equal(a, b):
+        if a is b:
             return MCDivergence(0.0, 0.0, 0)
         xs = self.sample_x(rng, self.n_draws)
         return _sqrt_of_mean((_values_at(a, xs) - _values_at(b, xs)) ** 2)
@@ -207,7 +183,7 @@ class RiskDiffSqrt:
         self.n_draws = int(n_draws)
 
     def estimate(self, a, b, rng) -> MCDivergence:
-        if structurally_equal(a, b):
+        if np.array_equal(a, b):
             return MCDivergence(0.0, 0.0, 0)
         loss = self.loss
         prepared = loss.prepare(self.sample_data(rng, self.n_draws))
@@ -237,7 +213,8 @@ class MCIDMeasure:
     P{min(f_a, f_b)(Z) <= X <= max(f_a, f_b)(Z)}, Monte-Carlo under the joint
     law of (X, Z).
 
-    sample_zx(rng, n) returns (z, x) arrays of n fresh joint draws.
+    Both arguments are callables of z.  sample_zx(rng, n) returns (z, x)
+    arrays of n fresh joint draws; the measure is exactly 0 when a is b.
     """
 
     kind = "mcid_measure"
@@ -250,7 +227,7 @@ class MCIDMeasure:
         self.n_draws = int(n_draws)
 
     def estimate(self, a, b, rng) -> MCDivergence:
-        if structurally_equal(a, b):
+        if a is b:
             return MCDivergence(0.0, 0.0, 0)
         z, x = self.sample_zx(rng, self.n_draws)
         da = sign_neg(np.asarray(x) - _values_at(a, z))
@@ -384,18 +361,12 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
 # posterior concentration
 # ---------------------------------------------------------------------------
 
-def _draw_matrix(chain) -> np.ndarray:
-    if isinstance(chain, Chain):
-        return chain.draws
-    return np.atleast_2d(np.asarray(chain, dtype=float))
-
-
-def posterior_mass_outside(chain, div: Divergence, theta_star, radius: float,
+def posterior_mass_outside(draws, div: Divergence, theta_star, radius: float,
                            rng=None) -> float:
-    """Fraction of kept draws with d(draw, theta*) > radius."""
+    """Fraction of kept draws, the rows of `draws`, with d(draw, theta*) > radius."""
     if radius <= 0:
         raise PreconditionError("radius must be positive")
-    mat = _draw_matrix(chain)
+    mat = np.atleast_2d(np.asarray(draws, dtype=float))
     if mat.shape[0] == 0:
         raise PreconditionError("empty chain")
     if hasattr(div, "batch") and not getattr(div, "is_mc", False):

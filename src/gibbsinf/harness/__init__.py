@@ -10,4 +10,12 @@ from .runner import (CellFit, ExperimentResult, RESULT_COLUMNS, compute_row,
                      fit_cell, row_seed, run_experiment, write_outputs)
 from .cli import main as cli_main
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AUCSim", "HeavyTailSim", "MCID1", "MCID2", "MeanCurveSim",
+    "QuantileRegSim", "SparseClassSim", "affine_features",
+    "holdout_misclassification", "build_divergence", "build_generator",
+    "build_loss", "build_mh", "build_prior", "build_rate", "load_config",
+    "validate_experiment_config", "CellFit", "ExperimentResult",
+    "RESULT_COLUMNS", "compute_row", "fit_cell", "row_seed",
+    "run_experiment", "write_outputs", "cli_main",
+]

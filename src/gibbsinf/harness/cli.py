@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -24,8 +25,8 @@ from ..diagnostics import (AbsScalarDistance, EuclideanDistance,
                            concentration_slope, mgf_condition_check)
 from ..errors import ConfigError, GibbsInfError, PreconditionError
 from ..sampler import chain_summary, make_rng, write_chain_csv
-from .config import (build_generator, build_loss, load_config,
-                     validate_experiment_config)
+from .config import (_is_int, _is_real, build_generator, build_loss,
+                     load_config, parameter_dim, validate_experiment_config)
 from .runner import (fit_cell, row_seed, run_experiment, shutdown_pool,
                      write_outputs)
 
@@ -106,6 +107,23 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _mgf_point(value, dim: int, key: str) -> np.ndarray:
+    """A parameter point of an mgf section: `dim` finite numbers, or one
+    bare number when dim is 1."""
+    entries = value if isinstance(value, list) else [value]
+    if len(entries) != dim or not all(_is_real(v) for v in entries):
+        raise ConfigError(f"mgf {key} must be a point of {dim} finite "
+                          f"numbers; got {value!r}")
+    return np.asarray(entries, dtype=float)
+
+
+def _mgf_positive(value, key: str) -> float:
+    if not _is_real(value) or value <= 0:
+        raise ConfigError(f"mgf {key} must be a positive finite number; "
+                          f"got {value!r}")
+    return float(value)
+
+
 def _cmd_diagnose_mgf(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.get("mgf")
@@ -116,20 +134,28 @@ def _cmd_diagnose_mgf(args) -> int:
             raise ConfigError(f"mgf section needs field {key!r}")
     generator = build_generator(spec["generator"])
     loss = build_loss(spec["loss"], generator)
+    dim = parameter_dim(loss, generator)
+    if not isinstance(spec["grid"], list) or not spec["grid"]:
+        raise ConfigError("mgf grid must be a nonempty list of parameter points")
+    grid = [_mgf_point(g, dim, "grid point") for g in spec["grid"]]
     theta_star = spec.get("thetaStar", "auto")
     if theta_star == "auto":
-        theta_star = generator.theta_star
-        if theta_star is None:
+        if generator.theta_star is None:
             raise ConfigError("generator has no intrinsic thetaStar; "
                               "give one explicitly")
-    grid = [np.atleast_1d(np.asarray(g, dtype=float)) for g in spec["grid"]]
-    star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    div = AbsScalarDistance() if star.size == 1 else EuclideanDistance()
+        theta_star = np.asarray(generator.theta_star, dtype=float).tolist()
+    star = _mgf_point(theta_star, dim, "thetaStar")
+    n_draws, seed = spec.get("nDraws", 100_000), spec.get("seed", 0)
+    if not _is_int(n_draws) or n_draws < 2:
+        raise ConfigError(f"mgf nDraws must be an integer of at least 2; "
+                          f"got {n_draws!r}")
+    if not _is_int(seed):
+        raise ConfigError(f"mgf seed must be an integer; got {seed!r}")
+    div = AbsScalarDistance() if dim == 1 else EuclideanDistance()
     report = mgf_condition_check(
-        loss, grid, star, omega=float(spec["omega"]), div=div,
-        r=float(spec.get("r", 2.0)), generator=generator.mc_sample,
-        n_draws=int(spec.get("nDraws", 100_000)),
-        rng=make_rng(int(spec.get("seed", 0))))
+        loss, grid, star, omega=_mgf_positive(spec["omega"], "omega"), div=div,
+        r=_mgf_positive(spec.get("r", 2.0), "r"), generator=generator.mc_sample,
+        n_draws=n_draws, rng=make_rng(seed))
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0
 
@@ -152,7 +178,14 @@ def _cmd_diagnose_rate(args) -> int:
             raw = (row.get(radius_col) or "").strip()
             if not raw:
                 continue
-            pairs.append((float(row["n"]), float(raw)))
+            try:
+                n, radius = float(row["n"]), float(raw)
+            except (TypeError, ValueError):
+                n = radius = math.nan
+            if not (math.isfinite(n) and math.isfinite(radius)):
+                raise ConfigError(f"{args.results} line {reader.line_num}: n "
+                                  f"and {radius_col} must be finite numbers")
+            pairs.append((n, radius))
     try:
         fit = concentration_slope(pairs)
     except PreconditionError as exc:

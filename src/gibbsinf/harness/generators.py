@@ -33,8 +33,8 @@ import numpy as np
 from .._special import ndtr, ndtri
 from ..errors import ConfigError, PreconditionError, ShapeError
 from ..losses import sign_neg
-from ..model import (CubicBSpline, Dataset, FunctionParam, PairedScores,
-                     RawDictionary, TensorBSpline)
+from ..model import (CubicBSpline, Dataset, PairedScores, RawDictionary,
+                     TensorBSpline)
 
 
 def affine_features() -> RawDictionary:
@@ -382,15 +382,11 @@ def holdout_misclassification(mcid_fn, holdout: Dataset) -> float:
     """Fraction of holdout points misclassified by the threshold rule
     sign(x - theta(z)) (sign(0) = -1).
 
-    mcid_fn may be a fitted FunctionParam over z or any callable z -> values.
+    mcid_fn is a callable z -> threshold values; a fitted threshold with
+    coefficients beta over a basis is `lambda z: basis.design(z) @ beta`.
     """
     if holdout.kind != "class" or holdout.z is None:
         raise ShapeError("holdout must be threshold-classification data with z")
-    if isinstance(mcid_fn, FunctionParam):
-        thr = mcid_fn.values(holdout.z)
-    elif callable(mcid_fn):
-        thr = np.asarray(mcid_fn(holdout.z), dtype=float)
-    else:
-        raise ShapeError("mcid_fn must be a FunctionParam or callable")
+    thr = np.asarray(mcid_fn(holdout.z), dtype=float)
     pred = sign_neg(holdout.x - thr)
     return float(np.mean(pred != holdout.y.astype(int)))

@@ -52,7 +52,6 @@ import numpy as np
 from ..diagnostics import EmpiricalL2, concentration_slope
 from ..errors import ConfigError, GibbsInfError
 from ..losses import MCIDLoss, least_squares_coefficients
-from ..model import FunctionParam
 from ..priors import SpikeSlab
 from ..rates import AUCDataDriven, rate_at
 from ..sampler import (GibbsTarget, hash64, make_rng, mh_run_block, mh_start,
@@ -250,8 +249,8 @@ def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
     if isinstance(fit.loss, MCIDLoss):
         holdout_n = int(cfg.get("holdout", fit.generator.holdout_default))
         holdout = fit.generator.sample(holdout_n, _sub_rng(seed, _STREAM_HOLDOUT))
-        fitted = FunctionParam(fit.loss.basis, fit.theta_bar)
-        out["misclass_est"] = holdout_misclassification(fitted, holdout)
+        out["misclass_est"] = holdout_misclassification(
+            lambda z: fit.loss.basis.design(z) @ fit.theta_bar, holdout)
         out["misclass_truth"] = holdout_misclassification(fit.generator.truth_fn,
                                                           holdout)
     return out

@@ -37,22 +37,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConditioningError, PreconditionError, ShapeError
-from .model import BasisSpec, Dataset, FunctionParam, PairedScores, design_matrix
+from .model import BasisSpec, Dataset, PairedScores, design_matrix
 
 
 def sign_neg(t):
     """sign with sign(0) = -1; vectorized."""
     return np.where(np.asarray(t) > 0, 1, -1)
-
-
-def _as_beta(theta, loss) -> np.ndarray:
-    """Accept either a coefficient array or a FunctionParam over the loss's basis."""
-    if isinstance(theta, FunctionParam):
-        features = getattr(loss, "features", getattr(loss, "basis", None))
-        if features is not None and theta.basis != features:
-            raise ShapeError("FunctionParam basis differs from the loss's feature basis")
-        return theta.beta
-    return np.asarray(theta, dtype=float)
 
 
 class Workspace:
@@ -113,8 +103,8 @@ class _Loss:
 
     def per_observation(self, prepared, theta) -> np.ndarray:
         """Float vector of losses of theta on every row of a prepared sample."""
-        return np.asarray(self.pointwise(prepared, _as_beta(theta, self)),
-                          dtype=float)
+        beta = np.asarray(theta, dtype=float)
+        return np.asarray(self.pointwise(prepared, beta), dtype=float)
 
 
 class _RegressionLoss(_Loss):
@@ -222,11 +212,12 @@ class ZeroOneLinearLoss(_Loss):
 class MCIDLoss(_Loss):
     """Threshold-classification loss 0.5*(1 - y * sign(x - theta(z))).
 
-    theta is a function of the covariate z (a FunctionParam over `basis`),
-    x the scalar diagnostic measure, y in {-1,+1} the reported outcome.  For
-    y in {-1,+1} the loss is the mismatch indicator of sign(x - theta(z)) and
-    y, which `pointwise` returns as a boolean vector: sign(t) = +1 exactly
-    when t > 0, so it is the mismatch of x > theta(z) and y > 0.
+    theta(z) = beta'f(z) is a function of the covariate z, given by its
+    coefficient vector beta over `basis`; x is the scalar diagnostic measure
+    and y in {-1,+1} the reported outcome.  For y in {-1,+1} the loss is the
+    mismatch indicator of sign(x - theta(z)) and y, which `pointwise` returns
+    as a boolean vector: sign(t) = +1 exactly when t > 0, so it is the
+    mismatch of x > theta(z) and y > 0.
     """
 
     kind = "mcid"
@@ -306,7 +297,7 @@ def empirical_risk(loss: LossSpec, theta, data: Dataset) -> float:
 
     For two-sample data the average runs over all m*n score pairs.
     """
-    beta = _as_beta(theta, loss).reshape(1, -1)
+    beta = np.asarray(theta, dtype=float).reshape(1, -1)
     return loss.risk(loss.risk_state(data), beta)[0]
 
 
@@ -345,10 +336,3 @@ def least_squares_coefficients(F: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ConditioningError("feature Gram matrix condition number >= 1e12")
     beta, *_ = np.linalg.lstsq(F, y, rcond=None)
     return beta
-
-
-def erm_least_squares(data: Dataset, basis: BasisSpec | None) -> np.ndarray:
-    """Minimizer of the empirical squared-error risk over the feature span."""
-    if data.kind != "reg":
-        raise ShapeError("least-squares ERM expects a regression dataset")
-    return least_squares_coefficients(design_matrix(basis, data.x), data.y)

@@ -1,12 +1,14 @@
-"""Core data model: datasets, basis expansions, function parameters.
+"""Core data model: datasets and basis expansions.
 
-Parameters of interest are either plain coefficient vectors or functions
-represented as a basis expansion theta(x) = beta' f(x).  Three basis families
-are provided: clamped cubic B-splines on an interval, tensor products of two
-such bases, and raw user-declared dictionaries (e.g. polynomial terms).
-A basis is evaluated on a batch of points (`design_matrix`); a single
-point is a one-row batch.  Data live in columnar `Dataset`s (and `PairedScores` for
-matched score pairs); a single observation is a one-row sample.
+Every parameter is a plain coefficient vector.  A function-valued parameter,
+theta(x) = beta' f(x), is its coefficient vector beta over a basis f, and
+its values at points xs are `design_matrix(basis, xs) @ beta`.  Three basis
+families are provided: clamped cubic B-splines on an interval, tensor
+products of two such bases, and raw user-declared dictionaries (e.g.
+polynomial terms).  A basis is evaluated on a batch of points
+(`design_matrix`); a single point is a one-row batch.  Data live in columnar
+`Dataset`s (and `PairedScores` for matched score pairs); a single
+observation is a one-row sample.
 
 The cubic B-spline basis is evaluated by the Cox-de Boor recursion (de Boor
 1978, *A Practical Guide to Splines*), vectorized over points, in the
@@ -19,7 +21,7 @@ at the doubles next to each knot.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -328,25 +330,6 @@ class RawDictionary:
 
 
 BasisSpec = CubicBSpline | TensorBSpline | RawDictionary
-
-
-@dataclass(frozen=True)
-class FunctionParam:
-    """A function-valued parameter theta(x) = beta' f(x)."""
-
-    basis: BasisSpec
-    beta: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        object.__setattr__(self, "beta", beta)
-        if beta.ndim != 1 or len(beta) != self.basis.num_basis:
-            raise ShapeError(
-                f"beta has length {beta.size}, basis has {self.basis.num_basis} functions")
-
-    def values(self, xs) -> np.ndarray:
-        """Vectorized theta(x) over a batch of points."""
-        return self.basis.design(xs) @ self.beta
 
 
 # ---------------------------------------------------------------------------

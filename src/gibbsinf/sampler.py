@@ -596,33 +596,19 @@ def posterior_mean(chain: Chain) -> np.ndarray:
     return chain.draws.mean(axis=0)
 
 
-def credible_interval(chain: Chain | np.ndarray,
-                      coordinate: int | None = None,
-                      level: float = 0.95,
-                      functional=None) -> tuple[float, float]:
-    """Equal-tailed credible interval from kept draws.
+def credible_interval(values, level: float = 0.95) -> tuple[float, float]:
+    """Equal-tailed credible interval of one scalar from its kept draws.
 
-    Quantiles use linear interpolation of order statistics (the classical
-    "type 7" rule, numpy's default) at probabilities (1 -+ level)/2.  Scalar
-    draws may be passed directly; otherwise give a coordinate index or a
-    functional mapping one draw to a scalar.
+    `values` is a 1-D array, e.g. one coordinate `chain.draws[:, j]` or a
+    functional evaluated on each draw.  Quantiles use linear interpolation
+    of order statistics (the classical "type 7" rule, numpy's default) at
+    probabilities (1 -+ level)/2.
     """
     if not 0.0 < level < 1.0:
         raise PreconditionError("level must be in (0,1)")
-    if isinstance(chain, Chain):
-        mat = chain.draws
-        if functional is not None:
-            values = np.array([float(functional(d)) for d in mat])
-        else:
-            if mat.shape[0] == 0:
-                raise PreconditionError("empty chain")
-            if coordinate is None:
-                if mat.shape[1] != 1:
-                    raise PreconditionError("coordinate required for multivariate chains")
-                coordinate = 0
-            values = mat[:, coordinate]
-    else:
-        values = np.asarray(chain, dtype=float).reshape(-1)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ShapeError("credible_interval takes a 1-D array of draws")
     if values.size == 0:
         raise PreconditionError("empty chain")
     lo, hi = np.quantile(values, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])

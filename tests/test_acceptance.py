@@ -202,7 +202,7 @@ def test_a05_ranking_interval_coverage(capsys):
                                                 seed=hash64(rs, 2))))
     covered = 0
     for chain in mh_run_block(starts):
-        lo, hi = credible_interval(chain, 0, level=0.95)
+        lo, hi = credible_interval(chain.draws[:, 0], level=0.95)
         covered += (lo <= theta_star <= hi)
     coverage = covered / reps
     ok = 0.88 <= coverage <= 0.99

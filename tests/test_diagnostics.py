@@ -14,13 +14,12 @@ import pytest
 from scipy.special import ndtr
 
 from gibbsinf import (AbsScalarDistance, AUCLoss, CubicBSpline, Dataset,
-                      EmpiricalL2, EuclideanDistance, FunctionParam,
-                      GibbsTarget, MCIDMeasure, MHConfig, RiskDiffSqrt,
-                      SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
-                      concentration_slope, credible_interval, design_matrix,
-                      divergence_value, mgf_condition_check,
-                      posterior_mass_outside, posterior_mean, ss_mh_run,
-                      structurally_equal)
+                      EmpiricalL2, EuclideanDistance, GibbsTarget, MCIDMeasure,
+                      MHConfig, RiskDiffSqrt, SpikeSlab, SquaredLoss,
+                      ZeroOneLinearLoss, chain_summary, concentration_slope,
+                      credible_interval, design_matrix, divergence_value,
+                      mgf_condition_check, posterior_mass_outside,
+                      posterior_mean, ss_mh_run)
 from gibbsinf.errors import (OverflowGuardError, PreconditionError, ShapeError)
 from gibbsinf.harness import AUCSim, MCID1, SparseClassSim
 from gibbsinf.sampler import hash64, make_rng
@@ -103,26 +102,6 @@ def test_empirical_l2_against_fixed_values():
         div.between_values(a, values[:-1])
 
 
-def test_function_param_accepted_by_empirical_l2():
-    basis = CubicBSpline((0.0, 3.0), 6)
-    xs = np.linspace(0.0, 3.0, 32)
-    div = EmpiricalL2(basis, xs)
-    a = np.arange(6.0)
-    fp = FunctionParam(basis, a)
-    assert div.between(fp, a) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_structurally_equal_semantics():
-    assert structurally_equal([1.0, 2.0], np.array([1.0, 2.0]))
-    assert not structurally_equal([1.0, 2.0], [1.0, 2.1])
-    basis = CubicBSpline((0.0, 1.0), 4)
-    fa = FunctionParam(basis, np.zeros(4))
-    fb = FunctionParam(basis, np.zeros(4))
-    assert structurally_equal(fa, fb)
-    assert not structurally_equal(fa, np.zeros(4))
-    assert not structurally_equal(lambda z: z, lambda z: z)
-
-
 def test_divergence_value_dispatch():
     assert divergence_value(EuclideanDistance(), [0.0], [3.0]) == 3.0
     mc = RiskDiffSqrt(AUCLoss(), AUCSim(1.0).mc_sample, n_draws=256)
@@ -143,6 +122,11 @@ def test_risk_diff_sqrt_short_circuits_on_equal_params():
     mc = RiskDiffSqrt(AUCLoss(), explode, n_draws=128)
     out = mc.estimate(0.7, 0.7, make_rng(0))
     assert (out.value, out.se, out.n_draws) == (0.0, 0.0, 0)
+    # coefficient vectors compare by value, whatever holds them
+    out = mc.estimate([1.0, 2.0], np.array([1.0, 2.0]), make_rng(0))
+    assert (out.value, out.se, out.n_draws) == (0.0, 0.0, 0)
+    with pytest.raises(AssertionError, match="must not be called"):
+        mc.estimate([1.0, 2.0], [1.0, 2.1], make_rng(0))
 
 
 def test_risk_diff_sqrt_squares_to_mean_excess():
@@ -305,15 +289,16 @@ def test_sparse_chain_draws_are_dense_alpha_beta_rows():
     euclid = EuclideanDistance()
     values = euclid.batch(chain.draws, theta_star)
     r = float(np.median(values))
-    assert posterior_mass_outside(chain, euclid, theta_star, r) == \
+    assert posterior_mass_outside(chain.draws, euclid, theta_star, r) == \
         np.mean(values > r)
     div = RiskDiffSqrt(loss, gen.mc_sample, n_draws=256)
     values = div.batch(chain.draws, theta_star, make_rng(hash64(41, 3)))
     r = float(np.median(values))
-    assert posterior_mass_outside(chain, div, theta_star, r,
+    assert posterior_mass_outside(chain.draws, div, theta_star, r,
                                   make_rng(hash64(41, 3))) == np.mean(values > r)
     assert posterior_mean(chain)[0] == chain.draws[:, 0].mean()
-    assert credible_interval(chain, 0) == credible_interval(chain.draws[:, 0])
+    assert chain_summary(chain)["intervals"][0] == \
+        list(credible_interval(chain.draws[:, 0]))
 
 
 def test_concentration_slope_recovers_exact_power_law():

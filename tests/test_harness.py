@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -1059,6 +1060,32 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert "Overflow" in err
 
 
+_MGF_SECTION = {"generator": {"name": "quantilereg", "tau": 0.5},
+                "loss": {"name": "check", "tau": 0.5},
+                "grid": [[1.2, 2.0]], "omega": 1.0, "nDraws": 200, "seed": 0}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid", 5), ("grid", []), ("grid", [[1.0]]), ("grid", [1.2, 2.0]),
+    ("grid", [[1.2, "a"]]), ("grid", [[1.2, None]]),
+    ("thetaStar", [1.0]), ("thetaStar", [1.0, True]),
+    ("omega", "abc"), ("omega", 0.0), ("omega", -1.0), ("omega", True),
+    ("r", 0), ("r", [2.0]),
+    ("nDraws", True), ("nDraws", 1.5), ("nDraws", 1), ("nDraws", "200"),
+    ("seed", True), ("seed", 0.5), ("seed", None),
+])
+def test_cli_diagnose_mgf_rejects_a_malformed_section(tmp_path, key, value):
+    # every malformed field is a config error (exit 1) naming the field,
+    # raised before any sample is drawn
+    cfg_path = tmp_path / "mgf.json"
+    cfg_path.write_text(json.dumps({"schema": 1,
+                                    "mgf": {**_MGF_SECTION, key: value}}))
+    code, out, err = _run_cli(["diagnose", "mgf", str(cfg_path)])
+    assert code == 1, err
+    assert err.startswith("error: ") and f"mgf {key}" in err, err
+    assert out == ""
+
+
 def test_cli_diagnose_mgf_reports_constants(tmp_path):
     cfg_path = tmp_path / "mgf.json"
     cfg_path.write_text(json.dumps({"schema": 1, "mgf": {
@@ -1092,6 +1119,15 @@ def test_cli_diagnose_rate_rejects_thin_input(tmp_path):
     code, _, err = _run_cli(["diagnose", "rate", str(csv_path)])
     assert code == 1
     assert "3 distinct" in err
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+def test_cli_diagnose_rate_rejects_a_non_numeric_cell(tmp_path, cell):
+    csv_path = tmp_path / "radii.csv"
+    csv_path.write_text(f"n,radius_q90\n100,0.5\n400,{cell}\n1600,0.1\n")
+    code, _, err = _run_cli(["diagnose", "rate", str(csv_path)])
+    assert code == 1, err
+    assert "line 3" in err and "radius_q90" in err, err
 
 
 def test_cli_sample_deterministic(tmp_path):
@@ -1178,6 +1214,29 @@ def test_quantile_block_of_four_chains_at_n3200_matches_recorded_digest(monkeypa
         digest.update(c.draws.tobytes())
     assert digest.hexdigest() == (
         "38bb6a5a8278d3afefe36827f800f6931fad426fc7cd61bd8b81b2edca06769b")
+
+
+@pytest.mark.parametrize("name, replications, digest", [
+    ("mcid1", 4,
+     "2b8098affd82310a94516dabda91591d43bb7cf3d42db5373de68d6769ee6fca"),
+    ("sparse_trend", 2,
+     "b477c958aa14ecd9169c0c097adea3ee443a3a69152ea5ecd23a5d5d7372df84"),
+], ids=["mcid1", "sparse_trend"])
+def test_short_bundled_runs_write_recorded_output_bytes(tmp_path, name,
+                                                        replications, digest):
+    # a shortened run of a bundled config, serial; one sha256 over
+    # results.csv, summary.json and radii.csv, recorded before the fitted
+    # threshold became a plain coefficient array: mcid1 covers the holdout
+    # misclassification columns, sparse_trend the spike-slab draw matrices
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", f"{name}.json"))
+    cfg["mh"].update(steps=1200, burnIn=200, thin=5)
+    cfg["replications"] = replications
+    out = _output_bytes(run_experiment(cfg, workers=1), tmp_path)
+    sha = hashlib.sha256()
+    for key in ("results", "summary", "radii"):
+        sha.update(out[key])
+    assert sha.hexdigest() == digest
 
 
 def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
@@ -1288,6 +1347,19 @@ def test_bundled_config_runs_one_cell(path):
     assert row["error"] is None
     assert row["radius_q90"] >= 0.0
     assert 0.0 < row["accept_rate"] < 1.0
+
+
+@pytest.mark.parametrize("package", [gibbsinf, gibbsinf.harness],
+                         ids=lambda m: m.__name__)
+def test_star_import_exports_named_objects_only(package):
+    # `from package import *` gives each listed name once, and no submodule
+    names = package.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert not isinstance(getattr(package, name), ModuleType), name
+    namespace = {}
+    exec(f"from {package.__name__} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)
 
 
 def test_cli_import_does_not_load_scipy_stats(tmp_path):

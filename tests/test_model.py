@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsinf import (CubicBSpline, Dataset, FunctionParam, PairedScores,
-                      RawDictionary, TensorBSpline, dataset_from_csv,
-                      design_matrix)
+from gibbsinf import (CubicBSpline, Dataset, PairedScores, RawDictionary,
+                      TensorBSpline, dataset_from_csv, design_matrix)
 from gibbsinf.errors import DomainError, PreconditionError, ShapeError
 
 
@@ -196,19 +195,3 @@ def test_raw_dictionary_rejects_a_component_of_the_wrong_shape(fn):
     feats = RawDictionary([("lin", lambda x: x), ("c", fn)])
     with pytest.raises(ShapeError, match="component 'c' returned shape"):
         feats.design(np.array([0.5, 1.5, 2.5]))
-
-
-def test_function_param_eval_matches_design():
-    basis = CubicBSpline((0.0, 1.0), 5)
-    beta = np.arange(5, dtype=float)
-    fp = FunctionParam(basis, beta)
-    xs = np.linspace(0, 1, 7)
-    direct = np.array([fp.values([x])[0] for x in xs])
-    np.testing.assert_allclose(direct, design_matrix(basis, xs) @ beta,
-                               atol=1e-14)
-
-
-def test_function_param_checks_length():
-    basis = CubicBSpline((0.0, 1.0), 5)
-    with pytest.raises(ShapeError):
-        FunctionParam(basis, np.zeros(4))

@@ -752,16 +752,17 @@ def test_credible_interval_modes_and_validation():
     target = _prior_only_target()
     chain = mh_run(target, MHConfig(steps=3_000, burn_in=1_000, thin=1,
                                     proposal_scale=1.0, seed=hash64(6, 1)))
-    by_coord = credible_interval(chain, 0, level=0.9)
-    by_default = credible_interval(chain, level=0.9)
-    by_functional = credible_interval(chain, level=0.9,
-                                      functional=lambda d: d[0])
-    assert by_coord == by_default == by_functional
+    by_coord = credible_interval(chain.draws[:, 0], level=0.9)
+    by_list = credible_interval(chain.draws[:, 0].tolist(), level=0.9)
+    by_functional = credible_interval([d[0] for d in chain.draws], level=0.9)
+    assert by_coord == by_list == by_functional
     assert by_coord[0] < by_coord[1]
     with pytest.raises(PreconditionError):
-        credible_interval(chain, 0, level=1.5)
+        credible_interval(chain.draws[:, 0], level=1.5)
     with pytest.raises(PreconditionError):
         credible_interval(np.array([]), level=0.5)
+    with pytest.raises(ShapeError, match="1-D"):
+        credible_interval(chain.draws, level=0.9)
 
 
 def test_effective_sample_size_behaviour():
