@@ -120,11 +120,14 @@ class EmpiricalL2:
         diff = self._design @ (self._coef(a) - self._coef(b))
         return float(np.sqrt(np.mean(diff * diff)))
 
-    def between_values(self, a, values) -> float:
+    def _target_values(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float).reshape(-1)
         if values.size != self.n_points:
             raise ShapeError("target values must match the design points")
-        diff = self._design @ self._coef(a) - values
+        return values
+
+    def between_values(self, a, values) -> float:
+        diff = self._design @ self._coef(a) - self._target_values(values)
         return float(np.sqrt(np.mean(diff * diff)))
 
     def batch(self, mat: np.ndarray, b) -> np.ndarray:
@@ -133,9 +136,8 @@ class EmpiricalL2:
         return np.sqrt(np.mean(vals * vals, axis=0))
 
     def batch_values(self, mat: np.ndarray, values) -> np.ndarray:
-        values = np.asarray(values, dtype=float).reshape(-1)
         vals = self._design @ np.atleast_2d(np.asarray(mat, dtype=float)).T
-        diff = vals - values[:, None]
+        diff = vals - self._target_values(values)[:, None]
         return np.sqrt(np.mean(diff * diff, axis=0))
 
 
@@ -186,9 +188,8 @@ class RiskDiffSqrt:
         if np.array_equal(a, b):
             return MCDivergence(0.0, 0.0, 0)
         loss = self.loss
-        prepared = loss.prepare(self.sample_data(rng, self.n_draws))
-        diff = loss.per_observation(prepared, a) - loss.per_observation(prepared, b)
-        return _sqrt_of_mean(diff)
+        values = loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[1]
+        return _sqrt_of_mean(values(a) - values(b))
 
     def batch(self, mat: np.ndarray, b, rng) -> np.ndarray:
         """Divergence of each draw (row) to b, sharing one fresh sample.
@@ -198,12 +199,12 @@ class RiskDiffSqrt:
         estimate of sqrt(excess risk) clipped at zero.
         """
         loss = self.loss
-        prepared = loss.prepare(self.sample_data(rng, self.n_draws))
+        values = loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[1]
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        ref = loss.per_observation(prepared, _vec(b))
+        ref = values(_vec(b))
         vals = np.empty(mat.shape[0])
         for i, row in enumerate(mat):
-            d = float(np.mean(loss.per_observation(prepared, row) - ref))
+            d = float(np.mean(values(row) - ref))
             vals[i] = math.sqrt(d) if d > 0 else 0.0
         return vals
 
@@ -333,14 +334,14 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise PreconditionError("empty parameter grid")
-    prepared = loss.prepare(generator(rng, n_draws))
-    lstar = loss.per_observation(prepared, theta_star)
+    values = loss.kernel(loss.prepare(generator(rng, n_draws)))[1]
+    lstar = values(theta_star)
     points = []
     for theta in theta_grid:
         d = divergence_value(div, theta, theta_star, rng)
         if d <= 0.0:
             raise PreconditionError("grid must exclude theta* (divergence 0)")
-        z = -omega * (loss.per_observation(prepared, theta) - lstar)
+        z = -omega * (values(theta) - lstar)
         if float(z.max()) > _EXP_GUARD:
             raise OverflowGuardError(
                 "exp(-omega * excess loss) overflows float64 on the sample")

@@ -145,13 +145,15 @@ def _cmd_diagnose_mgf(args) -> int:
                               "give one explicitly")
         theta_star = np.asarray(generator.theta_star, dtype=float).tolist()
     star = _mgf_point(theta_star, dim, "thetaStar")
+    div = AbsScalarDistance() if dim == 1 else EuclideanDistance()
+    if any(div.between(g, star) == 0.0 for g in grid):
+        raise ConfigError(f"mgf grid must exclude thetaStar {star.tolist()}")
     n_draws, seed = spec.get("nDraws", 100_000), spec.get("seed", 0)
     if not _is_int(n_draws) or n_draws < 2:
         raise ConfigError(f"mgf nDraws must be an integer of at least 2; "
                           f"got {n_draws!r}")
     if not _is_int(seed):
         raise ConfigError(f"mgf seed must be an integer; got {seed!r}")
-    div = AbsScalarDistance() if dim == 1 else EuclideanDistance()
     report = mgf_condition_check(
         loss, grid, star, omega=_mgf_positive(spec["omega"], "omega"), div=div,
         r=_mgf_positive(spec.get("r", 2.0), "r"), generator=generator.mc_sample,

@@ -2,30 +2,23 @@
 
 Each loss family is written once, as two methods: `prepare(sample)` checks a
 sample and precomputes its arrays (design matrix, labels, responses), and
-`pointwise(prepared, beta, work)` holds the loss formula, mapping the
-prepared arrays and a coefficient vector to the per-observation losses (a
-boolean mismatch vector for the 0-1 losses).  Everything else derives from
-that pair: the risk kernel used inside MCMC loops (`risk_state` + `risk`,
-vectorized over a block of chains), the empirical risk of a dataset
-(`empirical_risk`, the one-chain kernel), the sparse sampler's one-row
-kernel, and float per-observation values for Monte-Carlo diagnostics
-(`pointwise_losses`, or `loss.per_observation` on a sample prepared once).
-The loss on a single observation is the one value of a one-row sample.  The
-ranking loss keeps a closed-form risk over the m*n pair grid.
+`kernel(prepared)` holds the loss formula.  On one sample's prepared arrays,
+(n, J), or a stacked risk state, (R, n, J), `kernel` makes every n-sized
+buffer the formula writes into (one matmul into a linear predictor, then
+ufuncs with `out=`) and returns two functions: `risks(B)`, the empirical
+risk of a (J,) vector on one sample (a float) or of each row of an (R, J)
+block on a stacked state (a list of R Python floats), and `values(theta)`,
+a fresh float vector of theta's per-observation losses on one sample.  The
+samplers, `GibbsTarget.risk`, `empirical_risk`, `pointwise_losses` and the
+Monte-Carlo diagnostics build a kernel once per sample or block and call
+these.  The loss on a single observation is the one value of a one-row
+sample.  The ranking loss keeps a closed-form risk over the m*n pair grid,
+and gives values on matched pairs.
 
-Buffers: `pointwise` and `risk` write every n-sized intermediate into a
-`Workspace` (one matmul into its linear predictor, then ufuncs with `out=`,
-then one sum per chain), so a caller that evaluates the same prepared
-arrays many times makes the workspace once (`loss.workspace(prepared)`) and
-allocates nothing per call.  Without one they make a fresh workspace.
-
-Chain blocks: `pointwise` also takes prepared arrays stacked along a leading
-chain axis, (R, n, J) with an (R, J) coefficient block, and `risk` maps a
-stacked state and an (R, J) block to R risks, as Python floats.  Every
-chain's value is bit-identical to its one-chain value: the linear predictor
-is one matrix-vector product per chain, and the mean is the same pairwise
-sum (an exact count for the 0-1 losses) divided by n that `np.mean`
-computes.
+Every chain's risk is bit-identical to its one-chain value and to its risk
+on the unstacked arrays: the linear predictor is one matrix-vector product
+per chain, and the mean is the same pairwise sum (an exact count for the 0-1
+losses) divided by n that `np.mean` computes.
 
 Sign convention: sign(0) = -1 everywhere, and classifier indicators use the
 strict inequality x'theta > 0.  Score ties across groups in the pairwise
@@ -45,30 +38,27 @@ def sign_neg(t):
     return np.where(np.asarray(t) > 0, 1, -1)
 
 
-class Workspace:
-    """Buffers that a loss's `pointwise` and `risk` write into, for prepared
-    arrays of one sample, (n, J), or of a stacked block, (R, n, J): the
-    linear predictor (`product`, with matmul's trailing unit axis, and its
-    view `linear`), a boolean and a float value per observation (`mask`,
-    `values`), and each chain's float sum and integer count (`sums`,
-    `counts`)."""
-
-    __slots__ = ("product", "linear", "mask", "values", "sums", "counts")
-
-    def __init__(self, shape: tuple):
-        self.product = np.empty(shape + (1,))
-        self.linear = self.product[..., 0]
-        self.mask = np.empty(shape, dtype=bool)
-        self.values = np.empty(shape)
-        self.sums = np.empty(shape[:-1])
-        self.counts = np.empty(shape[:-1], dtype=np.int_)
+def _mean(buf: np.ndarray):
+    """The map from a filled (..., n) loss buffer to its mean over n: a float
+    for one sample's (n,) buffer, a list of R Python floats for a stacked
+    (R, n) one.  A 0-1 mask sums as an integer count; one row counts with
+    np.count_nonzero, about three times faster than np.add.reduce, and turns
+    the NumPy scalar into a float first, which divides 20 times faster."""
+    n, reduce = buf.shape[-1], np.add.reduce
+    if buf.ndim == 1:
+        total = np.count_nonzero if buf.dtype == bool else reduce
+        return lambda v: float(total(v)) / n
+    sums = np.empty(buf.shape[:-1], dtype=np.int_ if buf.dtype == bool else float)
+    return lambda v: [s / n for s in reduce(v, -1, out=sums).tolist()]
 
 
-def _linear(F: np.ndarray, beta: np.ndarray, work: Workspace) -> np.ndarray:
-    """F @ beta into `work.linear`, one matrix-vector product per chain of a
-    stacked block."""
-    np.matmul(F, beta[..., None], out=work.product)
-    return work.linear
+def _values(risks, buf: np.ndarray):
+    """values(theta): run `risks` on one coefficient vector and return a
+    float copy of the per-observation buffer it fills."""
+    def values(theta):
+        risks(np.asarray(theta, dtype=float))
+        return buf.astype(float)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -76,35 +66,10 @@ def _linear(F: np.ndarray, beta: np.ndarray, work: Workspace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Loss:
-    """Risk kernel and per-observation values, both derived from a family's
-    `prepare(sample)` and `pointwise(prepared, beta, work)`.
-    """
-
     def risk_state(self, data: Dataset) -> tuple:
-        """The arrays `risk` needs for one dataset, as a one-chain stack;
+        """The arrays a kernel needs for one dataset, as a one-chain stack;
         chains' states concatenate along the leading axis into a block."""
         return tuple(a[None] for a in self.prepare(data))
-
-    def workspace(self, prepared: tuple) -> Workspace:
-        """Buffers for `pointwise` and `risk` on these prepared arrays (or a
-        risk state), whose first array is the design matrix."""
-        return Workspace(prepared[0].shape[:-1])
-
-    def risk(self, state: tuple, B: np.ndarray, work: Workspace | None = None) -> list:
-        """Empirical risks of an (R, J) coefficient block, one Python float
-        per chain, evaluated into `work` (from `workspace(state)`) if given."""
-        work = work or self.workspace(state)
-        losses = self.pointwise(state, B, work)
-        # 0-1 losses sum as integer counts, as np.add.reduce does by default
-        sums = np.add.reduce(losses, -1,
-                             out=work.counts if losses.dtype == bool else work.sums)
-        n = float(losses.shape[-1])
-        return [s / n for s in sums.tolist()]
-
-    def per_observation(self, prepared, theta) -> np.ndarray:
-        """Float vector of losses of theta on every row of a prepared sample."""
-        beta = np.asarray(theta, dtype=float)
-        return np.asarray(self.pointwise(prepared, beta), dtype=float)
 
 
 class _RegressionLoss(_Loss):
@@ -114,12 +79,6 @@ class _RegressionLoss(_Loss):
         if not isinstance(sample, Dataset) or sample.kind != "reg":
             raise ShapeError(f"{self.kind} loss expects a regression dataset")
         return design_matrix(self.features, sample.x), sample.y
-
-
-def _residual(prepared, beta: np.ndarray, work: Workspace) -> np.ndarray:
-    """y - b'f(x) into `work.linear`."""
-    F, y = prepared
-    return np.subtract(y, _linear(F, beta, work), out=work.linear)
 
 
 class CheckLoss(_RegressionLoss):
@@ -137,12 +96,20 @@ class CheckLoss(_RegressionLoss):
         self.tau = float(tau)
         self.features = features
 
-    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
-        work = work or self.workspace(prepared)
-        r = _residual(prepared, beta, work)
-        # r * (tau - 1{r < 0})
-        np.subtract(self.tau, np.less(r, 0.0, out=work.mask), out=work.values)
-        return np.multiply(r, work.values, out=work.values)
+    def kernel(self, prepared):
+        F, y = prepared
+        product = np.empty(F.shape[:-1] + (1,))
+        r = product[..., 0]
+        mask, v = np.empty(y.shape, dtype=bool), np.empty(y.shape)
+        tau, mean = self.tau, _mean(v)
+
+        def risks(B):
+            np.matmul(F, B[..., None], out=product)
+            np.subtract(y, r, out=r)
+            # r * (tau - 1{r < 0})
+            np.subtract(tau, np.less(r, 0.0, out=mask), out=v)
+            return mean(np.multiply(r, v, out=v))
+        return risks, _values(risks, v)
 
 
 class SquaredLoss(_RegressionLoss):
@@ -153,9 +120,17 @@ class SquaredLoss(_RegressionLoss):
     def __init__(self, features: BasisSpec | None):
         self.features = features
 
-    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
-        r = _residual(prepared, beta, work or self.workspace(prepared))
-        return np.multiply(r, r, out=r)
+    def kernel(self, prepared):
+        F, y = prepared
+        product = np.empty(F.shape[:-1] + (1,))
+        r = product[..., 0]
+        mean = _mean(r)
+
+        def risks(B):
+            np.matmul(F, B[..., None], out=product)
+            np.subtract(y, r, out=r)
+            return mean(np.multiply(r, r, out=r))
+        return risks, _values(risks, r)
 
 
 class CappedSquaredLoss(_RegressionLoss):
@@ -174,9 +149,31 @@ class CappedSquaredLoss(_RegressionLoss):
         self.features = features
         self.cap = float(cap)
 
-    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
-        r = _residual(prepared, beta, work or self.workspace(prepared))
-        return np.minimum(np.multiply(r, r, out=r), self.cap, out=r)
+    def kernel(self, prepared):
+        F, y = prepared
+        product = np.empty(F.shape[:-1] + (1,))
+        r = product[..., 0]
+        cap, mean = self.cap, _mean(r)
+
+        def risks(B):
+            np.matmul(F, B[..., None], out=product)
+            np.subtract(y, r, out=r)
+            return mean(np.minimum(np.multiply(r, r, out=r), cap, out=r))
+        return risks, _values(risks, r)
+
+
+def _mismatch_kernel(F, compare, first, positive) -> tuple:
+    """The 0-1 kernel: the mismatch mask of compare(first, F @ b) and the
+    labels' positive mask, counted per chain."""
+    product = np.empty(F.shape[:-1] + (1,))
+    linear, mask = product[..., 0], np.empty(positive.shape, dtype=bool)
+    mean = _mean(mask)
+
+    def risks(B):
+        np.matmul(F, B[..., None], out=product)
+        compare(first, linear, out=mask)
+        return mean(np.not_equal(mask, positive, out=mask))
+    return risks, _values(risks, mask)
 
 
 def _positive_labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
@@ -191,8 +188,7 @@ class ZeroOneLinearLoss(_Loss):
     """Misclassification loss of the linear classifier 1{x'theta > 0}.
 
     theta is the dense coefficient vector (first coordinate conventionally
-    the sign-constrained one); labels are in {0,1}.  `pointwise` returns the
-    boolean mismatch vector.
+    the sign-constrained one); labels are in {0,1}.
     """
 
     kind = "zeroone"
@@ -202,11 +198,10 @@ class ZeroOneLinearLoss(_Loss):
             raise ShapeError("zero-one loss expects a classification dataset")
         return np.atleast_2d(sample.x), _positive_labels(sample, {0, 1}, "zero-one loss")
 
-    def pointwise(self, prepared, theta: np.ndarray, work=None) -> np.ndarray:
+    def kernel(self, prepared):
         X, positive = prepared
-        work = work or self.workspace(prepared)
-        np.greater(_linear(X, theta, work), 0.0, out=work.mask)
-        return np.not_equal(work.mask, positive, out=work.mask)
+        # 0 < t is t > 0 for every double
+        return _mismatch_kernel(X, np.less, 0.0, positive)
 
 
 class MCIDLoss(_Loss):
@@ -215,9 +210,8 @@ class MCIDLoss(_Loss):
     theta(z) = beta'f(z) is a function of the covariate z, given by its
     coefficient vector beta over `basis`; x is the scalar diagnostic measure
     and y in {-1,+1} the reported outcome.  For y in {-1,+1} the loss is the
-    mismatch indicator of sign(x - theta(z)) and y, which `pointwise` returns
-    as a boolean vector: sign(t) = +1 exactly when t > 0, so it is the
-    mismatch of x > theta(z) and y > 0.
+    mismatch indicator of sign(x - theta(z)) and y: sign(t) = +1 exactly
+    when t > 0, so it is the mismatch of x > theta(z) and y > 0.
     """
 
     kind = "mcid"
@@ -231,12 +225,10 @@ class MCIDLoss(_Loss):
         return (design_matrix(self.basis, sample.z), sample.x.astype(float),
                 _positive_labels(sample, {-1, 1}, "threshold loss"))
 
-    def pointwise(self, prepared, beta: np.ndarray, work=None) -> np.ndarray:
+    def kernel(self, prepared):
         F, x, positive = prepared
-        work = work or self.workspace(prepared)
         # x > t is x - t > 0 for every pair of doubles, one operation fewer
-        np.greater(x, _linear(F, beta, work), out=work.mask)
-        return np.not_equal(work.mask, positive, out=work.mask)
+        return _mismatch_kernel(F, np.greater, x, positive)
 
 
 class AUCLoss(_Loss):
@@ -254,10 +246,6 @@ class AUCLoss(_Loss):
             raise ShapeError("ranking loss needs PairedScores for pointwise values")
         return (sample.u1 > sample.u0).astype(float)
 
-    def pointwise(self, prepared, theta, work=None) -> np.ndarray:
-        t = float(np.asarray(theta).reshape(-1)[0])
-        return (t - prepared) ** 2
-
     def risk_state(self, data: Dataset) -> tuple:
         """Concordance fraction and constant of the closed form over the m*n
         grid of a two-sample dataset.
@@ -272,16 +260,19 @@ class AUCLoss(_Loss):
         that = auc_point_estimate(data.scores0, data.scores1)
         return np.array([that]), np.array([that * (1.0 - that)])
 
-    def workspace(self, prepared):
-        """None: the closed form writes no n-sized array."""
-        return None
+    def kernel(self, prepared):
+        """On a risk state, the closed-form risks and no values; on prepared
+        matched pairs, no risks and the values (theta - 1{u1 > u0})^2."""
+        if not isinstance(prepared, tuple):
+            return None, lambda theta: (float(np.asarray(theta).reshape(-1)[0])
+                                        - prepared) ** 2
+        that, const = (a.tolist() for a in prepared)
 
-    def risk(self, state: tuple, B: np.ndarray, work=None) -> list:
-        # Python floats per chain: `** 2` on a float calls pow(), which an
-        # array square (a product) need not match in the last bit
-        that, const = state
-        return [(t - a) ** 2 + c for t, a, c in
-                zip(B[:, 0].tolist(), that.tolist(), const.tolist())]
+        def risks(B):
+            # Python floats per chain: `** 2` on a float calls pow(), which an
+            # array square (a product) need not match in the last bit
+            return [(t - a) ** 2 + c for t, a, c in zip(B[:, 0].tolist(), that, const)]
+        return risks, None
 
 
 LossSpec = (CheckLoss | SquaredLoss | CappedSquaredLoss | ZeroOneLinearLoss
@@ -298,7 +289,7 @@ def empirical_risk(loss: LossSpec, theta, data: Dataset) -> float:
     For two-sample data the average runs over all m*n score pairs.
     """
     beta = np.asarray(theta, dtype=float).reshape(1, -1)
-    return loss.risk(loss.risk_state(data), beta)[0]
+    return loss.kernel(loss.risk_state(data))[0](beta)[0]
 
 
 def auc_point_estimate(scores0, scores1) -> float:
@@ -323,7 +314,7 @@ def pointwise_losses(loss: LossSpec, theta, sample) -> np.ndarray:
     matched pair).  The mean of the returned vector is the empirical risk
     of the corresponding dataset (for two-sample data, of the paired subset).
     """
-    return loss.per_observation(loss.prepare(sample), theta)
+    return loss.kernel(loss.prepare(sample))[1](theta)
 
 
 def least_squares_coefficients(F: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ whose support is the set of nonzero coordinates of beta.
 
 The iid priors' `log_density` also takes an (R, dim) block of chains and
 returns R Python floats, each bit-identical to the one-chain value.  It
-computes one statistic per chain (z'z, or the sum of |theta|) with NumPy,
-into buffers from `workspace` when given, and the density from it on
-Python floats.
+checks the shape and calls `kernel(shape)`, where the formula is written
+once: for coefficients of leading shape `shape`, in buffers it owns, one
+statistic per chain (z'z, or the sum of |theta|) with NumPy and the density
+from it on Python floats.  The sampler builds a kernel once per block.
 
 The spike-slab size prior is normalized with `logsumexp` and the binomial
 coefficients come from `gammaln`; both are ports in `gibbsinf._special`
@@ -49,23 +50,24 @@ class GaussianIID:
         self.mean, self.sd, self.dim = float(mean), float(sd), int(dim)
         self._log_norm = self.dim * (math.log(self.sd) + 0.5 * _LOG_2PI)
 
-    def workspace(self, shape: tuple = ()) -> tuple:
-        """Buffers for `log_density` on coefficients of leading shape
-        `shape`, () for one vector and (R,) for a block: z and z'z (with
-        matmul's unit axes, and flat)."""
-        zz = np.empty(shape + (1, 1))
-        return np.empty(shape + (self.dim,)), zz, zz.reshape(-1)
+    def kernel(self, shape: tuple):
+        """log_density on coefficients of leading shape `shape`, () for one
+        vector and (R,) for a block, into its own z and z'z buffers."""
+        z, zz = np.empty(shape + (self.dim,)), np.empty(shape + (1, 1))
+        flat, mean, sd, log_norm = zz.reshape(-1), self.mean, self.sd, self._log_norm
 
-    def log_density(self, theta, work=None):
+        def log_density(theta):
+            # x - 0.0 == x for every double, so a zero mean skips an operation
+            np.divide(np.subtract(theta, mean, out=z) if mean else theta, sd, out=z)
+            # z'z as one dot product per chain
+            np.matmul(z[..., None, :], z[..., None], out=zz)
+            out = [-0.5 * s - log_norm for s in flat.tolist()]
+            return out if shape else out[0]
+        return log_density
+
+    def log_density(self, theta):
         theta = _coefficients(theta, self.dim)
-        z, zz, flat = work or self.workspace(theta.shape[:-1])
-        # x - 0.0 == x for every double, so a zero mean skips an operation
-        np.divide(np.subtract(theta, self.mean, out=z) if self.mean else theta,
-                  self.sd, out=z)
-        # z'z as one dot product per chain
-        np.matmul(z[..., None, :], z[..., None], out=zz)
-        out = [-0.5 * s - self._log_norm for s in flat.tolist()]
-        return out if theta.ndim == 2 else out[0]
+        return self.kernel(theta.shape[:-1])(theta)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.sd * rng.standard_normal(self.dim)
@@ -85,19 +87,20 @@ class LaplaceIID:
         self.rate, self.dim = float(rate), int(dim)
         self._log_norm = self.dim * math.log(self.rate / 2.0)
 
-    def workspace(self, shape: tuple = ()) -> tuple:
-        """Buffers for `log_density` on coefficients of leading shape
-        `shape`, () for one vector and (R,) for a block: |theta| and its sum
-        (as is, and flat)."""
-        total = np.empty(shape)
-        return np.empty(shape + (self.dim,)), total, total.reshape(-1)
+    def kernel(self, shape: tuple):
+        """As GaussianIID.kernel, into its own |theta| and sum buffers."""
+        absolute, total = np.empty(shape + (self.dim,)), np.empty(shape)
+        flat, rate, log_norm = total.reshape(-1), self.rate, self._log_norm
 
-    def log_density(self, theta, work=None):
+        def log_density(theta):
+            np.add.reduce(np.abs(theta, out=absolute), axis=-1, out=total)
+            out = [log_norm - rate * s for s in flat.tolist()]
+            return out if shape else out[0]
+        return log_density
+
+    def log_density(self, theta):
         theta = _coefficients(theta, self.dim)
-        absolute, total, flat = work or self.workspace(theta.shape[:-1])
-        np.add.reduce(np.abs(theta, out=absolute), axis=-1, out=total)
-        out = [self._log_norm - self.rate * s for s in flat.tolist()]
-        return out if theta.ndim == 2 else out[0]
+        return self.kernel(theta.shape[:-1])(theta)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.laplace(0.0, 1.0 / self.rate, size=self.dim)

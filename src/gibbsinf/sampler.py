@@ -74,11 +74,11 @@ class GibbsTarget:
         self.omega = float(omega)
         self.n_terms = data.n_terms
         self.risk_state = loss.risk_state(data)
+        self._risks = loss.kernel(self.risk_state)[0]
 
     def risk(self, theta) -> float:
         """Empirical risk at the dense coefficient vector theta."""
-        beta = np.asarray(theta, dtype=float).reshape(1, -1)
-        return self.loss.risk(self.risk_state, beta)[0]
+        return self._risks(np.asarray(theta, dtype=float).reshape(1, -1))[0]
 
     def log_unnormalized(self, theta) -> float:
         """-omega * N * R_n(theta) + log prior(theta); -inf outside support."""
@@ -105,11 +105,12 @@ class GibbsTarget:
 class MHConfig:
     """Metropolis-Hastings run configuration.
 
-    proposal_scale may be a scalar, a per-coordinate array, or None to use
-    the default 2.4/sqrt(J) times the prior's coordinate sd.  (steps-burn_in)
-    must be divisible by thin so the kept-draw count is exact.  init is the
-    starting point, or None for a prior draw: a coefficient array for
-    `mh_run`, a (1+q) row (alpha, beta) for `ss_mh_run`.
+    proposal_scale may be a scalar, a per-coordinate array (`mh_run` only),
+    or None to use the default 2.4/sqrt(J) times the prior's coordinate sd.
+    (steps-burn_in) must be divisible by thin so the kept-draw count is
+    exact.  init is the starting point, or None for a prior draw: a
+    coefficient array for `mh_run`, a (1+q) row (alpha, beta) for
+    `ss_mh_run`.
     """
 
     steps: int = 50_000
@@ -241,11 +242,9 @@ def _block_log_density(targets, tiles: int = 1):
     densities of the first m targets.
 
     The vectorized map is built once per block and tiles.  For each m it
-    holds views of the first m rows of the stacked state and loss and prior
-    buffers of m rows (their `workspace`), so an evaluation allocates no
-    n-sized array: `loss.risk` makes one matmul, runs the loss's ufuncs and
-    one sum per chain into its buffers, `prior.log_density` one statistic
-    per chain into its own, and each chain's -omega * N * R_n(theta) + log
+    holds the loss's kernel on the first m rows of the stacked state and the
+    prior's kernel for m rows, which own their buffers, so an evaluation
+    allocates no n-sized array; each chain's -omega * N * R_n(theta) + log
     prior(theta) is taken on Python floats.
     """
     R = len(targets)
@@ -260,18 +259,15 @@ def _block_log_density(targets, tiles: int = 1):
             state = None
         if state is not None:
             loss, prior = first.loss, first.prior
-            risk, log_prior = loss.risk, prior.log_density
             coef = [-t.omega * t.n_terms for t in targets]
-            parts = {}                # rows -> state, loss and prior buffers
-            for m in range(R, len(targets) + 1, R):
-                part = tuple(a[:m] for a in state)
-                parts[m] = part, loss.workspace(part), prior.workspace((m,))
+            kernels = {m: (loss.kernel(tuple(a[:m] for a in state))[0],
+                           prior.kernel((m,)))
+                       for m in range(R, len(targets) + 1, R)}
 
             def log_density(B):
-                part, loss_work, prior_work = parts[len(B)]
+                risks, log_prior = kernels[len(B)]
                 # -omega * N * R_n(theta) + log prior(theta), in that order
-                return [c * r + p for c, r, p in zip(
-                    coef, risk(part, B, loss_work), log_prior(B, prior_work))]
+                return [c * r + p for c, r, p in zip(coef, risks(B), log_prior(B))]
             return log_density, True
     return (lambda B: [float(t.log_unnormalized(b))
                        for t, b in zip(targets, B)]), False
@@ -307,11 +303,6 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     Blocks of four or more chains, and blocks evaluated chain by chain
     through log_unnormalized (where a bigger call only adds evaluations),
     keep K = 1.
-
-    The block's density function is built once per block and K
-    (`_block_log_density`): it owns the loss and prior buffers of its rows,
-    so a kernel call allocates no n-sized array, and it returns the
-    densities as a list of Python floats, combined per chain on floats.
 
     Decisions run on Python floats: each kernel call's densities are one
     list, and each chain's current log density is a float.  A step on which
@@ -439,10 +430,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     log pi(S) depends on S only through s = |S|, so the add and remove
     ratios are read from per-chain tables by s, built once from
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
-    current beta_S is kept between walks.  Each proposal is scored by a
-    one-row kernel on the target's 2-D arrays (`risk_state` without its chain
-    axis): one gemv and one count of `pointwise`'s mismatches, into a loss
-    workspace made once per chain, with the bits of `GibbsTarget.risk`.  Chains run one at a time: a
+    current beta_S is kept between walks.  Each proposal is scored by the
+    loss's kernel on the target's 2-D arrays (`risk_state` without its chain
+    axis), built once per chain: one gemv and one count of mismatches, with
+    the bits of `GibbsTarget.risk`.  Chains run one at a time: a
     lockstep block costs more per row at n=800, and lookahead would win at
     most about 15 % (ROADMAP item 3).  The kept draws are theta rows.
     The chain's meta carries q, the proposals and acceptances of each move
@@ -471,6 +462,8 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     if config.proposal_scale is None:
         walk_scale = 2.4 / math.sqrt(max(q, 1)) * math.sqrt(2.0) / lam
     else:
+        if np.size(config.proposal_scale) != 1:
+            raise ShapeError("a sparse chain's walk takes one proposal scale")
         walk_scale = float(np.asarray(config.proposal_scale).reshape(-1)[0])
 
     # log of [prior-structure ratio x proposal ratio] of an add or remove
@@ -486,13 +479,7 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                              - log(q - s + 1) for s in range(1, q + 1)]
 
     omega_n = target.omega * target.n_terms
-    prepared = tuple(a[0] for a in target.risk_state)   # the 2-D arrays
-    pointwise, count = target.loss.pointwise, np.count_nonzero
-    work = target.loss.workspace(prepared)
-    n = len(prepared[1])
-
-    def risk(theta):
-        return count(pointwise(prepared, theta, work)) / n
+    risk = target.loss.kernel(tuple(a[0] for a in target.risk_state))[0]
     slab_log_density = prior.slab_log_density
     random, integers = rng.random, rng.integers
     laplace, standard_normal = rng.laplace, rng.standard_normal

@@ -37,9 +37,8 @@ class _MVEstimate:
 def _mv_estimate(loss, theta, theta_star, generator, n_draws, rng) -> _MVEstimate:
     """The mean excess loss over fresh draws from generator(rng, n): the
     oracle of the RiskDiffSqrt and mgf checks."""
-    prepared = loss.prepare(generator(rng, n_draws))
-    diff = (loss.per_observation(prepared, theta)
-            - loss.per_observation(prepared, theta_star))
+    values = loss.kernel(loss.prepare(generator(rng, n_draws)))[1]
+    diff = values(theta) - values(theta_star)
     return _MVEstimate(m_hat=float(diff.mean()),
                        m_se=math.sqrt(float(diff.var(ddof=1)) / diff.size))
 
@@ -100,6 +99,10 @@ def test_empirical_l2_against_fixed_values():
     assert got[1] == pytest.approx(0.3, abs=1e-12)  # partition of unity
     with pytest.raises(ShapeError):
         div.between_values(a, values[:-1])
+    # a target of the wrong length, even one that would broadcast
+    for wrong in (values[:-1], [0.5]):
+        with pytest.raises(ShapeError, match="design points"):
+            div.batch_values(mat, wrong)
 
 
 def test_divergence_value_dispatch():

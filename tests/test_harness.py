@@ -1067,7 +1067,7 @@ _MGF_SECTION = {"generator": {"name": "quantilereg", "tau": 0.5},
 
 @pytest.mark.parametrize("key, value", [
     ("grid", 5), ("grid", []), ("grid", [[1.0]]), ("grid", [1.2, 2.0]),
-    ("grid", [[1.2, "a"]]), ("grid", [[1.2, None]]),
+    ("grid", [[1.2, "a"]]), ("grid", [[1.2, None]]), ("grid", [[1.0, 2.0]]),
     ("thetaStar", [1.0]), ("thetaStar", [1.0, True]),
     ("omega", "abc"), ("omega", 0.0), ("omega", -1.0), ("omega", True),
     ("r", 0), ("r", [2.0]),
@@ -1246,9 +1246,12 @@ def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
                                    "configs", "mcid2.json"))
     cfg["mh"].update(steps=20_000, burnIn=4_000)
     rows = []
-    original = MCIDLoss.risk
-    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B, work=None:
-                        rows.append(len(B)) or original(self, state, B, work))
+    original = MCIDLoss.kernel
+
+    def kernel(self, prepared):
+        risks, values = original(self, prepared)
+        return (lambda B: rows.append(len(B)) or risks(B)), values
+    monkeypatch.setattr(MCIDLoss, "kernel", kernel)
     fit = fit_cell(cfg, cfg["nGrid"][0], row_seed(cfg["baseSeed"], 0, 0))
     assert fit.chain.steps == 20_000
     assert len(rows) <= 9_000

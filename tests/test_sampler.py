@@ -267,9 +267,12 @@ def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
 
     one, eight = starts(1), starts(8)
     rows = []                         # the rows of every risk call
-    original = MCIDLoss.risk
-    monkeypatch.setattr(MCIDLoss, "risk", lambda self, state, B, work=None:
-                        rows.append(len(B)) or original(self, state, B, work))
+    original = MCIDLoss.kernel
+
+    def kernel(self, prepared):
+        risks, values = original(self, prepared)
+        return (lambda B: rows.append(len(B)) or risks(B)), values
+    monkeypatch.setattr(MCIDLoss, "kernel", kernel)
     chain = mh_run_block(one)[0]
     assert chain.accept_rate < 0.1
     assert len(rows) <= 0.6 * steps
@@ -292,12 +295,16 @@ class _WalledSquaredLoss(SquaredLoss):
     def risk_state(self, data):
         return super().risk_state(data) + (np.array([data is self.walled]),)
 
-    def risk(self, state, B, work=None):
-        *state, walled = state
-        out = np.array(super().risk(tuple(state), B, work))
-        out[walled & (B[:, 0] > 0.5)] = np.nan
-        out[walled & (B[:, 0] < -0.5)] = np.inf
-        return out.tolist()
+    def kernel(self, prepared):
+        *state, walled = prepared
+        risks, values = super().kernel(tuple(state))
+
+        def walled_risks(B):
+            out = np.array(risks(B))
+            out[walled & (B[:, 0] > 0.5)] = np.nan
+            out[walled & (B[:, 0] < -0.5)] = np.inf
+            return out.tolist()
+        return walled_risks, values
 
 
 def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
@@ -313,14 +320,18 @@ def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
                for r in range(2)]
     singles = [mh_run(t, c) for t, c in zip(targets, configs)]
     walls = []                # per call of two steps: the NaN and -inf rows
-    original = _WalledSquaredLoss.risk
+    original = _WalledSquaredLoss.kernel
 
-    def risk(self, state, B, work=None):
-        out = original(self, state, B, work)
-        if len(B) == 4:
-            walls.append((np.isnan(out).sum(), np.isinf(out).sum()))
-        return out
-    monkeypatch.setattr(_WalledSquaredLoss, "risk", risk)
+    def kernel(self, prepared):
+        risks, values = original(self, prepared)
+
+        def risk(B):
+            out = risks(B)
+            if len(B) == 4:
+                walls.append((np.isnan(out).sum(), np.isinf(out).sum()))
+            return out
+        return risk, values
+    monkeypatch.setattr(_WalledSquaredLoss, "kernel", kernel)
     block = mh_run_block([mh_start(t, c) for t, c in zip(targets, configs)])
     nan_rows, inf_rows = np.sum(walls, axis=0)
     assert len(walls) > 500 and nan_rows > 100 and inf_rows > 100
@@ -632,8 +643,8 @@ def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
 
 @pytest.mark.parametrize("n", [1, 200, 800])
 def test_one_row_zero_one_kernel_equals_the_block_risk(n):
-    # the 0-1 risk of one (alpha, beta) row as a mismatch count on the
-    # target's 2-D arrays, against the stacked (1, n, J) block kernel, bit
+    # the 0-1 risk of one (alpha, beta) row by the kernel on the target's
+    # 2-D arrays, against the kernel on the stacked (1, n, J) block, bit
     # for bit: empty supports with either sign of alpha, signed zeros,
     # sparse rows and dense rows
     q = 50
@@ -641,10 +652,8 @@ def test_one_row_zero_one_kernel_equals_the_block_risk(n):
     data = gen.sample(n, make_rng(hash64(57, n)))
     loss = ZeroOneLinearLoss()
     state = loss.risk_state(data)
-    prepared = tuple(a[0] for a in state)
-
-    def kernel(theta):
-        return np.count_nonzero(loss.pointwise(prepared, theta)) / n
+    kernel = loss.kernel(tuple(a[0] for a in state))[0]
+    block = loss.kernel(state)[0]
 
     rng = make_rng(hash64(57, n, 1))
     rows = []
@@ -665,7 +674,7 @@ def test_one_row_zero_one_kernel_equals_the_block_risk(n):
             sparse[at] = rng.laplace(0.0, 1.0, size=at.size)
             rows += [dense, sparse]
     for theta in rows:
-        want = float(loss.risk(state, theta[None])[0])
+        want = float(block(theta[None])[0])
         assert float(kernel(theta)).hex() == want.hex()
 
 
@@ -703,6 +712,22 @@ def test_sparse_init_row_of_wrong_shape_or_sign_is_a_shape_error(init):
                          data, 1.0)
     with pytest.raises(ShapeError, match=r"\(4,\) row"):
         ss_mh_run(target, MHConfig(steps=20, burn_in=0, thin=1, init=init))
+
+
+def test_sparse_chain_rejects_a_per_coordinate_proposal_scale():
+    # the walk moves every support coordinate with one scale, so a list of
+    # several scales is an error, not its first entry; one entry is that scale
+    rng = np.random.default_rng(8)
+    data = Dataset.classification(rng.normal(size=(20, 4)),
+                                  (rng.random(20) < 0.5).astype(float))
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=3, a=1.0, c=1.0),
+                         data, 1.0)
+    with pytest.raises(ShapeError, match="one proposal scale"):
+        ss_mh_run(target, MHConfig(steps=20, burn_in=0, thin=1,
+                                   proposal_scale=[0.1, 9.0, 9.0]))
+    chain = ss_mh_run(target, MHConfig(steps=20, burn_in=0, thin=1,
+                                       proposal_scale=[0.1]))
+    assert chain.meta["walk_scale"] == 0.1
 
 
 def test_random_walk_chain_rejects_a_spike_slab_target():
