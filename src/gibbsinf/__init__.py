@@ -28,8 +28,7 @@ from .sampler import (Chain, ChainStart, GibbsTarget, MHConfig, chain_summary,
 from .diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
                           L2PDistance, MCDivergence, MCIDMeasure, MGFCheck,
                           RateFit, RiskDiffSqrt, concentration_slope,
-                          divergence_value, mgf_condition_check,
-                          posterior_mass_outside)
+                          mgf_condition_check, posterior_mass_outside)
 
 __version__ = "0.1.0"
 
@@ -51,5 +50,5 @@ __all__ = [
     "write_chain_csv", "AbsScalarDistance", "EmpiricalL2",
     "EuclideanDistance", "L2PDistance", "MCDivergence", "MCIDMeasure",
     "MGFCheck", "RateFit", "RiskDiffSqrt", "concentration_slope",
-    "divergence_value", "mgf_condition_check", "posterior_mass_outside",
+    "mgf_condition_check", "posterior_mass_outside",
 ]

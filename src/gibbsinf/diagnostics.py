@@ -2,8 +2,10 @@
 
 Divergence measures d(theta, theta*), the annealed-moment bound constant
 K, posterior mass outside a d-ball, and the log-log rate fit used to read
-off an empirical convergence exponent.  Monte-Carlo estimates always come with standard errors; exact
-divergences return 0 precisely at equality.
+off an empirical convergence exponent.  A divergence a config can build
+answers between(a, b, rng=None) for one parameter and batch(draws, b,
+rng=None) for a draw matrix; the exact ones ignore the rng and return 0
+precisely at equality, and `estimate` adds a Monte-Carlo standard error.
 """
 
 from __future__ import annotations
@@ -61,82 +63,70 @@ def _sqrt_of_mean(values: np.ndarray) -> MCDivergence:
     return MCDivergence(0.0, math.sqrt(se_m), values.size)
 
 
+def _rows(draws, width: int) -> np.ndarray:
+    """The draw matrix, one parameter per row; a vector is one draw."""
+    mat = np.atleast_2d(np.asarray(draws, dtype=float))
+    if mat.shape[1] != width:
+        raise ShapeError("draw matrix width differs from the parameter dimension")
+    return mat
+
+
 class EuclideanDistance:
     """d(theta, theta*) = ||theta - theta*||_2 on coefficient vectors."""
 
     kind = "euclid"
-    is_mc = False
 
-    def between(self, a, b) -> float:
+    def between(self, a, b, rng=None) -> float:
         va, vb = _vec(a), _vec(b)
         if va.shape != vb.shape:
             raise ShapeError("parameter dimensions differ")
         return float(np.linalg.norm(va - vb))
 
-    def batch(self, mat: np.ndarray, b) -> np.ndarray:
+    def batch(self, draws, b, rng=None) -> np.ndarray:
         vb = _vec(b)
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        if mat.shape[1] != vb.size:
-            raise ShapeError("draw matrix width differs from reference length")
-        return np.linalg.norm(mat - vb[None, :], axis=1)
+        return np.linalg.norm(_rows(draws, vb.size) - vb[None, :], axis=1)
 
 
 class AbsScalarDistance:
     """d(theta, theta*) = |theta - theta*| for scalar parameters."""
 
     kind = "abs"
-    is_mc = False
 
-    def between(self, a, b) -> float:
+    def between(self, a, b, rng=None) -> float:
         return abs(_scalar(a) - _scalar(b))
 
-    def batch(self, mat: np.ndarray, b) -> np.ndarray:
-        return np.abs(np.asarray(mat, dtype=float).reshape(-1) - _scalar(b))
+    def batch(self, draws, b, rng=None) -> np.ndarray:
+        return np.abs(_rows(draws, 1)[:, 0] - _scalar(b))
 
 
 class EmpiricalL2:
-    """Design-averaged L2 distance: sqrt of (1/n) sum_i (f_a - f_b)^2(x_i).
+    """Design-averaged L2 distance to a reference function f*:
+    sqrt of (1/n) sum_i (f_a - f*)^2(x_i) over the grid xs.
 
-    Both arguments are coefficient vectors over `basis`;
-    `between_values`/`batch_values` compare against a fixed vector of target
-    function values instead, for references outside the span.
+    a is a coefficient vector over `basis`, and the reference is the vector
+    of f*'s values on xs, so it may lie outside the span; for a coefficient
+    reference b, pass design_matrix(basis, xs) @ b.
     """
 
     kind = "empirical_l2"
-    is_mc = False
 
     def __init__(self, basis: BasisSpec | None, xs):
         self.xs = np.asarray(xs, dtype=float)
         self._design = design_matrix(basis, self.xs)
-        self.n_points = self._design.shape[0]
-
-    def _coef(self, a) -> np.ndarray:
-        v = _vec(a)
-        if v.size != self._design.shape[1]:
-            raise ShapeError("coefficient length differs from basis size")
-        return v
-
-    def between(self, a, b) -> float:
-        diff = self._design @ (self._coef(a) - self._coef(b))
-        return float(np.sqrt(np.mean(diff * diff)))
 
     def _target_values(self, values) -> np.ndarray:
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if values.size != self.n_points:
+        values = _vec(values)
+        if values.size != self._design.shape[0]:
             raise ShapeError("target values must match the design points")
         return values
 
-    def between_values(self, a, values) -> float:
-        diff = self._design @ self._coef(a) - self._target_values(values)
+    def between(self, a, values, rng=None) -> float:
+        a = _rows(_vec(a), self._design.shape[1])[0]
+        diff = self._design @ a - self._target_values(values)
         return float(np.sqrt(np.mean(diff * diff)))
 
-    def batch(self, mat: np.ndarray, b) -> np.ndarray:
-        diff = np.atleast_2d(np.asarray(mat, dtype=float)) - self._coef(b)[None, :]
-        vals = self._design @ diff.T
-        return np.sqrt(np.mean(vals * vals, axis=0))
-
-    def batch_values(self, mat: np.ndarray, values) -> np.ndarray:
-        vals = self._design @ np.atleast_2d(np.asarray(mat, dtype=float)).T
+    def batch(self, draws, values, rng=None) -> np.ndarray:
+        vals = self._design @ _rows(draws, self._design.shape[1]).T
         diff = vals - self._target_values(values)[:, None]
         return np.sqrt(np.mean(diff * diff, axis=0))
 
@@ -150,7 +140,6 @@ class L2PDistance:
     """
 
     kind = "l2p"
-    is_mc = True
 
     def __init__(self, sample_x, n_draws: int = 4096):
         if n_draws < 2:
@@ -171,11 +160,11 @@ class RiskDiffSqrt:
 
     sample_data(rng, n) must return a Dataset (or PairedScores) of n fresh
     observations; the per-observation loss difference gives both the excess
-    risk estimate and its standard error.
+    risk estimate and its standard error.  `between`, `batch` and `estimate`
+    draw that sample from their rng, and raise PreconditionError without one.
     """
 
     kind = "risk_diff_sqrt"
-    is_mc = True
 
     def __init__(self, loss: LossSpec, sample_data, n_draws: int = 4096):
         if n_draws < 2:
@@ -184,23 +173,35 @@ class RiskDiffSqrt:
         self.sample_data = sample_data
         self.n_draws = int(n_draws)
 
-    def estimate(self, a, b, rng) -> MCDivergence:
-        if np.array_equal(a, b):
-            return MCDivergence(0.0, 0.0, 0)
+    def _values(self, rng):
+        """Per-observation loss of a parameter on one fresh sample."""
+        if rng is None:
+            raise PreconditionError(f"divergence {self.kind!r} needs an rng")
         loss = self.loss
-        values = loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[1]
+        return loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[1]
+
+    def _estimate(self, a, b, rng) -> MCDivergence:
+        if rng is not None and np.array_equal(a, b):
+            return MCDivergence(0.0, 0.0, 0)
+        values = self._values(rng)
         return _sqrt_of_mean(values(a) - values(b))
 
-    def batch(self, mat: np.ndarray, b, rng) -> np.ndarray:
+    def estimate(self, a, b, rng) -> MCDivergence:
+        """The divergence with its standard error; 0, drawing nothing, at a == b."""
+        return self._estimate(a, b, rng)
+
+    def between(self, a, b, rng=None) -> float:
+        return self._estimate(a, b, rng).value
+
+    def batch(self, draws, b, rng=None) -> np.ndarray:
         """Divergence of each draw (row) to b, sharing one fresh sample.
 
         Sharing the sample across draws makes the values comparable within a
         chain at a fraction of the cost; each value is still an unbiased MC
         estimate of sqrt(excess risk) clipped at zero.
         """
-        loss = self.loss
-        values = loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[1]
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
+        values = self._values(rng)
+        mat = np.atleast_2d(np.asarray(draws, dtype=float))
         ref = values(_vec(b))
         vals = np.empty(mat.shape[0])
         for i, row in enumerate(mat):
@@ -219,7 +220,6 @@ class MCIDMeasure:
     """
 
     kind = "mcid_measure"
-    is_mc = True
 
     def __init__(self, sample_zx, n_draws: int = 4096):
         if n_draws < 2:
@@ -239,20 +239,9 @@ class MCIDMeasure:
         return MCDivergence(p, se, hit.size)
 
 
-Divergence = (EuclideanDistance | AbsScalarDistance | EmpiricalL2
-              | L2PDistance | RiskDiffSqrt | MCIDMeasure)
-
-
-def divergence_value(div: Divergence, theta, theta_star, rng=None) -> float:
-    """The divergence d(theta, theta*); MC variants need an rng.
-
-    For the standard error of an MC variant, call its .estimate directly.
-    """
-    if getattr(div, "is_mc", False):
-        if rng is None:
-            raise PreconditionError(f"divergence {div.kind!r} needs an rng")
-        return div.estimate(theta, theta_star, rng).value
-    return div.between(theta, theta_star)
+# the divergences a config can build: each answers between(a, b, rng=None)
+# and batch(draws, b, rng=None); the exact ones ignore the rng
+Divergence = EuclideanDistance | AbsScalarDistance | EmpiricalL2 | RiskDiffSqrt
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +327,7 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
     lstar = values(theta_star)
     points = []
     for theta in theta_grid:
-        d = divergence_value(div, theta, theta_star, rng)
+        d = div.between(theta, theta_star, rng)
         if d <= 0.0:
             raise PreconditionError("grid must exclude theta* (divergence 0)")
         z = -omega * (values(theta) - lstar)
@@ -364,22 +353,16 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
 
 def posterior_mass_outside(draws, div: Divergence, theta_star, radius: float,
                            rng=None) -> float:
-    """Fraction of kept draws, the rows of `draws`, with d(draw, theta*) > radius."""
+    """Fraction of kept draws, the rows of `draws`, with d(draw, theta*) > radius.
+
+    One div.batch(draws, theta_star, rng) call: theta_star is in the form that
+    div.batch takes (function values on the grid for EmpiricalL2)."""
     if radius <= 0:
         raise PreconditionError("radius must be positive")
     mat = np.atleast_2d(np.asarray(draws, dtype=float))
     if mat.shape[0] == 0:
         raise PreconditionError("empty chain")
-    if hasattr(div, "batch") and not getattr(div, "is_mc", False):
-        values = div.batch(mat, theta_star)
-    elif hasattr(div, "batch"):
-        values = div.batch(mat, theta_star, rng)
-    else:
-        if getattr(div, "is_mc", False) and rng is None:
-            raise PreconditionError(f"divergence {div.kind!r} needs an rng")
-        values = np.array([divergence_value(div, row, theta_star, rng)
-                           for row in mat])
-    return float(np.mean(values > radius))
+    return float(np.mean(div.batch(mat, theta_star, rng) > radius))
 
 
 @dataclass(frozen=True)
@@ -404,8 +387,9 @@ def concentration_slope(pairs) -> RateFit:
     pairs = [(float(n), float(r)) for n, r in pairs]
     if len({n for n, _ in pairs}) < 3:
         raise PreconditionError("need at least 3 distinct n values")
-    if any(r <= 0 for _, r in pairs):
-        raise PreconditionError("radii must be positive")
+    # NaN fails every comparison, so this rejects it too
+    if not all(0 < v < math.inf for pair in pairs for v in pair):
+        raise PreconditionError("n and radii must be positive and finite")
     logn = np.log([n for n, _ in pairs])
     logr = np.log([r for _, r in pairs])
     slope, intercept = np.polyfit(logn, logr, 1)

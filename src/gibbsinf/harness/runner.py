@@ -257,21 +257,13 @@ def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
 
 
 def _divergence_stats(div, draw_mat, theta_bar, generator, rng):
-    """(0.9-quantile of d(draw, truth), d(posterior mean, truth))."""
-    reference = generator.theta_star
-    if isinstance(div, EmpiricalL2) and reference is None:
-        # functional truth: compare fitted values against the true function's
-        # values on the divergence grid
-        grid_values = np.asarray(generator.truth_fn(div.xs), dtype=float)
-        values = div.batch_values(draw_mat, grid_values)
-        point = div.between_values(theta_bar, grid_values)
-    elif getattr(div, "is_mc", False):
-        values = div.batch(draw_mat, reference, rng)
-        point = float(div.estimate(theta_bar, reference, rng).value)
-    else:
-        values = div.batch(draw_mat, reference)
-        point = div.between(theta_bar, reference)
-    return float(np.quantile(values, 0.9)), float(point)
+    """(0.9-quantile of d(draw, truth), d(posterior mean, truth)), from one
+    batch and then one between call on rng.  The truth is theta_star, or for
+    EmpiricalL2 (a function truth) the true function's values on its grid."""
+    reference = (generator.truth_fn(div.xs) if isinstance(div, EmpiricalL2)
+                 else generator.theta_star)
+    values = div.batch(draw_mat, reference, rng)
+    return float(np.quantile(values, 0.9)), float(div.between(theta_bar, reference, rng))
 
 
 def _task(args) -> list[dict]:

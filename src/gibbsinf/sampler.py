@@ -214,8 +214,10 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     if config.proposal_scale is None:
         scale = default_proposal_scale(getattr(target, "prior", None), dim)
     else:
-        scale = np.broadcast_to(np.asarray(config.proposal_scale, dtype=float),
-                                (dim,)).copy()
+        scale = np.asarray(config.proposal_scale, dtype=float)
+        if scale.size not in (1, dim):
+            raise ShapeError(f"proposal_scale has {scale.size} entries, not 1 or dimension {dim}")
+        scale = np.broadcast_to(scale, (dim,)).copy()
 
     logp = float(target.log_unnormalized(theta))
     if math.isnan(logp):
@@ -231,7 +233,7 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     return ChainStart(target, config, theta, logp, scale, rng, uniforms)
 
 
-def _block_log_density(targets, tiles: int = 1):
+def _block_log_density(targets, tiles: int):
     """Map an (m, J) block to the m log target densities, as a list of
     Python floats, and say whether that runs on the vectorized kernels.
 
@@ -241,11 +243,11 @@ def _block_log_density(targets, tiles: int = 1):
     many times, and a block of m = j * R rows, j <= tiles, gets the
     densities of the first m targets.
 
-    The vectorized map is built once per block and tiles.  For each m it
-    holds the loss's kernel on the first m rows of the stacked state and the
-    prior's kernel for m rows, which own their buffers, so an evaluation
-    allocates no n-sized array; each chain's -omega * N * R_n(theta) + log
-    prior(theta) is taken on Python floats.
+    The vectorized map is built once.  For each m it holds the loss's kernel
+    on the first m rows of the stacked state and the prior's kernel for m
+    rows, which own their buffers, so an evaluation allocates no n-sized
+    array; each chain's -omega * N * R_n(theta) + log prior(theta) is taken
+    on Python floats.
     """
     R = len(targets)
     targets = targets * tiles
@@ -292,8 +294,8 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     s*eps_{t+1..t+K} of every chain are known in advance.  When a step is
     not covered by the buffer, the next k = min(K, steps left in the chunk)
     proposals are evaluated in one kernel call on a (k*R, J) array (row
-    j*R + r is chain r at step t+j), against the targets repeated K times;
-    with K = 1 the buffer holds one step.  The decisions are then taken
+    j*R + r is chain r at step t+j), by one density function built for the
+    largest K; with K = 1 the buffer holds one step.  The decisions are taken
     step by step from the buffer, with the same uniforms and the same test,
     and the buffer is dropped as soon as any chain accepts.  The kernels
     are bit-identical row by row, so K decides only which rows get
@@ -320,9 +322,10 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
                                 "thin and dimension")
     R = len(starts)
     targets = [s.target for s in starts]
-    log_density, vectorized = _block_log_density(targets)
-    max_k = max(1, _LOOKAHEAD_ROWS // R) if vectorized else 1
-    K = tiles = 1                         # lookahead, and the kernel's copies
+    tiles = max(1, _LOOKAHEAD_ROWS // R)
+    log_density, vectorized = _block_log_density(targets, tiles)
+    max_k = tiles if vectorized else 1
+    K = 1                                 # lookahead
     theta = np.stack([s.theta for s in starts])
     logp = [s.logp for s in starts]
     chains = range(R)
@@ -342,9 +345,6 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
             np.multiply(s.scale, normals[:c], out=steps_dz[:c, r])
             s.uniforms.random(out=uniforms[r, :c])
         u_steps = uniforms[:, :c].T.tolist()
-        if K != tiles:
-            log_density, _ = _block_log_density(targets, K)
-            tiles = K
         moved = 0                         # steps on which some chain accepted
         start = end = 0                   # steps [start, end) are in the buffer
         for i in range(c):

@@ -17,9 +17,8 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CubicBSpline, Dataset,
                       EmpiricalL2, EuclideanDistance, GibbsTarget, MCIDMeasure,
                       MHConfig, RiskDiffSqrt, SpikeSlab, SquaredLoss,
                       ZeroOneLinearLoss, chain_summary, concentration_slope,
-                      credible_interval, design_matrix, divergence_value,
-                      mgf_condition_check, posterior_mass_outside,
-                      posterior_mean, ss_mh_run)
+                      credible_interval, design_matrix, mgf_condition_check,
+                      posterior_mass_outside, posterior_mean, ss_mh_run)
 from gibbsinf.errors import (OverflowGuardError, PreconditionError, ShapeError)
 from gibbsinf.harness import AUCSim, MCID1, SparseClassSim
 from gibbsinf.sampler import hash64, make_rng
@@ -64,6 +63,9 @@ def test_abs_scalar_between_and_batch():
     div = AbsScalarDistance()
     assert div.between(0.3, 0.75) == pytest.approx(0.45)
     assert np.allclose(div.batch(np.array([[0.1], [0.9]]), 0.5), [0.4, 0.4])
+    # three draws of a two-coordinate parameter are not six scalar draws
+    with pytest.raises(ShapeError):
+        div.batch(np.ones((3, 2)), 0.5)
 
 
 def test_empirical_l2_matches_direct_computation():
@@ -74,11 +76,11 @@ def test_empirical_l2_matches_direct_computation():
     a, b = rng.normal(size=6), rng.normal(size=6)
     F = design_matrix(basis, xs)
     want = math.sqrt(np.mean((F @ (a - b)) ** 2))
-    assert div.between(a, b) == pytest.approx(want, abs=1e-12)
+    assert div.between(a, F @ b) == pytest.approx(want, abs=1e-12)
     # batch agrees with row-wise between
     mat = rng.normal(size=(5, 6))
-    got = div.batch(mat, b)
-    want_rows = [div.between(row, b) for row in mat]
+    got = div.batch(mat, F @ b)
+    want_rows = [div.between(row, F @ b) for row in mat]
     assert np.allclose(got, want_rows, atol=1e-12)
 
 
@@ -90,28 +92,52 @@ def test_empirical_l2_against_fixed_values():
     a = rng.normal(size=6)
     values = design_matrix(basis, xs) @ a
     # against its own function values the distance is zero
-    assert div.between_values(a, values) == pytest.approx(0.0, abs=1e-12)
+    assert div.between(a, values) == pytest.approx(0.0, abs=1e-12)
     # shifting the reference by a constant c gives exactly c
-    assert div.between_values(a, values + 0.7) == pytest.approx(0.7, abs=1e-12)
+    assert div.between(a, values + 0.7) == pytest.approx(0.7, abs=1e-12)
     mat = np.stack([a, a + np.array([0.3] * 6)])
-    got = div.batch_values(mat, values)
+    got = div.batch(mat, values)
     assert got[0] == pytest.approx(0.0, abs=1e-12)
     assert got[1] == pytest.approx(0.3, abs=1e-12)  # partition of unity
     with pytest.raises(ShapeError):
-        div.between_values(a, values[:-1])
+        div.between(a, values[:-1])
     # a target of the wrong length, even one that would broadcast
     for wrong in (values[:-1], [0.5]):
         with pytest.raises(ShapeError, match="design points"):
-            div.batch_values(mat, wrong)
+            div.batch(mat, wrong)
 
 
-def test_divergence_value_dispatch():
-    assert divergence_value(EuclideanDistance(), [0.0], [3.0]) == 3.0
+def test_between_needs_an_rng_for_a_monte_carlo_divergence():
+    assert EuclideanDistance().between([0.0], [3.0]) == 3.0
     mc = RiskDiffSqrt(AUCLoss(), AUCSim(1.0).mc_sample, n_draws=256)
     with pytest.raises(PreconditionError):
-        divergence_value(mc, 0.6, 0.7)  # MC divergence without an rng
-    got = divergence_value(mc, 0.6, 0.7, make_rng(1))
+        mc.between(0.6, 0.7)  # MC divergence without an rng
+    got = mc.between(0.6, 0.7, make_rng(1))
     assert got >= 0.0
+    for call in (lambda: mc.between(0.6, 0.6), lambda: mc.batch([[0.6]], 0.7)):
+        with pytest.raises(PreconditionError, match="needs an rng"):
+            call()
+
+
+_DRAWS = np.random.default_rng(12).normal(0.5, 0.3, size=(6, 4))
+
+
+@pytest.mark.parametrize("div, draws, ref", [
+    (EuclideanDistance(), _DRAWS, [0.4, 0.6, 0.5, 0.3]),
+    (AbsScalarDistance(), _DRAWS[:, :1], 0.55),
+    (EmpiricalL2(CubicBSpline((0.0, 1.0), 4), np.linspace(0.0, 1.0, 17)),
+     _DRAWS, np.sin(np.linspace(0.0, 1.0, 17))),
+    (RiskDiffSqrt(ZeroOneLinearLoss(),
+                  SparseClassSim(q=3, support=(0,), beta_values=(1.0,),
+                                 flip_rho=0.1).mc_sample, n_draws=256),
+     _DRAWS, [1.0, 0.8, 0.1, 0.0]),
+], ids=["euclid", "abs", "empirical_l2", "risk_diff_sqrt"])
+def test_batch_agrees_row_by_row_with_between(div, draws, ref):
+    # each call draws its Monte-Carlo sample from its own rng on one seed
+    got = div.batch(draws, ref, make_rng(7))
+    want = [div.between(row, ref, make_rng(7)) for row in draws]
+    assert got.shape == (len(draws),)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +345,8 @@ def test_concentration_slope_validation():
         concentration_slope([(100, 0.1), (100, 0.2), (200, 0.05)])
     with pytest.raises(PreconditionError):
         concentration_slope([(100, 0.1), (200, -0.2), (400, 0.05)])
+    # a non-positive or non-finite n, or a non-finite radius
+    for bad in ((0, 0.2), (-5, 0.2), (math.nan, 0.2), (math.inf, 0.2),
+                (200, math.nan), (200, math.inf)):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            concentration_slope([(100, 0.1), bad, (400, 0.05)])

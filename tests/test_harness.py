@@ -1130,6 +1130,15 @@ def test_cli_diagnose_rate_rejects_a_non_numeric_cell(tmp_path, cell):
     assert "line 3" in err and "radius_q90" in err, err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_cli_diagnose_rate_rejects_a_non_positive_n(tmp_path, n):
+    csv_path = tmp_path / "radii.csv"
+    csv_path.write_text(f"n,radius_q90\n100,0.5\n{n},0.3\n1600,0.1\n")
+    code, _, err = _run_cli(["diagnose", "rate", str(csv_path)])
+    assert code == 1, err
+    assert err.startswith("error: ") and "positive and finite" in err, err
+
+
 def test_cli_sample_deterministic(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config(nGrid=[50])))

@@ -743,6 +743,20 @@ def test_random_walk_chain_rejects_a_spike_slab_target():
                                 init=np.array([1.0, 0.5, 0.2, 0.1])))
 
 
+def test_random_walk_chain_rejects_a_proposal_scale_of_the_wrong_length():
+    # one scale for every coordinate, or one per coordinate
+    data = Dataset.regression(np.ones((4, 2)), np.zeros(4))
+    target = GibbsTarget(SquaredLoss(None), GaussianIID(0.0, 1.0, 2), data, 1.0)
+    for scale in ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4]):
+        with pytest.raises(ShapeError, match="dimension 2"):
+            mh_start(target, MHConfig(steps=20, burn_in=0, thin=1,
+                                      proposal_scale=scale, init=[0.0, 0.0]))
+    for scale in (0.1, [0.1], [0.1, 0.2]):
+        start = mh_start(target, MHConfig(steps=20, burn_in=0, thin=1,
+                                          proposal_scale=scale, init=[0.0, 0.0]))
+        assert start.scale.shape == (2,)
+
+
 # ---------------------------------------------------------------------------
 # determinism and bookkeeping
 
