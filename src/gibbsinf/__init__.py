@@ -11,8 +11,8 @@ CLI (`harness`).
 from .errors import (ConditioningError, ConfigError, DegenerateEstimateError,
                      DomainError, GibbsInfError, InitializationError,
                      OverflowGuardError, PreconditionError, ShapeError)
-from .model import (CubicBSpline, Dataset, PairedScores, RawDictionary,
-                    TensorBSpline, dataset_from_csv, design_matrix)
+from .model import (AffineBasis, CubicBSpline, Dataset, PairedScores,
+                    TensorBSpline, design_matrix)
 from .losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                      SquaredLoss, ZeroOneLinearLoss, auc_point_estimate,
                      empirical_risk, least_squares_coefficients,
@@ -20,7 +20,7 @@ from .losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
 from .priors import GaussianIID, LaplaceIID, SpikeSlab
 from .rates import (AUCCovariances, AUCDataDriven, FixedRate, HeavyTailRate,
                     PowerLawRate, TsybakovRate, auc_covariances,
-                    auc_learning_rate, rate_at)
+                    auc_learning_rate)
 from .sampler import (Chain, ChainStart, GibbsTarget, MHConfig, chain_summary,
                       credible_interval, effective_sample_size, hash64,
                       make_rng, mh_run, mh_run_block, mh_start,
@@ -36,14 +36,14 @@ __all__ = [
     "ConditioningError", "ConfigError", "DegenerateEstimateError",
     "DomainError", "GibbsInfError", "InitializationError",
     "OverflowGuardError", "PreconditionError", "ShapeError",
-    "CubicBSpline", "Dataset", "PairedScores", "RawDictionary",
-    "TensorBSpline", "dataset_from_csv", "design_matrix", "AUCLoss",
+    "AffineBasis", "CubicBSpline", "Dataset", "PairedScores",
+    "TensorBSpline", "design_matrix", "AUCLoss",
     "CappedSquaredLoss", "CheckLoss", "MCIDLoss", "SquaredLoss",
     "ZeroOneLinearLoss", "auc_point_estimate", "empirical_risk",
     "least_squares_coefficients", "pointwise_losses", "sign_neg",
     "GaussianIID", "LaplaceIID", "SpikeSlab", "AUCCovariances",
     "AUCDataDriven", "FixedRate", "HeavyTailRate", "PowerLawRate",
-    "TsybakovRate", "auc_covariances", "auc_learning_rate", "rate_at",
+    "TsybakovRate", "auc_covariances", "auc_learning_rate",
     "Chain", "ChainStart", "GibbsTarget", "MHConfig", "chain_summary",
     "credible_interval", "effective_sample_size", "hash64", "make_rng",
     "mh_run", "mh_run_block", "mh_start", "posterior_mean", "ss_mh_run",

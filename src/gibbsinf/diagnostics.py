@@ -11,7 +11,7 @@ precisely at equality, and `estimate` adds a Monte-Carlo standard error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -266,14 +266,6 @@ class GridPointReport:
     k_hat: float
     k_hat_se: float
 
-    def to_json(self) -> dict:
-        return {
-            "theta": list(self.theta), "d": self.d, "d_pow_r": self.d_pow_r,
-            "mean_exp": self.mean_exp, "mean_exp_se": self.mean_exp_se,
-            "annealed": self.annealed, "k_hat": self.k_hat,
-            "k_hat_se": self.k_hat_se,
-        }
-
 
 @dataclass(frozen=True)
 class MGFCheck:
@@ -294,12 +286,8 @@ class MGFCheck:
         return min(p.k_hat - 3.0 * p.k_hat_se for p in self.points)
 
     def to_json(self) -> dict:
-        return {
-            "omega": self.omega, "r": self.r, "n_draws": self.n_draws,
-            "min_k_hat": self.min_k_hat,
-            "min_k_hat_lower3": self.min_k_hat_lower3,
-            "points": [p.to_json() for p in self.points],
-        }
+        return {**asdict(self), "min_k_hat": self.min_k_hat,
+                "min_k_hat_lower3": self.min_k_hat_lower3}
 
 
 _EXP_GUARD = 700.0  # just under log(float64 max)

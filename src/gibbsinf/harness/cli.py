@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -25,8 +26,9 @@ from ..diagnostics import (AbsScalarDistance, EuclideanDistance,
                            concentration_slope, mgf_condition_check)
 from ..errors import ConfigError, GibbsInfError, PreconditionError
 from ..sampler import chain_summary, make_rng, write_chain_csv
-from .config import (_is_int, _is_real, build_generator, build_loss,
-                     load_config, parameter_dim, validate_experiment_config)
+from .config import (_is_int, _is_real, _read_text, build_generator,
+                     build_loss, load_config, parameter_dim,
+                     validate_experiment_config)
 from .runner import (fit_cell, row_seed, run_experiment, shutdown_pool,
                      write_outputs)
 
@@ -66,10 +68,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path) -> None:
+    """--out must name a directory, or a path where one can be made.
+    Checked before any work, so a bad path does not cost the run."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out {path}: {probe} is not a directory")
+
+
 def _cmd_experiment_run(args) -> int:
     cfg = load_config(args.config)
     if args.workers is not None and args.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    _check_out(args.out)
     # run_experiment validates the config before any cell runs
     result = run_experiment(cfg, workers=args.workers, timings=args.timings,
                             full=args.full)
@@ -86,6 +99,8 @@ def _cmd_experiment_run(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = load_config(args.config)
     validate_experiment_config(cfg)
+    if args.out:
+        _check_out(args.out)
     n = int(cfg["nGrid"][0])
     seed = row_seed(int(cfg["baseSeed"]), 0, 0)
     fit = fit_cell(cfg, n, seed)
@@ -163,31 +178,26 @@ def _cmd_diagnose_mgf(args) -> int:
 
 
 def _cmd_diagnose_rate(args) -> int:
-    try:
-        fh = open(args.results, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ConfigError(f"results file not found: {args.results}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "n" not in reader.fieldnames:
-            raise ConfigError("results CSV needs an 'n' column")
-        radius_col = next((c for c in ("radius_q90", "radius")
-                           if c in reader.fieldnames), None)
-        if radius_col is None:
-            raise ConfigError("results CSV needs a 'radius_q90' or 'radius' column")
-        pairs = []
-        for row in reader:
-            raw = (row.get(radius_col) or "").strip()
-            if not raw:
-                continue
-            try:
-                n, radius = float(row["n"]), float(raw)
-            except (TypeError, ValueError):
-                n = radius = math.nan
-            if not (math.isfinite(n) and math.isfinite(radius)):
-                raise ConfigError(f"{args.results} line {reader.line_num}: n "
-                                  f"and {radius_col} must be finite numbers")
-            pairs.append((n, radius))
+    reader = csv.DictReader(io.StringIO(_read_text(args.results, "results")))
+    if reader.fieldnames is None or "n" not in reader.fieldnames:
+        raise ConfigError("results CSV needs an 'n' column")
+    radius_col = next((c for c in ("radius_q90", "radius")
+                       if c in reader.fieldnames), None)
+    if radius_col is None:
+        raise ConfigError("results CSV needs a 'radius_q90' or 'radius' column")
+    pairs = []
+    for row in reader:
+        raw = (row.get(radius_col) or "").strip()
+        if not raw:
+            continue
+        try:
+            n, radius = float(row["n"]), float(raw)
+        except (TypeError, ValueError):
+            n = radius = math.nan
+        if not (math.isfinite(n) and math.isfinite(radius)):
+            raise ConfigError(f"{args.results} line {reader.line_num}: n "
+                              f"and {radius_col} must be finite numbers")
+        pairs.append((n, radius))
     try:
         fit = concentration_slope(pairs)
     except PreconditionError as exc:

@@ -36,12 +36,13 @@ from ..diagnostics import (AbsScalarDistance, EmpiricalL2, EuclideanDistance,
 from ..errors import ConfigError, PreconditionError
 from ..losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                       SquaredLoss, ZeroOneLinearLoss)
+from ..model import AffineBasis
 from ..priors import GaussianIID, LaplaceIID, SpikeSlab
 from ..rates import (AUCDataDriven, FixedRate, HeavyTailRate, PowerLawRate,
                      TsybakovRate)
 from ..sampler import MHConfig
 from .generators import (AUCSim, HeavyTailSim, MCID1, MCID2, MeanCurveSim,
-                         QuantileRegSim, SparseClassSim, affine_features)
+                         QuantileRegSim, SparseClassSim)
 
 SCHEMA_VERSION = 1
 
@@ -50,17 +51,28 @@ _EXPERIMENT_KEYS = {"schema", "generator", "loss", "prior", "rate", "mh",
                     "holdout", "fullReplications"}
 
 
+def _read_text(path, what: str) -> str:
+    """The text of a UTF-8 input file; a path that is missing, a directory
+    or not UTF-8 text is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{what} path is a directory: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from None
+
+
 def load_config(path) -> dict:
     """Read and validate a JSON config file.
 
-    Raises ConfigError naming the file when missing, and quoting the line and
-    column when the JSON itself is malformed.
+    Raises ConfigError naming the file when it cannot be read, and quoting
+    the line and column when the JSON itself is malformed.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    text = _read_text(path, "config")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -79,15 +91,15 @@ def validate_experiment_config(cfg: dict) -> None:
 
     Besides the required fields and their types, every component's name
     must be one its builder table knows, each component spec must hold only
-    the keys that component takes and no boolean, the loss, the rate and the
-    divergence must take the kind of data the generator emits, and the
-    zeroone loss and the spikeslab prior come together.  Then the cell's
-    components and its sampler configuration are built at every n of the
-    grid, as the runner builds them, so a parameter any builder rejects is an
-    error here, and the mh init and a per-coordinate proposalScale must fit
-    the parameter the sampler walks on.  What is left to fail per row
-    depends on the data: a chain that cannot start, a degenerate
-    data-driven rate, a singular pilot fit.
+    the keys that component takes and no boolean or non-finite number, the
+    loss, the rate and the divergence must take the kind of data the
+    generator emits, and the zeroone loss and the spikeslab prior come
+    together.  Then the cell's components and its sampler configuration are
+    built at every n of the grid, as the runner builds them, so a parameter
+    any builder rejects is an error here, and the mh init and a
+    per-coordinate proposalScale must fit the parameter the sampler walks
+    on.  What is left to fail per row depends on the data: a chain that
+    cannot start, a degenerate data-driven rate, a singular pilot fit.
     """
     required = ["generator", "loss", "prior", "rate", "mh", "divergence",
                 "nGrid", "replications", "baseSeed"]
@@ -182,12 +194,13 @@ def _positive_int(kw: dict, key: str, default=None):
     return kw[key]
 
 
-def _holds_bool(value) -> bool:
+def _holds(value, test) -> bool:
+    """Whether test is true of a scalar at any depth of value."""
     if isinstance(value, dict):
-        return any(_holds_bool(v) for v in value.values())
+        return any(_holds(v, test) for v in value.values())
     if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
+        return any(_holds(v, test) for v in value)
+    return test(value)
 
 
 def _namespec(spec, what: str) -> tuple[str, dict]:
@@ -196,9 +209,16 @@ def _namespec(spec, what: str) -> tuple[str, dict]:
     rest = {k: v for k, v in spec.items() if k != "name"}
     for key, value in rest.items():
         # no component takes a boolean, and Python reads true as 1
-        if _holds_bool(value):
+        if _holds(value, lambda v: isinstance(v, bool)):
             raise ConfigError(f"{what} {key!r} must not hold a boolean; "
                               f"got {value!r}")
+        # nor a JSON NaN or Infinity, which passes every range check a
+        # builder makes; a NaN in the mh init is left to its row, as a
+        # start whose density is NaN
+        if what != "mh" and _holds(value, lambda v: isinstance(v, float)
+                                   and not math.isfinite(v)):
+            raise ConfigError(f"{what} {key!r} must not hold a non-finite "
+                              f"number; got {value!r}")
     return str(spec["name"]), rest
 
 
@@ -289,7 +309,7 @@ def _mcid_loss(kw, generator, schedule, n):
 
 _LOSSES = {
     "check": (("tau",), lambda kw, *_: CheckLoss(tau=float(kw.get("tau", 0.5)),
-                                                 features=affine_features())),
+                                                 features=AffineBasis())),
     "squared": (("numBasis",), lambda kw, generator, *_: SquaredLoss(
         features=build_basis(generator, kw))),
     "cappedsquared": (("cap",), _capped_squared_loss),

@@ -33,14 +33,7 @@ import numpy as np
 from .._special import ndtr, ndtri
 from ..errors import ConfigError, PreconditionError, ShapeError
 from ..losses import sign_neg
-from ..model import (CubicBSpline, Dataset, PairedScores, RawDictionary,
-                     TensorBSpline)
-
-
-def affine_features() -> RawDictionary:
-    """The dictionary {1, x} of an intercept-plus-slope linear model."""
-    return RawDictionary([("const", lambda xs: np.ones_like(np.asarray(xs, dtype=float))),
-                          ("x", lambda xs: np.asarray(xs, dtype=float))])
+from ..model import CubicBSpline, Dataset, PairedScores, TensorBSpline
 
 
 class _Generator:
@@ -170,7 +163,7 @@ class QuantileRegSim(_Generator):
 
     The tau-th conditional quantile is (b0 + sd * z_tau) + b1 x with z_tau
     the standard-normal tau-quantile, so the check-loss truth over the
-    dictionary {1, x} is theta* = beta* + sd * z_tau * e_1.
+    basis {1, x} is theta* = beta* + sd * z_tau * e_1.
     """
 
     name = "quantilereg"

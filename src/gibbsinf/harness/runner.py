@@ -53,7 +53,7 @@ from ..diagnostics import EmpiricalL2, concentration_slope
 from ..errors import ConfigError, GibbsInfError
 from ..losses import MCIDLoss, least_squares_coefficients
 from ..priors import SpikeSlab
-from ..rates import AUCDataDriven, rate_at
+from ..rates import AUCDataDriven
 from ..sampler import (GibbsTarget, hash64, make_rng, mh_run_block, mh_start,
                        posterior_mean, ss_mh_run)
 # runner.mh_run and the component builders stay importable here:
@@ -216,7 +216,7 @@ def _set_up_cell(cfg: dict, parts, n: int, seed: int):
     if isinstance(parts.schedule, AUCDataDriven):
         omega = parts.schedule.resolve(data.scores0, data.scores1)
     else:
-        omega = rate_at(parts.schedule, n)
+        omega = parts.schedule.rate_at(n)
     fit = CellFit(generator=parts.generator, data=data, loss=parts.loss,
                   basis=parts.basis, divergence=parts.divergence, omega=omega,
                   chain=None, theta_bar=None)

@@ -4,8 +4,8 @@ Every parameter is a plain coefficient vector.  A function-valued parameter,
 theta(x) = beta' f(x), is its coefficient vector beta over a basis f, and
 its values at points xs are `design_matrix(basis, xs) @ beta`.  Three basis
 families are provided: clamped cubic B-splines on an interval, tensor
-products of two such bases, and raw user-declared dictionaries (e.g.
-polynomial terms).  A basis is evaluated on a batch of points
+products of two such bases, and the affine basis {1, x} of an
+intercept-plus-slope model.  A basis is evaluated on a batch of points
 (`design_matrix`); a single point is a one-row batch.  Data live in columnar
 `Dataset`s (and `PairedScores` for matched score pairs); a single
 observation is a one-row sample.
@@ -20,9 +20,7 @@ at the doubles next to each knot.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,9 +55,6 @@ class PairedScores:
             raise ShapeError("scores must be finite")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
-
-    def __len__(self) -> int:
-        return self.u0.size
 
 
 # ---------------------------------------------------------------------------
@@ -146,53 +141,11 @@ class Dataset:
         return len(self.y)
 
     @property
-    def m(self) -> int:
-        """Group-0 count (two-sample data only)."""
-        if self.kind != "twosample":
-            raise ShapeError("m is defined for two-sample data only")
-        return len(self.scores0)
-
-    @property
     def n_terms(self) -> int:
         """Number of loss summands: n for iid data, m*n pairs for two-sample."""
         if self.kind == "twosample":
             return len(self.scores0) * len(self.scores1)
         return len(self.y)
-
-
-def dataset_from_csv(path, kind: str, columns: dict | None = None) -> Dataset:
-    """Load a Dataset from a CSV file.
-
-    columns declares the mapping, e.g. {"x": ["x1","x2"], "y": "y", "z": ["z1"]}
-    for regression/classification, or {"group": "group", "u": "u"} (the default)
-    for two-sample data.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise PreconditionError(f"no data rows in {path}")
-    if kind == "twosample":
-        cols = columns or {}
-        gcol, ucol = cols.get("group", "group"), cols.get("u", "u")
-        groups = np.array([int(float(r[gcol])) for r in rows])
-        us = np.array([float(r[ucol]) for r in rows])
-        return Dataset.two_sample(us[groups == 0], us[groups == 1])
-    if columns is None or "x" not in columns or "y" not in columns:
-        raise PreconditionError("regression/classification CSV needs x and y column names")
-    xnames = [columns["x"]] if isinstance(columns["x"], str) else list(columns["x"])
-    xs = np.array([[float(r[c]) for c in xnames] for r in rows])
-    if xs.shape[1] == 1:
-        xs = xs[:, 0]
-    ys = np.array([float(r[columns["y"]]) for r in rows])
-    if kind == "reg":
-        return Dataset.regression(xs, ys)
-    if kind == "class":
-        z = None
-        if columns.get("z"):
-            znames = [columns["z"]] if isinstance(columns["z"], str) else list(columns["z"])
-            z = np.array([[float(r[c]) for c in znames] for r in rows])
-        return Dataset.classification(xs, ys, z)
-    raise PreconditionError(f"unknown dataset kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +179,6 @@ class CubicBSpline:
 
     def __repr__(self):
         return f"CubicBSpline(domain={self.domain}, num_basis={self.num_basis})"
-
-    def __eq__(self, other):
-        return (isinstance(other, CubicBSpline) and other.domain == self.domain
-                and other.num_basis == self.num_basis)
 
     def _clamp(self, xs: np.ndarray) -> np.ndarray:
         lo, hi = self.domain
@@ -283,10 +232,6 @@ class TensorBSpline:
     def __repr__(self):
         return f"TensorBSpline({self.factor1!r}, {self.factor2!r})"
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorBSpline) and other.factor1 == self.factor1
-                and other.factor2 == self.factor2)
-
     def design(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 2:
@@ -296,40 +241,20 @@ class TensorBSpline:
         return (d1[:, :, None] * d2[:, None, :]).reshape(xs.shape[0], -1)
 
 
-class RawDictionary:
-    """Basis from a list of named component functions, e.g. [("const", ...), ("linear", ...)].
+class AffineBasis:
+    """The basis {1, x} of an intercept-plus-slope model in a scalar covariate."""
 
-    Each component maps an array of n points to its n values; one that
-    returns any other shape is a ShapeError naming it.
-    """
-
-    def __init__(self, components: Sequence[tuple[str, Callable]]):
-        if len(components) == 0:
-            raise PreconditionError("dictionary needs at least one component")
-        self.components = tuple((str(name), fn) for name, fn in components)
-        self.num_basis = len(self.components)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.components)
-
-    def __repr__(self):
-        return f"RawDictionary({list(self.names)})"
+    num_basis = 2
 
     def design(self, xs) -> np.ndarray:
-        xs = np.asarray(xs)
-        n = xs.shape[0]
-        cols = []
-        for name, fn in self.components:
-            col = np.asarray(fn(xs), dtype=float)
-            if col.shape != (n,):
-                raise ShapeError(f"dictionary component {name!r} returned shape "
-                                 f"{col.shape} for {n} points, not ({n},)")
-            cols.append(col)
-        return np.column_stack(cols)
+        x = np.asarray(xs, dtype=float)
+        if x.ndim != 1:
+            raise ShapeError(f"affine basis points must be a 1-D array, "
+                             f"not of shape {x.shape}")
+        return np.column_stack((np.ones_like(x), x))
 
 
-BasisSpec = CubicBSpline | TensorBSpline | RawDictionary
+BasisSpec = CubicBSpline | TensorBSpline | AffineBasis
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,6 @@ class AUCDataDriven:
         return auc_learning_rate(cov, m, n, self.multiplier_at(m + n))
 
 
-RateSchedule = FixedRate | PowerLawRate | HeavyTailRate | TsybakovRate | AUCDataDriven
-
-
 @dataclass(frozen=True)
 class AUCCovariances:
     """Empirical pair covariances and the concordance point estimate."""
@@ -153,14 +150,6 @@ class AUCCovariances:
 # ---------------------------------------------------------------------------
 # module operations
 # ---------------------------------------------------------------------------
-
-def rate_at(schedule: RateSchedule, n: int) -> float:
-    """Evaluate a deterministic schedule at sample size n."""
-    if isinstance(schedule, AUCDataDriven):
-        raise PreconditionError(
-            "the AUC rate is data-driven; resolve it from scores, not from n")
-    return schedule.rate_at(n)
-
 
 def auc_covariances(scores0, scores1) -> AUCCovariances:
     """Empirical analogues of the population pair covariances.

@@ -33,7 +33,8 @@ from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               fit_cell, holdout_misclassification, load_config,
                               row_seed, run_experiment, runner,
                               validate_experiment_config, write_outputs)
-from gibbsinf.harness.config import build_prior, resolve_proposal_scale
+from gibbsinf.harness.config import (build_prior, build_rate,
+                                     resolve_proposal_scale)
 from gibbsinf.harness.runner import _blocks, default_workers
 from gibbsinf.losses import MCIDLoss
 from gibbsinf.sampler import credible_interval, hash64, make_rng
@@ -243,6 +244,22 @@ def test_load_config_missing_file_names_path(tmp_path):
     path = tmp_path / "absent.json"
     with pytest.raises(ConfigError, match="absent.json"):
         load_config(path)
+
+
+def _unreadable(tmp_path, fault):
+    """An input path that cannot be read as text."""
+    path = tmp_path / "input.json"
+    if fault == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'\xff\xfe{"schema": 1}')
+    return path
+
+
+@pytest.mark.parametrize("fault", ["notUtf8", "directory"])
+def test_load_config_unreadable_file_names_path(tmp_path, fault):
+    with pytest.raises(ConfigError, match="input.json"):
+        load_config(_unreadable(tmp_path, fault))
 
 
 def test_load_config_malformed_json_reports_position(tmp_path):
@@ -694,6 +711,43 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("fault", ["notUtf8", "directory"])
+@pytest.mark.parametrize("command", [["experiment", "run"], ["diagnose", "rate"]],
+                         ids=["config", "results"])
+def test_cli_unreadable_input_is_usage_error(tmp_path, command, fault):
+    # a directory or a file that is not UTF-8 used to exit 2 as a runtime
+    # error, though it is a fault of the input
+    path = _unreadable(tmp_path, fault)
+    out_dir = tmp_path / "out"
+    extra = ["--out", str(out_dir)] if command[0] == "experiment" else []
+    code, _, err = _run_cli([*command, str(path), *extra])
+    assert code == 1, err
+    assert err.startswith("error: ") and str(path) in err, err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("where", ["file", "underFile"])
+@pytest.mark.parametrize("command", ["experiment", "sample"])
+def test_cli_out_that_cannot_be_a_directory_fails_before_any_work(
+        tmp_path, monkeypatch, command, where):
+    # such an --out used to exit 2 with FileExistsError after every cell,
+    # or the chain, had run
+    calls = []
+    for name in ("run_experiment", "fit_cell"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(1))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken if where == "file" else taken / "sub" / "out"
+    argv = [command, "run"] if command == "experiment" else [command]
+    code, _, err = _run_cli([*argv, str(cfg_path), "--out", str(out)])
+    assert code == 1, err
+    assert err.startswith("error: --out") and "not a directory" in err, err
+    assert calls == []
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("field,name", [
     ("generator", "mcid3"), ("loss", "mcdi"), ("prior", "cauchy"),
     ("rate", "constant"), ("divergence", "kl"),
@@ -926,20 +980,33 @@ def test_bad_mh_counts_and_holdout_fail_before_any_cell(tmp_path, name, field,
     assert not out.exists()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("field,params", [
     ("prior", {"sd": True}),
     ("generator", {"betaStar": [True, 2.0]}),
     ("loss", {"tau": False}),
     ("rate", {"omega": True}),
-    ("divergence", {"nDraws": [1, {"deep": False}]})],
-    ids=["priorSd", "generatorBetaStar", "lossTau", "rateOmega", "nested"])
-def test_booleans_in_component_specs_fail_before_any_cell(tmp_path, field,
-                                                          params):
-    # no component takes a boolean; sd true used to build a prior with sd 1.0
+    ("divergence", {"nDraws": [1, {"deep": False}]}),
+    ("prior", {"sd": _NAN}),
+    ("prior", {"sd": _INF}),
+    ("prior", {"mean": -_INF}),
+    ("rate", {"omega": _NAN}),
+    ("generator", {"betaStar": [_NAN, 2.0]})],
+    ids=["priorSd", "generatorBetaStar", "lossTau", "rateOmega", "nested",
+         "priorSdNaN", "priorSdInfinity", "priorMeanMinusInfinity",
+         "rateOmegaNaN", "generatorBetaStarNaN"])
+def test_booleans_and_nonfinite_numbers_in_component_specs_fail_before_any_cell(
+        tmp_path, field, params):
+    # no component takes a boolean or a non-finite number: sd true used to
+    # build a prior with sd 1.0, and JSON NaN or Infinity passed every
+    # builder check, then failed every row, and the run exited 0
     cfg = _tiny_config()
     cfg[field] = dict(cfg[field], **params)
     key = next(iter(params))
-    with pytest.raises(ConfigError, match=f"{field} {key!r}.*boolean"):
+    with pytest.raises(ConfigError, match=f"{field} {key!r} must not hold a "
+                                          f"(boolean|non-finite number)"):
         validate_experiment_config(cfg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -1032,12 +1099,25 @@ def test_bundled_configs_pass_validation():
         validate_experiment_config(load_config(os.path.join(folder, name)))
 
 
-def test_builders_reject_booleans_in_component_specs():
-    with pytest.raises(ConfigError, match="prior 'sd'"):
-        build_prior({"name": "gaussian", "mean": 0.0, "sd": True}, 2)
-    with pytest.raises(ConfigError, match="generator 'q'"):
-        build_generator({"name": "sparseclass", "q": True, "support": [0],
-                         "betaValues": [1.0]})
+@pytest.mark.parametrize("build,spec,key", [
+    (lambda s: build_prior(s, 2), {"name": "gaussian", "mean": 0.0, "sd": True},
+     "prior 'sd'"),
+    (build_generator, {"name": "sparseclass", "q": True, "support": [0],
+                       "betaValues": [1.0]}, "generator 'q'"),
+    (lambda s: build_prior(s, 2), {"name": "gaussian", "mean": 0.0, "sd": _NAN},
+     "prior 'sd'"),
+    (lambda s: build_prior(s, 2), {"name": "gaussian", "mean": _INF, "sd": 1.0},
+     "prior 'mean'"),
+    (build_rate, {"name": "fixed", "omega": _NAN}, "rate 'omega'"),
+    (build_generator, {"name": "quantilereg", "tau": 0.5,
+                       "betaStar": [_NAN, 2.0]}, "generator 'betaStar'")],
+    ids=["priorSd", "generatorQ", "priorSdNaN", "priorMeanInfinity",
+         "rateOmegaNaN", "generatorBetaStarNaN"])
+def test_builders_reject_booleans_and_nonfinite_numbers_in_component_specs(
+        build, spec, key):
+    with pytest.raises(ConfigError, match=f"{key} must not hold a "
+                                          f"(boolean|non-finite number)"):
+        build(spec)
 
 
 def test_non_object_mh_section_fails_before_any_cell():

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
-                      Dataset, MCIDLoss, PairedScores, RawDictionary,
+from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
+                      CubicBSpline, Dataset, MCIDLoss, PairedScores,
                       SquaredLoss, ZeroOneLinearLoss, auc_point_estimate,
                       design_matrix, empirical_risk, least_squares_coefficients,
                       pointwise_losses, sign_neg)
 from gibbsinf.errors import ConditioningError, PreconditionError, ShapeError
-from gibbsinf.harness import affine_features
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +105,7 @@ def test_bounded_losses_stay_in_unit_interval():
 
 
 def test_empirical_risk_averages_pointwise():
-    feats = affine_features()
+    feats = AffineBasis()
     loss = CheckLoss(0.5, feats)
     data = Dataset.regression(np.array([0.0, 1.0, 2.0]),
                               np.array([0.5, 0.0, 3.0]))
@@ -120,7 +119,7 @@ def test_empirical_risk_averages_pointwise():
 
 
 def test_pointwise_losses_match_empirical_risk():
-    feats = affine_features()
+    feats = AffineBasis()
     rng = np.random.default_rng(11)
     data = Dataset.regression(rng.normal(size=20), rng.normal(size=20))
     for loss in (CheckLoss(0.3, feats), SquaredLoss(feats),
@@ -178,7 +177,7 @@ def _reference_risk(loss, data):
 
 def test_kernels_reproduce_reference_risks_exactly():
     rng = np.random.default_rng(17)
-    feats, spline = affine_features(), CubicBSpline((0.0, 3.0), 6)
+    feats, spline = AffineBasis(), CubicBSpline((0.0, 3.0), 6)
     reg = Dataset.regression(rng.uniform(0, 1, 200), rng.normal(size=200))
     reg2 = Dataset.regression(rng.uniform(-1, 1, (150, 3)), rng.normal(size=150))
     lin = Dataset.classification(rng.uniform(-1, 1, (120, 4)),
@@ -299,6 +298,6 @@ def test_loss_observation_mismatch_raises():
     with pytest.raises(ShapeError):
         pointwise_losses(AUCLoss(), 0.5, Dataset.regression([[1.0]], [0.0]))
     with pytest.raises(ShapeError):
-        pointwise_losses(SquaredLoss(affine_features()),
+        pointwise_losses(SquaredLoss(AffineBasis()),
                          np.zeros(2),
                          Dataset.two_sample([0.1], [0.2]))

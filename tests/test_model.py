@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsinf import (CubicBSpline, Dataset, PairedScores, RawDictionary,
-                      TensorBSpline, dataset_from_csv, design_matrix)
+from gibbsinf import (AffineBasis, CubicBSpline, Dataset, PairedScores,
+                      TensorBSpline, design_matrix)
 from gibbsinf.errors import DomainError, PreconditionError, ShapeError
 
 
@@ -45,7 +45,6 @@ def test_classification_rejects_non_integer_labels():
 
 def test_two_sample_term_count_is_pair_count():
     data = Dataset.two_sample(np.array([0.1, 0.7, 0.3]), np.array([0.5, 0.9]))
-    assert data.m == 3
     assert data.n == 2
     assert data.n_terms == 6
 
@@ -76,18 +75,9 @@ def test_dataset_rejects_empty():
 
 
 def test_paired_scores_validation():
-    ps = PairedScores(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
-    assert len(ps) == 2
+    PairedScores(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
     with pytest.raises((PreconditionError, ShapeError)):
         PairedScores(np.array([0.1]), np.array([0.3, 0.4]))
-
-
-def test_dataset_from_csv_roundtrip(tmp_path):
-    path = tmp_path / "pairs.csv"
-    path.write_text("x,y\n0.5,1.25\n-0.25,0.0\n")
-    data = dataset_from_csv(path, "reg", columns={"x": "x", "y": "y"})
-    assert data.n == 2
-    assert data.y[0] == 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +167,18 @@ def test_tensor_bspline_is_outer_product_of_factors():
 
 
 # ---------------------------------------------------------------------------
-# raw dictionaries and function parameters
+# the affine basis
 
 
-def test_raw_dictionary_evaluates_components():
-    feats = RawDictionary([("const", lambda x: np.ones_like(x)),
-                           ("lin", lambda x: x)])
-    row = design_matrix(feats, [2.5])[0]
-    np.testing.assert_allclose(row, [1.0, 2.5])
-    assert feats.num_basis == 2
+def test_affine_basis_is_intercept_and_slope():
+    basis = AffineBasis()
+    rows = design_matrix(basis, [2.5, -1, 0.0])
+    assert rows.dtype == float
+    np.testing.assert_array_equal(rows, [[1.0, 2.5], [1.0, -1.0], [1.0, 0.0]])
+    assert basis.num_basis == 2
 
 
-@pytest.mark.parametrize("fn", [lambda x: 1.0, lambda x: np.ones((len(x), 2))],
-                         ids=["scalar", "matrix"])
-def test_raw_dictionary_rejects_a_component_of_the_wrong_shape(fn):
-    # a component maps the n points to n values; nothing is retried per point
-    feats = RawDictionary([("lin", lambda x: x), ("c", fn)])
-    with pytest.raises(ShapeError, match="component 'c' returned shape"):
-        feats.design(np.array([0.5, 1.5, 2.5]))
+@pytest.mark.parametrize("xs", [2.5, [[0.5], [1.5]]], ids=["scalar", "column"])
+def test_affine_basis_rejects_points_that_are_not_a_vector(xs):
+    with pytest.raises(ShapeError, match="1-D array"):
+        AffineBasis().design(xs)

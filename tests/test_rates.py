@@ -14,7 +14,7 @@ import pytest
 from gibbsinf.errors import DegenerateEstimateError, PreconditionError
 from gibbsinf.rates import (AUCCovariances, AUCDataDriven, FixedRate,
                             HeavyTailRate, PowerLawRate, TsybakovRate,
-                            auc_covariances, auc_learning_rate, rate_at)
+                            auc_covariances, auc_learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -23,16 +23,16 @@ from gibbsinf.rates import (AUCCovariances, AUCDataDriven, FixedRate,
 
 def test_fixed_rate_is_constant():
     sched = FixedRate(0.7)
-    assert rate_at(sched, 10) == 0.7
-    assert rate_at(sched, 10_000) == 0.7
+    assert sched.rate_at(10) == 0.7
+    assert sched.rate_at(10_000) == 0.7
     with pytest.raises(PreconditionError):
         FixedRate(0.0)
 
 
 def test_power_law_rate_values():
     sched = PowerLawRate(c=2.0, gamma=0.5)
-    assert rate_at(sched, 400) == pytest.approx(2.0 / 20.0, abs=1e-15)
-    assert rate_at(sched, 1) == pytest.approx(2.0, abs=1e-15)
+    assert sched.rate_at(400) == pytest.approx(2.0 / 20.0, abs=1e-15)
+    assert sched.rate_at(1) == pytest.approx(2.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [100, 1000, 10_000])
@@ -41,7 +41,7 @@ def test_heavy_tail_identities_s4(n):
     # n * omega_n * eps_n^2 collapses to log n exactly
     sched = HeavyTailRate(s=4.0)
     assert sched.cap_at(n) == pytest.approx(float(n), rel=1e-12)
-    assert rate_at(sched, n) == pytest.approx(n ** -0.5, rel=1e-12)
+    assert sched.rate_at(n) == pytest.approx(n ** -0.5, rel=1e-12)
     product = n * sched.rate_at(n) * sched.epsilon_at(n) ** 2
     assert product == pytest.approx(math.log(n), abs=1e-10)
 
@@ -68,7 +68,7 @@ def test_tsybakov_formula_and_link():
     n = 2_000
     eps = math.log(n) ** (g / (2 + 2 * g)) * n ** (-g / (3 + 2 * g))
     assert sched.epsilon_at(n) == pytest.approx(eps, rel=1e-12)
-    assert rate_at(sched, n) == pytest.approx(eps ** (1 / g), rel=1e-12)
+    assert sched.rate_at(n) == pytest.approx(eps ** (1 / g), rel=1e-12)
     with pytest.raises(PreconditionError):
         TsybakovRate(gamma=0.0)
 
@@ -141,11 +141,6 @@ def test_data_driven_resolve_consistency():
     want = auc_learning_rate(cov, 80, 120, multiplier=math.log(200))
     assert AUCDataDriven(None).resolve(s0, s1) == pytest.approx(
         want, rel=1e-14)
-
-
-def test_data_driven_rejects_rate_at():
-    with pytest.raises(PreconditionError):
-        rate_at(AUCDataDriven(1.0), 100)
 
 
 def test_covariance_validation():

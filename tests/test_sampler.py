@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gibbsinf import (AUCLoss, CappedSquaredLoss, CheckLoss, CubicBSpline,
-                      Dataset, GaussianIID, GibbsTarget, LaplaceIID, MCIDLoss,
+from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
+                      CubicBSpline, Dataset, GaussianIID, GibbsTarget, LaplaceIID, MCIDLoss,
                       MHConfig, SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
                       chain_summary, credible_interval, mh_run, mh_run_block,
                       mh_start, posterior_mean, ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError, ShapeError
-from gibbsinf.harness.generators import SparseClassSim, affine_features
+from gibbsinf.harness.generators import SparseClassSim
 from gibbsinf.sampler import (_CHUNK, Chain, default_proposal_scale,
                               effective_sample_size, hash64, make_rng)
 
@@ -153,7 +153,7 @@ def _block_case(kind: str, R: int = 3):
                                           np.where(rng.random(40) < 0.5, 1, -1),
                                           3.0 * rng.random(40))
     elif kind == "check/gaussian":
-        loss, prior = CheckLoss(0.3, affine_features()), GaussianIID(0.0, 10.0, 2)
+        loss, prior = CheckLoss(0.3, AffineBasis()), GaussianIID(0.0, 10.0, 2)
 
         def data():
             x = rng.random(30)
@@ -356,7 +356,7 @@ def test_short_chains_match_recorded_values():
                        Dataset.classification(x, y, z), 1.0)
     xr = rng.random(30)
     yr = 1.0 + 2.0 * xr + rng.normal(size=30)
-    check = GibbsTarget(CheckLoss(0.5, affine_features()), LaplaceIID(1.0, 2),
+    check = GibbsTarget(CheckLoss(0.5, AffineBasis()), LaplaceIID(1.0, 2),
                         Dataset.regression(xr, yr), 2.0)
     auc = GibbsTarget(AUCLoss(), GaussianIID(0.5, 10.0, 1),
                       Dataset.two_sample(rng.normal(size=7),
