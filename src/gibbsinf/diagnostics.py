@@ -126,9 +126,19 @@ class EmpiricalL2:
         return float(np.sqrt(np.mean(diff * diff)))
 
     def batch(self, draws, values, rng=None) -> np.ndarray:
-        vals = self._design @ _rows(draws, self._design.shape[1]).T
-        diff = vals - self._target_values(values)[:, None]
-        return np.sqrt(np.mean(diff * diff, axis=0))
+        """One divergence per draw, worked in the (G, D) buffer the matmul
+        of the G grid points by the D draws writes: the differences and
+        their squares go into it in place, because a fresh (G, D) array per
+        operation triples the peak memory and faults in new pages on every
+        row (G = 256 and D = 8000 on a full-length mcid1 row).  The mean
+        runs over axis 0 of that same C-contiguous (G, D) array, because
+        NumPy's summation order depends on shape and layout: a transposed
+        or chunked copy could change the last bit."""
+        target = self._target_values(values)
+        diff = self._design @ _rows(draws, self._design.shape[1]).T
+        np.subtract(diff, target[:, None], out=diff)
+        mean = np.mean(np.multiply(diff, diff, out=diff), axis=0)
+        return np.sqrt(mean, out=mean)
 
 
 class L2PDistance:
@@ -178,7 +188,7 @@ class RiskDiffSqrt:
         if rng is None:
             raise PreconditionError(f"divergence {self.kind!r} needs an rng")
         loss = self.loss
-        return loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[1]
+        return loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[2]
 
     def _estimate(self, a, b, rng) -> MCDivergence:
         if rng is not None and np.array_equal(a, b):
@@ -311,7 +321,7 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise PreconditionError("empty parameter grid")
-    values = loss.kernel(loss.prepare(generator(rng, n_draws)))[1]
+    values = loss.kernel(loss.prepare(generator(rng, n_draws)))[2]
     lstar = values(theta_star)
     points = []
     for theta in theta_grid:

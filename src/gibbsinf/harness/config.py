@@ -240,14 +240,14 @@ def _builder(table: dict, spec, what: str):
 
 def _build(table: dict, spec, what: str, *args):
     """Build the component a spec names with its table entry's builder; a
-    parameter the builder finds missing or rejects is a ConfigError naming
-    the component."""
+    parameter the builder finds missing or rejects, or an integer too large
+    for a float, is a ConfigError naming the component."""
     name, build, kw = _builder(table, spec, what)
     try:
         return build(kw, *args)
     except KeyError as exc:
         raise ConfigError(f"{what} {name!r} missing parameter {exc}") from None
-    except (TypeError, ValueError, PreconditionError) as exc:
+    except (TypeError, ValueError, OverflowError, PreconditionError) as exc:
         raise ConfigError(f"bad {what} parameters for {name!r}: {exc}") from None
 
 

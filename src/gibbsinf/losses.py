@@ -5,20 +5,23 @@ sample and precomputes its arrays (design matrix, labels, responses), and
 `kernel(prepared)` holds the loss formula.  On one sample's prepared arrays,
 (n, J), or a stacked risk state, (R, n, J), `kernel` makes every n-sized
 buffer the formula writes into (one matmul into a linear predictor, then
-ufuncs with `out=`) and returns two functions: `risks(B)`, the empirical
-risk of a (J,) vector on one sample (a float) or of each row of an (R, J)
-block on a stacked state (a list of R Python floats), and `values(theta)`,
-a fresh float vector of theta's per-observation losses on one sample.  The
-samplers, `GibbsTarget.risk`, `empirical_risk`, `pointwise_losses` and the
-Monte-Carlo diagnostics build a kernel once per sample or block and call
-these.  The loss on a single observation is the one value of a one-row
-sample.  The ranking loss keeps a closed-form risk over the m*n pair grid,
-and gives values on matched pairs.
+ufuncs with `out=`) and returns `(sums, n, values)`.  `sums(B)` fills the
+losses of a (J,) vector on one sample, or of each row of an (R, J) block on
+a stacked state, and sums them over the observations into a buffer the
+kernel owns: one float, or a list of R Python numbers (integer counts for
+the 0-1 losses).  The empirical risk is that sum divided by the divisor n,
+on Python numbers.  `values(theta)` is a fresh float vector of theta's
+per-observation losses on one sample.  The samplers, `GibbsTarget.risk`,
+`empirical_risk`, `pointwise_losses` and the Monte-Carlo diagnostics build
+a kernel once per sample or block and call these.  The loss on a single
+observation is the one value of a one-row sample.  The ranking loss keeps a
+closed-form risk over the m*n pair grid, whose sums are the risks
+themselves over the divisor 1, and gives values on matched pairs.
 
 Every chain's risk is bit-identical to its one-chain value and to its risk
 on the unstacked arrays: the linear predictor is one matrix-vector product
-per chain, and the mean is the same pairwise sum (an exact count for the 0-1
-losses) divided by n that `np.mean` computes.
+per chain, and the risk is the same pairwise sum (an exact count for the
+0-1 losses) divided by n that `np.mean` computes.
 
 Sign convention: sign(0) = -1 everywhere, and classifier indicators use the
 strict inequality x'theta > 0.  Score ties across groups in the pairwise
@@ -38,25 +41,26 @@ def sign_neg(t):
     return np.where(np.asarray(t) > 0, 1, -1)
 
 
-def _mean(buf: np.ndarray):
-    """The map from a filled (..., n) loss buffer to its mean over n: a float
-    for one sample's (n,) buffer, a list of R Python floats for a stacked
-    (R, n) one.  A 0-1 mask sums as an integer count; one row counts with
-    np.count_nonzero, about three times faster than np.add.reduce, and turns
-    the NumPy scalar into a float first, which divides 20 times faster."""
+def _sums(buf: np.ndarray):
+    """The map from a filled (..., n) loss buffer to its sums over n, and the
+    divisor n.  The sums are a float for one sample's (n,) buffer and a list
+    of R Python numbers for a stacked (R, n) one, summed into a buffer of its
+    own.  A 0-1 mask sums as an integer count; one row counts with
+    np.count_nonzero, about three times faster than np.add.reduce, and gives
+    a float, which divides 20 times faster than a NumPy scalar."""
     n, reduce = buf.shape[-1], np.add.reduce
     if buf.ndim == 1:
         total = np.count_nonzero if buf.dtype == bool else reduce
-        return lambda v: float(total(v)) / n
+        return (lambda v: float(total(v))), n
     sums = np.empty(buf.shape[:-1], dtype=np.int_ if buf.dtype == bool else float)
-    return lambda v: [s / n for s in reduce(v, -1, out=sums).tolist()]
+    return (lambda v: reduce(v, -1, out=sums).tolist()), n
 
 
-def _values(risks, buf: np.ndarray):
-    """values(theta): run `risks` on one coefficient vector and return a
+def _values(sums, buf: np.ndarray):
+    """values(theta): run `sums` on one coefficient vector and return a
     float copy of the per-observation buffer it fills."""
     def values(theta):
-        risks(np.asarray(theta, dtype=float))
+        sums(np.asarray(theta, dtype=float))
         return buf.astype(float)
     return values
 
@@ -101,15 +105,15 @@ class CheckLoss(_RegressionLoss):
         product = np.empty(F.shape[:-1] + (1,))
         r = product[..., 0]
         mask, v = np.empty(y.shape, dtype=bool), np.empty(y.shape)
-        tau, mean = self.tau, _mean(v)
+        tau, (total, n) = self.tau, _sums(v)
 
-        def risks(B):
+        def sums(B):
             np.matmul(F, B[..., None], out=product)
             np.subtract(y, r, out=r)
             # r * (tau - 1{r < 0})
             np.subtract(tau, np.less(r, 0.0, out=mask), out=v)
-            return mean(np.multiply(r, v, out=v))
-        return risks, _values(risks, v)
+            return total(np.multiply(r, v, out=v))
+        return sums, n, _values(sums, v)
 
 
 class SquaredLoss(_RegressionLoss):
@@ -124,13 +128,13 @@ class SquaredLoss(_RegressionLoss):
         F, y = prepared
         product = np.empty(F.shape[:-1] + (1,))
         r = product[..., 0]
-        mean = _mean(r)
+        total, n = _sums(r)
 
-        def risks(B):
+        def sums(B):
             np.matmul(F, B[..., None], out=product)
             np.subtract(y, r, out=r)
-            return mean(np.multiply(r, r, out=r))
-        return risks, _values(risks, r)
+            return total(np.multiply(r, r, out=r))
+        return sums, n, _values(sums, r)
 
 
 class CappedSquaredLoss(_RegressionLoss):
@@ -153,13 +157,13 @@ class CappedSquaredLoss(_RegressionLoss):
         F, y = prepared
         product = np.empty(F.shape[:-1] + (1,))
         r = product[..., 0]
-        cap, mean = self.cap, _mean(r)
+        cap, (total, n) = self.cap, _sums(r)
 
-        def risks(B):
+        def sums(B):
             np.matmul(F, B[..., None], out=product)
             np.subtract(y, r, out=r)
-            return mean(np.minimum(np.multiply(r, r, out=r), cap, out=r))
-        return risks, _values(risks, r)
+            return total(np.minimum(np.multiply(r, r, out=r), cap, out=r))
+        return sums, n, _values(sums, r)
 
 
 def _mismatch_kernel(F, compare, first, positive) -> tuple:
@@ -167,13 +171,13 @@ def _mismatch_kernel(F, compare, first, positive) -> tuple:
     labels' positive mask, counted per chain."""
     product = np.empty(F.shape[:-1] + (1,))
     linear, mask = product[..., 0], np.empty(positive.shape, dtype=bool)
-    mean = _mean(mask)
+    total, n = _sums(mask)
 
-    def risks(B):
+    def sums(B):
         np.matmul(F, B[..., None], out=product)
         compare(first, linear, out=mask)
-        return mean(np.not_equal(mask, positive, out=mask))
-    return risks, _values(risks, mask)
+        return total(np.not_equal(mask, positive, out=mask))
+    return sums, n, _values(sums, mask)
 
 
 def _positive_labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
@@ -261,18 +265,19 @@ class AUCLoss(_Loss):
         return np.array([that]), np.array([that * (1.0 - that)])
 
     def kernel(self, prepared):
-        """On a risk state, the closed-form risks and no values; on prepared
-        matched pairs, no risks and the values (theta - 1{u1 > u0})^2."""
+        """On a risk state, the closed-form risks over the divisor 1 (x / 1 is
+        x) and no values; on prepared matched pairs, no sums and the values
+        (theta - 1{u1 > u0})^2."""
         if not isinstance(prepared, tuple):
-            return None, lambda theta: (float(np.asarray(theta).reshape(-1)[0])
-                                        - prepared) ** 2
+            return None, 1, lambda theta: (float(np.asarray(theta).reshape(-1)[0])
+                                           - prepared) ** 2
         that, const = (a.tolist() for a in prepared)
 
-        def risks(B):
+        def sums(B):
             # Python floats per chain: `** 2` on a float calls pow(), which an
             # array square (a product) need not match in the last bit
             return [(t - a) ** 2 + c for t, a, c in zip(B[:, 0].tolist(), that, const)]
-        return risks, None
+        return sums, 1, None
 
 
 LossSpec = (CheckLoss | SquaredLoss | CappedSquaredLoss | ZeroOneLinearLoss
@@ -289,7 +294,8 @@ def empirical_risk(loss: LossSpec, theta, data: Dataset) -> float:
     For two-sample data the average runs over all m*n score pairs.
     """
     beta = np.asarray(theta, dtype=float).reshape(1, -1)
-    return loss.kernel(loss.risk_state(data))[0](beta)[0]
+    sums, n, _ = loss.kernel(loss.risk_state(data))
+    return sums(beta)[0] / n
 
 
 def auc_point_estimate(scores0, scores1) -> float:
@@ -314,7 +320,7 @@ def pointwise_losses(loss: LossSpec, theta, sample) -> np.ndarray:
     matched pair).  The mean of the returned vector is the empirical risk
     of the corresponding dataset (for two-sample data, of the paired subset).
     """
-    return loss.kernel(loss.prepare(sample))[1](theta)
+    return loss.kernel(loss.prepare(sample))[2](theta)
 
 
 def least_squares_coefficients(F: np.ndarray, y: np.ndarray) -> np.ndarray:

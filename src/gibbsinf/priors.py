@@ -9,9 +9,14 @@ whose support is the set of nonzero coordinates of beta.
 The iid priors' `log_density` also takes an (R, dim) block of chains and
 returns R Python floats, each bit-identical to the one-chain value.  It
 checks the shape and calls `kernel(shape)`, where the formula is written
-once: for coefficients of leading shape `shape`, in buffers it owns, one
-statistic per chain (z'z, or the sum of |theta|) with NumPy and the density
-from it on Python floats.  The sampler builds a kernel once per block.
+once.  For coefficients of leading shape `shape`, the kernel returns
+`(stats, a, b)`: `stats(theta)` fills one statistic per chain (z'z, or the
+sum of |theta|) into buffers it owns and gives them as a list of Python
+floats, and the log density of a chain with statistic s is a * s + b, on
+Python floats.  The Gaussian's pair is (-0.5, -log_norm) and the Laplace's
+(-rate, log_norm): x - y is x + (-y) and (-r) * s is -(r * s) in IEEE 754,
+so these have the bits of -0.5 * s - log_norm and log_norm - rate * s.
+The sampler builds a kernel once per block.
 
 The spike-slab size prior is normalized with `logsumexp` and the binomial
 coefficients come from `gammaln`; both are ports in `gibbsinf._special`
@@ -31,12 +36,15 @@ from .errors import PreconditionError, ShapeError
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _coefficients(theta, dim: int) -> np.ndarray:
-    """theta as a (dim,) vector or an (R, dim) block of chains."""
-    theta = np.asarray(theta, dtype=float)
+def _log_density(prior, theta):
+    """An iid prior's log density at a (dim,) vector (a float) or at each row
+    of an (R, dim) block (a list of R floats), from its kernel."""
+    theta, dim = np.asarray(theta, dtype=float), prior.dim
     if theta.shape[-1:] != (dim,) or theta.ndim > 2:
         raise ShapeError(f"expected shape ({dim},) or (R, {dim}), got {theta.shape}")
-    return theta
+    stats, a, b = prior.kernel(theta.shape[:-1])
+    out = [a * s + b for s in stats(theta)]
+    return out if theta.ndim == 2 else out[0]
 
 
 class GaussianIID:
@@ -51,23 +59,23 @@ class GaussianIID:
         self._log_norm = self.dim * (math.log(self.sd) + 0.5 * _LOG_2PI)
 
     def kernel(self, shape: tuple):
-        """log_density on coefficients of leading shape `shape`, () for one
-        vector and (R,) for a block, into its own z and z'z buffers."""
+        """z'z per chain of coefficients of leading shape `shape`, () for one
+        vector and (R,) for a block, into its own z and z'z buffers; the log
+        density is -0.5 * z'z - log_norm."""
         z, zz = np.empty(shape + (self.dim,)), np.empty(shape + (1, 1))
-        flat, mean, sd, log_norm = zz.reshape(-1), self.mean, self.sd, self._log_norm
+        # z'z as one dot product per chain, of views made once
+        row, col, flat = z[..., None, :], z[..., None], zz.reshape(-1)
+        mean, sd = self.mean, self.sd
 
-        def log_density(theta):
+        def stats(theta):
             # x - 0.0 == x for every double, so a zero mean skips an operation
             np.divide(np.subtract(theta, mean, out=z) if mean else theta, sd, out=z)
-            # z'z as one dot product per chain
-            np.matmul(z[..., None, :], z[..., None], out=zz)
-            out = [-0.5 * s - log_norm for s in flat.tolist()]
-            return out if shape else out[0]
-        return log_density
+            np.matmul(row, col, out=zz)
+            return flat.tolist()
+        return stats, -0.5, -self._log_norm
 
     def log_density(self, theta):
-        theta = _coefficients(theta, self.dim)
-        return self.kernel(theta.shape[:-1])(theta)
+        return _log_density(self, theta)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.sd * rng.standard_normal(self.dim)
@@ -88,19 +96,18 @@ class LaplaceIID:
         self._log_norm = self.dim * math.log(self.rate / 2.0)
 
     def kernel(self, shape: tuple):
-        """As GaussianIID.kernel, into its own |theta| and sum buffers."""
+        """As GaussianIID.kernel, the sum of |theta| per chain into its own
+        |theta| and sum buffers; the log density is log_norm - rate * sum."""
         absolute, total = np.empty(shape + (self.dim,)), np.empty(shape)
-        flat, rate, log_norm = total.reshape(-1), self.rate, self._log_norm
+        flat = total.reshape(-1)
 
-        def log_density(theta):
+        def stats(theta):
             np.add.reduce(np.abs(theta, out=absolute), axis=-1, out=total)
-            out = [log_norm - rate * s for s in flat.tolist()]
-            return out if shape else out[0]
-        return log_density
+            return flat.tolist()
+        return stats, -self.rate, self._log_norm
 
     def log_density(self, theta):
-        theta = _coefficients(theta, self.dim)
-        return self.kernel(theta.shape[:-1])(theta)
+        return _log_density(self, theta)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.laplace(0.0, 1.0 / self.rate, size=self.dim)

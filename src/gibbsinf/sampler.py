@@ -74,11 +74,11 @@ class GibbsTarget:
         self.omega = float(omega)
         self.n_terms = data.n_terms
         self.risk_state = loss.risk_state(data)
-        self._risks = loss.kernel(self.risk_state)[0]
+        self._sums, self._n = loss.kernel(self.risk_state)[:2]
 
     def risk(self, theta) -> float:
         """Empirical risk at the dense coefficient vector theta."""
-        return self._risks(np.asarray(theta, dtype=float).reshape(1, -1))[0]
+        return self._sums(np.asarray(theta, dtype=float).reshape(1, -1))[0] / self._n
 
     def log_unnormalized(self, theta) -> float:
         """-omega * N * R_n(theta) + log prior(theta); -inf outside support."""
@@ -243,11 +243,15 @@ def _block_log_density(targets, tiles: int):
     many times, and a block of m = j * R rows, j <= tiles, gets the
     densities of the first m targets.
 
-    The vectorized map is built once.  For each m it holds the loss's kernel
-    on the first m rows of the stacked state and the prior's kernel for m
-    rows, which own their buffers, so an evaluation allocates no n-sized
-    array; each chain's -omega * N * R_n(theta) + log prior(theta) is taken
-    on Python floats.
+    The vectorized map is built once, one function per row count m: the
+    loss's kernel on the first m rows of the stacked state and the prior's
+    kernel for m rows own their buffers, so an evaluation allocates no
+    n-sized array.  The loss kernel fills each chain's loss sum k and gives
+    its divisor n, the prior kernel fills each chain's statistic s and gives
+    the affine pair (a, b) of its log density, and one list combines them on
+    Python floats into -omega * N * (k / n) + (a * s + b), the bits of
+    -omega * N * R_n(theta) + log prior(theta).  With one row count that
+    function is the map itself; with several, the map picks it by len(B).
     """
     R = len(targets)
     targets = targets * tiles
@@ -262,15 +266,16 @@ def _block_log_density(targets, tiles: int):
         if state is not None:
             loss, prior = first.loss, first.prior
             coef = [-t.omega * t.n_terms for t in targets]
-            kernels = {m: (loss.kernel(tuple(a[:m] for a in state))[0],
-                           prior.kernel((m,)))
-                       for m in range(R, len(targets) + 1, R)}
 
-            def log_density(B):
-                risks, log_prior = kernels[len(B)]
-                # -omega * N * R_n(theta) + log prior(theta), in that order
-                return [c * r + p for c, r, p in zip(coef, risks(B), log_prior(B))]
-            return log_density, True
+            def density(m):
+                sums, n, _ = loss.kernel(tuple(part[:m] for part in state))
+                stats, a, b = prior.kernel((m,))
+                return lambda B: [c * (k / n) + (a * s + b)
+                                  for c, k, s in zip(coef, sums(B), stats(B))]
+            by_rows = {m: density(m) for m in range(R, len(targets) + 1, R)}
+            if tiles == 1:
+                return by_rows[R], True
+            return (lambda B: by_rows[len(B)](B)), True
     return (lambda B: [float(t.log_unnormalized(b))
                        for t, b in zip(targets, B)]), False
 
@@ -432,10 +437,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
     current beta_S is kept between walks.  Each proposal is scored by the
     loss's kernel on the target's 2-D arrays (`risk_state` without its chain
-    axis), built once per chain: one gemv and one count of mismatches, with
-    the bits of `GibbsTarget.risk`.  Chains run one at a time: a
-    lockstep block costs more per row at n=800, and lookahead would win at
-    most about 15 % (ROADMAP item 3).  The kept draws are theta rows.
+    axis), built once per chain: one gemv and one count of mismatches,
+    divided by n, with the bits of `GibbsTarget.risk`.  Chains run one at a
+    time: a lockstep block costs more per row at n=800, and lookahead would
+    win at most about 15 % (ROADMAP item 3).  The kept draws are theta rows.
     The chain's meta carries q, the proposals and acceptances of each move
     (`moves`: add, remove, walk, flip) and the mean |S| over the kept draws
     (`mean_support_size`).
@@ -479,14 +484,14 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                              - log(q - s + 1) for s in range(1, q + 1)]
 
     omega_n = target.omega * target.n_terms
-    risk = target.loss.kernel(tuple(a[0] for a in target.risk_state))[0]
+    sums, n = target.loss.kernel(tuple(a[0] for a in target.risk_state))[:2]
     slab_log_density = prior.slab_log_density
     random, integers = rng.random, rng.integers
     laplace, standard_normal = rng.laplace, rng.standard_normal
     slab_scale = 1.0 / lam
     flip_prob = config.alpha_flip_prob
 
-    ne = -omega_n * risk(theta)
+    ne = -omega_n * (sums(theta) / n)
     slab = None                       # slab density of beta_S, once needed
 
     steps, burn_in, thin = config.steps, config.burn_in, config.thin
@@ -530,7 +535,7 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
 
         if move is not None:
             proposed[move] += 1
-            prop_ne = -omega_n * risk(prop)
+            prop_ne = -omega_n * (sums(prop) / n)
             delta = (prop_ne - ne) + log_extra
             if delta >= 0.0 or random() < exp(delta):
                 theta, ne = prop, prop_ne
@@ -550,7 +555,7 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             proposed[3] += 1
             flipped = theta.copy()
             flipped[0] = -flipped[0]
-            flip_ne = -omega_n * risk(flipped)
+            flip_ne = -omega_n * (sums(flipped) / n)
             d = flip_ne - ne
             if d >= 0.0 or random() < exp(d):
                 theta, ne = flipped, flip_ne

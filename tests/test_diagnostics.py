@@ -6,7 +6,10 @@ difference is deterministic, so the annealed transform has a closed form;
 sharing one rng seed between estimators makes sample-level identities exact.
 """
 
+import hashlib
 import math
+import os
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,7 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CubicBSpline, Dataset,
                       posterior_mass_outside, posterior_mean, ss_mh_run)
 from gibbsinf.errors import (OverflowGuardError, PreconditionError, ShapeError)
 from gibbsinf.harness import AUCSim, MCID1, SparseClassSim
+from gibbsinf.harness.config import build_components, load_config
 from gibbsinf.sampler import hash64, make_rng
 
 
@@ -36,7 +40,7 @@ class _MVEstimate:
 def _mv_estimate(loss, theta, theta_star, generator, n_draws, rng) -> _MVEstimate:
     """The mean excess loss over fresh draws from generator(rng, n): the
     oracle of the RiskDiffSqrt and mgf checks."""
-    values = loss.kernel(loss.prepare(generator(rng, n_draws)))[1]
+    values = loss.kernel(loss.prepare(generator(rng, n_draws)))[2]
     diff = values(theta) - values(theta_star)
     return _MVEstimate(m_hat=float(diff.mean()),
                        m_se=math.sqrt(float(diff.var(ddof=1)) / diff.size))
@@ -105,6 +109,40 @@ def test_empirical_l2_against_fixed_values():
     for wrong in (values[:-1], [0.5]):
         with pytest.raises(ShapeError, match="design points"):
             div.batch(mat, wrong)
+
+
+def _mcid1_batch_case():
+    """The mcid1 protocol's divergence (256 grid points, six spline
+    coefficients), its reference values, and 8000 fixed draws: the size of
+    one full-length mcid1 row."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid1.json"))
+    parts = build_components(cfg, cfg["nGrid"][0])
+    div = parts.divergence
+    draws = make_rng(hash64(61, 1)).normal(0.0, 6.0, size=(8000, 6))
+    return div, draws, parts.generator.truth_fn(div.xs)
+
+
+def test_empirical_l2_batch_matches_recorded_digest():
+    # a sha256 of the divergences, recorded before batch worked in place
+    div, draws, reference = _mcid1_batch_case()
+    values = div.batch(draws, reference)
+    assert values.shape == (8000,)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == \
+        "e0e6ec703c196d92d65b2c3a39befb0e60b8eeafe5e794b82fd3758dac2303a3"
+
+
+def test_empirical_l2_batch_allocates_one_grid_by_draws_buffer():
+    # one (G, D) buffer, where the differences, their squares and the matmul
+    # once each took a fresh one (a peak of 3.0 x G*D*8 bytes)
+    div, draws, reference = _mcid1_batch_case()
+    tracemalloc.start()
+    try:
+        div.batch(draws, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * div.xs.size * draws.shape[0] * 8
 
 
 def test_between_needs_an_rng_for_a_monte_carlo_divergence():

@@ -769,6 +769,23 @@ def test_unknown_component_name_fails_before_any_cell(tmp_path, field, name):
     assert not out_dir.exists()
 
 
+def test_integer_too_large_for_a_float_is_a_config_error(tmp_path):
+    # JSON reads 1 followed by 400 zeros as a Python int, and float() of it
+    # raised OverflowError, which escaped the CLI as a bare traceback
+    cfg = _tiny_config(prior={"name": "gaussian", "mean": 0.0, "sd": 10 ** 400})
+    with pytest.raises(ConfigError, match="prior parameters for 'gaussian'"):
+        run_experiment(cfg, workers=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(cfg_path),
+                             "--out", str(out_dir), "--workers", "1"])
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert "prior parameters for 'gaussian'" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("init", ["pilot", [1.0, 2.0]], ids=["pilot", "list"])
 def test_spikeslab_init_fails_before_any_cell(tmp_path, init):
     # the sparse sampler always starts from a prior draw, so an init there
@@ -1338,8 +1355,8 @@ def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
     original = MCIDLoss.kernel
 
     def kernel(self, prepared):
-        risks, values = original(self, prepared)
-        return (lambda B: rows.append(len(B)) or risks(B)), values
+        sums, n, values = original(self, prepared)
+        return (lambda B: rows.append(len(B)) or sums(B)), n, values
     monkeypatch.setattr(MCIDLoss, "kernel", kernel)
     fit = fit_cell(cfg, cfg["nGrid"][0], row_seed(cfg["baseSeed"], 0, 0))
     assert fit.chain.steps == 20_000

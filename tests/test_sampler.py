@@ -158,6 +158,12 @@ def _block_case(kind: str, R: int = 3):
         def data():
             x = rng.random(30)
             return Dataset.regression(x, 1.0 + 2.0 * x + rng.normal(size=30))
+    elif kind == "check/laplace":
+        loss, prior = CheckLoss(0.7, AffineBasis()), LaplaceIID(0.5, 2)
+
+        def data():
+            x = rng.random(30)
+            return Dataset.regression(x, 1.0 - x + rng.standard_t(4, 30))
     elif kind == "squared/laplace":
         loss, prior = SquaredLoss(CubicBSpline((0.0, 1.0), 5)), LaplaceIID(1.0, 5)
 
@@ -231,6 +237,7 @@ def test_block_rejects_chains_of_different_lengths():
 # over a four-chain block, with the band each must fall in
 _LOOKAHEAD_SCALES = {"mcid/gaussian": (10.0, 2.0, 0.15),
                      "check/gaussian": (3.0, 1.0, 0.2),
+                     "check/laplace": (3.0, 1.0, 0.2),
                      "squared/laplace": (1.0, 0.4, 0.1),
                      "cappedsquared/gaussian": (0.6, 0.2, 0.05),
                      "auc/gaussian": (3.0, 0.6, 0.1)}
@@ -270,8 +277,8 @@ def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
     original = MCIDLoss.kernel
 
     def kernel(self, prepared):
-        risks, values = original(self, prepared)
-        return (lambda B: rows.append(len(B)) or risks(B)), values
+        sums, n, values = original(self, prepared)
+        return (lambda B: rows.append(len(B)) or sums(B)), n, values
     monkeypatch.setattr(MCIDLoss, "kernel", kernel)
     chain = mh_run_block(one)[0]
     assert chain.accept_rate < 0.1
@@ -297,14 +304,14 @@ class _WalledSquaredLoss(SquaredLoss):
 
     def kernel(self, prepared):
         *state, walled = prepared
-        risks, values = super().kernel(tuple(state))
+        sums, n, values = super().kernel(tuple(state))
 
-        def walled_risks(B):
-            out = np.array(risks(B))
+        def walled_sums(B):
+            out = np.array(sums(B))
             out[walled & (B[:, 0] > 0.5)] = np.nan
             out[walled & (B[:, 0] < -0.5)] = np.inf
             return out.tolist()
-        return walled_risks, values
+        return walled_sums, n, values
 
 
 def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
@@ -323,14 +330,14 @@ def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
     original = _WalledSquaredLoss.kernel
 
     def kernel(self, prepared):
-        risks, values = original(self, prepared)
+        sums, n, values = original(self, prepared)
 
-        def risk(B):
-            out = risks(B)
+        def counted(B):
+            out = sums(B)
             if len(B) == 4:
                 walls.append((np.isnan(out).sum(), np.isinf(out).sum()))
             return out
-        return risk, values
+        return counted, n, values
     monkeypatch.setattr(_WalledSquaredLoss, "kernel", kernel)
     block = mh_run_block([mh_start(t, c) for t, c in zip(targets, configs)])
     nan_rows, inf_rows = np.sum(walls, axis=0)
@@ -389,11 +396,22 @@ def test_short_chains_match_recorded_values():
     ("cappedsquared/gaussian", 4, 1, [661, 503, 266, 194],
      "7127f146c44244a45659508840b91b7dfbd9aa26b46b2a5e44ea33fbedd8d7a7"),
     ("cappedsquared/gaussian", 2, 0, [143, 88],
-     "e89a0caf377879808d75072dab61296a8f5931f5945604017df693f062846dfc")])
+     "e89a0caf377879808d75072dab61296a8f5931f5945604017df693f062846dfc"),
+    ("auc/gaussian", 4, 1, [464, 294, 243, 233],
+     "5b223b8801282ef5ef35e2f7a2f6333f5065c4e529a65d0041a7e470e704157c"),
+    ("auc/gaussian", 2, 0, [109, 66],
+     "7e7c5e076054350ae373c4c96e9409f71332ee976c5e2db17b01133e9ac5c171"),
+    ("check/laplace", 4, 1, [518, 320, 246, 152],
+     "6f87825f18aa046842f8acd5334b53ec9c3a2837ef2e9df62ca2e54512891824"),
+    ("check/laplace", 2, 0, [122, 100],
+     "880d43eee806cb9836ee40a915b0fbdf6d5991054f3a2cec977c7be7bf022ad8")])
 def test_block_chains_match_recorded_digests(kind, R, regime, accepted, digest):
     # accept counts and a sha256 of the draws of every chain of a block,
     # recorded before the block evaluated its densities into buffers made
-    # once per block.  The blocks of four evaluate one step per kernel call
+    # once per block (the auc and check/laplace blocks, before the kernels
+    # gave sums and a divisor and the priors an affine pair: the auc risk is
+    # its closed form over 1, the Laplace density log_norm + (-rate) * sum
+    # |theta|).  The blocks of four evaluate one step per kernel call
     # at acceptance near 0.25; the blocks of two, near 0.05, mostly look
     # ahead two steps per call.  Five full chunks and a short one.
     targets = _block_case(kind, R=R)
@@ -652,7 +670,7 @@ def test_one_row_zero_one_kernel_equals_the_block_risk(n):
     data = gen.sample(n, make_rng(hash64(57, n)))
     loss = ZeroOneLinearLoss()
     state = loss.risk_state(data)
-    kernel = loss.kernel(tuple(a[0] for a in state))[0]
+    kernel, n = loss.kernel(tuple(a[0] for a in state))[:2]
     block = loss.kernel(state)[0]
 
     rng = make_rng(hash64(57, n, 1))
@@ -674,8 +692,8 @@ def test_one_row_zero_one_kernel_equals_the_block_risk(n):
             sparse[at] = rng.laplace(0.0, 1.0, size=at.size)
             rows += [dense, sparse]
     for theta in rows:
-        want = float(block(theta[None])[0])
-        assert float(kernel(theta)).hex() == want.hex()
+        want = block(theta[None])[0] / n
+        assert (kernel(theta) / n).hex() == want.hex()
 
 
 def test_sparse_chain_meta_counts_moves():
