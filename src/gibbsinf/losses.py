@@ -86,10 +86,21 @@ class _RegressionLoss(_Loss):
 
 
 class CheckLoss(_RegressionLoss):
-    """Check (pinball) loss (y - b'f(x)) * (tau - 1{y < b'f(x)}).
+    """Check (pinball) loss of the residual r = y - b'f(x):
+    r * (tau - 1{r < 0}), computed as max(r * (tau - 1), r * tau).
 
     Its population risk is minimized at the tau-th conditional quantile of y
     given x within the span of the feature map.
+
+    The max form needs no boolean mask and no bool-to-float cast, and keeps
+    the bits of the mask form: for r < 0 the max is r * fl(tau - 1), else
+    r * tau, and fl(tau - 1) is the constant tau - True.  When the products
+    tie (r = ±0), `np.maximum(v, w)` returns its second operand w = r * tau,
+    the mask form's value, so the kernel keeps that operand order.  One
+    exception: where both products underflow to zero (r = -5e-324 at
+    tau = 0.5), the loss is -0.0 where the mask form gives +0.0.  Every
+    check loss is >= 0, so a sum or risk can differ only when every loss of
+    a sample is zero, and then only in the sign of that zero.
     """
 
     kind = "check"
@@ -104,15 +115,15 @@ class CheckLoss(_RegressionLoss):
         F, y = prepared
         product = np.empty(F.shape[:-1] + (1,))
         r = product[..., 0]
-        mask, v = np.empty(y.shape, dtype=bool), np.empty(y.shape)
-        tau, (total, n) = self.tau, _sums(v)
+        v = np.empty(y.shape)
+        tau, lower, (total, n) = self.tau, self.tau - 1.0, _sums(v)
 
         def sums(B):
             np.matmul(F, B[..., None], out=product)
             np.subtract(y, r, out=r)
-            # r * (tau - 1{r < 0})
-            np.subtract(tau, np.less(r, 0.0, out=mask), out=v)
-            return total(np.multiply(r, v, out=v))
+            np.multiply(r, lower, out=v)
+            # on ties maximum returns r * tau (see the class docstring)
+            return total(np.maximum(v, np.multiply(r, tau, out=r), out=v))
         return sums, n, _values(sums, v)
 
 

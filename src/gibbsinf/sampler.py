@@ -440,10 +440,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     axis), built once per chain: one gemv and one count of mismatches,
     divided by n, with the bits of `GibbsTarget.risk`.  Chains run one at a
     time: a lockstep block costs more per row at n=800, and lookahead would
-    win at most about 15 % (ROADMAP item 3).  The kept draws are theta rows.
-    The chain's meta carries q, the proposals and acceptances of each move
-    (`moves`: add, remove, walk, flip) and the mean |S| over the kept draws
-    (`mean_support_size`).
+    win at most about 15 % (ROADMAP, Set aside).  The kept draws are theta
+    rows.  The chain's meta carries q, the proposals and acceptances of each
+    move (`moves`: add, remove, walk, flip) and the mean |S| over the kept
+    draws (`mean_support_size`).
     """
     prior = target.prior
     if not isinstance(prior, SpikeSlab):
