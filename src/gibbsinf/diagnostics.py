@@ -191,6 +191,8 @@ class RiskDiffSqrt:
         return loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[2]
 
     def _estimate(self, a, b, rng) -> MCDivergence:
+        if _vec(a).size != _vec(b).size:
+            raise ShapeError("parameter dimensions differ")
         if rng is not None and np.array_equal(a, b):
             return MCDivergence(0.0, 0.0, 0)
         values = self._values(rng)
@@ -210,9 +212,10 @@ class RiskDiffSqrt:
         chain at a fraction of the cost; each value is still an unbiased MC
         estimate of sqrt(excess risk) clipped at zero.
         """
+        vb = _vec(b)
+        mat = _rows(draws, vb.size)
         values = self._values(rng)
-        mat = np.atleast_2d(np.asarray(draws, dtype=float))
-        ref = values(_vec(b))
+        ref = values(vb)
         vals = np.empty(mat.shape[0])
         for i, row in enumerate(mat):
             d = float(np.mean(values(row) - ref))

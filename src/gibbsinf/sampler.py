@@ -438,10 +438,16 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     current beta_S is kept between walks.  Each proposal is scored by the
     loss's kernel on the target's 2-D arrays (`risk_state` without its chain
     axis), built once per chain: one gemv and one count of mismatches,
-    divided by n, with the bits of `GibbsTarget.risk`.  Chains run one at a
-    time: a lockstep block costs more per row at n=800, and lookahead would
-    win at most about 15 % (ROADMAP, Set aside).  The kept draws are theta
-    rows.  The chain's meta carries q, the proposals and acceptances of each
+    divided by n, with the bits of `GibbsTarget.risk`.  The chain accepts
+    only a few per cent of its moves, so a state stands for tens of steps and
+    proposes the same rows again: the energy of each remove-j row and of the
+    flipped row is kept from the first time it is scored until a move is
+    accepted, and a repeat costs no kernel call and no row (an accepted
+    remove or flip edits theta in place).  The kernel's result is a function
+    of the row's bytes, so every delta, decision and draw is the one a fresh
+    score would give.  Chains run one at a time: a lockstep block costs more
+    per row at n=800, and lookahead would save at most about 2 µs of a step
+    (ROADMAP, Set aside).  The kept draws are theta rows.  The chain's meta carries q, the proposals and acceptances of each
     move (`moves`: add, remove, walk, flip) and the mean |S| over the kept
     draws (`mean_support_size`).
     """
@@ -493,6 +499,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
 
     ne = -omega_n * (sums(theta) / n)
     slab = None                       # slab density of beta_S, once needed
+    # energies of the standing state's remove-j rows and of its flipped row,
+    # each scored the first time it is proposed; emptied at every acceptance
+    remove_ne = {}
+    flip_ne = None
 
     steps, burn_in, thin = config.steps, config.burn_in, config.thin
     kept = np.empty((config.n_kept, 1 + q))
@@ -512,13 +522,18 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                 i = integers(q - s)
                 prop = theta.copy()
                 prop[1 + absent[i]] = laplace(0.0, slab_scale)
+                prop_ne = -omega_n * (sums(prop) / n)
                 log_extra = add_extra[s]
                 move = 0
         elif mu < _ADD_P + _REMOVE_P:
             if s > 0:
                 i = integers(s)
-                prop = theta.copy()
-                prop[1 + support[i]] = 0.0
+                j = support[i]
+                prop_ne = remove_ne.get(j)
+                if prop_ne is None:
+                    prop = theta.copy()
+                    prop[1 + j] = 0.0
+                    prop_ne = remove_ne[j] = -omega_n * (sums(prop) / n)
                 log_extra = remove_extra[s]
                 move = 1
         elif s > 0:
@@ -529,16 +544,22 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             if slab is None:
                 slab = slab_log_density(beta_s)
             prop_slab = slab_log_density(new_b)
+            prop_ne = -omega_n * (sums(prop) / n)
             # symmetric walk on a fixed configuration: only the slab ratio
             log_extra = prop_slab - slab
             move = 2
 
         if move is not None:
             proposed[move] += 1
-            prop_ne = -omega_n * (sums(prop) / n)
             delta = (prop_ne - ne) + log_extra
             if delta >= 0.0 or random() < exp(delta):
-                theta, ne = prop, prop_ne
+                if move == 1:
+                    theta[1 + j] = 0.0     # the scored row, made in place
+                else:
+                    theta = prop
+                ne = prop_ne
+                remove_ne.clear()
+                flip_ne = None
                 accepted += 1
                 taken[move] += 1
                 if move == 2:
@@ -553,12 +574,16 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
 
         if random() < flip_prob:
             proposed[3] += 1
-            flipped = theta.copy()
-            flipped[0] = -flipped[0]
-            flip_ne = -omega_n * (sums(flipped) / n)
+            if flip_ne is None:
+                flipped = theta.copy()
+                flipped[0] = -flipped[0]
+                flip_ne = -omega_n * (sums(flipped) / n)
             d = flip_ne - ne
             if d >= 0.0 or random() < exp(d):
-                theta, ne = flipped, flip_ne
+                theta[0] = -theta[0]
+                ne = flip_ne
+                remove_ne.clear()
+                flip_ne = None
                 taken[3] += 1
 
         if step == next_keep:

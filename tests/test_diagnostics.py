@@ -178,6 +178,24 @@ def test_batch_agrees_row_by_row_with_between(div, draws, ref):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("call", [
+    lambda div, ref, rng: div.between(np.zeros(5), ref, rng),
+    lambda div, ref, rng: div.estimate(np.zeros(5), ref, rng),
+    lambda div, ref, rng: div.batch(np.zeros((3, 5)), ref, rng),
+    lambda div, ref, rng: div.batch(np.zeros(5), ref, rng),
+], ids=["between", "estimate", "batch", "batch_one_row"])
+def test_risk_diff_sqrt_rejects_a_draw_of_the_wrong_width(call):
+    # the sparse_trend divergence compares (1+q) rows with q = 50; a draw of
+    # another width is a ShapeError, as for every other divergence
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "sparse_trend.json"))
+    parts = build_components(cfg, 200)
+    ref = parts.generator.theta_star
+    assert ref.shape == (51,)
+    with pytest.raises(ShapeError, match="dimension"):
+        call(parts.divergence, ref, make_rng(3))
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo excess-risk estimates
 

@@ -659,6 +659,67 @@ def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
 
 
+def _scored_zero_one_rows(monkeypatch, score=None):
+    """Record the bytes of every row the 0-1 kernel's `sums` scores; `score`,
+    if given, replaces the count the kernel returns for a row."""
+    rows = []
+    original = ZeroOneLinearLoss.kernel
+
+    def kernel(self, prepared):
+        sums, n, values = original(self, prepared)
+
+        def recorded(B):
+            rows.append(B.tobytes())
+            return sums(B) if score is None else score(B, n)
+        return recorded, n, values
+    monkeypatch.setattr(ZeroOneLinearLoss, "kernel", kernel)
+    return rows
+
+
+@pytest.mark.parametrize("n, calls, most", [(200, 2001, 0.8), (800, 2129, 0.7)])
+def test_q50_sparse_chains_score_repeated_rows_once(monkeypatch, n, calls, most):
+    # kernel calls on the two pinned q50 chains above (same draws): a state
+    # stands for 20-40 steps, and its remove-j rows and flipped row are
+    # scored once each while it stands.  Scoring every proposal took 2603
+    # and 3154 calls: one per proposal, plus two on the prior-drawn start.
+    rows = _scored_zero_one_rows(monkeypatch)
+    gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
+    data = gen.sample(n, make_rng(hash64(53, n)))
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
+                         data, 1.0)
+    chain = ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
+                                       seed=hash64(53, n, 1)))
+    proposals = sum(m["proposed"] for m in chain.meta["moves"].values())
+    assert len(rows) == calls
+    assert len(rows) <= most * proposals
+
+
+def test_standing_sparse_state_scores_each_remove_and_flip_row_once(monkeypatch):
+    # every row but the start scores n mismatches, so no move is accepted and
+    # the start stands for the whole chain: each remove-j row and the flipped
+    # row are scored the first time they are proposed, and never again
+    q = 5
+    init = [1.0, 0.5, -0.25, 0.0, 1.5, 0.0]
+    start = np.array(init).tobytes()
+    rows = _scored_zero_one_rows(
+        monkeypatch, lambda B, n: 0 if B.tobytes() == start else n)
+    rng = np.random.default_rng(8)
+    data = Dataset.classification(rng.normal(size=(30, 1 + q)),
+                                  (rng.random(30) < 0.5).astype(float))
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=q, a=1.0, c=1.0),
+                         data, 5.0)
+    chain = ss_mh_run(target, MHConfig(steps=400, burn_in=0, thin=1, init=init,
+                                       alpha_flip_prob=0.5, seed=hash64(58, 1)))
+    moves = chain.meta["moves"]
+    assert chain.accepted == 0 and moves["flip"]["accepted"] == 0
+    assert (chain.draws == np.array(init)).all()
+    assert moves["remove"]["proposed"] > 3 and moves["flip"]["proposed"] > 1
+    assert len(set(rows)) == len(rows)
+    # the start, each add and walk, the three remove rows, one flipped row
+    assert len(rows) == 1 + moves["add"]["proposed"] \
+        + moves["walk"]["proposed"] + 3 + 1
+
+
 @pytest.mark.parametrize("n", [1, 200, 800])
 def test_one_row_zero_one_kernel_equals_the_block_risk(n):
     # the 0-1 risk of one (alpha, beta) row by the kernel on the target's
