@@ -27,7 +27,7 @@ from ..diagnostics import (AbsScalarDistance, EuclideanDistance,
 from ..errors import ConfigError, GibbsInfError, PreconditionError
 from ..sampler import chain_summary, make_rng, write_chain_csv
 from .config import (_is_int, _is_real, _read_text, build_generator,
-                     build_loss, load_config, parameter_dim,
+                     build_loss, check_data_kinds, load_config, parameter_dim,
                      validate_experiment_config)
 from .runner import (fit_cell, row_seed, run_experiment, shutdown_pool,
                      write_outputs)
@@ -139,6 +139,10 @@ def _mgf_positive(value, key: str) -> float:
     return float(value)
 
 
+_MGF_KEYS = ("generator", "loss", "grid", "omega", "thetaStar", "r", "nDraws",
+             "seed")
+
+
 def _cmd_diagnose_mgf(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.get("mgf")
@@ -147,8 +151,13 @@ def _cmd_diagnose_mgf(args) -> int:
     for key in ("generator", "loss", "grid", "omega"):
         if key not in spec:
             raise ConfigError(f"mgf section needs field {key!r}")
+    for key in spec:
+        if key not in _MGF_KEYS:
+            raise ConfigError(f"mgf {key} is not a key the section takes; "
+                              f"allowed keys: {', '.join(_MGF_KEYS)}")
     generator = build_generator(spec["generator"])
     loss = build_loss(spec["loss"], generator)
+    check_data_kinds(spec)
     dim = parameter_dim(loss, generator)
     if not isinstance(spec["grid"], list) or not spec["grid"]:
         raise ConfigError("mgf grid must be a nonempty list of parameter points")

@@ -92,11 +92,11 @@ def validate_experiment_config(cfg: dict) -> None:
     Besides the required fields and their types, every component's name
     must be one its builder table knows, each component spec must hold only
     the keys that component takes and no boolean or non-finite number, the
-    loss, the rate and the divergence must take the kind of data the
-    generator emits, and the zeroone loss and the spikeslab prior come
-    together.  Then the cell's components and its sampler configuration are
-    built at every n of the grid, as the runner builds them, so a parameter
-    any builder rejects is an error here, and the mh init and a
+    loss, the rate and the divergence must take the generator's kind of
+    data, the zeroone loss and the spikeslab prior come together, and only
+    the mcid loss takes a holdout.  Then the cell's components and its
+    sampler configuration are built at every n of the grid, as the runner
+    builds them (see `build_components`), and the mh init and a
     per-coordinate proposalScale must fit the parameter the sampler walks
     on.  What is left to fail per row depends on the data: a chain that
     cannot start, a degenerate data-driven rate, a singular pilot fit.
@@ -123,23 +123,16 @@ def validate_experiment_config(cfg: dict) -> None:
             raise ConfigError(f"{key} must be a positive integer")
     for field, table in _COMPONENTS.items():
         _builder(table, cfg[field], field)
-    generator = cfg["generator"]["name"]
-    kind = _GENERATOR_TYPES[generator].data_kind
-    for field, takes in (("loss", _LOSS_DATA_KINDS), ("rate", _RATE_DATA_KINDS),
-                         ("divergence", _DIVERGENCE_DATA_KINDS)):
-        name = cfg[field]["name"]
-        if kind not in takes.get(name, (kind,)):
-            fits = [g for g, t in _GENERATOR_TYPES.items()
-                    if t.data_kind in takes[name]]
-            raise ConfigError(f"{field} {name!r} cannot take the {kind} data of "
-                              f"generator {generator!r}; generators it takes: "
-                              f"{', '.join(fits)}")
+    check_data_kinds(cfg)
     loss, prior = cfg["loss"]["name"], cfg["prior"]["name"]
     if (loss == "zeroone") != (prior == "spikeslab"):
         # the sparse sampler needs both; no other sampler takes either
         raise ConfigError(f"prior {prior!r} does not go with loss {loss!r}: "
                           f"the spikeslab prior and the zeroone loss are used "
                           f"together or not at all")
+    if cfg.get("holdout") is not None and loss != "mcid":
+        raise ConfigError(f"holdout sizes the mcid loss's misclassification "
+                          f"sample; loss {loss!r} takes none")
     for n in n_grid:
         parts = build_components(cfg, n)
         build_mh(cfg["mh"], n, seed=0)
@@ -224,13 +217,13 @@ def _namespec(spec, what: str) -> tuple[str, dict]:
 
 def _builder(table: dict, spec, what: str):
     """(name, builder, remaining fields) for a component spec.  A table
-    entry is (the keys the component takes, its builder); any other key is
-    an error."""
+    entry is (the keys the component takes, its builder[, its data kinds]);
+    any other key is an error."""
     name, kw = _namespec(spec, what)
     if name not in table:
         raise ConfigError(f"unknown {what} {name!r}; allowed names: "
                           f"{', '.join(sorted(table))}")
-    keys, build = table[name]
+    keys, build = table[name][:2]
     unknown = set(kw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {what} {name!r} keys: {sorted(unknown)}; "
@@ -252,9 +245,10 @@ def _build(table: dict, spec, what: str, *args):
 
 
 def _keywords(cls, **names):
-    """A builder-table entry for a class: the config keys in `names`, each
-    passed to the class as the keyword it maps to."""
-    return tuple(names), lambda kw: cls(**{names[key]: v for key, v in kw.items()})
+    """A generator-table entry: the config keys in `names`, each passed to
+    the class as the keyword it maps to, and the kind of data it emits."""
+    return (tuple(names), lambda kw: cls(**{names[key]: v for key, v in kw.items()}),
+            cls.data_kind)
 
 
 _GENERATORS = {
@@ -270,20 +264,17 @@ _GENERATORS = {
 }
 
 
-# generator names and their classes, whose `data_kind` says what they emit
-_GENERATOR_TYPES = {g.name: g for g in (MCID1, MCID2, QuantileRegSim, HeavyTailSim,
-                                        MeanCurveSim, AUCSim, SparseClassSim)}
-
-
 def build_generator(spec: dict):
     return _build(_GENERATORS, spec, "generator")
 
 
 def build_basis(generator, loss_spec: dict):
     """The generator's own function basis, with numBasis functions if the
-    loss spec gives them, or None if its truth is no function."""
+    loss spec gives them, or None if it has none (and takes no numBasis)."""
     num = _positive_int(loss_spec, "numBasis")
     if not hasattr(generator, "default_basis"):
+        if num is not None:
+            raise PreconditionError(f"numBasis: {generator.name!r} has none")
         return None
     return generator.default_basis() if num is None else generator.default_basis(num)
 
@@ -297,7 +288,7 @@ def _capped_squared_loss(kw, generator, schedule, n):
             raise ConfigError("loss 'cappedsquared' with cap 'auto' needs a "
                               "heavytail rate schedule")
         cap = schedule.cap_at(n)
-    return CappedSquaredLoss(features=None, cap=float(cap))
+    return CappedSquaredLoss(basis=None, cap=float(cap))
 
 
 def _mcid_loss(kw, generator, schedule, n):
@@ -307,29 +298,20 @@ def _mcid_loss(kw, generator, schedule, n):
     return MCIDLoss(basis=basis)
 
 
+# each row ends with the data kinds the loss can fit and be scored on.  The
+# check loss fits {1, x} to a scalar covariate, the squared loss a spline
+# basis of it or the generator's own design, the capped squared loss that
+# design; only the check loss is scored on the quantile design ({1, x} truth).
 _LOSSES = {
     "check": (("tau",), lambda kw, *_: CheckLoss(tau=float(kw.get("tau", 0.5)),
-                                                 features=AffineBasis())),
+                                                 basis=AffineBasis()),
+              ("linear-regression", "curve-regression")),
     "squared": (("numBasis",), lambda kw, generator, *_: SquaredLoss(
-        features=build_basis(generator, kw))),
-    "cappedsquared": (("cap",), _capped_squared_loss),
-    "zeroone": ((), lambda *_: ZeroOneLinearLoss()),
-    "mcid": (("numBasis",), _mcid_loss),
-    "auc": ((), lambda *_: AUCLoss()),
-}
-
-
-# the generator data kinds each loss can fit and be scored on.  The check
-# loss fits {1, x} to a scalar covariate, the squared loss a spline basis of
-# it, the capped squared loss the generator's own design; the quantile
-# design's truth lies over {1, x}, so only the check loss is scored on it.
-_LOSS_DATA_KINDS = {
-    "check": ("linear-regression", "curve-regression"),
-    "squared": ("curve-regression",),
-    "cappedsquared": ("multiple-regression",),
-    "zeroone": ("linear-classification",),
-    "mcid": ("threshold",),
-    "auc": ("two-sample",),
+        basis=build_basis(generator, kw)), ("curve-regression", "multiple-regression")),
+    "cappedsquared": (("cap",), _capped_squared_loss, ("multiple-regression",)),
+    "zeroone": ((), lambda *_: ZeroOneLinearLoss(), ("linear-classification",)),
+    "mcid": (("numBasis",), _mcid_loss, ("threshold",)),
+    "auc": ((), lambda *_: AUCLoss(), ("two-sample",)),
 }
 
 
@@ -339,17 +321,14 @@ def build_loss(spec: dict, generator, schedule=None, n: int | None = None):
 
 
 def parameter_dim(loss, generator) -> int:
-    """Dimension of the continuous parameter the sampler walks on."""
-    basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
-    if basis is not None:
-        return basis.num_basis
-    if isinstance(loss, CappedSquaredLoss):
-        if isinstance(generator, HeavyTailSim):
-            return generator.dim
-        raise ConfigError("cannot infer parameter dimension for capped loss")
-    if isinstance(loss, (CheckLoss, SquaredLoss, AUCLoss)):
-        return 1
-    raise ConfigError(f"cannot infer parameter dimension for {loss.kind!r}")
+    """Width of the parameter row the sampler walks on: the size of the
+    loss's basis, or else of the generator's coefficient truth."""
+    if loss.basis is not None:
+        return loss.basis.num_basis
+    if generator.theta_star is None:
+        raise ConfigError(f"loss {loss.kind!r} has no basis and generator "
+                          f"{generator.name!r} no coefficient truth")
+    return int(np.size(generator.theta_star))
 
 
 _PRIORS = {
@@ -376,18 +355,15 @@ def _aucdata_rate(kw):
     return AUCDataDriven(multiplier=mult)
 
 
-_RATES = {
-    "fixed": (("omega",), lambda kw: FixedRate(omega=float(kw["omega"]))),
-    "power": (("c", "gamma"), lambda kw: PowerLawRate(c=float(kw["c"]),
-                                                      gamma=float(kw["gamma"]))),
-    "heavytail": (("s",), lambda kw: HeavyTailRate(s=float(kw["s"]))),
-    "tsybakov": (("gamma",), lambda kw: TsybakovRate(gamma=float(kw["gamma"]))),
-    "aucdata": (("multiplier",), _aucdata_rate),
-}
-
-
 # the data-driven ranking rate reads two-sample scores; the others take any
-_RATE_DATA_KINDS = {"aucdata": ("two-sample",)}
+_RATES = {
+    "fixed": (("omega",), lambda kw: FixedRate(omega=float(kw["omega"])), None),
+    "power": (("c", "gamma"), lambda kw: PowerLawRate(c=float(kw["c"]),
+                                                      gamma=float(kw["gamma"])), None),
+    "heavytail": (("s",), lambda kw: HeavyTailRate(s=float(kw["s"])), None),
+    "tsybakov": (("gamma",), lambda kw: TsybakovRate(gamma=float(kw["gamma"])), None),
+    "aucdata": (("multiplier",), _aucdata_rate, ("two-sample",)),
+}
 
 
 def build_rate(spec: dict):
@@ -404,25 +380,18 @@ def _empirical_l2(kw, generator, loss, basis):
                        else generator.divergence_grid(size))
 
 
-_DIVERGENCES = {
-    "euclid": ((), lambda *_: EuclideanDistance()),
-    "abs": ((), lambda *_: AbsScalarDistance()),
-    "empirical_l2": (("gridSize",), _empirical_l2),
-    "risk_diff_sqrt": (("nDraws",), lambda kw, generator, loss, basis: RiskDiffSqrt(
-        loss, generator.mc_sample, n_draws=_positive_int(kw, "nDraws", 4096))),
-}
-
-
-# the generator data kinds whose truth each divergence can measure: the
-# coefficient-space divergences need a coefficient truth (theta_star), abs a
+# each row ends with the data kinds whose truth the divergence can measure:
+# the coefficient divergences need a coefficient truth (theta_star), abs a
 # scalar one, and empirical_l2 a true function and a grid to compare it on
 _COEFFICIENT_TRUTH = ("linear-regression", "multiple-regression", "two-sample",
                       "linear-classification")
-_DIVERGENCE_DATA_KINDS = {
-    "euclid": _COEFFICIENT_TRUTH,
-    "risk_diff_sqrt": _COEFFICIENT_TRUTH,
-    "abs": ("two-sample",),
-    "empirical_l2": ("threshold", "curve-regression"),
+_DIVERGENCES = {
+    "euclid": ((), lambda *_: EuclideanDistance(), _COEFFICIENT_TRUTH),
+    "abs": ((), lambda *_: AbsScalarDistance(), ("two-sample",)),
+    "empirical_l2": (("gridSize",), _empirical_l2, ("threshold", "curve-regression")),
+    "risk_diff_sqrt": (("nDraws",), lambda kw, generator, loss, basis: RiskDiffSqrt(
+        loss, generator.mc_sample, n_draws=_positive_int(kw, "nDraws", 4096)),
+        _COEFFICIENT_TRUTH),
 }
 
 
@@ -441,6 +410,21 @@ _COMPONENTS = {"generator": _GENERATORS, "loss": _LOSSES, "prior": _PRIORS,
                "rate": _RATES, "divergence": _DIVERGENCES}
 
 
+def check_data_kinds(section: dict) -> None:
+    """The loss, rate and divergence a config section has must each take the
+    kind of data its generator emits; their names must be known."""
+    generator = section["generator"]["name"]
+    kind = _GENERATORS[generator][2]
+    for field in [f for f in ("loss", "rate", "divergence") if f in section]:
+        name = section[field]["name"]
+        takes = _COMPONENTS[field][name][2]
+        if takes is not None and kind not in takes:
+            fits = [g for g, row in _GENERATORS.items() if row[2] in takes]
+            raise ConfigError(f"{field} {name!r} cannot take the {kind} data of "
+                              f"generator {generator!r}; generators it takes: "
+                              f"{', '.join(fits)}")
+
+
 @dataclass(frozen=True)
 class Components:
     """What the cells at one sample size share: everything built from the
@@ -448,28 +432,34 @@ class Components:
 
     generator: object
     schedule: object
+    omega: float | None       # None for the data-driven rate, set per cell
     loss: object
-    basis: object
     prior: object
     divergence: object
 
 
 def build_components(cfg: dict, n: int) -> Components:
-    """Build a cell's generator, rate schedule, loss, basis, prior and
-    divergence at sample size n.  Validation builds them at every n of the
-    grid, and the runner once per block."""
+    """Build a cell's components at sample size n, and resolve a
+    deterministic rate at n; the prior must be as wide as `parameter_dim`.
+    Validation builds them at every n of the grid, the runner once per block."""
     generator = build_generator(cfg["generator"])
     schedule = build_rate(cfg["rate"])
+    try:    # the data-driven rate resolves per cell, from the cell's scores
+        omega = None if isinstance(schedule, AUCDataDriven) else schedule.rate_at(n)
+    except PreconditionError as exc:
+        raise ConfigError(f"rate {cfg['rate']['name']!r} cannot resolve at "
+                          f"n = {n}: {exc}") from None
     loss = build_loss(cfg["loss"], generator, schedule=schedule, n=n)
-    basis = getattr(loss, "basis", None) or getattr(loss, "features", None)
-    # the sparse sampler's dimension is the prior's own q
-    dim = 0 if cfg["prior"].get("name") == "spikeslab" \
-        else parameter_dim(loss, generator)
+    dim = parameter_dim(loss, generator)
+    prior = build_prior(cfg["prior"], dim)
+    if prior.dim != dim:
+        raise ConfigError(f"prior {cfg['prior']['name']!r} has parameter width "
+                          f"{prior.dim}, but loss {loss.kind!r} on generator "
+                          f"{generator.name!r} has width {dim}")
     return Components(
-        generator=generator, schedule=schedule, loss=loss, basis=basis,
-        prior=build_prior(cfg["prior"], dim),
-        divergence=build_divergence(cfg["divergence"], generator, loss,
-                                    basis=basis))
+        generator=generator, schedule=schedule, omega=omega, loss=loss,
+        prior=prior, divergence=build_divergence(
+            cfg["divergence"], generator, loss, basis=loss.basis))
 
 
 def resolve_proposal_scale(mh_spec: dict, n: int):

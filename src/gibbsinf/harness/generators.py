@@ -221,12 +221,8 @@ class HeavyTailSim(_Generator):
         if self.theta_star.ndim != 1 or self.theta_star.size < 1:
             raise ConfigError("theta_star must be a nonempty vector")
 
-    @property
-    def dim(self) -> int:
-        return self.theta_star.size
-
     def sample_x(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = rng.uniform(-1.0, 1.0, (n, self.dim))
+        x = rng.uniform(-1.0, 1.0, (n, self.theta_star.size))
         x[:, 0] = 1.0
         return x
 

@@ -12,9 +12,9 @@ order is by (nIndex, repIndex) regardless of completion order.  Spike-slab
 chains (`ss_mh_run`) run one at a time inside their block; their draws are
 dense (alpha, beta) rows like any other chain's, so the divergences and the
 posterior mean take them as they are.  A block builds what depends only on
-(config, n), the generator, rate schedule, loss, prior and divergence, once,
-with `config.build_components`, the function validation builds them with;
-so on a validated config a row fails only on its data.
+(config, n), the generator, the rate (resolved at n unless data-driven), loss,
+prior and divergence, once, with `config.build_components`, which validation
+calls too; so on a validated config a row fails only on its data.
 
 With workers > 1 the blocks run on a process pool that is kept between
 calls.  The first parallel call in a process starts its `workers`
@@ -53,7 +53,6 @@ from ..diagnostics import EmpiricalL2, concentration_slope
 from ..errors import ConfigError, GibbsInfError
 from ..losses import MCIDLoss, least_squares_coefficients
 from ..priors import SpikeSlab
-from ..rates import AUCDataDriven
 from ..sampler import (GibbsTarget, hash64, make_rng, mh_run_block, mh_start,
                        posterior_mean, ss_mh_run)
 # runner.mh_run and the component builders stay importable here:
@@ -142,7 +141,6 @@ class CellFit:
     generator: object
     data: object
     loss: object
-    basis: object
     divergence: object
     omega: float
     chain: object
@@ -207,19 +205,17 @@ def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
 
 
 def _set_up_cell(cfg: dict, parts, n: int, seed: int):
-    """Generate data, resolve the learning rate and set up the chain.
+    """Generate data, resolve a data-driven rate and set up the chain.
 
     Returns (fit, None) for a spike-slab cell, whose chain has already run,
     and (fit without chain, ChainStart) for a random-walk cell.
     """
     data = parts.generator.sample(n, _sub_rng(seed, _STREAM_DATA))
-    if isinstance(parts.schedule, AUCDataDriven):
-        omega = parts.schedule.resolve(data.scores0, data.scores1)
-    else:
-        omega = parts.schedule.rate_at(n)
+    omega = parts.omega if parts.omega is not None \
+        else parts.schedule.resolve(data.scores0, data.scores1)
     fit = CellFit(generator=parts.generator, data=data, loss=parts.loss,
-                  basis=parts.basis, divergence=parts.divergence, omega=omega,
-                  chain=None, theta_bar=None)
+                  divergence=parts.divergence, omega=omega, chain=None,
+                  theta_bar=None)
 
     target = GibbsTarget(parts.loss, parts.prior, data, omega)
     chain_seed = hash64(seed, _STREAM_CHAIN)

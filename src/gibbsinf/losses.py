@@ -70,6 +70,8 @@ def _values(sums, buf: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _Loss:
+    basis = None      # the linear predictor's basis; None is the identity on x
+
     def risk_state(self, data: Dataset) -> tuple:
         """The arrays a kernel needs for one dataset, as a one-chain stack;
         chains' states concatenate along the leading axis into a block."""
@@ -82,7 +84,7 @@ class _RegressionLoss(_Loss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "reg":
             raise ShapeError(f"{self.kind} loss expects a regression dataset")
-        return design_matrix(self.features, sample.x), sample.y
+        return design_matrix(self.basis, sample.x), sample.y
 
 
 class CheckLoss(_RegressionLoss):
@@ -105,11 +107,11 @@ class CheckLoss(_RegressionLoss):
 
     kind = "check"
 
-    def __init__(self, tau: float, features: BasisSpec | None):
+    def __init__(self, tau: float, basis: BasisSpec | None):
         if not 0.0 < tau < 1.0:
             raise PreconditionError("tau must lie in (0,1)")
         self.tau = float(tau)
-        self.features = features
+        self.basis = basis
 
     def kernel(self, prepared):
         F, y = prepared
@@ -132,8 +134,8 @@ class SquaredLoss(_RegressionLoss):
 
     kind = "squared"
 
-    def __init__(self, features: BasisSpec | None):
-        self.features = features
+    def __init__(self, basis: BasisSpec | None):
+        self.basis = basis
 
     def kernel(self, prepared):
         F, y = prepared
@@ -158,10 +160,10 @@ class CappedSquaredLoss(_RegressionLoss):
 
     kind = "cappedsquared"
 
-    def __init__(self, features: BasisSpec | None, cap: float):
+    def __init__(self, basis: BasisSpec | None, cap: float):
         if not cap > 0:
             raise PreconditionError("cap must be positive")
-        self.features = features
+        self.basis = basis
         self.cap = float(cap)
 
     def kernel(self, prepared):

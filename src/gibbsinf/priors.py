@@ -137,6 +137,7 @@ class SpikeSlab:
         if a <= 0 or c <= 0:
             raise PreconditionError("a and c must be positive")
         self.q, self.a, self.c = int(q), float(a), float(c)
+        self.dim = 1 + self.q         # the width of the (alpha, beta) row
         # default slab rate sqrt(log q), floored for tiny q where log q <= 0
         self.lam = float(lam) if lam is not None else math.sqrt(max(math.log(q), 1e-2))
         if self.lam <= 0:
@@ -164,8 +165,8 @@ class SpikeSlab:
 
     def log_density(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (1 + self.q,):
-            raise ShapeError(f"expected a ({1 + self.q},) row, got {theta.shape}")
+        if theta.shape != (self.dim,):
+            raise ShapeError(f"expected a ({self.dim},) row, got {theta.shape}")
         S = np.flatnonzero(theta[1:])
         return self.log_config_mass(S.tolist()) + self.slab_log_density(theta[1 + S])
 

@@ -87,11 +87,12 @@ class GibbsTarget:
             return -math.inf
         return -self.omega * self.n_terms * self.risk(theta) + lp
 
-    def initial_draw(self, rng: np.random.Generator, retries: int = 1000):
-        """A prior draw with finite target density (retry up to `retries`)."""
+    def initial_draw(self, rng: np.random.Generator, retries: int = 1000, density=None):
+        """A prior draw of finite target density (or `density`), in `retries` tries."""
+        density = density or self.log_unnormalized
         for _ in range(retries):
             theta = self.prior.sample(rng)
-            if self.log_unnormalized(theta) > -math.inf:
+            if density(theta) > -math.inf:
                 return theta
         raise InitializationError(
             f"no finite-density initial point in {retries} prior draws")
@@ -465,7 +466,8 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             raise ShapeError(f"sparse chain init must be a ({1 + q},) row "
                              "(alpha, beta) with alpha -1 or +1")
     else:
-        theta = target.initial_draw(rng)
+        # a 0-1 energy is finite: only the prior can be -inf; scored once below
+        theta = target.initial_draw(rng, density=prior.log_density)
     support = np.flatnonzero(theta[1:]).tolist()
     absent = sorted(set(range(q)).difference(support))
     support_idx = np.array(support, dtype=np.intp) + 1   # beta_S in theta

@@ -100,7 +100,7 @@ def test_a01_population_misclassification_on_a_large_holdout():
     generator = fits[0].generator
     holdout = generator.sample(
         200_000, make_rng(hash64(BASE_SEED, 1, 200_000)))
-    design = fits[0].basis.design(holdout.z)   # shared by all 50 plug-ins
+    design = fits[0].loss.basis.design(holdout.z)   # shared by all 50 plug-ins
     rates = [holdout_misclassification(lambda z, b=f.theta_bar: design @ b,
                                        holdout) for f in fits]
     est = float(np.mean(rates))

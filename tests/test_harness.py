@@ -829,6 +829,38 @@ def test_aucdata_rate_needs_aucsim_before_any_cell(tmp_path, generator):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", [{"name": "heavytail", "s": 5},
+                                  {"name": "tsybakov", "gamma": 1.0}],
+                         ids=["heavytail", "tsybakov"])
+def test_rate_that_cannot_resolve_at_some_n_fails_before_any_cell(tmp_path, rate):
+    # the log-n schedules have no value at n = 1: the config used to pass
+    # validation, and every n = 1 row failed with a PreconditionError
+    cfg = _tiny_config(rate=rate, nGrid=[1, 20])
+    with pytest.raises(ConfigError, match=f"rate {rate['name']!r} cannot "
+                                          f"resolve at n = 1"):
+        validate_experiment_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1 and f"rate {rate['name']!r}" in err and "n = 1" in err, err
+    assert not out.exists()
+
+
+def test_holdout_without_the_mcid_loss_fails_before_any_cell(tmp_path):
+    # only mcid rows score a holdout sample; on any other loss the key used
+    # to be dropped without a word
+    cfg = _tiny_config(holdout=500)
+    with pytest.raises(ConfigError, match="holdout.*loss 'check'"):
+        validate_experiment_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1 and "holdout" in err and "'check'" in err, err
+    assert not out.exists()
+
+
 _GENERATOR_SPECS = {
     "mcid1": {"name": "mcid1"}, "mcid2": {"name": "mcid2"},
     "quantilereg": {"name": "quantilereg", "tau": 0.5},
@@ -880,6 +912,7 @@ def test_validation_accepts_a_generator_loss_pair_exactly_when_it_runs(
 _PAIR_DIVERGENCES = {
     ("quantilereg", "check"): ("euclid", "risk_diff_sqrt"),
     ("heavytail", "cappedsquared"): ("euclid", "risk_diff_sqrt"),
+    ("heavytail", "squared"): ("euclid", "risk_diff_sqrt"),
     ("aucsim", "auc"): ("abs", "euclid", "risk_diff_sqrt"),
     ("sparseclass", "zeroone"): ("euclid", "risk_diff_sqrt"),
     ("mcid1", "mcid"): ("empirical_l2",),
@@ -1070,12 +1103,17 @@ def test_booleans_and_nonfinite_numbers_in_component_specs_fail_before_any_cell(
      ["proposalScale", "2 entries"]),
     ("mh", dict(_SHORT_MH, proposalScale=[0.1, 5.0, 7.0]),
      ("sparseclass", "zeroone"),
-     ["proposalScale", "spikeslab"])],
+     ["proposalScale", "spikeslab"]),
+    ("loss", {"name": "squared", "numBasis": 5}, ("heavytail", "squared"),
+     ["'squared'", "numBasis", "'heavytail' has none"]),
+    ("prior", {"name": "spikeslab", "q": 4}, ("sparseclass", "zeroone"),
+     ["'spikeslab' has parameter width 5", "'sparseclass' has width 6"])],
     ids=["generatorTua", "lossTua", "priorSdd", "rateOmegaa", "divergenceNDrawz",
          "heavytailNoDf", "aucsimNoMu", "heavytailRateS2", "gaussianNoSd",
          "laplaceNoRate", "checkTau1.5", "mcidNumBasis2", "capAutoUnderFixed",
          "nDraws1", "gridSizeNegative", "numBasis0", "gridSize0", "nDrawsFraction",
-         "initWord", "initLength", "scaleLength", "spikeslabScaleList"])
+         "initWord", "initLength", "scaleLength", "spikeslabScaleList",
+         "numBasisWithoutBasis", "spikeslabQ"])
 def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
                                                        pair, words):
     # a key typo used to be ignored, so the run took the default (or, on a
@@ -1083,7 +1121,8 @@ def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
     # parameter failed every row; each exited 0.  numBasis 0 and gridSize 0
     # used to mean the default, and a fractional nDraws was cut by int().
     # An init or a scale list that does not fit the parameter failed every
-    # row, and the sparse sampler took the first entry of a scale list
+    # row, and the sparse sampler took the first entry of a scale list.  A
+    # spikeslab q other than the generator's failed every row in a matmul
     cfg = _pair_config(*pair) if pair else _tiny_config()
     cfg[field] = spec
     with pytest.raises(ConfigError, match=field) as info:
@@ -1169,11 +1208,12 @@ _MGF_SECTION = {"generator": {"name": "quantilereg", "tau": 0.5},
     ("omega", "abc"), ("omega", 0.0), ("omega", -1.0), ("omega", True),
     ("r", 0), ("r", [2.0]),
     ("nDraws", True), ("nDraws", 1.5), ("nDraws", 1), ("nDraws", "200"),
-    ("seed", True), ("seed", 0.5), ("seed", None),
+    ("seed", True), ("seed", 0.5), ("seed", None), ("nDrawz", 50),
 ])
 def test_cli_diagnose_mgf_rejects_a_malformed_section(tmp_path, key, value):
     # every malformed field is a config error (exit 1) naming the field,
-    # raised before any sample is drawn
+    # raised before any sample is drawn; an unknown key (nDrawz) used to be
+    # ignored, and the run took the 100,000-draw default
     cfg_path = tmp_path / "mgf.json"
     cfg_path.write_text(json.dumps({"schema": 1,
                                     "mgf": {**_MGF_SECTION, key: value}}))
@@ -1181,6 +1221,37 @@ def test_cli_diagnose_mgf_rejects_a_malformed_section(tmp_path, key, value):
     assert code == 1, err
     assert err.startswith("error: ") and f"mgf {key}" in err, err
     assert out == ""
+
+
+def test_cli_diagnose_mgf_rejects_a_loss_that_cannot_take_the_data(tmp_path):
+    # the check loss cannot take two-sample scores: this used to draw the
+    # Monte-Carlo sample and exit 2 with a ShapeError from the loss
+    cfg_path = tmp_path / "mgf.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "mgf": {
+        **_MGF_SECTION, "generator": {"name": "aucsim", "mu": 1.0},
+        "thetaStar": [0.5, 0.5]}}))
+    code, out, err = _run_cli(["diagnose", "mgf", str(cfg_path)])
+    assert code == 1, err
+    assert "loss 'check'" in err and "'aucsim'" in err, err
+    assert out == ""
+
+
+def test_cli_diagnose_mgf_takes_the_zero_one_loss_on_sparseclass(tmp_path):
+    # the paper's sparse-classification example: the parameter is the
+    # (1 + q) row (alpha, beta), as wide as the generator's theta*.  This
+    # used to exit 1: "cannot infer parameter dimension for 'zeroone'"
+    grid = [[1.0, 0.5, 0.0], [1.0, 1.0, 0.5], [1.0, 0.0, 1.0]]
+    cfg_path = tmp_path / "mgf.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "mgf": {
+        "generator": {"name": "sparseclass", "q": 2, "support": [0],
+                      "betaValues": [1.0]},
+        "loss": {"name": "zeroone"}, "grid": grid,
+        "omega": 1.0, "nDraws": 2000, "seed": 0}}))
+    code, out, err = _run_cli(["diagnose", "mgf", str(cfg_path)])
+    assert code == 0, err
+    points = json.loads(out)["points"]
+    assert [list(p["theta"]) for p in points] == grid
+    assert all(math.isfinite(p["k_hat"]) and p["d"] > 0 for p in points)
 
 
 def test_cli_diagnose_mgf_reports_constants(tmp_path):

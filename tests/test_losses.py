@@ -26,7 +26,7 @@ from gibbsinf.errors import ConditioningError, PreconditionError, ShapeError
 
 
 def test_check_loss_hand_values():
-    loss = CheckLoss(0.25, features=None)
+    loss = CheckLoss(0.25, basis=None)
     # residual r = y - theta'f(x); value r*(tau - 1{r<0})
     assert pointwise_losses(loss, np.array([0.0]),
                             Dataset.regression([[1.0]], [2.0]))[0] \
@@ -94,13 +94,13 @@ def test_check_loss_of_a_negative_subnormal_residual_is_minus_zero():
 
 def test_check_loss_tau_validated():
     with pytest.raises(PreconditionError):
-        CheckLoss(0.0, features=None)
+        CheckLoss(0.0, basis=None)
     with pytest.raises(PreconditionError):
-        CheckLoss(1.0, features=None)
+        CheckLoss(1.0, basis=None)
 
 
 def test_squared_loss_is_squared_residual():
-    loss = SquaredLoss(features=None)
+    loss = SquaredLoss(basis=None)
     assert pointwise_losses(loss, np.array([1.5]),
                             Dataset.regression([[1.0]], [2.0]))[0] \
         == pytest.approx(0.25)
@@ -117,7 +117,7 @@ def test_capped_squared_dominance_exact():
 
 
 def test_capped_squared_loss_value_capped():
-    loss = CappedSquaredLoss(features=None, cap=1.0)
+    loss = CappedSquaredLoss(basis=None, cap=1.0)
     big = pointwise_losses(loss, np.array([0.0]),
                            Dataset.regression([[1.0]], [5.0]))[0]
     assert big == pytest.approx(1.0)
@@ -194,10 +194,10 @@ def test_pointwise_losses_match_empirical_risk():
 
 def _reference_risk(loss, data):
     if isinstance(loss, (CheckLoss, SquaredLoss, CappedSquaredLoss)):
-        if loss.features is None:
+        if loss.basis is None:
             F = data.x[:, None] if data.x.ndim == 1 else data.x
         else:
-            F = design_matrix(loss.features, data.x)
+            F = design_matrix(loss.basis, data.x)
         y = data.y
     if isinstance(loss, CheckLoss):
         tau = loss.tau
