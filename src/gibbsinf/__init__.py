@@ -19,8 +19,7 @@ from .losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                      pointwise_losses, sign_neg)
 from .priors import GaussianIID, LaplaceIID, SpikeSlab
 from .rates import (AUCCovariances, AUCDataDriven, FixedRate, HeavyTailRate,
-                    PowerLawRate, TsybakovRate, auc_covariances,
-                    auc_learning_rate)
+                    PowerLawRate, auc_covariances, auc_learning_rate)
 from .sampler import (Chain, ChainStart, GibbsTarget, MHConfig, chain_summary,
                       credible_interval, effective_sample_size, hash64,
                       make_rng, mh_run, mh_run_block, mh_start,
@@ -43,7 +42,7 @@ __all__ = [
     "least_squares_coefficients", "pointwise_losses", "sign_neg",
     "GaussianIID", "LaplaceIID", "SpikeSlab", "AUCCovariances",
     "AUCDataDriven", "FixedRate", "HeavyTailRate", "PowerLawRate",
-    "TsybakovRate", "auc_covariances", "auc_learning_rate",
+    "auc_covariances", "auc_learning_rate",
     "Chain", "ChainStart", "GibbsTarget", "MHConfig", "chain_summary",
     "credible_interval", "effective_sample_size", "hash64", "make_rng",
     "mh_run", "mh_run_block", "mh_start", "posterior_mean", "ss_mh_run",

@@ -30,7 +30,7 @@ from .config import (_is_int, _is_real, _read_text, build_generator,
                      build_loss, check_data_kinds, load_config, parameter_dim,
                      validate_experiment_config)
 from .runner import (fit_cell, row_seed, run_experiment, shutdown_pool,
-                     write_outputs)
+                     write_outputs, write_summary_json)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,9 +112,7 @@ def _cmd_sample(args) -> int:
         draws_path = os.path.join(args.out, "draws.csv")
         summary_path = os.path.join(args.out, "chain.json")
         write_chain_csv(fit.chain, draws_path)
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_summary_json(summary, summary_path)
         print(json.dumps({"out": {"draws": draws_path, "summary": summary_path}},
                          sort_keys=True))
     else:

@@ -38,8 +38,7 @@ from ..losses import (AUCLoss, CappedSquaredLoss, CheckLoss, MCIDLoss,
                       SquaredLoss, ZeroOneLinearLoss)
 from ..model import AffineBasis
 from ..priors import GaussianIID, LaplaceIID, SpikeSlab
-from ..rates import (AUCDataDriven, FixedRate, HeavyTailRate, PowerLawRate,
-                     TsybakovRate)
+from ..rates import AUCDataDriven, FixedRate, HeavyTailRate, PowerLawRate
 from ..sampler import MHConfig
 from .generators import (AUCSim, HeavyTailSim, MCID1, MCID2, MeanCurveSim,
                          QuantileRegSim, SparseClassSim)
@@ -361,7 +360,6 @@ _RATES = {
     "power": (("c", "gamma"), lambda kw: PowerLawRate(c=float(kw["c"]),
                                                       gamma=float(kw["gamma"])), None),
     "heavytail": (("s",), lambda kw: HeavyTailRate(s=float(kw["s"])), None),
-    "tsybakov": (("gamma",), lambda kw: TsybakovRate(gamma=float(kw["gamma"])), None),
     "aucdata": (("multiplier",), _aucdata_rate, ("two-sample",)),
 }
 

@@ -6,17 +6,16 @@ penalty and Laplace slabs.  Every prior samples and evaluates dense
 coefficient vectors; a spike-slab parameter is the (1+q) row (alpha, beta),
 whose support is the set of nonzero coordinates of beta.
 
-The iid priors' `log_density` also takes an (R, dim) block of chains and
-returns R Python floats, each bit-identical to the one-chain value.  It
-checks the shape and calls `kernel(shape)`, where the formula is written
-once.  For coefficients of leading shape `shape`, the kernel returns
-`(stats, a, b)`: `stats(theta)` fills one statistic per chain (z'z, or the
-sum of |theta|) into buffers it owns and gives them as a list of Python
-floats, and the log density of a chain with statistic s is a * s + b, on
-Python floats.  The Gaussian's pair is (-0.5, -log_norm) and the Laplace's
-(-rate, log_norm): x - y is x + (-y) and (-r) * s is -(r * s) in IEEE 754,
-so these have the bits of -0.5 * s - log_norm and log_norm - rate * s.
-The sampler builds a kernel once per block.
+The iid priors write their formula once, in `kernel(shape)`; their
+`log_density` takes one (dim,) row.  For coefficients of leading shape
+`shape`, the kernel returns `(stats, a, b)`: `stats(theta)` fills one
+statistic per chain (z'z, or the sum of |theta|) into buffers it owns and
+gives them as a list of Python floats, and the log density of a chain with
+statistic s is a * s + b, on Python floats.  The Gaussian's pair is
+(-0.5, -log_norm) and the Laplace's (-rate, log_norm): x - y is x + (-y)
+and (-r) * s is -(r * s) in IEEE 754, so these have the bits of
+-0.5 * s - log_norm and log_norm - rate * s.  The sampler builds a kernel
+once per block.
 
 The spike-slab size prior is normalized with `logsumexp` and the binomial
 coefficients come from `gammaln`; both are ports in `gibbsinf._special`
@@ -36,15 +35,13 @@ from .errors import PreconditionError, ShapeError
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _log_density(prior, theta):
-    """An iid prior's log density at a (dim,) vector (a float) or at each row
-    of an (R, dim) block (a list of R floats), from its kernel."""
-    theta, dim = np.asarray(theta, dtype=float), prior.dim
-    if theta.shape[-1:] != (dim,) or theta.ndim > 2:
-        raise ShapeError(f"expected shape ({dim},) or (R, {dim}), got {theta.shape}")
-    stats, a, b = prior.kernel(theta.shape[:-1])
-    out = [a * s + b for s in stats(theta)]
-    return out if theta.ndim == 2 else out[0]
+def _log_density(prior, theta) -> float:
+    """An iid prior's log density at a (dim,) vector, from its kernel."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (prior.dim,):
+        raise ShapeError(f"expected a ({prior.dim},) row, got {theta.shape}")
+    stats, a, b = prior.kernel(())
+    return a * stats(theta)[0] + b
 
 
 class GaussianIID:

@@ -1,8 +1,8 @@
 """Learning-rate schedules and the data-driven rate for the ranking (AUC) loss.
 
 Deterministic schedules map a sample size n to the scalar learning rate
-omega_n; the heavy-tail and margin-adaptive schedules also expose their
-companion sequences (the cap t_n and the target rate eps_n).  The AUC rate is
+omega_n; the heavy-tail schedule also exposes its companion sequences (the
+cap t_n and the target rate eps_n).  The AUC rate is
 estimated from the two-sample data via the empirical pair covariances.
 """
 
@@ -83,27 +83,6 @@ class HeavyTailRate:
         self._check_n(n)
         s = self.s
         return math.sqrt(math.log(n)) * float(n) ** (-(s - 3.0) / (2.0 * s - 4.0))
-
-
-class TsybakovRate:
-    """Margin-adaptive schedule: eps_n = (log n)^(g/(2+2g)) n^(-g/(3+2g)),
-    omega_n = eps_n^(1/g), for margin exponent g > 0."""
-
-    kind = "tsybakov"
-
-    def __init__(self, gamma: float):
-        if gamma <= 0:
-            raise PreconditionError("gamma must be positive")
-        self.gamma = float(gamma)
-
-    def epsilon_at(self, n: int) -> float:
-        if n < 2:
-            raise PreconditionError("n must be >= 2 for log-n schedules")
-        g = self.gamma
-        return math.log(n) ** (g / (2.0 + 2.0 * g)) * float(n) ** (-g / (3.0 + 2.0 * g))
-
-    def rate_at(self, n: int) -> float:
-        return self.epsilon_at(n) ** (1.0 / self.gamma)
 
 
 class AUCDataDriven:

@@ -87,16 +87,6 @@ class GibbsTarget:
             return -math.inf
         return -self.omega * self.n_terms * self.risk(theta) + lp
 
-    def initial_draw(self, rng: np.random.Generator, retries: int = 1000, density=None):
-        """A prior draw of finite target density (or `density`), in `retries` tries."""
-        density = density or self.log_unnormalized
-        for _ in range(retries):
-            theta = self.prior.sample(rng)
-            if density(theta) > -math.inf:
-                return theta
-        raise InitializationError(
-            f"no finite-density initial point in {retries} prior draws")
-
 
 # ---------------------------------------------------------------------------
 # chain containers
@@ -159,11 +149,8 @@ class Chain:
 
 
 def default_proposal_scale(prior: PriorSpec, dim: int) -> np.ndarray:
-    """Default random-walk scale 2.4/sqrt(J) * prior sd per coordinate."""
-    try:
-        sd = prior.sd_vector()
-    except AttributeError:
-        sd = np.ones(dim)
+    """Default random-walk scale 2.4/sqrt(J) * prior sd (or 1) per coordinate."""
+    sd = np.ones(dim) if prior is None else prior.sd_vector()
     return 2.4 / math.sqrt(dim) * np.asarray(sd, dtype=float)
 
 
@@ -196,31 +183,42 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     cannot start.
 
     Variates come from the chain's Philox stream in a fixed order: the prior
-    draw of the start (when no init is given), then steps x dim proposal
+    draws of the start (when no init is given), then steps x dim proposal
     normals, then steps uniforms.  `uniforms` is a copy of the stream
-    advanced past the normals, so both can be drawn chunk by chunk.
+    advanced past the normals, so both can be drawn chunk by chunk.  The
+    start, init or else the first of up to 1000 prior draws of finite
+    density (NaN is not), is scored once.
     """
-    if isinstance(getattr(target, "prior", None), SpikeSlab):
+    prior = getattr(target, "prior", None)
+    if isinstance(prior, SpikeSlab):
         raise ShapeError("a random-walk chain cannot take a spike-slab prior; "
                          "use ss_mh_run")
     rng = make_rng(config.seed)
+    logp = None
     if config.init is not None:
         theta = np.asarray(config.init, dtype=float).copy()
+    elif prior is None:
+        raise InitializationError("no init given and target cannot self-initialize")
     else:
-        if not hasattr(target, "initial_draw"):
-            raise InitializationError("no init given and target cannot self-initialize")
-        theta = np.asarray(target.initial_draw(rng), dtype=float)
+        for _ in range(1000):
+            theta = np.asarray(prior.sample(rng), dtype=float)
+            if (logp := float(target.log_unnormalized(theta))) > -math.inf:
+                break
+        else:
+            raise InitializationError(
+                "no finite-density initial point in 1000 prior draws")
     dim = theta.shape[0]
 
     if config.proposal_scale is None:
-        scale = default_proposal_scale(getattr(target, "prior", None), dim)
+        scale = default_proposal_scale(prior, dim)
     else:
         scale = np.asarray(config.proposal_scale, dtype=float)
         if scale.size not in (1, dim):
             raise ShapeError(f"proposal_scale has {scale.size} entries, not 1 or dimension {dim}")
         scale = np.broadcast_to(scale, (dim,)).copy()
 
-    logp = float(target.log_unnormalized(theta))
+    if logp is None:
+        logp = float(target.log_unnormalized(theta))
     if math.isnan(logp):
         raise InitializationError("initial point has NaN target density")
     if logp == -math.inf:
@@ -402,8 +400,8 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
 def mh_run(target, config: MHConfig) -> Chain:
     """One random-walk Metropolis chain: the one-chain block.
 
-    target must expose log_unnormalized(theta); GibbsTarget also provides the
-    default prior initialization.  See `mh_start` and `mh_run_block`.
+    target must expose log_unnormalized(theta), and a `prior` to start from
+    a prior draw when no init is given.  See `mh_start` and `mh_run_block`.
     """
     return mh_run_block([mh_start(target, config)])[0]
 
@@ -466,8 +464,8 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             raise ShapeError(f"sparse chain init must be a ({1 + q},) row "
                              "(alpha, beta) with alpha -1 or +1")
     else:
-        # a 0-1 energy is finite: only the prior can be -inf; scored once below
-        theta = target.initial_draw(rng, density=prior.log_density)
+        # a spike-slab draw's density is finite, and so is a 0-1 energy
+        theta = prior.sample(rng)
     support = np.flatnonzero(theta[1:]).tolist()
     absent = sorted(set(range(q)).difference(support))
     support_idx = np.array(support, dtype=np.intp) + 1   # beta_S in theta

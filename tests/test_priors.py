@@ -45,6 +45,16 @@ def test_laplace_iid_matches_scipy():
         assert prior.log_density(theta) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("prior", [GaussianIID(0.0, 2.0, 3), LaplaceIID(0.7, 3)],
+                         ids=["gaussian", "laplace"])
+def test_iid_log_density_takes_one_row_only(prior):
+    # a block of chains is scored by the prior's kernel, not by log_density
+    assert isinstance(prior.log_density(np.zeros(3)), float)
+    for theta in (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros(4), np.zeros(())):
+        with pytest.raises(ShapeError):
+            prior.log_density(theta)
+
+
 def test_gaussian_sampler_moments():
     prior = GaussianIID(2.0, 0.5, 3)
     draws = np.array([prior.sample(make_rng(s)) for s in range(4000)])

@@ -13,8 +13,8 @@ import pytest
 
 from gibbsinf.errors import DegenerateEstimateError, PreconditionError
 from gibbsinf.rates import (AUCCovariances, AUCDataDriven, FixedRate,
-                            HeavyTailRate, PowerLawRate, TsybakovRate,
-                            auc_covariances, auc_learning_rate)
+                            HeavyTailRate, PowerLawRate, auc_covariances,
+                            auc_learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +60,6 @@ def test_heavy_tail_validation():
         HeavyTailRate(s=3.0)
     with pytest.raises(PreconditionError):
         HeavyTailRate(s=4.0).rate_at(1)
-
-
-def test_tsybakov_formula_and_link():
-    g = 1.5
-    sched = TsybakovRate(gamma=g)
-    n = 2_000
-    eps = math.log(n) ** (g / (2 + 2 * g)) * n ** (-g / (3 + 2 * g))
-    assert sched.epsilon_at(n) == pytest.approx(eps, rel=1e-12)
-    assert sched.rate_at(n) == pytest.approx(eps ** (1 / g), rel=1e-12)
-    with pytest.raises(PreconditionError):
-        TsybakovRate(gamma=0.0)
 
 
 # ---------------------------------------------------------------------------

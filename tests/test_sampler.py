@@ -137,6 +137,65 @@ def test_mh_run_rejects_nan_start_density():
                                      proposal_scale=1.0, init=np.zeros(2)))
 
 
+def _counted(monkeypatch, cls, name):
+    """Count the calls of method `name` of `cls`, which still runs."""
+    calls = []
+    original = getattr(cls, name)
+    monkeypatch.setattr(cls, name,
+                        lambda self, *args: calls.append(1) or original(self, *args))
+    return calls
+
+
+def test_random_walk_start_is_scored_once(monkeypatch):
+    # a prior-drawn start keeps the density its acceptance test computed,
+    # and a given init is scored once
+    rng = make_rng(hash64(59, 1))
+    x = rng.random(200)
+    prior = GaussianIID(0.0, 10.0, 2)
+    target = GibbsTarget(CheckLoss(0.5, AffineBasis()), prior,
+                         Dataset.regression(x, 1.0 + 2.0 * x + rng.normal(size=200)),
+                         1.0)
+    calls = _counted(monkeypatch, GibbsTarget, "log_unnormalized")
+    config = MHConfig(steps=100, burn_in=0, thin=1, seed=hash64(59, 2))
+    drawn = mh_start(target, config)
+    assert len(calls) == 1
+    assert drawn.theta.tobytes() == prior.sample(make_rng(config.seed)).tobytes()
+    calls.clear()
+    given = mh_start(target, MHConfig(steps=100, burn_in=0, thin=1,
+                                      init=drawn.theta))
+    assert len(calls) == 1
+    assert given.logp == drawn.logp
+
+
+def test_random_walk_start_retries_prior_draws_of_nan_or_zero_density(monkeypatch):
+    # the walled target is NaN where theta_0 > 0.5 and -inf where it is below
+    # -0.5, so most N(0, 9) draws fail; each draw is scored once, and the
+    # first of finite density is the start
+    rng = make_rng(hash64(47, 1))
+    data = Dataset.regression(rng.normal(size=(20, 2)), rng.normal(size=20))
+    target = GibbsTarget(_WalledSquaredLoss(data), GaussianIID(0.0, 3.0, 2), data, 0.2)
+    draws = _counted(monkeypatch, GaussianIID, "sample")
+    calls = _counted(monkeypatch, GibbsTarget, "log_unnormalized")
+    start = mh_start(target, MHConfig(steps=100, burn_in=0, thin=1,
+                                      seed=hash64(59, 3)))
+    assert abs(start.theta[0]) <= 0.5
+    assert len(draws) > 2 and len(calls) == len(draws)
+    assert start.logp == target.log_unnormalized(start.theta)
+
+
+def test_random_walk_start_gives_up_after_1000_prior_draws():
+    # any target with a prior starts from its draws
+    class Nowhere:
+        prior = GaussianIID(0.0, 1.0, 2)
+
+        def log_unnormalized(self, theta):
+            return -math.inf
+
+    with pytest.raises(InitializationError,
+                       match="no finite-density initial point in 1000 prior draws"):
+        mh_start(Nowhere(), MHConfig(steps=100, burn_in=0, thin=1))
+
+
 # ---------------------------------------------------------------------------
 # chain blocks: R chains in lockstep, each bit-identical to its own run
 
@@ -439,8 +498,9 @@ def test_block_memory_is_bounded():
     R, steps, thin, dim = 4, 60_000, 10, 2
     configs = [MHConfig(steps=steps, burn_in=0, thin=thin, proposal_scale=0.3,
                         seed=hash64(44, r), init=np.zeros(dim)) for r in range(R)]
-    # a process's first chain start imports modules (NumPy's unseeded
-    # Philox imports `secrets`), about 0.7 MB that is no memory of the block
+    # a process's first chain start imports modules (the first Philox a
+    # process builds, make_rng's keyed one included, imports `secrets`),
+    # about 0.7 MB that is no memory of the block
     mh_start(Flat(), configs[0])
     tracemalloc.start()
     try:
@@ -660,6 +720,22 @@ def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
                                        seed=hash64(53, n, 1)))
     assert chain.accepted == accepted
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
+
+
+def test_sparse_chain_start_is_a_prior_draw_the_prior_does_not_score(monkeypatch):
+    # a spike-slab draw's log density is finite (a normalized size prior,
+    # gammaln of integers and Laplace slabs), so the first draw is the start;
+    # the n = 200 chain pinned above keeps its bytes
+    calls = _counted(monkeypatch, SpikeSlab, "log_density")
+    gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
+    data = gen.sample(200, make_rng(hash64(53, 200)))
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
+                         data, 1.0)
+    chain = ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
+                                       seed=hash64(53, 200, 1)))
+    assert not calls
+    assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == \
+        "5e15a486631475c85599da1662ee1117bf65cbff994f2892562729bdba4453f4"
 
 
 def _scored_zero_one_rows(monkeypatch, score=None):
