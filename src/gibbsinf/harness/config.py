@@ -336,7 +336,7 @@ _PRIORS = {
     "laplace": (("rate",), lambda kw, dim: LaplaceIID(rate=float(kw["rate"]),
                                                       dim=dim)),
     "spikeslab": (("q", "a", "c", "lam"), lambda kw, dim: SpikeSlab(
-        q=int(kw["q"]), a=float(kw.get("a", 1.0)), c=float(kw.get("c", 1.0)),
+        q=kw["q"], a=float(kw.get("a", 1.0)), c=float(kw.get("c", 1.0)),
         lam=None if kw.get("lam") is None else float(kw["lam"]))),
 }
 
@@ -345,22 +345,14 @@ def build_prior(spec: dict, dim: int):
     return _build(_PRIORS, spec, "prior", dim)
 
 
-def _aucdata_rate(kw):
-    mult = kw.get("multiplier")
-    if isinstance(mult, list):
-        mult = (float(mult[0]), float(mult[1]))
-    elif mult is not None:
-        mult = float(mult)
-    return AUCDataDriven(multiplier=mult)
-
-
 # the data-driven ranking rate reads two-sample scores; the others take any
 _RATES = {
     "fixed": (("omega",), lambda kw: FixedRate(omega=float(kw["omega"])), None),
     "power": (("c", "gamma"), lambda kw: PowerLawRate(c=float(kw["c"]),
                                                       gamma=float(kw["gamma"])), None),
     "heavytail": (("s",), lambda kw: HeavyTailRate(s=float(kw["s"])), None),
-    "aucdata": (("multiplier",), _aucdata_rate, ("two-sample",)),
+    "aucdata": (("multiplier",), lambda kw: AUCDataDriven(kw.get("multiplier")),
+                ("two-sample",)),
 }
 
 

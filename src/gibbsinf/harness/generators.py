@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .._special import ndtr, ndtri
-from ..errors import ConfigError, PreconditionError, ShapeError
+from ..errors import PreconditionError, ShapeError
 from ..losses import sign_neg
 from ..model import CubicBSpline, Dataset, PairedScores, TensorBSpline
 
@@ -171,12 +171,12 @@ class QuantileRegSim(_Generator):
 
     def __init__(self, tau: float, beta_star=(1.0, 2.0), noise_sd: float = 1.0):
         if not 0.0 < tau < 1.0:
-            raise ConfigError("tau must lie in (0,1)")
+            raise PreconditionError("tau must lie in (0,1)")
         if noise_sd <= 0:
-            raise ConfigError("noise sd must be positive")
+            raise PreconditionError("noise sd must be positive")
         beta_star = np.asarray(beta_star, dtype=float)
         if beta_star.shape != (2,):
-            raise ConfigError("beta_star must have two components (intercept, slope)")
+            raise PreconditionError("beta_star must have two components (intercept, slope)")
         self.tau = float(tau)
         self.beta_star = beta_star
         self.noise_sd = float(noise_sd)
@@ -215,11 +215,11 @@ class HeavyTailSim(_Generator):
 
     def __init__(self, df: float, theta_star=(1.0, 2.0, -1.0)):
         if df <= 2:
-            raise ConfigError("degrees of freedom must exceed 2")
+            raise PreconditionError("degrees of freedom must exceed 2")
         self.df = float(df)
         self.theta_star = np.asarray(theta_star, dtype=float)
         if self.theta_star.ndim != 1 or self.theta_star.size < 1:
-            raise ConfigError("theta_star must be a nonempty vector")
+            raise PreconditionError("theta_star must be a nonempty vector")
 
     def sample_x(self, rng: np.random.Generator, n: int) -> np.ndarray:
         x = rng.uniform(-1.0, 1.0, (n, self.theta_star.size))
@@ -253,9 +253,9 @@ class MeanCurveSim(_Generator):
 
     def __init__(self, curve: str = "sine", noise_sd: float = 0.3):
         if curve not in _CURVES:
-            raise ConfigError(f"unknown curve {curve!r}; choices: {sorted(_CURVES)}")
+            raise PreconditionError(f"unknown curve {curve!r}; choices: {sorted(_CURVES)}")
         if noise_sd <= 0:
-            raise ConfigError("noise sd must be positive")
+            raise PreconditionError("noise sd must be positive")
         self.curve_name = curve
         self.truth_fn = _CURVES[curve]
         self.noise_sd = float(noise_sd)
@@ -303,14 +303,11 @@ class AUCSim(_Generator):
         scores0 = rng.standard_normal(n)
         return Dataset.two_sample(scores0, self.mu + rng.standard_normal(n))
 
-    def sample_pairs(self, rng: np.random.Generator, n: int) -> PairedScores:
+    def mc_sample(self, rng: np.random.Generator, n: int) -> PairedScores:
         """n matched (U0, U1) pairs -- the Monte-Carlo sample for pointwise
         ranking-loss averages."""
         return PairedScores(u0=rng.standard_normal(n),
                             u1=self.mu + rng.standard_normal(n))
-
-    def mc_sample(self, rng: np.random.Generator, n: int) -> PairedScores:
-        return self.sample_pairs(rng, n)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +327,19 @@ class SparseClassSim(_Generator):
     data_kind = "linear-classification"
 
     def __init__(self, q: int, support, beta_values, flip_rho: float = 0.1):
-        if q < 1:
-            raise ConfigError("q must be at least 1")
+        if q < 1 or q != int(q):
+            raise PreconditionError(f"q must be an integer >= 1; got {q!r}")
         if not 0.0 <= flip_rho < 0.5:
-            raise ConfigError("flip probability must lie in [0, 1/2)")
+            raise PreconditionError("flip probability must lie in [0, 1/2)")
+        if any(j != int(j) for j in support):
+            raise PreconditionError(f"support indices must be integers; got {support!r}")
         support = tuple(int(j) for j in support)
         beta_values = np.asarray(beta_values, dtype=float)
         if len(support) != beta_values.size:
-            raise ConfigError("support and beta_values lengths differ")
+            raise PreconditionError("support and beta_values lengths differ")
         if support and (min(support) < 0 or max(support) >= q
                         or len(set(support)) != len(support)):
-            raise ConfigError("support indices must be distinct in [0, q)")
+            raise PreconditionError("support indices must be distinct in [0, q)")
         self.q = int(q)
         self.support = support
         self.beta_values = beta_values

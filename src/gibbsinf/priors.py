@@ -129,8 +129,8 @@ class SpikeSlab:
     kind = "spikeslab"
 
     def __init__(self, q: int, a: float, c: float, lam: float | None = None):
-        if q < 1:
-            raise PreconditionError("q must be >= 1")
+        if q < 1 or q != int(q):
+            raise PreconditionError(f"q must be an integer >= 1; got {q!r}")
         if a <= 0 or c <= 0:
             raise PreconditionError("a and c must be positive")
         self.q, self.a, self.c = int(q), float(a), float(c)

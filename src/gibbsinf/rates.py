@@ -89,14 +89,29 @@ class AUCDataDriven:
     """Data-driven learning rate for the pairwise ranking loss.
 
     multiplier None means the default diverging sequence a_n = log(m+n);
-    a positive number means a fixed a_n; a (c, gamma) pair means the growing
-    power law c*(m+n)^gamma.  The rate itself comes from auc_learning_rate
-    applied to the empirical pair covariances.
+    a finite number >= 1 means a fixed a_n; a pair (c, gamma) of finite
+    numbers, c > 0 and gamma >= 0, means the growing power law
+    c*(m+n)^gamma, which `resolve` rejects where it is below 1.  The rate
+    itself comes from auc_learning_rate applied to the empirical pair
+    covariances.
     """
 
     kind = "aucdatadriven"
 
     def __init__(self, multiplier: float | tuple[float, float] | None = None):
+        if isinstance(multiplier, (list, tuple)):
+            pair = tuple(map(float, multiplier))
+            if len(pair) != 2 or not all(map(math.isfinite, pair)) \
+                    or not (pair[0] > 0 and pair[1] >= 0):
+                raise PreconditionError(f"multiplier pair must be two finite "
+                                        f"numbers [c, gamma], c > 0 and "
+                                        f"gamma >= 0; got {multiplier!r}")
+            multiplier = pair
+        elif multiplier is not None:
+            multiplier = float(multiplier)
+            if not (math.isfinite(multiplier) and multiplier >= 1):
+                raise PreconditionError(f"multiplier must be a finite number "
+                                        f">= 1; got {multiplier!r}")
         self.multiplier = multiplier
 
     def multiplier_at(self, total: int) -> float:
@@ -104,8 +119,8 @@ class AUCDataDriven:
             return math.log(total)
         if isinstance(self.multiplier, tuple):
             c, gamma = self.multiplier
-            return float(c) * float(total) ** float(gamma)
-        return float(self.multiplier)
+            return c * float(total) ** gamma
+        return self.multiplier
 
     def resolve(self, scores0, scores1) -> float:
         cov = auc_covariances(scores0, scores1)

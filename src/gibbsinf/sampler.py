@@ -148,10 +148,9 @@ class Chain:
         return self.accepted / self.steps
 
 
-def default_proposal_scale(prior: PriorSpec, dim: int) -> np.ndarray:
-    """Default random-walk scale 2.4/sqrt(J) * prior sd (or 1) per coordinate."""
-    sd = np.ones(dim) if prior is None else prior.sd_vector()
-    return 2.4 / math.sqrt(dim) * np.asarray(sd, dtype=float)
+def default_proposal_scale(prior: PriorSpec) -> np.ndarray:
+    """Default random-walk scale 2.4/sqrt(J) * prior sd per coordinate."""
+    return 2.4 / math.sqrt(prior.dim) * prior.sd_vector()
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ class ChainStart:
     scale, and the two streams its proposals and uniforms come from.  A run
     draws from the streams, so a ChainStart serves one run only."""
 
-    target: object
+    target: GibbsTarget
     config: MHConfig
     theta: np.ndarray
     logp: float
@@ -178,7 +177,7 @@ class ChainStart:
     uniforms: np.random.Generator
 
 
-def mh_start(target, config: MHConfig) -> ChainStart:
+def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
     """Set up one random-walk chain; raises InitializationError when it
     cannot start.
 
@@ -189,7 +188,10 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     start, init or else the first of up to 1000 prior draws of finite
     density (NaN is not), is scored once.
     """
-    prior = getattr(target, "prior", None)
+    if not isinstance(target, GibbsTarget):
+        raise ShapeError(f"a random-walk chain takes a GibbsTarget, not "
+                         f"{type(target).__name__}")
+    prior = target.prior
     if isinstance(prior, SpikeSlab):
         raise ShapeError("a random-walk chain cannot take a spike-slab prior; "
                          "use ss_mh_run")
@@ -197,8 +199,6 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     logp = None
     if config.init is not None:
         theta = np.asarray(config.init, dtype=float).copy()
-    elif prior is None:
-        raise InitializationError("no init given and target cannot self-initialize")
     else:
         for _ in range(1000):
             theta = np.asarray(prior.sample(rng), dtype=float)
@@ -210,7 +210,7 @@ def mh_start(target, config: MHConfig) -> ChainStart:
     dim = theta.shape[0]
 
     if config.proposal_scale is None:
-        scale = default_proposal_scale(prior, dim)
+        scale = default_proposal_scale(prior)
     else:
         scale = np.asarray(config.proposal_scale, dtype=float)
         if scale.size not in (1, dim):
@@ -234,49 +234,37 @@ def mh_start(target, config: MHConfig) -> ChainStart:
 
 def _block_log_density(targets, tiles: int):
     """Map an (m, J) block to the m log target densities, as a list of
-    Python floats, and say whether that runs on the vectorized kernels.
+    Python floats, on the vectorized kernels of the targets' one loss and
+    one prior.  With tiles > 1 the targets are repeated that many times, and
+    a block of m = j * R rows, j <= tiles, gets the densities of the first m
+    targets.
 
-    Targets that share one loss and one prior object and whose data stack
-    are evaluated by the vectorized kernels; any others chain by chain
-    through log_unnormalized.  With tiles > 1 the targets are repeated that
-    many times, and a block of m = j * R rows, j <= tiles, gets the
-    densities of the first m targets.
-
-    The vectorized map is built once, one function per row count m: the
-    loss's kernel on the first m rows of the stacked state and the prior's
-    kernel for m rows own their buffers, so an evaluation allocates no
-    n-sized array.  The loss kernel fills each chain's loss sum k and gives
-    its divisor n, the prior kernel fills each chain's statistic s and gives
-    the affine pair (a, b) of its log density, and one list combines them on
-    Python floats into -omega * N * (k / n) + (a * s + b), the bits of
+    The map is built once, one function per row count m: the loss's kernel
+    on the first m rows of the stacked state and the prior's kernel for m
+    rows own their buffers, so an evaluation allocates no n-sized array.
+    The loss kernel fills each chain's loss sum k and gives its divisor n,
+    the prior kernel fills each chain's statistic s and gives the affine
+    pair (a, b) of its log density, and one list combines them on Python
+    floats into -omega * N * (k / n) + (a * s + b), the bits of
     -omega * N * R_n(theta) + log prior(theta).  With one row count that
     function is the map itself; with several, the map picks it by len(B).
     """
     R = len(targets)
     targets = targets * tiles
-    first = targets[0]
-    if all(isinstance(t, GibbsTarget) and t.loss is first.loss
-           and t.prior is first.prior for t in targets):
-        try:
-            state = tuple(np.concatenate(parts)
-                          for parts in zip(*(t.risk_state for t in targets)))
-        except ValueError:          # data of different shapes
-            state = None
-        if state is not None:
-            loss, prior = first.loss, first.prior
-            coef = [-t.omega * t.n_terms for t in targets]
+    loss, prior = targets[0].loss, targets[0].prior
+    state = tuple(np.concatenate(parts)
+                  for parts in zip(*(t.risk_state for t in targets)))
+    coef = [-t.omega * t.n_terms for t in targets]
 
-            def density(m):
-                sums, n, _ = loss.kernel(tuple(part[:m] for part in state))
-                stats, a, b = prior.kernel((m,))
-                return lambda B: [c * (k / n) + (a * s + b)
-                                  for c, k, s in zip(coef, sums(B), stats(B))]
-            by_rows = {m: density(m) for m in range(R, len(targets) + 1, R)}
-            if tiles == 1:
-                return by_rows[R], True
-            return (lambda B: by_rows[len(B)](B)), True
-    return (lambda B: [float(t.log_unnormalized(b))
-                       for t, b in zip(targets, B)]), False
+    def density(m):
+        sums, n, _ = loss.kernel(tuple(part[:m] for part in state))
+        stats, a, b = prior.kernel((m,))
+        return lambda B: [c * (k / n) + (a * s + b)
+                          for c, k, s in zip(coef, sums(B), stats(B))]
+    by_rows = {m: density(m) for m in range(R, len(targets) + 1, R)}
+    if tiles == 1:
+        return by_rows[R]
+    return lambda B: by_rows[len(B)](B)
 
 
 # a lookahead fill evaluates at most this many rows (chains x steps) at once
@@ -291,7 +279,8 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     keeps its own target, variates and accept decisions (min(1, exp(delta
     log))), so every chain is bit-identical to a one-chain run: a chain is a
     pure function of (target, config), whatever block it runs in.  The
-    chains must share steps, burn-in, thin and dimension.
+    chains must share steps, burn-in, thin and dimension, and their targets
+    one loss object, one prior object and data whose risk states stack.
 
     Lookahead (pre-fetching, Brockwell 2006, JCGS 15(1)): while no chain
     accepts, the state does not move, so the next K proposals theta +
@@ -306,9 +295,7 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     computed, never a draw or a decision.  K = 1 for the first chunk of
     _CHUNK steps; after each chunk, K = floor(_CHUNK / steps of that chunk
     on which some chain accepted), capped at max(1, 4 // R) rows per call.
-    Blocks of four or more chains, and blocks evaluated chain by chain
-    through log_unnormalized (where a bigger call only adds evaluations),
-    keep K = 1.
+    Blocks of four or more chains keep K = 1.
 
     Decisions run on Python floats: each kernel call's densities are one
     list, and each chain's current log density is a float.  A step on which
@@ -317,18 +304,22 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     next moves.  A step on which all chains accept takes the proposal row
     as the state, and one on which some accept copies just their rows.
     """
-    first = starts[0].config
+    first, target = starts[0].config, starts[0].target
     dim = starts[0].theta.shape[0]
     steps, burn_in, thin = first.steps, first.burn_in, first.thin
+    loss, prior = target.loss, target.prior
+    shapes = [a.shape[1:] for a in target.risk_state]
     if any((s.config.steps, s.config.burn_in, s.config.thin, s.theta.shape[0])
-           != (steps, burn_in, thin, dim) for s in starts):
+           != (steps, burn_in, thin, dim) or s.target.loss is not loss
+           or s.target.prior is not prior
+           or [a.shape[1:] for a in s.target.risk_state] != shapes
+           for s in starts):
         raise PreconditionError("chains in a block must share steps, burn-in, "
-                                "thin and dimension")
+                                "thin, dimension, one loss object, one prior "
+                                "object and data whose risk states stack")
     R = len(starts)
-    targets = [s.target for s in starts]
     tiles = max(1, _LOOKAHEAD_ROWS // R)
-    log_density, vectorized = _block_log_density(targets, tiles)
-    max_k = tiles if vectorized else 1
+    log_density = _block_log_density([s.target for s in starts], tiles)
     K = 1                                 # lookahead
     theta = np.stack([s.theta for s in starts])
     logp = [s.logp for s in starts]
@@ -381,27 +372,22 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
                         accepted[r] += 1
                 moved += 1
                 end = 0
-        if max_k > 1:
-            K = min(max_k, _CHUNK // moved) if moved else max_k
+        K = min(tiles, _CHUNK // moved) if moved else tiles
     kept[:, written:] = theta[:, None]
 
     out = []
     for r, s in enumerate(starts):
         meta = {"dim": dim, "proposal_scale": s.scale.tolist(),
-                "burn_in": burn_in, "thin": thin}
-        if isinstance(s.target, GibbsTarget):
-            meta.update(omega=s.target.omega, n_terms=s.target.n_terms,
-                        loss=s.target.loss.kind, prior=s.target.prior.kind)
+                "burn_in": burn_in, "thin": thin, "omega": s.target.omega,
+                "n_terms": s.target.n_terms, "loss": loss.kind, "prior": prior.kind}
         out.append(Chain(draws=kept[r], accepted=accepted[r] + every, steps=steps,
                          seed=s.config.seed, meta=meta))
     return out
 
 
-def mh_run(target, config: MHConfig) -> Chain:
-    """One random-walk Metropolis chain: the one-chain block.
-
-    target must expose log_unnormalized(theta), and a `prior` to start from
-    a prior draw when no init is given.  See `mh_start` and `mh_run_block`.
+def mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
+    """One random-walk Metropolis chain on a GibbsTarget: the one-chain
+    block.  See `mh_start` and `mh_run_block`.
     """
     return mh_run_block([mh_start(target, config)])[0]
 

@@ -125,7 +125,7 @@ def test_tensor_sim_shapes():
 
 def test_ranking_sim_concordance_law():
     gen = AUCSim(1.0)
-    pairs = gen.sample_pairs(make_rng(hash64(50, 2)), 100_000)
+    pairs = gen.mc_sample(make_rng(hash64(50, 2)), 100_000)
     want = float(ndtr(1.0 / math.sqrt(2.0)))
     assert gen.theta_star == pytest.approx(want, abs=1e-12)
     emp = float((pairs.u1 > pairs.u0).mean())
@@ -224,12 +224,16 @@ def test_ranking_mc_pairs_match_recorded_digest():
 
 
 def test_generator_parameter_validation():
-    with pytest.raises(ConfigError):
+    # a generator rejects a parameter as every component does, and the
+    # config builder turns that into a ConfigError naming the generator
+    with pytest.raises(PreconditionError):
         QuantileRegSim(1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(PreconditionError):
         HeavyTailSim(2.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(PreconditionError):
         MeanCurveSim("no-such-curve")
+    with pytest.raises(ConfigError, match="generator parameters for 'heavytail'.*exceed 2"):
+        build_generator({"name": "heavytail", "df": 2.0})
     with pytest.raises(ConfigError):
         build_generator({"name": "no-such-generator"})
     with pytest.raises(ConfigError):
@@ -1106,13 +1110,28 @@ def test_booleans_and_nonfinite_numbers_in_component_specs_fail_before_any_cell(
     ("loss", {"name": "squared", "numBasis": 5}, ("heavytail", "squared"),
      ["'squared'", "numBasis", "'heavytail' has none"]),
     ("prior", {"name": "spikeslab", "q": 4}, ("sparseclass", "zeroone"),
-     ["'spikeslab' has parameter width 5", "'sparseclass' has width 6"])],
+     ["'spikeslab' has parameter width 5", "'sparseclass' has width 6"]),
+    ("rate", {"name": "aucdata", "multiplier": [1.0]}, ("aucsim", "auc"),
+     ["'aucdata'", "[c, gamma]", "[1.0]"]),
+    ("rate", {"name": "aucdata", "multiplier": [1.0, 0.5, 9.0]}, ("aucsim", "auc"),
+     ["'aucdata'", "[c, gamma]", "[1.0, 0.5, 9.0]"]),
+    ("rate", {"name": "aucdata", "multiplier": 0.5}, ("aucsim", "auc"),
+     ["'aucdata'", "multiplier must be a finite number >= 1; got 0.5"]),
+    ("generator", dict(_GENERATOR_SPECS["sparseclass"], q=50.7),
+     ("sparseclass", "zeroone"), ["'sparseclass'", "q must be an integer >= 1; got 50.7"]),
+    ("prior", {"name": "spikeslab", "q": 50.7}, ("sparseclass", "zeroone"),
+     ["'spikeslab'", "q must be an integer >= 1; got 50.7"]),
+    ("generator", dict(_GENERATOR_SPECS["sparseclass"], support=[0.9, 1.2],
+                       betaValues=[1.0, 1.0]),
+     ("sparseclass", "zeroone"), ["'sparseclass'", "support indices must be integers"])],
     ids=["generatorTua", "lossTua", "priorSdd", "rateOmegaa", "divergenceNDrawz",
          "heavytailNoDf", "aucsimNoMu", "heavytailRateS2", "gaussianNoSd",
          "laplaceNoRate", "checkTau1.5", "mcidNumBasis2", "capAutoUnderFixed",
          "nDraws1", "gridSizeNegative", "numBasis0", "gridSize0", "nDrawsFraction",
          "initWord", "initLength", "scaleLength", "spikeslabScaleList",
-         "numBasisWithoutBasis", "spikeslabQ"])
+         "numBasisWithoutBasis", "spikeslabQ", "aucdataOneNumber",
+         "aucdataThreeNumbers", "aucdataBelow1", "sparseclassQFraction",
+         "spikeslabQFraction", "sparseclassSupportFractions"])
 def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
                                                        pair, words):
     # a key typo used to be ignored, so the run took the default (or, on a
@@ -1121,7 +1140,11 @@ def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
     # used to mean the default, and a fractional nDraws was cut by int().
     # An init or a scale list that does not fit the parameter failed every
     # row, and the sparse sampler took the first entry of a scale list.  A
-    # spikeslab q other than the generator's failed every row in a matmul
+    # spikeslab q other than the generator's failed every row in a matmul.
+    # An aucdata multiplier of one number in a list ended the run in an
+    # IndexError traceback, a third number was dropped, and a multiplier
+    # below 1 failed every row; a fractional q or support index was cut by
+    # int()
     cfg = _pair_config(*pair) if pair else _tiny_config()
     cfg[field] = spec
     with pytest.raises(ConfigError, match=field) as info:

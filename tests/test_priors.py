@@ -133,6 +133,9 @@ def test_spike_slab_draws_match_recorded_digests():
 def test_spike_slab_validation():
     with pytest.raises(PreconditionError):
         SpikeSlab(q=0, a=1.0, c=1.0)
+    # q = 50.7 built 50 coordinates and normalized its size prior with log 50.7
+    with pytest.raises(PreconditionError, match="integer"):
+        SpikeSlab(q=50.7, a=1.0, c=1.0)
 
 
 def test_spike_slab_log_density_reads_the_support_off_the_row():

@@ -116,25 +116,31 @@ def test_mh_run_rejects_zero_density_start():
         mh_run(target, cfg)
 
 
-def test_mh_run_needs_init_or_self_initializing_target():
+def test_random_walk_chain_takes_only_a_gibbs_target():
+    # a duck-typed target used to run chain by chain through its own
+    # log_unnormalized; with a prior and an init it ran, without either it
+    # was an InitializationError
     class Opaque:
+        prior = GaussianIID(0.0, 1.0, 1)
+
         def log_unnormalized(self, theta):
             return 0.0
 
-    with pytest.raises(InitializationError):
-        mh_run(Opaque(), MHConfig(steps=100, burn_in=0, thin=1,
-                                  proposal_scale=1.0))
+    for init in (None, np.zeros(1)):
+        config = MHConfig(steps=100, burn_in=0, thin=1, proposal_scale=1.0,
+                          init=init)
+        with pytest.raises(ShapeError, match="GibbsTarget, not Opaque"):
+            mh_start(Opaque(), config)
+        with pytest.raises(ShapeError, match="GibbsTarget"):
+            mh_run(Opaque(), config)
 
 
 def test_mh_run_rejects_nan_start_density():
     # a NaN start would otherwise give a chain that never accepts
-    class NaNTarget:
-        def log_unnormalized(self, theta):
-            return math.nan
-
     with pytest.raises(InitializationError, match="NaN"):
-        mh_run(NaNTarget(), MHConfig(steps=100, burn_in=0, thin=1,
-                                     proposal_scale=1.0, init=np.zeros(2)))
+        mh_run(_prior_only_target(), MHConfig(steps=100, burn_in=0, thin=1,
+                                              proposal_scale=1.0,
+                                              init=np.array([math.nan])))
 
 
 def _counted(monkeypatch, cls, name):
@@ -184,16 +190,13 @@ def test_random_walk_start_retries_prior_draws_of_nan_or_zero_density(monkeypatc
 
 
 def test_random_walk_start_gives_up_after_1000_prior_draws():
-    # any target with a prior starts from its draws
-    class Nowhere:
-        prior = GaussianIID(0.0, 1.0, 2)
-
-        def log_unnormalized(self, theta):
-            return -math.inf
-
-    with pytest.raises(InitializationError,
-                       match="no finite-density initial point in 1000 prior draws"):
-        mh_start(Nowhere(), MHConfig(steps=100, burn_in=0, thin=1))
+    # the squared residual of y = 1e300 overflows, so every risk is +inf
+    data = Dataset.regression(np.ones((4, 2)), np.full(4, 1e300))
+    nowhere = GibbsTarget(SquaredLoss(None), GaussianIID(0.0, 1.0, 2), data, 1.0)
+    with np.errstate(over="ignore"), \
+            pytest.raises(InitializationError,
+                          match="no finite-density initial point in 1000 prior draws"):
+        mh_start(nowhere, MHConfig(steps=100, burn_in=0, thin=1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +293,28 @@ def test_block_rejects_chains_of_different_lengths():
               mh_start(targets[1], MHConfig(steps=200, burn_in=0, thin=1))]
     with pytest.raises(PreconditionError, match="share"):
         mh_run_block(starts)
+
+
+def test_block_rejects_chains_without_one_loss_one_prior_and_stacking_data():
+    # such blocks used to run chain by chain through log_unnormalized, with
+    # no lookahead: an equal but distinct loss or prior object made a block
+    # several times slower with the same draws
+    rng = make_rng(hash64(49, 1))
+
+    def data(n):
+        x = rng.random(n)
+        return Dataset.regression(x, 1.0 + 2.0 * x + rng.normal(size=n))
+
+    loss, prior = CheckLoss(0.3, AffineBasis()), GaussianIID(0.0, 10.0, 2)
+    for other in (GibbsTarget(CheckLoss(0.3, AffineBasis()), prior, data(30), 1.0),
+                  GibbsTarget(loss, GaussianIID(0.0, 10.0, 2), data(30), 1.0),
+                  GibbsTarget(loss, prior, data(40), 1.0)):
+        targets = [GibbsTarget(loss, prior, data(30), 1.0), other]
+        starts = [mh_start(t, MHConfig(steps=100, burn_in=0, thin=1, seed=hash64(49, r)))
+                  for r, t in enumerate(targets)]
+        with pytest.raises(PreconditionError, match="one loss object, one prior "
+                                                    "object and data whose risk"):
+            mh_run_block(starts)
 
 
 # per kind, proposal scales that give acceptance near 0.05, 0.25 and 0.7
@@ -489,22 +514,20 @@ def test_block_chains_match_recorded_digests(kind, R, regime, accepted, digest):
 def test_block_memory_is_bounded():
     # variates are drawn chunk by chunk, so the peak stays near the kept
     # draws instead of growing with steps x chains x dim.  The block's
-    # memory does not depend on the target; a flat one keeps the traced run
-    # short, as tracemalloc slows every allocation.
-    class Flat:
-        def log_unnormalized(self, theta):
-            return 0.0
-
+    # memory does not depend on the target; a rate-0 one on four points
+    # keeps the traced run short, as tracemalloc slows every allocation.
     R, steps, thin, dim = 4, 60_000, 10, 2
+    flat = GibbsTarget(SquaredLoss(None), GaussianIID(0.0, 1.0, dim),
+                       Dataset.regression(np.ones((4, dim)), np.zeros(4)), 0.0)
     configs = [MHConfig(steps=steps, burn_in=0, thin=thin, proposal_scale=0.3,
                         seed=hash64(44, r), init=np.zeros(dim)) for r in range(R)]
     # a process's first chain start imports modules (the first Philox a
     # process builds, make_rng's keyed one included, imports `secrets`),
     # about 0.7 MB that is no memory of the block
-    mh_start(Flat(), configs[0])
+    mh_start(flat, configs[0])
     tracemalloc.start()
     try:
-        chains = mh_run_block([mh_start(Flat(), c) for c in configs])
+        chains = mh_run_block([mh_start(flat, c) for c in configs])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,23 +596,42 @@ def test_rate_scales_posterior_precision():
     assert sds[0] / sds[1] == pytest.approx(want, rel=0.10)
 
 
+class _BinPrior:
+    """Flat bins [i, i+1) on [0, len(weights)) with the given weights, in
+    the kernel form of the iid priors: a chain's statistic is the log weight
+    of its bin, or -inf off the bins, and its log density 1 * s + 0."""
+
+    kind = "bins"
+    dim = 1
+
+    def __init__(self, weights):
+        self.log_weights = np.log(weights).tolist()
+
+    def kernel(self, shape):
+        bins, log_weights = len(self.log_weights), self.log_weights
+
+        def stats(theta):
+            return [log_weights[int(x)] if 0.0 <= x < bins else -math.inf
+                    for x in np.reshape(theta, (-1,)).tolist()]
+        return stats, 1.0, 0.0
+
+    def log_density(self, theta):
+        stats, a, b = self.kernel(())
+        return a * stats(theta)[0] + b
+
+
 def test_invariance_on_piecewise_constant_density():
     # five flat bins on [0,5) with known masses; kept frequencies must match
     # within 3 ESS-adjusted standard errors, and transition fluxes between
-    # every bin pair must balance as reversibility demands
+    # every bin pair must balance as reversibility demands.  The target is
+    # the bin prior at rate 0, so the chain runs the block's own kernels.
     weights = np.array([1.0, 2.0, 4.0, 2.0, 1.0])
-
-    class BinTarget:
-        def log_unnormalized(self, theta):
-            x = float(theta[0])
-            if x < 0.0 or x >= 5.0:
-                return -np.inf
-            return float(np.log(weights[int(x)]))
-
+    target = GibbsTarget(SquaredLoss(None), _BinPrior(weights),
+                         Dataset.regression(np.ones((4, 1)), np.zeros(4)), 0.0)
     cfg = MHConfig(steps=200_000, burn_in=20_000, thin=1,
                    proposal_scale=1.2, seed=hash64(77, 3),
                    init=np.array([2.5]))
-    chain = mh_run(BinTarget(), cfg)
+    chain = mh_run(target, cfg)
     bins = chain.draws[:, 0].astype(int)
     p = weights / weights.sum()
     for i in range(5):
@@ -935,10 +977,8 @@ def test_chain_is_pure_function_of_seed():
 
 def test_default_proposal_scale_formula():
     prior = GaussianIID(0.0, 6.0, 6)
-    scale = default_proposal_scale(prior, 6)
+    scale = default_proposal_scale(prior)
     assert np.allclose(scale, 2.4 / math.sqrt(6) * 6.0, atol=1e-14)
-    assert np.allclose(default_proposal_scale(None, 3),
-                       2.4 / math.sqrt(3), atol=1e-14)
 
 
 def test_credible_interval_type7_worked_example():
