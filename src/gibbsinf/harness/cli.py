@@ -26,8 +26,8 @@ from ..diagnostics import (AbsScalarDistance, EuclideanDistance,
                            concentration_slope, mgf_condition_check)
 from ..errors import ConfigError, GibbsInfError, PreconditionError
 from ..sampler import chain_summary, make_rng, write_chain_csv
-from .config import (_is_int, _is_real, _read_text, build_generator,
-                     build_loss, check_data_kinds, load_config, parameter_dim,
+from .config import (_MGF, _read_text, _typed, build_generator, build_loss,
+                     check_data_kinds, load_config, parameter_dim,
                      validate_experiment_config)
 from .runner import (fit_cell, row_seed, run_experiment, shutdown_pool,
                      write_outputs, write_summary_json)
@@ -121,46 +121,26 @@ def _cmd_sample(args) -> int:
 
 
 def _mgf_point(value, dim: int, key: str) -> np.ndarray:
-    """A parameter point of an mgf section: `dim` finite numbers, or one
-    bare number when dim is 1."""
+    """A parameter point of an mgf section: `dim` numbers, or one bare
+    number when dim is 1."""
     entries = value if isinstance(value, list) else [value]
-    if len(entries) != dim or not all(_is_real(v) for v in entries):
+    if len(entries) != dim:
         raise ConfigError(f"mgf {key} must be a point of {dim} finite "
                           f"numbers; got {value!r}")
     return np.asarray(entries, dtype=float)
 
 
-def _mgf_positive(value, key: str) -> float:
-    if not _is_real(value) or value <= 0:
-        raise ConfigError(f"mgf {key} must be a positive finite number; "
-                          f"got {value!r}")
-    return float(value)
-
-
-_MGF_KEYS = ("generator", "loss", "grid", "omega", "thetaStar", "r", "nDraws",
-             "seed")
-
-
 def _cmd_diagnose_mgf(args) -> int:
     cfg = load_config(args.config)
-    spec = cfg.get("mgf")
-    if not isinstance(spec, dict):
+    if not isinstance(cfg.get("mgf"), dict):
         raise ConfigError("config needs an 'mgf' object")
-    for key in ("generator", "loss", "grid", "omega"):
-        if key not in spec:
-            raise ConfigError(f"mgf section needs field {key!r}")
-    for key in spec:
-        if key not in _MGF_KEYS:
-            raise ConfigError(f"mgf {key} is not a key the section takes; "
-                              f"allowed keys: {', '.join(_MGF_KEYS)}")
+    spec = _typed(_MGF, cfg["mgf"], "mgf")
     generator = build_generator(spec["generator"])
     loss = build_loss(spec["loss"], generator)
     check_data_kinds(spec)
     dim = parameter_dim(loss, generator)
-    if not isinstance(spec["grid"], list) or not spec["grid"]:
-        raise ConfigError("mgf grid must be a nonempty list of parameter points")
     grid = [_mgf_point(g, dim, "grid point") for g in spec["grid"]]
-    theta_star = spec.get("thetaStar", "auto")
+    theta_star = spec["thetaStar"]
     if theta_star == "auto":
         if generator.theta_star is None:
             raise ConfigError("generator has no intrinsic thetaStar; "
@@ -170,16 +150,10 @@ def _cmd_diagnose_mgf(args) -> int:
     div = AbsScalarDistance() if dim == 1 else EuclideanDistance()
     if any(div.between(g, star) == 0.0 for g in grid):
         raise ConfigError(f"mgf grid must exclude thetaStar {star.tolist()}")
-    n_draws, seed = spec.get("nDraws", 100_000), spec.get("seed", 0)
-    if not _is_int(n_draws) or n_draws < 2:
-        raise ConfigError(f"mgf nDraws must be an integer of at least 2; "
-                          f"got {n_draws!r}")
-    if not _is_int(seed):
-        raise ConfigError(f"mgf seed must be an integer; got {seed!r}")
     report = mgf_condition_check(
-        loss, grid, star, omega=_mgf_positive(spec["omega"], "omega"), div=div,
-        r=_mgf_positive(spec.get("r", 2.0), "r"), generator=generator.mc_sample,
-        n_draws=n_draws, rng=make_rng(seed))
+        loss, grid, star, omega=spec["omega"], div=div, r=spec["r"],
+        generator=generator.mc_sample, n_draws=spec["nDraws"],
+        rng=make_rng(spec["seed"]))
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0
 

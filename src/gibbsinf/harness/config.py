@@ -21,6 +21,10 @@ which is what makes serial and parallel execution byte-identical.
 proposalScale may be a number or {"c": c, "gamma": g} for a per-n scale
 c * n^(-g).  The optional "fullReplications" count is activated by the CLI
 flag --full.
+
+Each section has a parameter spec, per key its JSON type and its default
+(... for a required key); `_typed` checks a section against it before any
+builder runs.  The range checks are the components' own.
 """
 
 from __future__ import annotations
@@ -44,10 +48,6 @@ from .generators import (AUCSim, HeavyTailSim, MCID1, MCID2, MeanCurveSim,
                          QuantileRegSim, SparseClassSim)
 
 SCHEMA_VERSION = 1
-
-_EXPERIMENT_KEYS = {"schema", "generator", "loss", "prior", "rate", "mh",
-                    "divergence", "nGrid", "replications", "baseSeed",
-                    "holdout", "fullReplications"}
 
 
 def _read_text(path, what: str) -> str:
@@ -85,12 +85,113 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    # JSON true and false load as bool, which is a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:       # an integer too large for a float
+        return False
+
+
+def _list_of(test, nonempty=False):
+    return lambda v: isinstance(v, list) and bool(v or not nonempty) \
+        and all(map(test, v))
+
+
+# a parameter type is its name in messages and a test of JSON values; the
+# components convert the numbers they take themselves
+_NUMBER = ("a finite number", _is_real)
+_NUMBERS = ("a list of finite numbers", _list_of(_is_real))
+_POINT = ("a finite number or a list of them", lambda v: _is_real(v) or _NUMBERS[1](v))
+_POSITIVE_NUMBER = ("a positive finite number", lambda v: _is_real(v) and v > 0)
+_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int))
+_POSITIVE_INTEGER = ("a positive integer", lambda v: _INTEGER[1](v) and v >= 1)
+_STRING = ("a string", lambda v: isinstance(v, str))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+# the named unions: a mh proposalScale, a mh init (whose NaN is left to its
+# row, as a start of NaN density), a cappedsquared cap, an aucdata multiplier
+_PROPOSAL_SCALE = (
+    'a finite number, a nonempty list of them or {"c": c, "gamma": gamma} of '
+    'finite numbers', lambda v: _is_real(v) or _list_of(_is_real, True)(v) or (
+        isinstance(v, dict) and set(v) == {"c", "gamma"}
+        and all(map(_is_real, v.values()))))
+_INIT = ("'pilot' or a list of numbers",
+         lambda v: v == "pilot" or _list_of(_is_number)(v))
+_CAP = ("a finite number or 'auto'", lambda v: v == "auto" or _is_real(v))
+_MULTIPLIER = _POINT
+
+
+def _held(value) -> str | None:
+    """The first boolean, null, string or non-finite number at any depth of
+    a JSON value, described."""
+    if isinstance(value, (list, dict)):
+        parts = value.values() if isinstance(value, dict) else value
+        return next(filter(None, map(_held, parts)), None)
+    if isinstance(value, float) and not math.isfinite(value):
+        return "a non-finite number"
+    return {bool: "a boolean", str: "a string", type(None): "null"}.get(type(value))
+
+
+def _typed(spec: dict, section: dict, what: str, name: str | None = None) -> dict:
+    """The section's values with the spec's defaults for the keys it leaves
+    out.  A key the spec lacks, a required key left out, or a value not of
+    its key's type (a JSON null is of none) is a ConfigError naming the
+    component, the key and the wanted type."""
+    label = what if name is None else f"{what} {name!r}"
+    for key in section:
+        if key not in spec:
+            raise ConfigError(f"{label} {key} is an unknown key; allowed keys: "
+                              f"{', '.join(spec) or 'none'}")
+    for key, ((wanted, test), default) in spec.items():
+        if key not in section and default is ...:
+            raise ConfigError(f"{label} missing parameter {key!r}")
+        if key in section and not test(section[key]):
+            held = _held(section[key])
+            raise ConfigError((f"{what} {key!r} must not hold {held}: " if held
+                               else "") + f"{label} {key} must be {wanted}; "
+                              f"got {section[key]!r}")
+    return {key: section.get(key, default) for key, (_, default) in spec.items()}
+
+
+_EXPERIMENT = {
+    "schema": (_INTEGER, SCHEMA_VERSION),
+    **{field: (_OBJECT, ...) for field in
+       ("generator", "loss", "prior", "rate", "mh", "divergence")},
+    "nGrid": (("a nonempty list of positive integers",
+               _list_of(_POSITIVE_INTEGER[1], nonempty=True)), ...),
+    "replications": (_POSITIVE_INTEGER, ...),
+    "baseSeed": (_INTEGER, ...),
+    "holdout": (_POSITIVE_INTEGER, None),
+    "fullReplications": (_POSITIVE_INTEGER, None),
+}
+
+# the `diagnose mgf` section; its grid points and thetaStar must also be
+# as wide as the loss's parameter row
+_MGF = {
+    "generator": (_OBJECT, ...),
+    "loss": (_OBJECT, ...),
+    "grid": (("a nonempty list of points, each a finite number or a list of "
+              "them", _list_of(_POINT[1], nonempty=True)), ...),
+    "omega": (_POSITIVE_NUMBER, ...),
+    "thetaStar": (("'auto' or a point", lambda v: v == "auto" or _POINT[1](v)),
+                  "auto"),
+    "r": (_POSITIVE_NUMBER, 2.0),
+    "nDraws": (("an integer of at least 2", lambda v: _INTEGER[1](v) and v >= 2),
+               100_000),
+    "seed": (_INTEGER, 0),
+}
+
+
 def validate_experiment_config(cfg: dict) -> None:
     """Check an experiment config before any cell runs.
 
-    Besides the required fields and their types, every component's name
-    must be one its builder table knows, each component spec must hold only
-    the keys that component takes and no boolean or non-finite number, the
+    Every section must hold only the keys of its spec, each of its type,
+    and every component's name must be one its builder table knows; the
     loss, the rate and the divergence must take the generator's kind of
     data, the zeroone loss and the spikeslab prior come together, and only
     the mcid loss takes a holdout.  Then the cell's components and its
@@ -100,28 +201,10 @@ def validate_experiment_config(cfg: dict) -> None:
     on.  What is left to fail per row depends on the data: a chain that
     cannot start, a degenerate data-driven rate, a singular pilot fit.
     """
-    required = ["generator", "loss", "prior", "rate", "mh", "divergence",
-                "nGrid", "replications", "baseSeed"]
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"config field {key!r} is required")
-    unknown = set(cfg) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    n_grid = cfg["nGrid"]
-    if not isinstance(n_grid, list) or not n_grid or \
-            any(not _is_int(n) or n < 1 for n in n_grid):
-        raise ConfigError("nGrid must be a nonempty list of positive integers")
-    if not _is_int(cfg["replications"]) or cfg["replications"] < 1:
-        raise ConfigError("replications must be a positive integer")
-    if not _is_int(cfg["baseSeed"]):
-        raise ConfigError("baseSeed must be an integer")
-    for key in ("fullReplications", "holdout"):
-        value = cfg.get(key)
-        if value is not None and (not _is_int(value) or value < 1):
-            raise ConfigError(f"{key} must be a positive integer")
+    _typed(_EXPERIMENT, cfg, "config")
     for field, table in _COMPONENTS.items():
         _builder(table, cfg[field], field)
+    _typed(_MH, cfg["mh"], "mh")
     check_data_kinds(cfg)
     loss, prior = cfg["loss"]["name"], cfg["prior"]["name"]
     if (loss == "zeroone") != (prior == "spikeslab"):
@@ -132,7 +215,7 @@ def validate_experiment_config(cfg: dict) -> None:
     if cfg.get("holdout") is not None and loss != "mcid":
         raise ConfigError(f"holdout sizes the mcid loss's misclassification "
                           f"sample; loss {loss!r} takes none")
-    for n in n_grid:
+    for n in cfg["nGrid"]:
         parts = build_components(cfg, n)
         build_mh(cfg["mh"], n, seed=0)
     _check_start(cfg["mh"], parts)
@@ -140,7 +223,8 @@ def validate_experiment_config(cfg: dict) -> None:
 
 def _check_start(mh: dict, parts: Components) -> None:
     """The mh init and a per-coordinate proposalScale must fit the
-    parameter the sampler walks on."""
+    parameter the sampler walks on, and only the sparse sampler takes an
+    alphaFlipProb."""
     init, scale = mh.get("init"), mh.get("proposalScale")
     if isinstance(parts.prior, SpikeSlab):
         # the sparse sampler starts from a prior draw, and its walk moves
@@ -151,13 +235,12 @@ def _check_start(mh: dict, parts: Components) -> None:
             raise ConfigError("mh proposalScale must be one number with the "
                               "spikeslab prior, not a list")
         return
-    if init == "pilot":
-        if not isinstance(parts.loss, MCIDLoss):
-            raise ConfigError("mh init 'pilot' is only available for the mcid loss")
-    elif init is not None and (not isinstance(init, list) or not all(
-            isinstance(v, (int, float)) for v in init)):
-        raise ConfigError(f"mh init must be 'pilot' or a list of coordinates; "
-                          f"got {init!r}")
+    if "alphaFlipProb" in mh:
+        raise ConfigError("mh alphaFlipProb is the sign-flip probability of "
+                          "the spikeslab prior's sampler; a random-walk chain "
+                          "takes none")
+    if init == "pilot" and not isinstance(parts.loss, MCIDLoss):
+        raise ConfigError("mh init 'pilot' is only available for the mcid loss")
     dim = parts.prior.dim
     for key, value in (("init", init), ("proposalScale", scale)):
         if isinstance(value, list) and len(value) != dim:
@@ -165,101 +248,54 @@ def _check_start(mh: dict, parts: Components) -> None:
                               f"parameter coordinate; got {len(value)}")
 
 
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, which is a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A finite JSON number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
-def _positive_int(kw: dict, key: str, default=None):
-    """kw[key], which must be a positive integer, or the default if absent."""
-    if key not in kw:
-        return default
-    if not _is_int(kw[key]) or kw[key] < 1:
-        raise PreconditionError(f"{key} must be a positive integer; "
-                                f"got {kw[key]!r}")
-    return kw[key]
-
-
-def _holds(value, test) -> bool:
-    """Whether test is true of a scalar at any depth of value."""
-    if isinstance(value, dict):
-        return any(_holds(v, test) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return any(_holds(v, test) for v in value)
-    return test(value)
-
-
-def _namespec(spec, what: str) -> tuple[str, dict]:
+def _builder(table: dict, spec, what: str):
+    """(name, builder, typed parameters) for a component spec.  A table row
+    is (the component's parameter spec, its builder[, its data kinds])."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"{what} spec must be an object with a 'name' field")
-    rest = {k: v for k, v in spec.items() if k != "name"}
-    for key, value in rest.items():
-        # no component takes a boolean, and Python reads true as 1
-        if _holds(value, lambda v: isinstance(v, bool)):
-            raise ConfigError(f"{what} {key!r} must not hold a boolean; "
-                              f"got {value!r}")
-        # nor a JSON NaN or Infinity, which passes every range check a
-        # builder makes; a NaN in the mh init is left to its row, as a
-        # start whose density is NaN
-        if what != "mh" and _holds(value, lambda v: isinstance(v, float)
-                                   and not math.isfinite(v)):
-            raise ConfigError(f"{what} {key!r} must not hold a non-finite "
-                              f"number; got {value!r}")
-    return str(spec["name"]), rest
-
-
-def _builder(table: dict, spec, what: str):
-    """(name, builder, remaining fields) for a component spec.  A table
-    entry is (the keys the component takes, its builder[, its data kinds]);
-    any other key is an error."""
-    name, kw = _namespec(spec, what)
+    name = str(spec["name"])
     if name not in table:
         raise ConfigError(f"unknown {what} {name!r}; allowed names: "
                           f"{', '.join(sorted(table))}")
-    keys, build = table[name][:2]
-    unknown = set(kw) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown {what} {name!r} keys: {sorted(unknown)}; "
-                          f"allowed keys: {', '.join(keys) or 'none'}")
-    return name, build, kw
+    params, build = table[name][:2]
+    rest = {k: v for k, v in spec.items() if k != "name"}
+    return name, build, _typed(params, rest, what, name)
 
 
 def _build(table: dict, spec, what: str, *args):
-    """Build the component a spec names with its table entry's builder; a
-    parameter the builder finds missing or rejects, or an integer too large
-    for a float, is a ConfigError naming the component."""
+    """Build the component a spec names with its table row's builder; a
+    parameter the component rejects is a ConfigError naming it."""
     name, build, kw = _builder(table, spec, what)
     try:
         return build(kw, *args)
-    except KeyError as exc:
-        raise ConfigError(f"{what} {name!r} missing parameter {exc}") from None
-    except (TypeError, ValueError, OverflowError, PreconditionError) as exc:
+    except PreconditionError as exc:
         raise ConfigError(f"bad {what} parameters for {name!r}: {exc}") from None
 
 
-def _keywords(cls, **names):
-    """A generator-table entry: the config keys in `names`, each passed to
-    the class as the keyword it maps to, and the kind of data it emits."""
-    return (tuple(names), lambda kw: cls(**{names[key]: v for key, v in kw.items()}),
-            cls.data_kind)
+def _keywords(cls, **spec):
+    """A generator-table row: the spec, a builder that passes each config key
+    to the class as its snake_case keyword, and the kind of data it emits."""
+    def build(kw):
+        return cls(**{"".join(f"_{c.lower()}" if c.isupper() else c for c in key): v
+                      for key, v in kw.items()})
+    return spec, build, cls.data_kind
 
 
 _GENERATORS = {
     "mcid1": _keywords(MCID1),
     "mcid2": _keywords(MCID2),
-    "quantilereg": _keywords(QuantileRegSim, tau="tau", betaStar="beta_star",
-                             noiseSd="noise_sd"),
-    "heavytail": _keywords(HeavyTailSim, df="df", thetaStar="theta_star"),
-    "meancurve": _keywords(MeanCurveSim, curve="curve", noiseSd="noise_sd"),
-    "aucsim": _keywords(AUCSim, mu="mu"),
-    "sparseclass": _keywords(SparseClassSim, q="q", support="support",
-                             betaValues="beta_values", flipRho="flip_rho"),
+    "quantilereg": _keywords(QuantileRegSim, tau=(_NUMBER, ...),
+                             betaStar=(_NUMBERS, (1.0, 2.0)),
+                             noiseSd=(_NUMBER, 1.0)),
+    "heavytail": _keywords(HeavyTailSim, df=(_NUMBER, ...),
+                           thetaStar=(_NUMBERS, (1.0, 2.0, -1.0))),
+    "meancurve": _keywords(MeanCurveSim, curve=(_STRING, "sine"),
+                           noiseSd=(_NUMBER, 0.3)),
+    "aucsim": _keywords(AUCSim, mu=(_NUMBER, ...)),
+    "sparseclass": _keywords(SparseClassSim, q=(_INTEGER, ...),
+                             support=(("a list of integers", _list_of(_INTEGER[1])), ...),
+                             betaValues=(_NUMBERS, ...),
+                             flipRho=(_NUMBER, 0.1)),
 }
 
 
@@ -270,7 +306,7 @@ def build_generator(spec: dict):
 def build_basis(generator, loss_spec: dict):
     """The generator's own function basis, with numBasis functions if the
     loss spec gives them, or None if it has none (and takes no numBasis)."""
-    num = _positive_int(loss_spec, "numBasis")
+    num = loss_spec.get("numBasis")
     if not hasattr(generator, "default_basis"):
         if num is not None:
             raise PreconditionError(f"numBasis: {generator.name!r} has none")
@@ -281,13 +317,13 @@ def build_basis(generator, loss_spec: dict):
 def _capped_squared_loss(kw, generator, schedule, n):
     """A "cap": "auto" entry takes the heavy-tail schedule's truncation level
     t_n at the current sample size."""
-    cap = kw.get("cap", "auto")
+    cap = kw["cap"]
     if cap == "auto":
         if not isinstance(schedule, HeavyTailRate) or n is None:
             raise ConfigError("loss 'cappedsquared' with cap 'auto' needs a "
                               "heavytail rate schedule")
         cap = schedule.cap_at(n)
-    return CappedSquaredLoss(basis=None, cap=float(cap))
+    return CappedSquaredLoss(basis=None, cap=cap)
 
 
 def _mcid_loss(kw, generator, schedule, n):
@@ -301,16 +337,17 @@ def _mcid_loss(kw, generator, schedule, n):
 # check loss fits {1, x} to a scalar covariate, the squared loss a spline
 # basis of it or the generator's own design, the capped squared loss that
 # design; only the check loss is scored on the quantile design ({1, x} truth).
+_NUM_BASIS = {"numBasis": (_POSITIVE_INTEGER, None)}
 _LOSSES = {
-    "check": (("tau",), lambda kw, *_: CheckLoss(tau=float(kw.get("tau", 0.5)),
-                                                 basis=AffineBasis()),
-              ("linear-regression", "curve-regression")),
-    "squared": (("numBasis",), lambda kw, generator, *_: SquaredLoss(
+    "check": ({"tau": (_NUMBER, 0.5)}, lambda kw, *_: CheckLoss(
+        tau=kw["tau"], basis=AffineBasis()), ("linear-regression", "curve-regression")),
+    "squared": (_NUM_BASIS, lambda kw, generator, *_: SquaredLoss(
         basis=build_basis(generator, kw)), ("curve-regression", "multiple-regression")),
-    "cappedsquared": (("cap",), _capped_squared_loss, ("multiple-regression",)),
-    "zeroone": ((), lambda *_: ZeroOneLinearLoss(), ("linear-classification",)),
-    "mcid": (("numBasis",), _mcid_loss, ("threshold",)),
-    "auc": ((), lambda *_: AUCLoss(), ("two-sample",)),
+    "cappedsquared": ({"cap": (_CAP, "auto")}, _capped_squared_loss,
+                      ("multiple-regression",)),
+    "zeroone": ({}, lambda *_: ZeroOneLinearLoss(), ("linear-classification",)),
+    "mcid": (_NUM_BASIS, _mcid_loss, ("threshold",)),
+    "auc": ({}, lambda *_: AUCLoss(), ("two-sample",)),
 }
 
 
@@ -331,13 +368,13 @@ def parameter_dim(loss, generator) -> int:
 
 
 _PRIORS = {
-    "gaussian": (("mean", "sd"), lambda kw, dim: GaussianIID(
-        mean=float(kw.get("mean", 0.0)), sd=float(kw["sd"]), dim=dim)),
-    "laplace": (("rate",), lambda kw, dim: LaplaceIID(rate=float(kw["rate"]),
-                                                      dim=dim)),
-    "spikeslab": (("q", "a", "c", "lam"), lambda kw, dim: SpikeSlab(
-        q=kw["q"], a=float(kw.get("a", 1.0)), c=float(kw.get("c", 1.0)),
-        lam=None if kw.get("lam") is None else float(kw["lam"]))),
+    "gaussian": ({"mean": (_NUMBER, 0.0), "sd": (_NUMBER, ...)},
+                 lambda kw, dim: GaussianIID(**kw, dim=dim)),
+    "laplace": ({"rate": (_NUMBER, ...)},
+                lambda kw, dim: LaplaceIID(**kw, dim=dim)),
+    "spikeslab": ({"q": (_INTEGER, ...), "a": (_NUMBER, 1.0),
+                   "c": (_NUMBER, 1.0), "lam": (_NUMBER, None)},
+                  lambda kw, dim: SpikeSlab(**kw)),
 }
 
 
@@ -347,12 +384,12 @@ def build_prior(spec: dict, dim: int):
 
 # the data-driven ranking rate reads two-sample scores; the others take any
 _RATES = {
-    "fixed": (("omega",), lambda kw: FixedRate(omega=float(kw["omega"])), None),
-    "power": (("c", "gamma"), lambda kw: PowerLawRate(c=float(kw["c"]),
-                                                      gamma=float(kw["gamma"])), None),
-    "heavytail": (("s",), lambda kw: HeavyTailRate(s=float(kw["s"])), None),
-    "aucdata": (("multiplier",), lambda kw: AUCDataDriven(kw.get("multiplier")),
-                ("two-sample",)),
+    "fixed": ({"omega": (_NUMBER, ...)}, lambda kw: FixedRate(**kw), None),
+    "power": ({"c": (_NUMBER, ...), "gamma": (_NUMBER, ...)},
+              lambda kw: PowerLawRate(**kw), None),
+    "heavytail": ({"s": (_NUMBER, ...)}, lambda kw: HeavyTailRate(**kw), None),
+    "aucdata": ({"multiplier": (_MULTIPLIER, None)},
+                lambda kw: AUCDataDriven(**kw), ("two-sample",)),
 }
 
 
@@ -365,7 +402,7 @@ def _empirical_l2(kw, generator, loss, basis):
         raise ConfigError("empirical_l2 divergence needs a function basis")
     if not hasattr(generator, "divergence_grid"):
         raise ConfigError("generator provides no divergence grid")
-    size = _positive_int(kw, "gridSize")
+    size = kw["gridSize"]
     return EmpiricalL2(basis, generator.divergence_grid() if size is None
                        else generator.divergence_grid(size))
 
@@ -376,12 +413,14 @@ def _empirical_l2(kw, generator, loss, basis):
 _COEFFICIENT_TRUTH = ("linear-regression", "multiple-regression", "two-sample",
                       "linear-classification")
 _DIVERGENCES = {
-    "euclid": ((), lambda *_: EuclideanDistance(), _COEFFICIENT_TRUTH),
-    "abs": ((), lambda *_: AbsScalarDistance(), ("two-sample",)),
-    "empirical_l2": (("gridSize",), _empirical_l2, ("threshold", "curve-regression")),
-    "risk_diff_sqrt": (("nDraws",), lambda kw, generator, loss, basis: RiskDiffSqrt(
-        loss, generator.mc_sample, n_draws=_positive_int(kw, "nDraws", 4096)),
-        _COEFFICIENT_TRUTH),
+    "euclid": ({}, lambda *_: EuclideanDistance(), _COEFFICIENT_TRUTH),
+    "abs": ({}, lambda *_: AbsScalarDistance(), ("two-sample",)),
+    "empirical_l2": ({"gridSize": (_POSITIVE_INTEGER, None)}, _empirical_l2,
+                     ("threshold", "curve-regression")),
+    "risk_diff_sqrt": ({"nDraws": (_POSITIVE_INTEGER, 4096)},
+                       lambda kw, generator, loss, basis: RiskDiffSqrt(
+                           loss, generator.mc_sample, n_draws=kw["nDraws"]),
+                       _COEFFICIENT_TRUTH),
 }
 
 
@@ -452,56 +491,40 @@ def build_components(cfg: dict, n: int) -> Components:
             cfg["divergence"], generator, loss, basis=loss.basis))
 
 
-def resolve_proposal_scale(mh_spec: dict, n: int):
+def resolve_proposal_scale(mh: dict, n: int):
     """The random-walk proposal scale at sample size n, or None for the
-    sampler's default.  proposalScale is a positive finite number, a
-    nonempty list of them (one per coordinate), or {"c": c, "gamma": g} for
-    c * n^(-g), which must come out positive and finite."""
-    scale = mh_spec.get("proposalScale")
-    if scale is None:
-        return None
-    value = None
+    sampler's default.  A number, each entry of a list (one per coordinate)
+    and c * n^(-gamma) for {"c": c, "gamma": gamma} must be positive and
+    finite."""
+    scale = value = mh.get("proposalScale")
     if isinstance(scale, dict):
-        if set(scale) == {"c", "gamma"} and _is_real(scale["c"]) \
-                and _is_real(scale["gamma"]):
-            try:
-                value = float(scale["c"]) * float(n) ** (-float(scale["gamma"]))
-            except OverflowError:
-                pass
-    elif isinstance(scale, list):
-        if scale and all(map(_is_real, scale)):
-            value = np.asarray(scale, dtype=float)
-    elif _is_real(scale):
-        value = float(scale)
-    if value is None or not np.all(np.isfinite(value) & (value > 0)):
-        raise ConfigError(f"mh proposalScale must be a positive finite number, "
-                          f"a nonempty list of them, or an object with finite "
-                          f"'c' and 'gamma' whose c * n^(-gamma) is positive "
-                          f"and finite; got {scale!r} at n = {n}")
-    return value
+        try:
+            value = scale["c"] * float(n) ** -scale["gamma"]
+        except OverflowError:
+            value = math.inf
+    if value is not None and not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+        raise ConfigError(f"mh proposalScale must be positive and finite, each "
+                          f"entry and c * n^(-gamma) too; got {scale!r} at n = {n}")
+    return np.asarray(value, dtype=float) if isinstance(value, list) else value
 
 
-def _mh_config(kw, n, seed, init):
-    for key in ("steps", "burnIn", "thin"):
-        if key in kw and not _is_int(kw[key]):
-            raise ConfigError(f"mh {key} must be an integer; got {kw[key]!r}")
-    return MHConfig(
-        steps=kw.get("steps", 50_000),
-        burn_in=kw.get("burnIn", 10_000),
-        thin=kw.get("thin", 5),
-        proposal_scale=resolve_proposal_scale(kw, n),
-        seed=seed,
-        init=init,
-        alpha_flip_prob=float(kw.get("alphaFlipProb", 0.05)),
-    )
-
-
-# the mh section is one component with a fixed name
-_MH = {"mh": (("steps", "burnIn", "thin", "proposalScale", "init",
-               "alphaFlipProb"), _mh_config)}
+_MH = {
+    "steps": (_INTEGER, 50_000),
+    "burnIn": (_INTEGER, 10_000),
+    "thin": (_INTEGER, 5),
+    "proposalScale": (_PROPOSAL_SCALE, None),
+    "init": (_INIT, None),
+    "alphaFlipProb": (_NUMBER, 0.05),
+}
 
 
 def build_mh(spec: dict, n: int, seed: int, init=None) -> MHConfig:
-    if not isinstance(spec, dict):
-        raise ConfigError("mh spec must be an object")
-    return _build(_MH, {"name": "mh", **spec}, "mh", n, seed, init)
+    """The sampler configuration at sample size n; the chain starts at
+    `init` (the runner resolves the section's init), or at a prior draw."""
+    kw = _typed(_MH, spec, "mh")
+    try:
+        return MHConfig(steps=kw["steps"], burn_in=kw["burnIn"], thin=kw["thin"],
+                        proposal_scale=resolve_proposal_scale(kw, n), seed=seed,
+                        init=init, alpha_flip_prob=kw["alphaFlipProb"])
+    except PreconditionError as exc:
+        raise ConfigError(f"bad mh parameters: {exc}") from None

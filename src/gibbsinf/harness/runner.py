@@ -20,7 +20,8 @@ With workers > 1 the blocks run on a process pool that is kept between
 calls.  The first parallel call in a process starts its `workers`
 processes; later calls with the same count reuse them, so the workers'
 start-up (forking, and the imports NumPy does on first use) is paid once
-per process, not once per call.  Only a process that makes more than one
+per process, not once per call; the pool's modules load with it, so a
+serial run never imports them.  Only a process that makes more than one
 parallel call gains: the command line makes one, and releases the workers
 after it.  A call with another worker count replaces the pool, and so does
 a broken pool (a worker that died), after which the call's blocks are
@@ -39,7 +40,6 @@ when explicitly requested, keeping default outputs reproducible.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import os
@@ -310,7 +310,8 @@ def _warm_pool(workers: int):
     if _pool is not None and _pool_workers != workers:
         shutdown_pool()
     if _pool is None:
-        _pool = concurrent.futures.ProcessPoolExecutor(
+        from concurrent.futures import ProcessPoolExecutor
+        _pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_exit_with_parent)
         _pool_workers = workers
     return _pool
@@ -340,12 +341,13 @@ def _map_on_pool(tasks: list, workers: int) -> list:
     hold up its exit for good.
     """
     import multiprocessing  # loaded with the pool, so kept out of start-up
+    from concurrent.futures.process import BrokenProcessPool
 
     with _pool_lock:
         try:
             try:
                 return list(_warm_pool(workers).map(_task, tasks, chunksize=1))
-            except concurrent.futures.process.BrokenProcessPool:
+            except BrokenProcessPool:
                 shutdown_pool()
                 return list(_warm_pool(workers).map(_task, tasks, chunksize=1))
         except BaseException:

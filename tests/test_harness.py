@@ -13,6 +13,7 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -33,7 +34,8 @@ from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
                               fit_cell, holdout_misclassification, load_config,
                               row_seed, run_experiment, runner,
                               validate_experiment_config, write_outputs)
-from gibbsinf.harness.config import (build_prior, build_rate,
+from gibbsinf.harness import config
+from gibbsinf.harness.config import (build_mh, build_prior, build_rate,
                                      resolve_proposal_scale)
 from gibbsinf.harness.runner import _blocks, default_workers
 from gibbsinf.losses import MCIDLoss
@@ -317,7 +319,7 @@ def test_resolve_proposal_scale_forms():
     vec = resolve_proposal_scale({"proposalScale": [0.1, 0.2]}, 100)
     assert np.allclose(vec, [0.1, 0.2])
     with pytest.raises(ConfigError, match="gamma"):
-        resolve_proposal_scale({"proposalScale": {"c": 2.0}}, 100)
+        build_mh({"proposalScale": {"c": 2.0}}, 100, seed=0)
 
 
 def test_pilot_start_requires_threshold_loss():
@@ -777,7 +779,8 @@ def test_integer_too_large_for_a_float_is_a_config_error(tmp_path):
     # JSON reads 1 followed by 400 zeros as a Python int, and float() of it
     # raised OverflowError, which escaped the CLI as a bare traceback
     cfg = _tiny_config(prior={"name": "gaussian", "mean": 0.0, "sd": 10 ** 400})
-    with pytest.raises(ConfigError, match="prior parameters for 'gaussian'"):
+    with pytest.raises(ConfigError, match="prior 'gaussian' sd must be a finite "
+                                          "number"):
         run_experiment(cfg, workers=1)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -786,7 +789,7 @@ def test_integer_too_large_for_a_float_is_a_config_error(tmp_path):
                              "--out", str(out_dir), "--workers", "1"])
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err, err
-    assert "prior parameters for 'gaussian'" in err
+    assert "prior 'gaussian' sd must be a finite number" in err
     assert not out_dir.exists()
 
 
@@ -1041,25 +1044,36 @@ _NAN, _INF = float("nan"), float("inf")
     ("generator", {"betaStar": [True, 2.0]}),
     ("loss", {"tau": False}),
     ("rate", {"omega": True}),
-    ("divergence", {"nDraws": [1, {"deep": False}]}),
+    ("prior", {"sd": [1, {"deep": False}]}),
     ("prior", {"sd": _NAN}),
     ("prior", {"sd": _INF}),
     ("prior", {"mean": -_INF}),
     ("rate", {"omega": _NAN}),
-    ("generator", {"betaStar": [_NAN, 2.0]})],
+    ("generator", {"betaStar": [_NAN, 2.0]}),
+    ("prior", {"sd": "10"}),
+    ("prior", {"mean": "0"}),
+    ("loss", {"tau": "0.5"}),
+    ("rate", {"omega": "1"}),
+    ("mh", {"alphaFlipProb": "0.1"}),
+    ("generator", {"betaStar": ["1", "2"]}),
+    ("generator", {"noiseSd": "1"})],
     ids=["priorSd", "generatorBetaStar", "lossTau", "rateOmega", "nested",
          "priorSdNaN", "priorSdInfinity", "priorMeanMinusInfinity",
-         "rateOmegaNaN", "generatorBetaStarNaN"])
+         "rateOmegaNaN", "generatorBetaStarNaN", "priorSdString",
+         "priorMeanString", "lossTauString", "rateOmegaString",
+         "alphaFlipProbString", "generatorBetaStarStrings",
+         "generatorNoiseSdString"])
 def test_booleans_and_nonfinite_numbers_in_component_specs_fail_before_any_cell(
         tmp_path, field, params):
-    # no component takes a boolean or a non-finite number: sd true used to
-    # build a prior with sd 1.0, and JSON NaN or Infinity passed every
-    # builder check, then failed every row, and the run exited 0
+    # no component takes a boolean, a non-finite number or a string for a
+    # number: sd true used to build a prior with sd 1.0, JSON NaN or Infinity
+    # passed every builder check, then failed every row, and the run exited
+    # 0; "sd": "10" ran as 10.0, and "noiseSd": "1" ended in a TypeError
     cfg = _tiny_config()
     cfg[field] = dict(cfg[field], **params)
     key = next(iter(params))
     with pytest.raises(ConfigError, match=f"{field} {key!r} must not hold a "
-                                          f"(boolean|non-finite number)"):
+                                          f"(boolean|non-finite number|string)"):
         validate_experiment_config(cfg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -1118,12 +1132,18 @@ def test_booleans_and_nonfinite_numbers_in_component_specs_fail_before_any_cell(
     ("rate", {"name": "aucdata", "multiplier": 0.5}, ("aucsim", "auc"),
      ["'aucdata'", "multiplier must be a finite number >= 1; got 0.5"]),
     ("generator", dict(_GENERATOR_SPECS["sparseclass"], q=50.7),
-     ("sparseclass", "zeroone"), ["'sparseclass'", "q must be an integer >= 1; got 50.7"]),
+     ("sparseclass", "zeroone"), ["'sparseclass'", "q must be an integer; got 50.7"]),
     ("prior", {"name": "spikeslab", "q": 50.7}, ("sparseclass", "zeroone"),
-     ["'spikeslab'", "q must be an integer >= 1; got 50.7"]),
+     ["'spikeslab'", "q must be an integer; got 50.7"]),
     ("generator", dict(_GENERATOR_SPECS["sparseclass"], support=[0.9, 1.2],
                        betaValues=[1.0, 1.0]),
-     ("sparseclass", "zeroone"), ["'sparseclass'", "support indices must be integers"])],
+     ("sparseclass", "zeroone"), ["'sparseclass'", "support must be a list of integers"]),
+    ("rate", {"name": "aucdata", "multiplier": "2"}, ("aucsim", "auc"),
+     ["rate 'multiplier' must not hold a string", "'aucdata' multiplier must be"]),
+    ("prior", {"name": "spikeslab", "q": 5, "lam": None}, ("sparseclass", "zeroone"),
+     ["prior 'lam' must not hold null", "'spikeslab' lam must be a finite number"]),
+    ("mh", dict(_SHORT_MH, alphaFlipProb=0.3), ("mcid1", "mcid"),
+     ["mh alphaFlipProb", "random-walk chain takes none"])],
     ids=["generatorTua", "lossTua", "priorSdd", "rateOmegaa", "divergenceNDrawz",
          "heavytailNoDf", "aucsimNoMu", "heavytailRateS2", "gaussianNoSd",
          "laplaceNoRate", "checkTau1.5", "mcidNumBasis2", "capAutoUnderFixed",
@@ -1131,7 +1151,9 @@ def test_booleans_and_nonfinite_numbers_in_component_specs_fail_before_any_cell(
          "initWord", "initLength", "scaleLength", "spikeslabScaleList",
          "numBasisWithoutBasis", "spikeslabQ", "aucdataOneNumber",
          "aucdataThreeNumbers", "aucdataBelow1", "sparseclassQFraction",
-         "spikeslabQFraction", "sparseclassSupportFractions"])
+         "spikeslabQFraction", "sparseclassSupportFractions",
+         "aucdataMultiplierString", "spikeslabLamNull",
+         "alphaFlipProbOnRandomWalk"])
 def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
                                                        pair, words):
     # a key typo used to be ignored, so the run took the default (or, on a
@@ -1144,7 +1166,8 @@ def test_bad_component_parameters_fail_before_any_cell(tmp_path, field, spec,
     # An aucdata multiplier of one number in a list ended the run in an
     # IndexError traceback, a third number was dropped, and a multiplier
     # below 1 failed every row; a fractional q or support index was cut by
-    # int()
+    # int().  A string multiplier ran as its number, a null lam as the
+    # default, and an alphaFlipProb on a random-walk chain was dropped
     cfg = _pair_config(*pair) if pair else _tiny_config()
     cfg[field] = spec
     with pytest.raises(ConfigError, match=field) as info:
@@ -1177,6 +1200,25 @@ def test_bundled_configs_pass_validation():
         validate_experiment_config(load_config(os.path.join(folder, name)))
 
 
+def test_readme_lists_the_keys_of_every_parameter_spec():
+    # README's table of keys documents the parameter specs: each row lists
+    # the keys its section's spec takes, in the spec's order
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|$", fh.read(), re.M)
+    specs = {(field, name): list(row[0])
+             for field, table in config._COMPONENTS.items()
+             for name, row in table.items()}
+    specs.update({(section, section): list(spec) for section, spec in (
+        ("config", config._EXPERIMENT), ("mh", config._MH), ("mgf", config._MGF))})
+    listed = {}
+    for section, names, keys in rows:
+        if section in {field for field, _ in specs}:
+            for name in re.findall(r"`(\w+)`", names) or [section]:
+                listed[section, name] = re.findall(r"`(\w+)`:", keys)
+    assert listed == specs
+
+
 @pytest.mark.parametrize("build,spec,key", [
     (lambda s: build_prior(s, 2), {"name": "gaussian", "mean": 0.0, "sd": True},
      "prior 'sd'"),
@@ -1188,13 +1230,21 @@ def test_bundled_configs_pass_validation():
      "prior 'mean'"),
     (build_rate, {"name": "fixed", "omega": _NAN}, "rate 'omega'"),
     (build_generator, {"name": "quantilereg", "tau": 0.5,
-                       "betaStar": [_NAN, 2.0]}, "generator 'betaStar'")],
+                       "betaStar": [_NAN, 2.0]}, "generator 'betaStar'"),
+    (lambda s: build_prior(s, 2), {"name": "gaussian", "sd": "10"}, "prior 'sd'"),
+    (build_rate, {"name": "aucdata", "multiplier": "2"}, "rate 'multiplier'"),
+    (build_generator, {"name": "quantilereg", "tau": 0.5,
+                       "betaStar": ["1", "2"]}, "generator 'betaStar'"),
+    (lambda s: build_prior(s, 6), {"name": "spikeslab", "q": 5, "lam": None},
+     "prior 'lam'")],
     ids=["priorSd", "generatorQ", "priorSdNaN", "priorMeanInfinity",
-         "rateOmegaNaN", "generatorBetaStarNaN"])
+         "rateOmegaNaN", "generatorBetaStarNaN", "priorSdString",
+         "rateMultiplierString", "generatorBetaStarStrings", "spikeslabLamNull"])
 def test_builders_reject_booleans_and_nonfinite_numbers_in_component_specs(
         build, spec, key):
-    with pytest.raises(ConfigError, match=f"{key} must not hold a "
-                                          f"(boolean|non-finite number)"):
+    # a JSON null is a value of no type: "lam": null used to mean the default
+    with pytest.raises(ConfigError, match=f"{key} must not hold (a (boolean|"
+                                          f"non-finite number|string)|null)"):
         build(spec)
 
 
@@ -1591,3 +1641,28 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
     assert lines[0] == "False"
     assert lines[1] == "[]"    # after import
     assert lines[-1] == "[]"   # after the sample run
+
+
+def test_serial_runs_do_not_load_the_process_pool_modules(tmp_path):
+    # concurrent.futures (and the logging it imports) load with the first
+    # process pool: importing the CLI, validating, sampling and a serial
+    # run need neither
+    src = os.path.dirname(os.path.dirname(gibbsinf.__file__))
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(_tiny_config(nGrid=[50], replications=1)))
+    code = ("import sys, gibbsinf.harness.cli as cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('concurrent.futures', 'logging')\n"
+            "            if m in sys.modules]\n"
+            "print(loaded())\n"
+            "assert cli.main(['sample', sys.argv[1]]) == 0\n"
+            "assert cli.main(['experiment', 'run', sys.argv[1], '--out',\n"
+            "                 sys.argv[2], '--workers', '1']) == 0\n"
+            "print(loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg_path),
+                          str(tmp_path / "out")], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         timeout=120)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"     # after import
+    assert lines[-1] == "[]"    # after the sample and the serial run
