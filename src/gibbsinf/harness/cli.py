@@ -80,10 +80,9 @@ def _check_out(path) -> None:
 
 def _cmd_experiment_run(args) -> int:
     cfg = load_config(args.config)
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
     _check_out(args.out)
-    # run_experiment validates the config before any cell runs
+    # run_experiment checks the worker count and validates the config
+    # before any cell runs
     result = run_experiment(cfg, workers=args.workers, timings=args.timings,
                             full=args.full)
     # the one call is made: the pool's workers go now, which is quicker
@@ -101,8 +100,8 @@ def _cmd_sample(args) -> int:
     validate_experiment_config(cfg)
     if args.out:
         _check_out(args.out)
-    n = int(cfg["nGrid"][0])
-    seed = row_seed(int(cfg["baseSeed"]), 0, 0)
+    n = cfg["nGrid"][0]
+    seed = row_seed(cfg["baseSeed"], 0, 0)
     fit = fit_cell(cfg, n, seed)
     summary = chain_summary(fit.chain)
     summary["n"] = n
@@ -204,10 +203,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GibbsInfError as exc:
-        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (GibbsInfError, ValueError, OSError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

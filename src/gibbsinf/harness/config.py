@@ -68,8 +68,9 @@ def _read_text(path, what: str) -> str:
 def load_config(path) -> dict:
     """Read and validate a JSON config file.
 
-    Raises ConfigError naming the file when it cannot be read, and quoting
-    the line and column when the JSON itself is malformed.
+    Raises ConfigError naming the file when it cannot be read, quoting the
+    line and column when the JSON itself is malformed, and when "schema" is
+    not the integer 1 (true and 1.0 are not).
     """
     text = _read_text(path, "config")
     try:
@@ -80,7 +81,7 @@ def load_config(path) -> dict:
             f"{exc.msg}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    if cfg.get("schema") != SCHEMA_VERSION:
+    if not _SCHEMA[1](cfg.get("schema")):
         raise ConfigError(f"config field 'schema' must be {SCHEMA_VERSION}")
     return cfg
 
@@ -111,6 +112,8 @@ _POINT = ("a finite number or a list of them", lambda v: _is_real(v) or _NUMBERS
 _POSITIVE_NUMBER = ("a positive finite number", lambda v: _is_real(v) and v > 0)
 _INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int))
 _POSITIVE_INTEGER = ("a positive integer", lambda v: _INTEGER[1](v) and v >= 1)
+_SCHEMA = (f"the integer {SCHEMA_VERSION}",
+           lambda v: _INTEGER[1](v) and v == SCHEMA_VERSION)
 _STRING = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 # the named unions: a mh proposalScale, a mh init (whose NaN is left to its
@@ -159,7 +162,7 @@ def _typed(spec: dict, section: dict, what: str, name: str | None = None) -> dic
 
 
 _EXPERIMENT = {
-    "schema": (_INTEGER, SCHEMA_VERSION),
+    "schema": (_SCHEMA, SCHEMA_VERSION),
     **{field: (_OBJECT, ...) for field in
        ("generator", "loss", "prior", "rate", "mh", "divergence")},
     "nGrid": (("a nonempty list of positive integers",

@@ -107,8 +107,8 @@ def compute_rows(cfg: dict, n_index: int, rep_indices,
     With timings, a row's wall_ms is its own set-up and post-processing
     plus an equal share of the block's component build and sampler time.
     """
-    n = int(cfg["nGrid"][n_index])
-    seeds = [row_seed(int(cfg["baseSeed"]), n_index, j) for j in rep_indices]
+    n = cfg["nGrid"][n_index]
+    seeds = [row_seed(cfg["baseSeed"], n_index, j) for j in rep_indices]
     fits, fit_s = _fit_cells(cfg, n, seeds)
     rows = []
     for rep_index, seed, fit, seconds in zip(rep_indices, seeds, fits, fit_s):
@@ -243,7 +243,7 @@ def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
            "radius_q90": radius_q90, "div_point_est": div_point}
 
     if isinstance(fit.loss, MCIDLoss):
-        holdout_n = int(cfg.get("holdout", fit.generator.holdout_default))
+        holdout_n = cfg.get("holdout", fit.generator.holdout_default)
         holdout = fit.generator.sample(holdout_n, _sub_rng(seed, _STREAM_HOLDOUT))
         out["misclass_est"] = holdout_misclassification(
             lambda z: fit.loss.basis.design(z) @ fit.theta_bar, holdout)
@@ -384,13 +384,15 @@ def run_experiment(cfg: dict, workers: int | None = None,
     pool (see the module docstring); results are identical to the serial
     path because each row depends only on (config, rowSeed).
     """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1; got {workers}")
     validate_experiment_config(cfg)
     cfg = dict(cfg)
     if full and cfg.get("fullReplications"):
-        cfg["replications"] = int(cfg["fullReplications"])
+        cfg["replications"] = cfg["fullReplications"]
     if workers is None:
         workers = default_workers()
-    blocks = _blocks(len(cfg["nGrid"]), int(cfg["replications"]), workers)
+    blocks = _blocks(len(cfg["nGrid"]), cfg["replications"], workers)
     tasks = [(cfg, i, reps, timings) for i, reps in blocks]
     if workers > 1 and len(tasks) > 1:
         # largest n first: a block's cost grows with n, and a long block that

@@ -11,11 +11,12 @@ a stacked state, and sums them over the observations into a buffer the
 kernel owns: one float, or a list of R Python numbers (integer counts for
 the 0-1 losses).  The empirical risk is that sum divided by the divisor n,
 on Python numbers.  `values(theta)` is a fresh float vector of theta's
-per-observation losses on one sample.  The samplers, `GibbsTarget.risk`,
-`empirical_risk`, `pointwise_losses` and the Monte-Carlo diagnostics build
-a kernel once per sample or block and call these.  The loss on a single
-observation is the one value of a one-row sample.  The ranking loss keeps a
-closed-form risk over the m*n pair grid, whose sums are the risks
+per-observation losses on one sample.  The samplers, `empirical_risk`,
+`pointwise_losses` and the Monte-Carlo diagnostics build a kernel once per
+sample, chain start or block and call these; `GibbsTarget.risk`, a
+reference for one coefficient vector, builds one per call.  The loss on a
+single observation is the one value of a one-row sample.  The ranking loss
+keeps a closed-form risk over the m*n pair grid, whose sums are the risks
 themselves over the divisor 1, and gives values on matched pairs.
 
 Every chain's risk is bit-identical to its one-chain value and to its risk
@@ -213,7 +214,8 @@ class ZeroOneLinearLoss(_Loss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "class":
             raise ShapeError("zero-one loss expects a classification dataset")
-        return np.atleast_2d(sample.x), _positive_labels(sample, {0, 1}, "zero-one loss")
+        return (design_matrix(None, sample.x),
+                _positive_labels(sample, {0, 1}, "zero-one loss"))
 
     def kernel(self, prepared):
         X, positive = prepared

@@ -15,7 +15,7 @@ statistic s is a * s + b, on Python floats.  The Gaussian's pair is
 (-0.5, -log_norm) and the Laplace's (-rate, log_norm): x - y is x + (-y)
 and (-r) * s is -(r * s) in IEEE 754, so these have the bits of
 -0.5 * s - log_norm and log_norm - rate * s.  The sampler builds a kernel
-once per block.
+once per chain start and once per block.
 
 The spike-slab size prior is normalized with `logsumexp` and the binomial
 coefficients come from `gammaln`; both are ports in `gibbsinf._special`

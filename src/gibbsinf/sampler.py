@@ -61,7 +61,8 @@ def make_rng(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 class GibbsTarget:
-    """Bundle of loss, prior, dataset, and resolved learning rate omega."""
+    """Record of loss, prior, dataset, resolved learning rate omega and the
+    loss's risk state of the data; the samplers build its kernels."""
 
     def __init__(self, loss: LossSpec, prior: PriorSpec, data: Dataset, omega: float):
         # omega = 0 is the degenerate prior-only target (used by prior-predictive
@@ -74,18 +75,11 @@ class GibbsTarget:
         self.omega = float(omega)
         self.n_terms = data.n_terms
         self.risk_state = loss.risk_state(data)
-        self._sums, self._n = loss.kernel(self.risk_state)[:2]
 
     def risk(self, theta) -> float:
-        """Empirical risk at the dense coefficient vector theta."""
-        return self._sums(np.asarray(theta, dtype=float).reshape(1, -1))[0] / self._n
-
-    def log_unnormalized(self, theta) -> float:
-        """-omega * N * R_n(theta) + log prior(theta); -inf outside support."""
-        lp = self.prior.log_density(theta)
-        if lp == -math.inf:
-            return -math.inf
-        return -self.omega * self.n_terms * self.risk(theta) + lp
+        """Empirical risk at theta, on a kernel built for this call."""
+        sums, n = self.loss.kernel(self.risk_state)[:2]
+        return sums(np.asarray(theta, dtype=float).reshape(1, -1))[0] / n
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +180,8 @@ def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
     normals, then steps uniforms.  `uniforms` is a copy of the stream
     advanced past the normals, so both can be drawn chunk by chunk.  The
     start, init or else the first of up to 1000 prior draws of finite
-    density (NaN is not), is scored once.
+    density (NaN is not), is scored once, by the one-row density of
+    `_block_log_density` that the chain's proposals are scored by.
     """
     if not isinstance(target, GibbsTarget):
         raise ShapeError(f"a random-walk chain takes a GibbsTarget, not "
@@ -196,18 +191,22 @@ def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
         raise ShapeError("a random-walk chain cannot take a spike-slab prior; "
                          "use ss_mh_run")
     rng = make_rng(config.seed)
-    logp = None
+    density = _block_log_density([target], 1)
+    dim = prior.dim
     if config.init is not None:
         theta = np.asarray(config.init, dtype=float).copy()
+        if theta.shape != (dim,):
+            raise ShapeError(f"init must be a ({dim},) row, one entry per "
+                             f"coordinate of the prior; got shape {theta.shape}")
+        logp = density(theta[None])[0]
     else:
         for _ in range(1000):
             theta = np.asarray(prior.sample(rng), dtype=float)
-            if (logp := float(target.log_unnormalized(theta))) > -math.inf:
+            if (logp := density(theta[None])[0]) > -math.inf:
                 break
         else:
             raise InitializationError(
                 "no finite-density initial point in 1000 prior draws")
-    dim = theta.shape[0]
 
     if config.proposal_scale is None:
         scale = default_proposal_scale(prior)
@@ -217,8 +216,6 @@ def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
             raise ShapeError(f"proposal_scale has {scale.size} entries, not 1 or dimension {dim}")
         scale = np.broadcast_to(scale, (dim,)).copy()
 
-    if logp is None:
-        logp = float(target.log_unnormalized(theta))
     if math.isnan(logp):
         raise InitializationError("initial point has NaN target density")
     if logp == -math.inf:
@@ -237,7 +234,8 @@ def _block_log_density(targets, tiles: int):
     Python floats, on the vectorized kernels of the targets' one loss and
     one prior.  With tiles > 1 the targets are repeated that many times, and
     a block of m = j * R rows, j <= tiles, gets the densities of the first m
-    targets.
+    targets.  `mh_start` scores a chain's start with it, `mh_run_block`
+    every proposal.
 
     The map is built once, one function per row count m: the loss's kernel
     on the first m rows of the stacked state and the prior's kernel for m

@@ -280,6 +280,11 @@ def test_load_config_schema_gate(tmp_path):
     path.write_text('{"schema": 2}')
     with pytest.raises(ConfigError, match="schema"):
         load_config(path)
+    # true and 1.0 compare equal to 1 in Python, but are not the integer 1
+    for schema in ("true", "1.0"):
+        path.write_text(f'{{"schema": {schema}}}')
+        with pytest.raises(ConfigError, match="schema"):
+            load_config(path)
     path_list = tmp_path / "arr.json"
     path_list.write_text('[1, 2]')
     with pytest.raises(ConfigError, match="object"):
@@ -293,6 +298,8 @@ def test_validate_config_field_errors():
         validate_experiment_config(cfg)
     with pytest.raises(ConfigError, match="unknown"):
         validate_experiment_config(_tiny_config(bogusKey=1))
+    with pytest.raises(ConfigError, match="schema must be the integer 1"):
+        validate_experiment_config(_tiny_config(schema=2))
     with pytest.raises(ConfigError, match="nGrid"):
         validate_experiment_config(_tiny_config(nGrid=[]))
     with pytest.raises(ConfigError, match="nGrid"):
@@ -448,6 +455,22 @@ def test_default_workers_env(monkeypatch):
         default_workers()
     monkeypatch.delenv("GIBBS_WORKERS")
     assert default_workers() >= 1
+
+
+def test_run_experiment_rejects_a_worker_count_below_one(tmp_path):
+    # 0 workers used to raise ZeroDivisionError while splitting the blocks,
+    # and -1 to return no rows without an error
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            run_experiment(_tiny_config(), workers=workers)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out_dir = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(cfg_path),
+                             "--out", str(out_dir), "--workers", "0"])
+    assert code == 1
+    assert err == "error: workers must be at least 1; got 0\n"
+    assert not out_dir.exists()
 
 
 def test_write_outputs_files_and_round_trip(tmp_path):

@@ -130,6 +130,13 @@ def test_zero_one_linear_values():
     miss = Dataset.classification([[0.0, 1.0]], [1])    # x'theta = -1 <= 0
     assert pointwise_losses(loss, theta, hit)[0] == 0.0
     assert pointwise_losses(loss, theta, miss)[0] == 1.0
+    # a 1-D x is n observations of one feature, as for the regression
+    # losses, not one observation of n features
+    data = Dataset.classification([0.5, -0.2, 0.3], [1, 0, 0])
+    assert empirical_risk(loss, np.array([1.0]), data) == pytest.approx(1 / 3)
+    assert pointwise_losses(loss, np.array([1.0]), data).tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError):
+        empirical_risk(loss, np.ones(3), data)
 
 
 def test_mcid_loss_indicator_values():

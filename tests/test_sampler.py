@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gibbsinf import sampler
 from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
                       CubicBSpline, Dataset, GaussianIID, GibbsTarget, LaplaceIID, MCIDLoss,
                       MHConfig, SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
@@ -32,6 +33,14 @@ def _prior_only_target(sd: float = 1.0) -> GibbsTarget:
     """Rate-zero target whose law is exactly the N(0, sd^2) prior."""
     data = Dataset.regression(np.ones((4, 1)), np.zeros(4))
     return GibbsTarget(SquaredLoss(None), GaussianIID(0.0, sd, 1), data, 0.0)
+
+
+def _log_target(target: GibbsTarget, theta) -> float:
+    """-omega * N * R_n(theta) + log prior(theta) by the reference path, the
+    target's risk and the prior's log density, with the operation order of
+    the samplers' fused kernels."""
+    return (-target.omega * target.n_terms * target.risk(theta)
+            + target.prior.log_density(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +106,18 @@ def test_rate_zero_target_is_the_prior_density():
     target = _prior_only_target(sd=2.0)
     for v in (-1.0, 0.0, 1.7):
         theta = np.array([v])
-        assert target.log_unnormalized(theta) == pytest.approx(
-            target.prior.log_density(theta), abs=1e-14)
+        start = mh_start(target, MHConfig(steps=100, burn_in=0, thin=1, init=theta))
+        assert start.logp == pytest.approx(target.prior.log_density(theta), abs=1e-14)
+        assert start.logp == _log_target(target, theta)
+
+
+def test_random_walk_init_must_be_as_wide_as_the_prior():
+    # the one-row density would fail in the kernel's matmul with a bare
+    # NumPy error
+    target = _block_case("check/gaussian", R=1)[0]
+    for init in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+        with pytest.raises(ShapeError, match=r"init must be a \(2,\) row"):
+            mh_start(target, MHConfig(steps=100, burn_in=0, thin=1, init=init))
 
 
 def test_two_sample_target_counts_pairs():
@@ -113,6 +132,11 @@ def test_mh_run_rejects_zero_density_start():
     cfg = MHConfig(steps=100, burn_in=0, thin=1, proposal_scale=1.0,
                    init=np.array([np.inf]))
     with pytest.raises(InitializationError):
+        mh_run(target, cfg)
+    # at rate 0 the start's density is NaN, as (-0.0) * inf is; at a
+    # positive rate the infinite risk makes it zero
+    target = GibbsTarget(target.loss, target.prior, target.data, 1.0)
+    with pytest.raises(InitializationError, match="zero target density"):
         mh_run(target, cfg)
 
 
@@ -152,6 +176,19 @@ def _counted(monkeypatch, cls, name):
     return calls
 
 
+def _counted_rows(monkeypatch):
+    """The row counts of every call of the density functions the sampler
+    builds with `_block_log_density`, which still run."""
+    rows = []
+    original = sampler._block_log_density
+
+    def counting(targets, tiles):
+        density = original(targets, tiles)
+        return lambda B: rows.append(len(B)) or density(B)
+    monkeypatch.setattr(sampler, "_block_log_density", counting)
+    return rows
+
+
 def test_random_walk_start_is_scored_once(monkeypatch):
     # a prior-drawn start keeps the density its acceptance test computed,
     # and a given init is scored once
@@ -161,16 +198,16 @@ def test_random_walk_start_is_scored_once(monkeypatch):
     target = GibbsTarget(CheckLoss(0.5, AffineBasis()), prior,
                          Dataset.regression(x, 1.0 + 2.0 * x + rng.normal(size=200)),
                          1.0)
-    calls = _counted(monkeypatch, GibbsTarget, "log_unnormalized")
+    calls = _counted_rows(monkeypatch)
     config = MHConfig(steps=100, burn_in=0, thin=1, seed=hash64(59, 2))
     drawn = mh_start(target, config)
-    assert len(calls) == 1
+    assert calls == [1]
     assert drawn.theta.tobytes() == prior.sample(make_rng(config.seed)).tobytes()
     calls.clear()
     given = mh_start(target, MHConfig(steps=100, burn_in=0, thin=1,
                                       init=drawn.theta))
-    assert len(calls) == 1
-    assert given.logp == drawn.logp
+    assert calls == [1]
+    assert given.logp == drawn.logp == _log_target(target, drawn.theta)
 
 
 def test_random_walk_start_retries_prior_draws_of_nan_or_zero_density(monkeypatch):
@@ -181,12 +218,12 @@ def test_random_walk_start_retries_prior_draws_of_nan_or_zero_density(monkeypatc
     data = Dataset.regression(rng.normal(size=(20, 2)), rng.normal(size=20))
     target = GibbsTarget(_WalledSquaredLoss(data), GaussianIID(0.0, 3.0, 2), data, 0.2)
     draws = _counted(monkeypatch, GaussianIID, "sample")
-    calls = _counted(monkeypatch, GibbsTarget, "log_unnormalized")
+    calls = _counted_rows(monkeypatch)
     start = mh_start(target, MHConfig(steps=100, burn_in=0, thin=1,
                                       seed=hash64(59, 3)))
     assert abs(start.theta[0]) <= 0.5
-    assert len(draws) > 2 and len(calls) == len(draws)
-    assert start.logp == target.log_unnormalized(start.theta)
+    assert len(draws) > 2 and calls == [1] * len(draws)
+    assert start.logp == _log_target(target, start.theta)
 
 
 def test_random_walk_start_gives_up_after_1000_prior_draws():
@@ -264,14 +301,12 @@ def test_block_equals_single_chain_runs(kind, monkeypatch):
                for r in range(len(targets))]
     singles = [mh_run(t, c) for t, c in zip(targets, configs)]
     starts = [mh_start(t, c) for t, c in zip(targets, configs)]
-    # the block evaluates its densities with the vectorized kernels, not
-    # one log_unnormalized call per chain and step
-    calls = []
-    original = GibbsTarget.log_unnormalized
-    monkeypatch.setattr(GibbsTarget, "log_unnormalized",
-                        lambda self, theta: calls.append(1) or original(self, theta))
+    # the block evaluates its densities with the vectorized kernels, never
+    # with the reference path of a risk and a log prior per chain and step
+    risks = _counted(monkeypatch, GibbsTarget, "risk")
+    priors = _counted(monkeypatch, type(targets[0].prior), "log_density")
     block = mh_run_block(starts)
-    assert not calls
+    assert not risks and not priors
     _assert_same_chains(block, singles)
     assert len({c.accepted for c in block}) > 1     # the chains do differ
 
