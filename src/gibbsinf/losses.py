@@ -2,27 +2,34 @@
 
 Each loss family is written once, as two methods: `prepare(sample)` checks a
 sample and precomputes its arrays (design matrix, labels, responses), and
-`kernel(prepared)` holds the loss formula.  On one sample's prepared arrays,
-(n, J), or a stacked risk state, (R, n, J), `kernel` makes every n-sized
-buffer the formula writes into (one matmul into a linear predictor, then
-ufuncs with `out=`) and returns `(sums, n, values)`.  `sums(B)` fills the
-losses of a (J,) vector on one sample, or of each row of an (R, J) block on
-a stacked state, and sums them over the observations into a buffer the
-kernel owns: one float, or a list of R Python numbers (integer counts for
-the 0-1 losses).  The empirical risk is that sum divided by the divisor n,
-on Python numbers.  `values(theta)` is a fresh float vector of theta's
-per-observation losses on one sample.  The samplers, `empirical_risk`,
-`pointwise_losses` and the Monte-Carlo diagnostics build a kernel once per
-sample, chain start or block and call these; `GibbsTarget.risk`, a
-reference for one coefficient vector, builds one per call.  The loss on a
-single observation is the one value of a one-row sample.  The ranking loss
-keeps a closed-form risk over the m*n pair grid, whose sums are the risks
-themselves over the divisor 1, and gives values on matched pairs.
+`kernel(prepared)` holds the loss formula.  The regression losses keep their
+design as (n, J) rows; the 0-1 losses (MCID and zero-one) keep theirs as one
+C-contiguous (J, n) array, the one copy `prepare` makes.  On one sample's
+prepared arrays, or a stacked risk state ((R, n, J) or (R, J, n)), `kernel`
+makes every n-sized buffer the formula writes into (one matmul into a
+linear predictor, then ufuncs with `out=`) and returns `(sums, n, values)`.
+`sums(B)` fills the losses of a (J,) vector on one sample, or of each row of
+an (R, J) block on a stacked state, and sums them over the observations into
+a buffer the kernel owns: one float, or a list of R Python numbers (integer
+counts for the 0-1 losses).  The empirical risk is that sum divided by the
+divisor n, on Python numbers.  `values(theta)` is a fresh float vector of
+theta's per-observation losses on one sample.  The samplers,
+`empirical_risk`, `pointwise_losses` and the Monte-Carlo diagnostics build a
+kernel once per sample, chain start or block and call these;
+`GibbsTarget.risk`, a reference for one coefficient vector, builds one per
+call.  The loss on a single observation is the one value of a one-row
+sample.  The ranking loss keeps a closed-form risk over the m*n pair grid,
+whose sums are the risks themselves over the divisor 1, and gives values on
+matched pairs.
 
 Every chain's risk is bit-identical to its one-chain value and to its risk
 on the unstacked arrays: the linear predictor is one matrix-vector product
 per chain, and the risk is the same pairwise sum (an exact count for the
-0-1 losses) divided by n that `np.mean` computes.
+0-1 losses) divided by n that `np.mean` computes.  On the (J, n) layout the
+0-1 losses' linear predictor, b @ Ft, may differ in its last bits from the
+row layout's F @ b; their masks and counts do not, because a 0-1 loss sees
+the predictor only through one comparison, which moves only where its two
+sides tie within rounding.
 
 Sign convention: sign(0) = -1 everywhere, and classifier indicators use the
 strict inequality x'theta > 0.  Score ties across groups in the pairwise
@@ -180,15 +187,23 @@ class CappedSquaredLoss(_RegressionLoss):
         return sums, n, _values(sums, r)
 
 
-def _mismatch_kernel(F, compare, first, positive) -> tuple:
-    """The 0-1 kernel: the mismatch mask of compare(first, F @ b) and the
-    labels' positive mask, counted per chain."""
-    product = np.empty(F.shape[:-1] + (1,))
-    linear, mask = product[..., 0], np.empty(positive.shape, dtype=bool)
+def _mismatch_kernel(Ft, compare, first, positive) -> tuple:
+    """The 0-1 kernel on a (J, n) design Ft, or a stacked (R, J, n) one: the
+    mismatch mask of compare(first, b @ Ft) and the labels' positive mask,
+    counted per chain.
+
+    The linear predictor is one vector-matrix product per chain,
+    `np.matmul(B[..., None, :], Ft)`, which OpenBLAS runs as an axpy-form
+    gemv along rows n long, faster than the dot-form gemv of `F @ b` over
+    rows J wide.  Its last bits may differ from those of `F @ b`; the masks
+    do not, since a comparison changes only where `first` ties the
+    predictor within rounding.  The kernel copies nothing of Ft."""
+    product = np.empty(Ft.shape[:-2] + (1, Ft.shape[-1]))
+    linear, mask = product[..., 0, :], np.empty(positive.shape, dtype=bool)
     total, n = _sums(mask)
 
     def sums(B):
-        np.matmul(F, B[..., None], out=product)
+        np.matmul(B[..., None, :], Ft, out=product)
         compare(first, linear, out=mask)
         return total(np.not_equal(mask, positive, out=mask))
     return sums, n, _values(sums, mask)
@@ -206,7 +221,9 @@ class ZeroOneLinearLoss(_Loss):
     """Misclassification loss of the linear classifier 1{x'theta > 0}.
 
     theta is the dense coefficient vector (first coordinate conventionally
-    the sign-constrained one); labels are in {0,1}.
+    the sign-constrained one); labels are in {0,1}.  `prepare` gives the
+    features as one C-contiguous (J, n) array, the layout of
+    `_mismatch_kernel`.
     """
 
     kind = "zeroone"
@@ -214,13 +231,13 @@ class ZeroOneLinearLoss(_Loss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "class":
             raise ShapeError("zero-one loss expects a classification dataset")
-        return (design_matrix(None, sample.x),
+        return (np.ascontiguousarray(design_matrix(None, sample.x).T),
                 _positive_labels(sample, {0, 1}, "zero-one loss"))
 
     def kernel(self, prepared):
-        X, positive = prepared
+        Xt, positive = prepared
         # 0 < t is t > 0 for every double
-        return _mismatch_kernel(X, np.less, 0.0, positive)
+        return _mismatch_kernel(Xt, np.less, 0.0, positive)
 
 
 class MCIDLoss(_Loss):
@@ -230,7 +247,9 @@ class MCIDLoss(_Loss):
     coefficient vector beta over `basis`; x is the scalar diagnostic measure
     and y in {-1,+1} the reported outcome.  For y in {-1,+1} the loss is the
     mismatch indicator of sign(x - theta(z)) and y: sign(t) = +1 exactly
-    when t > 0, so it is the mismatch of x > theta(z) and y > 0.
+    when t > 0, so it is the mismatch of x > theta(z) and y > 0.  `prepare`
+    gives the basis design of z as one C-contiguous (J, n) array, the layout
+    of `_mismatch_kernel`.
     """
 
     kind = "mcid"
@@ -241,13 +260,14 @@ class MCIDLoss(_Loss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "class" or sample.z is None:
             raise ShapeError("threshold loss expects classification data with z")
-        return (design_matrix(self.basis, sample.z), sample.x.astype(float),
+        return (np.ascontiguousarray(design_matrix(self.basis, sample.z).T),
+                sample.x.astype(float),
                 _positive_labels(sample, {-1, 1}, "threshold loss"))
 
     def kernel(self, prepared):
-        F, x, positive = prepared
+        Ft, x, positive = prepared
         # x > t is x - t > 0 for every pair of doubles, one operation fewer
-        return _mismatch_kernel(F, np.greater, x, positive)
+        return _mismatch_kernel(Ft, np.greater, x, positive)
 
 
 class AUCLoss(_Loss):

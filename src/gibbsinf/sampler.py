@@ -420,19 +420,21 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
     current beta_S is kept between walks.  Each proposal is scored by the
     loss's kernel on the target's 2-D arrays (`risk_state` without its chain
-    axis), built once per chain: one gemv and one count of mismatches,
-    divided by n, with the bits of `GibbsTarget.risk`.  The chain accepts
-    only a few per cent of its moves, so a state stands for tens of steps and
-    proposes the same rows again: the energy of each remove-j row and of the
-    flipped row is kept from the first time it is scored until a move is
-    accepted, and a repeat costs no kernel call and no row (an accepted
-    remove or flip edits theta in place).  The kernel's result is a function
-    of the row's bytes, so every delta, decision and draw is the one a fresh
-    score would give.  Chains run one at a time: a lockstep block costs more
-    per row at n=800, and lookahead would save at most about 2 µs of a step
-    (ROADMAP, Set aside).  The kept draws are theta rows.  The chain's meta carries q, the proposals and acceptances of each
-    move (`moves`: add, remove, walk, flip) and the mean |S| over the kept
-    draws (`mean_support_size`).
+    axis, the design as one (1+q, n) array), built once per chain: one
+    axpy-form gemv of the row against that design and one count of
+    mismatches, divided by n, with the bits of `GibbsTarget.risk`.  The
+    chain accepts only a few per cent of its moves, so a state stands for
+    tens of steps and proposes the same rows again: the energy of each
+    remove-j row and of the flipped row is kept from the first time it is
+    scored until a move is accepted, and a repeat costs no kernel call and
+    no row (an accepted remove or flip edits theta in place).  The kernel's
+    result is a function of the row's bytes, so every delta, decision and
+    draw is the one a fresh score would give.  Chains run one at a time: a
+    lockstep block costs more per row at n=800, and lookahead would save at
+    most about 2 µs of a step (ROADMAP, Set aside).  The kept draws are
+    theta rows.  The chain's meta carries q, the proposals and acceptances
+    of each move (`moves`: add, remove, walk, flip) and the mean |S| over
+    the kept draws (`mean_support_size`).
     """
     prior = target.prior
     if not isinstance(prior, SpikeSlab):

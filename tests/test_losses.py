@@ -7,6 +7,10 @@ each fast path has an independent witness.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
                       design_matrix, empirical_risk, least_squares_coefficients,
                       pointwise_losses, sign_neg)
 from gibbsinf.errors import ConditioningError, PreconditionError, ShapeError
+from gibbsinf.harness.generators import MCID1, MCID2, SparseClassSim
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +246,11 @@ def _reference_risk(loss, data):
 
 
 def test_kernels_reproduce_reference_risks_exactly():
+    # The 0-1 references keep the row layout, X @ theta and Fz @ beta, as a
+    # path independent of the kernels' (J, n) product b @ Ft.  The two
+    # linear predictors may differ in their last bits, and the risks are
+    # still equal exactly: a mismatch count moves only where x (or 0) ties
+    # the predictor within rounding, which these continuous draws do not.
     rng = np.random.default_rng(17)
     feats, spline = AffineBasis(), CubicBSpline((0.0, 3.0), 6)
     reg = Dataset.regression(rng.uniform(0, 1, 200), rng.normal(size=200))
@@ -594,3 +604,130 @@ def test_one_row_values_keep_their_bits(name):
     theta = np.random.default_rng([97]).normal(scale=1.5, size=dim)
     assert _sha(pointwise_losses(_PIN_LOSSES[name](), theta, data)) == \
         _VALUES_PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# the 0-1 losses' (J, n) design
+
+
+def _mask_protocol(name):
+    """A bundled 0-1 protocol's generator and loss: mcid1 (6 splines), mcid2
+    (a 4x4 tensor spline) and sparseclass (q = 50)."""
+    if name == "mcid1":
+        gen = MCID1()
+        return gen, MCIDLoss(gen.default_basis(6))
+    if name == "mcid2":
+        gen = MCID2()
+        return gen, MCIDLoss(gen.default_basis(4))
+    return SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1), ZeroOneLinearLoss()
+
+
+def _row_layout_mask(loss, data, b):
+    """The mismatch mask of coefficient row b by the row-layout product
+    F @ b, the reference the (J, n) kernels must match."""
+    if isinstance(loss, MCIDLoss):
+        return (data.x > design_matrix(loss.basis, data.z) @ b) != (data.y > 0)
+    return (data.x @ b > 0.0) != (data.y > 0)
+
+
+@pytest.mark.parametrize("name, n", [("mcid1", 100), ("mcid2", 1000),
+                                     ("sparseclass", 200), ("sparseclass", 800)])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 63 - 1), scale=st.floats(1e-3, 3.0))
+def test_transposed_design_keeps_the_row_layout_masks(name, n, seed, scale):
+    # rows around a fit of the data, so that many observations lie near the
+    # decision boundary, on the three paths of the (J, n) kernel: one row
+    # (a chain's start), a stacked R = 4 block and the 2-D arrays of the
+    # spike-slab chain
+    gen, loss = _mask_protocol(name)
+    rng = np.random.default_rng(seed)
+    data = [gen.sample(n, rng) for _ in range(4)]
+    if isinstance(loss, MCIDLoss):
+        center = least_squares_coefficients(
+            design_matrix(loss.basis, data[0].z), data[0].x)
+    else:
+        center = gen.theta_star
+    B = center + scale * rng.standard_normal((4, center.size))
+    masks = np.array([_row_layout_mask(loss, d, b) for d, b in zip(data, B)])
+    counts = masks.sum(axis=1).tolist()
+
+    sums, _, values = loss.kernel(loss.risk_state(data[0]))
+    assert np.array_equal(values(B[:1]), masks[:1])
+    assert sums(B[:1]) == counts[:1]
+
+    state = tuple(np.concatenate(parts)
+                  for parts in zip(*(loss.risk_state(d) for d in data)))
+    sums, _, values = loss.kernel(state)
+    assert np.array_equal(values(B), masks)
+    assert sums(B) == counts
+
+    sums, _, values = loss.kernel(loss.prepare(data[0]))
+    for b in B:
+        mask = _row_layout_mask(loss, data[0], b)
+        assert np.array_equal(values(b), mask)
+        assert sums(b) == np.count_nonzero(mask)
+
+
+def test_mask_losses_prepare_one_c_contiguous_transposed_design():
+    rng = np.random.default_rng(23)
+    spline = CubicBSpline((0.0, 1.0), 5)
+    cls = Dataset.classification(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
+    thr = Dataset.classification(rng.normal(size=40), rng.choice([-1, 1], 40),
+                                 rng.uniform(0, 1, 40))
+    reg = Dataset.regression(rng.uniform(0, 1, 40), rng.normal(size=40))
+    for loss, data, dim in ((ZeroOneLinearLoss(), cls, 3), (MCIDLoss(spline), thr, 5)):
+        F = loss.prepare(data)[0]
+        assert F.shape == (dim, 40) and F.flags.c_contiguous
+    for loss in (CheckLoss(0.3, spline), SquaredLoss(spline),
+                 CappedSquaredLoss(spline, cap=1.0)):
+        assert loss.prepare(reg)[0].shape == (40, 5)
+
+
+# flags /proc/cpuinfo lists for the instructions each OpenBLAS kernel needs
+_CORETYPE_FLAGS = {"Prescott": {"pni"}, "Haswell": {"avx2", "fma"}}
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return {flag for line in fh if line.startswith("flags")
+                    for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+def _mask_pin_misses() -> list:
+    """The mcid sums and buffer pins and the zero-one row pins whose
+    recomputed hash differs from the recorded one."""
+    misses = []
+    for R in (1, 4):
+        for n in (30, 203, 3200):
+            sums, values, B = _pin_block("mcid", R, n)
+            if _sha(sums(B)) != _SUMS_PINS["mcid", R, n]:
+                misses.append(f"sums mcid {R} {n}")
+            if _sha(values(B)) != _BUFFER_PINS["mcid", R, n]:
+                misses.append(f"buffer mcid {R} {n}")
+    loss = ZeroOneLinearLoss()
+    for n in (30, 203, 3200):
+        data, dim = _pin_data("zeroone", n, 0)
+        sums = loss.kernel(loss.prepare(data))[0]
+        thetas = np.random.default_rng([98, n]).normal(size=(5, dim))
+        if _sha([sums(t) for t in thetas]) != _ZEROONE_ROW_PINS[n]:
+            misses.append(f"zeroone row {n}")
+    return misses
+
+
+@pytest.mark.parametrize("coretype", list(_CORETYPE_FLAGS))
+def test_mask_pins_hold_under_other_blas_kernels(coretype):
+    # the (J, n) product's bits depend on the gemv kernel OpenBLAS picks for
+    # the CPU; the masks, counts and pins of the 0-1 losses must not
+    if not _CORETYPE_FLAGS[coretype] <= _cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernel")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_losses; "
+            "print(json.dumps(test_losses._mask_pin_misses()))")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    out = subprocess.run([sys.executable, "-c", code, src, here], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(out.stdout) == []
