@@ -315,7 +315,8 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
     every grid point, making the K-hats directly comparable.  A grid point at
     zero divergence from theta* is rejected, and exponents beyond the float64
     range raise OverflowGuardError (the check is inapplicable to losses
-    unbounded below on the sample).
+    unbounded below on the sample), as does exp(-omega * excess) underflowing
+    to 0 on every draw.
     """
     if omega <= 0:
         raise PreconditionError("omega must be positive")
@@ -337,6 +338,10 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
                 "exp(-omega * excess loss) overflows float64 on the sample")
         w = np.exp(z)
         est = float(w.mean())
+        if est == 0.0:
+            raise OverflowGuardError(
+                f"exp(-omega * excess loss) underflows to 0 on every draw at "
+                f"grid point {np.asarray(theta, dtype=float).tolist()}")
         se = float(w.std(ddof=1) / math.sqrt(w.size))
         annealed = -math.log(est) / omega
         dr = d ** r
@@ -381,16 +386,19 @@ class RateFit:
 def concentration_slope(pairs) -> RateFit:
     """Least-squares slope of log(radius) against log(n).
 
-    Radii are positive posterior radius statistics (by convention upstream,
-    the 0.9-quantile of d(draw, theta*) over the kept draws); at least three
-    distinct n values are required.
+    Radii are posterior radius statistics (by convention upstream, the
+    0.9-quantile of d(draw, theta*) over the kept draws); a zero radius has
+    no logarithm and is skipped, and three distinct n values must be left.
     """
     pairs = [(float(n), float(r)) for n, r in pairs]
-    if len({n for n, _ in pairs}) < 3:
-        raise PreconditionError("need at least 3 distinct n values")
     # NaN fails every comparison, so this rejects it too
-    if not all(0 < v < math.inf for pair in pairs for v in pair):
-        raise PreconditionError("n and radii must be positive and finite")
+    if not all(0 < n < math.inf and 0 <= r < math.inf for n, r in pairs):
+        raise PreconditionError("n and radii must be positive and finite "
+                                "(a zero radius is skipped)")
+    pairs = [(n, r) for n, r in pairs if r > 0]
+    if len({n for n, _ in pairs}) < 3:
+        raise PreconditionError("need at least 3 distinct n values with a "
+                                "positive radius")
     logn = np.log([n for n, _ in pairs])
     logr = np.log([r for _, r in pairs])
     slope, intercept = np.polyfit(logn, logr, 1)

@@ -183,7 +183,7 @@ def _cmd_diagnose_rate(args) -> int:
     except PreconditionError as exc:
         raise ConfigError(str(exc)) from None
     print(json.dumps({"slope": fit.slope, "intercept": fit.intercept,
-                      "nPairs": len(pairs)}, sort_keys=True))
+                      "nPairs": len(fit.pairs)}, sort_keys=True))
     return 0
 
 

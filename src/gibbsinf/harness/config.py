@@ -220,7 +220,6 @@ def validate_experiment_config(cfg: dict) -> None:
                           f"sample; loss {loss!r} takes none")
     for n in cfg["nGrid"]:
         parts = build_components(cfg, n)
-        build_mh(cfg["mh"], n, seed=0)
     _check_start(cfg["mh"], parts)
 
 
@@ -459,21 +458,27 @@ def check_data_kinds(section: dict) -> None:
 
 @dataclass(frozen=True)
 class Components:
-    """What the cells at one sample size share: everything built from the
-    config and n alone."""
+    """What the cells at one sample size share: all that a cell reads of
+    the config, built from the config and n alone."""
 
+    n: int
     generator: object
     schedule: object
     omega: float | None       # None for the data-driven rate, set per cell
     loss: object
     prior: object
     divergence: object
+    truth: object             # what the divergence measures draws against
+    holdout: int | None       # the mcid loss's holdout size; None otherwise
+    mh: MHConfig              # at seed 0; a cell sets its chain's seed
+    pilot: bool               # mh init "pilot": a cell sets a data-driven init
 
 
 def build_components(cfg: dict, n: int) -> Components:
-    """Build a cell's components at sample size n, and resolve a
-    deterministic rate at n; the prior must be as wide as `parameter_dim`.
-    Validation builds them at every n of the grid, the runner once per block."""
+    """Build a cell's components and sampler configuration at sample size n,
+    and resolve a deterministic rate at n; the prior must be as wide as
+    `parameter_dim`.  Validation builds them at every n, the runner once
+    per block."""
     generator = build_generator(cfg["generator"])
     schedule = build_rate(cfg["rate"])
     try:    # the data-driven rate resolves per cell, from the cell's scores
@@ -488,10 +493,19 @@ def build_components(cfg: dict, n: int) -> Components:
         raise ConfigError(f"prior {cfg['prior']['name']!r} has parameter width "
                           f"{prior.dim}, but loss {loss.kind!r} on generator "
                           f"{generator.name!r} has width {dim}")
+    divergence = build_divergence(cfg["divergence"], generator, loss,
+                                  basis=loss.basis)
+    init = cfg["mh"].get("init")
     return Components(
-        generator=generator, schedule=schedule, omega=omega, loss=loss,
-        prior=prior, divergence=build_divergence(
-            cfg["divergence"], generator, loss, basis=loss.basis))
+        n=n, generator=generator, schedule=schedule, omega=omega, loss=loss,
+        prior=prior, divergence=divergence,
+        truth=(generator.truth_fn(divergence.xs)
+               if isinstance(divergence, EmpiricalL2) else generator.theta_star),
+        holdout=(cfg.get("holdout", generator.holdout_default)
+                 if isinstance(loss, MCIDLoss) else None),
+        mh=build_mh(cfg["mh"], n, seed=0, init=np.asarray(init, dtype=float)
+                    if isinstance(init, list) else None),
+        pilot=init == "pilot")
 
 
 def resolve_proposal_scale(mh: dict, n: int):
@@ -523,7 +537,7 @@ _MH = {
 
 def build_mh(spec: dict, n: int, seed: int, init=None) -> MHConfig:
     """The sampler configuration at sample size n; the chain starts at
-    `init` (the runner resolves the section's init), or at a prior draw."""
+    `init` (`build_components` passes a listed init), or at a prior draw."""
     kw = _typed(_MH, spec, "mh")
     try:
         return MHConfig(steps=kw["steps"], burn_in=kw["burnIn"], thin=kw["thin"],

@@ -37,10 +37,12 @@ from ..model import CubicBSpline, Dataset, PairedScores, TensorBSpline
 
 
 class _Generator:
-    """What every generator shares: no coefficient truth unless it sets one,
-    and Monte-Carlo reference samples drawn from its own law."""
+    """What every generator shares: no coefficient truth and no default
+    holdout size unless it sets them, and Monte-Carlo reference samples
+    drawn from its own law."""
 
     theta_star = None
+    holdout_default = None
 
     def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
         return self.sample(n, rng)
@@ -190,13 +192,10 @@ class QuantileRegSim(_Generator):
         b0, b1 = self.theta_star
         return b0 + b1 * np.asarray(x, dtype=float)
 
-    def sample_x(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, n)
-
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
-        x = self.sample_x(rng, n)
+        x = rng.uniform(0.0, 1.0, n)
         y = (self.beta_star[0] + self.beta_star[1] * x
              + self.noise_sd * rng.standard_normal(n))
         return Dataset.regression(x, y)
@@ -221,15 +220,11 @@ class HeavyTailSim(_Generator):
         if self.theta_star.ndim != 1 or self.theta_star.size < 1:
             raise PreconditionError("theta_star must be a nonempty vector")
 
-    def sample_x(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = rng.uniform(-1.0, 1.0, (n, self.theta_star.size))
-        x[:, 0] = 1.0
-        return x
-
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if n < 1:
             raise PreconditionError("n must be at least 1")
-        x = self.sample_x(rng, n)
+        x = rng.uniform(-1.0, 1.0, (n, self.theta_star.size))
+        x[:, 0] = 1.0
         return Dataset.regression(x, x @ self.theta_star + rng.standard_t(self.df, n))
 
 
@@ -256,7 +251,6 @@ class MeanCurveSim(_Generator):
             raise PreconditionError(f"unknown curve {curve!r}; choices: {sorted(_CURVES)}")
         if noise_sd <= 0:
             raise PreconditionError("noise sd must be positive")
-        self.curve_name = curve
         self.truth_fn = _CURVES[curve]
         self.noise_sd = float(noise_sd)
 

@@ -12,9 +12,10 @@ order is by (nIndex, repIndex) regardless of completion order.  Spike-slab
 chains (`ss_mh_run`) run one at a time inside their block; their draws are
 dense (alpha, beta) rows like any other chain's, so the divergences and the
 posterior mean take them as they are.  A block builds what depends only on
-(config, n), the generator, the rate (resolved at n unless data-driven), loss,
-prior and divergence, once, with `config.build_components`, which validation
-calls too; so on a validated config a row fails only on its data.
+(config, n) once, with `config.build_components`, which validation calls
+too; a cell reads the config only through these `Components` (the sampler
+configuration among them) and adds its data and its chain's seed, so on a
+validated config a row fails only on its data.
 
 With workers > 1 the blocks run on a process pool that is kept between
 calls.  The first parallel call in a process starts its `workers`
@@ -49,9 +50,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..diagnostics import EmpiricalL2, concentration_slope
-from ..errors import ConfigError, GibbsInfError
-from ..losses import MCIDLoss, least_squares_coefficients
+from ..diagnostics import concentration_slope
+from ..errors import ConfigError, GibbsInfError, PreconditionError
+from ..losses import least_squares_coefficients
 from ..priors import SpikeSlab
 from ..sampler import (GibbsTarget, hash64, make_rng, mh_run_block, mh_start,
                        posterior_mean, ss_mh_run)
@@ -59,8 +60,8 @@ from ..sampler import (GibbsTarget, hash64, make_rng, mh_run_block, mh_start,
 # perfbench/tracer.py wraps them by these names
 from ..sampler import mh_run  # noqa: F401
 from .config import (build_divergence, build_generator, build_loss,  # noqa: F401
-                     build_prior, build_rate)
-from .config import build_components, build_mh, validate_experiment_config
+                     build_mh, build_prior, build_rate)
+from .config import Components, build_components, validate_experiment_config
 from .generators import holdout_misclassification
 
 RESULT_COLUMNS = ["n", "rep", "seed", "omega", "radius_q90", "div_point_est",
@@ -119,7 +120,7 @@ def compute_rows(cfg: dict, n_index: int, rep_indices,
             row["error"] = _error_text(fit)
         else:
             try:
-                row.update(_row_values(cfg, fit, seed))
+                row.update(_row_values(fit, seed))
             except _ROW_ERRORS as exc:
                 row["error"] = _error_text(exc)
         if timings:
@@ -138,27 +139,10 @@ def compute_row(cfg: dict, n_index: int, rep_index: int,
 class CellFit:
     """Everything one experiment cell produced, before row aggregation."""
 
-    generator: object
+    parts: Components
     data: object
-    loss: object
-    divergence: object
     omega: float
     chain: object
-    theta_bar: np.ndarray
-
-
-def _resolve_init(mh_spec: dict, loss, data):
-    """The chain's starting point from the mh config section: None for a
-    prior draw, the listed coordinates, or for "pilot" a data-driven warm
-    start, the least-squares fit of the score on the basis expansion of the
-    covariate (validation allows it for the threshold-function loss only).
-    It changes only where the chain starts, never the target; long
-    prior-started chains agree with short pilot-started ones.
-    """
-    init = mh_spec.get("init")
-    if init == "pilot":
-        return least_squares_coefficients(loss.basis.design(data.z), data.x)
-    return None if init is None else np.asarray(init, dtype=float)
 
 
 def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
@@ -182,7 +166,7 @@ def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
     for seed in seeds:
         start = time.perf_counter()
         try:
-            fit, chain_start = _set_up_cell(cfg, parts, n, seed)
+            fit, chain_start = _set_up_cell(parts, seed)
             if chain_start is not None:
                 starts.append((len(fits), chain_start))
         except _ROW_ERRORS as exc:
@@ -199,31 +183,31 @@ def _fit_cells(cfg: dict, n: int, seeds: list) -> tuple[list, list]:
         share = (time.perf_counter() - start) / len(starts)
         for (i, _), chain in zip(starts, chains):
             seconds[i] += share
-            fits[i] = chain if isinstance(chain, Exception) else replace(
-                fits[i], chain=chain, theta_bar=posterior_mean(chain))
+            fits[i] = chain if isinstance(chain, Exception) \
+                else replace(fits[i], chain=chain)
     return fits, seconds
 
 
-def _set_up_cell(cfg: dict, parts, n: int, seed: int):
+def _set_up_cell(parts: Components, seed: int):
     """Generate data, resolve a data-driven rate and set up the chain.
 
     Returns (fit, None) for a spike-slab cell, whose chain has already run,
-    and (fit without chain, ChainStart) for a random-walk cell.
+    and (fit without chain, ChainStart) for a random-walk cell.  A pilot
+    start, the least-squares fit of x on the basis of z, moves no target.
     """
-    data = parts.generator.sample(n, _sub_rng(seed, _STREAM_DATA))
+    data = parts.generator.sample(parts.n, _sub_rng(seed, _STREAM_DATA))
     omega = parts.omega if parts.omega is not None \
         else parts.schedule.resolve(data.scores0, data.scores1)
-    fit = CellFit(generator=parts.generator, data=data, loss=parts.loss,
-                  divergence=parts.divergence, omega=omega, chain=None,
-                  theta_bar=None)
+    fit = CellFit(parts=parts, data=data, omega=omega, chain=None)
 
     target = GibbsTarget(parts.loss, parts.prior, data, omega)
-    chain_seed = hash64(seed, _STREAM_CHAIN)
+    mh = replace(parts.mh, seed=hash64(seed, _STREAM_CHAIN))
     if isinstance(parts.prior, SpikeSlab):
-        chain = ss_mh_run(target, build_mh(cfg["mh"], n, seed=chain_seed))
-        return replace(fit, chain=chain, theta_bar=posterior_mean(chain)), None
-    init = _resolve_init(cfg["mh"], parts.loss, data)
-    return fit, mh_start(target, build_mh(cfg["mh"], n, seed=chain_seed, init=init))
+        return replace(fit, chain=ss_mh_run(target, mh)), None
+    if parts.pilot:
+        mh = replace(mh, init=least_squares_coefficients(
+            parts.loss.basis.design(data.z), data.x))
+    return fit, mh_start(target, mh)
 
 
 def fit_cell(cfg: dict, n: int, seed: int) -> CellFit:
@@ -234,32 +218,25 @@ def fit_cell(cfg: dict, n: int, seed: int) -> CellFit:
     return fit
 
 
-def _row_values(cfg: dict, fit: CellFit, seed: int) -> dict:
+def _row_values(fit: CellFit, seed: int) -> dict:
+    """The row's values: a batch call for the radius, then a between call
+    for the posterior mean, on one stream; the holdout's misclassification."""
+    parts, theta_bar = fit.parts, posterior_mean(fit.chain)
     div_rng = _sub_rng(seed, _STREAM_DIVERGENCE)
-    radius_q90, div_point = _divergence_stats(
-        fit.divergence, fit.chain.draws, fit.theta_bar, fit.generator, div_rng)
-
+    values = parts.divergence.batch(fit.chain.draws, parts.truth, div_rng)
     out = {"omega": fit.omega, "accept_rate": fit.chain.accept_rate,
-           "radius_q90": radius_q90, "div_point_est": div_point}
+           "radius_q90": float(np.quantile(values, 0.9)),
+           "div_point_est": float(parts.divergence.between(
+               theta_bar, parts.truth, div_rng))}
 
-    if isinstance(fit.loss, MCIDLoss):
-        holdout_n = cfg.get("holdout", fit.generator.holdout_default)
-        holdout = fit.generator.sample(holdout_n, _sub_rng(seed, _STREAM_HOLDOUT))
+    if parts.holdout is not None:
+        holdout = parts.generator.sample(parts.holdout,
+                                         _sub_rng(seed, _STREAM_HOLDOUT))
         out["misclass_est"] = holdout_misclassification(
-            lambda z: fit.loss.basis.design(z) @ fit.theta_bar, holdout)
-        out["misclass_truth"] = holdout_misclassification(fit.generator.truth_fn,
-                                                          holdout)
+            lambda z: parts.loss.basis.design(z) @ theta_bar, holdout)
+        out["misclass_truth"] = holdout_misclassification(
+            parts.generator.truth_fn, holdout)
     return out
-
-
-def _divergence_stats(div, draw_mat, theta_bar, generator, rng):
-    """(0.9-quantile of d(draw, truth), d(posterior mean, truth)), from one
-    batch and then one between call on rng.  The truth is theta_star, or for
-    EmpiricalL2 (a function truth) the true function's values on its grid."""
-    reference = (generator.truth_fn(div.xs) if isinstance(div, EmpiricalL2)
-                 else generator.theta_star)
-    values = div.batch(draw_mat, reference, rng)
-    return float(np.quantile(values, 0.9)), float(div.between(theta_bar, reference, rng))
 
 
 def _task(args) -> list[dict]:
@@ -432,11 +409,13 @@ def _summarize(cfg: dict, rows: list) -> dict:
     if mis_est:
         summary["misclassEstMean"] = float(np.mean(mis_est))
         summary["misclassTruthMean"] = float(np.mean(mis_tru))
-    pairs = [(r["n"], r["radius_q90"]) for r in ok
-             if r["radius_q90"] is not None and r["radius_q90"] > 0]
-    if len({n for n, _ in pairs}) >= 3:
-        fit = concentration_slope(pairs)
+    # the fit `gibbsinf diagnose rate` makes of radii.csv, if it makes one
+    try:
+        fit = concentration_slope([(r["n"], r["radius_q90"]) for r in ok
+                                   if r["radius_q90"] is not None])
         summary["rateFit"] = {"slope": fit.slope, "intercept": fit.intercept}
+    except PreconditionError:
+        pass
     return summary
 
 

@@ -29,7 +29,8 @@ from gibbsinf.harness import (AUCSim, SparseClassSim, holdout_misclassification,
                               row_seed, run_experiment, write_outputs)
 from gibbsinf.harness.runner import _fit_cells
 from gibbsinf.rates import AUCDataDriven, HeavyTailRate, auc_covariances
-from gibbsinf.sampler import effective_sample_size, hash64, make_rng
+from gibbsinf.sampler import (effective_sample_size, hash64, make_rng,
+                              posterior_mean)
 
 BASE_SEED = 1
 
@@ -97,12 +98,13 @@ def test_a01_population_misclassification_on_a_large_holdout():
     seeds = [row_seed(BASE_SEED, 0, j) for j in range(50)]
     fits, _ = _fit_cells(cfg, 100, seeds)
     assert not any(isinstance(f, Exception) for f in fits)
-    generator = fits[0].generator
+    generator = fits[0].parts.generator
     holdout = generator.sample(
         200_000, make_rng(hash64(BASE_SEED, 1, 200_000)))
-    design = fits[0].loss.basis.design(holdout.z)   # shared by all 50 plug-ins
-    rates = [holdout_misclassification(lambda z, b=f.theta_bar: design @ b,
-                                       holdout) for f in fits]
+    # one design, shared by all 50 plug-ins
+    design = fits[0].parts.loss.basis.design(holdout.z)
+    rates = [holdout_misclassification(
+        lambda z, b=posterior_mean(f.chain): design @ b, holdout) for f in fits]
     est = float(np.mean(rates))
     assert 0.13 <= est <= 0.19
     truth = holdout_misclassification(generator.truth_fn, holdout)

@@ -347,6 +347,18 @@ def test_mgf_check_guards():
             rng=make_rng(0))
 
 
+def test_mgf_check_names_a_grid_point_whose_moment_underflows():
+    # a grid point far worse than theta*: exp(-omega * excess) is 0 on every
+    # draw, and its K-hat, the log of that mean, used to raise "math domain
+    # error" from math.log(0)
+    gen = lambda rng, n: _const_regression(n)
+    with pytest.raises(OverflowGuardError, match=r"underflows.*\[1000\.0\]"):
+        mgf_condition_check(
+            loss=SquaredLoss(None), theta_grid=[np.array([1000.0])],
+            theta_star=np.array([0.5]), omega=1.0, div=AbsScalarDistance(),
+            r=2.0, generator=gen, n_draws=256, rng=make_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # posterior concentration summaries
 
@@ -406,3 +418,9 @@ def test_concentration_slope_validation():
                 (200, math.nan), (200, math.inf)):
         with pytest.raises(PreconditionError, match="positive and finite"):
             concentration_slope([(100, 0.1), bad, (400, 0.05)])
+    # a zero radius is skipped, and the sizes left must still number 3
+    pairs = [(100, 0.1), (200, 0.0), (400, 0.05), (800, 0.03)]
+    assert concentration_slope(pairs) == concentration_slope(
+        [p for p in pairs if p[1] > 0])
+    with pytest.raises(PreconditionError, match="3 distinct"):
+        concentration_slope(pairs[:3])

@@ -37,7 +37,8 @@ from gibbsinf.harness import (AUCSim, HeavyTailSim, MCID1, MCID2,
 from gibbsinf.harness import config
 from gibbsinf.harness.config import (build_mh, build_prior, build_rate,
                                      resolve_proposal_scale)
-from gibbsinf.harness.runner import _blocks, default_workers
+from gibbsinf.harness.runner import (RESULT_COLUMNS, _blocks, _summarize,
+                                     default_workers, write_radii_csv)
 from gibbsinf.losses import MCIDLoss
 from gibbsinf.sampler import credible_interval, hash64, make_rng
 
@@ -1349,6 +1350,20 @@ def test_cli_diagnose_mgf_takes_the_zero_one_loss_on_sparseclass(tmp_path):
     assert all(math.isfinite(p["k_hat"]) and p["d"] > 0 for p in points)
 
 
+def test_cli_diagnose_mgf_exits_2_on_a_moment_that_underflows(tmp_path):
+    # exp(-omega * excess) underflows to 0 on every draw at the grid point;
+    # this used to exit 2 with "ValueError: math domain error"
+    cfg_path = tmp_path / "mgf.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "mgf": {
+        **_MGF_SECTION, "grid": [[50.0, 50.0]], "omega": 100.0,
+        "nDraws": 100}}))
+    code, out, err = _run_cli(["diagnose", "mgf", str(cfg_path)])
+    assert code == 2, err
+    assert err.startswith("runtime error: OverflowGuardError: ")
+    assert "underflows" in err and "[50.0, 50.0]" in err, err
+    assert out == ""
+
+
 def test_cli_diagnose_mgf_reports_constants(tmp_path):
     cfg_path = tmp_path / "mgf.json"
     cfg_path.write_text(json.dumps({"schema": 1, "mgf": {
@@ -1374,6 +1389,34 @@ def test_cli_diagnose_rate_recovers_slope(tmp_path):
     payload = json.loads(out)
     assert payload["slope"] == pytest.approx(-0.5, abs=1e-10)
     assert payload["nPairs"] == 3
+
+
+def test_cli_diagnose_rate_skips_a_zero_radius_as_the_summary_does(tmp_path):
+    # a divergence clipped at zero (risk_diff_sqrt) can write a zero radius;
+    # the summary's rateFit skipped it while `diagnose rate` exited 1 on it
+    rows = []
+    for n in (100, 400, 1600):
+        for rep in range(2):
+            radius = 0.0 if (n, rep) == (400, 1) else (1.0 + rep) * n ** -0.5
+            rows.append({**{c: None for c in RESULT_COLUMNS}, "n": n,
+                         "rep": rep, "omega": 1.0, "accept_rate": 0.3,
+                         "radius_q90": radius})
+    summary = _summarize({"schema": 1}, rows)
+    csv_path = tmp_path / "radii.csv"
+    write_radii_csv(rows, csv_path)
+    code, out, err = _run_cli(["diagnose", "rate", str(csv_path)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert {k: payload[k] for k in ("slope", "intercept")} == summary["rateFit"]
+    assert payload["nPairs"] == 5
+
+
+def test_cli_diagnose_rate_rejects_a_negative_radius(tmp_path):
+    csv_path = tmp_path / "radii.csv"
+    csv_path.write_text("n,radius_q90\n100,0.5\n400,-0.1\n1600,0.1\n")
+    code, _, err = _run_cli(["diagnose", "rate", str(csv_path)])
+    assert code == 1, err
+    assert err.startswith("error: ") and "positive and finite" in err, err
 
 
 def test_cli_diagnose_rate_rejects_thin_input(tmp_path):
