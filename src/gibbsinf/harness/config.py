@@ -91,10 +91,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A finite JSON number."""
+def _is_real(value, finite=True) -> bool:
+    """A finite JSON number; with finite=False, any JSON number a float can
+    hold, NaN and the infinities too."""
     try:
-        return _is_number(value) and math.isfinite(value)
+        return _is_number(value) and (math.isfinite(value) or not finite)
     except OverflowError:       # an integer too large for a float
         return False
 
@@ -123,8 +124,8 @@ _PROPOSAL_SCALE = (
     'finite numbers', lambda v: _is_real(v) or _list_of(_is_real, True)(v) or (
         isinstance(v, dict) and set(v) == {"c", "gamma"}
         and all(map(_is_real, v.values()))))
-_INIT = ("'pilot' or a list of numbers",
-         lambda v: v == "pilot" or _list_of(_is_number)(v))
+_INIT = ("'pilot' or a list of numbers in float range",
+         lambda v: v == "pilot" or _list_of(lambda x: _is_real(x, False))(v))
 _CAP = ("a finite number or 'auto'", lambda v: v == "auto" or _is_real(v))
 _MULTIPLIER = _POINT
 

@@ -1,13 +1,14 @@
 """Synthetic data-generating processes for the experiment suite.
 
 Each generator draws datasets from a fully specified law with
-`sample(n, rng)` and carries the ground truth itself, so experiments can
-measure estimation error and misclassification against it: `theta_star` is
-the coefficient vector or scalar where the truth is finite-dimensional (None
-otherwise), and `truth_fn(xs)` the true function where it is not (the
-threshold of the MCID designs, the curve of the mean-curve design).  All
-draws consume only the passed Generator, so a generator plus a seed
-reproduces a dataset exactly.
+`sample(n, rng)`, shared by every generator: it checks n >= 1 and calls
+the family's own `_draw(n, rng)`.  Each generator carries the ground truth
+itself, so experiments can measure estimation error and misclassification
+against it: `theta_star` is the coefficient vector or scalar where the
+truth is finite-dimensional (None otherwise), and `truth_fn(xs)` the true
+function where it is not (the threshold of the MCID designs, the curve of
+the mean-curve design).  All draws consume only the passed Generator, so a
+generator plus a seed reproduces a dataset exactly.
 
 Each generator names the kind of data it emits (`data_kind`): "threshold"
 (x, y in {-1,+1} and the covariate z, with a threshold-function truth),
@@ -38,11 +39,16 @@ from ..model import CubicBSpline, Dataset, PairedScores, TensorBSpline
 
 class _Generator:
     """What every generator shares: no coefficient truth and no default
-    holdout size unless it sets them, and Monte-Carlo reference samples
-    drawn from its own law."""
+    holdout size unless it sets them, `sample` (the n check before the
+    family's `_draw`) and Monte-Carlo reference samples from its own law."""
 
     theta_star = None
     holdout_default = None
+
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
+        if n < 1:
+            raise PreconditionError("n must be at least 1")
+        return self._draw(n, rng)
 
     def mc_sample(self, rng: np.random.Generator, n: int) -> Dataset:
         return self.sample(n, rng)
@@ -89,9 +95,7 @@ class _ThresholdGeneratorBase(_Generator):
         x = self.mean_x(z) + self.x_sd * rng.standard_normal(n)
         return z, x
 
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        if n < 1:
-            raise PreconditionError("n must be at least 1")
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         z, x = self.sample_zx(rng, n)
         y = np.where(rng.random(n) < self.eta(z, x), 1, -1)
         return Dataset.classification(x=x, y=y, z=z)
@@ -192,9 +196,7 @@ class QuantileRegSim(_Generator):
         b0, b1 = self.theta_star
         return b0 + b1 * np.asarray(x, dtype=float)
 
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        if n < 1:
-            raise PreconditionError("n must be at least 1")
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         x = rng.uniform(0.0, 1.0, n)
         y = (self.beta_star[0] + self.beta_star[1] * x
              + self.noise_sd * rng.standard_normal(n))
@@ -220,9 +222,7 @@ class HeavyTailSim(_Generator):
         if self.theta_star.ndim != 1 or self.theta_star.size < 1:
             raise PreconditionError("theta_star must be a nonempty vector")
 
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        if n < 1:
-            raise PreconditionError("n must be at least 1")
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         x = rng.uniform(-1.0, 1.0, (n, self.theta_star.size))
         x[:, 0] = 1.0
         return Dataset.regression(x, x @ self.theta_star + rng.standard_t(self.df, n))
@@ -254,13 +254,8 @@ class MeanCurveSim(_Generator):
         self.truth_fn = _CURVES[curve]
         self.noise_sd = float(noise_sd)
 
-    def design(self, n: int) -> np.ndarray:
-        return np.arange(1, n + 1, dtype=float) / n
-
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        if n < 1:
-            raise PreconditionError("n must be at least 1")
-        x = self.design(n)
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
+        x = np.arange(1, n + 1, dtype=float) / n
         y = self.truth_fn(x) + self.noise_sd * rng.standard_normal(n)
         return Dataset.regression(x, y)
 
@@ -291,17 +286,15 @@ class AUCSim(_Generator):
     def theta_star(self) -> float:
         return float(ndtr(self.mu / math.sqrt(2.0)))
 
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        if n < 1:
-            raise PreconditionError("n must be at least 1")
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         scores0 = rng.standard_normal(n)
         return Dataset.two_sample(scores0, self.mu + rng.standard_normal(n))
 
     def mc_sample(self, rng: np.random.Generator, n: int) -> PairedScores:
-        """n matched (U0, U1) pairs -- the Monte-Carlo sample for pointwise
-        ranking-loss averages."""
-        return PairedScores(u0=rng.standard_normal(n),
-                            u1=self.mu + rng.standard_normal(n))
+        """n matched (U0, U1) pairs, the two groups of a sample of n each --
+        the Monte-Carlo sample for pointwise ranking-loss averages."""
+        data = self.sample(n, rng)
+        return PairedScores(u0=data.scores0, u1=data.scores1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +344,7 @@ class SparseClassSim(_Generator):
     def margin(self) -> float:
         return 1.0 - 2.0 * self.flip_rho
 
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        if n < 1:
-            raise PreconditionError("n must be at least 1")
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         x = rng.uniform(-1.0, 1.0, (n, 1 + self.q))
         clean = (x @ self.theta_star > 0.0).astype(int)
         flips = rng.random(n) < self.flip_rho

@@ -2,12 +2,15 @@
 
 Each loss family is written once, as two methods: `prepare(sample)` checks a
 sample and precomputes its arrays (design matrix, labels, responses), and
-`kernel(prepared)` holds the loss formula.  The regression losses keep their
-design as (n, J) rows; the 0-1 losses (MCID and zero-one) keep theirs as one
-C-contiguous (J, n) array, the one copy `prepare` makes.  On one sample's
-prepared arrays, or a stacked risk state ((R, n, J) or (R, J, n)), `kernel`
-makes every n-sized buffer the formula writes into (one matmul into a
-linear predictor, then ufuncs with `out=`) and returns `(sums, n, values)`.
+`kernel(prepared)` holds the loss formula.  The regression losses share one
+kernel, which computes the residual and hands it to the family's formula
+`residual_loss(r, v)`; the 0-1 losses share `_mismatch_kernel`, given the
+family's comparison.  The regression losses keep their design as (n, J)
+rows; the 0-1 losses (MCID and zero-one) keep theirs as one C-contiguous
+(J, n) array, the one copy `prepare` makes.  On one sample's prepared
+arrays, or a stacked risk state ((R, n, J) or (R, J, n)), `kernel` makes
+every n-sized buffer the formula writes into (one matmul into a linear
+predictor, then ufuncs with `out=`) and returns `(sums, n, values)`.
 `sums(B)` fills the losses of a (J,) vector on one sample, or of each row of
 an (R, J) block on a stacked state, and sums them over the observations into
 a buffer the kernel owns: one float, or a list of R Python numbers (integer
@@ -87,12 +90,27 @@ class _Loss:
 
 
 class _RegressionLoss(_Loss):
-    """Losses of the residual y - b'f(x) on a regression dataset."""
+    """Losses of the residual y - b'f(x) on a regression dataset.
+
+    A family is its formula, `residual_loss(r, v)`: it writes the losses of
+    the residuals r into v with ufuncs (r may be overwritten) and returns
+    v.  The one kernel around it owns the buffers."""
 
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "reg":
             raise ShapeError(f"{self.kind} loss expects a regression dataset")
         return design_matrix(self.basis, sample.x), sample.y
+
+    def kernel(self, prepared):
+        F, y = prepared
+        product = np.empty(F.shape[:-1] + (1,))
+        r, v = product[..., 0], np.empty(y.shape)
+        residual_loss, (total, n) = self.residual_loss, _sums(v)
+
+        def sums(B):
+            np.matmul(F, B[..., None], out=product)
+            return total(residual_loss(np.subtract(y, r, out=r), v))
+        return sums, n, _values(sums, v)
 
 
 class CheckLoss(_RegressionLoss):
@@ -106,7 +124,7 @@ class CheckLoss(_RegressionLoss):
     the bits of the mask form: for r < 0 the max is r * fl(tau - 1), else
     r * tau, and fl(tau - 1) is the constant tau - True.  When the products
     tie (r = ±0), `np.maximum(v, w)` returns its second operand w = r * tau,
-    the mask form's value, so the kernel keeps that operand order.  One
+    the mask form's value, so `residual_loss` keeps that operand order.  One
     exception: where both products underflow to zero (r = -5e-324 at
     tau = 0.5), the loss is -0.0 where the mask form gives +0.0.  Every
     check loss is >= 0, so a sum or risk can differ only when every loss of
@@ -119,22 +137,13 @@ class CheckLoss(_RegressionLoss):
         if not 0.0 < tau < 1.0:
             raise PreconditionError("tau must lie in (0,1)")
         self.tau = float(tau)
+        self.lower = self.tau - 1.0     # fl(tau - 1)
         self.basis = basis
 
-    def kernel(self, prepared):
-        F, y = prepared
-        product = np.empty(F.shape[:-1] + (1,))
-        r = product[..., 0]
-        v = np.empty(y.shape)
-        tau, lower, (total, n) = self.tau, self.tau - 1.0, _sums(v)
-
-        def sums(B):
-            np.matmul(F, B[..., None], out=product)
-            np.subtract(y, r, out=r)
-            np.multiply(r, lower, out=v)
-            # on ties maximum returns r * tau (see the class docstring)
-            return total(np.maximum(v, np.multiply(r, tau, out=r), out=v))
-        return sums, n, _values(sums, v)
+    def residual_loss(self, r, v):
+        np.multiply(r, self.lower, out=v)
+        # on ties maximum returns r * tau (see the class docstring)
+        return np.maximum(v, np.multiply(r, self.tau, out=r), out=v)
 
 
 class SquaredLoss(_RegressionLoss):
@@ -145,17 +154,8 @@ class SquaredLoss(_RegressionLoss):
     def __init__(self, basis: BasisSpec | None):
         self.basis = basis
 
-    def kernel(self, prepared):
-        F, y = prepared
-        product = np.empty(F.shape[:-1] + (1,))
-        r = product[..., 0]
-        total, n = _sums(r)
-
-        def sums(B):
-            np.matmul(F, B[..., None], out=product)
-            np.subtract(y, r, out=r)
-            return total(np.multiply(r, r, out=r))
-        return sums, n, _values(sums, r)
+    def residual_loss(self, r, v):
+        return np.multiply(r, r, out=v)
 
 
 class CappedSquaredLoss(_RegressionLoss):
@@ -174,17 +174,8 @@ class CappedSquaredLoss(_RegressionLoss):
         self.basis = basis
         self.cap = float(cap)
 
-    def kernel(self, prepared):
-        F, y = prepared
-        product = np.empty(F.shape[:-1] + (1,))
-        r = product[..., 0]
-        cap, (total, n) = self.cap, _sums(r)
-
-        def sums(B):
-            np.matmul(F, B[..., None], out=product)
-            np.subtract(y, r, out=r)
-            return total(np.minimum(np.multiply(r, r, out=r), cap, out=r))
-        return sums, n, _values(sums, r)
+    def residual_loss(self, r, v):
+        return np.minimum(np.multiply(r, r, out=v), self.cap, out=v)
 
 
 def _mismatch_kernel(Ft, compare, first, positive) -> tuple:

@@ -33,7 +33,8 @@ class FixedRate:
 
 
 class PowerLawRate:
-    """omega_n = c * n^(-gamma) with c > 0, gamma >= 0."""
+    """omega_n = c * n^(-gamma) with c > 0, gamma >= 0.  A rate is always
+    positive, so one that underflows to 0 is a PreconditionError."""
 
     kind = "powerlaw"
 
@@ -47,7 +48,10 @@ class PowerLawRate:
     def rate_at(self, n: int) -> float:
         if n < 1:
             raise PreconditionError("n must be >= 1")
-        return self.c * float(n) ** (-self.gamma)
+        omega = self.c * float(n) ** (-self.gamma)
+        if not omega > 0:
+            raise PreconditionError("c * n^(-gamma) underflows to 0")
+        return omega
 
 
 class HeavyTailRate:

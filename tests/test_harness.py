@@ -220,6 +220,21 @@ def test_generator_samples_match_recorded_digests(index, gen, digest):
     assert _array_digest(data, ("x", "y", "z", "scores0", "scores1")) == digest
 
 
+@pytest.mark.parametrize("gen", [
+    MCID1(), MCID2(), QuantileRegSim(0.3), HeavyTailSim(5.0), MeanCurveSim(),
+    AUCSim(0.8), SparseClassSim(12, (1, 4), (1.5, -2.0))],
+    ids=["mcid1", "mcid2", "quantilereg", "heavytail", "meancurve", "aucsim",
+         "sparseclass"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_every_generator_rejects_a_sample_size_below_one(gen, n):
+    # aucsim's Monte-Carlo pairs raised a ShapeError at n = 0 and NumPy's
+    # ValueError at n = -1
+    with pytest.raises(PreconditionError, match="n must be at least 1"):
+        gen.sample(n, make_rng(1))
+    with pytest.raises(PreconditionError, match="n must be at least 1"):
+        gen.mc_sample(make_rng(1), n)
+
+
 def test_ranking_mc_pairs_match_recorded_digest():
     pairs = AUCSim(0.8).mc_sample(make_rng(hash64(97, 7)), 50)
     assert _array_digest(pairs, ("u0", "u1")) == \
@@ -817,6 +832,34 @@ def test_integer_too_large_for_a_float_is_a_config_error(tmp_path):
     assert not out_dir.exists()
 
 
+def test_mh_init_too_large_for_a_float_fails_before_any_cell(tmp_path):
+    # an mh init entry of 1 followed by 400 zeros passed validation, and its
+    # float conversion in build_components escaped as an OverflowError
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid1.json"))
+    cfg["mh"]["init"] = [10 ** 400, 0, 0, 0, 0, 0]
+    with pytest.raises(ConfigError, match="mh init must be 'pilot' or a list "
+                                          "of numbers in float range"):
+        validate_experiment_config(cfg)
+    path = tmp_path / "mcid1.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
+    assert code == 1
+    assert err.startswith("error: ") and "mh init" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minusInf"])
+def test_nonfinite_float_in_mh_init_is_left_to_its_row(coordinate):
+    # a start of NaN or zero density is an InitializationError of its row
+    cfg = _tiny_config()
+    cfg["mh"] = dict(cfg["mh"], init=[coordinate, 1.0])
+    validate_experiment_config(cfg)
+
+
 @pytest.mark.parametrize("init", ["pilot", [1.0, 2.0]], ids=["pilot", "list"])
 def test_spikeslab_init_fails_before_any_cell(tmp_path, init):
     # the sparse sampler always starts from a prior draw, so an init there
@@ -860,20 +903,25 @@ def test_aucdata_rate_needs_aucsim_before_any_cell(tmp_path, generator):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", [{"name": "heavytail", "s": 5}],
-                         ids=["heavytail"])
-def test_rate_that_cannot_resolve_at_some_n_fails_before_any_cell(tmp_path, rate):
+@pytest.mark.parametrize("rate,n", [
+    ({"name": "heavytail", "s": 5}, 1),
+    ({"name": "power", "c": 1.0, "gamma": 400}, 20)],
+    ids=["heavytail", "powerUnderflow"])
+def test_rate_that_cannot_resolve_at_some_n_fails_before_any_cell(tmp_path,
+                                                                 rate, n):
     # the log-n schedule has no value at n = 1: the config used to pass
-    # validation, and every n = 1 row failed with a PreconditionError
+    # validation, and every n = 1 row failed with a PreconditionError; the
+    # power rate's 20^(-400) underflows to 0, and its chains sampled the
+    # prior without an error
     cfg = _tiny_config(rate=rate, nGrid=[1, 20])
     with pytest.raises(ConfigError, match=f"rate {rate['name']!r} cannot "
-                                          f"resolve at n = 1"):
+                                          f"resolve at n = {n}"):
         validate_experiment_config(cfg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     code, _, err = _run_cli(["experiment", "run", str(path), "--out", str(out)])
-    assert code == 1 and f"rate {rate['name']!r}" in err and "n = 1" in err, err
+    assert code == 1 and f"rate {rate['name']!r}" in err and f"n = {n}" in err, err
     assert not out.exists()
 
 

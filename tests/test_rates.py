@@ -35,6 +35,14 @@ def test_power_law_rate_values():
     assert sched.rate_at(1) == pytest.approx(2.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("c,gamma,n", [(1.0, 400.0, 200), (5e-324, 1.0, 4)],
+                         ids=["powerUnderflows", "productUnderflows"])
+def test_power_law_rate_that_underflows_to_zero_is_a_precondition_error(c, gamma, n):
+    # omega = 0 would sample the prior alone, without an error
+    with pytest.raises(PreconditionError, match="underflows to 0"):
+        PowerLawRate(c=c, gamma=gamma).rate_at(n)
+
+
 @pytest.mark.parametrize("n", [100, 1000, 10_000])
 def test_heavy_tail_identities_s4(n):
     # s = 4: cap t_n = n, rate omega_n = n^(-1/2), and the bound product
