@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import OverflowGuardError, PreconditionError, ShapeError
-from .losses import LossSpec, sign_neg
+from .losses import LossSpec, _MismatchLoss, sign_neg
 from .model import BasisSpec, design_matrix
 
 
@@ -183,44 +183,50 @@ class RiskDiffSqrt:
         self.sample_data = sample_data
         self.n_draws = int(n_draws)
 
-    def _values(self, rng):
-        """Per-observation loss of a parameter on one fresh sample."""
+    def _prepared(self, rng):
+        """The loss's prepared arrays of one fresh sample."""
         if rng is None:
             raise PreconditionError(f"divergence {self.kind!r} needs an rng")
-        loss = self.loss
-        return loss.kernel(loss.prepare(self.sample_data(rng, self.n_draws)))[2]
+        return self.loss.prepare(self.sample_data(rng, self.n_draws))
 
-    def _estimate(self, a, b, rng) -> MCDivergence:
+    def estimate(self, a, b, rng) -> MCDivergence:
+        """The divergence with its standard error; 0, drawing nothing, at a == b."""
         if _vec(a).size != _vec(b).size:
             raise ShapeError("parameter dimensions differ")
         if rng is not None and np.array_equal(a, b):
             return MCDivergence(0.0, 0.0, 0)
-        values = self._values(rng)
+        values = self.loss.kernel(self._prepared(rng))[2]
         return _sqrt_of_mean(values(a) - values(b))
 
-    def estimate(self, a, b, rng) -> MCDivergence:
-        """The divergence with its standard error; 0, drawing nothing, at a == b."""
-        return self._estimate(a, b, rng)
-
     def between(self, a, b, rng=None) -> float:
-        return self._estimate(a, b, rng).value
+        """The one-row batch: sqrt of the same excess over the same sample."""
+        return float(self._batch(_vec(a)[None], b, rng)[0])
 
     def batch(self, draws, b, rng=None) -> np.ndarray:
         """Divergence of each draw (row) to b, sharing one fresh sample.
 
         Sharing the sample across draws makes the values comparable within a
         chain at a fraction of the cost; each value is still an unbiased MC
-        estimate of sqrt(excess risk) clipped at zero.
+        estimate of sqrt(excess risk) clipped at zero.  A 0-1 loss scores
+        the draws by its chunked gemm (`counts`): the mean of a draw's 0/±1
+        loss differences is its exact count difference over n, which one
+        correctly rounded division gives with np.mean's bits.
         """
+        return self._batch(draws, b, rng)
+
+    def _batch(self, draws, b, rng) -> np.ndarray:
         vb = _vec(b)
         mat = _rows(draws, vb.size)
-        values = self._values(rng)
-        ref = values(vb)
-        vals = np.empty(mat.shape[0])
-        for i, row in enumerate(mat):
-            d = float(np.mean(values(row) - ref))
-            vals[i] = math.sqrt(d) if d > 0 else 0.0
-        return vals
+        loss, prepared = self.loss, self._prepared(rng)
+        if isinstance(loss, _MismatchLoss):
+            n = prepared[0].shape[-1]
+            ref = loss.counts(prepared, vb[None])[0]
+            excess = [(c - ref) / n for c in loss.counts(prepared, mat)]
+        else:
+            values = loss.kernel(prepared)[2]
+            ref = values(vb)
+            excess = [float(np.mean(values(row) - ref)) for row in mat]
+        return np.array([math.sqrt(d) if d > 0 else 0.0 for d in excess])
 
 
 class MCIDMeasure:

@@ -4,9 +4,9 @@ Each loss family is written once, as two methods: `prepare(sample)` checks a
 sample and precomputes its arrays (design matrix, labels, responses), and
 `kernel(prepared)` holds the loss formula.  The regression losses share one
 kernel, which computes the residual and hands it to the family's formula
-`residual_loss(r, v)`; the 0-1 losses share `_mismatch_kernel`, given the
-family's comparison.  The regression losses keep their design as (n, J)
-rows; the 0-1 losses (MCID and zero-one) keep theirs as one C-contiguous
+`residual_loss(r, v)`; the 0-1 losses (MCID and zero-one) share
+`_MismatchLoss`, given the family's comparison.  The regression losses keep
+their design as (n, J) rows; the 0-1 losses keep theirs as one C-contiguous
 (J, n) array, the one copy `prepare` makes.  On one sample's prepared
 arrays, or a stacked risk state ((R, n, J) or (R, J, n)), `kernel` makes
 every n-sized buffer the formula writes into (one matmul into a linear
@@ -20,19 +20,24 @@ theta's per-observation losses on one sample.  The samplers,
 `empirical_risk`, `pointwise_losses` and the Monte-Carlo diagnostics build a
 kernel once per sample, chain start or block and call these;
 `GibbsTarget.risk`, a reference for one coefficient vector, builds one per
-call.  The loss on a single observation is the one value of a one-row
-sample.  The ranking loss keeps a closed-form risk over the m*n pair grid,
-whose sums are the risks themselves over the divisor 1, and gives values on
-matched pairs.
+call.  A 0-1 loss's formula is its `counter`: the count of a linear
+predictor's mismatches with the labels.  Its kernel fills the predictor
+with one product per chain, the spike-slab chain builds it from what a move
+changes, and `counts`, which `RiskDiffSqrt` scores draws with, by one gemm
+per chunk of draws.  The loss on a single observation is the one value of a
+one-row sample.  The ranking loss keeps a closed-form risk over the m*n pair
+grid, whose sums are the risks themselves over the divisor 1, and gives
+values on matched pairs.
 
 Every chain's risk is bit-identical to its one-chain value and to its risk
 on the unstacked arrays: the linear predictor is one matrix-vector product
 per chain, and the risk is the same pairwise sum (an exact count for the
 0-1 losses) divided by n that `np.mean` computes.  On the (J, n) layout the
 0-1 losses' linear predictor, b @ Ft, may differ in its last bits from the
-row layout's F @ b; their masks and counts do not, because a 0-1 loss sees
-the predictor only through one comparison, which moves only where its two
-sides tie within rounding.
+row layout's F @ b, and so may one built by a gemm or from a change of b;
+their masks and counts do not, because a 0-1 loss sees the predictor only
+through one comparison, which moves only where its two sides tie within
+rounding.
 
 Sign convention: sign(0) = -1 everywhere, and classifier indicators use the
 strict inequality x'theta > 0.  Score ties across groups in the pairwise
@@ -178,26 +183,64 @@ class CappedSquaredLoss(_RegressionLoss):
         return np.minimum(np.multiply(r, r, out=v), self.cap, out=v)
 
 
-def _mismatch_kernel(Ft, compare, first, positive) -> tuple:
-    """The 0-1 kernel on a (J, n) design Ft, or a stacked (R, J, n) one: the
-    mismatch mask of compare(first, b @ Ft) and the labels' positive mask,
-    counted per chain.
+_CHUNK_FLOATS = 8192    # the most linear-predictor floats `counts` holds
 
-    The linear predictor is one vector-matrix product per chain,
-    `np.matmul(B[..., None, :], Ft)`, which OpenBLAS runs as an axpy-form
-    gemv along rows n long, faster than the dot-form gemv of `F @ b` over
-    rows J wide.  Its last bits may differ from those of `F @ b`; the masks
-    do not, since a comparison changes only where `first` ties the
-    predictor within rounding.  The kernel copies nothing of Ft."""
-    product = np.empty(Ft.shape[:-2] + (1, Ft.shape[-1]))
-    linear, mask = product[..., 0, :], np.empty(positive.shape, dtype=bool)
-    total, n = _sums(mask)
 
-    def sums(B):
-        np.matmul(B[..., None, :], Ft, out=product)
-        compare(first, linear, out=mask)
-        return total(np.not_equal(mask, positive, out=mask))
-    return sums, n, _values(sums, mask)
+class _MismatchLoss(_Loss):
+    """The 0-1 losses: the mismatch of compare(first, b'f) with the labels.
+
+    A family is its comparison: `comparison(prepared)` gives compare, its
+    first operand and the labels' positive mask, on a design that is one
+    C-contiguous (J, n) array, or a stacked (R, J, n) one."""
+
+    def counter(self, prepared, shape) -> tuple:
+        """(count, linear, mask): the one 0-1 formula, which the kernel, the
+        spike-slab chain and `counts` share, on a linear-predictor buffer
+        and a mask buffer of `shape`, (..., n), that it owns.  count(B)
+        fills linear with B @ Ft, one vector-matrix product per row of a
+        (J,) vector or (R, J) block; count() takes linear as its caller
+        filled it.  Then the mismatches of compare(first, linear) with the
+        positive mask are counted per row, as `_sums` gives them.
+
+        `np.matmul(B[..., None, :], Ft)` is OpenBLAS's axpy-form gemv along
+        rows n long, faster than the dot-form `F @ b` over rows J wide and
+        copying nothing of Ft.  Its last bits may differ from `F @ b`'s, as
+        may those of a predictor a caller builds another way; the masks do
+        not, since a comparison changes only where `first` ties the
+        predictor within rounding."""
+        Ft = prepared[0]
+        compare, first, positive = self.comparison(prepared)
+        product = np.empty(shape[:-1] + (1, shape[-1]))
+        linear, mask = product[..., 0, :], np.empty(shape, dtype=bool)
+        total = _sums(mask)[0]
+
+        def count(B=None):
+            if B is not None:
+                np.matmul(B[..., None, :], Ft, out=product)
+            compare(first, linear, out=mask)
+            return total(np.not_equal(mask, positive, out=mask))
+        return count, linear, mask
+
+    def kernel(self, prepared):
+        Ft = prepared[0]
+        count, _, mask = self.counter(prepared, Ft.shape[:-2] + Ft.shape[-1:])
+        return count, Ft.shape[-1], _values(count, mask)
+
+    def counts(self, prepared, B) -> list:
+        """The mismatch count of each row of a (D, J) matrix B on one
+        sample's prepared arrays: one gemm of a chunk of rows against the
+        (J, n) design into a buffer of at most _CHUNK_FLOATS floats, then
+        `counter`'s count, so a batch of any size holds one chunk."""
+        n = prepared[0].shape[-1]
+        rows = max(1, _CHUNK_FLOATS // n)
+        counts, linear = [], None
+        for start in range(0, len(B), rows):
+            chunk = B[start:start + rows]
+            if linear is None or len(chunk) != len(linear):
+                count, linear, _ = self.counter(prepared, (len(chunk), n))
+            np.matmul(chunk, prepared[0], out=linear)
+            counts += count()
+        return counts
 
 
 def _positive_labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
@@ -208,13 +251,12 @@ def _positive_labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
     return y > 0
 
 
-class ZeroOneLinearLoss(_Loss):
+class ZeroOneLinearLoss(_MismatchLoss):
     """Misclassification loss of the linear classifier 1{x'theta > 0}.
 
     theta is the dense coefficient vector (first coordinate conventionally
     the sign-constrained one); labels are in {0,1}.  `prepare` gives the
-    features as one C-contiguous (J, n) array, the layout of
-    `_mismatch_kernel`.
+    features as one C-contiguous (J, n) array.
     """
 
     kind = "zeroone"
@@ -225,13 +267,12 @@ class ZeroOneLinearLoss(_Loss):
         return (np.ascontiguousarray(design_matrix(None, sample.x).T),
                 _positive_labels(sample, {0, 1}, "zero-one loss"))
 
-    def kernel(self, prepared):
-        Xt, positive = prepared
+    def comparison(self, prepared):
         # 0 < t is t > 0 for every double
-        return _mismatch_kernel(Xt, np.less, 0.0, positive)
+        return np.less, 0.0, prepared[1]
 
 
-class MCIDLoss(_Loss):
+class MCIDLoss(_MismatchLoss):
     """Threshold-classification loss 0.5*(1 - y * sign(x - theta(z))).
 
     theta(z) = beta'f(z) is a function of the covariate z, given by its
@@ -239,8 +280,7 @@ class MCIDLoss(_Loss):
     and y in {-1,+1} the reported outcome.  For y in {-1,+1} the loss is the
     mismatch indicator of sign(x - theta(z)) and y: sign(t) = +1 exactly
     when t > 0, so it is the mismatch of x > theta(z) and y > 0.  `prepare`
-    gives the basis design of z as one C-contiguous (J, n) array, the layout
-    of `_mismatch_kernel`.
+    gives the basis design of z as one C-contiguous (J, n) array.
     """
 
     kind = "mcid"
@@ -255,10 +295,9 @@ class MCIDLoss(_Loss):
                 sample.x.astype(float),
                 _positive_labels(sample, {-1, 1}, "threshold loss"))
 
-    def kernel(self, prepared):
-        Ft, x, positive = prepared
+    def comparison(self, prepared):
         # x > t is x - t > 0 for every pair of doubles, one operation fewer
-        return _mismatch_kernel(Ft, np.greater, x, positive)
+        return np.greater, prepared[1], prepared[2]
 
 
 class AUCLoss(_Loss):

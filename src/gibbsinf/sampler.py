@@ -418,21 +418,26 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     log pi(S) depends on S only through s = |S|, so the add and remove
     ratios are read from per-chain tables by s, built once from
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
-    current beta_S is kept between walks.  Each proposal is scored by the
-    loss's kernel on the target's 2-D arrays (`risk_state` without its chain
-    axis, the design as one (1+q, n) array), built once per chain: one
-    axpy-form gemv of the row against that design and one count of
-    mismatches, divided by n, with the bits of `GibbsTarget.risk`.  The
-    chain accepts only a few per cent of its moves, so a state stands for
-    tens of steps and proposes the same rows again: the energy of each
-    remove-j row and of the flipped row is kept from the first time it is
-    scored until a move is accepted, and a repeat costs no kernel call and
-    no row (an accepted remove or flip edits theta in place).  The kernel's
-    result is a function of the row's bytes, so every delta, decision and
-    draw is the one a fresh score would give.  Chains run one at a time: a
-    lockstep block costs more per row at n=800, and lookahead would save at
-    most about 2 µs of a step (ROADMAP, Set aside).  The kept draws are
-    theta rows.  The chain's meta carries q, the proposals and acceptances
+    current beta_S is kept between walks.  The chain keeps the standing
+    state's linear predictor eta = theta @ Xt, one (n,) array on the
+    target's (1+q, n) design Xt, and builds each proposal's predictor from
+    what the move changes, into one buffer: eta + b*Xt[j] for an add,
+    eta - beta_j*Xt[j] for a remove, eta + walk @ Xt_S for a walk (the rows
+    Xt_S of the support, taken once per support change) and
+    eta - 2*alpha*Xt[0] for a flip.  The loss's `counter` then counts its
+    mismatches, the 0-1 kernel's one formula, divided by n.  An accepted
+    move edits theta in place and recomputes eta with the full product, so
+    rounding does not build up over moves.  The predictor's last bits may
+    differ from the full product's; the counts do not, because a 0-1 loss
+    sees the predictor only through one comparison, which moves only where
+    its two sides tie within rounding.  The chain accepts only a few per
+    cent of its moves, so a state stands for tens of steps and proposes
+    the same rows again: the energy of each remove-j row and of the
+    flipped row is kept from the first time it is scored until a move is
+    accepted, and a repeat builds and counts nothing.  Chains run one at a
+    time: a lockstep block costs more per row at n=800, and lookahead would
+    save at most about 2 µs of a step (ROADMAP, Set aside).  The kept draws
+    are theta rows.  The chain's meta carries q, the proposals and acceptances
     of each move (`moves`: add, remove, walk, flip) and the mean |S| over
     the kept draws (`mean_support_size`).
     """
@@ -476,14 +481,20 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                              - log(q - s + 1) for s in range(1, q + 1)]
 
     omega_n = target.omega * target.n_terms
-    sums, n = target.loss.kernel(tuple(a[0] for a in target.risk_state))[:2]
+    prepared = tuple(a[0] for a in target.risk_state)
+    Xt = prepared[0]
+    n = Xt.shape[1]
+    # count() scores the proposal's linear predictor, built into `linear`
+    count, linear, _ = target.loss.counter(prepared, (n,))
     slab_log_density = prior.slab_log_density
     random, integers = rng.random, rng.integers
     laplace, standard_normal = rng.laplace, rng.standard_normal
     slab_scale = 1.0 / lam
     flip_prob = config.alpha_flip_prob
 
-    ne = -omega_n * (sums(theta) / n)
+    ne = -omega_n * (count(theta) / n)
+    eta = linear.copy()               # the standing state's linear predictor
+    Xt_s = Xt[support_idx]            # the design rows of beta_S
     slab = None                       # slab density of beta_S, once needed
     # energies of the standing state's remove-j rows and of its flipped row,
     # each scored the first time it is proposed; emptied at every acceptance
@@ -506,9 +517,11 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
         if mu < _ADD_P:
             if s < q:
                 i = integers(q - s)
-                prop = theta.copy()
-                prop[1 + absent[i]] = laplace(0.0, slab_scale)
-                prop_ne = -omega_n * (sums(prop) / n)
+                j = absent[i]
+                b = laplace(0.0, slab_scale)
+                np.multiply(Xt[1 + j], b, out=linear)
+                np.add(eta, linear, out=linear)
+                prop_ne = -omega_n * (count() / n)
                 log_extra = add_extra[s]
                 move = 0
         elif mu < _ADD_P + _REMOVE_P:
@@ -517,20 +530,21 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                 j = support[i]
                 prop_ne = remove_ne.get(j)
                 if prop_ne is None:
-                    prop = theta.copy()
-                    prop[1 + j] = 0.0
-                    prop_ne = remove_ne[j] = -omega_n * (sums(prop) / n)
+                    np.multiply(Xt[1 + j], theta[1 + j], out=linear)
+                    np.subtract(eta, linear, out=linear)
+                    prop_ne = remove_ne[j] = -omega_n * (count() / n)
                 log_extra = remove_extra[s]
                 move = 1
         elif s > 0:
             beta_s = theta[support_idx]
-            new_b = beta_s + walk_scale * standard_normal(s)
-            prop = theta.copy()
-            prop[support_idx] = new_b
+            walk = walk_scale * standard_normal(s)
+            new_b = beta_s + walk
+            np.matmul(walk, Xt_s, out=linear)
+            np.add(eta, linear, out=linear)
             if slab is None:
                 slab = slab_log_density(beta_s)
             prop_slab = slab_log_density(new_b)
-            prop_ne = -omega_n * (sums(prop) / n)
+            prop_ne = -omega_n * (count() / n)
             # symmetric walk on a fixed configuration: only the slab ratio
             log_extra = prop_slab - slab
             move = 2
@@ -539,34 +553,36 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             proposed[move] += 1
             delta = (prop_ne - ne) + log_extra
             if delta >= 0.0 or random() < exp(delta):
-                if move == 1:
-                    theta[1 + j] = 0.0     # the scored row, made in place
+                if move == 2:
+                    theta[support_idx] = new_b
+                    slab = prop_slab
                 else:
-                    theta = prop
+                    if move == 0:
+                        theta[1 + j] = b
+                        insort(support, absent.pop(i))
+                    else:
+                        theta[1 + j] = 0.0
+                        insort(absent, support.pop(i))
+                    support_idx = np.array(support, dtype=np.intp) + 1
+                    Xt_s = Xt[support_idx]
+                    slab = None
+                np.matmul(theta, Xt, out=eta)
                 ne = prop_ne
                 remove_ne.clear()
                 flip_ne = None
                 accepted += 1
                 taken[move] += 1
-                if move == 2:
-                    slab = prop_slab
-                else:
-                    if move == 0:
-                        insort(support, absent.pop(i))
-                    else:
-                        insort(absent, support.pop(i))
-                    support_idx = np.array(support, dtype=np.intp) + 1
-                    slab = None
 
         if random() < flip_prob:
             proposed[3] += 1
             if flip_ne is None:
-                flipped = theta.copy()
-                flipped[0] = -flipped[0]
-                flip_ne = -omega_n * (sums(flipped) / n)
+                np.multiply(Xt[0], -2.0 * theta[0], out=linear)
+                np.add(eta, linear, out=linear)
+                flip_ne = -omega_n * (count() / n)
             d = flip_ne - ne
             if d >= 0.0 or random() < exp(d):
                 theta[0] = -theta[0]
+                np.matmul(theta, Xt, out=eta)
                 ne = flip_ne
                 remove_ne.clear()
                 flip_ne = None

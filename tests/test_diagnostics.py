@@ -25,6 +25,7 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CubicBSpline, Dataset,
 from gibbsinf.errors import (OverflowGuardError, PreconditionError, ShapeError)
 from gibbsinf.harness import AUCSim, MCID1, SparseClassSim
 from gibbsinf.harness.config import build_components, load_config
+from gibbsinf.losses import _CHUNK_FLOATS
 from gibbsinf.sampler import hash64, make_rng
 
 
@@ -230,6 +231,83 @@ def test_risk_diff_sqrt_squares_to_mean_excess():
     # and the mv mean is itself near the exact excess risk within 3 se
     exact = (theta - theta_star) ** 2  # exact quadratic excess for this loss
     assert abs(mv.m_hat - exact) < 3 * mv.m_se
+
+
+_SPARSE = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
+_ROWS = max(1, _CHUNK_FLOATS // 2048)   # draws per gemm at nDraws 2048
+
+
+def _sparse_draws(count, seed):
+    """`count` sparse_trend rows near theta*: some with alpha flipped, every
+    tenth from the sixth on equal to theta*."""
+    rng = np.random.default_rng([59, seed])
+    draws = np.repeat(_SPARSE.theta_star[None], count, axis=0)
+    draws[:, 1:] += rng.laplace(0.0, 0.5, (count, 50)) \
+        * (rng.random((count, 50)) < 0.1)
+    draws[::7, 0] = -1.0
+    draws[5::10] = _SPARSE.theta_star
+    draws[3::10, 1:3] *= 1.01
+    return draws
+
+
+def _risk_diff_batch_digest() -> str:
+    """sha256 of the sparse_trend divergence (nDraws 2048) of 100 draws,
+    recorded with the per-draw `values` batch; `test_losses._mask_pin_misses`
+    reruns it under other BLAS kernels."""
+    div = RiskDiffSqrt(ZeroOneLinearLoss(), _SPARSE.mc_sample, n_draws=2048)
+    got = div.batch(_sparse_draws(100, 1), _SPARSE.theta_star,
+                    make_rng(hash64(59, 2)))
+    return hashlib.sha256(got.tobytes()).hexdigest()
+
+
+_RISK_DIFF_BATCH_PIN = \
+    "3cf8769d8201c1e30a10c96aaf961eb66ba2e927ecb806e26caf2751d781053b"
+
+
+def test_risk_diff_sqrt_batch_matches_recorded_digest():
+    assert _risk_diff_batch_digest() == _RISK_DIFF_BATCH_PIN
+
+
+@pytest.mark.parametrize("count", sorted({1, _ROWS - 1, _ROWS, _ROWS + 1, 100}
+                                         - {0}))
+def test_zero_one_batch_is_the_per_draw_mean_bit_for_bit(count):
+    # the chunked gemm's count differences over n against the mean of each
+    # draw's 0/±1 loss differences on the same sample, clipped at zero; the
+    # draws include theta* itself once there are six
+    div = RiskDiffSqrt(ZeroOneLinearLoss(), _SPARSE.mc_sample, n_draws=2048)
+    draws, ref = _sparse_draws(count, 2), _SPARSE.theta_star
+    got = div.batch(draws, ref, make_rng(hash64(59, 3)))
+    loss = ZeroOneLinearLoss()
+    sample = _SPARSE.mc_sample(make_rng(hash64(59, 3)), 2048)
+    values = loss.kernel(loss.prepare(sample))[2]
+    excess = [float(np.mean(values(row) - values(ref))) for row in draws]
+    want = np.array([math.sqrt(d) if d > 0 else 0.0 for d in excess])
+    assert got.tobytes() == want.tobytes()
+    assert div.between(draws[-1], ref, make_rng(hash64(59, 3))) == want[-1]
+    if count > 5:
+        assert got[5] == 0.0
+
+
+def test_zero_one_batch_holds_one_chunk_of_the_product():
+    # 1000 draws at nDraws 2048: the whole (1000, 2048) product would take
+    # 16 MB, where the sample and its transposed design take about 1.7 MB
+    div = RiskDiffSqrt(ZeroOneLinearLoss(), _SPARSE.mc_sample, n_draws=2048)
+    draws = _sparse_draws(1000, 4)
+    tracemalloc.start()
+    try:
+        div.batch(draws, _SPARSE.theta_star, make_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * 1000 * 2048 * 8
+
+
+def test_zero_one_batch_needs_an_rng():
+    div = RiskDiffSqrt(ZeroOneLinearLoss(), _SPARSE.mc_sample, n_draws=64)
+    for call in (lambda: div.batch(_sparse_draws(3, 5), _SPARSE.theta_star),
+                 lambda: div.between(_SPARSE.theta_star, _SPARSE.theta_star)):
+        with pytest.raises(PreconditionError, match="needs an rng"):
+            call()
 
 
 def test_mcid_measure_constant_shift_oracle():

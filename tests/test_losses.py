@@ -697,9 +697,18 @@ def _cpu_flags() -> set:
 
 
 def _mask_pin_misses() -> list:
-    """The mcid sums and buffer pins and the zero-one row pins whose
+    """The mcid sums and buffer pins, the zero-one row pins, the q50 sparse
+    chain digests and the zero-one `RiskDiffSqrt.batch` digest whose
     recomputed hash differs from the recorded one."""
+    import test_diagnostics
+    import test_sampler
     misses = []
+    for n, digest, _ in test_sampler._Q50_PINS:
+        if _sha(test_sampler._q50_chain(n).draws) != digest:
+            misses.append(f"q50 chain {n}")
+    if test_diagnostics._risk_diff_batch_digest() \
+            != test_diagnostics._RISK_DIFF_BATCH_PIN:
+        misses.append("risk_diff_sqrt batch")
     for R in (1, 4):
         for n in (30, 203, 3200):
             sums, values, B = _pin_block("mcid", R, n)

@@ -781,20 +781,29 @@ def test_sparse_chains_match_recorded_values():
         [-1.0, 0.831906165889354, 0.0, -0.9237970197326825]]
 
 
-@pytest.mark.parametrize("n, digest, accepted", [
+# (n, sha256 of the draws' bytes, acceptances) of two 3000-step chains on
+# the sparse_trend protocol (q = 50), recorded with the package that kept the
+# support as a mask; `test_losses._mask_pin_misses` reruns them under other
+# BLAS kernels
+_Q50_PINS = [
     (200, "5e15a486631475c85599da1662ee1117bf65cbff994f2892562729bdba4453f4", 144),
-    (800, "ba9440b3bea3764d62f2185c60fc627d115466b78a5c3e9a71b2651c598a7e6c", 70)])
-def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
-    # every state of two 3000-step chains on the sparse_trend protocol
-    # (q = 50), recorded as a sha256 of the draws' bytes with the package
-    # that kept the support as a mask.  About 1700 adds and removes per
-    # chain pick among up to 50 coordinates; 30 and 6 are accepted.
+    (800, "ba9440b3bea3764d62f2185c60fc627d115466b78a5c3e9a71b2651c598a7e6c", 70)]
+
+
+def _q50_chain(n):
     gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
     data = gen.sample(n, make_rng(hash64(53, n)))
     target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
                          data, 1.0)
-    chain = ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
-                                       seed=hash64(53, n, 1)))
+    return ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
+                                      seed=hash64(53, n, 1)))
+
+
+@pytest.mark.parametrize("n, digest, accepted", _Q50_PINS)
+def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
+    # every state of the two chains.  About 1700 adds and removes per chain
+    # pick among up to 50 coordinates; 30 and 6 are accepted.
+    chain = _q50_chain(n)
     assert chain.accepted == accepted
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
 
@@ -816,50 +825,46 @@ def test_sparse_chain_start_is_a_prior_draw_the_prior_does_not_score(monkeypatch
 
 
 def _scored_zero_one_rows(monkeypatch, score=None):
-    """Record the bytes of every row the 0-1 kernel's `sums` scores; `score`,
-    if given, replaces the count the kernel returns for a row."""
+    """Record the bytes of every linear predictor a 0-1 `counter`'s count
+    scores; `score(k, n)`, if given, replaces the count of the k-th."""
     rows = []
-    original = ZeroOneLinearLoss.kernel
+    original = ZeroOneLinearLoss.counter
 
-    def kernel(self, prepared):
-        sums, n, values = original(self, prepared)
+    def counter(self, prepared, shape):
+        count, linear, mask = original(self, prepared, shape)
 
-        def recorded(B):
-            rows.append(B.tobytes())
-            return sums(B) if score is None else score(B, n)
-        return recorded, n, values
-    monkeypatch.setattr(ZeroOneLinearLoss, "kernel", kernel)
+        def recorded(B=None):
+            got = count(B)
+            rows.append(linear.tobytes())
+            return got if score is None else score(len(rows) - 1, shape[-1])
+        return recorded, linear, mask
+    monkeypatch.setattr(ZeroOneLinearLoss, "counter", counter)
     return rows
 
 
 @pytest.mark.parametrize("n, calls, most", [(200, 2000, 0.8), (800, 2128, 0.7)])
 def test_q50_sparse_chains_score_repeated_rows_once(monkeypatch, n, calls, most):
-    # kernel calls on the two pinned q50 chains above (same draws): a state
-    # stands for 20-40 steps, and its remove-j rows and flipped row are
-    # scored once each while it stands, and the prior-drawn start is scored
-    # once.  Scoring every proposal took 2603 and 3154 calls: one per
-    # proposal, plus two on the start.
+    # scores on the two pinned q50 chains above (same draws): a state stands
+    # for 20-40 steps, and its remove-j rows and flipped row are scored once
+    # each while it stands, and the prior-drawn start is scored once.
+    # Scoring every proposal took 2603 and 3154 scores: one per proposal,
+    # plus two on the start.  The full product that rebuilds the standing
+    # linear predictor at an accepted move is not a score.
     rows = _scored_zero_one_rows(monkeypatch)
-    gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
-    data = gen.sample(n, make_rng(hash64(53, n)))
-    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
-                         data, 1.0)
-    chain = ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
-                                       seed=hash64(53, n, 1)))
+    chain = _q50_chain(n)
     proposals = sum(m["proposed"] for m in chain.meta["moves"].values())
     assert len(rows) == calls
     assert len(rows) <= most * proposals
 
 
 def test_standing_sparse_state_scores_each_remove_and_flip_row_once(monkeypatch):
-    # every row but the start scores n mismatches, so no move is accepted and
-    # the start stands for the whole chain: each remove-j row and the flipped
-    # row are scored the first time they are proposed, and never again
+    # every score but the start's, the first, is n mismatches, so no move is
+    # accepted and the start stands for the whole chain: each remove-j row
+    # and the flipped row are scored the first time they are proposed, and
+    # never again
     q = 5
     init = [1.0, 0.5, -0.25, 0.0, 1.5, 0.0]
-    start = np.array(init).tobytes()
-    rows = _scored_zero_one_rows(
-        monkeypatch, lambda B, n: 0 if B.tobytes() == start else n)
+    rows = _scored_zero_one_rows(monkeypatch, lambda k, n: 0 if k == 0 else n)
     rng = np.random.default_rng(8)
     data = Dataset.classification(rng.normal(size=(30, 1 + q)),
                                   (rng.random(30) < 0.5).astype(float))
