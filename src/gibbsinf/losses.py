@@ -2,39 +2,42 @@
 
 Each loss family is written once, as two methods: `prepare(sample)` checks a
 sample and precomputes its arrays (design matrix, labels, responses), and
-`kernel(prepared)` holds the loss formula.  The regression losses share one
-kernel, which computes the residual and hands it to the family's formula
-`residual_loss(r, v)`; the 0-1 losses (MCID and zero-one) share
-`_MismatchLoss`, given the family's comparison.  The regression losses keep
-their design as (n, J) rows; the 0-1 losses keep theirs as one C-contiguous
-(J, n) array, the one copy `prepare` makes.  On one sample's prepared
-arrays, or a stacked risk state ((R, n, J) or (R, J, n)), `kernel` makes
-every n-sized buffer the formula writes into (one matmul into a linear
-predictor, then ufuncs with `out=`) and returns `(sums, n, values)`.
-`sums(B)` fills the losses of a (J,) vector on one sample, or of each row of
-an (R, J) block on a stacked state, and sums them over the observations into
-a buffer the kernel owns: one float, or a list of R Python numbers (integer
-counts for the 0-1 losses).  The empirical risk is that sum divided by the
-divisor n, on Python numbers.  `values(theta)` is a fresh float vector of
-theta's per-observation losses on one sample.  The samplers,
-`empirical_risk`, `pointwise_losses` and the Monte-Carlo diagnostics build a
-kernel once per sample, chain start or block and call these;
-`GibbsTarget.risk`, a reference for one coefficient vector, builds one per
-call.  A 0-1 loss's formula is its `counter`: the count of a linear
-predictor's mismatches with the labels.  Its kernel fills the predictor
-with one product per chain, the spike-slab chain builds it from what a move
-changes, and `counts`, which `RiskDiffSqrt` scores draws with, by one gemm
-per chunk of draws.  The loss on a single observation is the one value of a
-one-row sample.  The ranking loss keeps a closed-form risk over the m*n pair
-grid, whose sums are the risks themselves over the divisor 1, and gives
-values on matched pairs.
+`kernel(prepared, k=None)` holds the loss formula.  The regression losses
+share one kernel, which computes the residual and hands it to the family's
+formula `residual_loss(r, v)`; the 0-1 losses (MCID and zero-one) share
+`_MismatchLoss`, whose formula is one comparison.  The regression losses
+keep their design as (n, J) rows; the 0-1 losses keep theirs as one
+C-contiguous (J, n) array with each label's sign folded into its column, the
+one copy `prepare` makes, and one threshold per observation.  On one
+sample's prepared arrays, or a stacked risk state ((R, n, J) or (R, J, n)),
+`kernel` makes every n-sized buffer the formula writes into (one matmul into
+a linear predictor, then ufuncs with `out=`) and returns `(sums, n, values)`.
+`sums(B)` fills the losses of a (J,) vector on one sample, of each row of an
+(R, J) block on a stacked state, or, given k, of each row of an (R, k, J)
+block, k rows per chain scored against that chain's data as it stands, and
+sums them over the observations into a buffer the kernel owns: one float,
+or a flat list of Python numbers, one per row, chain-major (integer counts
+for the 0-1 losses).  The empirical risk is that sum divided by the divisor
+n, on Python numbers.  `values(theta)` is a fresh float vector of theta's
+per-observation losses on one sample.  The samplers, `empirical_risk`,
+`pointwise_losses` and the Monte-Carlo diagnostics build a kernel once per
+sample, chain start or block and call these; `GibbsTarget.risk`, a
+reference for one coefficient vector, builds one per call.  A 0-1 loss's
+formula is its `counter`: the count of a linear predictor's entries above
+their thresholds.  Its kernel fills the predictor with one product per
+chain (a gemv for one row, a gemm for k rows), the spike-slab chain builds
+it from what a move changes, and `counts`, which `RiskDiffSqrt` scores
+draws with, by one gemm per chunk of draws.  The loss on a single
+observation is the one value of a one-row sample.  The ranking loss keeps a
+closed-form risk over the m*n pair grid, whose sums are the risks
+themselves over the divisor 1, and gives values on matched pairs.
 
 Every chain's risk is bit-identical to its one-chain value and to its risk
 on the unstacked arrays: the linear predictor is one matrix-vector product
-per chain, and the risk is the same pairwise sum (an exact count for the
-0-1 losses) divided by n that `np.mean` computes.  On the (J, n) layout the
-0-1 losses' linear predictor, b @ Ft, may differ in its last bits from the
-row layout's F @ b, and so may one built by a gemm or from a change of b;
+per row, and the risk is the same pairwise sum (an exact count for the 0-1
+losses) divided by n that `np.mean` computes.  On the (J, n) layout the 0-1
+losses' linear predictor, b @ Ft, may differ in its last bits from the row
+layout's F @ b, and so may one built by a gemm or from a change of b;
 their masks and counts do not, because a 0-1 loss sees the predictor only
 through one comparison, which moves only where its two sides tie within
 rounding.
@@ -59,17 +62,23 @@ def sign_neg(t):
 
 def _sums(buf: np.ndarray):
     """The map from a filled (..., n) loss buffer to its sums over n, and the
-    divisor n.  The sums are a float for one sample's (n,) buffer and a list
-    of R Python numbers for a stacked (R, n) one, summed into a buffer of its
-    own.  A 0-1 mask sums as an integer count; one row counts with
-    np.count_nonzero, about three times faster than np.add.reduce, and gives
-    a float, which divides 20 times faster than a NumPy scalar."""
+    divisor n.  The sums are a float for one sample's (n,) buffer and a flat
+    list of Python numbers, one per row in C order, for a stacked (R, n) or
+    (R, k, n) one, summed into a buffer of its own.  A 0-1 mask sums as an
+    integer count; one row counts with np.count_nonzero, about three times
+    faster than np.add.reduce, and gives a float, which divides 20 times
+    faster than a NumPy scalar."""
     n, reduce = buf.shape[-1], np.add.reduce
     if buf.ndim == 1:
         total = np.count_nonzero if buf.dtype == bool else reduce
         return (lambda v: float(total(v))), n
     sums = np.empty(buf.shape[:-1], dtype=np.int_ if buf.dtype == bool else float)
-    return (lambda v: reduce(v, -1, out=sums).tolist()), n
+    flat = sums.reshape(-1)
+
+    def rows(v):
+        reduce(v, -1, out=sums)
+        return flat.tolist()
+    return rows, n
 
 
 def _values(sums, buf: np.ndarray):
@@ -106,10 +115,14 @@ class _RegressionLoss(_Loss):
             raise ShapeError(f"{self.kind} loss expects a regression dataset")
         return design_matrix(self.basis, sample.x), sample.y
 
-    def kernel(self, prepared):
+    def kernel(self, prepared, k=None):
         F, y = prepared
-        product = np.empty(F.shape[:-1] + (1,))
-        r, v = product[..., 0], np.empty(y.shape)
+        lead = F.shape[:-2] if k is None else (len(F), k)
+        if k is not None:         # k rows per chain: the state broadcast over them
+            F, y = F[:, None], y[:, None]
+        product = np.empty(lead + F.shape[-2:-1] + (1,))
+        r = product[..., 0]
+        v = np.empty(r.shape)
         residual_loss, (total, n) = self.residual_loss, _sums(v)
 
         def sums(B):
@@ -187,60 +200,91 @@ _CHUNK_FLOATS = 8192    # the most linear-predictor floats `counts` holds
 
 
 class _MismatchLoss(_Loss):
-    """The 0-1 losses: the mismatch of compare(first, b'f) with the labels.
+    """The 0-1 losses: a mismatch is one comparison, b @ Ft > c.
 
-    A family is its comparison: `comparison(prepared)` gives compare, its
-    first operand and the labels' positive mask, on a design that is one
-    C-contiguous (J, n) array, or a stacked (R, J, n) one."""
+    `prepare` folds each label's sign s_i into its design column, so the
+    design is one C-contiguous (J, n) array Ft = (s_i f_i), or a stacked
+    (R, J, n) one, and gives one threshold c_i per observation.  A family
+    is its fold: the mismatch of its comparison of b'f_i with the label is
+    s_i b'f_i > c_i."""
 
     def counter(self, prepared, shape) -> tuple:
         """(count, linear, mask): the one 0-1 formula, which the kernel, the
         spike-slab chain and `counts` share, on a linear-predictor buffer
         and a mask buffer of `shape`, (..., n), that it owns.  count(B)
-        fills linear with B @ Ft, one vector-matrix product per row of a
-        (J,) vector or (R, J) block; count() takes linear as its caller
-        filled it.  Then the mismatches of compare(first, linear) with the
-        positive mask are counted per row, as `_sums` gives them.
+        fills linear with B @ Ft; count() takes linear as its caller filled
+        it.  Then the mismatches linear > c are counted per row, as `_sums`
+        gives them.  A shape with one axis fewer than Ft takes one (J,)
+        vector per design, (J,) on (J, n) or (R, J) on (R, J, n), by
+        `np.matmul(B[..., None, :], Ft)`, OpenBLAS's axpy-form gemv along
+        rows n long; one with as many takes a matrix of rows per design,
+        (m, J) on (J, n) or (R, k, J) on (R, J, n), by one gemm per design,
+        which is that gemv at one row.  The thresholds are tiled once to a
+        matrix's rows; the design never is.
 
-        `np.matmul(B[..., None, :], Ft)` is OpenBLAS's axpy-form gemv along
-        rows n long, faster than the dot-form `F @ b` over rows J wide and
-        copying nothing of Ft.  Its last bits may differ from `F @ b`'s, as
-        may those of a predictor a caller builds another way; the masks do
-        not, since a comparison changes only where `first` ties the
-        predictor within rounding."""
-        Ft = prepared[0]
-        compare, first, positive = self.comparison(prepared)
-        product = np.empty(shape[:-1] + (1, shape[-1]))
-        linear, mask = product[..., 0, :], np.empty(shape, dtype=bool)
+        The fold gives the label comparison's mask exactly.  Negating a
+        column negates each of its products and sums exactly, and for
+        doubles t >= x is t > nextafter(x, -inf).  MCID, x > t against
+        y > 0: s = +1 and c = nextafter(x, -inf) where y = +1 (a mismatch
+        is t >= x); s = -1 and c = -x where y = -1 (x > t, that is
+        -t > -x).  Zero-one, t > 0 against the label: s = -1 and
+        c = -5e-324 where it is 1 (t <= 0, that is -t >= 0); s = +1 and
+        c = 0 where it is 0.  A NaN predictor is the one exception: it
+        fails every comparison, so it counts no mismatch, where the label
+        comparison counts one at a positive label.  The data are finite, so
+        only an overflowing b'f gives one.  A Gaussian prior gives such a b
+        a log density of -inf on a design with entries of at most 1 (a
+        B-spline basis), since its z'z overflows first; a Laplace prior's
+        sum of |b| may still be finite, for instance on a zero-one design
+        with |x| > 1.
+
+        The products' last bits may differ between the gemv and the gemm,
+        and from `F @ b`'s, as may those of a predictor a caller builds
+        another way; the masks do not, since a comparison changes only
+        where c ties the predictor within rounding."""
+        Ft, c = prepared
+        one = len(shape) < Ft.ndim           # one vector, not a matrix, per design
+        product = np.empty(shape[:-1] + (1, shape[-1]) if one else shape)
+        linear = product[..., 0, :] if one else product
+        mask = np.empty(shape, dtype=bool)
+        if c.ndim < len(shape):              # one copy of c per row of a matrix
+            c = np.broadcast_to(c[..., None, :], shape).copy()
         total = _sums(mask)[0]
 
         def count(B=None):
             if B is not None:
-                np.matmul(B[..., None, :], Ft, out=product)
-            compare(first, linear, out=mask)
-            return total(np.not_equal(mask, positive, out=mask))
+                np.matmul(B[..., None, :] if one else B, Ft, out=product)
+            return total(np.greater(linear, c, out=mask))
         return count, linear, mask
 
-    def kernel(self, prepared):
+    def kernel(self, prepared, k=None):
         Ft = prepared[0]
-        count, _, mask = self.counter(prepared, Ft.shape[:-2] + Ft.shape[-1:])
+        shape = Ft.shape[:-2] + ((k,) if k else ()) + Ft.shape[-1:]
+        count, _, mask = self.counter(prepared, shape)
         return count, Ft.shape[-1], _values(count, mask)
 
     def counts(self, prepared, B) -> list:
         """The mismatch count of each row of a (D, J) matrix B on one
-        sample's prepared arrays: one gemm of a chunk of rows against the
-        (J, n) design into a buffer of at most _CHUNK_FLOATS floats, then
-        `counter`'s count, so a batch of any size holds one chunk."""
+        sample's prepared arrays: `counter`'s count, one gemm of a chunk of
+        rows against the (J, n) design into a buffer of at most
+        _CHUNK_FLOATS floats, so a batch of any size holds one chunk."""
         n = prepared[0].shape[-1]
         rows = max(1, _CHUNK_FLOATS // n)
-        counts, linear = [], None
+        counts, count, size = [], None, None
         for start in range(0, len(B), rows):
             chunk = B[start:start + rows]
-            if linear is None or len(chunk) != len(linear):
-                count, linear, _ = self.counter(prepared, (len(chunk), n))
-            np.matmul(chunk, prepared[0], out=linear)
-            counts += count()
+            if len(chunk) != size:
+                count, size = self.counter(prepared, (len(chunk), n))[0], len(chunk)
+            counts += count(chunk)
         return counts
+
+
+def _folded(F: np.ndarray, negate: np.ndarray, c: np.ndarray) -> tuple:
+    """A 0-1 loss's prepared arrays: the (n, J) design as one C-contiguous
+    (J, n) array with the columns of `negate` negated (a product by -1.0,
+    exact), and the thresholds c."""
+    Ft = np.empty(F.shape[::-1])
+    return np.multiply(F.T, np.where(negate, -1.0, 1.0), out=Ft), c
 
 
 def _positive_labels(sample: Dataset, allowed: set, what: str) -> np.ndarray:
@@ -256,7 +300,8 @@ class ZeroOneLinearLoss(_MismatchLoss):
 
     theta is the dense coefficient vector (first coordinate conventionally
     the sign-constrained one); labels are in {0,1}.  `prepare` gives the
-    features as one C-contiguous (J, n) array.
+    features as one C-contiguous (J, n) array, negated where the label is
+    1, and the thresholds -5e-324 there and 0 elsewhere.
     """
 
     kind = "zeroone"
@@ -264,12 +309,10 @@ class ZeroOneLinearLoss(_MismatchLoss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "class":
             raise ShapeError("zero-one loss expects a classification dataset")
-        return (np.ascontiguousarray(design_matrix(None, sample.x).T),
-                _positive_labels(sample, {0, 1}, "zero-one loss"))
-
-    def comparison(self, prepared):
-        # 0 < t is t > 0 for every double
-        return np.less, 0.0, prepared[1]
+        positive = _positive_labels(sample, {0, 1}, "zero-one loss")
+        # -t > -5e-324, the negative double nearest 0, is t <= 0
+        return _folded(design_matrix(None, sample.x), positive,
+                       np.where(positive, -5e-324, 0.0))
 
 
 class MCIDLoss(_MismatchLoss):
@@ -280,7 +323,9 @@ class MCIDLoss(_MismatchLoss):
     and y in {-1,+1} the reported outcome.  For y in {-1,+1} the loss is the
     mismatch indicator of sign(x - theta(z)) and y: sign(t) = +1 exactly
     when t > 0, so it is the mismatch of x > theta(z) and y > 0.  `prepare`
-    gives the basis design of z as one C-contiguous (J, n) array.
+    gives the basis design of z as one C-contiguous (J, n) array, negated
+    where y = -1, and the thresholds nextafter(x, -inf) where y = +1 and -x
+    where y = -1.
     """
 
     kind = "mcid"
@@ -291,13 +336,12 @@ class MCIDLoss(_MismatchLoss):
     def prepare(self, sample):
         if not isinstance(sample, Dataset) or sample.kind != "class" or sample.z is None:
             raise ShapeError("threshold loss expects classification data with z")
-        return (np.ascontiguousarray(design_matrix(self.basis, sample.z).T),
-                sample.x.astype(float),
-                _positive_labels(sample, {-1, 1}, "threshold loss"))
-
-    def comparison(self, prepared):
-        # x > t is x - t > 0 for every pair of doubles, one operation fewer
-        return np.greater, prepared[1], prepared[2]
+        positive = _positive_labels(sample, {-1, 1}, "threshold loss")
+        x = sample.x.astype(float)
+        with np.errstate(over="ignore"):    # below -max is -inf: t > -inf is t >= -max
+            below = np.nextafter(x, -np.inf)
+        return _folded(design_matrix(self.basis, sample.z), ~positive,
+                       np.where(positive, below, -x))
 
 
 class AUCLoss(_Loss):
@@ -329,19 +373,20 @@ class AUCLoss(_Loss):
         that = auc_point_estimate(data.scores0, data.scores1)
         return np.array([that]), np.array([that * (1.0 - that)])
 
-    def kernel(self, prepared):
+    def kernel(self, prepared, k=None):
         """On a risk state, the closed-form risks over the divisor 1 (x / 1 is
-        x) and no values; on prepared matched pairs, no sums and the values
-        (theta - 1{u1 > u0})^2."""
+        x), of k rows per chain if k is given, and no values; on prepared
+        matched pairs, no sums and the values (theta - 1{u1 > u0})^2."""
         if not isinstance(prepared, tuple):
             return None, 1, lambda theta: (float(np.asarray(theta).reshape(-1)[0])
                                            - prepared) ** 2
-        that, const = (a.tolist() for a in prepared)
+        that, const = (np.repeat(a, k or 1).tolist() for a in prepared)
 
         def sums(B):
-            # Python floats per chain: `** 2` on a float calls pow(), which an
+            # Python floats per row: `** 2` on a float calls pow(), which an
             # array square (a product) need not match in the last bit
-            return [(t - a) ** 2 + c for t, a, c in zip(B[:, 0].tolist(), that, const)]
+            return [(t - a) ** 2 + c
+                    for t, a, c in zip(B[..., 0].ravel().tolist(), that, const)]
         return sums, 1, None
 
 

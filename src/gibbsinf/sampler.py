@@ -180,8 +180,8 @@ def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
     normals, then steps uniforms.  `uniforms` is a copy of the stream
     advanced past the normals, so both can be drawn chunk by chunk.  The
     start, init or else the first of up to 1000 prior draws of finite
-    density (NaN is not), is scored once, by the one-row density of
-    `_block_log_density` that the chain's proposals are scored by.
+    density (NaN is not), is scored once, by the one-chain, one-row density
+    of `_block_log_density` that the chain's proposals are scored by.
     """
     if not isinstance(target, GibbsTarget):
         raise ShapeError(f"a random-walk chain takes a GibbsTarget, not "
@@ -191,18 +191,18 @@ def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
         raise ShapeError("a random-walk chain cannot take a spike-slab prior; "
                          "use ss_mh_run")
     rng = make_rng(config.seed)
-    density = _block_log_density([target], 1)
+    density = _block_log_density([target])(1)
     dim = prior.dim
     if config.init is not None:
         theta = np.asarray(config.init, dtype=float).copy()
         if theta.shape != (dim,):
             raise ShapeError(f"init must be a ({dim},) row, one entry per "
                              f"coordinate of the prior; got shape {theta.shape}")
-        logp = density(theta[None])[0]
+        logp = density(theta[None, None])[0]
     else:
         for _ in range(1000):
             theta = np.asarray(prior.sample(rng), dtype=float)
-            if (logp := density(theta[None])[0]) > -math.inf:
+            if (logp := density(theta[None, None])[0]) > -math.inf:
                 break
         else:
             raise InitializationError(
@@ -229,40 +229,37 @@ def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
     return ChainStart(target, config, theta, logp, scale, rng, uniforms)
 
 
-def _block_log_density(targets, tiles: int):
-    """Map an (m, J) block to the m log target densities, as a list of
-    Python floats, on the vectorized kernels of the targets' one loss and
-    one prior.  With tiles > 1 the targets are repeated that many times, and
-    a block of m = j * R rows, j <= tiles, gets the densities of the first m
-    targets.  `mh_start` scores a chain's start with it, `mh_run_block`
-    every proposal.
+def _block_log_density(targets):
+    """The log target densities of a block of R chains' proposals, k per
+    chain, on the vectorized kernels of the targets' one loss and one
+    prior: a function of k that builds the map from an (R, k, J) block to
+    its R*k densities, chain-major (row r*k + j is chain r's j-th), as a
+    list of Python floats.  `mh_start` scores a chain's start with the
+    one-chain map at k = 1, `mh_run_block` every proposal.
 
-    The map is built once, one function per row count m: the loss's kernel
-    on the first m rows of the stacked state and the prior's kernel for m
-    rows own their buffers, so an evaluation allocates no n-sized array.
-    The loss kernel fills each chain's loss sum k and gives its divisor n,
-    the prior kernel fills each chain's statistic s and gives the affine
-    pair (a, b) of its log density, and one list combines them on Python
-    floats into -omega * N * (k / n) + (a * s + b), the bits of
-    -omega * N * R_n(theta) + log prior(theta).  With one row count that
-    function is the map itself; with several, the map picks it by len(B).
+    The loss's kernel for k rows per chain scores the block against the R
+    chains' stacked risk state as it stands (one chain's state is its
+    target's own arrays), and the prior's kernel for (R, k) rows; each owns
+    its buffers, so an evaluation allocates no n-sized array.  The loss
+    kernel fills each row's loss sum m and gives its divisor n, the prior
+    kernel fills each row's statistic s and gives the affine pair (a, b) of
+    its log density, and one list combines them on Python floats into
+    -omega * N * (m / n) + (a * s + b), the bits of
+    -omega * N * R_n(theta) + log prior(theta).
     """
     R = len(targets)
-    targets = targets * tiles
     loss, prior = targets[0].loss, targets[0].prior
-    state = tuple(np.concatenate(parts)
-                  for parts in zip(*(t.risk_state for t in targets)))
+    state = targets[0].risk_state if R == 1 else tuple(
+        np.concatenate(parts) for parts in zip(*(t.risk_state for t in targets)))
     coef = [-t.omega * t.n_terms for t in targets]
 
-    def density(m):
-        sums, n, _ = loss.kernel(tuple(part[:m] for part in state))
-        stats, a, b = prior.kernel((m,))
-        return lambda B: [c * (k / n) + (a * s + b)
-                          for c, k, s in zip(coef, sums(B), stats(B))]
-    by_rows = {m: density(m) for m in range(R, len(targets) + 1, R)}
-    if tiles == 1:
-        return by_rows[R]
-    return lambda B: by_rows[len(B)](B)
+    def density(k):
+        sums, n, _ = loss.kernel(state, k)
+        stats, a, b = prior.kernel((R, k))
+        row_coef = [c for c in coef for _ in range(k)]
+        return lambda B: [c * (m / n) + (a * s + b)
+                          for c, m, s in zip(row_coef, sums(B), stats(B))]
+    return density
 
 
 # a lookahead fill evaluates at most this many rows (chains x steps) at once
@@ -284,16 +281,20 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     accepts, the state does not move, so the next K proposals theta +
     s*eps_{t+1..t+K} of every chain are known in advance.  When a step is
     not covered by the buffer, the next k = min(K, steps left in the chunk)
-    proposals are evaluated in one kernel call on a (k*R, J) array (row
-    j*R + r is chain r at step t+j), by one density function built for the
-    largest K; with K = 1 the buffer holds one step.  The decisions are taken
-    step by step from the buffer, with the same uniforms and the same test,
-    and the buffer is dropped as soon as any chain accepts.  The kernels
-    are bit-identical row by row, so K decides only which rows get
-    computed, never a draw or a decision.  K = 1 for the first chunk of
-    _CHUNK steps; after each chunk, K = floor(_CHUNK / steps of that chunk
-    on which some chain accepted), capped at max(1, 4 // R) rows per call.
-    Blocks of four or more chains keep K = 1.
+    proposals of every chain are evaluated in one kernel call on an
+    (R, k, J) array (row r*k + j of the densities is chain r at step t+j),
+    by the density function built for k; with K = 1 the buffer holds one
+    step.  Each chain's k rows are scored against its own data, untiled: a
+    0-1 loss by one gemm per chain.  The decisions are taken step by step
+    from the buffer, with the same uniforms and the same test, and the
+    buffer is dropped as soon as any chain accepts.  A row's density does
+    not depend on k (a 0-1 loss's mask does not see the products' last
+    bits, and every other loss does the same arithmetic per row), so K
+    decides only which rows get computed, never a draw or a decision.
+    K = 1 for the first chunk of _CHUNK steps; after each chunk,
+    K = floor(_CHUNK / steps of that chunk on which some chain accepted),
+    capped at max(1, 4 // R) rows per chain.  Blocks of four or more
+    chains keep K = 1.
 
     Decisions run on Python floats: each kernel call's densities are one
     list, and each chain's current log density is a float.  A step on which
@@ -316,8 +317,9 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
                                 "thin, dimension, one loss object, one prior "
                                 "object and data whose risk states stack")
     R = len(starts)
-    tiles = max(1, _LOOKAHEAD_ROWS // R)
-    log_density = _block_log_density([s.target for s in starts], tiles)
+    most = max(1, _LOOKAHEAD_ROWS // R)   # the most steps per call
+    density = _block_log_density([s.target for s in starts])
+    log_density = [None] + [density(k) for k in range(1, most + 1)]
     K = 1                                 # lookahead
     theta = np.stack([s.theta for s in starts])
     logp = [s.logp for s in starts]
@@ -329,48 +331,48 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     every = 0
     exp = math.exp
     normals = np.empty((_CHUNK, dim))
-    steps_dz = np.empty((_CHUNK, R, dim))      # scaled proposal increments
+    steps_dz = np.empty((R, _CHUNK, dim))      # scaled proposal increments
     uniforms = np.empty((R, _CHUNK))
     for done in range(0, steps, _CHUNK):
         c = min(_CHUNK, steps - done)
         for r, s in enumerate(starts):
             s.normals.standard_normal(out=normals[:c])
-            np.multiply(s.scale, normals[:c], out=steps_dz[:c, r])
+            np.multiply(s.scale, normals[:c], out=steps_dz[r, :c])
             s.uniforms.random(out=uniforms[r, :c])
         u_steps = uniforms[:, :c].T.tolist()
         moved = 0                         # steps on which some chain accepted
         start = end = 0                   # steps [start, end) are in the buffer
         for i in range(c):
             if i >= end:
-                n_ahead = min(K, c - i)
-                props = theta + steps_dz[i:i + n_ahead]
-                lps = log_density(props.reshape(n_ahead * R, dim))
-                start, end = i, i + n_ahead
-            # row j*R + r of the buffer is chain r at step start + j.  A float
-            # difference has the bits of NumPy's; math.exp, because np.exp
-            # may differ in the last bit and flip a decision.  A NaN or -inf
-            # proposal fails both comparisons.
-            base, u = (i - start) * R, u_steps[i]
+                k = min(K, c - i)
+                props = theta[:, None] + steps_dz[:, i:i + k]
+                lps = log_density[k](props)
+                start, end = i, i + k
+            # lp[r] is chain r at step i, row r*k + i - start of the buffer.
+            # A float difference has the bits of NumPy's; math.exp, because
+            # np.exp may differ in the last bit and flip a decision.  A NaN
+            # or -inf proposal fails both comparisons.
+            lp, u = lps[i - start::k], u_steps[i]
             accept = [r for r in chains
-                      if (d := lps[base + r] - logp[r]) >= 0.0 or u[r] < exp(d)]
+                      if (d := lp[r] - logp[r]) >= 0.0 or u[r] < exp(d)]
             if accept:
                 # the kept draws taken since theta last moved, before it moves
                 taken = max(0, done + i - burn_in) // thin
                 if written < taken:
                     kept[:, written:taken] = theta[:, None]
                     written = taken
-                prop = props[i - start]
+                prop = props[:, i - start]
                 if len(accept) == R:
-                    theta, logp = prop, lps[base:base + R]
+                    theta, logp = prop, lp
                     every += 1
                 else:
                     for r in accept:
                         theta[r] = prop[r]
-                        logp[r] = lps[base + r]
+                        logp[r] = lp[r]
                         accepted[r] += 1
                 moved += 1
                 end = 0
-        K = min(tiles, _CHUNK // moved) if moved else tiles
+        K = min(most, _CHUNK // moved) if moved else most
     kept[:, written:] = theta[:, None]
 
     out = []
@@ -420,14 +422,15 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
     current beta_S is kept between walks.  The chain keeps the standing
     state's linear predictor eta = theta @ Xt, one (n,) array on the
-    target's (1+q, n) design Xt, and builds each proposal's predictor from
-    what the move changes, into one buffer: eta + b*Xt[j] for an add,
-    eta - beta_j*Xt[j] for a remove, eta + walk @ Xt_S for a walk (the rows
-    Xt_S of the support, taken once per support change) and
-    eta - 2*alpha*Xt[0] for a flip.  The loss's `counter` then counts its
-    mismatches, the 0-1 kernel's one formula, divided by n.  An accepted
-    move edits theta in place and recomputes eta with the full product, so
-    rounding does not build up over moves.  The predictor's last bits may
+    target's (1+q, n) design Xt (its columns signed by their labels, so eta
+    is linear in theta as the plain predictor is), and builds each
+    proposal's predictor from what the move changes, into one buffer:
+    eta + b*Xt[j] for an add, eta - beta_j*Xt[j] for a remove,
+    eta + walk @ Xt_S for a walk (the rows Xt_S of the support, taken once
+    per support change) and eta - 2*alpha*Xt[0] for a flip.  The loss's
+    `counter` then counts its mismatches, the 0-1 kernel's one formula,
+    divided by n.  An accepted move edits theta in place and recomputes eta
+    with the full product, so rounding does not build up over moves.  The predictor's last bits may
     differ from the full product's; the counts do not, because a 0-1 loss
     sees the predictor only through one comparison, which moves only where
     its two sides tie within rounding.  The chain accepts only a few per

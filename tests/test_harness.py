@@ -1611,9 +1611,9 @@ def test_sample_chain_evaluates_several_proposals_per_risk_call(monkeypatch):
     rows = []
     original = MCIDLoss.kernel
 
-    def kernel(self, prepared):
-        sums, n, values = original(self, prepared)
-        return (lambda B: rows.append(len(B)) or sums(B)), n, values
+    def kernel(self, prepared, k=None):
+        sums, n, values = original(self, prepared, k)
+        return (lambda B: rows.append(B[..., 0].size) or sums(B)), n, values
     monkeypatch.setattr(MCIDLoss, "kernel", kernel)
     fit = fit_cell(cfg, cfg["nGrid"][0], row_seed(cfg["baseSeed"], 0, 0))
     assert fit.chain.steps == 20_000

@@ -669,18 +669,78 @@ def test_transposed_design_keeps_the_row_layout_masks(name, n, seed, scale):
 
 
 def test_mask_losses_prepare_one_c_contiguous_transposed_design():
+    # the (J, n) design, each column negated where its label's sign folds
+    # in, and one threshold per observation
     rng = np.random.default_rng(23)
     spline = CubicBSpline((0.0, 1.0), 5)
     cls = Dataset.classification(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
     thr = Dataset.classification(rng.normal(size=40), rng.choice([-1, 1], 40),
                                  rng.uniform(0, 1, 40))
     reg = Dataset.regression(rng.uniform(0, 1, 40), rng.normal(size=40))
-    for loss, data, dim in ((ZeroOneLinearLoss(), cls, 3), (MCIDLoss(spline), thr, 5)):
-        F = loss.prepare(data)[0]
-        assert F.shape == (dim, 40) and F.flags.c_contiguous
+    for loss, data, dim, F, negate in (
+            (ZeroOneLinearLoss(), cls, 3, cls.x, cls.y > 0),
+            (MCIDLoss(spline), thr, 5, design_matrix(spline, thr.z), thr.y < 0)):
+        Ft, c = loss.prepare(data)
+        assert Ft.shape == (dim, 40) and Ft.flags.c_contiguous
+        assert c.shape == (40,)
+        assert np.array_equal(Ft, np.where(negate, -F.T, F.T))
     for loss in (CheckLoss(0.3, spline), SquaredLoss(spline),
                  CappedSquaredLoss(spline, cap=1.0)):
         assert loss.prepare(reg)[0].shape == (40, 5)
+
+
+class _Ones:
+    """A basis of one constant column, so that an MCID predictor is the
+    coefficient itself."""
+
+    def design(self, z):
+        return np.ones((len(z), 1))
+
+
+def _edge_predictors(x):
+    """Predictors t at each edge of the comparison with x: x, its two
+    neighbouring doubles, signed zeros and infinities."""
+    with np.errstate(over="ignore"):
+        near = [v for a in x
+                for v in (a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf))]
+    return near + [0.0, -0.0, np.inf, -np.inf]
+
+
+_EDGE_X = [0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, np.finfo(float).max,
+           -np.finfo(float).max]
+
+
+@pytest.mark.parametrize("family", ["mcid", "zeroone"])
+def test_folded_mask_is_the_label_comparison(family):
+    # on a one-column design of ones the predictor of coefficient t is t
+    # at every observation, so the kernel's mask, b @ (s f) > c, must equal
+    # the label comparison's, compare(first, t) != positive, at each edge:
+    # every x of _EDGE_X with each label, against t = x, x's neighbours,
+    # +-0 and +-inf
+    x = np.repeat(_EDGE_X, 2)
+    if family == "mcid":
+        y = np.tile([-1, 1], len(_EDGE_X))
+        loss = MCIDLoss(_Ones())
+        data = Dataset.classification(x, y, np.zeros(len(x)))
+
+        def mismatch(t):
+            return np.greater(x, t) != (y > 0)
+    else:
+        y = np.tile([0, 1], len(_EDGE_X))
+        loss = ZeroOneLinearLoss()
+        data = Dataset.classification(np.ones((len(x), 1)), y)
+
+        def mismatch(t):
+            return np.less(0.0, t) != (y > 0)
+    values = loss.kernel(loss.prepare(data))[2]
+    for t in _edge_predictors(_EDGE_X):
+        assert np.array_equal(values(np.array([t])), mismatch(t)), t
+    # a NaN predictor, which only an overflowing b'f gives, is the one
+    # exception: it counts no mismatch, where the label comparison counts
+    # one at the positive label
+    with np.errstate(invalid="ignore"):
+        assert not values(np.array([np.nan])).any()
+        assert np.array_equal(mismatch(np.nan), y > 0)
 
 
 # flags /proc/cpuinfo lists for the instructions each OpenBLAS kernel needs
@@ -698,7 +758,8 @@ def _cpu_flags() -> set:
 
 def _mask_pin_misses() -> list:
     """The mcid sums and buffer pins, the zero-one row pins, the q50 sparse
-    chain digests and the zero-one `RiskDiffSqrt.batch` digest whose
+    chain digests, the one-chain mcid2 lookahead digest (its 4-row calls
+    are gemms) and the zero-one `RiskDiffSqrt.batch` digest whose
     recomputed hash differs from the recorded one."""
     import test_diagnostics
     import test_sampler
@@ -706,6 +767,9 @@ def _mask_pin_misses() -> list:
     for n, digest, _ in test_sampler._Q50_PINS:
         if _sha(test_sampler._q50_chain(n).draws) != digest:
             misses.append(f"q50 chain {n}")
+    if _sha(test_sampler._mcid_lookahead_chain().draws) \
+            != test_sampler._MCID_LOOKAHEAD_PIN[0]:
+        misses.append("mcid2 lookahead chain")
     if test_diagnostics._risk_diff_batch_digest() \
             != test_diagnostics._RISK_DIFF_BATCH_PIN:
         misses.append("risk_diff_sqrt batch")

@@ -24,7 +24,7 @@ from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
                       chain_summary, credible_interval, mh_run, mh_run_block,
                       mh_start, posterior_mean, ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError, ShapeError
-from gibbsinf.harness.generators import SparseClassSim
+from gibbsinf.harness.generators import MCID2, SparseClassSim
 from gibbsinf.sampler import (_CHUNK, Chain, default_proposal_scale,
                               effective_sample_size, hash64, make_rng)
 
@@ -182,9 +182,13 @@ def _counted_rows(monkeypatch):
     rows = []
     original = sampler._block_log_density
 
-    def counting(targets, tiles):
-        density = original(targets, tiles)
-        return lambda B: rows.append(len(B)) or density(B)
+    def counting(targets):
+        density = original(targets)
+
+        def build(k):
+            scores = density(k)
+            return lambda B: rows.append(B[..., 0].size) or scores(B)
+        return build
     monkeypatch.setattr(sampler, "_block_log_density", counting)
     return rows
 
@@ -395,9 +399,9 @@ def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
     rows = []                         # the rows of every risk call
     original = MCIDLoss.kernel
 
-    def kernel(self, prepared):
-        sums, n, values = original(self, prepared)
-        return (lambda B: rows.append(len(B)) or sums(B)), n, values
+    def kernel(self, prepared, k=None):
+        sums, n, values = original(self, prepared, k)
+        return (lambda B: rows.append(B[..., 0].size) or sums(B)), n, values
     monkeypatch.setattr(MCIDLoss, "kernel", kernel)
     chain = mh_run_block(one)[0]
     assert chain.accept_rate < 0.1
@@ -421,14 +425,15 @@ class _WalledSquaredLoss(SquaredLoss):
     def risk_state(self, data):
         return super().risk_state(data) + (np.array([data is self.walled]),)
 
-    def kernel(self, prepared):
+    def kernel(self, prepared, k=None):
         *state, walled = prepared
-        sums, n, values = super().kernel(tuple(state))
+        sums, n, values = super().kernel(tuple(state), k)
+        walled = np.repeat(walled, k or 1)        # per row, chain-major
 
         def walled_sums(B):
-            out = np.array(sums(B))
-            out[walled & (B[:, 0] > 0.5)] = np.nan
-            out[walled & (B[:, 0] < -0.5)] = np.inf
+            out, first = np.array(sums(B)), B[..., 0].ravel()
+            out[walled & (first > 0.5)] = np.nan
+            out[walled & (first < -0.5)] = np.inf
             return out.tolist()
         return walled_sums, n, values
 
@@ -448,12 +453,12 @@ def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
     walls = []                # per call of two steps: the NaN and -inf rows
     original = _WalledSquaredLoss.kernel
 
-    def kernel(self, prepared):
-        sums, n, values = original(self, prepared)
+    def kernel(self, prepared, k=None):
+        sums, n, values = original(self, prepared, k)
 
         def counted(B):
             out = sums(B)
-            if len(B) == 4:
+            if B[..., 0].size == 4:
                 walls.append((np.isnan(out).sum(), np.isinf(out).sum()))
             return out
         return counted, n, values
@@ -573,6 +578,65 @@ def test_block_memory_is_bounded():
     assert peak < bound
     # drawing one chain's variates at once would already take 1.44 MB
     assert steps * (dim + 1) * 8 > 2 * bound
+
+
+def _mcid2_target(n, seed):
+    """A one-chain target of the mcid2 protocol: the MCID loss on a 4x4
+    tensor spline (J = 16), a Gaussian(0, 6) prior, omega = 1."""
+    gen = MCID2()
+    return GibbsTarget(MCIDLoss(gen.default_basis(4)), GaussianIID(0.0, 6.0, 16),
+                       gen.sample(n, make_rng(seed)), 1.0)
+
+
+def test_one_chain_lookahead_holds_one_copy_of_the_design():
+    # a one-chain block builds its densities for 1..4 rows per call on the
+    # target's own (J, n) design: the buffers of those 10 rows (a product,
+    # a tiled threshold and a mask each) and the variates, with less than
+    # one design's bytes to spare.  A state tiled 4 times would add three
+    # designs, 384 kB.
+    target = _mcid2_target(1000, hash64(61, 1))
+    config = MHConfig(steps=512, burn_in=0, thin=512, proposal_scale=0.1,
+                      seed=hash64(61, 2), init=np.zeros(16))
+    mh_start(target, config)          # module imports of a first start
+    start = mh_start(target, config)
+    tracemalloc.start()
+    try:
+        mh_run_block([start])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    design, n = target.risk_state[0].nbytes, 1000
+    rows = sum(range(1, sampler._LOOKAHEAD_ROWS + 1))
+    buffers = rows * n * (8 + 8 + 1) + _CHUNK * (2 * 16 + 1) * 8
+    assert peak < buffers + design
+
+
+# (sha256 of the draws' bytes, acceptances) of a 3000-step one-chain mcid2
+# chain (n = 1000, J = 16) from a given init, recorded before the lookahead
+# scored a chain's rows with one gemm on its own design: it makes 812 calls
+# of 4 rows.  `test_losses._mask_pin_misses` reruns it under other BLAS
+# kernels.
+_MCID_LOOKAHEAD_PIN = ("9cd23cd03f3247bf9967018705a3dc8842620983ac129b0b19d8aff4a9867a0b", 334)
+
+
+def _mcid_lookahead_chain():
+    # the init is the tensor spline of z1 + 2 z2 (a cubic B-spline basis
+    # on [0, 3] reproduces a linear function from its values at 0, 1, 2, 3),
+    # not the pilot, whose lstsq moves under other BLAS kernels
+    init = np.add.outer(np.arange(4.0), 2.0 * np.arange(4.0)).ravel()
+    return mh_run(_mcid2_target(1000, hash64(62, 1000)),
+                  MHConfig(steps=3000, burn_in=0, thin=1, proposal_scale=0.1,
+                           init=init, seed=hash64(62, 1000, 1)))
+
+
+def test_one_chain_mcid_lookahead_matches_recorded_digest(monkeypatch):
+    rows = _counted_rows(monkeypatch)
+    chain = _mcid_lookahead_chain()
+    assert chain.accepted == _MCID_LOOKAHEAD_PIN[1]
+    assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == _MCID_LOOKAHEAD_PIN[0]
+    # one row for the start and each step of the first chunk (K = 1), then
+    # mostly four
+    assert np.bincount(rows).tolist() == [0, 262, 4, 1, 812]
 
 
 # ---------------------------------------------------------------------------
