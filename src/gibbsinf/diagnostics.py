@@ -3,9 +3,10 @@
 Divergence measures d(theta, theta*), the annealed-moment bound constant
 K, posterior mass outside a d-ball, and the log-log rate fit used to read
 off an empirical convergence exponent.  A divergence a config can build
-answers between(a, b, rng=None) for one parameter and batch(draws, b,
-rng=None) for a draw matrix; the exact ones ignore the rng and return 0
-precisely at equality, and `estimate` adds a Monte-Carlo standard error.
+is a `Divergence`: it answers batch(draws, b, rng=None) for a draw matrix,
+and between(a, b, rng=None), its one-row batch, for one parameter; the
+exact ones ignore the rng and return 0 precisely at equality, and
+`estimate` adds a Monte-Carlo standard error.
 """
 
 from __future__ import annotations
@@ -71,35 +72,37 @@ def _rows(draws, width: int) -> np.ndarray:
     return mat
 
 
-class EuclideanDistance:
+class Divergence:
+    """d(draw, b) for each row of a draw matrix by `batch`; `between` is its
+    one-row batch, so a single parameter gets a draw's arithmetic."""
+
+    def between(self, a, b, rng=None) -> float:
+        return float(self.batch(_vec(a)[None], b, rng)[0])
+
+
+class EuclideanDistance(Divergence):
     """d(theta, theta*) = ||theta - theta*||_2 on coefficient vectors."""
 
     kind = "euclid"
-
-    def between(self, a, b, rng=None) -> float:
-        va, vb = _vec(a), _vec(b)
-        if va.shape != vb.shape:
-            raise ShapeError("parameter dimensions differ")
-        return float(np.linalg.norm(va - vb))
 
     def batch(self, draws, b, rng=None) -> np.ndarray:
         vb = _vec(b)
         return np.linalg.norm(_rows(draws, vb.size) - vb[None, :], axis=1)
 
 
-class AbsScalarDistance:
+class AbsScalarDistance(Divergence):
     """d(theta, theta*) = |theta - theta*| for scalar parameters."""
 
     kind = "abs"
-
-    def between(self, a, b, rng=None) -> float:
-        return abs(_scalar(a) - _scalar(b))
 
     def batch(self, draws, b, rng=None) -> np.ndarray:
         return np.abs(_rows(draws, 1)[:, 0] - _scalar(b))
 
 
-class EmpiricalL2:
+_L2_CHUNK_FLOATS = 2 ** 21   # the most (grid point, draw) floats batch holds
+
+
+class EmpiricalL2(Divergence):
     """Design-averaged L2 distance to a reference function f*:
     sqrt of (1/n) sum_i (f_a - f*)^2(x_i) over the grid xs.
 
@@ -114,31 +117,32 @@ class EmpiricalL2:
         self.xs = np.asarray(xs, dtype=float)
         self._design = design_matrix(basis, self.xs)
 
-    def _target_values(self, values) -> np.ndarray:
-        values = _vec(values)
-        if values.size != self._design.shape[0]:
-            raise ShapeError("target values must match the design points")
-        return values
-
-    def between(self, a, values, rng=None) -> float:
-        a = _rows(_vec(a), self._design.shape[1])[0]
-        diff = self._design @ a - self._target_values(values)
-        return float(np.sqrt(np.mean(diff * diff)))
-
     def batch(self, draws, values, rng=None) -> np.ndarray:
-        """One divergence per draw, worked in the (G, D) buffer the matmul
-        of the G grid points by the D draws writes: the differences and
-        their squares go into it in place, because a fresh (G, D) array per
-        operation triples the peak memory and faults in new pages on every
-        row (G = 256 and D = 8000 on a full-length mcid1 row).  The mean
-        runs over axis 0 of that same C-contiguous (G, D) array, because
-        NumPy's summation order depends on shape and layout: a transposed
-        or chunked copy could change the last bit."""
-        target = self._target_values(values)
-        diff = self._design @ _rows(draws, self._design.shape[1]).T
-        np.subtract(diff, target[:, None], out=diff)
-        mean = np.mean(np.multiply(diff, diff, out=diff), axis=0)
-        return np.sqrt(mean, out=mean)
+        """One divergence per draw, chunk by chunk of draws: a chunk's
+        matmul of the G grid points by its d draws writes a C-contiguous
+        (G, d) buffer of at most _L2_CHUNK_FLOATS floats, which takes the
+        differences and their squares in place and is freed before the next
+        chunk's.  Chunks run from `size` to 2 * size draws, so a batch of two
+        or more never makes a one-draw chunk, whose product NumPy runs as a
+        gemv with other bits.  The mean runs over axis 0 of each buffer, so
+        every column sums in the same order whatever its chunk, with the
+        one-buffer bits; NumPy's summation order depends on shape and
+        layout, and a transposed copy could change the last bit."""
+        target = _vec(values)
+        grid, width = self._design.shape
+        if target.size != grid:
+            raise ShapeError("target values must match the design points")
+        mat = _rows(draws, width)
+        size = max(2, _L2_CHUNK_FLOATS // (2 * grid))
+        splits = max(1, len(mat) // size)
+        bounds = [len(mat) * b // splits for b in range(splits + 1)]
+        out = np.empty(len(mat))
+        for lo, hi in zip(bounds, bounds[1:]):
+            diff = self._design @ mat[lo:hi].T
+            np.subtract(diff, target[:, None], out=diff)
+            np.mean(np.multiply(diff, diff, out=diff), axis=0, out=out[lo:hi])
+            del diff
+        return np.sqrt(out, out=out)
 
 
 class L2PDistance:
@@ -164,7 +168,7 @@ class L2PDistance:
         return _sqrt_of_mean((_values_at(a, xs) - _values_at(b, xs)) ** 2)
 
 
-class RiskDiffSqrt:
+class RiskDiffSqrt(Divergence):
     """sqrt(R(theta) - R(theta*)) with the population risk estimated on fresh
     draws (never the fitting data).
 
@@ -198,10 +202,6 @@ class RiskDiffSqrt:
         values = self.loss.kernel(self._prepared(rng))[2]
         return _sqrt_of_mean(values(a) - values(b))
 
-    def between(self, a, b, rng=None) -> float:
-        """The one-row batch: sqrt of the same excess over the same sample."""
-        return float(self._batch(_vec(a)[None], b, rng)[0])
-
     def batch(self, draws, b, rng=None) -> np.ndarray:
         """Divergence of each draw (row) to b, sharing one fresh sample.
 
@@ -212,9 +212,6 @@ class RiskDiffSqrt:
         loss differences is its exact count difference over n, which one
         correctly rounded division gives with np.mean's bits.
         """
-        return self._batch(draws, b, rng)
-
-    def _batch(self, draws, b, rng) -> np.ndarray:
         vb = _vec(b)
         mat = _rows(draws, vb.size)
         loss, prepared = self.loss, self._prepared(rng)
@@ -256,11 +253,6 @@ class MCIDMeasure:
         p = float(hit.mean())
         se = math.sqrt(max(p * (1.0 - p), 0.0) / hit.size)
         return MCDivergence(p, se, hit.size)
-
-
-# the divergences a config can build: each answers between(a, b, rng=None)
-# and batch(draws, b, rng=None); the exact ones ignore the rng
-Divergence = EuclideanDistance | AbsScalarDistance | EmpiricalL2 | RiskDiffSqrt
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +316,9 @@ def mgf_condition_check(loss: LossSpec, theta_grid, theta_star, omega: float,
     unbounded below on the sample), as does exp(-omega * excess) underflowing
     to 0 on every draw.
     """
-    if omega <= 0:
-        raise PreconditionError("omega must be positive")
+    # NaN fails every comparison, so this rejects it too
+    if not (0 < omega < math.inf and 0 < r < math.inf):
+        raise PreconditionError("omega and r must be positive and finite")
     if n_draws < 2:
         raise PreconditionError("n_draws must be at least 2")
     theta_grid = list(theta_grid)
@@ -369,7 +362,7 @@ def posterior_mass_outside(draws, div: Divergence, theta_star, radius: float,
 
     One div.batch(draws, theta_star, rng) call: theta_star is in the form that
     div.batch takes (function values on the grid for EmpiricalL2)."""
-    if radius <= 0:
+    if not radius > 0:  # NaN included
         raise PreconditionError("radius must be positive")
     mat = np.atleast_2d(np.asarray(draws, dtype=float))
     if mat.shape[0] == 0:

@@ -2,7 +2,7 @@
 
 Each check runs one pre-registered protocol at a fixed base seed and prints
 a single line with the measured value and its target band before asserting.
-Run with `pytest tests/test_acceptance.py -v -s` to see all twelve lines.
+Run with `pytest tests/test_acceptance.py -v -s` to see all thirteen lines.
 
 The battery is slower than the unit suite (a few minutes single-core): the
 replication checks run full Metropolis chains per replication.  Checks 1, 2
@@ -22,7 +22,7 @@ from scipy.special import ndtr
 from gibbsinf import (AbsScalarDistance, AUCLoss, CappedSquaredLoss,
                       CubicBSpline, Dataset, GaussianIID, GibbsTarget,
                       MHConfig, RiskDiffSqrt, SpikeSlab, SquaredLoss,
-                      ZeroOneLinearLoss, credible_interval,
+                      ZeroOneLinearLoss, auc_point_estimate, credible_interval,
                       mgf_condition_check, mh_run, mh_run_block, mh_start,
                       pointwise_losses, ss_mh_run)
 from gibbsinf.harness import (AUCSim, SparseClassSim, holdout_misclassification,
@@ -430,3 +430,49 @@ def test_a12_basis_partition_and_support(capsys):
             f"local support (<= 4 active, contiguous) {support_ok}")
     assert worst_pou < 1e-12
     assert support_ok
+
+
+# ---------------------------------------------------------------------------
+# 13: ranking-loss chains against their exact Gaussian posterior
+
+
+def test_a13_ranking_chains_match_the_exact_gaussian(capsys):
+    # the ranking risk is (theta - that)^2 + that (1 - that), so under
+    # auc_coverage's N(0.5, 10^2) prior the Gibbs posterior
+    # exp{-omega N R(theta)} pi(theta), N = m n pairs, is exactly Gaussian:
+    # precision 2 omega N + 1/100, mean (2 omega N that + 0.5/100) / precision.
+    # Each chain of an R = 4 block, on its own n = 200 data, must match its
+    # mean, sd and 5 %/95 % quantiles within 4 Monte Carlo standard errors
+    # from the chain's ESS; the sample quantile's is sqrt(p (1 - p) / ESS)
+    # over the density there
+    gen, loss, prior = AUCSim(1.0), AUCLoss(), GaussianIID(0.5, 10.0, 1)
+    rate = AUCDataDriven(1.0)
+    starts, exact = [], []
+    for r in range(4):
+        data = gen.sample(200, make_rng(hash64(BASE_SEED, 13, r)))
+        omega = rate.resolve(data.scores0, data.scores1)
+        pull = 2.0 * omega * data.n_terms
+        precision = pull + 1.0 / 100
+        that = auc_point_estimate(data.scores0, data.scores1)
+        exact.append(((pull * that + 0.5 / 100) / precision, precision ** -0.5))
+        starts.append(mh_start(GibbsTarget(loss, prior, data, omega), MHConfig(
+            steps=20_000, burn_in=5_000, thin=5, proposal_scale=0.05,
+            seed=hash64(BASE_SEED, 13, r, 1))))
+    worst, lines = 0.0, []
+    for chain, (mean, sd) in zip(mh_run_block(starts), exact):
+        x = chain.draws[:, 0]
+        ess = effective_sample_size(x)
+        checks = [(x.mean(), mean, sd / math.sqrt(ess)),
+                  (x.std(ddof=1), sd, sd / math.sqrt(2 * ess))]
+        for p in (0.05, 0.95):
+            z = float(stats.norm.ppf(p))
+            checks.append((float(np.quantile(x, p)), mean + sd * z,
+                           sd * math.sqrt(p * (1 - p) / ess) / stats.norm.pdf(z)))
+        ratios = [abs(got - want) / se for got, want, se in checks]
+        worst = max(worst, *ratios)
+        lines.append(f"ess {ess:.0f} " + " ".join(f"{q:.2f}" for q in ratios))
+    ok = worst < 4.0
+    _report(capsys, 13, ok,
+            f"worst |chain - exact| {worst:.2f} < 4 MC se over 4 chains x "
+            f"(mean, sd, q05, q95): " + "; ".join(lines))
+    assert worst < 4.0

@@ -7,8 +7,11 @@ sharing one rng seed between estimators makes sample-level identities exact.
 """
 
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -25,8 +28,10 @@ from gibbsinf import (AbsScalarDistance, AUCLoss, CubicBSpline, Dataset,
 from gibbsinf.errors import (OverflowGuardError, PreconditionError, ShapeError)
 from gibbsinf.harness import AUCSim, MCID1, SparseClassSim
 from gibbsinf.harness.config import build_components, load_config
+from gibbsinf.harness.runner import fit_cell
 from gibbsinf.losses import _CHUNK_FLOATS
 from gibbsinf.sampler import hash64, make_rng
+from test_losses import _CORETYPE_FLAGS, _cpu_flags
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,42 @@ def test_euclidean_between_and_batch():
     assert np.allclose(div.batch(mat, [1.0, 2.0]), [0.0, 5.0, 3.0])
     with pytest.raises(ShapeError):
         div.between([1.0], [1.0, 2.0])
+
+
+def _euclid_between_digest() -> str:
+    """sha256 of `EuclideanDistance.between` on 2000 pairs of 2-vectors and
+    500 pairs of 16-vectors."""
+    rng = np.random.default_rng([67, 1])
+    div = EuclideanDistance()
+    got = [div.between(a, b) for dim, count in ((2, 2000), (16, 500))
+           for a, b in rng.normal(0.0, 3.0, size=(count, 2, dim))]
+    return hashlib.sha256(np.array(got).tobytes()).hexdigest()
+
+
+_EUCLID_BETWEEN_PIN = \
+    "058fcfa3677603827f6172c4cf23383161774469b4d7f71613cdf56d9abf142c"
+
+
+@pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "Prescott"])
+def test_euclidean_between_holds_its_bits_under_other_blas_kernels(coretype):
+    # `between` is the one-row batch, a norm along axis 1, which calls no
+    # BLAS; the norm of a 1-D vector is BLAS's dot, whose bits depend on the
+    # kernel OpenBLAS picks for the CPU
+    assert _euclid_between_digest() == _EUCLID_BETWEEN_PIN
+    flags = {**_CORETYPE_FLAGS,
+             "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq",
+                          "avx512vl"}}[coretype]
+    if not flags <= _cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernel")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
+            "import test_diagnostics; "
+            "print(json.dumps(test_diagnostics._euclid_between_digest()))")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    out = subprocess.run([sys.executable, "-c", code, src, here], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(out.stdout) == _EUCLID_BETWEEN_PIN
 
 
 def test_abs_scalar_between_and_batch():
@@ -144,6 +185,62 @@ def test_empirical_l2_batch_allocates_one_grid_by_draws_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * div.xs.size * draws.shape[0] * 8
+
+
+def _mcid2_config(grid_size: int, **mh) -> dict:
+    """The mcid2 protocol with its divergence on grid_size^2 points."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "mcid2.json"))
+    return {**cfg, "mh": {**cfg["mh"], **mh},
+            "divergence": {"name": "empirical_l2", "gridSize": grid_size}}
+
+
+_L2_CHUNK_FLOATS = 2 ** 21
+
+
+def test_mcid2_row_divergence_at_grid_size_256_holds_one_chunk():
+    # gridSize 256 is a 65,536-point grid: a full-length 16,000-draw row's
+    # one (G, D) buffer would take 8.4 GB.  The row's batch and between
+    # hold one chunk buffer of at most 2^21 floats and the output: the 47
+    # kept draws of this short chain make two chunks of 23 and 24 draws,
+    # so two buffers alive at once, or the one-buffer batch (24.6 MB),
+    # would exceed the bound
+    fit = fit_cell(_mcid2_config(256, steps=470, burnIn=0, thin=10), 1000,
+                   hash64(67, 2))
+    div, truth = fit.parts.divergence, fit.parts.truth
+    draws = fit.chain.draws
+    assert (div.xs.shape[0], draws.shape[0]) == (65_536, 47)
+    theta_bar = posterior_mean(fit.chain)
+    rng = make_rng(hash64(67, 3))
+    tracemalloc.start()
+    try:
+        values = div.batch(draws, truth, rng)
+        div.between(theta_bar, truth, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (47,)
+    assert peak <= 1.25 * _L2_CHUNK_FLOATS * 8 + values.nbytes
+
+
+# the mcid2 divergence at gridSize 64 has G = 4096 grid points, so a chunk
+# runs from 256 to 512 draws (at most 2^21 floats): one-chunk batches of
+# 257 and 511 draws, and the first two- and three-chunk batches and one
+# draw more than each
+_SIZE = _L2_CHUNK_FLOATS // (2 * 64 * 64)
+
+
+@pytest.mark.parametrize("count", [_SIZE + 1, 2 * _SIZE - 1, 2 * _SIZE,
+                                   2 * _SIZE + 1, 3 * _SIZE, 3 * _SIZE + 1])
+def test_empirical_l2_chunks_give_the_one_buffer_bits(count):
+    parts = build_components(_mcid2_config(64), 1000)
+    div, truth = parts.divergence, parts.truth
+    draws = make_rng(hash64(67, 4, count)).normal(0.0, 6.0, size=(count, 16))
+    # the one (G, D) buffer that batch made before it worked in chunks
+    diff = design_matrix(parts.loss.basis, div.xs) @ draws.T
+    np.subtract(diff, truth[:, None], out=diff)
+    want = np.sqrt(np.mean(np.multiply(diff, diff, out=diff), axis=0))
+    assert div.batch(draws, truth).tobytes() == want.tobytes()
 
 
 def test_between_needs_an_rng_for_a_monte_carlo_divergence():
@@ -425,6 +522,19 @@ def test_mgf_check_guards():
             rng=make_rng(0))
 
 
+@pytest.mark.parametrize("omega, r", [
+    (math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf),
+    (1.0, 0.0), (1.0, -2.0)])
+def test_mgf_check_rejects_a_nonpositive_or_nonfinite_omega_or_r(omega, r):
+    # a NaN omega gave a report of NaN K-hats, and r went unchecked
+    gen = lambda rng, n: _const_regression(n)
+    with pytest.raises(PreconditionError, match="omega and r"):
+        mgf_condition_check(
+            loss=SquaredLoss(None), theta_grid=[np.array([1.0])],
+            theta_star=np.array([0.5]), omega=omega, div=AbsScalarDistance(),
+            r=r, generator=gen, n_draws=256, rng=make_rng(0))
+
+
 def test_mgf_check_names_a_grid_point_whose_moment_underflows():
     # a grid point far worse than theta*: exp(-omega * excess) is 0 on every
     # draw, and its K-hat, the log of that mean, used to raise "math domain
@@ -447,6 +557,13 @@ def test_posterior_mass_outside_counts_exceedances():
     assert frac == pytest.approx(0.5)
     with pytest.raises(PreconditionError):
         posterior_mass_outside(draws, AbsScalarDistance(), 0.0, 0.0)
+
+
+def test_posterior_mass_outside_rejects_a_nan_radius():
+    # every distance fails `> nan`, which counted no draw outside the ball
+    draws = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(PreconditionError, match="radius"):
+        posterior_mass_outside(draws, AbsScalarDistance(), 0.0, math.nan)
 
 
 def test_sparse_chain_draws_are_dense_alpha_beta_rows():

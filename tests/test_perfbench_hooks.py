@@ -18,13 +18,14 @@ def test_tracer_finds_every_hooked_name_and_restores_it(monkeypatch):
     def hooked():
         # the generator draws feed generators.sample_ms and holdout_ms; the
         # spike-slab names feed the sampler and prior layers of `sparse`;
-        # the divergence methods feed diagnostics.divergence_ms
+        # the divergence batches feed diagnostics.divergence_ms (`between`,
+        # the one-row batch, is no divergence's own method: its time is the
+        # wrapped batch's)
         return (runner.compute_row, runner.mh_run, runner.ss_mh_run,
                 cli.fit_cell, sampler.GibbsTarget.risk,
                 SpikeSlab.log_config_mass, SpikeSlab.slab_log_density,
                 MCID1.sample, SparseClassSim.sample,
-                EmpiricalL2.between, EmpiricalL2.batch,
-                RiskDiffSqrt.between, RiskDiffSqrt.batch)
+                EmpiricalL2.batch, RiskDiffSqrt.batch)
 
     before = hooked()
     uninstall = tracer.instrument(tracer.Tracer())
