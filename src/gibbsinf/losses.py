@@ -9,7 +9,7 @@ formula `residual_loss(r, v)`; the 0-1 losses (MCID and zero-one) share
 keep their design as (n, J) rows; the 0-1 losses keep theirs as one
 C-contiguous (J, n) array with each label's sign folded into its column, the
 one copy `prepare` makes, and one threshold per observation.  On one
-sample's prepared arrays, or a stacked risk state ((R, n, J) or (R, J, n)),
+sample's prepared arrays, or R samples' stacked ((R, n, J) or (R, J, n)),
 `kernel` makes every n-sized buffer the formula writes into (one matmul into
 a linear predictor, then ufuncs with `out=`) and returns `(sums, n, values)`.
 `sums(B)` fills the losses of a (J,) vector on one sample, of each row of an
@@ -28,9 +28,9 @@ their thresholds.  Its kernel fills the predictor with one product per
 chain (a gemv for one row, a gemm for k rows), the spike-slab chain builds
 it from what a move changes, and `counts`, which `RiskDiffSqrt` scores
 draws with, by one gemm per chunk of draws.  The loss on a single
-observation is the one value of a one-row sample.  The ranking loss keeps a
-closed-form risk over the m*n pair grid, whose sums are the risks
-themselves over the divisor 1, and gives values on matched pairs.
+observation is the one value of a one-row sample.  The ranking loss
+prepares a two-sample dataset as a closed-form risk over the m*n pairs,
+whose sums are the risks over the divisor 1, and matched pairs for values.
 
 Every chain's risk is bit-identical to its one-chain value and to its risk
 on the unstacked arrays: the linear predictor is one matrix-vector product
@@ -94,16 +94,7 @@ def _values(sums, buf: np.ndarray):
 # loss families
 # ---------------------------------------------------------------------------
 
-class _Loss:
-    basis = None      # the linear predictor's basis; None is the identity on x
-
-    def risk_state(self, data: Dataset) -> tuple:
-        """The arrays a kernel needs for one dataset, as a one-chain stack;
-        chains' states concatenate along the leading axis into a block."""
-        return tuple(a[None] for a in self.prepare(data))
-
-
-class _RegressionLoss(_Loss):
+class _RegressionLoss:
     """Losses of the residual y - b'f(x) on a regression dataset.
 
     A family is its formula, `residual_loss(r, v)`: it writes the losses of
@@ -199,7 +190,7 @@ class CappedSquaredLoss(_RegressionLoss):
 _CHUNK_FLOATS = 8192    # the most linear-predictor floats `counts` holds
 
 
-class _MismatchLoss(_Loss):
+class _MismatchLoss:
     """The 0-1 losses: a mismatch is one comparison, b @ Ft > c.
 
     `prepare` folds each label's sign s_i into its design column, so the
@@ -207,6 +198,8 @@ class _MismatchLoss(_Loss):
     (R, J, n) one, and gives one threshold c_i per observation.  A family
     is its fold: the mismatch of its comparison of b'f_i with the label is
     s_i b'f_i > c_i."""
+
+    basis = None      # the linear predictor's basis; None is the identity on x
 
     def counter(self, prepared, shape) -> tuple:
         """(count, linear, mask): the one 0-1 formula, which the kernel, the
@@ -344,7 +337,7 @@ class MCIDLoss(_MismatchLoss):
                        np.where(positive, below, -x))
 
 
-class AUCLoss(_Loss):
+class AUCLoss:
     """Pairwise ranking loss (theta - 1{u1 > u0})^2 for scalar theta in [0,1].
 
     The empirical risk averages over all m*n (group-0, group-1) pairs and is
@@ -353,30 +346,28 @@ class AUCLoss(_Loss):
     """
 
     kind = "auc"
+    basis = None
 
     def prepare(self, sample):
-        if not isinstance(sample, PairedScores):
-            raise ShapeError("ranking loss needs PairedScores for pointwise values")
-        return (sample.u1 > sample.u0).astype(float)
-
-    def risk_state(self, data: Dataset) -> tuple:
-        """Concordance fraction and constant of the closed form over the m*n
-        grid of a two-sample dataset.
+        """On a two-sample dataset, the concordance fraction that and the
+        constant that*(1 - that) of the closed form over its m*n grid, as
+        two 0-d arrays; on PairedScores, the pair indicators 1{u1 > u0}.
 
         The risk (mn)^-1 sum over pairs of (theta - 1{u1 > u0})^2 equals
-        (theta - that)^2 + that*(1 - that), where that is the concordance
-        fraction: the pair indicators are 0/1, so their mean equals the mean
-        of their squares.
+        (theta - that)^2 + that*(1 - that): the pair indicators are 0/1, so
+        their mean equals the mean of their squares.
         """
-        if data.kind != "twosample":
-            raise ShapeError("ranking loss expects a two-sample dataset")
-        that = auc_point_estimate(data.scores0, data.scores1)
-        return np.array([that]), np.array([that * (1.0 - that)])
+        if isinstance(sample, PairedScores):
+            return (sample.u1 > sample.u0).astype(float)
+        if not isinstance(sample, Dataset) or sample.kind != "twosample":
+            raise ShapeError("ranking loss expects two-sample data or PairedScores")
+        that = auc_point_estimate(sample.scores0, sample.scores1)
+        return np.array(that), np.array(that * (1.0 - that))
 
     def kernel(self, prepared, k=None):
-        """On a risk state, the closed-form risks over the divisor 1 (x / 1 is
-        x), of k rows per chain if k is given, and no values; on prepared
-        matched pairs, no sums and the values (theta - 1{u1 > u0})^2."""
+        """On the closed form, the risks over the divisor 1 (x / 1 is x), of
+        k rows per chain if k is given, and values that raise ShapeError; on
+        pair indicators, no sums and the values (theta - 1{u1 > u0})^2."""
         if not isinstance(prepared, tuple):
             return None, 1, lambda theta: (float(np.asarray(theta).reshape(-1)[0])
                                            - prepared) ** 2
@@ -387,7 +378,10 @@ class AUCLoss(_Loss):
             # array square (a product) need not match in the last bit
             return [(t - a) ** 2 + c
                     for t, a, c in zip(B[..., 0].ravel().tolist(), that, const)]
-        return sums, 1, None
+
+        def values(theta):
+            raise ShapeError("ranking loss needs PairedScores for pointwise values")
+        return sums, 1, values
 
 
 LossSpec = (CheckLoss | SquaredLoss | CappedSquaredLoss | ZeroOneLinearLoss
@@ -404,7 +398,7 @@ def empirical_risk(loss: LossSpec, theta, data: Dataset) -> float:
     For two-sample data the average runs over all m*n score pairs.
     """
     beta = np.asarray(theta, dtype=float).reshape(1, -1)
-    sums, n, _ = loss.kernel(loss.risk_state(data))
+    sums, n, _ = loss.kernel(tuple(a[None] for a in loss.prepare(data)))
     return sums(beta)[0] / n
 
 

@@ -50,8 +50,9 @@ class GaussianIID:
     kind = "gaussian"
 
     def __init__(self, mean: float, sd: float, dim: int):
-        if sd <= 0:
-            raise PreconditionError("sd must be positive")
+        # written so that NaN, which fails every comparison, is rejected
+        if not (-math.inf < mean < math.inf and 0 < sd < math.inf):
+            raise PreconditionError("mean must be finite and sd positive and finite")
         self.mean, self.sd, self.dim = float(mean), float(sd), int(dim)
         self._log_norm = self.dim * (math.log(self.sd) + 0.5 * _LOG_2PI)
 
@@ -87,8 +88,8 @@ class LaplaceIID:
     kind = "laplace"
 
     def __init__(self, rate: float, dim: int):
-        if rate <= 0:
-            raise PreconditionError("rate must be positive")
+        if not 0 < rate < math.inf:
+            raise PreconditionError("rate must be positive and finite")
         self.rate, self.dim = float(rate), int(dim)
         self._log_norm = self.dim * math.log(self.rate / 2.0)
 
@@ -129,16 +130,16 @@ class SpikeSlab:
     kind = "spikeslab"
 
     def __init__(self, q: int, a: float, c: float, lam: float | None = None):
-        if q < 1 or q != int(q):
+        if not 1 <= q < math.inf or q != int(q):
             raise PreconditionError(f"q must be an integer >= 1; got {q!r}")
-        if a <= 0 or c <= 0:
-            raise PreconditionError("a and c must be positive")
+        if not (0 < a < math.inf and 0 < c < math.inf):
+            raise PreconditionError("a and c must be positive and finite")
         self.q, self.a, self.c = int(q), float(a), float(c)
         self.dim = 1 + self.q         # the width of the (alpha, beta) row
         # default slab rate sqrt(log q), floored for tiny q where log q <= 0
         self.lam = float(lam) if lam is not None else math.sqrt(max(math.log(q), 1e-2))
-        if self.lam <= 0:
-            raise PreconditionError("slab rate must be positive")
+        if not 0 < self.lam < math.inf:
+            raise PreconditionError("slab rate must be positive and finite")
         # log f(s) for s = 0..q
         log_ratio = math.log(c) + a * math.log(q)
         raw = -log_ratio * np.arange(q + 1)

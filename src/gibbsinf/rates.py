@@ -22,8 +22,9 @@ class FixedRate:
     kind = "fixed"
 
     def __init__(self, omega: float):
-        if omega <= 0:
-            raise PreconditionError("omega must be positive")
+        # written so that NaN, which fails every comparison, is rejected
+        if not 0 < omega < math.inf:
+            raise PreconditionError("omega must be positive and finite")
         self.omega = float(omega)
 
     def rate_at(self, n: int) -> float:
@@ -39,10 +40,10 @@ class PowerLawRate:
     kind = "powerlaw"
 
     def __init__(self, c: float, gamma: float):
-        if c <= 0:
-            raise PreconditionError("c must be positive")
-        if gamma < 0:
-            raise PreconditionError("gamma must be >= 0")
+        if not 0 < c < math.inf:
+            raise PreconditionError("c must be positive and finite")
+        if not 0 <= gamma < math.inf:
+            raise PreconditionError("gamma must be finite and >= 0")
         self.c, self.gamma = float(c), float(gamma)
 
     def rate_at(self, n: int) -> float:
@@ -67,8 +68,8 @@ class HeavyTailRate:
     kind = "heavytail"
 
     def __init__(self, s: float):
-        if s <= 3:
-            raise PreconditionError("tail exponent s must exceed 3")
+        if not 3 < s < math.inf:
+            raise PreconditionError("tail exponent s must exceed 3 and be finite")
         self.s = float(s)
 
     def _check_n(self, n: int):

@@ -62,23 +62,23 @@ def make_rng(seed: int) -> np.random.Generator:
 
 class GibbsTarget:
     """Record of loss, prior, dataset, resolved learning rate omega and the
-    loss's risk state of the data; the samplers build its kernels."""
+    loss's prepared arrays of the data; the samplers build its kernels."""
 
     def __init__(self, loss: LossSpec, prior: PriorSpec, data: Dataset, omega: float):
         # omega = 0 is the degenerate prior-only target (used by prior-predictive
         # checks); schedules themselves always resolve to strictly positive rates
-        if omega < 0:
-            raise PreconditionError("omega must be nonnegative")
+        if not 0 <= omega < math.inf:      # NaN fails it too
+            raise PreconditionError("omega must be finite and nonnegative")
         self.loss = loss
         self.prior = prior
         self.data = data
         self.omega = float(omega)
         self.n_terms = data.n_terms
-        self.risk_state = loss.risk_state(data)
+        self.prepared = loss.prepare(data)
 
     def risk(self, theta) -> float:
-        """Empirical risk at theta, on a kernel built for this call."""
-        sums, n = self.loss.kernel(self.risk_state)[:2]
+        """Empirical risk at theta, on a one-chain kernel built for this call."""
+        sums, n = self.loss.kernel(tuple(a[None] for a in self.prepared))[:2]
         return sums(np.asarray(theta, dtype=float).reshape(1, -1))[0] / n
 
 
@@ -238,19 +238,19 @@ def _block_log_density(targets):
     one-chain map at k = 1, `mh_run_block` every proposal.
 
     The loss's kernel for k rows per chain scores the block against the R
-    chains' stacked risk state as it stands (one chain's state is its
-    target's own arrays), and the prior's kernel for (R, k) rows; each owns
-    its buffers, so an evaluation allocates no n-sized array.  The loss
-    kernel fills each row's loss sum m and gives its divisor n, the prior
-    kernel fills each row's statistic s and gives the affine pair (a, b) of
-    its log density, and one list combines them on Python floats into
-    -omega * N * (m / n) + (a * s + b), the bits of
-    -omega * N * R_n(theta) + log prior(theta).
+    targets' prepared arrays as they stand, stacked on a leading chain axis
+    (one chain's are views of its target's own, with no copy), and the
+    prior's kernel for (R, k) rows; each owns its buffers, so an evaluation
+    allocates no n-sized array.  The loss kernel fills each row's loss sum
+    m and gives its divisor n, the prior kernel fills each row's statistic
+    s and gives the affine pair (a, b) of its log density, and one list
+    combines them on Python floats into -omega * N * (m / n) + (a * s + b),
+    the bits of -omega * N * R_n(theta) + log prior(theta).
     """
     R = len(targets)
     loss, prior = targets[0].loss, targets[0].prior
-    state = targets[0].risk_state if R == 1 else tuple(
-        np.concatenate(parts) for parts in zip(*(t.risk_state for t in targets)))
+    state = tuple(a[None] for a in targets[0].prepared) if R == 1 else tuple(
+        np.stack(parts) for parts in zip(*(t.prepared for t in targets)))
     coef = [-t.omega * t.n_terms for t in targets]
 
     def density(k):
@@ -275,7 +275,7 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     log))), so every chain is bit-identical to a one-chain run: a chain is a
     pure function of (target, config), whatever block it runs in.  The
     chains must share steps, burn-in, thin and dimension, and their targets
-    one loss object, one prior object and data whose risk states stack.
+    one loss object, one prior object and prepared arrays of one shape.
 
     Lookahead (pre-fetching, Brockwell 2006, JCGS 15(1)): while no chain
     accepts, the state does not move, so the next K proposals theta +
@@ -307,15 +307,15 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     dim = starts[0].theta.shape[0]
     steps, burn_in, thin = first.steps, first.burn_in, first.thin
     loss, prior = target.loss, target.prior
-    shapes = [a.shape[1:] for a in target.risk_state]
+    shapes = [a.shape for a in target.prepared]
     if any((s.config.steps, s.config.burn_in, s.config.thin, s.theta.shape[0])
            != (steps, burn_in, thin, dim) or s.target.loss is not loss
            or s.target.prior is not prior
-           or [a.shape[1:] for a in s.target.risk_state] != shapes
+           or [a.shape for a in s.target.prepared] != shapes
            for s in starts):
         raise PreconditionError("chains in a block must share steps, burn-in, "
                                 "thin, dimension, one loss object, one prior "
-                                "object and data whose risk states stack")
+                                "object and data whose risk arrays stack")
     R = len(starts)
     most = max(1, _LOOKAHEAD_ROWS // R)   # the most steps per call
     density = _block_log_density([s.target for s in starts])
@@ -484,7 +484,7 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                              - log(q - s + 1) for s in range(1, q + 1)]
 
     omega_n = target.omega * target.n_terms
-    prepared = tuple(a[0] for a in target.risk_state)
+    prepared = target.prepared
     Xt = prepared[0]
     n = Xt.shape[1]
     # count() scores the proposal's linear predictor, built into `linear`

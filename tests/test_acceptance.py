@@ -2,7 +2,7 @@
 
 Each check runs one pre-registered protocol at a fixed base seed and prints
 a single line with the measured value and its target band before asserting.
-Run with `pytest tests/test_acceptance.py -v -s` to see all thirteen lines.
+Run with `pytest tests/test_acceptance.py -v -s` to see all sixteen lines.
 
 The battery is slower than the unit suite (a few minutes single-core): the
 replication checks run full Metropolis chains per replication.  Checks 1, 2
@@ -19,14 +19,16 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from gibbsinf import (AbsScalarDistance, AUCLoss, CappedSquaredLoss,
-                      CubicBSpline, Dataset, GaussianIID, GibbsTarget,
+from gibbsinf import (AbsScalarDistance, AffineBasis, AUCLoss,
+                      CappedSquaredLoss, CheckLoss, CubicBSpline, Dataset,
+                      EuclideanDistance, GaussianIID, GibbsTarget,
                       MHConfig, RiskDiffSqrt, SpikeSlab, SquaredLoss,
                       ZeroOneLinearLoss, auc_point_estimate, credible_interval,
                       mgf_condition_check, mh_run, mh_run_block, mh_start,
                       pointwise_losses, ss_mh_run)
-from gibbsinf.harness import (AUCSim, SparseClassSim, holdout_misclassification,
-                              row_seed, run_experiment, write_outputs)
+from gibbsinf.harness import (AUCSim, QuantileRegSim, SparseClassSim,
+                              holdout_misclassification, row_seed,
+                              run_experiment, write_outputs)
 from gibbsinf.harness.runner import _fit_cells
 from gibbsinf.rates import AUCDataDriven, HeavyTailRate, auc_covariances
 from gibbsinf.sampler import (effective_sample_size, hash64, make_rng,
@@ -476,3 +478,145 @@ def test_a13_ranking_chains_match_the_exact_gaussian(capsys):
             f"worst |chain - exact| {worst:.2f} < 4 MC se over 4 chains x "
             f"(mean, sd, q05, q95): " + "; ".join(lines))
     assert worst < 4.0
+
+
+# ---------------------------------------------------------------------------
+# 14: check-loss chains against the posterior by quadrature
+
+
+def _check_loss_posterior(data, tau, omega, prior_sd, lo, hi, points):
+    """Means, sds and 5 %/95 % marginal quantiles (coordinate-major), and
+    the marginal densities at those quantiles, of the Gibbs posterior
+    exp{-omega n R_n(b)} N(0, prior_sd^2 I)(b) of the check loss on the
+    basis {1, x}, by a sum over a points x points tensor grid on the box
+    [lo, hi].  For each slope, n R_n is piecewise linear in the intercept
+    with kinks at the residuals y - slope x, so it is written exactly from
+    their sorted cumulative sums."""
+    b0, b1 = np.linspace(lo[0], hi[0], points), np.linspace(lo[1], hi[1], points)
+    x, y, n = data.x, data.y, data.n
+    energy = np.empty((points, points))
+    for j, slope in enumerate(b1):
+        r = np.sort(y - slope * x)
+        below = np.concatenate(([0.0], np.cumsum(r)))    # sums of the k smallest
+        k = np.searchsorted(r, b0)                        # residuals below b0
+        energy[:, j] = (tau * (below[-1] - below[k] - (n - k) * b0)
+                        + (1.0 - tau) * (k * b0 - below[k]))
+    logp = (-omega * energy - (b0[:, None] ** 2 + b1[None, :] ** 2)
+            / (2.0 * prior_sd ** 2))
+    w = np.exp(logp - logp.max())
+    values, densities = [], []
+    for grid, marginal in ((b0, w.sum(axis=1)), (b1, w.sum(axis=0))):
+        h = grid[1] - grid[0]
+        density = marginal / (marginal.sum() * h)
+        mean = float((grid * density).sum() * h)
+        sd = math.sqrt(float(((grid - mean) ** 2 * density).sum() * h))
+        cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) * h / 2)))
+        quantiles = [float(np.interp(p, cdf, grid)) for p in (0.05, 0.95)]
+        values += [mean, sd, *quantiles]
+        densities += [float(np.interp(q, grid, density)) for q in quantiles]
+    return np.array(values), densities
+
+
+def test_a14_check_loss_chains_match_the_quadrature_posterior(capsys):
+    # quantile regression (tau = 0.5, quantilereg data, n = 200) on the
+    # basis {1, x}, J = 2, under quantile_rootn's N(0, 10^2) prior and
+    # omega = 1.  The exact posterior's means, sds and 5 %/95 % marginal
+    # quantiles come by quadrature on a grid over +-8 posterior sd (from a
+    # first pass over the least-squares fit +- 2), its spacing halved until
+    # every value moves by less than 1e-4.  Each chain of an R = 2 block,
+    # which looks ahead up to two steps per chain, on its own data, must
+    # match them within 4 Monte Carlo standard errors from the chain's ESS
+    # per coordinate; a sample quantile's is sqrt(p (1 - p) / ESS) over the
+    # marginal density there
+    tau, omega, n = 0.5, 1.0, 200
+    gen, loss = QuantileRegSim(tau), CheckLoss(tau, AffineBasis())
+    prior = GaussianIID(0.0, 10.0, 2)
+    starts, exact = [], []
+    for r in range(2):
+        data = gen.sample(n, make_rng(hash64(BASE_SEED, 14, r)))
+        fit = np.linalg.lstsq(AffineBasis().design(data.x), data.y, rcond=None)[0]
+        values = _check_loss_posterior(data, tau, omega, 10.0, fit - 2.0,
+                                       fit + 2.0, 101)[0]
+        mean, sd = values[[0, 4]], values[[1, 5]]
+        points, (values, densities) = 101, _check_loss_posterior(
+            data, tau, omega, 10.0, mean - 8 * sd, mean + 8 * sd, 101)
+        while True:
+            points = 2 * points - 1
+            finer, densities = _check_loss_posterior(
+                data, tau, omega, 10.0, mean - 8 * sd, mean + 8 * sd, points)
+            moved, values = float(np.abs(finer - values).max()), finer
+            if moved < 1e-4 or points > 3000:
+                break
+        assert moved < 1e-4, f"quadrature moved {moved:.2e} at {points} points"
+        exact.append((values, densities, points))
+        starts.append(mh_start(GibbsTarget(loss, prior, data, omega), MHConfig(
+            steps=40_000, burn_in=5_000, thin=5, proposal_scale=2.0 / math.sqrt(n),
+            seed=hash64(BASE_SEED, 14, r, 1))))
+    worst, lines = 0.0, []
+    for chain, (values, densities, points) in zip(mh_run_block(starts), exact):
+        ratios = []
+        for j in range(2):
+            x = chain.draws[:, j]
+            ess = effective_sample_size(x)
+            mean, sd, q05, q95 = values[4 * j:4 * j + 4]
+            checks = [(x.mean(), mean, sd / math.sqrt(ess)),
+                      (x.std(ddof=1), sd, sd / math.sqrt(2 * ess))]
+            for p, q, f in zip((0.05, 0.95), (q05, q95), densities[2 * j:2 * j + 2]):
+                checks.append((float(np.quantile(x, p)), q,
+                               math.sqrt(p * (1 - p) / ess) / f))
+            ratios += [abs(got - want) / se for got, want, se in checks]
+            lines.append(f"b{j} ess {ess:.0f} " + " ".join(f"{q:.2f}" for q in ratios[-4:]))
+        worst = max(worst, *ratios)
+        lines[-1] += f" ({points} points)"
+    ok = worst < 4.0
+    _report(capsys, 14, ok,
+            f"worst |chain - quadrature| {worst:.2f} < 4 MC se over 2 chains x "
+            f"2 coordinates x (mean, sd, q05, q95): " + "; ".join(lines))
+    assert worst < 4.0
+
+
+# ---------------------------------------------------------------------------
+# 15-16: annealed moment-bound constant on the quantile and sparse examples
+
+
+def test_a15_check_loss_bound_constant_positive(capsys):
+    # quantilereg (tau = 0.5) and the check loss on {1, x}; grid points at
+    # Euclidean distances 0.25, 0.5 and 1 from theta* along (0.6, 0.8),
+    # omega = 1, r = 2, 100,000 draws
+    gen = QuantileRegSim(0.5)
+    theta_star = gen.theta_star
+    report = mgf_condition_check(
+        loss=CheckLoss(0.5, AffineBasis()),
+        theta_grid=[theta_star + d * np.array([0.6, 0.8]) for d in (0.25, 0.5, 1.0)],
+        theta_star=theta_star, omega=1.0, div=EuclideanDistance(), r=2.0,
+        generator=gen.mc_sample, n_draws=100_000,
+        rng=make_rng(hash64(BASE_SEED, 15)))
+    lower = report.min_k_hat_lower3
+    ok = lower > 0.0
+    _report(capsys, 15, ok,
+            f"K-hat {' '.join(f'{p.k_hat:.4f}' for p in report.points)}, "
+            f"min minus 3 se {lower:.4f} > 0")
+    assert lower > 0.0
+
+
+def test_a16_zero_one_bound_constant_positive(capsys):
+    # sparse_trend's sparseclass generator (q = 50) and the zero-one loss on
+    # points of width 1 + q; grid points at Euclidean distances 0.25, 0.5
+    # and 1 from theta* along an inactive coordinate (beta_2), omega = 1,
+    # r = 1 (the margin condition: excess risk linear in the disagreement),
+    # 20,000 draws
+    gen = SparseClassSim(q=50, support=(0, 1), beta_values=(2.0, -1.5),
+                         flip_rho=0.1)
+    theta_star = gen.theta_star
+    report = mgf_condition_check(
+        loss=ZeroOneLinearLoss(),
+        theta_grid=[theta_star + d * np.eye(51)[3] for d in (0.25, 0.5, 1.0)],
+        theta_star=theta_star, omega=1.0, div=EuclideanDistance(), r=1.0,
+        generator=gen.mc_sample, n_draws=20_000,
+        rng=make_rng(hash64(BASE_SEED, 16)))
+    lower = report.min_k_hat_lower3
+    ok = lower > 0.0
+    _report(capsys, 16, ok,
+            f"K-hat {' '.join(f'{p.k_hat:.4f}' for p in report.points)}, "
+            f"min minus 3 se {lower:.4f} > 0")
+    assert lower > 0.0

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
-                      CubicBSpline, Dataset, MCIDLoss, PairedScores,
-                      SquaredLoss, ZeroOneLinearLoss, auc_point_estimate,
-                      design_matrix, empirical_risk, least_squares_coefficients,
+from gibbsinf import (AbsScalarDistance, AffineBasis, AUCLoss, CappedSquaredLoss,
+                      CheckLoss, CubicBSpline, Dataset, MCIDLoss, PairedScores,
+                      RiskDiffSqrt, SquaredLoss, ZeroOneLinearLoss,
+                      auc_point_estimate, design_matrix, empirical_risk,
+                      least_squares_coefficients, mgf_condition_check,
                       pointwise_losses, sign_neg)
 from gibbsinf.errors import ConditioningError, PreconditionError, ShapeError
 from gibbsinf.harness.generators import MCID1, MCID2, SparseClassSim
@@ -338,6 +339,41 @@ def test_auc_pointwise_losses_on_paired_scores():
     np.testing.assert_allclose(vals, [(0.8 - 1.0) ** 2, (0.8 - 0.0) ** 2])
 
 
+def test_auc_prepare_takes_a_two_sample_dataset_or_paired_scores():
+    # a two-sample dataset gives the closed form (that, that (1 - that)) as
+    # two 0-d arrays, matched pairs their indicators 1{u1 > u0}
+    rng = np.random.default_rng(5)
+    s0, s1 = rng.normal(size=7), rng.normal(size=4) + 0.5
+    that, const = AUCLoss().prepare(Dataset.two_sample(s0, s1))
+    assert that.shape == const.shape == ()
+    assert float(that) == auc_point_estimate(s0, s1)
+    assert float(const) == float(that) * (1.0 - float(that))
+    pairs = PairedScores(np.array([0.0, 1.0, 0.5]), np.array([0.5, 0.5, 0.5]))
+    np.testing.assert_array_equal(AUCLoss().prepare(pairs), [1.0, 0.0, 0.0])
+    with pytest.raises(ShapeError):
+        AUCLoss().prepare(Dataset.regression([0.0, 1.0], [1.0, 2.0]))
+
+
+def test_auc_values_on_a_two_sample_dataset_are_a_shape_error():
+    # the closed form has no per-observation values: each caller that asks
+    # for them gets a ShapeError, not a TypeError from a missing function
+    def two_sample(rng, n):
+        return Dataset.two_sample(rng.normal(size=n), rng.normal(size=n))
+
+    rng = np.random.default_rng(6)
+    with pytest.raises(ShapeError, match="PairedScores"):
+        pointwise_losses(AUCLoss(), 0.5, two_sample(rng, 5))
+    div = RiskDiffSqrt(AUCLoss(), two_sample, n_draws=5)
+    with pytest.raises(ShapeError, match="PairedScores"):
+        div.between(0.3, 0.5, rng)
+    with pytest.raises(ShapeError, match="PairedScores"):
+        div.estimate(0.3, 0.5, rng)
+    with pytest.raises(ShapeError, match="PairedScores"):
+        mgf_condition_check(AUCLoss(), [0.3], 0.5, omega=1.0,
+                            div=AbsScalarDistance(), r=2.0, generator=two_sample,
+                            n_draws=5, rng=rng)
+
+
 # ---------------------------------------------------------------------------
 # least squares
 
@@ -418,8 +454,7 @@ def _pin_block(name, R, n):
     block of coefficients."""
     loss = _PIN_LOSSES[name]()
     data, dim = zip(*(_pin_data(name, n, seed) for seed in range(R)))
-    state = tuple(np.concatenate(parts)
-                  for parts in zip(*(loss.risk_state(d) for d in data)))
+    state = tuple(np.stack(parts) for parts in zip(*(loss.prepare(d) for d in data)))
     B = np.random.default_rng([99, R, n]).normal(scale=1.5, size=(R, dim[0]))
     sums, _, values = loss.kernel(state)
     return sums, values, B
@@ -651,12 +686,11 @@ def test_transposed_design_keeps_the_row_layout_masks(name, n, seed, scale):
     masks = np.array([_row_layout_mask(loss, d, b) for d, b in zip(data, B)])
     counts = masks.sum(axis=1).tolist()
 
-    sums, _, values = loss.kernel(loss.risk_state(data[0]))
+    sums, _, values = loss.kernel(tuple(a[None] for a in loss.prepare(data[0])))
     assert np.array_equal(values(B[:1]), masks[:1])
     assert sums(B[:1]) == counts[:1]
 
-    state = tuple(np.concatenate(parts)
-                  for parts in zip(*(loss.risk_state(d) for d in data)))
+    state = tuple(np.stack(parts) for parts in zip(*(loss.prepare(d) for d in data)))
     sums, _, values = loss.kernel(state)
     assert np.array_equal(values(B), masks)
     assert sums(B) == counts

@@ -25,6 +25,7 @@ from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
                       mh_start, posterior_mean, ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError, ShapeError
 from gibbsinf.harness.generators import MCID2, SparseClassSim
+from gibbsinf.rates import FixedRate, HeavyTailRate, PowerLawRate
 from gibbsinf.sampler import (_CHUNK, Chain, default_proposal_scale,
                               effective_sample_size, hash64, make_rng)
 
@@ -100,6 +101,34 @@ def test_gibbs_target_validation():
     data = Dataset.regression(np.ones((4, 1)), np.zeros(4))
     with pytest.raises(PreconditionError):
         GibbsTarget(SquaredLoss(None), GaussianIID(0.0, 1.0, 1), data, -0.1)
+
+
+def _target_at(omega):
+    data = Dataset.regression(np.ones((4, 1)), np.zeros(4))
+    return GibbsTarget(SquaredLoss(None), GaussianIID(0.0, 1.0, 1), data, omega)
+
+
+_NON_FINITE = [
+    (GaussianIID, (0.0, math.nan, 2)), (GaussianIID, (0.0, math.inf, 2)),
+    (GaussianIID, (math.nan, 1.0, 2)), (LaplaceIID, (math.nan, 2)),
+    (LaplaceIID, (math.inf, 2)), (SpikeSlab, (5, math.nan, 1.0)),
+    (SpikeSlab, (5, 1.0, math.inf)), (SpikeSlab, (5, 1.0, 1.0, math.nan)),
+    (SpikeSlab, (math.nan, 1.0, 1.0)), (FixedRate, (math.nan,)),
+    (FixedRate, (math.inf,)), (HeavyTailRate, (math.nan,)),
+    (HeavyTailRate, (math.inf,)), (PowerLawRate, (math.nan, 0.5)),
+    (PowerLawRate, (math.inf, 0.5)), (PowerLawRate, (1.0, math.nan)),
+    (_target_at, (math.nan,)), (_target_at, (math.inf,)),
+]
+
+
+@pytest.mark.parametrize("make,args", _NON_FINITE,
+                         ids=[f"{m.__name__}{a}" for m, a in _NON_FINITE])
+def test_constructors_reject_non_finite_numbers(make, args):
+    # a NaN omega would give a spike-slab chain that accepts no move and a
+    # random-walk chain with "no finite-density initial point"; a NaN
+    # power-law c would surface only in rate_at
+    with pytest.raises(PreconditionError):
+        make(*args)
 
 
 def test_rate_zero_target_is_the_prior_density():
@@ -315,6 +344,31 @@ def test_block_equals_single_chain_runs(kind, monkeypatch):
     assert len({c.accepted for c in block}) > 1     # the chains do differ
 
 
+@pytest.mark.parametrize("kind", ["mcid/gaussian", "check/gaussian",
+                                  "squared/laplace", "cappedsquared/gaussian",
+                                  "auc/gaussian", "zeroone/gaussian"])
+def test_target_keeps_prepare_and_a_one_chain_block_views_it(kind, monkeypatch):
+    # the target keeps loss.prepare(data) with no chain axis; a one-chain
+    # block scores against (1, ...) views of those arrays, with no copy
+    if kind == "zeroone/gaussian":
+        rng = make_rng(hash64(62, 1))
+        data = Dataset.classification(rng.normal(size=(30, 3)), rng.integers(0, 2, 30))
+        target = GibbsTarget(ZeroOneLinearLoss(), GaussianIID(0.0, 1.0, 3), data, 1.0)
+    else:
+        target = _block_case(kind, R=1)[0]
+    loss, fresh = target.loss, target.loss.prepare(target.data)
+    assert len(target.prepared) == len(fresh)
+    for got, want in zip(target.prepared, fresh):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    seen, kernel = [], loss.kernel
+    monkeypatch.setattr(loss, "kernel",
+                        lambda prepared, k=None: seen.append(prepared) or kernel(prepared, k))
+    mh_start(target, MHConfig(steps=10, burn_in=0, thin=1, seed=hash64(62, 2)))
+    for state, own in zip(seen[0], target.prepared, strict=True):
+        assert state.shape == (1,) + own.shape
+        assert np.shares_memory(state, own)
+
+
 def test_block_from_given_starts_equals_single_chain_runs():
     targets = _block_case("mcid/gaussian")
     configs = [MHConfig(steps=1_500, burn_in=0, thin=3, seed=hash64(43, r),
@@ -422,8 +476,8 @@ class _WalledSquaredLoss(SquaredLoss):
         super().__init__(None)
         self.walled = walled
 
-    def risk_state(self, data):
-        return super().risk_state(data) + (np.array([data is self.walled]),)
+    def prepare(self, data):
+        return super().prepare(data) + (np.array(data is self.walled),)
 
     def kernel(self, prepared, k=None):
         *state, walled = prepared
@@ -605,7 +659,7 @@ def test_one_chain_lookahead_holds_one_copy_of_the_design():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    design, n = target.risk_state[0].nbytes, 1000
+    design, n = target.prepared[0].nbytes, 1000
     rows = sum(range(1, sampler._LOOKAHEAD_ROWS + 1))
     buffers = rows * n * (8 + 8 + 1) + _CHUNK * (2 * 16 + 1) * 8
     assert peak < buffers + design
@@ -956,9 +1010,9 @@ def test_one_row_zero_one_kernel_equals_the_block_risk(n):
     gen = SparseClassSim(q, (0, 1), [2.0, -1.5], flip_rho=0.1)
     data = gen.sample(n, make_rng(hash64(57, n)))
     loss = ZeroOneLinearLoss()
-    state = loss.risk_state(data)
-    kernel, n = loss.kernel(tuple(a[0] for a in state))[:2]
-    block = loss.kernel(state)[0]
+    prepared = loss.prepare(data)
+    kernel, n = loss.kernel(prepared)[:2]
+    block = loss.kernel(tuple(a[None] for a in prepared))[0]
 
     rng = make_rng(hash64(57, n, 1))
     rows = []
