@@ -19,22 +19,37 @@ Each generator names the kind of data it emits (`data_kind`): "threshold"
 design, labels in {0,1}).  The config validator pairs these with the losses
 that can fit them.
 
-The normal CDF (`ndtr`, the label probabilities and Bayes rates) and
-quantile (`ndtri`, the quantile-regression truth) are ports of the Cephes
-routines in `gibbsinf._special`; `tests/test_special.py` checks them against
-`scipy.special` bit for bit, so datasets do not depend on SciPy.
+The normal CDF (`ndtr`: the label probabilities, margins, Bayes rates and
+the ranking truth) is computed from `math.erf` and `math.erfc`, and the
+normal quantile (the quantile-regression truth) is `statistics.NormalDist`'s.
+Their last bits may differ from SciPy's; they reach a dataset only through
+the comparison `u < eta`, and `tests/test_special.py` bounds the difference.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
-from .._special import ndtr, ndtri
 from ..errors import PreconditionError, ShapeError
 from ..losses import sign_neg
 from ..model import CubicBSpline, Dataset, PairedScores, TensorBSpline
+
+
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def ndtr(a):
+    """Standard normal CDF, elementwise: a NumPy scalar for a scalar, an
+    array of a's shape otherwise.  Split as Cephes' `ndtr` is: erf near 0,
+    erfc in the tails, so a far left tail keeps its digits and NaN stays NaN."""
+    v = np.asarray(a, dtype=float) * _SQRT1_2
+    out = [0.5 + 0.5 * math.erf(t) if abs(t) < _SQRT1_2
+           else 1.0 - 0.5 * math.erfc(t) if t > 0.0 else 0.5 * math.erfc(-t)
+           for t in v.reshape(-1).tolist()]
+    return np.array(out).reshape(v.shape)[()]
 
 
 class _Generator:
@@ -176,20 +191,22 @@ class QuantileRegSim(_Generator):
     data_kind = "linear-regression"
 
     def __init__(self, tau: float, beta_star=(1.0, 2.0), noise_sd: float = 1.0):
+        # each check written so that NaN, which fails every comparison, fails it
         if not 0.0 < tau < 1.0:
             raise PreconditionError("tau must lie in (0,1)")
-        if noise_sd <= 0:
-            raise PreconditionError("noise sd must be positive")
+        if not 0 < noise_sd < math.inf:
+            raise PreconditionError("noise sd must be positive and finite")
         beta_star = np.asarray(beta_star, dtype=float)
-        if beta_star.shape != (2,):
-            raise PreconditionError("beta_star must have two components (intercept, slope)")
+        if beta_star.shape != (2,) or not np.isfinite(beta_star).all():
+            raise PreconditionError("beta_star must have two finite components "
+                                    "(intercept, slope)")
         self.tau = float(tau)
         self.beta_star = beta_star
         self.noise_sd = float(noise_sd)
 
     @property
     def theta_star(self) -> np.ndarray:
-        shift = self.noise_sd * float(ndtri(self.tau))
+        shift = self.noise_sd * NormalDist().inv_cdf(self.tau)
         return self.beta_star + np.array([shift, 0.0])
 
     def quantile(self, x) -> np.ndarray:
@@ -215,12 +232,13 @@ class HeavyTailSim(_Generator):
     data_kind = "multiple-regression"
 
     def __init__(self, df: float, theta_star=(1.0, 2.0, -1.0)):
-        if df <= 2:
-            raise PreconditionError("degrees of freedom must exceed 2")
+        if not 2 < df < math.inf:
+            raise PreconditionError("degrees of freedom must exceed 2 and be finite")
         self.df = float(df)
         self.theta_star = np.asarray(theta_star, dtype=float)
-        if self.theta_star.ndim != 1 or self.theta_star.size < 1:
-            raise PreconditionError("theta_star must be a nonempty vector")
+        if self.theta_star.ndim != 1 or self.theta_star.size < 1 \
+                or not np.isfinite(self.theta_star).all():
+            raise PreconditionError("theta_star must be a nonempty finite vector")
 
     def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         x = rng.uniform(-1.0, 1.0, (n, self.theta_star.size))
@@ -249,8 +267,8 @@ class MeanCurveSim(_Generator):
     def __init__(self, curve: str = "sine", noise_sd: float = 0.3):
         if curve not in _CURVES:
             raise PreconditionError(f"unknown curve {curve!r}; choices: {sorted(_CURVES)}")
-        if noise_sd <= 0:
-            raise PreconditionError("noise sd must be positive")
+        if not 0 < noise_sd < math.inf:
+            raise PreconditionError("noise sd must be positive and finite")
         self.truth_fn = _CURVES[curve]
         self.noise_sd = float(noise_sd)
 
@@ -280,6 +298,8 @@ class AUCSim(_Generator):
     data_kind = "two-sample"
 
     def __init__(self, mu: float):
+        if not -math.inf < mu < math.inf:
+            raise PreconditionError("mu must be finite")
         self.mu = float(mu)
 
     @property
@@ -314,7 +334,7 @@ class SparseClassSim(_Generator):
     data_kind = "linear-classification"
 
     def __init__(self, q: int, support, beta_values, flip_rho: float = 0.1):
-        if q < 1 or q != int(q):
+        if not 1 <= q < math.inf or q != int(q):
             raise PreconditionError(f"q must be an integer >= 1; got {q!r}")
         if not 0.0 <= flip_rho < 0.5:
             raise PreconditionError("flip probability must lie in [0, 1/2)")
@@ -324,6 +344,9 @@ class SparseClassSim(_Generator):
         beta_values = np.asarray(beta_values, dtype=float)
         if len(support) != beta_values.size:
             raise PreconditionError("support and beta_values lengths differ")
+        # a NaN coefficient would make every clean label 0
+        if not np.isfinite(beta_values).all():
+            raise PreconditionError("beta_values must be finite")
         if support and (min(support) < 0 or max(support) >= q
                         or len(set(support)) != len(support)):
             raise PreconditionError("support indices must be distinct in [0, q)")

@@ -17,10 +17,9 @@ and (-r) * s is -(r * s) in IEEE 754, so these have the bits of
 -0.5 * s - log_norm and log_norm - rate * s.  The sampler builds a kernel
 once per chain start and once per block.
 
-The spike-slab size prior is normalized with `logsumexp` and the binomial
-coefficients come from `gammaln`; both are ports in `gibbsinf._special`
-(SciPy's `logsumexp`, Cephes' `lgam`), checked against SciPy bit for bit in
-`tests/test_special.py`.
+The spike-slab size prior is normalized with `np.logaddexp.reduce`, and
+log C(q, s) is `math.log` of the exact integer C(q, s), so it is rounded
+once; `tests/test_special.py` checks both against SciPy to a tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import math
 
 import numpy as np
 
-from ._special import gammaln, logsumexp
 from .errors import PreconditionError, ShapeError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -143,18 +141,24 @@ class SpikeSlab:
         # log f(s) for s = 0..q
         log_ratio = math.log(c) + a * math.log(q)
         raw = -log_ratio * np.arange(q + 1)
-        self._log_f = raw - logsumexp(raw)
+        self._log_f = raw - np.logaddexp.reduce(raw)
+        # log pi(S) by s = |S|, as Python floats: log f(s) - log C(q, s), with
+        # C(q, s) the exact integer built one factor per step, far cheaper at
+        # large q than a math.comb call per s
+        log_mass, binom = [], 1
+        for s, f in enumerate(self._log_f.tolist()):
+            log_mass.append(f - math.log(binom))
+            binom = binom * (self.q - s) // (s + 1)
+        self.log_size_mass = tuple(log_mass)
 
     def log_config_mass(self, S) -> float:
-        """log pi(S) = log f(|S|) - log C(q, |S|)."""
+        """log pi(S) = log f(|S|) - log C(q, |S|), read from `log_size_mass`."""
         s_idx = sorted(int(i) for i in S)
         if s_idx and (s_idx[0] < 0 or s_idx[-1] >= self.q):
             raise PreconditionError("support index out of range")
         if len(set(s_idx)) != len(s_idx):
             raise PreconditionError("support indices must be unique")
-        s = len(s_idx)
-        log_binom = gammaln(self.q + 1) - gammaln(s + 1) - gammaln(self.q - s + 1)
-        return float(self._log_f[s] - log_binom)
+        return self.log_size_mass[len(s_idx)]
 
     def slab_log_density(self, beta_s) -> float:
         beta_s = np.asarray(beta_s, dtype=float)

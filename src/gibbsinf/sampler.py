@@ -69,6 +69,8 @@ class GibbsTarget:
         # checks); schedules themselves always resolve to strictly positive rates
         if not 0 <= omega < math.inf:      # NaN fails it too
             raise PreconditionError("omega must be finite and nonnegative")
+        if not isinstance(data, Dataset):
+            raise ShapeError("a Gibbs target's data must be a Dataset")
         self.loss = loss
         self.prior = prior
         self.data = data
@@ -418,8 +420,8 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     the add/remove/walk acceptances only.
 
     log pi(S) depends on S only through s = |S|, so the add and remove
-    ratios are read from per-chain tables by s, built once from
-    `prior.log_config_mass(range(s))` for s = 0..q.  The slab density of the
+    ratios are read from per-chain tables by s, built from the prior's
+    table `log_size_mass` of log pi(S) by s = |S|.  The slab density of the
     current beta_S is kept between walks.  The chain keeps the standing
     state's linear predictor eta = theta @ Xt, one (n,) array on the
     target's (1+q, n) design Xt (its columns signed by their labels, so eta
@@ -476,7 +478,7 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     # below.  The slab density of the added or dropped coordinate cancels
     # exactly against its proposal density, leaving the configuration-mass
     # ratio and the uniform-choice asymmetry.
-    log_mass = [prior.log_config_mass(range(s)) for s in range(q + 1)]
+    log_mass = prior.log_size_mass
     log, exp = math.log, math.exp
     add_extra = [log_mass[s + 1] - log_mass[s] + log(q - s) - log(s + 1)
                  for s in range(q)]

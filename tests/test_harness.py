@@ -258,6 +258,28 @@ def test_generator_parameter_validation():
         build_generator({"no_name": True})
 
 
+_NON_FINITE_GENERATORS = [
+    (QuantileRegSim, (0.5, (1.0, 2.0), math.nan)),
+    (QuantileRegSim, (0.5, (1.0, 2.0), math.inf)),
+    (QuantileRegSim, (0.5, (math.nan, 1.0))), (AUCSim, (math.nan,)),
+    (AUCSim, (math.inf,)), (HeavyTailSim, (math.nan,)),
+    (HeavyTailSim, (math.inf,)), (HeavyTailSim, (5.0, (math.nan, 1.0))),
+    (MeanCurveSim, ("sine", math.nan)), (MeanCurveSim, ("sine", math.inf)),
+    (SparseClassSim, (5, (0,), [math.nan])),
+    (SparseClassSim, (math.inf, (0,), [1.0])),
+    (SparseClassSim, (math.nan, (0,), [1.0])),
+]
+
+
+@pytest.mark.parametrize("make,args", _NON_FINITE_GENERATORS,
+                         ids=[f"{m.__name__}{a}" for m, a in _NON_FINITE_GENERATORS])
+def test_generators_reject_non_finite_numbers(make, args):
+    # at construction, not at sample: a NaN sparse coefficient samples
+    # without error, every clean label 0 and the labels from the flips alone
+    with pytest.raises(PreconditionError):
+        make(*args)
+
+
 # ---------------------------------------------------------------------------
 # config loading and validation
 

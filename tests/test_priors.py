@@ -127,7 +127,7 @@ def test_spike_slab_draws_match_recorded_digests():
         "e9dbd0433c83c168987cf4e80c14f1dcb2b6a8be01fdc74a4bacdde8492c70bb"
     log_densities = np.array([prior.log_density(d) for d in draws])
     assert hashlib.sha256(log_densities.tobytes()).hexdigest() == \
-        "adb8a93e566cbb5774f22400c2621e09a3d12f97d260284ea52020df8009db53"
+        "7a0a3de9d4ed56a7db62001f2a282014c5d7f5be3cf903ff5ab9a65e53a7541d"
 
 
 def test_spike_slab_validation():

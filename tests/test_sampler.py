@@ -20,9 +20,10 @@ from hypothesis import given, strategies as st
 from gibbsinf import sampler
 from gibbsinf import (AffineBasis, AUCLoss, CappedSquaredLoss, CheckLoss,
                       CubicBSpline, Dataset, GaussianIID, GibbsTarget, LaplaceIID, MCIDLoss,
-                      MHConfig, SpikeSlab, SquaredLoss, ZeroOneLinearLoss,
-                      chain_summary, credible_interval, mh_run, mh_run_block,
-                      mh_start, posterior_mean, ss_mh_run, write_chain_csv)
+                      MHConfig, PairedScores, SpikeSlab, SquaredLoss,
+                      ZeroOneLinearLoss, chain_summary, credible_interval,
+                      mh_run, mh_run_block, mh_start, posterior_mean,
+                      ss_mh_run, write_chain_csv)
 from gibbsinf.errors import InitializationError, PreconditionError, ShapeError
 from gibbsinf.harness.generators import MCID2, SparseClassSim
 from gibbsinf.rates import FixedRate, HeavyTailRate, PowerLawRate
@@ -154,6 +155,12 @@ def test_two_sample_target_counts_pairs():
     data = Dataset.two_sample(np.array([0.1, 0.7, 0.4]), np.array([0.5, 0.9]))
     target = GibbsTarget(AUCLoss(), GaussianIID(0.5, 10.0, 1), data, 1.0)
     assert target.n_terms == 6
+
+
+def test_target_rejects_data_that_is_not_a_dataset():
+    pairs = PairedScores(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+    with pytest.raises(ShapeError, match="must be a Dataset"):
+        GibbsTarget(AUCLoss(), GaussianIID(0.5, 10.0, 1), pairs, 1.0)
 
 
 def test_mh_run_rejects_zero_density_start():
@@ -928,7 +935,7 @@ def test_q50_sparse_chains_match_recorded_digests(n, digest, accepted):
 
 def test_sparse_chain_start_is_a_prior_draw_the_prior_does_not_score(monkeypatch):
     # a spike-slab draw's log density is finite (a normalized size prior,
-    # gammaln of integers and Laplace slabs), so the first draw is the start;
+    # log C(q, s) of integers and Laplace slabs), so the first draw is the start;
     # the n = 200 chain pinned above keeps its bytes
     calls = _counted(monkeypatch, SpikeSlab, "log_density")
     gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)

@@ -1,11 +1,13 @@
 """The package's special functions and B-spline basis against SciPy.
 
-`gibbsinf._special` ports Cephes' `ndtr`, `ndtri` and `lgam` and SciPy's
-`logsumexp`, and `CubicBSpline.design` runs the Cox-de Boor recursion in
-SciPy's operation order, so that no output depends on whether SciPy is
-installed.  Every check here is equality of the 64-bit patterns, not a
-tolerance: a port that differs in the last bit changes chains, and with them
-the recorded digests.
+`CubicBSpline.design` runs the Cox-de Boor recursion in SciPy's operation
+order, so that no output depends on whether SciPy is installed; its checks
+are equality of the 64-bit patterns, since a basis value that differs in the
+last bit changes chains, and with them the recorded digests.  The normal CDF
+and quantile and the spike-slab size prior come from `math`, `statistics`
+and NumPy; their last bits may differ from SciPy's, and they reach an output
+only through comparisons (a label's `u < eta`, a chain's accept test), so
+they are checked to a tolerance.
 """
 
 import math
@@ -16,7 +18,8 @@ from scipy import special
 from scipy.interpolate import BSpline
 
 from gibbsinf import CubicBSpline, SpikeSlab, TensorBSpline
-from gibbsinf._special import gammaln, logsumexp, ndtr, ndtri
+from gibbsinf.harness import QuantileRegSim
+from gibbsinf.harness.generators import ndtr
 
 
 def _same_bits(a, b) -> bool:
@@ -70,68 +73,66 @@ def test_tensor_design_matches_scipy_factors():
 # normal CDF and quantile
 
 
-def test_ndtr_matches_scipy_bits():
+def test_ndtr_is_within_1e13_of_scipy():
     rng = np.random.default_rng(11)
     r2 = math.sqrt(2.0)
-    # branch edges: |a| = 1 (erf vs erfc), sqrt(2) and 8 sqrt(2) (erfc's
-    # polynomial switches), about 37.68 (exp(-a^2/2) underflows)
+    # branch edges: |a| = 1 (erf vs erfc), sqrt(2) and 8 sqrt(2) (Cephes'
+    # erfc polynomial switches), about 37.68 (exp(-a^2/2) underflows)
     edges = [s * e for e in (1.0, r2, 8.0 * r2, 37.6767, 37.68, 37.7)
              for s in (1.0, -1.0)]
     a = np.concatenate([rng.normal(0.0, 3.0, 60_000),
                         rng.uniform(-40.0, 40.0, 40_000),
                         np.linspace(-37.7, -37.6, 2_001),
-                        _neighbours(edges, 20),
-                        [0.0, -0.0, np.inf, -np.inf, np.nan]])
-    assert a.size >= 100_000
-    assert _same_bits(ndtr(a), special.ndtr(a))
+                        _neighbours(edges, 20)])
+    got, want = ndtr(a), special.ndtr(a)
+    normal = want >= np.finfo(float).tiny
+    # the largest gaps are in the far left tail, where Cephes rounds a^2
+    assert np.all(np.abs(got[normal] - want[normal]) <= 1e-13 * want[normal])
+    assert np.all(got[~normal] < 1e-300)
+    assert (~normal).any()
 
 
-def test_ndtr_keeps_scalar_and_shape():
-    assert type(ndtr(0.3)) is type(special.ndtr(0.3))
-    assert ndtr(0.3) == special.ndtr(0.3)
+def test_ndtr_special_values_scalar_and_shape():
+    values = ndtr(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert values[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+    assert np.isnan(values[4])
+    assert type(ndtr(0.3)) is np.float64
+    assert ndtr(0.3) == pytest.approx(special.ndtr(0.3), rel=1e-15)
     grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-    assert _same_bits(ndtr(grid), special.ndtr(grid))
+    assert ndtr(grid).shape == (3, 4)
 
 
-def test_ndtri_matches_scipy_bits():
-    rng = np.random.default_rng(12)
-    e2 = math.exp(-2.0)
-    p = np.concatenate([rng.uniform(0.0, 1.0, 20_000),
-                        np.exp(-rng.uniform(0.0, 700.0, 10_000)),
-                        1.0 - np.exp(-rng.uniform(0.0, 36.0, 10_000)),
-                        _neighbours([e2, 1.0 - e2, math.exp(-32.0)], 20),
-                        [1e-300, 5e-324, 0.5]])
-    p = p[(p > 0.0) & (p < 1.0)]
-    assert _same_bits([ndtri(v) for v in p], special.ndtri(p))
+@pytest.mark.parametrize("tau", [0.001, 0.1, 0.25, 0.75, 0.9, 0.999])
+def test_quantile_truth_is_within_1e14_of_scipy(tau):
+    gen = QuantileRegSim(tau, (1.0, 2.0), 1.5)
+    want = np.array([1.0, 2.0]) + np.array([1.5 * special.ndtri(tau), 0.0])
+    assert np.all(np.abs(gen.theta_star - want) <= 1e-14)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, float("nan")])
-def test_ndtri_rejects_p_outside_the_open_interval(p):
-    with pytest.raises(ValueError):
-        ndtri(p)
+def test_median_truth_is_the_coefficients():
+    gen = QuantileRegSim(0.5, (1.0, 2.0), 1.5)
+    assert gen.theta_star.tolist() == [1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
-# log gamma and logsumexp
-
-
-def test_gammaln_matches_scipy_bits_on_integers():
-    n = np.arange(1, 100_001)
-    assert _same_bits([gammaln(int(k)) for k in n], special.gammaln(n))
-
-
-@pytest.mark.parametrize("n", [0, -3, 2.5])
-def test_gammaln_rejects_non_positive_integers(n):
-    with pytest.raises(ValueError):
-        gammaln(n)
+# spike-slab size prior
 
 
 @pytest.mark.parametrize("q,a,c", [(50, 1.0, 1.0), (3, 1.0, 1.0),
                                    (200, 0.5, 2.0), (1, 1.0, 1.0),
                                    (1, 1.0, 0.5), (1000, 2.0, 0.1)])
-def test_logsumexp_matches_scipy_bits_on_the_size_prior(q, a, c):
+def test_size_prior_is_within_tolerance_of_scipy(q, a, c):
     # SpikeSlab's unnormalized log size prior; (1, 1, 1) has two maxima
     raw = -(math.log(c) + a * math.log(q)) * np.arange(q + 1)
-    assert _same_bits(logsumexp(raw), special.logsumexp(raw))
     prior = SpikeSlab(q=q, a=a, c=c)
-    assert _same_bits(prior._log_f, raw - special.logsumexp(raw))
+    want_f = raw - special.logsumexp(raw)
+    assert np.all(np.abs(prior._log_f - want_f) <= 1e-15)
+    # at q = 1000 SciPy's three-term log C(q, s) loses digits
+    s = np.arange(q + 1)
+    want = want_f - (special.gammaln(q + 1) - special.gammaln(s + 1)
+                     - special.gammaln(q - s + 1))
+    got = [prior.log_config_mass(range(k)) for k in range(q + 1)]
+    assert np.all(np.abs(np.array(got) - want) <= 1e-11)
+    # the exact binomial coefficient, rounded once by the logarithm
+    assert got == [f - math.log(math.comb(q, k))
+                   for k, f in enumerate(prior._log_f.tolist())]
