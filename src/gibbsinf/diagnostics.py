@@ -378,9 +378,6 @@ class RateFit:
     intercept: float
     pairs: tuple
 
-    def predicted(self, n: float) -> float:
-        return math.exp(self.intercept + self.slope * math.log(n))
-
 
 def concentration_slope(pairs) -> RateFit:
     """Least-squares slope of log(radius) against log(n).

@@ -161,13 +161,11 @@ def _cmd_diagnose_rate(args) -> int:
     reader = csv.DictReader(io.StringIO(_read_text(args.results, "results")))
     if reader.fieldnames is None or "n" not in reader.fieldnames:
         raise ConfigError("results CSV needs an 'n' column")
-    radius_col = next((c for c in ("radius_q90", "radius")
-                       if c in reader.fieldnames), None)
-    if radius_col is None:
-        raise ConfigError("results CSV needs a 'radius_q90' or 'radius' column")
+    if "radius_q90" not in reader.fieldnames:
+        raise ConfigError("results CSV needs a 'radius_q90' column")
     pairs = []
     for row in reader:
-        raw = (row.get(radius_col) or "").strip()
+        raw = (row.get("radius_q90") or "").strip()
         if not raw:
             continue
         try:
@@ -176,7 +174,7 @@ def _cmd_diagnose_rate(args) -> int:
             n = radius = math.nan
         if not (math.isfinite(n) and math.isfinite(radius)):
             raise ConfigError(f"{args.results} line {reader.line_num}: n "
-                              f"and {radius_col} must be finite numbers")
+                              "and radius_q90 must be finite numbers")
         pairs.append((n, radius))
     try:
         fit = concentration_slope(pairs)

@@ -422,23 +422,24 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     log pi(S) depends on S only through s = |S|, so the add and remove
     ratios are read from per-chain tables by s, built from the prior's
     table `log_size_mass` of log pi(S) by s = |S|.  The slab density of the
-    current beta_S is kept between walks.  The chain keeps the standing
-    state's linear predictor eta = theta @ Xt, one (n,) array on the
-    target's (1+q, n) design Xt (its columns signed by their labels, so eta
-    is linear in theta as the plain predictor is), and builds each
-    proposal's predictor from what the move changes, into one buffer:
-    eta + b*Xt[j] for an add, eta - beta_j*Xt[j] for a remove,
-    eta + walk @ Xt_S for a walk (the rows Xt_S of the support, taken once
-    per support change) and eta - 2*alpha*Xt[0] for a flip.  The loss's
-    `counter` then counts its mismatches, the 0-1 kernel's one formula,
-    divided by n.  An accepted move edits theta in place and recomputes eta
-    with the full product, so rounding does not build up over moves.  The predictor's last bits may
-    differ from the full product's; the counts do not, because a 0-1 loss
-    sees the predictor only through one comparison, which moves only where
-    its two sides tie within rounding.  The chain accepts only a few per
-    cent of its moves, so a state stands for tens of steps and proposes
-    the same rows again: the energy of each remove-j row and of the
-    flipped row is kept from the first time it is scored until a move is
+    current beta_S is kept between walks; a start whose slab density is NaN
+    or -inf is an InitializationError, as a random-walk start is.  The chain
+    keeps the standing state's linear predictor eta = theta @ Xt, one (n,)
+    array on the target's (1+q, n) design Xt (its columns signed by their
+    labels, so eta is linear in theta as the plain predictor is), and
+    builds each proposal's predictor into one buffer in one of two forms:
+    an add, remove or flip changes one coordinate c of theta by d (b,
+    -beta_j or -2*alpha), eta + d*Xt[c]; a walk moves the support,
+    eta + walk @ Xt_S (the support's rows, taken once per support change).
+    The loss's `counter` then counts its mismatches, divided by n.  An
+    accepted move edits theta in place and recomputes eta with the full
+    product, so rounding does not build up over moves.  The predictor's
+    last bits may differ from the full product's; the counts do not,
+    because a 0-1 loss sees the predictor only through one comparison,
+    which moves only where its two sides tie within rounding.  The chain
+    accepts only a few per cent of its moves, so a state stands for tens of
+    steps and proposes the same rows again: one dict keeps the energy of
+    each remove and flip row, by the coordinate it changes, until a move is
     accepted, and a repeat builds and counts nothing.  Chains run one at a
     time: a lockstep block costs more per row at n=800, and lookahead would
     save at most about 2 µs of a step (ROADMAP, Set aside).  The kept draws
@@ -497,14 +498,23 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
     slab_scale = 1.0 / lam
     flip_prob = config.alpha_flip_prob
 
+    # beta_S's slab density, dropped at a support change until a walk needs
+    # it; the start's energy and size mass are finite, so it alone can fail
+    slab = slab_log_density(theta[support_idx])
+    if math.isnan(slab):
+        raise InitializationError("initial point has NaN target density")
+    if slab == -math.inf:
+        raise InitializationError("initial point has zero target density")
     ne = -omega_n * (count(theta) / n)
     eta = linear.copy()               # the standing state's linear predictor
     Xt_s = Xt[support_idx]            # the design rows of beta_S
-    slab = None                       # slab density of beta_S, once needed
-    # energies of the standing state's remove-j rows and of its flipped row,
-    # each scored the first time it is proposed; emptied at every acceptance
-    remove_ne = {}
-    flip_ne = None
+    cached = {}                       # remove and flip energies by coordinate
+
+    def energy(c=None, d=None):
+        if c is not None:
+            np.multiply(Xt[c], d, out=linear)
+        np.add(eta, linear, out=linear)
+        return -omega_n * (count() / n)
 
     steps, burn_in, thin = config.steps, config.burn_in, config.thin
     kept = np.empty((config.n_kept, 1 + q))
@@ -522,22 +532,18 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
         if mu < _ADD_P:
             if s < q:
                 i = integers(q - s)
-                j = absent[i]
-                b = laplace(0.0, slab_scale)
-                np.multiply(Xt[1 + j], b, out=linear)
-                np.add(eta, linear, out=linear)
-                prop_ne = -omega_n * (count() / n)
+                c = 1 + absent[i]
+                v = laplace(0.0, slab_scale)
+                prop_ne = energy(c, v)
                 log_extra = add_extra[s]
                 move = 0
         elif mu < _ADD_P + _REMOVE_P:
             if s > 0:
                 i = integers(s)
-                j = support[i]
-                prop_ne = remove_ne.get(j)
+                c, v = 1 + support[i], 0.0
+                prop_ne = cached.get(c)
                 if prop_ne is None:
-                    np.multiply(Xt[1 + j], theta[1 + j], out=linear)
-                    np.subtract(eta, linear, out=linear)
-                    prop_ne = remove_ne[j] = -omega_n * (count() / n)
+                    prop_ne = cached[c] = energy(c, -theta[c])
                 log_extra = remove_extra[s]
                 move = 1
         elif s > 0:
@@ -545,11 +551,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             walk = walk_scale * standard_normal(s)
             new_b = beta_s + walk
             np.matmul(walk, Xt_s, out=linear)
-            np.add(eta, linear, out=linear)
             if slab is None:
                 slab = slab_log_density(beta_s)
             prop_slab = slab_log_density(new_b)
-            prop_ne = -omega_n * (count() / n)
+            prop_ne = energy()
             # symmetric walk on a fixed configuration: only the slab ratio
             log_extra = prop_slab - slab
             move = 2
@@ -562,35 +567,31 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                     theta[support_idx] = new_b
                     slab = prop_slab
                 else:
+                    theta[c] = v
                     if move == 0:
-                        theta[1 + j] = b
                         insort(support, absent.pop(i))
                     else:
-                        theta[1 + j] = 0.0
                         insort(absent, support.pop(i))
                     support_idx = np.array(support, dtype=np.intp) + 1
                     Xt_s = Xt[support_idx]
                     slab = None
                 np.matmul(theta, Xt, out=eta)
                 ne = prop_ne
-                remove_ne.clear()
-                flip_ne = None
+                cached.clear()
                 accepted += 1
                 taken[move] += 1
 
         if random() < flip_prob:
             proposed[3] += 1
-            if flip_ne is None:
-                np.multiply(Xt[0], -2.0 * theta[0], out=linear)
-                np.add(eta, linear, out=linear)
-                flip_ne = -omega_n * (count() / n)
-            d = flip_ne - ne
+            prop_ne = cached.get(0)
+            if prop_ne is None:
+                prop_ne = cached[0] = energy(0, -2.0 * theta[0])
+            d = prop_ne - ne
             if d >= 0.0 or random() < exp(d):
                 theta[0] = -theta[0]
                 np.matmul(theta, Xt, out=eta)
-                ne = flip_ne
-                remove_ne.clear()
-                flip_ne = None
+                ne = prop_ne
+                cached.clear()
                 taken[3] += 1
 
         if step == next_keep:

@@ -2,7 +2,7 @@
 
 Each check runs one pre-registered protocol at a fixed base seed and prints
 a single line with the measured value and its target band before asserting.
-Run with `pytest tests/test_acceptance.py -v -s` to see all sixteen lines.
+Run with `pytest tests/test_acceptance.py -v -s` to see all seventeen lines.
 
 The battery is slower than the unit suite (a few minutes single-core): the
 replication checks run full Metropolis chains per replication.  Checks 1, 2
@@ -620,3 +620,96 @@ def test_a16_zero_one_bound_constant_positive(capsys):
             f"K-hat {' '.join(f'{p.k_hat:.4f}' for p in report.points)}, "
             f"min minus 3 se {lower:.4f} > 0")
     assert lower > 0.0
+
+
+# ---------------------------------------------------------------------------
+# 17: the spike-slab chain against its exact posterior
+
+
+def _zero_one_cell_masses(data, omega, lam, log_mass, points):
+    """Unnormalized posterior masses of the 8 (alpha, S) cells of the q = 2
+    zero-one Gibbs posterior exp{-omega * mismatches} pi(S) prod Laplace(lam)
+    (alpha uniform), keyed (alpha, S), from the labels and features alone.
+    On a line in beta the mismatch count is constant between the points
+    where one observation's prediction flips, so a one-coordinate support
+    integrates exactly as Laplace-CDF differences times exp(-omega count);
+    S = {0, 1} does that in beta_0 for each beta_1 of a `points`-point
+    midpoint rule in u = F(beta_1)."""
+    x, positive = data.x, data.y == 1
+
+    def cdf(b):
+        return np.where(b < 0, 0.5 * np.exp(lam * np.minimum(b, 0.0)),
+                        1.0 - 0.5 * np.exp(-lam * np.maximum(b, 0.0)))
+
+    def line_integral(offset, slope):
+        # the Laplace(lam) integral over b of exp(-omega * mismatches) of the
+        # predictors offset + b * slope, offset (m, n) and slope (n,)
+        cuts = np.sort(-offset / slope, axis=-1)
+        inner = (cuts[:, 1:] + cuts[:, :-1]) / 2
+        at = np.concatenate((cuts[:, :1] - 1.0, inner, cuts[:, -1:] + 1.0), axis=1)
+        wrong = ((offset[:, None] + at[..., None] * slope) > 0) != positive
+        edges = np.concatenate((np.zeros((len(at), 1)), cdf(cuts),
+                                np.ones((len(at), 1))), axis=1)
+        return (np.diff(edges, axis=1)
+                * np.exp(-omega * wrong.sum(axis=-1))).sum(axis=1)
+
+    u = (np.arange(points) + 0.5) / points
+    beta1 = np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / lam
+    masses = {}
+    for alpha in (-1.0, 1.0):
+        base = alpha * x[:, 0]
+        wrong = ((base > 0) != positive).sum()
+        masses[alpha, ()] = math.exp(log_mass[0] - omega * wrong)
+        for j in (0, 1):
+            masses[alpha, (j,)] = math.exp(log_mass[1]) * float(
+                line_integral(base[None], x[:, 1 + j])[0])
+        offset = base + beta1[:, None] * x[:, 2]
+        masses[alpha, (0, 1)] = math.exp(log_mass[2]) * float(
+            line_integral(offset, x[:, 1]).mean())
+    return masses
+
+
+def test_a17_spike_slab_chain_matches_the_exact_cell_masses(capsys):
+    # sparseclass data (q = 2, beta* = (1, 0), flip_rho 0.2, n = 20) and the
+    # zero-one loss under SpikeSlab(q=2, a=1, c=1) at omega = 0.5: log pi(S)
+    # by |S| from its closed form f(s) / C(2, s), f(s) proportional to 2^-s.
+    # The 8 (alpha, S) cell masses are exact but for S = {0, 1}'s midpoint
+    # rule, which must move every cell probability by less than 1e-4 when
+    # its 1024 points double.  One 200,000-step chain (burn-in 10,000, thin
+    # 2, alpha flips proposed at the default 0.05) must match every cell's
+    # probability within 4 Monte Carlo standard errors from its indicator's
+    # ESS
+    omega, n = 0.5, 20
+    prior = SpikeSlab(q=2, a=1.0, c=1.0)
+    f = [2.0 ** -s for s in range(3)]
+    log_mass = [math.log(f[s] / sum(f) / math.comb(2, s)) for s in range(3)]
+    gen = SparseClassSim(2, (0,), (1.0,), flip_rho=0.2)
+    data = gen.sample(n, make_rng(hash64(BASE_SEED, 17)))
+    exact = []
+    for points in (1024, 2048):
+        masses = _zero_one_cell_masses(data, omega, prior.lam, log_mass, points)
+        total = sum(masses.values())
+        exact.append({cell: m / total for cell, m in masses.items()})
+    moved = max(abs(exact[1][c] - exact[0][c]) for c in exact[0])
+
+    chain = ss_mh_run(GibbsTarget(ZeroOneLinearLoss(), prior, data, omega),
+                      MHConfig(steps=200_000, burn_in=10_000, thin=2,
+                               seed=hash64(BASE_SEED, 17, 1)))
+    alphas = chain.draws[:, 0]
+    nonzero = chain.draws[:, 1:] != 0
+    worst, lines = 0.0, []
+    for (alpha, S), p in sorted(exact[1].items()):
+        ind = ((alphas == alpha) & (nonzero[:, 0] == (0 in S))
+               & (nonzero[:, 1] == (1 in S))).astype(float)
+        se = math.sqrt(p * (1 - p) / effective_sample_size(ind))
+        worst = max(worst, abs(ind.mean() - p) / se)
+        lines.append(f"{alpha:+.0f}{list(S)} {ind.mean():.3f}~{p:.3f}")
+    flips = chain.meta["moves"]["flip"]
+    ok = worst < 4.0 and moved < 1e-4
+    _report(capsys, 17, ok,
+            f"worst |chain - exact| {worst:.2f} < 4 MC se over 8 (alpha, S) "
+            f"cells ({', '.join(lines)}); quadrature moved {moved:.1e} < 1e-4 "
+            f"at 2048 points; flips accepted {flips['accepted']}/"
+            f"{flips['proposed']}")
+    assert moved < 1e-4
+    assert worst < 4.0

@@ -599,7 +599,6 @@ def test_concentration_slope_recovers_exact_power_law():
     fit = concentration_slope(pairs)
     assert fit.slope == pytest.approx(-0.5, abs=1e-10)
     assert fit.intercept == pytest.approx(math.log(2.0), abs=1e-10)
-    assert fit.predicted(900) == pytest.approx(2.0 / 30.0, rel=1e-10)
     assert fit.pairs == tuple((float(n), float(r)) for n, r in pairs)
 
 

@@ -1489,6 +1489,15 @@ def test_cli_diagnose_rate_rejects_a_negative_radius(tmp_path):
     assert err.startswith("error: ") and "positive and finite" in err, err
 
 
+def test_cli_diagnose_rate_reads_only_radius_q90(tmp_path):
+    # neither results.csv nor radii.csv has a bare `radius` column
+    csv_path = tmp_path / "radii.csv"
+    csv_path.write_text("n,radius\n100,0.2\n400,0.1\n1600,0.05\n")
+    code, _, err = _run_cli(["diagnose", "rate", str(csv_path)])
+    assert code == 1, err
+    assert err.startswith("error: ") and "radius_q90" in err, err
+
+
 def test_cli_diagnose_rate_rejects_thin_input(tmp_path):
     csv_path = tmp_path / "radii.csv"
     csv_path.write_text("n,rep,radius_q90\n100,0,0.5\n")

@@ -1080,6 +1080,24 @@ def test_sparse_init_row_of_wrong_shape_or_sign_is_a_shape_error(init):
         ss_mh_run(target, MHConfig(steps=20, burn_in=0, thin=1, init=init))
 
 
+@pytest.mark.parametrize("init, message", [
+    ([1.0, float("nan"), 0.0, 0.0], "NaN target density"),
+    ([1.0, float("inf"), 0.0, 0.0], "zero target density"),
+    ([1.0, 1e308, 1e308, 0.0], "zero target density")],
+    ids=["nan", "inf", "overflow"])
+def test_sparse_start_of_nan_or_zero_density_is_an_initialization_error(
+        init, message):
+    # as a random-walk start: a NaN slab density, and an infinite coefficient
+    # or a sum of |beta| that overflows, whose slab density is -inf
+    data = SparseClassSim(3, [0], [1.0]).sample(50, make_rng(1))
+    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(3, 1.0, 1.0), data, 1.0)
+    # the overflowing sum of |beta| is the case under test, not a warning
+    with pytest.raises(InitializationError, match=message), \
+            np.errstate(over="ignore"):
+        ss_mh_run(target, MHConfig(steps=200, burn_in=0, thin=1, seed=1,
+                                   init=init))
+
+
 def test_sparse_chain_rejects_a_per_coordinate_proposal_scale():
     # the walk moves every support coordinate with one scale, so a list of
     # several scales is an error, not its first entry; one entry is that scale
