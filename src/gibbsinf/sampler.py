@@ -109,6 +109,11 @@ class MHConfig:
     alpha_flip_prob: float = 0.05
 
     def __post_init__(self):
+        # a bool is an int, and a float would pass the checks below and
+        # fail later as a slice bound or a variate count
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               for v in (self.steps, self.burn_in, self.thin)):
+            raise PreconditionError("steps, burn_in and thin must be integers")
         if self.steps <= self.burn_in:
             raise PreconditionError("steps must exceed burn_in")
         if self.burn_in < 0 or self.thin < 1:
@@ -161,8 +166,10 @@ _CHUNK = 256
 @dataclass(frozen=True)
 class ChainStart:
     """One chain set up to run: its initial point and density, proposal
-    scale, and the two streams its proposals and uniforms come from.  A run
-    draws from the streams, so a ChainStart serves one run only."""
+    scale, the two streams its proposals and uniforms come from, and their
+    bit generators' states when the start was made.  A run first sets the
+    streams back to those states, so every run of a start is the same
+    chain."""
 
     target: GibbsTarget
     config: MHConfig
@@ -171,6 +178,7 @@ class ChainStart:
     scale: np.ndarray
     normals: np.random.Generator
     uniforms: np.random.Generator
+    states: tuple
 
 
 def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
@@ -224,11 +232,12 @@ def mh_start(target: GibbsTarget, config: MHConfig) -> ChainStart:
         raise InitializationError("initial point has zero target density")
 
     uniforms = np.random.Generator(np.random.Philox())
-    uniforms.bit_generator.state = rng.bit_generator.state
+    uniforms.bit_generator.state = state = rng.bit_generator.state
     buf = np.empty((_CHUNK, dim))
     for done in range(0, config.steps, _CHUNK):
         uniforms.standard_normal(out=buf[:min(_CHUNK, config.steps - done)])
-    return ChainStart(target, config, theta, logp, scale, rng, uniforms)
+    return ChainStart(target, config, theta, logp, scale, rng, uniforms,
+                      (state, uniforms.bit_generator.state))
 
 
 def _block_log_density(targets):
@@ -267,6 +276,17 @@ def _block_log_density(targets):
 # a lookahead fill evaluates at most this many rows (chains x steps) at once
 _LOOKAHEAD_ROWS = 4
 
+# a block that cannot look ahead scores a two-step tree when its 3 * R rows
+# times the observations per chain are at most this many.  Medians of 60
+# interleaved batches of 100 calls, in us per call of k rows per chain, on
+# one thread of a 2-vCPU Intel Xeon (NumPy 2.4.6, OpenBLAS 0.3.31), three
+# runs: 8 MCID chains at n = 100, 15.3-17.2 (k = 1) and 20.9-22.9 (k = 3);
+# 4 check-loss chains at n = 200, 18.3-20.8 and 28.3-31.2; at n = 800,
+# 25.0-26.5 and 51.3-53.2; at n = 3200, 55.6-57.2 and 147.6-150.6.  A tree
+# call costs 0.67-0.78 of the two calls it replaces at 2400 cells,
+# 0.99-1.03 at 9600 and 1.32-1.33 at 38400.
+_TREE_CELLS = 4096
+
 
 def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     """Symmetric Gaussian random-walk Metropolis on a block of chains.
@@ -295,16 +315,33 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     decides only which rows get computed, never a draw or a decision.
     K = 1 for the first chunk of _CHUNK steps; after each chunk,
     K = floor(_CHUNK / steps of that chunk on which some chain accepted),
-    capped at max(1, 4 // R) rows per chain.  Blocks of four or more
-    chains keep K = 1.
+    capped at max(1, 4 // R) rows per chain.
+
+    A block of three or more chains cannot look ahead (K = 1), and some
+    chain accepts on almost every step.  Such a block whose 3 * R rows times n
+    (observations per chain) are at most _TREE_CELLS takes the two-step
+    tree instead (Strid 2010, CSDA 54(11)): for each pair of steps t, t+1
+    one kernel call scores an (R, 3, J) array whose rows are theta +
+    eps_t, theta + eps_{t+1} and (theta + eps_t) + eps_{t+1}, the last
+    added to the stored first row, so it has the bits of the proposal of
+    step t+1 after a move at t.  That covers both steps whatever the
+    chains decide: at step t+1, a chain that accepted at t reads the third
+    row, any other the second.  A chunk's odd last step takes the one-row
+    call.  The argument that keeps the bytes is the lookahead's: a row's
+    density does not depend on which rows share its call.
 
     Decisions run on Python floats: each kernel call's densities are one
     list, and each chain's current log density is a float.  A step on which
     every chain rejects makes no NumPy call besides its share of a kernel
     call; the kept draws since the state last moved are written when it
-    next moves.  A step on which all chains accept takes the proposal row
-    as the state, and one on which some accept copies just their rows.
+    next moves.  A step on which some chains accept copies just their rows;
+    outside the tree, one on which all accept takes the proposal row as
+    the state.  A run first sets each start's streams back to their states
+    when the start was made, so running one start again gives the same
+    chain.
     """
+    if not starts:
+        raise PreconditionError("a block needs at least one chain")
     first, target = starts[0].config, starts[0].target
     dim = starts[0].theta.shape[0]
     steps, burn_in, thin = first.steps, first.burn_in, first.thin
@@ -318,14 +355,23 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
         raise PreconditionError("chains in a block must share steps, burn-in, "
                                 "thin, dimension, one loss object, one prior "
                                 "object and data whose risk arrays stack")
+    for s in starts:
+        s.normals.bit_generator.state, s.uniforms.bit_generator.state = s.states
     R = len(starts)
     most = max(1, _LOOKAHEAD_ROWS // R)   # the most steps per call
+    tree = most == 1 and 3 * R * target.data.n <= _TREE_CELLS
     density = _block_log_density([s.target for s in starts])
-    log_density = [None] + [density(k) for k in range(1, most + 1)]
+    log_density = {k: density(k) for k in ((1, 3) if tree else range(1, most + 1))}
     K = 1                                 # lookahead
     theta = np.stack([s.theta for s in starts])
     logp = [s.logp for s in starts]
     chains = range(R)
+    if tree:
+        # one buffer and its views, made once: a tree block never rebinds
+        # theta to a proposal row, so theta[:, None] stays a view of it
+        tree_rows = np.empty((R, 3, dim))
+        current, first_two = theta[:, None], tree_rows[:, :2]
+        row0, row2 = tree_rows[:, 0], tree_rows[:, 2]
 
     kept = np.empty((R, first.n_kept, dim))
     written = 0                           # kept draws written so far
@@ -346,15 +392,25 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
         start = end = 0                   # steps [start, end) are in the buffer
         for i in range(c):
             if i >= end:
-                k = min(K, c - i)
-                props = theta[:, None] + steps_dz[:, i:i + k]
+                pair = tree and i + 1 < c
+                if pair:
+                    k, end, props = 3, i + 2, tree_rows
+                    np.add(current, steps_dz[:, i:end], out=first_two)
+                    np.add(row0, steps_dz[:, i + 1], out=row2)
+                else:
+                    k = min(K, c - i)
+                    end = i + k
+                    props = theta[:, None] + steps_dz[:, i:end]
                 lps = log_density[k](props)
-                start, end = i, i + k
-            # lp[r] is chain r at step i, row r*k + i - start of the buffer.
-            # A float difference has the bits of NumPy's; math.exp, because
-            # np.exp may differ in the last bit and flip a decision.  A NaN
-            # or -inf proposal fails both comparisons.
-            lp, u = lps[i - start::k], u_steps[i]
+                start, ahead = i, ()
+            # lp[r] is chain r at step i, row r*k + j of the buffer (at a
+            # tree's second step, the third row's density where chain r
+            # moved at the first).  A float difference has the bits of
+            # NumPy's; math.exp, because np.exp may differ in the last bit
+            # and flip a decision.  A NaN or -inf proposal fails both
+            # comparisons.
+            j = i - start
+            lp, u = lps[j::k], u_steps[i]
             accept = [r for r in chains
                       if (d := lp[r] - logp[r]) >= 0.0 or u[r] < exp(d)]
             if accept:
@@ -363,17 +419,22 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
                 if written < taken:
                     kept[:, written:taken] = theta[:, None]
                     written = taken
-                prop = props[:, i - start]
-                if len(accept) == R:
-                    theta, logp = prop, lp
+                if len(accept) == R and not tree:
+                    theta, logp = props[:, j], lp
                     every += 1
                 else:
                     for r in accept:
-                        theta[r] = prop[r]
+                        theta[r] = props[r, j + (r in ahead)]
                         logp[r] = lp[r]
                         accepted[r] += 1
                 moved += 1
-                end = 0
+                if pair and not j:
+                    # the chains that moved read their third rows at i + 1
+                    ahead = accept
+                    for r in accept:
+                        lps[3 * r + 1] = lps[3 * r + 2]
+                else:
+                    end = 0
         K = min(most, _CHUNK // moved) if moved else most
     kept[:, written:] = theta[:, None]
 

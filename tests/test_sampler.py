@@ -71,6 +71,7 @@ def test_make_rng_reproducible_streams():
 
 def test_mhconfig_validation():
     MHConfig(steps=1000, burn_in=0, thin=1)  # fine
+    assert MHConfig(steps=np.int64(100), burn_in=np.int32(10), thin=np.int16(3)).n_kept == 30
     with pytest.raises(PreconditionError):
         MHConfig(steps=100, burn_in=100, thin=1)
     with pytest.raises(PreconditionError):
@@ -90,6 +91,17 @@ def test_mhconfig_rejects_non_finite_proposal_scales(scale):
     # sat at its start with an acceptance rate of 0
     with pytest.raises(PreconditionError, match="finite"):
         MHConfig(steps=100, burn_in=0, thin=1, proposal_scale=scale)
+
+
+@pytest.mark.parametrize("counts", [dict(steps=100.5, burn_in=0.5, thin=1),
+                                    dict(steps=True, burn_in=False, thin=1),
+                                    dict(steps=100.0, burn_in=0, thin=1),
+                                    dict(steps=100, burn_in=0, thin=np.float64(2.0))])
+def test_mhconfig_rejects_non_integer_counts(counts):
+    # such configs used to construct, and the chain died with a TypeError
+    # from its first slice
+    with pytest.raises(PreconditionError, match="integers"):
+        MHConfig(**counts)
 
 
 @given(st.integers(0, 400), st.integers(1, 13), st.integers(1, 300))
@@ -387,6 +399,25 @@ def test_block_from_given_starts_equals_single_chain_runs():
     _assert_same_chains(block, singles)
 
 
+def test_block_rejects_no_chains():
+    with pytest.raises(PreconditionError, match="at least one chain"):
+        mh_run_block([])
+
+
+@pytest.mark.parametrize("R", [1, 5], ids=["lookahead", "tree"])
+def test_a_start_gives_the_same_chain_on_every_run(R):
+    # a start's streams are set back to their states when it was made, so
+    # running it again, alone or in a block, is the same chain
+    targets = _block_case("mcid/gaussian", R=R)
+    configs = [MHConfig(steps=_CHUNK + 31, burn_in=11, thin=4, seed=hash64(52, r))
+               for r in range(R)]
+    starts = [mh_start(t, c) for t, c in zip(targets, configs)]
+    singles = [mh_run(t, c) for t, c in zip(targets, configs)]
+    _assert_same_chains(mh_run_block(starts), singles)
+    _assert_same_chains(mh_run_block(starts), singles)
+    _assert_same_chains(mh_run_block(starts[:1]), singles[:1])
+
+
 def test_block_rejects_chains_of_different_lengths():
     targets = _block_case("check/gaussian", R=2)
     starts = [mh_start(targets[0], MHConfig(steps=100, burn_in=0, thin=1)),
@@ -468,10 +499,61 @@ def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
     assert chain.accept_rate < 0.1
     assert len(rows) <= 0.6 * steps
     assert sum(rows) <= 1.5 * steps
-    # a block of eight chains never looks ahead: one call, one row per chain
+    # a block of eight chains at n = 40 (960 cells) never looks ahead along
+    # the reject path; it scores a two-step tree, three rows per chain, in
+    # one call per pair of steps
     rows.clear()
     mh_run_block(eight)
-    assert rows == [8] * steps
+    assert rows == [3 * 8] * (steps // 2)
+
+
+@pytest.mark.parametrize("extra, tree", [(0, True), (1, False)],
+                         ids=["at-budget", "over-budget"])
+def test_block_takes_the_tree_within_its_cell_budget(monkeypatch, extra, tree):
+    # four check-loss chains whose 3 * R rows times n sit at the budget or
+    # one observation per chain over it; both run the same chains as mh_run
+    R = 4
+    n = sampler._TREE_CELLS // (3 * R) + extra
+    rng = make_rng(hash64(50, n))
+    loss, prior = CheckLoss(0.3, AffineBasis()), GaussianIID(0.0, 10.0, 2)
+    targets = []
+    for r in range(R):
+        x = rng.random(n)
+        targets.append(GibbsTarget(loss, prior, Dataset.regression(
+            x, 1.0 + 2.0 * x + rng.normal(size=n)), 0.5 + r))
+    configs = [MHConfig(steps=2 * _CHUNK + 9, burn_in=9, thin=2,
+                        seed=hash64(50, 1, r), proposal_scale=0.05)
+               for r in range(R)]
+    singles = [mh_run(t, c) for t, c in zip(targets, configs)]
+    starts = [mh_start(t, c) for t, c in zip(targets, configs)]
+    rows = _counted_rows(monkeypatch)
+    block = mh_run_block(starts)
+    _assert_same_chains(block, singles)
+    if tree:          # a pair per call; each chunk's odd last step alone
+        assert rows == ([3 * R] * (_CHUNK // 2)) * 2 + [3 * R] * 4 + [R]
+    else:
+        assert rows == [R] * (2 * _CHUNK + 9)
+
+
+@pytest.mark.parametrize("kind", ["mcid/gaussian", "check/gaussian", "check/laplace",
+                                  "squared/laplace", "cappedsquared/gaussian",
+                                  "auc/gaussian"])
+def test_tree_block_equals_single_chain_runs(kind, monkeypatch):
+    # five small-n chains take the tree.  An odd burn-in and thin 3 put
+    # kept draws on both steps of a pair, and 3 chunks and 51 steps leave
+    # an odd last chunk, whose last step takes the one-row call
+    targets = _block_case(kind, R=5)
+    configs = [MHConfig(steps=3 * _CHUNK + 51, burn_in=99, thin=3,
+                        seed=hash64(51, r),
+                        proposal_scale=_LOOKAHEAD_SCALES[kind][1])
+               for r in range(5)]
+    singles = [mh_run(t, c) for t, c in zip(targets, configs)]
+    starts = [mh_start(t, c) for t, c in zip(targets, configs)]
+    rows = _counted_rows(monkeypatch)
+    block = mh_run_block(starts)
+    _assert_same_chains(block, singles)
+    assert rows == [15] * (3 * _CHUNK // 2 + 25) + [5]
+    assert len({c.accepted for c in block}) > 1
 
 
 class _WalledSquaredLoss(SquaredLoss):
@@ -499,19 +581,21 @@ class _WalledSquaredLoss(SquaredLoss):
         return walled_sums, n, values
 
 
-def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
-    # two chains, so the block evaluates up to two steps per kernel call; one
-    # chain's target is NaN on one side of its start and -inf on the other
+def _walled_block(monkeypatch, R):
+    """Run a block of R chains of which the first's target is NaN on one
+    side of its start and -inf on the other, check it against one-chain
+    runs and that only the first chain stays inside the walls; return,
+    per kernel call of more than R rows, its NaN and -inf rows."""
     rng = make_rng(hash64(47, 1))
     data = [Dataset.regression(rng.normal(size=(20, 2)), rng.normal(size=20))
-            for _ in range(2)]
+            for _ in range(R)]
     loss, prior = _WalledSquaredLoss(data[0]), GaussianIID(0.0, 3.0, 2)
     targets = [GibbsTarget(loss, prior, d, 0.2) for d in data]
     configs = [MHConfig(steps=6 * _CHUNK + 5, burn_in=0, thin=1, seed=hash64(47, 2 + r),
                         proposal_scale=[1.5, 0.2], init=np.zeros(2))
-               for r in range(2)]
+               for r in range(R)]
     singles = [mh_run(t, c) for t, c in zip(targets, configs)]
-    walls = []                # per call of two steps: the NaN and -inf rows
+    walls = []
     original = _WalledSquaredLoss.kernel
 
     def kernel(self, prepared, k=None):
@@ -519,20 +603,34 @@ def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
 
         def counted(B):
             out = sums(B)
-            if B[..., 0].size == 4:
+            if B[..., 0].size > R:
                 walls.append((np.isnan(out).sum(), np.isinf(out).sum()))
             return out
         return counted, n, values
     monkeypatch.setattr(_WalledSquaredLoss, "kernel", kernel)
     block = mh_run_block([mh_start(t, c) for t, c in zip(targets, configs)])
-    nan_rows, inf_rows = np.sum(walls, axis=0)
-    assert len(walls) > 500 and nan_rows > 100 and inf_rows > 100
     _assert_same_chains(block, singles)
     walled, free = block[0].draws[:, 0], block[1].draws[:, 0]
     assert np.all(np.abs(walled) <= 0.5)
     assert walled.max() > 0.4 and walled.min() < -0.4
     assert free.max() > 0.5 and free.min() < -0.5
     assert 0.05 < block[0].accept_rate < block[1].accept_rate
+    return walls
+
+
+def test_lookahead_block_never_moves_into_nan_or_zero_density(monkeypatch):
+    # two chains, so the block evaluates up to two steps per kernel call
+    walls = _walled_block(monkeypatch, 2)
+    nan_rows, inf_rows = np.sum(walls, axis=0)
+    assert len(walls) > 500 and nan_rows > 100 and inf_rows > 100
+
+
+def test_tree_block_never_moves_into_nan_or_zero_density(monkeypatch):
+    # four chains take the tree: every call but the one-row call of the
+    # last chunk's odd last step scores both steps of a pair
+    walls = _walled_block(monkeypatch, 4)
+    nan_rows, inf_rows = np.sum(walls, axis=0)
+    assert len(walls) == 6 * _CHUNK // 2 + 2 and nan_rows > 100 and inf_rows > 100
 
 
 def test_short_chains_match_recorded_values():
