@@ -25,12 +25,14 @@ sample, chain start or block and call these; `GibbsTarget.risk`, a
 reference for one coefficient vector, builds one per call.  A 0-1 loss's
 formula is its `counter`: the count of a linear predictor's entries above
 their thresholds.  Its kernel fills the predictor with one product per
-chain (a gemv for one row, a gemm for k rows), the spike-slab chain builds
-it from what a move changes, and `counts`, which `RiskDiffSqrt` scores
-draws with, by one gemm per chunk of draws.  The loss on a single
-observation is the one value of a one-row sample.  The ranking loss
-prepares a two-sample dataset as a closed-form risk over the m*n pairs,
-whose sums are the risks over the divisor 1, and matched pairs for values.
+chain (a gemv for one row, a gemm for k rows), and `counts`, which
+`RiskDiffSqrt` scores draws with, by one gemm per chunk of draws; the
+spike-slab chain counts what a move changes against the standing state's
+margin, which `ZeroOneLinearLoss.margin` builds from the fold.  The loss on
+a single observation is the one value of a one-row sample.  The ranking
+loss prepares a two-sample dataset as a closed-form risk over the m*n
+pairs, whose sums are the risks over the divisor 1, and matched pairs for
+values.
 
 Every chain's risk is bit-identical to its one-chain value and to its risk
 on the unstacked arrays: the linear predictor is one matrix-vector product
@@ -207,13 +209,15 @@ class _MismatchLoss:
         and a mask buffer of `shape`, (..., n), that it owns.  count(B)
         fills linear with B @ Ft; count() takes linear as its caller filled
         it.  Then the mismatches linear > c are counted per row, as `_sums`
-        gives them.  A shape with one axis fewer than Ft takes one (J,)
-        vector per design, (J,) on (J, n) or (R, J) on (R, J, n), by
-        `np.matmul(B[..., None, :], Ft)`, OpenBLAS's axpy-form gemv along
-        rows n long; one with as many takes a matrix of rows per design,
-        (m, J) on (J, n) or (R, k, J) on (R, J, n), by one gemm per design,
-        which is that gemv at one row.  The thresholds are tiled once to a
-        matrix's rows; the design never is.
+        gives them.  The spike-slab chain passes (Ft, m), with the zero-one
+        `margin` m of its standing predictor for c, and fills linear with
+        the change a proposal makes.  A shape with one axis fewer than Ft
+        takes one (J,) vector per design, (J,) on (J, n) or (R, J) on
+        (R, J, n), by `np.matmul(B[..., None, :], Ft)`, OpenBLAS's
+        axpy-form gemv along rows n long; one with as many takes a matrix
+        of rows per design, (m, J) on (J, n) or (R, k, J) on (R, J, n), by
+        one gemm per design, which is that gemv at one row.  The thresholds
+        are tiled once to a matrix's rows; the design never is.
 
         The fold gives the label comparison's mask exactly.  Negating a
         column negates each of its products and sums exactly, and for
@@ -306,6 +310,47 @@ class ZeroOneLinearLoss(_MismatchLoss):
         # -t > -5e-324, the negative double nearest 0, is t <= 0
         return _folded(design_matrix(None, sample.x), positive,
                        np.where(positive, -5e-324, 0.0))
+
+    def margin(self, prepared) -> tuple:
+        """(build, m): build(eta) writes into m, an (n,) buffer it owns, the
+        margin of a standing linear predictor eta (eta may be m itself) and
+        returns m.  A change p's mismatches eta + p > c are exactly p > m,
+        so `counter((Ft, m), (n,))` counts them from p alone.  m is -eta
+        where c = 0 and nextafter(-eta, -inf) where c = -5e-324.
+
+        On doubles the rounded sum fl(eta + p) has the sign of the exact
+        sum and is zero only where that sum is, so fl(eta + p) > 0 is
+        p > -eta, and fl(eta + p) > -5e-324, that is fl(eta + p) >= 0, is
+        p >= -eta, or p > nextafter(-eta, -inf).  Negation is exact, so
+        for finite p the count is the sum form's, bit for bit, for every
+        eta but NaN; the plain difference c - eta would round where
+        c = -5e-324.
+
+        The next double down is one step of the bit pattern, down for a
+        positive double and up for a negative one, taken in seven array
+        passes with no `where=` and no scalar operand, each cheaper than
+        np.nextafter's per-element call.  Two doubles step otherwise, and
+        are moved first: +0.0, whose next double down is -5e-324, so -eta
+        is taken as -(eta + 0.0), which is -0.0 at eta = +-0.0; and -inf,
+        which is taken to -max where c = -5e-324, since -max steps to
+        -inf."""
+        c = prepared[1]
+        below = (c < 0).astype(np.int64)    # 1 where the comparison is >=
+        zero, floor = np.zeros(c.shape), np.where(below, -np.finfo(float).max,
+                                                  -np.inf)
+        sign_bit, one = np.full(c.shape, 63, np.int64), np.ones(c.shape, np.int64)
+        m, step = np.empty(c.shape), np.empty(c.shape, np.int64)
+        bits = m.view(np.int64)
+
+        def build(eta):
+            np.negative(np.add(eta, zero, out=m), out=m)
+            np.maximum(m, floor, out=m)
+            np.right_shift(bits, sign_bit, out=step)    # 0 if m > 0, else -1
+            np.bitwise_or(step, one, out=step)          # +1 if m > 0, else -1
+            np.multiply(step, below, out=step)
+            np.subtract(bits, step, out=bits)
+            return m
+        return build, m
 
 
 class MCIDLoss(_MismatchLoss):

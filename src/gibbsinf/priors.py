@@ -138,6 +138,7 @@ class SpikeSlab:
         self.lam = float(lam) if lam is not None else math.sqrt(max(math.log(q), 1e-2))
         if not 0 < self.lam < math.inf:
             raise PreconditionError("slab rate must be positive and finite")
+        self.log_slab_norm = math.log(self.lam / 2.0)   # a slab's log(lam/2)
         # log f(s) for s = 0..q
         log_ratio = math.log(c) + a * math.log(q)
         raw = -log_ratio * np.arange(q + 1)
@@ -162,8 +163,8 @@ class SpikeSlab:
 
     def slab_log_density(self, beta_s) -> float:
         beta_s = np.asarray(beta_s, dtype=float)
-        return float(len(beta_s) * math.log(self.lam / 2.0)
-                     - self.lam * np.abs(beta_s).sum())
+        return float(len(beta_s) * self.log_slab_norm
+                     - self.lam * np.add.reduce(np.abs(beta_s)))
 
     def log_density(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)

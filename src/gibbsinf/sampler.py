@@ -482,31 +482,42 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
 
     log pi(S) depends on S only through s = |S|, so the add and remove
     ratios are read from per-chain tables by s, built from the prior's
-    table `log_size_mass` of log pi(S) by s = |S|.  The slab density of the
-    current beta_S is kept between walks; a start whose slab density is NaN
-    or -inf is an InitializationError, as a random-walk start is.  The chain
-    keeps the standing state's linear predictor eta = theta @ Xt, one (n,)
-    array on the target's (1+q, n) design Xt (its columns signed by their
-    labels, so eta is linear in theta as the plain predictor is), and
-    builds each proposal's predictor into one buffer in one of two forms:
-    an add, remove or flip changes one coordinate c of theta by d (b,
-    -beta_j or -2*alpha), eta + d*Xt[c]; a walk moves the support,
-    eta + walk @ Xt_S (the support's rows, taken once per support change).
-    The loss's `counter` then counts its mismatches, divided by n.  An
-    accepted move edits theta in place and recomputes eta with the full
-    product, so rounding does not build up over moves.  The predictor's
-    last bits may differ from the full product's; the counts do not,
+    table `log_size_mass` of log pi(S) by s = |S|, and so is the term
+    s*log(lam/2) of a walk's slab density s*log(lam/2) - lam*sum|beta_S|,
+    the prior's `slab_log_density` expression.  The slab density of the
+    current beta_S is kept between walks; a start whose slab density is
+    NaN or -inf is an InitializationError, as a random-walk start is.
+
+    On the target's (1+q, n) design Xt (its columns signed by their
+    labels, so the predictor eta = theta @ Xt is linear in theta as the
+    plain one is) a proposal changes eta by p, built into one buffer in
+    one of two forms: an add, remove or flip changes one coordinate c of
+    theta by d (b, -beta_j or -2*alpha), p = d*Xt[c]; a walk moves the
+    support, p = walk @ Xt_S (the support's rows, taken once per support
+    change).  The chain keeps the standing state's margin m, built by
+    `ZeroOneLinearLoss.margin` from eta, and the loss's `counter` on
+    (Xt, m) counts the mismatches p > m, divided by n: one product, one
+    comparison and one count, with no n-length sum eta + p.  The count is
+    exactly that of the sum eta + p against the loss's thresholds c in
+    {0, -5e-324} for finite doubles: a rounded sum has the exact sum's
+    sign and is zero only where it is, so fl(eta + p) > 0 is p > -eta and
+    fl(eta + p) >= 0 is p > nextafter(-eta, -inf).  An accepted move edits
+    theta in place and rebuilds m from the full product theta @ Xt, so
+    rounding does not build up over moves.  The sum eta + p may differ in
+    its last bits from the proposal's full product; the count does not,
     because a 0-1 loss sees the predictor only through one comparison,
-    which moves only where its two sides tie within rounding.  The chain
-    accepts only a few per cent of its moves, so a state stands for tens of
-    steps and proposes the same rows again: one dict keeps the energy of
-    each remove and flip row, by the coordinate it changes, until a move is
-    accepted, and a repeat builds and counts nothing.  Chains run one at a
-    time: a lockstep block costs more per row at n=800, and lookahead would
-    save at most about 2 µs of a step (ROADMAP, Set aside).  The kept draws
-    are theta rows.  The chain's meta carries q, the proposals and acceptances
-    of each move (`moves`: add, remove, walk, flip) and the mean |S| over
-    the kept draws (`mean_support_size`).
+    which moves only where its two sides tie within rounding.
+
+    The chain accepts only a few per cent of its moves, so a state stands
+    for tens of steps and proposes the same rows again: one dict keeps the
+    energy of each remove and flip row, by the coordinate it changes,
+    until a move is accepted, and a repeat builds and counts nothing.
+    Chains run one at a time: a lockstep block costs more per row at
+    n=800, and lookahead would save at most about 2 µs of a step (ROADMAP,
+    Set aside).  The kept draws are theta rows.  The chain's meta carries
+    q, the proposals and acceptances of each move (`moves`: add, remove,
+    walk, flip) and the mean |S| over the kept draws
+    (`mean_support_size`).
     """
     prior = target.prior
     if not isinstance(prior, SpikeSlab):
@@ -548,12 +559,13 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                              - log(q - s + 1) for s in range(1, q + 1)]
 
     omega_n = target.omega * target.n_terms
-    prepared = target.prepared
+    loss, prepared = target.loss, target.prepared
     Xt = prepared[0]
     n = Xt.shape[1]
-    # count() scores the proposal's linear predictor, built into `linear`
-    count, linear, _ = target.loss.counter(prepared, (n,))
     slab_log_density = prior.slab_log_density
+    # a walk's slab density by |S|: the same expression, so the same bits
+    slab_norm = [s * prior.log_slab_norm for s in range(q + 1)]
+    reduce, absolute = np.add.reduce, np.abs
     random, integers = rng.random, rng.integers
     laplace, standard_normal = rng.laplace, rng.standard_normal
     slab_scale = 1.0 / lam
@@ -566,15 +578,18 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
         raise InitializationError("initial point has NaN target density")
     if slab == -math.inf:
         raise InitializationError("initial point has zero target density")
-    ne = -omega_n * (count(theta) / n)
-    eta = linear.copy()               # the standing state's linear predictor
+    start, eta = loss.counter(prepared, (n,))[:2]
+    ne = -omega_n * (start(theta) / n)
+    build, margin = loss.margin(prepared)
+    build(eta)                        # the standing state's margin
+    # count() scores the change a proposal makes, built into `change`
+    count, change, _ = loss.counter((Xt, margin), (n,))
     Xt_s = Xt[support_idx]            # the design rows of beta_S
     cached = {}                       # remove and flip energies by coordinate
 
     def energy(c=None, d=None):
         if c is not None:
-            np.multiply(Xt[c], d, out=linear)
-        np.add(eta, linear, out=linear)
+            np.multiply(Xt[c], d, out=change)
         return -omega_n * (count() / n)
 
     steps, burn_in, thin = config.steps, config.burn_in, config.thin
@@ -611,10 +626,10 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             beta_s = theta[support_idx]
             walk = walk_scale * standard_normal(s)
             new_b = beta_s + walk
-            np.matmul(walk, Xt_s, out=linear)
+            np.matmul(walk, Xt_s, out=change)
             if slab is None:
                 slab = slab_log_density(beta_s)
-            prop_slab = slab_log_density(new_b)
+            prop_slab = float(slab_norm[s] - lam * reduce(absolute(new_b)))
             prop_ne = energy()
             # symmetric walk on a fixed configuration: only the slab ratio
             log_extra = prop_slab - slab
@@ -636,7 +651,7 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
                     support_idx = np.array(support, dtype=np.intp) + 1
                     Xt_s = Xt[support_idx]
                     slab = None
-                np.matmul(theta, Xt, out=eta)
+                build(np.matmul(theta, Xt, out=margin))
                 ne = prop_ne
                 cached.clear()
                 accepted += 1
@@ -650,7 +665,7 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
             d = prop_ne - ne
             if d >= 0.0 or random() < exp(d):
                 theta[0] = -theta[0]
-                np.matmul(theta, Xt, out=eta)
+                build(np.matmul(theta, Xt, out=margin))
                 ne = prop_ne
                 cached.clear()
                 taken[3] += 1

@@ -777,6 +777,51 @@ def test_folded_mask_is_the_label_comparison(family):
         assert np.array_equal(mismatch(np.nan), y > 0)
 
 
+def test_zero_one_margin_counts_a_change_as_the_sum_does():
+    # planted standing predictors eta (edges, their neighbours, large values
+    # and infinities) and finite changes p with eta + p exactly +-0 or
+    # +-5e-324, or one double either side of -eta, under both labels: p >
+    # margin must be the sum form fl(eta + p) > c at every observation
+    loss = ZeroOneLinearLoss()
+    tiny = 5e-324
+    etas, changes = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eta in _edge_predictors(_EDGE_X + [1.0, 0.1, -3e-300]):
+            for p in (-eta, np.nextafter(-eta, -np.inf), np.nextafter(-eta, np.inf),
+                      tiny - eta, -tiny - eta, 0.0, -0.0, tiny, -tiny, 1.0):
+                if np.isfinite(p):
+                    etas.append(eta)
+                    changes.append(p)
+    n = 2 * len(etas)
+    y = np.repeat([0, 1], len(etas))
+    prepared = loss.prepare(Dataset.classification(np.ones((n, 1)), y))
+    Ft, c = prepared
+    eta, change = np.tile(etas, 2), np.tile(changes, 2)
+
+    by_sum, linear, sum_mask = loss.counter(prepared, (n,))
+    with np.errstate(over="ignore"):
+        np.add(eta, change, out=linear)
+    want = by_sum()
+    build, margin = loss.margin(prepared)
+    assert build(eta) is margin
+    below = c < 0
+    with np.errstate(over="ignore"):
+        assert margin[below].tobytes() == np.nextafter(-eta[below], -np.inf).tobytes()
+    assert np.array_equal(margin[~below], -eta[~below])      # +0.0 == -0.0
+    by_margin, moved, mask = loss.counter((Ft, margin), (n,))
+    moved[:] = change
+    assert by_margin() == want
+    assert np.array_equal(mask, sum_mask)
+    # built in place, as the chain rebuilds it, the margin keeps its bits
+    again = margin.copy()
+    margin[:] = eta
+    assert build(margin).tobytes() == again.tobytes()
+    # the plain difference c - eta rounds where c = -5e-324 (at eta = 1.5,
+    # c - eta is -1.5, and p = -1.5 is no mismatch by it, where
+    # fl(1.5 - 1.5) = 0 >= 0 is one), so these rows tell the two apart
+    assert not np.array_equal(np.greater(change, np.subtract(c, eta)), sum_mask)
+
+
 # flags /proc/cpuinfo lists for the instructions each OpenBLAS kernel needs
 _CORETYPE_FLAGS = {"Prescott": {"pni"}, "Haswell": {"avx2", "fma"}}
 

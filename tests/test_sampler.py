@@ -1013,13 +1013,16 @@ _Q50_PINS = [
     (800, "ba9440b3bea3764d62f2185c60fc627d115466b78a5c3e9a71b2651c598a7e6c", 70)]
 
 
-def _q50_chain(n):
+def _q50_target(n):
     gen = SparseClassSim(50, (0, 1), [2.0, -1.5], flip_rho=0.1)
     data = gen.sample(n, make_rng(hash64(53, n)))
-    target = GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
-                         data, 1.0)
-    return ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
-                                      seed=hash64(53, n, 1)))
+    return GibbsTarget(ZeroOneLinearLoss(), SpikeSlab(q=50, a=1.0, c=1.0),
+                       data, 1.0)
+
+
+def _q50_chain(n):
+    return ss_mh_run(_q50_target(n), MHConfig(steps=3000, burn_in=0, thin=1,
+                                              seed=hash64(53, n, 1)))
 
 
 @pytest.mark.parametrize("n, digest, accepted", _Q50_PINS)
@@ -1048,8 +1051,9 @@ def test_sparse_chain_start_is_a_prior_draw_the_prior_does_not_score(monkeypatch
 
 
 def _scored_zero_one_rows(monkeypatch, score=None):
-    """Record the bytes of every linear predictor a 0-1 `counter`'s count
-    scores; `score(k, n)`, if given, replaces the count of the k-th."""
+    """Record the bytes of every buffer a 0-1 `counter`'s count scores (a
+    linear predictor, or a sparse chain's change against its margin);
+    `score(k, n)`, if given, replaces the count of the k-th."""
     rows = []
     original = ZeroOneLinearLoss.counter
 
@@ -1072,7 +1076,7 @@ def test_q50_sparse_chains_score_repeated_rows_once(monkeypatch, n, calls, most)
     # each while it stands, and the prior-drawn start is scored once.
     # Scoring every proposal took 2603 and 3154 scores: one per proposal,
     # plus two on the start.  The full product that rebuilds the standing
-    # linear predictor at an accepted move is not a score.
+    # margin at an accepted move is not a score.
     rows = _scored_zero_one_rows(monkeypatch)
     chain = _q50_chain(n)
     proposals = sum(m["proposed"] for m in chain.meta["moves"].values())
@@ -1103,6 +1107,119 @@ def test_standing_sparse_state_scores_each_remove_and_flip_row_once(monkeypatch)
     # the start, each add and walk, the three remove rows, one flipped row
     assert len(rows) == 1 + moves["add"]["proposed"] \
         + moves["walk"]["proposed"] + 3 + 1
+
+
+class _LastDraws:
+    """A generator that keeps the last variate each of its methods drew."""
+
+    def __init__(self, rng):
+        self.rng, self.last = rng, {}
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            self.last[name] = got = draw(*args, **kwargs)
+            return got
+        return recorded
+
+
+def _sparse_chain_events(monkeypatch):
+    """Record, in order, a sparse chain's start score ("start", theta,
+    count), each proposal score ("score", change, count, the last draws) and
+    each margin build ("margin", the standing predictor)."""
+    events, rngs = [], []
+    make, counter = sampler.make_rng, ZeroOneLinearLoss.counter
+    margin = ZeroOneLinearLoss.margin
+
+    def recorded_rng(seed):
+        rngs.append(_LastDraws(make(seed)))
+        return rngs[-1]
+
+    def recorded_counter(self, prepared, shape):
+        count, linear, mask = counter(self, prepared, shape)
+
+        def recorded(B=None):
+            got = count(B)
+            events.append(("start", B.copy(), got) if B is not None
+                          else ("score", linear.copy(), got, dict(rngs[-1].last)))
+            return got
+        return recorded, linear, mask
+
+    def recorded_margin(self, prepared):
+        build, m = margin(self, prepared)
+
+        def recorded(eta):
+            events.append(("margin", eta.copy()))
+            return build(eta)
+        return recorded, m
+    monkeypatch.setattr(sampler, "make_rng", recorded_rng)
+    monkeypatch.setattr(ZeroOneLinearLoss, "counter", recorded_counter)
+    monkeypatch.setattr(ZeroOneLinearLoss, "margin", recorded_margin)
+    return events
+
+
+def _sparse_proposals(theta, last, Xt, walk_scale):
+    """(move, proposed theta, the change it makes to the predictor) of
+    every proposal from theta that the last draws can have made."""
+    support = np.flatnonzero(theta[1:]) + 1
+    absent = np.flatnonzero(theta[1:] == 0) + 1
+    steps = [("remove", c, 0.0, -theta[c]) for c in support]
+    steps.append(("flip", 0, -theta[0], -2.0 * theta[0]))
+    v, i = last.get("laplace"), last.get("integers")
+    if np.ndim(v) == 0 and i is not None and i < len(absent):
+        steps.append(("add", absent[i], v, v))
+    for move, c, value, d in steps:
+        prop = theta.copy()
+        prop[c] = value
+        yield move, prop, np.multiply(Xt[c], d)
+    normals = last.get("standard_normal")
+    if normals is not None and normals.shape == support.shape:
+        walk = walk_scale * normals
+        prop = theta.copy()
+        prop[support] = theta[support] + walk
+        yield "walk", prop, np.matmul(walk, Xt[support])
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_q50_sparse_chain_energies_equal_the_reference_risk(monkeypatch, n):
+    # every energy the pinned q50 chain scores, -omega*N*count/n on a change
+    # counted against the standing margin, is -omega*N*risk of the proposed
+    # row by GibbsTarget.risk's full product, and each margin is rebuilt
+    # from the accepted row.  Each proposal is found from the change it
+    # scored, among the moves the standing row and the last draws allow.
+    # The remove and flip energies the cache then serves are these scores.
+    recording = _sparse_chain_events(monkeypatch)
+    target = _q50_target(n)
+    chain = ss_mh_run(target, MHConfig(steps=3000, burn_in=0, thin=1,
+                                       seed=hash64(53, n, 1)))
+    events = list(recording)      # the reference's own scores come after
+    Xt, omega_n = target.prepared[0], target.omega * target.n_terms
+    (_, theta, start), (_, eta) = events[:2]
+    assert -omega_n * (start / n) == -omega_n * target.risk(theta)
+    assert eta.tobytes() == np.matmul(theta[None], Xt).tobytes()   # count(theta)'s
+    scored = dict.fromkeys(("add", "remove", "walk", "flip"), 0)
+    proposed = []                 # the rows scored while theta stands
+    for event in events[2:]:
+        if event[0] == "margin":
+            theta = next(prop for prop in proposed
+                         if np.matmul(prop, Xt).tobytes() == event[1].tobytes())
+            proposed = []
+            continue
+        _, change, got, last = event
+        move, prop = next((move, prop) for move, prop, made
+                          in _sparse_proposals(theta, last, Xt,
+                                               chain.meta["walk_scale"])
+                          if made.tobytes() == change.tobytes())
+        assert -omega_n * (got / n) == -omega_n * target.risk(prop), move
+        scored[move] += 1
+        proposed.append(prop)
+    assert np.array_equal(theta, chain.draws[-1])
+    moves = chain.meta["moves"]
+    assert scored["add"] == moves["add"]["proposed"]
+    assert scored["walk"] == moves["walk"]["proposed"]
+    for move in ("remove", "flip"):
+        assert 0 < scored[move] < moves[move]["proposed"]
 
 
 @pytest.mark.parametrize("n", [1, 200, 800])
