@@ -911,6 +911,54 @@ def test_invariance_on_piecewise_constant_density():
 # sparse-configuration sampler
 
 
+def _word_position(rng):
+    """The Philox counter and the place in its four-word block."""
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+@pytest.mark.parametrize("key", [1, hash64(53, 200, 1), 2**64 - 1])
+@pytest.mark.parametrize("chosen", [0, 7])
+def test_word_draws_equal_the_generator_draws(key, chosen):
+    # the sparse chain's uniforms and coordinate picks, read from its Philox
+    # words, against Generator.random() and Generator.integers(k) on a twin,
+    # with Laplace and normal draws between them: every value, then the word
+    # position and the buffered half.  At k = 2**31 + 1 about half the picks
+    # are drawn again; k = 1 draws nothing; k = 2**32 is the method's bound.
+    # A start that choice(replace=False) left with a buffered half, as
+    # SpikeSlab.sample does, takes that half first.  If NumPy changes either
+    # algorithm this fails, where the sparse chains' bytes would move.
+    bounds = (1, 2, 3, 50, 51, 5001, 2**31 + 1, 2**32 - 1, 2**32)
+    words, twin = make_rng(key), make_rng(key)
+    if chosen:
+        for rng in (words, twin):
+            rng.choice(50, size=chosen, replace=False)
+        assert twin.bit_generator.state["has_uint32"] == 1
+    uniform, pick = sampler._word_draws(words)
+    schedule = np.random.default_rng(key)
+    drawn = dict.fromkeys(bounds, 0)
+    for kind in schedule.integers(4, size=4000).tolist():
+        if kind == 0:
+            assert uniform() == twin.random()
+        elif kind == 1:
+            k = bounds[schedule.integers(len(bounds))]
+            got = pick(k)
+            assert got == twin.integers(k) and 0 <= got < k, k
+            drawn[k] += 1
+        elif kind == 2:
+            assert words.laplace(0.0, 0.7) == twin.laplace(0.0, 0.7)
+        else:
+            s = int(schedule.integers(5))
+            assert np.array_equal(words.standard_normal(s),
+                                  twin.standard_normal(s))
+    assert min(drawn.values()) > 50
+    assert _word_position(words) == _word_position(twin)
+    # a 32-bit draw reads the buffered half if there is one, and the words
+    # stay in step only if both sides hold the same half
+    assert pick(2**32) == twin.integers(2**32)
+    assert _word_position(words) == _word_position(twin)
+
+
 def test_sparse_sampler_reproduces_prior_masses_at_rate_zero():
     # with rate 0 the kept configurations must follow the configuration
     # prior exactly; expected size masses come from enumerating log masses
@@ -1110,13 +1158,17 @@ def test_standing_sparse_state_scores_each_remove_and_flip_row_once(monkeypatch)
 
 
 class _LastDraws:
-    """A generator that keeps the last variate each of its methods drew."""
+    """A generator that keeps the last variate each of its Laplace and
+    normal draws gave; its other attributes, the bit generator the chain's
+    word draws read among them, pass through."""
 
     def __init__(self, rng):
         self.rng, self.last = rng, {}
 
     def __getattr__(self, name):
         draw = getattr(self.rng, name)
+        if name not in ("laplace", "standard_normal"):
+            return draw
 
         def recorded(*args, **kwargs):
             self.last[name] = got = draw(*args, **kwargs)
@@ -1126,15 +1178,24 @@ class _LastDraws:
 
 def _sparse_chain_events(monkeypatch):
     """Record, in order, a sparse chain's start score ("start", theta,
-    count), each proposal score ("score", change, count, the last draws) and
-    each margin build ("margin", the standing predictor)."""
+    count), each proposal score ("score", change, count, the last draws,
+    the last coordinate pick among them) and each margin build ("margin",
+    the standing predictor)."""
     events, rngs = [], []
     make, counter = sampler.make_rng, ZeroOneLinearLoss.counter
-    margin = ZeroOneLinearLoss.margin
+    margin, word_draws = ZeroOneLinearLoss.margin, sampler._word_draws
 
     def recorded_rng(seed):
         rngs.append(_LastDraws(make(seed)))
         return rngs[-1]
+
+    def recorded_word_draws(rng):
+        uniform, pick = word_draws(rng)
+
+        def recorded(k):
+            rng.last["pick"] = got = pick(k)
+            return got
+        return uniform, recorded
 
     def recorded_counter(self, prepared, shape):
         count, linear, mask = counter(self, prepared, shape)
@@ -1156,6 +1217,7 @@ def _sparse_chain_events(monkeypatch):
     monkeypatch.setattr(sampler, "make_rng", recorded_rng)
     monkeypatch.setattr(ZeroOneLinearLoss, "counter", recorded_counter)
     monkeypatch.setattr(ZeroOneLinearLoss, "margin", recorded_margin)
+    monkeypatch.setattr(sampler, "_word_draws", recorded_word_draws)
     return events
 
 
@@ -1166,7 +1228,7 @@ def _sparse_proposals(theta, last, Xt, walk_scale):
     absent = np.flatnonzero(theta[1:] == 0) + 1
     steps = [("remove", c, 0.0, -theta[c]) for c in support]
     steps.append(("flip", 0, -theta[0], -2.0 * theta[0]))
-    v, i = last.get("laplace"), last.get("integers")
+    v, i = last.get("laplace"), last.get("pick")
     if np.ndim(v) == 0 and i is not None and i < len(absent):
         steps.append(("add", absent[i], v, v))
     for move, c, value, d in steps:
