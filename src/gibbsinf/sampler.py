@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -312,19 +313,29 @@ def _block_log_density(targets):
     return density
 
 
-# a lookahead fill evaluates at most this many rows (chains x steps) at once
-_LOOKAHEAD_ROWS = 4
+# a call of k rows per chain on R chains of n observations costs about
+# 1 + k*R*n / _CALL_CELLS one-row calls.  A line a + b*cells through medians
+# of 60 interleaved batches of 100 calls, in us per call at k = 1 and 3, of
+# 8 MCID chains at n = 100 (15.3-17.2, 20.9-22.9) and 4 check-loss chains at
+# n = 200 (18.3-20.8, 28.3-31.2), 800 (25.0-26.5, 51.3-53.2) and 3200
+# (55.6-57.2, 147.6-150.6) gives a / b of 2250-3700 cells (three runs on one
+# thread of a 2-vCPU Intel Xeon, NumPy 2.4.6, OpenBLAS 0.3.31).
+_CALL_CELLS = 3000
 
-# a block that cannot look ahead scores a two-step tree when its 3 * R rows
-# times the observations per chain are at most this many.  Medians of 60
-# interleaved batches of 100 calls, in us per call of k rows per chain, on
-# one thread of a 2-vCPU Intel Xeon (NumPy 2.4.6, OpenBLAS 0.3.31), three
-# runs: 8 MCID chains at n = 100, 15.3-17.2 (k = 1) and 20.9-22.9 (k = 3);
-# 4 check-loss chains at n = 200, 18.3-20.8 and 28.3-31.2; at n = 800,
-# 25.0-26.5 and 51.3-53.2; at n = 3200, 55.6-57.2 and 147.6-150.6.  A tree
-# call costs 0.67-0.78 of the two calls it replaces at 2400 cells,
-# 0.99-1.03 at 9600 and 1.32-1.33 at 38400.
-_TREE_CELLS = 4096
+
+def _prefetch(stay: float, cells: int, left: int) -> int:
+    """K, the steps per chain a chunk's calls score along the reject path
+    (1 to 4), or 0 for the two-step tree, whichever covers the most steps
+    per unit of call cost (Strid 2010, CSDA 54(11)).  A call of k rows per
+    chain costs 1 + k * cells / _CALL_CELLS (cells = R * n); K rows cover
+    sum_{d<K} stay^d steps, where stay is the share of the last chunk's
+    steps on which no chain moved, and the tree's 3 rows cover 2 if two
+    steps are left.  Ties go to the smaller K, never to the tree, so a
+    first chunk (stay 0) takes the tree exactly when cells < _CALL_CELLS."""
+    covers = {K: sum(stay ** d for d in range(K)) for K in range(1, 5)}
+    if left > 1:
+        covers[0] = 2
+    return max(covers, key=lambda K: covers[K] / (1 + (K or 3) * cells / _CALL_CELLS))
 
 
 def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
@@ -338,46 +349,33 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     chains must share steps, burn-in, thin and dimension, and their targets
     one loss object, one prior object and prepared arrays of one shape.
 
-    Lookahead (pre-fetching, Brockwell 2006, JCGS 15(1)): while no chain
-    accepts, the state does not move, so the next K proposals theta +
-    s*eps_{t+1..t+K} of every chain are known in advance.  When a step is
-    not covered by the buffer, the next k = min(K, steps left in the chunk)
-    proposals of every chain are evaluated in one kernel call on an
-    (R, k, J) array (row r*k + j of the densities is chain r at step t+j),
-    by the density function built for k; with K = 1 the buffer holds one
-    step.  Each chain's k rows are scored against its own data, untiled: a
-    0-1 loss by one gemm per chain.  The decisions are taken step by step
-    from the buffer, with the same uniforms and the same test, and the
-    buffer is dropped as soon as any chain accepts.  A row's density does
-    not depend on k (a 0-1 loss's mask does not see the products' last
-    bits, and every other loss does the same arithmetic per row), so K
-    decides only which rows get computed, never a draw or a decision.
-    K = 1 for the first chunk of _CHUNK steps; after each chunk,
-    K = floor(_CHUNK / steps of that chunk on which some chain accepted),
-    capped at max(1, 4 // R) rows per chain.
-
-    A block of three or more chains cannot look ahead (K = 1), and some
-    chain accepts on almost every step.  Such a block whose 3 * R rows times n
-    (observations per chain) are at most _TREE_CELLS takes the two-step
-    tree instead (Strid 2010, CSDA 54(11)): for each pair of steps t, t+1
-    one kernel call scores an (R, 3, J) array whose rows are theta +
-    eps_t, theta + eps_{t+1} and (theta + eps_t) + eps_{t+1}, the last
-    added to the stored first row, so it has the bits of the proposal of
-    step t+1 after a move at t.  That covers both steps whatever the
-    chains decide: at step t+1, a chain that accepted at t reads the third
-    row, any other the second.  A chunk's odd last step takes the one-row
-    call.  The argument that keeps the bytes is the lookahead's: a row's
-    density does not depend on which rows share its call.
+    Each kernel call scores an (R, k, J) array, k proposals per chain (row
+    r*k + j of the densities is chain r's j-th), each chain's rows against
+    its own data, untiled, by the density function for k, built when first
+    used.  `_prefetch` chooses, per chunk of _CHUNK steps, which of two
+    prefetching trees (Strid 2010) the calls score.  The reject path
+    (Brockwell 2006, JCGS 15(1)): while no chain accepts the state does not
+    move, so one call scores theta + s*eps of the next k = min(K, steps
+    left in the chunk) steps, dropped as soon as any chain accepts.  The
+    two-step tree: one call per pair of steps t, t+1 scores theta + eps_t,
+    theta + eps_{t+1} and (theta + eps_t) + eps_{t+1}, the last added to
+    the stored first row, so it has the bits of step t+1's proposal after
+    a move at t; at t+1 a chain that accepted at t reads the third row, any
+    other the second, and a chunk's odd last step takes a one-row call.
+    The decisions are taken step by step, with the same uniforms and test.
+    A row's density does not depend on which rows share its call (a 0-1
+    loss's mask does not see the products' last bits, and every other
+    loss does the same arithmetic per row), so the schedule decides only
+    which rows get computed, never a draw or a decision.
 
     Decisions run on Python floats: each kernel call's densities are one
     list, and each chain's current log density is a float.  A step on which
     every chain rejects makes no NumPy call besides its share of a kernel
     call; the kept draws since the state last moved are written when it
     next moves.  A step on which some chains accept copies just their rows;
-    outside the tree, one on which all accept takes the proposal row as
+    outside a tree pair, one on which all accept takes the proposal row as
     the state.  A run first sets each start's streams back to their states
-    when the start was made, so running one start again gives the same
-    chain.
+    at the start, so running one start again gives the same chain.
     """
     if not starts:
         raise PreconditionError("a block needs at least one chain")
@@ -397,20 +395,17 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     for s in starts:
         s.normals.bit_generator.state, s.uniforms.bit_generator.state = s.states
     R = len(starts)
-    most = max(1, _LOOKAHEAD_ROWS // R)   # the most steps per call
-    tree = most == 1 and 3 * R * target.data.n <= _TREE_CELLS
-    density = _block_log_density([s.target for s in starts])
-    log_density = {k: density(k) for k in ((1, 3) if tree else range(1, most + 1))}
-    K = 1                                 # lookahead
+    cells = R * target.data.n
+    log_density = cache(_block_log_density([s.target for s in starts]))
     theta = np.stack([s.theta for s in starts])
     logp = [s.logp for s in starts]
     chains = range(R)
-    if tree:
-        # one buffer and its views, made once: a tree block never rebinds
-        # theta to a proposal row, so theta[:, None] stays a view of it
-        tree_rows = np.empty((R, 3, dim))
-        current, first_two = theta[:, None], tree_rows[:, :2]
-        row0, row2 = tree_rows[:, 0], tree_rows[:, 2]
+    # the tree's one buffer and its views.  theta may be bound to a
+    # reject-path row, never to a row of this buffer, and only outside tree
+    # pairs; a tree chunk's pairs precede its one-row call, so a view of
+    # theta taken at a chunk's start is theta's through all of its pairs
+    tree_rows = np.empty((R, 3, dim))
+    first_two, row0, row2 = tree_rows[:, :2], tree_rows[:, 0], tree_rows[:, 2]
 
     kept = np.empty((R, first.n_kept, dim))
     written = 0                           # kept draws written so far
@@ -420,6 +415,7 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
     normals = np.empty((_CHUNK, dim))
     steps_dz = np.empty((R, _CHUNK, dim))      # scaled proposal increments
     uniforms = np.empty((R, _CHUNK))
+    stay = 0.0        # the share of the last chunk's steps on which no chain moved
     for done in range(0, steps, _CHUNK):
         c = min(_CHUNK, steps - done)
         for r, s in enumerate(starts):
@@ -427,20 +423,22 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
             np.multiply(s.scale, normals[:c], out=steps_dz[r, :c])
             s.uniforms.random(out=uniforms[r, :c])
         u_steps = uniforms[:, :c].T.tolist()
+        K = _prefetch(stay, cells, c)     # 0: the two-step tree
+        current = theta[:, None]          # theta's through the chunk's pairs
         moved = 0                         # steps on which some chain accepted
         start = end = 0                   # steps [start, end) are in the buffer
         for i in range(c):
             if i >= end:
-                pair = tree and i + 1 < c
+                pair = not K and i + 1 < c
                 if pair:
                     k, end, props = 3, i + 2, tree_rows
                     np.add(current, steps_dz[:, i:end], out=first_two)
                     np.add(row0, steps_dz[:, i + 1], out=row2)
                 else:
-                    k = min(K, c - i)
+                    k = min(K or 1, c - i)
                     end = i + k
                     props = theta[:, None] + steps_dz[:, i:end]
-                lps = log_density[k](props)
+                lps = log_density(k)(props)
                 start, ahead = i, ()
             # lp[r] is chain r at step i, row r*k + j of the buffer (at a
             # tree's second step, the third row's density where chain r
@@ -458,7 +456,7 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
                 if written < taken:
                     kept[:, written:taken] = theta[:, None]
                     written = taken
-                if len(accept) == R and not tree:
+                if len(accept) == R and not pair:
                     theta, logp = props[:, j], lp
                     every += 1
                 else:
@@ -474,7 +472,7 @@ def mh_run_block(starts: Sequence[ChainStart]) -> list[Chain]:
                         lps[3 * r + 1] = lps[3 * r + 2]
                 else:
                     end = 0
-        K = min(most, _CHUNK // moved) if moved else most
+        stay = 1.0 - moved / c
     kept[:, written:] = theta[:, None]
 
     out = []
@@ -631,12 +629,13 @@ def ss_mh_run(target: GibbsTarget, config: MHConfig) -> Chain:
         raise InitializationError("initial point has NaN target density")
     if slab == -math.inf:
         raise InitializationError("initial point has zero target density")
-    start, eta = loss.counter(prepared, (n,))[:2]
-    ne = -omega_n * (start(theta) / n)
     build, margin = loss.margin(prepared)
-    build(eta)                        # the standing state's margin
-    # count() scores the change a proposal makes, built into `change`
+    build(np.matmul(theta, Xt, out=margin))   # the standing state's margin
+    # count() scores the change a proposal makes, built into `change`; the
+    # start's is +0.0, and 0.0 > m counts eta > c exactly (`margin`)
     count, change, _ = loss.counter((Xt, margin), (n,))
+    change.fill(0.0)
+    ne = -omega_n * (count() / n)
     Xt_s = Xt[support_idx]            # the design rows of beta_S
     cached = {}                       # remove and flip energies by coordinate
 

@@ -497,23 +497,27 @@ def test_lookahead_evaluates_several_steps_per_call(monkeypatch):
     monkeypatch.setattr(MCIDLoss, "kernel", kernel)
     chain = mh_run_block(one)[0]
     assert chain.accept_rate < 0.1
-    assert len(rows) <= 0.6 * steps
-    assert sum(rows) <= 1.5 * steps
-    # a block of eight chains at n = 40 (960 cells) never looks ahead along
-    # the reject path; it scores a two-step tree, three rows per chain, in
-    # one call per pair of steps
+    # the first chunk scores two-step trees, one call of three rows per
+    # pair of steps; then almost no step moves, and the rest of the chain
+    # mostly scores four steps of the reject path per call
+    assert rows[:_CHUNK // 2] == [3] * (_CHUNK // 2)
+    assert np.bincount(rows[_CHUNK // 2:]).tolist() == [0, 1, 5, 1, 584]
+    # so does a block of eight chains at n = 40, four rows per chain
     rows.clear()
     mh_run_block(eight)
-    assert rows == [3 * 8] * (steps // 2)
+    assert rows[:_CHUNK // 2] == [3 * 8] * (_CHUNK // 2)
+    per_chain = [r // 8 for r in rows[_CHUNK // 2:]]
+    assert np.bincount(per_chain).tolist() == [0, 2, 4, 1, 594]
 
 
 @pytest.mark.parametrize("extra, tree", [(0, True), (1, False)],
                          ids=["at-budget", "over-budget"])
 def test_block_takes_the_tree_within_its_cell_budget(monkeypatch, extra, tree):
-    # four check-loss chains whose 3 * R rows times n sit at the budget or
-    # one observation per chain over it; both run the same chains as mh_run
+    # four check-loss chains whose R * n cells sit just under _CALL_CELLS or
+    # at it.  Almost every step moves, so every chunk takes the tree exactly
+    # when a first chunk does; both run the same chains as mh_run
     R = 4
-    n = sampler._TREE_CELLS // (3 * R) + extra
+    n = sampler._CALL_CELLS // R - 1 + extra
     rng = make_rng(hash64(50, n))
     loss, prior = CheckLoss(0.3, AffineBasis()), GaussianIID(0.0, 10.0, 2)
     targets = []
@@ -533,6 +537,58 @@ def test_block_takes_the_tree_within_its_cell_budget(monkeypatch, extra, tree):
         assert rows == ([3 * R] * (_CHUNK // 2)) * 2 + [3 * R] * 4 + [R]
     else:
         assert rows == [R] * (2 * _CHUNK + 9)
+
+
+_C = sampler._CALL_CELLS
+
+
+@pytest.mark.parametrize("stay, cells, left, K", [
+    (0.0, _C - 1, _CHUNK, 0),     # a first chunk takes the tree below _CALL_CELLS
+    (0.0, _C, _CHUNK, 1),         # and one row per call from it on
+    (0.0, 10 * _C, _CHUNK, 1),
+    (0.0, 1, 2, 0),
+    (0.0, 1, 1, 1),               # no pair left
+    (0.02, 800, _CHUNK, 0),       # the mcid-reps block, some chain moves on most steps
+    (0.05, 3200, _CHUNK, 1),      # four check-loss chains at n = 800
+    (0.05, 12800, _CHUNK, 1),     # and at n = 3200
+    (0.75, 1000, _CHUNK, 4),      # the cli-sample chain at acceptance 0.25
+    (0.9, 3200, _CHUNK, 4),       # one check-loss chain at n = 3200
+    (0.9, 6000, _CHUNK, 3),
+    (0.9, 12800, _CHUNK, 2),
+    (1.0, 40, _CHUNK, 4),
+    (0.5, 60, _CHUNK, 0),         # 4 rows cover 1.875 steps, the tree's 3 cover 2
+    (0.6, 60, _CHUNK, 4),         # 4 rows cover 2.176
+    (0.6, 60, 1, 4)])
+def test_prefetch_covers_the_most_steps_per_unit_of_call_cost(stay, cells, left, K):
+    assert sampler._prefetch(stay, cells, left) == K
+
+
+def test_block_switches_between_the_tree_and_the_reject_path(monkeypatch):
+    # two chains on whose chunks' steps no chain moves about as often as
+    # the rule turns at, so their chunks alternate between two-step trees
+    # and four steps of the reject path per call.  A step on which both
+    # chains move outside a tree pair binds theta to its reject-path rows,
+    # and a tree chunk follows such a step three times; both also move
+    # inside tree pairs, which must leave theta where it is.  The block
+    # equals its one-chain runs.
+    targets = _block_case("mcid/gaussian", R=2)
+    configs = [MHConfig(steps=10 * _CHUNK + 7, burn_in=0, thin=1,
+                        seed=hash64(55, r), proposal_scale=5.0) for r in range(2)]
+    singles = [mh_run(t, c) for t, c in zip(targets, configs)]
+    starts = [mh_start(t, c) for t, c in zip(targets, configs)]
+    chosen, prefetch = [], sampler._prefetch
+    monkeypatch.setattr(sampler, "_prefetch",
+                        lambda *args: chosen.append(prefetch(*args)) or chosen[-1])
+    block = mh_run_block(starts)
+    _assert_same_chains(block, singles)
+    assert chosen == [0, 4, 4, 4, 0, 4, 0, 4, 0, 0, 4]
+    # the chunk of each step on which both chains moved
+    states = np.stack([np.vstack([s.theta, c.draws]) for s, c in zip(starts, block)])
+    both = set((np.flatnonzero((states[:, 1:] != states[:, :-1]).any(axis=2)
+                               .all(axis=0)) // _CHUNK).tolist())
+    assert {j for j, (K, after) in enumerate(zip(chosen, chosen[1:]))
+            if j in both and K and not after} == {3, 5, 7}
+    assert {j for j in both if not chosen[j]} == {0, 4, 6, 8, 9}
 
 
 @pytest.mark.parametrize("kind", ["mcid/gaussian", "check/gaussian", "check/laplace",
@@ -747,12 +803,13 @@ def _mcid2_target(n, seed):
                        gen.sample(n, make_rng(seed)), 1.0)
 
 
-def test_one_chain_lookahead_holds_one_copy_of_the_design():
-    # a one-chain block builds its densities for 1..4 rows per call on the
-    # target's own (J, n) design: the buffers of those 10 rows (a product,
-    # a tiled threshold and a mask each) and the variates, with less than
-    # one design's bytes to spare.  A state tiled 4 times would add three
-    # designs, 384 kB.
+def test_one_chain_lookahead_holds_one_copy_of_the_design(monkeypatch):
+    # a one-chain block builds its density for 3 rows per call, the only
+    # width its two chunks of two-step trees use, on the target's own
+    # (J, n) design: the buffers of those 3 rows (a product, a tiled
+    # threshold and a mask each) and the variates, with less than one
+    # design's bytes to spare.  A state tiled 3 times would add two
+    # designs, 256 kB.
     target = _mcid2_target(1000, hash64(61, 1))
     config = MHConfig(steps=512, burn_in=0, thin=512, proposal_scale=0.1,
                       seed=hash64(61, 2), init=np.zeros(16))
@@ -765,9 +822,11 @@ def test_one_chain_lookahead_holds_one_copy_of_the_design():
     finally:
         tracemalloc.stop()
     design, n = target.prepared[0].nbytes, 1000
-    rows = sum(range(1, sampler._LOOKAHEAD_ROWS + 1))
-    buffers = rows * n * (8 + 8 + 1) + _CHUNK * (2 * 16 + 1) * 8
+    buffers = 3 * n * (8 + 8 + 1) + _CHUNK * (2 * 16 + 1) * 8
     assert peak < buffers + design
+    rows = _counted_rows(monkeypatch)
+    mh_run_block([start])
+    assert rows == [3] * _CHUNK           # _CHUNK // 2 pairs in each chunk
 
 
 # (sha256 of the draws' bytes, acceptances) of a 3000-step one-chain mcid2
@@ -793,9 +852,9 @@ def test_one_chain_mcid_lookahead_matches_recorded_digest(monkeypatch):
     chain = _mcid_lookahead_chain()
     assert chain.accepted == _MCID_LOOKAHEAD_PIN[1]
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == _MCID_LOOKAHEAD_PIN[0]
-    # one row for the start and each step of the first chunk (K = 1), then
-    # mostly four
-    assert np.bincount(rows).tolist() == [0, 262, 4, 1, 812]
+    # one row for the start, 128 two-step trees in the first chunk, then
+    # mostly four steps of the reject path per call
+    assert np.bincount(rows).tolist() == [0, 6, 4, 129, 812]
 
 
 # ---------------------------------------------------------------------------
@@ -1177,10 +1236,10 @@ class _LastDraws:
 
 
 def _sparse_chain_events(monkeypatch):
-    """Record, in order, a sparse chain's start score ("start", theta,
-    count), each proposal score ("score", change, count, the last draws,
-    the last coordinate pick among them) and each margin build ("margin",
-    the standing predictor)."""
+    """Record, in order, a sparse chain's margin builds ("margin", the
+    standing predictor) and scores ("score", change, count, the last
+    draws, the last coordinate pick among them): the start's margin, the
+    start's score on a zero change, then each proposal's."""
     events, rngs = [], []
     make, counter = sampler.make_rng, ZeroOneLinearLoss.counter
     margin, word_draws = ZeroOneLinearLoss.margin, sampler._word_draws
@@ -1202,8 +1261,7 @@ def _sparse_chain_events(monkeypatch):
 
         def recorded(B=None):
             got = count(B)
-            events.append(("start", B.copy(), got) if B is not None
-                          else ("score", linear.copy(), got, dict(rngs[-1].last)))
+            events.append(("score", linear.copy(), got, dict(rngs[-1].last)))
             return got
         return recorded, linear, mask
 
@@ -1257,9 +1315,11 @@ def test_q50_sparse_chain_energies_equal_the_reference_risk(monkeypatch, n):
                                        seed=hash64(53, n, 1)))
     events = list(recording)      # the reference's own scores come after
     Xt, omega_n = target.prepared[0], target.omega * target.n_terms
-    (_, theta, start), (_, eta) = events[:2]
+    (_, eta), (_, zero, start, _) = events[:2]
+    theta = target.prior.sample(make_rng(hash64(53, n, 1)))     # the start
+    assert zero.tobytes() == bytes(8 * n)                       # +0.0 each
     assert -omega_n * (start / n) == -omega_n * target.risk(theta)
-    assert eta.tobytes() == np.matmul(theta[None], Xt).tobytes()   # count(theta)'s
+    assert eta.tobytes() == np.matmul(theta[None], Xt).tobytes()   # theta @ Xt's
     scored = dict.fromkeys(("add", "remove", "walk", "flip"), 0)
     proposed = []                 # the rows scored while theta stands
     for event in events[2:]:
